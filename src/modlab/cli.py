@@ -16,16 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_json
+
 SCHEMA_VERSION = 1
 
 
-def _emit(data: dict, args) -> None:
-    text = json.dumps({"schema_version": SCHEMA_VERSION, **data}, indent=2, sort_keys=True)
-    out_file = getattr(args, "out_file", None)
+def _emit(data: dict, out_file=None) -> None:
+    data = {"schema_version": SCHEMA_VERSION, **data}
     if out_file:
-        Path(out_file).write_text(text + "\n")
+        write_json(data, out_file)
     else:
-        print(text)
+        print(json.dumps(data, indent=2, sort_keys=True))
 
 
 def _parse_grid(spec: str):
@@ -60,7 +61,7 @@ def _cmd_ring_modulus(args) -> int:
         "grid": [n_r, n_theta],
         "iterations": res.iterations,
         "converged": res.converged,
-    }, args)
+    }, args.out_file)
     return 0 if rel <= args.agree_tol else 1
 
 
@@ -80,7 +81,7 @@ def _cmd_circle_family(args) -> int:
         "relative_gap": rel,
         "n_circles": args.n_circles,
         "q": args.q,
-    }, args)
+    }, args.out_file)
     return 0 if rel <= args.agree_tol else 1
 
 
@@ -98,7 +99,7 @@ def _cmd_qnorm(args) -> int:
             for r, v in zip(prof.radii, prof.values):
                 print(f"{float(r)!r},{float(v)!r}")
     else:
-        _emit(prof.to_json(), args)
+        _emit(prof.to_json(), args.out_file)
     return 0
 
 
@@ -117,7 +118,7 @@ def _cmd_fmo(args) -> int:
             title=f"mean oscillation of {args.q} (verdict: {rep.verdict})",
             xlabel="epsilon", ylabel="oscillation", logx=True, logy=True,
         ), args.svg_file)
-    _emit(rep.to_json(), args)
+    _emit(rep.to_json(), args.out_file)
     return 0
 
 
@@ -135,7 +136,7 @@ def _cmd_divergence(args) -> int:
             title=f"reciprocal ring integral of {args.q} (verdict: {rep.verdict})",
             xlabel="epsilon", ylabel="integral", logx=True,
         ), args.svg_file)
-    _emit(rep.to_json(), args)
+    _emit(rep.to_json(), args.out_file)
     return 0
 
 
@@ -191,7 +192,7 @@ def _cmd_distortion(args) -> int:
             "passed": rep.passed,
         },
     }
-    print(json.dumps({"schema_version": SCHEMA_VERSION, **summary}, indent=2, sort_keys=True))
+    _emit(summary)
     return 0
 
 
@@ -212,7 +213,7 @@ def _cmd_verify(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.config).parent / "results"
     out_dir.mkdir(parents=True, exist_ok=True)
     record.write(out_dir / f"{record.experiment_id}.json")
-    print(json.dumps(record.to_json_dict(with_meta=False), indent=2, sort_keys=True))
+    _emit(record.to_json_dict(with_meta=False))
     return 0 if record.passed else 1
 
 

@@ -10,19 +10,19 @@ data exposed in the report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .diskgeom import as_complex, mobius_invert, mobius_to_zero
 from .quadrature import (
     RadialProfile,
     RingSpec,
     ScalarField,
     ZeroNormError,
+    _simpson_nodes,
     ball_integral,
     circle_integral,
     qnorm_profile,
@@ -101,14 +101,10 @@ class FMOReport:
             "trend_slope": self.trend_slope,
             "verdict": self.verdict,
         }
-        if path is not None:
-            Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return data
+        return write_json(data, path)
 
     def to_csv(self, path) -> None:
-        lines = ["epsilon,oscillation"]
-        lines += [f"{float(e)!r},{float(o)!r}" for e, o in zip(self.epsilons, self.oscillations)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, ("epsilon", "oscillation"), zip(self.epsilons, self.oscillations))
 
 
 def fmo_check(Q: ScalarField, epsilons=None, center=0j,
@@ -183,29 +179,29 @@ class DivergenceReport:
             "verdict": self.verdict,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
         }
-        if path is not None:
-            Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return data
+        return write_json(data, path)
 
     def to_csv(self, path) -> None:
-        lines = ["epsilon,partial_integral"]
-        lines += [f"{float(e)!r},{float(p)!r}" for e, p in zip(self.epsilons, self.partial_integrals)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, ("epsilon", "partial_integral"), zip(self.epsilons, self.partial_integrals))
 
 
-def _partial_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float,
-                       n_dense: int, n_angular: int):
-    """I(eps) = int_eps^eps0 dr/||Q||(r) for each eps, from one dense profile."""
+def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float,
+                    n_dense: int, n_angular: int, integrand) -> np.ndarray:
+    """int_eps^eps0 integrand(r, ||Q||(r)) dr for each eps (decreasing), from
+    one dense geometric profile that contains the epsilons."""
     grid = np.unique(np.concatenate([np.geomspace(epsilons[-1], eps0, n_dense), epsilons]))
-    values = np.array([circle_integral(Q, float(r), n_angular) for r in grid])
-    if np.any(values <= 0.0):
-        raise ZeroNormError("||Q|| vanishes on the ring; reciprocal integral undefined")
-    integrand = 1.0 / values
+    norms = np.array([circle_integral(Q, float(r), n_angular) for r in grid])
+    values = integrand(grid, norms)
     # cumulative trapezoid from the right: I[k] = int_{grid[k]}^{eps0}
-    seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid)
+    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
     cum = np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
-    idx = np.searchsorted(grid, epsilons)
-    return cum[idx], grid, values
+    return cum[np.searchsorted(grid, epsilons)]
+
+
+def _reciprocal_norm(r: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    if np.any(norms <= 0.0):
+        raise ZeroNormError("||Q|| vanishes on the ring; reciprocal integral undefined")
+    return 1.0 / norms
 
 
 def divergence_check(Q: ScalarField, ring: RingSpec, n_eps: int = 12,
@@ -224,7 +220,7 @@ def divergence_check(Q: ScalarField, ring: RingSpec, n_eps: int = 12,
     epsilons = np.unique(np.maximum(epsilons, floor))[::-1]
     if len(epsilons) < 6:
         raise ValueError("epsilon sequence too short; widen the ring or raise n_eps")
-    partials, _, _ = _partial_integrals(Q, epsilons, eps0, n_dense, n_angular)
+    partials = _tail_integrals(Q, epsilons, eps0, n_dense, n_angular, _reciprocal_norm)
 
     tail = epsilons <= eps0 / 4 + 1e-15
     if np.count_nonzero(tail) < 6:
@@ -288,9 +284,7 @@ class EtaCheckReport:
             "min_relative_margin": self.min_relative_margin,
             "all_above": self.all_above,
         }
-        if path is not None:
-            Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return data
+        return write_json(data, path)
 
 
 def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
@@ -317,11 +311,7 @@ def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
     eta_profile = EtaProfile(ring, J, radii, eta0)
 
     # independent route: Simpson nodes, fresh circle integrals
-    n_sim = 129
-    sim_r = np.linspace(ring.r_inner, ring.r_outer, n_sim)
-    sim_w = np.ones(n_sim)
-    sim_w[1:-1:2], sim_w[2:-1:2] = 4.0, 2.0
-    sim_w *= (ring.r_outer - ring.r_inner) / (n_sim - 1) / 3.0
+    sim_r, sim_w = _simpson_nodes(ring.r_inner, ring.r_outer, 129)
     sim_norms = np.array([circle_integral(Q, float(r), n_angular) for r in sim_r])
     equality_value = float(np.sum(sim_w / (J * J * sim_norms)))
     one_over_j = 1.0 / J
@@ -373,9 +363,7 @@ class SlopeReport:
             "residual": self.residual,
             "tail_increment": self.tail_increment,
         }
-        if path is not None:
-            Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return data
+        return write_json(data, path)
 
 
 def fmo_integral_estimate(Q: ScalarField, eps_list=None, eps0: float = 0.5,
@@ -396,12 +384,8 @@ def fmo_integral_estimate(Q: ScalarField, eps_list=None, eps0: float = 0.5,
     epsilons = np.asarray(sorted(map(float, eps_list), reverse=True))
     field = recentered_field(Q, center)
 
-    grid = np.unique(np.concatenate([np.geomspace(epsilons[-1], eps0, n_dense), epsilons]))
-    norms = np.array([circle_integral(field, float(r), n_angular) for r in grid])
-    integrand = norms / (grid * np.log(1.0 / grid)) ** 2
-    seg = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid)
-    cum = np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
-    values = cum[np.searchsorted(grid, epsilons)]
+    values = _tail_integrals(field, epsilons, eps0, n_dense, n_angular,
+                             lambda r, norms: norms / (r * np.log(1.0 / r)) ** 2)
 
     xi = np.log(np.log(1.0 / epsilons))
     if np.all(values <= 1e-300):

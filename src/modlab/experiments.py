@@ -30,14 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .criteria import divergence_check
 from .fields import parse_field
 from .mappings import (
     SampleMap,
+    dilatation,
     map_from_config,
     multiplicity,
     pushforward_polylines,
-    wirtinger,
 )
 from .modulus import (
     circle_family,
@@ -108,9 +109,12 @@ class ExperimentConfig:
         if kind == "lower_q" and cfg.ring is None:
             raise ConfigError(f"config {path}: lower_q needs a ring")
         # resolve references eagerly so bad specs fail at load time
-        map_from_config(cfg.map_spec)
-        if cfg.q_majorant is not None:
-            parse_field(cfg.q_majorant)
+        try:
+            map_from_config(cfg.map_spec)
+            if cfg.q_majorant is not None:
+                parse_field(cfg.q_majorant)
+        except ValueError as exc:
+            raise ConfigError(f"config {path}: {exc}") from exc
         resolutions = [v for v in cfg.grid.values() if isinstance(v, (int, float))]
         if any(v > 4096 for v in resolutions):
             raise ConfigError(f"config {path}: grid resolution exceeds the 4096 cap")
@@ -153,29 +157,15 @@ class VerdictRecord:
         return data
 
     def write(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(self.to_json_dict(), path)
 
 
 def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
     """The weight n_factor * K_f(z) as a chart field, from analytic Wirtinger
-    data when available and central differences otherwise."""
+    data when available and central differences otherwise; inf where J = 0."""
 
     def evaluate(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if f.has_analytic_wirtinger:
-            fz, fzb = f.wirtinger_analytic(z)
-            num = np.abs(fz) + np.abs(fzb)
-            den = np.abs(fz) - np.abs(fzb)
-            return n_factor * num / den
-        return np.array(
-            [n_factor * _k_of(f, w) for w in z]
-        )
-
-    def _k_of(fmap, w):
-        fz, fzb = wirtinger(fmap, w)
-        return (abs(fz) + abs(fzb)) / (abs(fz) - abs(fzb))
+        return n_factor * dilatation(f, np.atleast_1d(np.asarray(z, dtype=complex)))
 
     return ScalarField(evaluate, label=f"{n_factor:g}*K[{f.label}]")
 
@@ -392,18 +382,10 @@ def run_suite(config_dir, out_dir=None) -> int:
         "n_passed": sum(1 for r in records if r.status == "ok" and r.passed),
         "records": [r.to_json_dict(with_meta=False) for r in records],
     }
-    (out_dir / "suite_report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    lines = ["experiment_id,kind,status,lhs,rhs,ratio,passed"]
-    for r in records:
-        lines.append(
-            f"{r.experiment_id},{r.kind},{r.status},"
-            f"{'' if r.lhs is None else repr(r.lhs)},"
-            f"{'' if r.rhs is None else repr(r.rhs)},"
-            f"{'' if r.ratio is None else repr(r.ratio)},"
-            f"{int(r.passed)}"
-        )
-    (out_dir / "suite_summary.csv").write_text("\n".join(lines) + "\n")
+    write_json(summary, out_dir / "suite_report.json")
+    write_csv(out_dir / "suite_summary.csv",
+              ("experiment_id", "kind", "status", "lhs", "rhs", "ratio", "passed"),
+              ((r.experiment_id, r.kind, r.status, r.lhs, r.rhs, r.ratio, int(r.passed))
+               for r in records))
     all_ok = all(r.status == "ok" and r.passed for r in records)
     return 0 if all_ok else 1

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._io import write_json
 from .diskgeom import (
     IDENTITY,
     DiskPoint,
@@ -372,7 +373,7 @@ def save_group(group: FuchsianGroup, path) -> None:
         "max_word_length": group.max_word_length,
         "element_cap": group.element_cap,
     }
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_json(data, path)
 
 
 def cyclic_group(translation_length: float = 2.0, max_word_length: int = 8) -> FuchsianGroup:

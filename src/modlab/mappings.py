@@ -10,12 +10,13 @@ multiplicities for branched maps) into an image domain.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._io import write_csv
 from .diskgeom import BOUNDARY_MARGIN, DiskPoint, MobiusAutomorphism, Polyline, as_complex
 from .modulus import CurveFamily, DiscretizedDomain, PolylineFamily, rasterize_family
 
@@ -214,42 +215,42 @@ def boundary_spiral_map() -> SampleMap:
 
 
 def parse_map(spec: str) -> SampleMap:
-    """CLI shorthand: identity | winding:<k> | radial_stretch:<k> | spiral | fold."""
+    """CLI map spec: a JSON map config (see map_from_config) or the shorthand
+    kind[:k], e.g. identity | winding:<k> | radial_stretch:<k> | spiral | fold."""
     spec = spec.strip()
-    if spec == "identity":
-        return identity_map()
-    if spec == "spiral":
-        return boundary_spiral_map()
-    if spec == "fold":
-        return fold_map()
-    if ":" in spec:
-        kind, arg = spec.split(":", 1)
-        if kind == "winding":
-            return winding(int(arg))
-        if kind in ("radial_stretch", "radial-stretch"):
-            return radial_stretch(float(arg))
-    raise ValueError(f"unknown map spec {spec!r}")
+    if spec.startswith("{"):
+        return map_from_config(json.loads(spec))
+    kind, _, arg = spec.partition(":")
+    cfg = {"kind": "radial_stretch" if kind == "radial-stretch" else kind}
+    if arg:
+        cfg["k"] = arg
+    return map_from_config(cfg)
 
 
 def map_from_config(cfg: dict) -> SampleMap:
     """Map definition from config JSON, e.g. {"kind": "winding", "k": 3}."""
-    kind = cfg["kind"]
-    if kind == "identity":
-        return identity_map()
-    if kind == "winding":
-        return winding(int(cfg["k"]))
-    if kind == "radial_stretch":
-        return radial_stretch(float(cfg["k"]))
-    if kind == "mobius":
-        g = MobiusAutomorphism(
-            complex(cfg["a_re"], cfg.get("a_im", 0.0)),
-            complex(cfg["c_re"], cfg.get("c_im", 0.0)),
-        )
-        return mobius_map(g)
-    if kind == "composition":
-        return compose_maps(*(map_from_config(part) for part in cfg["parts"]))
-    if kind == "spiral":
-        return boundary_spiral_map()
+    try:
+        kind = cfg["kind"]
+        if kind == "identity":
+            return identity_map()
+        if kind == "winding":
+            return winding(int(cfg["k"]))
+        if kind == "radial_stretch":
+            return radial_stretch(float(cfg["k"]))
+        if kind == "mobius":
+            g = MobiusAutomorphism(
+                complex(cfg["a_re"], cfg.get("a_im", 0.0)),
+                complex(cfg["c_re"], cfg.get("c_im", 0.0)),
+            )
+            return mobius_map(g)
+        if kind == "composition":
+            return compose_maps(*(map_from_config(part) for part in cfg["parts"]))
+        if kind == "spiral":
+            return boundary_spiral_map()
+        if kind == "fold":
+            return fold_map()
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed map spec {cfg!r}: {exc!r}") from exc
     raise ValueError(f"unknown map kind {kind!r}")
 
 
@@ -257,32 +258,68 @@ def map_from_config(cfg: dict) -> SampleMap:
 # derivatives and distortion
 
 
-def _default_step(z: complex) -> float:
-    return max(1e-5 * (1.0 - abs(z)), 1e-9)
+def _cabs(w: np.ndarray) -> np.ndarray:
+    """|w| via libm hypot, as Python's abs computes it; numpy's vectorized
+    complex abs can differ from it in the last bit."""
+    return np.hypot(w.real, w.imag)
 
 
-def wirtinger_fd(f: SampleMap, z, step: float = None):
-    """Central-difference Wirtinger derivatives f_z = (f_x - i f_y)/2,
-    f_zbar = (f_x + i f_y)/2."""
-    zc = as_complex(z)
-    if step is None:
-        step = _default_step(zc)
-    if abs(zc) + step >= 1.0 - BOUNDARY_MARGIN:
-        raise ValueError("stencil leaves the disk; shrink the step")
-    fx = (f.apply(zc + step) - f.apply(zc - step)) / (2.0 * step)
-    fy = (f.apply(zc + 1j * step) - f.apply(zc - 1j * step)) / (2.0 * step)
+def _fd_stencil(f: SampleMap, z: np.ndarray, h):
+    """Central differences at points z with steps h (an array or one step):
+    f_z = (f_x - i f_y)/2, f_zbar = (f_x + i f_y)/2."""
+    two_h = 2.0 * h
+    dx = f._apply(z + h) - f._apply(z - h)
+    dy = f._apply(z + 1j * h) - f._apply(z - 1j * h)
+    # divide componentwise: numpy's complex-by-real division multiplies by a
+    # reciprocal, which rounds differently from the true quotient
+    fx = dx.real / two_h + 1j * (dx.imag / two_h)
+    fy = dy.real / two_h + 1j * (dy.imag / two_h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
+def _pointwise(derivatives, z):
+    """Apply an array function returning (f_z, f_zbar) to a point or an array."""
+    if isinstance(z, np.ndarray):
+        return derivatives(z.astype(complex))
+    fz, fzb = derivatives(np.array([as_complex(z)]))
+    return complex(fz[0]), complex(fzb[0])
+
+
+def wirtinger_fd(f: SampleMap, z, step: float = None):
+    """Central-difference Wirtinger derivatives at a point or an array of
+    points; the default step shrinks with the distance to the rim."""
+
+    def fd(zs):
+        r = _cabs(zs)
+        h = np.maximum(1e-5 * (1.0 - r), 1e-9) if step is None else step
+        if np.any(r + h >= 1.0 - BOUNDARY_MARGIN):
+            raise ValueError("stencil leaves the disk; shrink the step")
+        return _fd_stencil(f, zs, h)
+
+    return _pointwise(fd, z)
+
+
 def wirtinger(f: SampleMap, z, step: float = None):
-    """(f_z, f_zbar) at z: analytic when the kind provides it, else central
-    differences with the given step. wirtinger_fd stays available for
-    cross-checking the analytic path."""
-    zc = as_complex(z)
+    """(f_z, f_zbar) at a point or an array of points: analytic when the kind
+    provides it, else central differences with the given step. wirtinger_fd
+    stays available for cross-checking the analytic path."""
     if f.has_analytic_wirtinger:
-        fz, fzb = f.wirtinger_analytic(np.asarray([zc], dtype=complex))
-        return complex(fz[0]), complex(fzb[0])
-    return wirtinger_fd(f, zc, step)
+        return _pointwise(f.wirtinger_analytic, z)
+    return wirtinger_fd(f, z, step)
+
+
+def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
+    """|f_z|, |f_zbar|, the Jacobian and K = (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|)
+    as arrays; K is 1 where the norm vanishes and inf where J vanishes relative
+    to the norm squared. _cabs and float_power (libm pow) round as Python's
+    abs and ** do, so these agree bit for bit with DistortionField.norm and
+    .jacobian."""
+    a, b = _cabs(f_z), _cabs(f_zbar)
+    n = a + b
+    jac = np.float_power(a, 2) - np.float_power(b, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(np.abs(jac) < 1e-15 * n * n, np.inf, n / (a - b))
+    return a, b, jac, np.where(n < 1e-15, 1.0, k)
 
 
 @dataclass(frozen=True)
@@ -302,13 +339,8 @@ class DistortionField:
 
     @property
     def K(self):
-        n = self.norm
-        if n < 1e-15:
-            return 1.0
-        denom = abs(self.f_z) - abs(self.f_zbar)
-        if abs(self.jacobian) < 1e-15 * n * n:
-            return K_INF
-        return n / denom
+        k = float(_derivative_data(np.array([self.f_z]), np.array([self.f_zbar]))[3][0])
+        return K_INF if k == math.inf else k
 
 
 def distortion_at(f: SampleMap, z, step: float = None) -> DistortionField:
@@ -318,24 +350,27 @@ def distortion_at(f: SampleMap, z, step: float = None) -> DistortionField:
 
 def dilatation(f: SampleMap, z, step: float = None):
     """K_f(z): (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|) when J != 0, 1 when the norm
-    vanishes, and the K_INF sentinel otherwise."""
+    vanishes, and the K_INF sentinel otherwise. For an array of points,
+    returns an array with inf where J = 0."""
+    if isinstance(z, np.ndarray):
+        return _derivative_data(*wirtinger(f, z, step))[3]
     return distortion_at(f, z, step).K
+
+
+def _distortion_grid(f: SampleMap, grid: int, extent: float):
+    """Points of the grid x grid lattice on [-extent, extent]^2 with
+    |z| <= extent, ordered by x then y, and (f_z, f_zbar) there."""
+    xs = np.linspace(-extent, extent, grid)
+    z = (xs[:, None] + 1j * xs[None, :]).ravel()
+    z = z[_cabs(z) <= extent]
+    return (z, *wirtinger(f, z))
 
 
 def distortion_to_csv(f: SampleMap, grid: int, path, extent: float = 0.9) -> None:
     """CSV sweep of (z, |f_z|, |f_zbar|, K, J) over a grid in the disk."""
-    xs = np.linspace(-extent, extent, grid)
-    lines = ["re,im,abs_fz,abs_fzbar,K,J"]
-    for x in xs:
-        for y in xs:
-            z = complex(x, y)
-            if abs(z) > extent:
-                continue
-            d = distortion_at(f, z)
-            k = d.K
-            k_str = "inf" if k is K_INF else repr(float(k))
-            lines.append(f"{float(x)!r},{float(y)!r},{abs(d.f_z)!r},{abs(d.f_zbar)!r},{k_str},{d.jacobian!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    z, fz, fzb = _distortion_grid(f, grid, extent)
+    a, b, jac, k = _derivative_data(fz, fzb)
+    write_csv(path, ("re", "im", "abs_fz", "abs_fzbar", "K", "J"), zip(z.real, z.imag, a, b, k, jac))
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +398,7 @@ def _newton_preimages(f: SampleMap, target: complex, seeds: np.ndarray,
         if f.has_analytic_wirtinger:
             fz, fzb = f.wirtinger_analytic(za)
         else:
-            h = 1e-6
-            fx = (f._apply(za + h) - f._apply(za - h)) / (2 * h)
-            fy = (f._apply(za + 1j * h) - f._apply(za - 1j * h)) / (2 * h)
-            fz, fzb = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+            fz, fzb = _fd_stencil(f, za, 1e-6)
         J = np.abs(fz) ** 2 - np.abs(fzb) ** 2
         ok = np.abs(J) > 1e-14
         delta = np.zeros_like(za)
@@ -442,23 +474,14 @@ def finite_distortion_check(f: SampleMap, grid: int = 32,
     vanishes the operator norm must vanish too."""
     if grid < 16:
         raise ValueError("need grid >= 16")
-    xs = np.linspace(-0.9, 0.9, grid)
-    violations = []
-    n_points = 0
-    for x in xs:
-        for y in xs:
-            z = complex(x, y)
-            if abs(z) > 0.9:
-                continue
-            n_points += 1
-            d = distortion_at(f, z)
-            if abs(d.jacobian) <= jac_tol and d.norm > norm_tol:
-                violations.append(z)
+    z, fz, fzb = _distortion_grid(f, grid, 0.9)
+    a, b, jac, _ = _derivative_data(fz, fzb)
+    violations = z[(np.abs(jac) <= jac_tol) & (a + b > norm_tol)]
     return FiniteDistortionReport(
-        n_points=n_points,
+        n_points=len(z),
         n_violations=len(violations),
-        violations=tuple(violations[:100]),
-        passed=not violations,
+        violations=tuple(complex(v) for v in violations[:100]),
+        passed=len(violations) == 0,
     )
 
 

@@ -11,14 +11,13 @@ infimum with its extremal density.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._io import write_csv, write_json
 from .diskgeom import BOUNDARY_MARGIN, Polyline, euclid_radius
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 
@@ -64,15 +63,14 @@ class DiscretizedDomain:
         return len(self.centers)
 
 
-def polar_grid(ring: RingSpec, n_r: int, n_theta: int) -> DiscretizedDomain:
-    """Polar cells over the ring, bands uniform in hyperbolic radius.
+def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
+    """Polar cells between the given hyperbolic band edges, n_theta sectors each.
 
     Cell centers sit at the hyperbolic band midpoint, so circles placed at
     band centers share the metric factor of their cells exactly.
     """
-    if n_r < 1 or n_theta < 4:
-        raise ValueError("need n_r >= 1 and n_theta >= 4")
-    r_edges = np.linspace(ring.r_inner, ring.r_outer, n_r + 1)
+    if n_theta < 4:
+        raise ValueError("need n_theta >= 4")
     R_edges = np.tanh(0.5 * r_edges)
     r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
     R_mid = np.tanh(0.5 * r_mid)
@@ -90,13 +88,20 @@ def polar_grid(ring: RingSpec, n_r: int, n_theta: int) -> DiscretizedDomain:
         area_hyp=area_e * factor,
         geometry={
             "kind": "polar",
-            "n_r": n_r,
+            "n_r": len(r_edges) - 1,
             "n_theta": n_theta,
             "r_edges_hyp": r_edges,
             "R_edges": R_edges,
             "theta_edges": theta_edges,
         },
     )
+
+
+def polar_grid(ring: RingSpec, n_r: int, n_theta: int) -> DiscretizedDomain:
+    """Polar cells over the ring, bands uniform in hyperbolic radius."""
+    if n_r < 1:
+        raise ValueError("need n_r >= 1")
+    return _polar_grid(np.linspace(ring.r_inner, ring.r_outer, n_r + 1), n_theta)
 
 
 def polar_grid_from_band_centers(centers_hyp, r_inner: float, r_outer: float,
@@ -113,29 +118,7 @@ def polar_grid_from_band_centers(centers_hyp, r_inner: float, r_outer: float,
     r_edges = np.concatenate(
         [[r_inner], 0.5 * (centers_hyp[:-1] + centers_hyp[1:]), [r_outer]]
     )
-    R_edges = np.tanh(0.5 * r_edges)
-    r_mid = 0.5 * (r_edges[:-1] + r_edges[1:])
-    R_mid = np.tanh(0.5 * r_mid)
-    theta_edges = np.linspace(0.0, 2.0 * math.pi, n_theta + 1)
-    theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
-    d_theta = 2.0 * math.pi / n_theta
-    ring_areas = 0.5 * d_theta * (R_edges[1:] ** 2 - R_edges[:-1] ** 2)
-    centers = (R_mid[:, None] * np.exp(1j * theta_mid[None, :])).ravel()
-    area_e = np.repeat(ring_areas, n_theta)
-    factor = 4.0 / (1.0 - np.abs(centers) ** 2) ** 2
-    return DiscretizedDomain(
-        centers=centers,
-        area_euclid=area_e,
-        area_hyp=area_e * factor,
-        geometry={
-            "kind": "polar",
-            "n_r": len(centers_hyp),
-            "n_theta": n_theta,
-            "r_edges_hyp": r_edges,
-            "R_edges": R_edges,
-            "theta_edges": theta_edges,
-        },
-    )
+    return _polar_grid(r_edges, n_theta)
 
 
 def cartesian_grid(window, n_x: int, n_y: int) -> DiscretizedDomain:
@@ -261,17 +244,11 @@ class ModulusResult:
             "dual_value": self.dual_value,
             "duality_gap": self.duality_gap,
         }
-        if path is not None:
-            Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return data
+        return write_json(data, path)
 
 
 def density_to_csv(dom: DiscretizedDomain, density: DensityField, path) -> None:
-    lines = ["re,im,rho"]
-    lines += [
-        f"{float(z.real)!r},{float(z.imag)!r},{float(v)!r}" for z, v in zip(dom.centers, density.rho)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ("re", "im", "rho"), zip(dom.centers.real, dom.centers.imag, density.rho))
 
 
 def density_to_svg(dom: DiscretizedDomain, density: DensityField, path, title="extremal density") -> None:

@@ -8,14 +8,13 @@ that all ring estimates are built on.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv, write_json
 from .diskgeom import BOUNDARY_MARGIN, DiskPoint, as_complex, euclid_radius
 
 __all__ = [
@@ -73,7 +72,6 @@ class RingSpec:
 
     r_inner: float
     r_outer: float
-    center: DiskPoint = field(default_factory=lambda: DiskPoint(0.0, 0.0))
 
     def __post_init__(self):
         if not 0.0 <= self.r_inner < self.r_outer:
@@ -107,9 +105,7 @@ class RadialProfile:
         return len(self.radii)
 
     def to_csv(self, path) -> None:
-        lines = ["r,qnorm"]
-        lines += [f"{float(r)!r},{float(v)!r}" for r, v in zip(self.radii, self.values)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, ("r", "qnorm"), zip(self.radii, self.values))
 
     def to_json(self, path=None):
         data = {
@@ -118,10 +114,7 @@ class RadialProfile:
             "radii": list(map(float, self.radii)),
             "qnorm": list(map(float, self.values)),
         }
-        if path is None:
-            return data
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return data
+        return write_json(data, path)
 
 
 def circle_integral(Q: ScalarField, r: float, n: int = 512) -> float:

@@ -141,6 +141,8 @@ class TestVerifyAndSuite:
         good = json.loads((CONFIG_DIR / "experiments" / "boundary_winding3.json").read_text())
         (tmp_path / "good.json").write_text(json.dumps(good))
         (tmp_path / "bad.json").write_text("{nope")
+        for name, map_spec in (("unknown_map", {"kind": "mystery"}), ("missing_k", {"kind": "winding"})):
+            (tmp_path / f"{name}.json").write_text(json.dumps({**good, "map": map_spec}))
         code, _, _ = run_cli(capsys, "suite", str(tmp_path), "--out-dir",
                              str(tmp_path / "results"))
         assert code == 1
@@ -148,3 +150,4 @@ class TestVerifyAndSuite:
         statuses = {r["experiment_id"]: r["status"] for r in report["records"]}
         assert statuses["boundary_winding3"] == "ok"
         assert statuses["bad"] == "config_error"
+        assert statuses["unknown_map"] == statuses["missing_k"] == "config_error"

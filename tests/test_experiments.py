@@ -15,7 +15,7 @@ from modlab.experiments import (
     run_lower_q_verification,
     run_suite,
 )
-from modlab.mappings import identity_map, winding
+from modlab.mappings import boundary_spiral_map, dilatation, fold_map, identity_map, radial_stretch, winding
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
 
@@ -67,7 +67,7 @@ class TestConfigLoading:
     def test_unknown_map_resolves_at_load(self, tmp_path):
         cfg = lower_q_cfg({"kind": "mystery"})
         path = write_cfg(tmp_path, "bad.json", cfg)
-        with pytest.raises((ConfigError, ValueError)):
+        with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
     def test_resolution_cap(self, tmp_path):
@@ -94,6 +94,16 @@ class TestDistortionWeightField:
         Q = distortion_weight_field(winding(2), 2.0)
         z = np.array([0.3 + 0.2j])
         assert Q.evaluate_array(z)[0] == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("f, points", [
+        (fold_map(), [0.5j, 0.3 + 0.2j, -0.4 - 0.1j]),  # J = 0 on the imaginary axis
+        (radial_stretch(2), [0j, 0.3 + 0.2j]),  # f_z = f_zbar = 0 at the origin
+        (winding(3), [0.1 - 0.6j, -0.5 + 0.5j]),
+        (boundary_spiral_map(), [0.2 + 0.7j]),
+    ], ids=["fold", "radial_stretch", "winding", "spiral"])
+    def test_equals_scaled_dilatation(self, f, points):
+        values = distortion_weight_field(f, 3.0).evaluate_array(np.array(points))
+        assert list(values) == [3.0 * float(dilatation(f, z)) for z in points]
 
 
 class TestLowerQ:

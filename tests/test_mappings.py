@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -255,6 +256,22 @@ class TestMapConstruction:
         assert parse_map("spiral").kind == "custom"
         with pytest.raises(ValueError):
             parse_map("besselflow:2")
+        mobius = {"kind": "mobius", "a_re": 1.2, "a_im": 0.3, "c_re": 0.4, "c_im": -0.2}
+        composition = {"kind": "composition", "parts": [{"kind": "radial_stretch", "k": 2}, {"kind": "winding", "k": 2}]}
+        z = np.array([0.3 + 0.1j, -0.5j, -0.2 + 0.6j])
+        for spec, cfg in [
+            ("identity", {"kind": "identity"}),
+            ("winding:3", {"kind": "winding", "k": 3}),
+            ("radial_stretch:2", {"kind": "radial_stretch", "k": 2}),
+            ("radial-stretch:2", {"kind": "radial_stretch", "k": 2}),
+            ("spiral", {"kind": "spiral"}),
+            ("fold", {"kind": "fold"}),
+            (json.dumps(mobius), mobius),
+            (json.dumps(composition), composition),
+        ]:
+            f, g = parse_map(spec), map_from_config(cfg)
+            assert (f.label, f.degree) == (g.label, g.degree), spec
+            assert np.array_equal(f._apply(z), g._apply(z)), spec
 
     def test_config_round_trip(self):
         f = map_from_config({"kind": "winding", "k": 3})
