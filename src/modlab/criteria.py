@@ -18,7 +18,6 @@ import numpy as np
 from ._io import write_csv, write_json
 from .diskgeom import as_complex, mobius_invert, mobius_to_zero
 from .quadrature import (
-    RadialProfile,
     RingSpec,
     ScalarField,
     ZeroNormError,
@@ -26,7 +25,6 @@ from .quadrature import (
     ball_integral,
     circle_integral,
     qnorm_profile,
-    ring_reciprocal_integral,
 )
 
 __all__ = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,19 +66,12 @@ class DiskPoint:
     def z(self) -> complex:
         return complex(self.re, self.im)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "DiskPoint":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
     def __complex__(self) -> complex:
         return self.z
 
 
 def as_complex(p) -> complex:
     """Coerce DiskPoint | complex | float into a complex number."""
-    if isinstance(p, DiskPoint):
-        return p.z
     return complex(p)
 
 
@@ -122,39 +115,38 @@ class MobiusAutomorphism:
 IDENTITY = MobiusAutomorphism(1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polyline:
-    """Ordered vertices strictly inside the disk; consecutive duplicates collapsed."""
+    """Ordered vertices strictly inside the disk, as one read-only complex array.
 
-    vertices: tuple
+    Accepts complex, float or DiskPoint vertices; consecutive exact duplicates
+    are collapsed.
+    """
+
+    vertices: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        pts = [v if isinstance(v, DiskPoint) else DiskPoint.from_complex(v) for v in self.vertices]
-        if not pts:
-            raise ValueError("polyline needs at least one vertex")
-        cleaned = [pts[0]]
-        for p in pts[1:]:
-            if abs(p.z - cleaned[-1].z) > 0.0:
-                cleaned.append(p)
-        object.__setattr__(self, "vertices", tuple(cleaned))
+        z = np.asarray(self.vertices, dtype=complex)
+        if z.ndim != 1 or len(z) == 0:
+            raise ValueError("polyline needs a sequence of at least one vertex")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("polyline vertices must be finite")
+        if np.any(np.hypot(z.real, z.imag) > 1.0 - BOUNDARY_MARGIN):
+            raise ValueError("polyline vertices must lie strictly inside the unit disk")
+        z = z[np.concatenate(([True], z[1:] != z[:-1]))]  # a copy, so the caller's array stays writable
+        z.flags.writeable = False
+        object.__setattr__(self, "vertices", z)
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def points(self) -> np.ndarray:
-        return np.array([v.z for v in self.vertices], dtype=complex)
-
-    def segments(self):
-        """Pairs of consecutive vertices, including the wrap-around if closed."""
-        pts = self.vertices
-        for p, q in zip(pts, pts[1:]):
-            yield p.z, q.z
-        if self.closed and len(pts) > 1 and abs(pts[-1].z - pts[0].z) > 0.0:
-            yield pts[-1].z, pts[0].z
-
-    def reversed(self) -> "Polyline":
-        return Polyline(tuple(reversed(self.vertices)), closed=self.closed)
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end points of the segments, including the wrap-around if closed."""
+        z = self.vertices
+        if self.closed and len(z) > 1 and z[-1] != z[0]:
+            z = np.append(z, z[0])
+        return z[:-1], z[1:]
 
 
 @dataclass(frozen=True)
@@ -199,8 +191,6 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, fa: float, fm: float, f
 def _segment_hyp_length(p: complex, q: complex, tol: float = 1e-10) -> float:
     d = q - p
     speed = abs(d)
-    if speed == 0.0:
-        return 0.0
 
     def integrand(t: float) -> float:
         z = p + t * d
@@ -211,7 +201,8 @@ def _segment_hyp_length(p: complex, q: complex, tol: float = 1e-10) -> float:
 
 def hyp_length(curve: Polyline) -> float:
     """Hyperbolic arclength of a polyline: sum of adaptive-Simpson segment integrals."""
-    return sum(_segment_hyp_length(p, q) for p, q in curve.segments())
+    p, q = curve.segments()
+    return sum(_segment_hyp_length(a, b) for a, b in zip(p.tolist(), q.tolist()))
 
 
 def hyp_area(indicator, window, resolution: int) -> float:
@@ -318,7 +309,7 @@ def geodesic(z1, z2, n: int) -> Polyline:
         raise ValueError("need n >= 2 vertices")
     a, b = as_complex(z1), as_complex(z2)
     if a == b:
-        return Polyline((DiskPoint(a.real, a.imag),))
+        return Polyline((a,))
     g = mobius_to_zero(a)
     g_inv = mobius_invert(g)
     w = mobius_apply(g, b)
@@ -326,4 +317,4 @@ def geodesic(z1, z2, n: int) -> Polyline:
     radii = np.tanh(0.5 * np.linspace(0.0, d, n))
     pts = mobius_apply(g_inv, radii * (w / abs(w)))
     pts[0], pts[-1] = a, b
-    return Polyline(tuple(DiskPoint(p.real, p.imag) for p in pts))
+    return Polyline(pts)

@@ -47,7 +47,7 @@ from .modulus import (
     rasterize_family,
 )
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
-from .svgplot import line_plot_svg, polar_heatmap_svg, write_svg
+from .svgplot import line_plot_svg, write_svg
 
 __all__ = [
     "ConfigError",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .diskgeom import BOUNDARY_MARGIN, DiskPoint, MobiusAutomorphism, Polyline, as_complex
+from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, as_complex
 from .modulus import CurveFamily, DiscretizedDomain, PolylineFamily, rasterize_family
 
 __all__ = [
@@ -496,10 +496,10 @@ def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamil
     if deg == 1:
         out = []
         for poly in family.polylines:
-            pts = f._apply(poly.points())
+            pts = f._apply(poly.vertices)
             if np.any(np.abs(pts) >= 1.0 - BOUNDARY_MARGIN):
                 raise ChartOverflowError(f"image of a curve under {f.label} leaves the chart")
-            out.append(Polyline(tuple(pts), closed=poly.closed))
+            out.append(Polyline(pts, closed=poly.closed))
         radii = None
         if family.circle_radii is not None and f.fixes_origin_radially:
             radii = tuple(
@@ -521,8 +521,8 @@ def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamil
         if R_img >= 1.0 - BOUNDARY_MARGIN:
             raise ChartOverflowError(f"image circle under {f.label} leaves the chart")
         scale = R_img / R
-        pts = poly.points() * scale  # same angular samples, image radius
-        out.append(Polyline(tuple(pts), closed=True))
+        pts = poly.vertices * scale  # same angular samples, image radius
+        out.append(Polyline(pts, closed=True))
         radii.append(2.0 * math.atanh(R_img))
     mult = tuple(m * deg for m in family.multiplicities)
     return PolylineFamily(tuple(out), kind="circle_family",

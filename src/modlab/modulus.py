@@ -173,40 +173,44 @@ class PolylineFamily:
         return len(self.polylines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveFamily:
-    """Rasterized curves: per-curve (cell index, euclid length, hyp length)."""
+    """Rasterized curves: one (n_curves, n_cells) CSR incidence matrix per metric.
 
-    curves: tuple  # tuple of (cells, len_e, len_h) array triples
+    Both matrices share one sparsity pattern with sorted column indices; row g
+    holds the length of curve g inside each cell it meets.
+    """
+
+    euclidean: sp.csr_matrix
+    hyperbolic: sp.csr_matrix
     kind: str
     multiplicities: tuple
 
     def __post_init__(self):
-        if len(self.multiplicities) != len(self.curves):
+        if not len(self.multiplicities) == self.euclidean.shape[0] == self.hyperbolic.shape[0]:
             raise ValueError("one multiplicity per curve")
-        for cells, le, lh in self.curves:
-            if len(cells) == 0:
-                continue
-            if np.any(le < 0) or np.any(lh < 0):
-                raise ValueError("incidence lengths must be non-negative")
+        if np.any(self.euclidean.data < 0) or np.any(self.hyperbolic.data < 0):
+            raise ValueError("incidence lengths must be non-negative")
+        for matrix in (self.euclidean, self.hyperbolic):  # shared by with_multiplicities
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.curves)
+        return len(self.multiplicities)
 
-    def incidence_matrix(self, n_cells: int, metric: str) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        col = 1 if metric == "euclidean" else 2
-        for i, triple in enumerate(self.curves):
-            cells, lengths = triple[0], triple[col]
-            rows.extend([i] * len(cells))
-            cols.extend(cells.tolist())
-            vals.extend(lengths.tolist())
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(len(self.curves), n_cells)
-        )
+    @property
+    def curves(self) -> tuple:
+        """(cells, euclid length, hyp length) of each curve, as views of the matrix rows."""
+        E, H = self.euclidean, self.hyperbolic
+        bounds = zip(E.indptr[:-1], E.indptr[1:])
+        return tuple((E.indices[lo:hi], E.data[lo:hi], H.data[lo:hi]) for lo, hi in bounds)
+
+    def incidence_matrix(self, metric: str) -> sp.csr_matrix:
+        return self.euclidean if metric == "euclidean" else self.hyperbolic
 
     def with_multiplicities(self, multiplicities) -> "CurveFamily":
-        return CurveFamily(self.curves, self.kind, tuple(int(m) for m in multiplicities))
+        return CurveFamily(self.euclidean, self.hyperbolic, self.kind,
+                           tuple(int(m) for m in multiplicities))
 
 
 @dataclass(frozen=True)
@@ -268,15 +272,9 @@ def circle_family(ring: RingSpec, n_circles: int, n_vertices: int = 2048) -> Pol
         raise ValueError("need at least one circle")
     dr = (ring.r_outer - ring.r_inner) / n_circles
     radii = ring.r_inner + (np.arange(n_circles) + 0.5) * dr
-    theta = np.linspace(0.0, 2.0 * math.pi, n_vertices, endpoint=False)
-    polylines = []
-    for r in radii:
-        R = euclid_radius(float(r))
-        pts = R * np.exp(1j * theta)
-        polylines.append(Polyline(tuple(pts), closed=True))
-    return PolylineFamily(
-        tuple(polylines), kind="circle_family", circle_radii=tuple(map(float, radii))
-    )
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n_vertices, endpoint=False))
+    polylines = tuple(Polyline(euclid_radius(float(r)) * circle, closed=True) for r in radii)
+    return PolylineFamily(polylines, kind="circle_family", circle_radii=tuple(map(float, radii)))
 
 
 def radial_connecting_family(ring: RingSpec, n_rays: int) -> PolylineFamily:
@@ -285,144 +283,152 @@ def radial_connecting_family(ring: RingSpec, n_rays: int) -> PolylineFamily:
     if R1 <= 0:
         raise ValueError("connecting family needs r_inner > 0")
     theta = (np.arange(n_rays) + 0.5) * (2.0 * math.pi / n_rays)
-    polylines = [
-        Polyline((R1 * np.exp(1j * t), R2 * np.exp(1j * t))) for t in theta
-    ]
-    return PolylineFamily(tuple(polylines), kind="connecting")
+    polylines = tuple(Polyline(np.array([R1, R2]) * np.exp(1j * t)) for t in theta)
+    return PolylineFamily(polylines, kind="connecting")
 
 
 def horizontal_connecting_family(window, n_curves: int) -> PolylineFamily:
     """Left-to-right segments across a rectangular window, one per row."""
     (x0, x1), (y0, y1) = window
     ys = y0 + (np.arange(n_curves) + 0.5) * (y1 - y0) / n_curves
-    polylines = [Polyline((complex(x0, y), complex(x1, y))) for y in ys]
-    return PolylineFamily(tuple(polylines), kind="connecting")
+    polylines = tuple(Polyline(np.array([x0, x1]) + 1j * y) for y in ys)
+    return PolylineFamily(polylines, kind="connecting")
 
 
 # ---------------------------------------------------------------------------
 # rasterization
 
 
-def _split_parameters_polar(p: complex, d: complex, geometry) -> list:
-    """Parameters t in (0,1) where the segment p + t d crosses cell edges."""
-    ts = []
+def _ranges(start: np.ndarray, stop: np.ndarray):
+    """(segment, k) for every k in range(start[s], stop[s]), segment by segment."""
+    count = np.maximum(stop - start, 0)
+    seg = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count - start, count)
+    return seg, k
+
+
+def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
+    """Candidate (segment, t) where the segments p + t d cross ring or sector edges."""
     R_edges = geometry["R_edges"]
-    dd = (d.real * d.real + d.imag * d.imag)
-    if dd == 0.0:
-        return ts
+    dd = d.real * d.real + d.imag * d.imag
+    moving = np.flatnonzero(dd != 0.0)
+    p, d, dd = p[moving], d[moving], dd[moving]
+    pd = p.real * d.real + p.imag * d.imag
     # radial span of the segment: perigee may undercut both endpoints
-    rp, rq = abs(p), abs(p + d)
-    t_foot = -(p.real * d.real + p.imag * d.imag) / dd
-    rmin = min(rp, rq)
-    if 0.0 < t_foot < 1.0:
-        rmin = min(rmin, abs(p + t_foot * d))
-    rmax = max(rp, rq)
+    q = p + d
+    rp, rq = np.hypot(p.real, p.imag), np.hypot(q.real, q.imag)
+    t_foot = -pd / dd
+    foot = p + t_foot * d
+    rmin = np.minimum(rp, rq)
+    rmin = np.where((0.0 < t_foot) & (t_foot < 1.0), np.minimum(rmin, np.hypot(foot.real, foot.imag)), rmin)
+    rmax = np.maximum(rp, rq)
     k0 = np.searchsorted(R_edges, rmin - 1e-15)
     k1 = np.searchsorted(R_edges, rmax + 1e-15)
-    b = 2.0 * (p.real * d.real + p.imag * d.imag)
-    c0 = abs(p) ** 2
-    for k in range(max(k0 - 1, 0), min(k1 + 1, len(R_edges))):
-        c = c0 - R_edges[k] ** 2
-        disc = b * b - 4.0 * dd * c
-        if disc <= 0.0:
-            continue
-        root = math.sqrt(disc)
-        for t in ((-b - root) / (2.0 * dd), (-b + root) / (2.0 * dd)):
-            if 1e-12 < t < 1.0 - 1e-12:
-                ts.append(t)
+    s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(R_edges)))
+    b = 2.0 * pd[s]
+    c = np.float_power(rp[s], 2) - np.float_power(R_edges[k], 2)
+    disc = b * b - 4.0 * dd[s] * c
+    hit = disc > 0.0
+    s, b, root, two_dd = s[hit], b[hit], np.sqrt(disc[hit]), 2.0 * dd[s[hit]]
+    segs, ts = [s, s], [(-b - root) / two_dd, (-b + root) / two_dd]
+
     # angular sweep is monotone along a straight segment
-    n_theta = geometry["n_theta"]
-    a0 = math.atan2(p.imag, p.real) % (2.0 * math.pi)
-    q = p + d
-    a1 = math.atan2(q.imag, q.real) % (2.0 * math.pi)
+    two_pi = 2.0 * math.pi
+    step = two_pi / geometry["n_theta"]
+    a0 = np.mod(np.arctan2(p.imag, p.real), two_pi)
+    a1 = np.mod(np.arctan2(q.imag, q.real), two_pi)
     sweep = p.real * d.imag - p.imag * d.real  # sign of d(theta)/dt
-    if sweep != 0.0:
-        diff = (a1 - a0) % (2.0 * math.pi)
-        if sweep < 0:
-            diff = diff - 2.0 * math.pi
-        step = 2.0 * math.pi / n_theta
-        j_start = math.floor(a0 / step)
-        n_cross = int(abs(diff) / step) + 2
-        direction = 1 if sweep > 0 else -1
-        for j in range(1, n_cross + 1):
-            edge = (j_start + (j if direction > 0 else 1 - j)) * step
-            # crossing of the full line at angle `edge`
-            ca, sa = math.cos(edge), math.sin(edge)
-            denom = d.imag * ca - d.real * sa
-            if denom == 0.0:
-                continue
-            t = (p.real * sa - p.imag * ca) / denom
-            if 1e-12 < t < 1.0 - 1e-12:
-                z = p + t * d
-                if z.real * ca + z.imag * sa > 0:  # ray, not its opposite
-                    ts.append(t)
-    return ts
+    diff = np.mod(a1 - a0, two_pi)
+    diff = np.where(sweep < 0, diff - two_pi, diff)
+    j_start = np.floor(a0 / step).astype(np.int64)
+    n_cross = np.where(sweep != 0.0, (np.abs(diff) / step).astype(np.int64) + 2, 0)
+    s, j = _ranges(np.ones_like(n_cross), n_cross + 1)
+    edge, at = np.unique(j_start[s] + np.where(sweep[s] > 0, j, 1 - j), return_inverse=True)
+    angles = (edge * step).tolist()
+    # libm cos/sin, once per sector edge: numpy's vectorized ones may round differently
+    ca = np.array([math.cos(a) for a in angles])[at]
+    sa = np.array([math.sin(a) for a in angles])[at]
+    denom = d.imag[s] * ca - d.real[s] * sa
+    nz = denom != 0.0
+    s, ca, sa = s[nz], ca[nz], sa[nz]
+    t = (p.real[s] * sa - p.imag[s] * ca) / denom[nz]
+    z = p[s] + t * d[s]
+    ray = z.real * ca + z.imag * sa > 0  # the ray at the edge angle, not its opposite
+    segs.append(s[ray])
+    ts.append(t[ray])
+    return moving[np.concatenate(segs)], np.concatenate(ts)
 
 
-def _split_parameters_cartesian(p: complex, d: complex, geometry) -> list:
-    ts = []
+def _crossings_cartesian(p: np.ndarray, d: np.ndarray, geometry):
+    """Candidate (segment, t) where the segments p + t d cross grid lines."""
+    segs, ts = [], []
     for edges, pp, dd in ((geometry["x_edges"], p.real, d.real), (geometry["y_edges"], p.imag, d.imag)):
-        if dd == 0.0:
-            continue
-        lo, hi = sorted((pp, pp + dd))
-        k0 = np.searchsorted(edges, lo - 1e-15)
-        k1 = np.searchsorted(edges, hi + 1e-15)
-        for k in range(max(k0 - 1, 0), min(k1 + 1, len(edges))):
-            t = (edges[k] - pp) / dd
-            if 1e-12 < t < 1.0 - 1e-12:
-                ts.append(t)
-    return ts
+        moving = np.flatnonzero(dd != 0.0)
+        pp, dd = pp[moving], dd[moving]
+        k0 = np.searchsorted(edges, np.minimum(pp, pp + dd) - 1e-15)
+        k1 = np.searchsorted(edges, np.maximum(pp, pp + dd) + 1e-15)
+        s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(edges)))
+        segs.append(moving[s])
+        with np.errstate(over="ignore"):  # a subnormal step gives t = +-inf, outside (0, 1)
+            ts.append((edges[k] - pp[s]) / dd[s])
+    return np.concatenate(segs), np.concatenate(ts)
 
 
-def _cell_of(z: complex, geometry):
+def _cells_of(z: np.ndarray, geometry) -> np.ndarray:
+    """Cell index of each point, -1 outside the grid."""
     if geometry["kind"] == "polar":
-        k = np.searchsorted(geometry["R_edges"], abs(z)) - 1
-        if k < 0 or k >= geometry["n_r"]:
-            return None
-        theta = math.atan2(z.imag, z.real) % (2.0 * math.pi)
-        j = int(theta / (2.0 * math.pi / geometry["n_theta"])) % geometry["n_theta"]
-        return k * geometry["n_theta"] + j
-    x_edges, y_edges = geometry["x_edges"], geometry["y_edges"]
-    i = np.searchsorted(x_edges, z.real) - 1
-    j = np.searchsorted(y_edges, z.imag) - 1
-    if i < 0 or i >= geometry["n_x"] or j < 0 or j >= geometry["n_y"]:
-        return None
-    return i * geometry["n_y"] + j
+        n_theta = geometry["n_theta"]
+        k = np.searchsorted(geometry["R_edges"], np.hypot(z.real, z.imag)) - 1
+        theta = np.mod(np.arctan2(z.imag, z.real), 2.0 * math.pi)
+        j = (theta / (2.0 * math.pi / n_theta)).astype(np.int64) % n_theta
+        return np.where((k >= 0) & (k < geometry["n_r"]), k * n_theta + j, -1)
+    i = np.searchsorted(geometry["x_edges"], z.real) - 1
+    j = np.searchsorted(geometry["y_edges"], z.imag) - 1
+    inside = (i >= 0) & (i < geometry["n_x"]) & (j >= 0) & (j < geometry["n_y"])
+    return np.where(inside, i * geometry["n_y"] + j, -1)
 
 
-def _rasterize_polyline(poly: Polyline, dom: DiscretizedDomain):
-    geometry = dom.geometry
-    splitter = _split_parameters_polar if geometry["kind"] == "polar" else _split_parameters_cartesian
-    acc: dict = {}
-    for p, q in poly.segments():
-        d = q - p
-        seg_len = abs(d)
-        if seg_len == 0.0:
-            continue
-        ts = sorted(set([0.0, 1.0] + splitter(p, d, geometry)))
-        for t0, t1 in zip(ts, ts[1:]):
-            zm = p + 0.5 * (t0 + t1) * d
-            cell = _cell_of(zm, geometry)
-            if cell is None:
-                continue
-            le = seg_len * (t1 - t0)
-            lh = le * 2.0 / (1.0 - abs(zm) ** 2)
-            if cell in acc:
-                acc[cell][0] += le
-                acc[cell][1] += lh
-            else:
-                acc[cell] = [le, lh]
-    cells = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-    order = np.argsort(cells)
-    le = np.array([acc[int(c)][0] for c in cells])
-    lh = np.array([acc[int(c)][1] for c in cells])
-    return cells[order], le[order], lh[order]
+def _rasterize_polyline(poly: Polyline, geometry):
+    """Sorted cells the polyline meets, with its euclidean and hyperbolic length in each.
+
+    Segments are cut at every crossing; each piece goes to the cell of its
+    midpoint, and the per-cell sums add the pieces in order along the curve.
+    """
+    p, q = poly.segments()
+    d = q - p
+    crossings = _crossings_polar if geometry["kind"] == "polar" else _crossings_cartesian
+    seg, t = crossings(p, d, geometry)
+    cut = (1e-12 < t) & (t < 1.0 - 1e-12)
+    n = len(p)
+    seg = np.concatenate((np.arange(n), np.arange(n), seg[cut]))
+    t = np.concatenate((np.zeros(n), np.ones(n), t[cut]))
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    # piece i runs from t[i] to t[i + 1]; an exact duplicate cut starts no piece
+    start = np.flatnonzero((seg[1:] == seg[:-1]) & (t[1:] != t[:-1]))
+    s, t0, t1 = seg[start], t[start], t[start + 1]
+    zm = p[s] + 0.5 * (t0 + t1) * d[s]
+    cell = _cells_of(zm, geometry)
+    inside = cell >= 0
+    le = np.hypot(d.real, d.imag)[s] * (t1 - t0)
+    lh = le * 2.0 / (1.0 - np.float_power(np.hypot(zm.real, zm.imag), 2))
+    cells, piece_cell = np.unique(cell[inside], return_inverse=True)
+    return cells, np.bincount(piece_cell, le[inside]), np.bincount(piece_cell, lh[inside])
 
 
 def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFamily:
-    """Clip every polyline to the domain cells, collecting incidence lengths."""
-    curves = tuple(_rasterize_polyline(poly, dom) for poly in family.polylines)
-    return CurveFamily(curves, kind=family.kind, multiplicities=family.multiplicities)
+    """Clip every polyline to the domain cells: one CSR incidence matrix per metric."""
+    rows = [_rasterize_polyline(poly, dom.geometry) for poly in family.polylines]
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
+    cells, len_e, len_h = (np.concatenate(column) for column in zip(empty, *rows))
+    indptr = np.cumsum([0] + [len(row[0]) for row in rows])
+    shape = (len(rows), dom.n_cells)
+    return CurveFamily(
+        sp.csr_matrix((len_e, cells, indptr), shape=shape),
+        sp.csr_matrix((len_h, cells, indptr), shape=shape),
+        kind=family.kind,
+        multiplicities=family.multiplicities,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +475,11 @@ def modulus_discrete(
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_cells = dom.n_cells
+    L = family.incidence_matrix(metric)
+    if L.shape[1] != n_cells:
+        raise ValueError(
+            f"family was rasterized on {L.shape[1]} cells but the domain has {n_cells}"
+        )
     if len(family) == 0:
         return ModulusResult(
             value=0.0,
@@ -483,7 +494,6 @@ def modulus_discrete(
         A = A * np.asarray(weights, dtype=float)
         if np.any(A <= 0):
             raise ValueError("weights must keep cell costs positive")
-    L = family.incidence_matrix(n_cells, metric)
     m = np.asarray(family.multiplicities, dtype=float)
     total_len = np.asarray(L.sum(axis=1)).ravel()
     if np.any(total_len <= 0.0):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modlab.diskgeom import (
+    BOUNDARY_MARGIN,
     IDENTITY,
     DiskPoint,
     MobiusAutomorphism,
@@ -164,6 +165,21 @@ class TestLength:
         poly = Polyline((p, p, DiskPoint(0.2, 0.1), DiskPoint(0.2, 0.1)))
         assert len(poly) == 2
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [(0.1, complex(math.nan, 0.0)), (0.1, 1j), (0.1, 1.0 - BOUNDARY_MARGIN / 2), ()],
+        ids=["nan", "unit-circle", "inside-margin", "empty"],
+    )
+    def test_invalid_vertices_rejected(self, vertices):
+        with pytest.raises(ValueError):
+            Polyline(vertices)
+
+    def test_vertices_one_read_only_array(self):
+        mixed = Polyline((DiskPoint(0.1, 0.2), 0.3, 0.1 + 0.5j))
+        assert np.array_equal(mixed.vertices, Polyline((0.1 + 0.2j, 0.3 + 0j, 0.1 + 0.5j)).vertices)
+        with pytest.raises(ValueError):
+            mixed.vertices[0] = 0.0
+
 
 class TestArea:
     def test_empty_region(self):
@@ -240,7 +256,7 @@ class TestGeodesic:
     def test_reversal_symmetry(self):
         fwd = geodesic(0.1 + 0.2j, -0.3 + 0.1j, 50)
         bwd = geodesic(-0.3 + 0.1j, 0.1 + 0.2j, 50)
-        assert np.allclose(fwd.points(), bwd.points()[::-1], atol=1e-12)
+        assert np.allclose(fwd.vertices, bwd.vertices[::-1], atol=1e-12)
         assert hyp_length(fwd) == pytest.approx(hyp_length(bwd), rel=1e-12)
 
     def test_length_bounds_distance_from_above(self):

@@ -207,7 +207,7 @@ class TestPushforward:
         assert out.multiplicities == pf.multiplicities
         assert out.circle_radii == pytest.approx(pf.circle_radii)
         for a, b in zip(pf.polylines, out.polylines):
-            assert np.allclose(a.points(), b.points())
+            assert np.allclose(a.vertices, b.vertices)
 
     def test_winding_same_point_sets_multiplicity_k(self):
         pf = circle_family(RING, 8, n_vertices=256)
@@ -215,7 +215,7 @@ class TestPushforward:
         assert out.multiplicities == tuple(2 for _ in range(8))
         assert out.circle_radii == pytest.approx(pf.circle_radii)
         for a, b in zip(pf.polylines, out.polylines):
-            assert np.allclose(a.points(), b.points())
+            assert np.allclose(a.vertices, b.vertices)
 
     def test_radial_stretch_squares_euclid_radii(self):
         pf = circle_family(RING, 6, n_vertices=256)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from modlab.diskgeom import Polyline, euclid_radius
 from modlab.fields import parse_field
 from modlab.modulus import (
-    CurveFamily,
     DensityField,
     DiscretizedDomain,
     PolylineFamily,
@@ -87,11 +88,38 @@ class TestGrids:
             assert float(np.sum(le)) == pytest.approx(2 * math.pi * R, rel=1e-5)
             assert float(np.sum(lh)) == pytest.approx(2 * math.pi * math.sinh(r), rel=1e-5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.floats(-0.39, 0.39), st.floats(-0.29, 0.34)), min_size=1, max_size=8),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_cartesian_rasterization_properties(self, specs):
+        dom = cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9)
+        polylines = tuple(Polyline([complex(x, y) for x, y in pts], closed=closed) for pts, closed in specs)
+        fam = rasterize_family(PolylineFamily(polylines, kind="connecting"), dom)
+        E, H = fam.incidence_matrix("euclidean"), fam.incidence_matrix("hyperbolic")
+        assert E.shape == H.shape == (len(polylines), dom.n_cells)
+        assert np.all(E.indices < dom.n_cells) and np.all(H.indices < dom.n_cells)
+        row_sums = np.asarray(E.sum(axis=1)).ravel()
+        rows = zip(polylines, row_sums, fam.curves, E.indptr[:-1], E.indptr[1:])
+        for poly, row_sum, (cells, le, lh), lo, hi in rows:
+            p, q = poly.segments()
+            length = float(np.sum(np.abs(q - p)))
+            assert row_sum == pytest.approx(length, rel=1e-12, abs=0.0)
+            assert np.array_equal(cells, E.indices[lo:hi]) and np.array_equal(cells, H.indices[lo:hi])
+            assert np.array_equal(le, E.data[lo:hi]) and np.array_equal(lh, H.data[lo:hi])
+
 
 class TestModulusDiscrete:
     def test_empty_family(self):
         dom = polar_grid(RING, 4, 8)
-        fam = CurveFamily((), kind="connecting", multiplicities=())
+        fam = rasterize_family(PolylineFamily((), kind="connecting"), dom)
         res = modulus_discrete(fam, dom)
         assert res.value == 0.0
         assert np.all(res.extremal.rho == 0.0)
@@ -139,7 +167,7 @@ class TestModulusDiscrete:
         assert res.converged
         assert res.max_constraint_violation <= 1e-5
         # reported extremal is exactly feasible after rescaling
-        L = fam.incidence_matrix(dom.n_cells, "hyperbolic")
+        L = fam.incidence_matrix("hyperbolic")
         m = np.asarray(fam.multiplicities, float)
         assert float(np.min(m * L.dot(res.extremal.rho))) >= 1.0 - 1e-12
 
@@ -167,7 +195,7 @@ class TestModulusDiscrete:
         dom = polar_grid(RING, 20, 48)
         fam = rasterize_family(radial_connecting_family(RING, 48), dom)
         res = modulus_discrete(fam, dom, tol=1e-6)
-        L = fam.incidence_matrix(dom.n_cells, "hyperbolic")
+        L = fam.incidence_matrix("hyperbolic")
         m = np.asarray(fam.multiplicities, float)
         A = dom.area_hyp
         rng = np.random.default_rng(0)
@@ -198,6 +226,14 @@ class TestModulusDiscrete:
         fam = rasterize_family(outside, dom)
         with pytest.raises(ValueError):
             modulus_discrete(fam, dom)
+
+    def test_family_from_other_domain_rejected(self):
+        coarse, fine = polar_grid(RING, 8, 16), polar_grid(RING, 16, 16)
+        rays = radial_connecting_family(RING, 16)
+        with pytest.raises(ValueError, match="128 cells .* 256"):
+            modulus_discrete(rasterize_family(rays, coarse), fine)
+        with pytest.raises(ValueError, match="256 cells .* 128"):
+            modulus_discrete(rasterize_family(rays, fine), coarse)
 
     def test_json_export(self, tmp_path):
         dom = polar_grid(RING, 8, 16)
