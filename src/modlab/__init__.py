@@ -10,7 +10,6 @@ verification experiments with a `modlab` CLI (`experiments`, `cli`).
 
 from .diskgeom import (
     DiskPoint,
-    HyperbolicCircle,
     MobiusAutomorphism,
     Polyline,
     euclid_radius,

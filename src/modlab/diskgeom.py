@@ -20,7 +20,6 @@ __all__ = [
     "DiskPoint",
     "MobiusAutomorphism",
     "Polyline",
-    "HyperbolicCircle",
     "QuadratureConvergenceWarning",
     "as_complex",
     "hyp_distance",
@@ -149,29 +148,19 @@ class Polyline:
         return z[:-1], z[1:]
 
 
-@dataclass(frozen=True)
-class HyperbolicCircle:
-    """Metric circle: hyperbolic radius about a center point."""
+def hyp_distance(z1, z2):
+    """Hyperbolic distance log((1+t)/(1-t)), t = |z1-z2| / |1 - z1 conj(z2)|.
 
-    center: DiskPoint
-    radius: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.radius) or self.radius < 0:
-            raise ValueError("radius must be finite and >= 0")
-
-    @property
-    def euclid_image_radius(self) -> float:
-        """Euclidean radius of the circle after recentring its center to 0."""
-        return euclid_radius(self.radius)
-
-
-def hyp_distance(z1, z2) -> float:
-    """Hyperbolic distance log((1+t)/(1-t)), t = |z1-z2| / |1 - z1 conj(z2)|."""
-    a, b = as_complex(z1), as_complex(z2)
-    t = abs(a - b) / abs(1.0 - a * b.conjugate())
-    # log((1+t)/(1-t)) = 2 atanh t, accurate for small separations
-    return 2.0 * math.atanh(t)
+    Broadcasts over complex arrays; a float when both inputs are scalars.
+    """
+    a, b = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    t = np.minimum(np.abs(a - b) / np.abs(1.0 - a * np.conjugate(b)), 1.0)
+    # log((1+t)/(1-t)) = 2 atanh t, accurate for small separations; beyond a
+    # distance of about 37 t rounds to 1 and the distance to inf, which still
+    # orders it after every finite one
+    with np.errstate(divide="ignore"):
+        d = 2.0 * np.arctanh(t)
+    return float(d) if d.ndim == 0 else d
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, fa: float, fm: float, fb: float, depth: int) -> float:
@@ -313,7 +302,7 @@ def geodesic(z1, z2, n: int) -> Polyline:
     g = mobius_to_zero(a)
     g_inv = mobius_invert(g)
     w = mobius_apply(g, b)
-    d = 2.0 * math.atanh(abs(w))
+    d = hyp_radius(abs(w))
     radii = np.tanh(0.5 * np.linspace(0.0, d, n))
     pts = mobius_apply(g_inv, radii * (w / abs(w)))
     pts[0], pts[-1] = a, b

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ._io import write_json
 from .diskgeom import (
     IDENTITY,
@@ -23,6 +25,7 @@ from .diskgeom import (
     mobius_apply,
     mobius_compose,
     mobius_invert,
+    mobius_to_zero,
 )
 
 __all__ = [
@@ -41,6 +44,8 @@ __all__ = [
     "injectivity_radius",
     "load_group",
     "save_group",
+    "cyclic_group",
+    "genus2_group",
 ]
 
 _DEDUP_TOL = 1e-9
@@ -107,14 +112,6 @@ class _ElementSet:
         self.items.append(g)
         return True
 
-    def __contains__(self, g: MobiusAutomorphism) -> bool:
-        key = _canonical_key(g)
-        return any(
-            g.coefficient_distance(h) < _DEDUP_TOL
-            for dk in self._neighbor_keys(key)
-            for h in self._buckets.get(dk, ())
-        )
-
     @staticmethod
     def _neighbor_keys(key):
         k0, k1, k2, k3 = key
@@ -172,6 +169,19 @@ def enumerate_elements(group: FuchsianGroup) -> list:
     return elements
 
 
+def _coefficients(elements) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient arrays (a, c) of a sequence of automorphisms."""
+    a = np.array([g.a for g in elements], dtype=complex)
+    c = np.array([g.c for g in elements], dtype=complex)
+    return a, c
+
+
+def _orbit(coefficients, z) -> np.ndarray:
+    """g(z) = (a z + c)/(conj(c) z + conj(a)) for every g of `_coefficients`, as one array."""
+    a, c = coefficients
+    return (a * z + c) / (np.conjugate(c) * z + np.conjugate(a))
+
+
 def quotient_distance(z1, z2, group: FuchsianGroup, elements=None) -> float:
     """Distance between the orbits of z1 and z2 under the (truncated) group.
 
@@ -183,58 +193,51 @@ def quotient_distance(z1, z2, group: FuchsianGroup, elements=None) -> float:
     """
     if elements is None:
         elements = enumerate_elements(group)
-    a, b = as_complex(z1), as_complex(z2)
-    best = hyp_distance(a, b)
-    for g in elements:
-        d = hyp_distance(a, mobius_apply(g, b))
-        if d < best:
-            best = d
-    return best
+    images = _orbit(_coefficients([IDENTITY, *elements]), as_complex(z2))
+    return float(np.min(hyp_distance(as_complex(z1), images)))
 
 
 @dataclass(frozen=True)
 class DirichletDomain:
-    """Intersection of half-planes {z : h(z, center) < h(z, g(center))}."""
+    """Intersection of half-planes {z : h(z, center) < h(z, g(center))}.
+
+    `images` holds g(center) for each constraint g, as one read-only array.
+    """
 
     center: DiskPoint
     constraints: tuple  # automorphisms g defining the half-planes
+    images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         zc = self.center.z
-        for g in self.constraints:
-            if hyp_distance(zc, mobius_apply(g, zc)) <= _DEDUP_TOL:
-                raise ValueError("a constraint fixes the center; domain undefined")
+        images = _orbit(_coefficients(self.constraints), zc)
+        if np.any(hyp_distance(zc, images) <= _DEDUP_TOL):
+            raise ValueError("a constraint fixes the center; domain undefined")
+        images.flags.writeable = False
+        object.__setattr__(self, "images", images)
 
 
 def build_dirichlet_domain(group: FuchsianGroup, center=0j, elements=None) -> DirichletDomain:
-    """Dirichlet polygon about `center`, one constraint per distinct orbit image."""
+    """Dirichlet polygon about `center`, one constraint per enumerated element.
+
+    A repeated orbit image repeats a half-plane, which leaves membership as it is.
+    """
     if elements is None:
         elements = enumerate_elements(group)
     c = as_complex(center)
-    images: list = []
-    constraints: list = []
-    for g in elements:
-        w = mobius_apply(g, c)
-        if any(abs(w - u) < _DEDUP_TOL for u in images):
-            continue
-        images.append(w)
-        constraints.append(g)
-    return DirichletDomain(DiskPoint(c.real, c.imag), tuple(constraints))
+    return DirichletDomain(DiskPoint(c.real, c.imag), tuple(elements))
 
 
 def dirichlet_membership(z, dom: DirichletDomain, tol: float = 1e-9) -> str:
     """Classify z as 'inside', 'boundary' or 'outside' the Dirichlet polygon."""
     zc = as_complex(z)
-    center = dom.center.z
-    d_center = hyp_distance(zc, center)
-    on_boundary = False
-    for g in dom.constraints:
-        d_image = hyp_distance(zc, mobius_apply(g, center))
-        if d_center >= d_image + tol:
-            return "outside"
-        if d_center > d_image - tol:
-            on_boundary = True
-    return "boundary" if on_boundary else "inside"
+    d_center = hyp_distance(zc, dom.center.z)
+    d_images = hyp_distance(zc, dom.images)
+    if np.any(d_center >= d_images + tol):
+        return "outside"
+    if np.any(d_center > d_images - tol):
+        return "boundary"
+    return "inside"
 
 
 def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elements=None):
@@ -247,6 +250,7 @@ def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elemen
     """
     if elements is None:
         elements = enumerate_elements(group)
+    coefficients = _coefficients(elements)
     current = as_complex(z)
     word = IDENTITY
     center = dom.center.z
@@ -255,17 +259,14 @@ def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elemen
             return DiskPoint(current.real, current.imag), word
         if step == len(elements):
             break  # step budget = enumerated-set size exhausted
-        d_now = hyp_distance(current, center)
-        best_g, best_d = None, d_now - _DEDUP_TOL
-        for g in elements:
-            d = hyp_distance(mobius_apply(g, current), center)
-            if d < best_d:
-                best_g, best_d = g, d
-        if best_g is None:
+        d = hyp_distance(_orbit(coefficients, current), center)
+        best = int(np.argmin(d))  # the first minimum, as a strict `<` scan picks
+        if not d[best] < hyp_distance(current, center) - _DEDUP_TOL:
             raise NotReducedError(
                 "no enumerated element decreases the distance to the center; "
                 "increase max_word_length"
             )
+        best_g = elements[best]
         current = mobius_apply(best_g, current)
         word = mobius_compose(best_g, word)
     raise NotReducedError(
@@ -285,7 +286,7 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
     if not elements:
         return math.inf
     z = as_complex(z0)
-    return 0.5 * min(hyp_distance(z, mobius_apply(g, z)) for g in elements)
+    return 0.5 * float(np.min(hyp_distance(z, _orbit(_coefficients(elements), z))))
 
 
 @dataclass(frozen=True)
@@ -328,14 +329,10 @@ class NormalNeighborhood:
 
     def validate_by_sampling(self, n: int = 64, seed: int = 0, tol: float = 1e-10) -> bool:
         """Check d = h on sampled pairs inside the ball (local isometry)."""
-        import numpy as np
-
-        from .diskgeom import mobius_invert as _inv, mobius_to_zero as _tz
-
         rng = np.random.default_rng(seed)
         group = self.center.group
         elements = enumerate_elements(group)
-        to_center = _inv(_tz(self.center.representative))
+        to_center = mobius_invert(mobius_to_zero(self.center.representative))
         R = math.tanh(0.5 * self.radius)
         for _ in range(n):
             u, v = rng.uniform(size=2) ** 0.5 * R, rng.uniform(size=2) * 2 * math.pi

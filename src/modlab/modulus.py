@@ -356,6 +356,10 @@ def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
     ray = z.real * ca + z.imag * sa > 0  # the ray at the edge angle, not its opposite
     segs.append(s[ray])
     ts.append(t[ray])
+    # a segment through the center sweeps no angle: cut it at the center
+    through = np.flatnonzero((sweep == 0.0) & (0.0 < t_foot) & (t_foot < 1.0))
+    segs.append(through)
+    ts.append(t_foot[through])
     return moving[np.concatenate(segs)], np.concatenate(ts)
 
 

@@ -125,6 +125,21 @@ class TestDistance:
             worst = max(worst, abs(d1 - d0))
         assert worst < 1e-10
 
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        z = random_point(rng)
+        ws = np.array([complex(random_point(rng)) for _ in range(200)])
+        d = hyp_distance(z, ws)
+        assert d.shape == ws.shape
+        assert d.tolist() == [hyp_distance(z, w) for w in ws]
+        assert type(hyp_distance(z, ws[0])) is float
+
+    def test_beyond_float_resolution_is_inf(self):
+        x = 1.0 - 2e-9  # the two points lie about 40 apart; t rounds to 1
+        assert hyp_distance(x, -x) == math.inf
+        d = hyp_distance(x, np.array([0.0, -x]))
+        assert d[0] == hyp_distance(x, 0.0) < 40.0 and d[1] == math.inf
+
 
 class TestLength:
     def test_single_vertex(self):

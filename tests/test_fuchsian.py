@@ -59,6 +59,23 @@ def brute_force_words(generators, max_len):
     return found
 
 
+def membership_oracle(z, elements, tol=1e-9):
+    """Brute force about 0: every half-plane tested with its own scalar distances."""
+    d_center = hyp_distance(z, 0j)
+    d_images = [hyp_distance(z, mobius_apply(h, 0j)) for h in elements]
+    if any(d_center >= d + tol for d in d_images):
+        return "outside"
+    if any(d_center > d - tol for d in d_images):
+        return "boundary"
+    return "inside"
+
+
+ARRAY_GROUPS = [
+    pytest.param(cyclic_group(2.0, 12), id="cyclic-2.0-12"),
+    pytest.param(genus2_group(3), id="genus2-3"),
+]
+
+
 class TestEnumeration:
     def test_empty_generators(self):
         assert enumerate_elements(FuchsianGroup(())) == []
@@ -176,13 +193,40 @@ class TestDirichlet:
         assert dirichlet_membership(z, dom) == "inside"
         for g in elems:
             w = mobius_apply(g, z)
-            # brute-force constraint evaluation oracle
-            violated = any(
-                hyp_distance(w, 0j) >= hyp_distance(w, mobius_apply(h, 0j)) + 1e-9
-                for h in elems
-            )
-            assert violated
+            assert membership_oracle(w, elems) == "outside"
             assert dirichlet_membership(w, dom) == "outside"
+
+    def test_far_images_near_the_rim(self):
+        # g^11(0) and g^12(0) lie more than 37 from these points, where t rounds to 1
+        dom = build_dirichlet_domain(cyclic_group(2.0, 12))
+        assert dirichlet_membership(-(1 - 1e-7), dom) == "outside"
+        assert dirichlet_membership(complex(0.0, 1 - 1e-7), dom) == "inside"
+
+    @pytest.mark.parametrize("grp", ARRAY_GROUPS)
+    def test_one_constraint_per_element(self, grp):
+        # near the rim distinct orbit points can be closer than 1e-9 in the chart
+        elems = enumerate_elements(grp)
+        dom = build_dirichlet_domain(grp, elements=elems)
+        assert len(dom.constraints) == len(elems)
+        scalar = np.array([mobius_apply(g, 0j) for g in elems])
+        # numpy divides complex numbers through the reciprocal, so the last bit may differ
+        np.testing.assert_allclose(dom.images, scalar, rtol=1e-15, atol=0.0)
+        assert not dom.images.flags.writeable
+
+    @pytest.mark.parametrize("grp", ARRAY_GROUPS)
+    def test_membership_matches_scalar_oracle(self, grp):
+        elems = enumerate_elements(grp)
+        dom = build_dirichlet_domain(grp, elements=elems)
+        rng = np.random.default_rng(17)
+        r = np.tanh(0.5 * rng.uniform(0.0, 3.0, 150))
+        points = list(r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 150)))
+        # midpoints of the geodesics from 0 to the first images lie on the bisectors
+        for g in elems[:50]:
+            w = mobius_apply(g, 0j)
+            points.append(math.tanh(0.5 * math.atanh(abs(w))) * w / abs(w))
+        found = [dirichlet_membership(z, dom) for z in points]
+        assert found == [membership_oracle(z, elems) for z in points]
+        assert {"inside", "boundary", "outside"} <= set(found)
 
     def test_constraint_fixing_center_rejected(self):
         rot_like = MobiusAutomorphism(math.cosh(1.0), math.sinh(1.0))

@@ -88,6 +88,18 @@ class TestGrids:
             assert float(np.sum(le)) == pytest.approx(2 * math.pi * R, rel=1e-5)
             assert float(np.sum(lh)) == pytest.approx(2 * math.pi * math.sinh(r), rel=1e-5)
 
+    def test_segments_through_polar_center(self):
+        # on a grid from r_inner = 0, a segment through 0 sweeps no angle
+        dom = polar_grid(RingSpec(0.0, 2.0), 5, 4)
+        segments = [(0.3 + 0.3j, -0.3 - 0.3j), (0.3 + 0.3j, -0.1 - 0.1j), (-0.4, 0.4)]
+        fam = rasterize_family(PolylineFamily(tuple(Polyline(s) for s in segments), kind="connecting"), dom)
+        E = fam.incidence_matrix("euclidean")
+        for (p, q), row_sum in zip(segments, np.asarray(E.sum(axis=1)).ravel()):
+            assert row_sum == pytest.approx(abs(q - p), rel=1e-12, abs=0.0)
+        # cell = ring * 4 + sector; both rings 0 on either side of the center are met
+        cells = [cells.tolist() for cells, _, _ in fam.curves]
+        assert cells == [[0, 2, 4, 6, 8, 10], [0, 2, 4, 8], [0, 2, 4, 6, 8, 10]]
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
