@@ -163,35 +163,28 @@ def hyp_distance(z1, z2):
     return float(d) if d.ndim == 0 else d
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, fa: float, fm: float, fb: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(f, a, m, 0.5 * tol, fa, flm, fm, depth - 1) + _adaptive_simpson(
-        f, m, b, 0.5 * tol, fm, frm, fb, depth - 1
-    )
+def _segment_hyp_length(p, d, t0, t1):
+    """Hyperbolic length of the pieces p + t d, t0 <= t <= t1, in closed form; broadcasts.
 
-
-def _segment_hyp_length(p: complex, q: complex, tol: float = 1e-10) -> float:
-    d = q - p
-    speed = abs(d)
-
-    def integrand(t: float) -> float:
-        z = p + t * d
-        return 2.0 * speed / (1.0 - (z.real * z.real + z.imag * z.imag))
-
-    return _adaptive_simpson(integrand, 0.0, 1.0, tol, integrand(0.0), integrand(0.5), integrand(1.0), 30)
+    With z = p + s u, |u| = 1: 1 - |z|^2 = (s_plus - s)(s - s_minus), so the line
+    element 2 ds / (1 - |z|^2) integrates to two logarithms.
+    """
+    speed = np.hypot(d.real, d.imag)
+    ux, uy = d.real / speed, d.imag / speed  # numpy's complex / real overflows on a subnormal step
+    b = p.real * ux + p.imag * uy
+    r = np.hypot(p.real, p.imag)
+    c = (1.0 - r) * (1.0 + r)
+    root_d = np.sqrt(b * b + c)
+    big = np.abs(b) + root_d  # root of s^2 + 2 b s - c without cancellation; s_plus s_minus = -c
+    s_plus, s_minus = np.where(b < 0.0, big, c / big), np.where(b < 0.0, -c / big, -big)
+    step, to_start, to_end = speed * (t1 - t0), speed * t0 - s_minus, s_plus - speed * t1
+    return (np.log1p(step / to_start) + np.log1p(step / to_end)) / root_d
 
 
 def hyp_length(curve: Polyline) -> float:
-    """Hyperbolic arclength of a polyline: sum of adaptive-Simpson segment integrals."""
+    """Hyperbolic arclength of a polyline: the closed-form lengths of its segments, summed."""
     p, q = curve.segments()
-    return sum(_segment_hyp_length(a, b) for a, b in zip(p.tolist(), q.tolist()))
+    return float(np.sum(_segment_hyp_length(p, q - p, 0.0, 1.0)))
 
 
 def hyp_area(indicator, window, resolution: int) -> float:

@@ -32,6 +32,7 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from .criteria import divergence_check
+from .diskgeom import euclid_radius
 from .fields import parse_field
 from .mappings import (
     SampleMap,
@@ -182,7 +183,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     tol = float(cfg.tolerances.get("solver_tol", 1e-6))
 
     degree = f.degree
-    spot_targets = [0.25 * math.tanh(0.5 * ring.r_outer) * np.exp(2j * math.pi * j / 3)
+    spot_targets = [0.25 * euclid_radius(ring.r_outer) * np.exp(2j * math.pi * j / 3)
                     for j in range(3)]
     spot = multiplicity(f, spot_targets, seed_grid=24)
     weight = distortion_weight_field(f, float(degree))
@@ -191,8 +192,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
 
     source = circle_family(ring, n_circles, n_vertices=4 * n_theta)
     image = pushforward_polylines(f, source)
-    r1_img = 2.0 * math.atanh(abs(f.apply(complex(math.tanh(0.5 * ring.r_inner), 0.0))))
-    r2_img = 2.0 * math.atanh(abs(f.apply(complex(math.tanh(0.5 * ring.r_outer), 0.0))))
+    r1_img, r2_img = f.image_radius(ring.r_inner), f.image_radius(ring.r_outer)
     dom_img = polar_grid_from_band_centers(image.circle_radii, r1_img, r2_img, n_theta)
     fam = rasterize_family(image, dom_img)
     result = modulus_discrete(fam, dom_img, metric="hyperbolic", tol=tol)

@@ -21,6 +21,7 @@ from .diskgeom import (
     DiskPoint,
     MobiusAutomorphism,
     as_complex,
+    euclid_radius,
     hyp_distance,
     mobius_apply,
     mobius_compose,
@@ -333,7 +334,7 @@ class NormalNeighborhood:
         group = self.center.group
         elements = enumerate_elements(group)
         to_center = mobius_invert(mobius_to_zero(self.center.representative))
-        R = math.tanh(0.5 * self.radius)
+        R = euclid_radius(self.radius)
         for _ in range(n):
             u, v = rng.uniform(size=2) ** 0.5 * R, rng.uniform(size=2) * 2 * math.pi
             p = mobius_apply(to_center, u[0] * complex(math.cos(v[0]), math.sin(v[0])))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, as_complex
+from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, as_complex, euclid_radius, hyp_radius
 from .modulus import CurveFamily, DiscretizedDomain, PolylineFamily, rasterize_family
 
 __all__ = [
@@ -165,6 +165,13 @@ class SampleMap:
         if self.kind == "composition":
             return all(p.fixes_origin_radially for p in self.parts)
         return False
+
+    def image_radius(self, r: float) -> float:
+        """Hyperbolic radius of the image of the circle of hyperbolic radius r about 0.
+
+        The image is a circle about 0 when `fixes_origin_radially`.
+        """
+        return hyp_radius(abs(self.apply(euclid_radius(r))))
 
 
 def identity_map() -> SampleMap:
@@ -502,10 +509,7 @@ def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamil
             out.append(Polyline(pts, closed=poly.closed))
         radii = None
         if family.circle_radii is not None and f.fixes_origin_radially:
-            radii = tuple(
-                2.0 * math.atanh(abs(f.apply(complex(math.tanh(0.5 * r), 0.0))))
-                for r in family.circle_radii
-            )
+            radii = tuple(f.image_radius(r) for r in family.circle_radii)
         return PolylineFamily(tuple(out), kind=family.kind,
                               multiplicities=family.multiplicities, circle_radii=radii)
 
@@ -516,14 +520,14 @@ def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamil
     out = []
     radii = []
     for poly, r in zip(family.polylines, family.circle_radii):
-        R = math.tanh(0.5 * r)
-        R_img = abs(f.apply(complex(R, 0.0)))
+        R = euclid_radius(r)
+        R_img = abs(f.apply(R))
         if R_img >= 1.0 - BOUNDARY_MARGIN:
             raise ChartOverflowError(f"image circle under {f.label} leaves the chart")
         scale = R_img / R
         pts = poly.vertices * scale  # same angular samples, image radius
         out.append(Polyline(pts, closed=True))
-        radii.append(2.0 * math.atanh(R_img))
+        radii.append(hyp_radius(R_img))
     mult = tuple(m * deg for m in family.multiplicities)
     return PolylineFamily(tuple(out), kind="circle_family",
                           multiplicities=mult, circle_radii=tuple(radii))

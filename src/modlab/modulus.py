@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._io import write_csv, write_json
-from .diskgeom import BOUNDARY_MARGIN, Polyline, euclid_radius
+from .diskgeom import BOUNDARY_MARGIN, Polyline, _segment_hyp_length, euclid_radius
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 
 __all__ = [
@@ -415,7 +415,7 @@ def _rasterize_polyline(poly: Polyline, geometry):
     cell = _cells_of(zm, geometry)
     inside = cell >= 0
     le = np.hypot(d.real, d.imag)[s] * (t1 - t0)
-    lh = le * 2.0 / (1.0 - np.float_power(np.hypot(zm.real, zm.imag), 2))
+    lh = _segment_hyp_length(p[s], d[s], t0, t1)
     cells, piece_cell = np.unique(cell[inside], return_inverse=True)
     return cells, np.bincount(piece_cell, le[inside]), np.bincount(piece_cell, lh[inside])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from modlab.diskgeom import (
     mobius_rotation,
     mobius_to_zero,
 )
+from modlab.modulus import PolylineFamily, cartesian_grid, rasterize_family
 
 
 def random_automorphism(rng) -> MobiusAutomorphism:
@@ -150,8 +152,32 @@ class TestLength:
         x = 0.5
         oracle = math.log((1 + x) / (1 - x))
         got = hyp_length(Polyline((DiskPoint(0, 0), DiskPoint(x, 0))))
-        assert got == pytest.approx(oracle, abs=1e-10)
-        assert got == pytest.approx(math.log(3), abs=1e-10)
+        assert got == pytest.approx(oracle, abs=1e-14)
+        assert got == pytest.approx(math.log(3), abs=1e-14)
+
+    def test_diameter_near_rim(self):
+        x = 1.0 - 2e-9
+        got = hyp_length(Polyline((0.0, x)))
+        assert isinstance(got, float)
+        assert got == pytest.approx(2.0 * math.atanh(x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("y, x0, x1", [(0.0, -0.9, 0.95), (0.6, -0.7, 0.75), (-0.3, 0.1, 0.9)])
+    def test_horizontal_chord(self, y, x0, x1):
+        # on Im z = y, 1 - |z|^2 = a^2 - x^2 with a = sqrt(1 - y^2)
+        a = math.sqrt(1.0 - y * y)
+        oracle = 2.0 / a * (math.atanh(x1 / a) - math.atanh(x0 / a))
+        poly = Polyline(np.linspace(x0, x1, 5) + 1j * y)
+        assert hyp_length(poly) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_subnormal_step(self):
+        poly = Polyline((0.1, 0.1 + 5e-324j, 0.3 + 0.2j))
+        dom = cartesian_grid(((-0.4, 0.4), (-0.3, 0.3)), 8, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length = hyp_length(poly)
+            fam = rasterize_family(PolylineFamily((poly,), kind="connecting"), dom)
+        assert length == pytest.approx(hyp_length(Polyline((0.1, 0.3 + 0.2j))), rel=1e-15)
+        assert float(np.sum(fam.curves[0][2])) == pytest.approx(length, rel=1e-12, abs=0.0)
 
     def test_full_circle(self):
         # constant integrand: circumference = 4 pi R / (1 - R^2)

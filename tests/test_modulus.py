@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from modlab.diskgeom import Polyline, euclid_radius
+from modlab.diskgeom import Polyline, euclid_radius, hyp_length
 from modlab.fields import parse_field
 from modlab.modulus import (
     DensityField,
@@ -78,6 +78,7 @@ class TestGrids:
         R1, R2 = euclid_radius(0.5), euclid_radius(1.5)
         for cells, le, lh in fam.curves:
             assert float(np.sum(le)) == pytest.approx(R2 - R1, rel=1e-12)
+            assert float(np.sum(lh)) == pytest.approx(RING.r_outer - RING.r_inner, rel=1e-12)
 
     def test_circle_rasterization_perimeter(self):
         dom = polar_grid(RING, 8, 64)
@@ -93,16 +94,23 @@ class TestGrids:
         dom = polar_grid(RingSpec(0.0, 2.0), 5, 4)
         segments = [(0.3 + 0.3j, -0.3 - 0.3j), (0.3 + 0.3j, -0.1 - 0.1j), (-0.4, 0.4)]
         fam = rasterize_family(PolylineFamily(tuple(Polyline(s) for s in segments), kind="connecting"), dom)
-        E = fam.incidence_matrix("euclidean")
-        for (p, q), row_sum in zip(segments, np.asarray(E.sum(axis=1)).ravel()):
-            assert row_sum == pytest.approx(abs(q - p), rel=1e-12, abs=0.0)
+        E, H = fam.incidence_matrix("euclidean"), fam.incidence_matrix("hyperbolic")
+        rows = zip(segments, np.asarray(E.sum(axis=1)).ravel(), np.asarray(H.sum(axis=1)).ravel())
+        for (p, q), row_e, row_h in rows:
+            assert row_e == pytest.approx(abs(q - p), rel=1e-12, abs=0.0)
+            assert row_h == pytest.approx(hyp_length(Polyline((p, q))), rel=1e-12, abs=0.0)
         # cell = ring * 4 + sector; both rings 0 on either side of the center are met
         cells = [cells.tolist() for cells, _, _ in fam.curves]
         assert cells == [[0, 2, 4, 6, 8, 10], [0, 2, 4, 8], [0, 2, 4, 6, 8, 10]]
 
+    @pytest.mark.parametrize(
+        "dom",
+        [cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9), polar_grid(RingSpec(0.0, 2.0), 5, 12)],
+        ids=["cartesian", "polar"],
+    )
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(
+        specs=st.lists(
             st.tuples(
                 st.lists(st.tuples(st.floats(-0.39, 0.39), st.floats(-0.29, 0.34)), min_size=1, max_size=8),
                 st.booleans(),
@@ -111,19 +119,19 @@ class TestGrids:
             max_size=5,
         )
     )
-    def test_cartesian_rasterization_properties(self, specs):
-        dom = cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9)
+    def test_cartesian_rasterization_properties(self, dom, specs):
         polylines = tuple(Polyline([complex(x, y) for x, y in pts], closed=closed) for pts, closed in specs)
         fam = rasterize_family(PolylineFamily(polylines, kind="connecting"), dom)
         E, H = fam.incidence_matrix("euclidean"), fam.incidence_matrix("hyperbolic")
         assert E.shape == H.shape == (len(polylines), dom.n_cells)
         assert np.all(E.indices < dom.n_cells) and np.all(H.indices < dom.n_cells)
-        row_sums = np.asarray(E.sum(axis=1)).ravel()
-        rows = zip(polylines, row_sums, fam.curves, E.indptr[:-1], E.indptr[1:])
-        for poly, row_sum, (cells, le, lh), lo, hi in rows:
+        row_sums_e, row_sums_h = (np.asarray(M.sum(axis=1)).ravel() for M in (E, H))
+        rows = zip(polylines, row_sums_e, row_sums_h, fam.curves, E.indptr[:-1], E.indptr[1:])
+        for poly, row_e, row_h, (cells, le, lh), lo, hi in rows:
             p, q = poly.segments()
             length = float(np.sum(np.abs(q - p)))
-            assert row_sum == pytest.approx(length, rel=1e-12, abs=0.0)
+            assert row_e == pytest.approx(length, rel=1e-12, abs=0.0)
+            assert row_h == pytest.approx(hyp_length(poly), rel=1e-12, abs=0.0)
             assert np.array_equal(cells, E.indices[lo:hi]) and np.array_equal(cells, H.indices[lo:hi])
             assert np.array_equal(le, E.data[lo:hi]) and np.array_equal(lh, H.data[lo:hi])
 
