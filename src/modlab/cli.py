@@ -61,8 +61,10 @@ def _cmd_ring_modulus(args) -> int:
         "grid": [n_r, n_theta],
         "iterations": res.iterations,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
+        "duality_gap": res.duality_gap,
     }, args.out_file)
-    return 0 if rel <= args.agree_tol else 1
+    return 0 if res.converged and rel <= args.agree_tol else 1
 
 
 def _cmd_circle_family(args) -> int:
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, required=True, help="inner hyperbolic radius")
     p.add_argument("--r2", type=float, required=True, help="outer hyperbolic radius")
     p.add_argument("--grid", default="100x300", help="polar grid NRxNT")
-    p.add_argument("--tol", type=float, default=1e-5, help="solver tolerance")
+    p.add_argument("--tol", type=float, default=1e-5, help="solver tolerance: relative duality gap")
     p.add_argument("--metric", choices=["hyperbolic", "euclidean"], default="hyperbolic")
     p.add_argument("--agree-tol", type=float, default=0.05)
     p.add_argument("--out-file")

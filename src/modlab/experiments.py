@@ -111,11 +111,15 @@ class ExperimentConfig:
             raise ConfigError(f"config {path}: lower_q needs a ring")
         # resolve references eagerly so bad specs fail at load time
         try:
-            map_from_config(cfg.map_spec)
+            f = map_from_config(cfg.map_spec)
             if cfg.q_majorant is not None:
                 parse_field(cfg.q_majorant)
         except ValueError as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
+        if kind == "lower_q" and not f.fixes_origin_radially:
+            raise ConfigError(
+                f"config {path}: lower_q needs a map that fixes 0 radially, got {f.label}"
+            )
         resolutions = [v for v in cfg.grid.values() if isinstance(v, (int, float))]
         if any(v > 4096 for v in resolutions):
             raise ConfigError(f"config {path}: grid resolution exceeds the 4096 cap")
@@ -202,6 +206,11 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     ratio_min = float(cfg.tolerances.get("ratio_min", 0.95))
     ratio_max = cfg.tolerances.get("ratio_max")
     passed = ratio >= ratio_min and (ratio_max is None or ratio <= float(ratio_max))
+    error = None
+    if not result.converged:  # a ratio without a certified LHS proves nothing
+        passed = False
+        error = (f"modulus solve not certified: stop_reason {result.stop_reason!r}, "
+                 f"duality gap {result.duality_gap!r}")
     record = VerdictRecord(
         experiment_id=cfg.experiment_id,
         kind="lower_q",
@@ -211,6 +220,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
         ratio=ratio,
         passed=bool(passed),
         tolerance={"ratio_min": ratio_min, "ratio_max": ratio_max},
+        error=error,
         provenance={
             "map": cfg.map_spec,
             "ring": {"r_inner": ring.r_inner, "r_outer": ring.r_outer},
@@ -238,6 +248,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
                 "iterations": result.iterations,
                 "max_constraint_violation": result.max_constraint_violation,
                 "duality_gap": result.duality_gap,
+                "stop_reason": result.stop_reason,
                 "converged": result.converged,
             },
         },

@@ -3,8 +3,9 @@
 A domain is discretized into cells (polar rings about the chart center or a
 Cartesian window), curves are rasterized into per-cell incidence lengths, and
 the modulus  min sum rho_c^2 A_c  subject to  m_g * sum_c rho_c l_{cg} >= 1
-for every curve g  is solved by dual ascent with a closed-form inner
-minimization. Includes the closed-form ring modulus, the weighted circle
+for every curve g  is solved with a certificate: in closed form when no cell
+is shared by two curves, by restarted FISTA on the dual with a duality-gap
+stop otherwise. Includes the closed-form ring modulus, the weighted circle
 family modulus against its radial-integral reference, and the weighted
 infimum with its extremal density.
 """
@@ -226,13 +227,25 @@ class DensityField:
 
 @dataclass(frozen=True)
 class ModulusResult:
+    """A discrete modulus with its certificate.
+
+    `value` is the objective of `extremal`, an exactly feasible density, so it
+    bounds the discrete optimum from above; `dual_value` bounds it from below.
+    `stop_reason` is "closed_form" (exact), "gap" (relative duality gap at
+    most the solver tolerance) or "max_iter" (not certified).
+    """
+
     value: float
     extremal: DensityField
     iterations: int
     max_constraint_violation: float
     metric: str
-    converged: bool = True
-    dual_value: float = 0.0
+    stop_reason: str
+    dual_value: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("closed_form", "gap")
 
     @property
     def duality_gap(self) -> float:
@@ -244,6 +257,7 @@ class ModulusResult:
             "metric": self.metric,
             "iterations": self.iterations,
             "max_constraint_violation": self.max_constraint_violation,
+            "stop_reason": self.stop_reason,
             "converged": self.converged,
             "dual_value": self.dual_value,
             "duality_gap": self.duality_gap,
@@ -378,18 +392,25 @@ def _crossings_cartesian(p: np.ndarray, d: np.ndarray, geometry):
     return np.concatenate(segs), np.concatenate(ts)
 
 
+def _bins(edges: np.ndarray, x: np.ndarray):
+    """Bin of each value among the edges, and whether it lies in [edges[0], edges[-1]].
+
+    Both end edges belong to their end bins; an inner edge to the bin below it.
+    """
+    return np.searchsorted(edges[1:-1], x), (edges[0] <= x) & (x <= edges[-1])
+
+
 def _cells_of(z: np.ndarray, geometry) -> np.ndarray:
     """Cell index of each point, -1 outside the grid."""
     if geometry["kind"] == "polar":
         n_theta = geometry["n_theta"]
-        k = np.searchsorted(geometry["R_edges"], np.hypot(z.real, z.imag)) - 1
+        k, inside = _bins(geometry["R_edges"], np.hypot(z.real, z.imag))
         theta = np.mod(np.arctan2(z.imag, z.real), 2.0 * math.pi)
         j = (theta / (2.0 * math.pi / n_theta)).astype(np.int64) % n_theta
-        return np.where((k >= 0) & (k < geometry["n_r"]), k * n_theta + j, -1)
-    i = np.searchsorted(geometry["x_edges"], z.real) - 1
-    j = np.searchsorted(geometry["y_edges"], z.imag) - 1
-    inside = (i >= 0) & (i < geometry["n_x"]) & (j >= 0) & (j < geometry["n_y"])
-    return np.where(inside, i * geometry["n_y"] + j, -1)
+        return np.where(inside, k * n_theta + j, -1)
+    i, inside_x = _bins(geometry["x_edges"], z.real)
+    j, inside_y = _bins(geometry["y_edges"], z.imag)
+    return np.where(inside_x & inside_y, i * geometry["n_y"] + j, -1)
 
 
 def _rasterize_polyline(poly: Polyline, geometry):
@@ -440,19 +461,12 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
 
 
 def _power_iteration_norm(op, n: int, iters: int = 40, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return 0.0
-    v /= norm
-    sigma = 0.0
+    """Largest eigenvalue of a nonzero positive semidefinite operator, by power iteration."""
+    v = np.random.default_rng(seed).standard_normal(n)
+    sigma = np.linalg.norm(v)
     for _ in range(iters):
-        w = op(v)
-        sigma = np.linalg.norm(w)
-        if sigma <= 0.0:
-            return 0.0
-        v = w / sigma
+        v = op(v / sigma)
+        sigma = np.linalg.norm(v)
     return sigma
 
 
@@ -464,104 +478,86 @@ def modulus_discrete(
     max_iter: int = 200_000,
     weights: np.ndarray = None,
 ) -> ModulusResult:
-    """Solve the admissible-density quadratic program by dual ascent.
+    """Certified solve of  min sum_c A_c rho_c^2  s.t.  m_g (L rho)_g >= 1.
 
-    Inner minimization is closed form (rho = L^T(m*lambda) / (2 w A)); the
-    multipliers follow projected gradient steps with backtracking on the dual
-    objective. Terminates when the worst constraint violation is below `tol`
-    and the objective has been flat (relative change < tol) over a 50-step
-    window. The reported density is rescaled to exact feasibility, so the
-    value is an upper bound on the discrete optimum; `dual_value` is the
-    matching lower bound.
+    When no cell is met by two curves the program splits per curve and the
+    optimum is closed form: with S_g = sum_c l_gc^2 / A_c, the density is
+    rho_c = l_gc / (A_c m_g S_g) and the value sum_g 1 / (m_g^2 S_g)
+    (stop_reason "closed_form", gap 0, no iterations).
+
+    Otherwise FISTA (Beck & Teboulle 2009) with gradient-mapping restart
+    (O'Donoghue & Candes 2015) maximizes the dual
+    sum(lam) - sum(A rho^2), rho = L^T(m lam) / (2A), over lam >= 0, with
+    step 1/||m L diag(1/2A) L^T m||. Every iterate yields a lower bound (its
+    dual value) and an upper bound (its density rescaled by the smallest
+    constraint slack); the loop stops once their relative gap is at most
+    `tol` ("gap") or after `max_iter` iterations ("max_iter", uncertified).
+    The reported density is the rescaled, exactly feasible one.
     """
     if metric not in ("hyperbolic", "euclidean"):
         raise ValueError("metric must be 'hyperbolic' or 'euclidean'")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:  # a relative gap
+        raise ValueError("tol must lie in (0, 1)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     n_cells = dom.n_cells
     L = family.incidence_matrix(metric)
     if L.shape[1] != n_cells:
         raise ValueError(
             f"family was rasterized on {L.shape[1]} cells but the domain has {n_cells}"
         )
-    if len(family) == 0:
-        return ModulusResult(
-            value=0.0,
-            extremal=DensityField(np.zeros(n_cells)),
-            iterations=0,
-            max_constraint_violation=0.0,
-            metric=metric,
-        )
-
     A = dom.area_hyp if metric == "hyperbolic" else dom.area_euclid
     if weights is not None:
         A = A * np.asarray(weights, dtype=float)
         if np.any(A <= 0):
             raise ValueError("weights must keep cell costs positive")
     m = np.asarray(family.multiplicities, dtype=float)
-    total_len = np.asarray(L.sum(axis=1)).ravel()
-    if np.any(total_len <= 0.0):
+    if np.any(np.asarray(L.sum(axis=1)).ravel() <= 0.0):
         raise ValueError("a curve has no incidence length inside the domain")
 
     LT = L.T.tocsr()
+    if np.all(np.diff(LT.indptr) <= 1):  # disjoint supports
+        S = L.power(2).dot(1.0 / A)
+        rho = LT.dot(1.0 / (m * S)) / A
+        value = float(np.sum(1.0 / (m * m * S)))
+        violation = float(np.max(1.0 - m * L.dot(rho), initial=0.0))
+        return ModulusResult(value, DensityField(rho), 0, violation, metric, "closed_form", value)
+
     inv2A = 0.5 / A
 
     def rho_of(lam):
         return LT.dot(m * lam) * inv2A
 
-    def dual_value(lam, rho):
-        return float(np.sum(lam) - np.sum(A * rho * rho))
+    step = 1.0 / _power_iteration_norm(lambda v: m * L.dot(rho_of(v)), len(family))
+    # slacks are linear in lam, so the extrapolated point's slack needs no product
+    x = y = slack = slack_y = np.zeros(len(family))
+    t = 1.0
+    stop_reason = "max_iter"
+    for it in range(1, max_iter + 1):
+        x_new = np.maximum(0.0, y + step * (1.0 - slack_y))
+        rho = rho_of(x_new)
+        slack_new = m * L.dot(rho)
+        energy = 0.5 * float(x_new @ slack_new)  # sum(A rho^2)
+        dual = float(np.sum(x_new)) - energy
+        min_slack = float(np.min(slack_new))
+        primal = energy / min_slack**2 if min_slack > 0.0 else math.inf
+        if dual >= (1.0 - tol) * primal:  # relative gap at most tol; never when primal is inf
+            stop_reason = "gap"
+            break
+        if float((y - x_new) @ (x_new - x)) > 0.0:
+            t, y, slack_y = 1.0, x_new, slack_new
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            y = x_new + beta * (x_new - x)
+            slack_y = slack_new + beta * (slack_new - slack)
+            t = t_new
+        x, slack = x_new, slack_new
 
-    sigma = _power_iteration_norm(lambda v: m * L.dot(LT.dot(m * v) * inv2A), len(family))
-    step = 1.0 / sigma if sigma > 0 else 1.0
-
-    lam = np.zeros(len(family))
-    rho = rho_of(lam)
-    g_old = dual_value(lam, rho)
-    objective_history = []
-    violation = 1.0
-    it = 0
-    converged = False
-    while it < max_iter:
-        it += 1
-        grad = 1.0 - m * L.dot(rho)
-        accepted = False
-        for _ in range(40):
-            lam_new = np.maximum(0.0, lam + step * grad)
-            rho_new = rho_of(lam_new)
-            g_new = dual_value(lam_new, rho_new)
-            if g_new >= g_old - 1e-14 * max(abs(g_old), 1.0):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # step underflow: dual is stationary to machine precision
-        lam, rho, g_old = lam_new, rho_new, g_new
-        step *= 1.02
-        primal = float(np.sum(A * rho * rho))
-        objective_history.append(primal)
-        violation = float(np.max(np.maximum(0.0, 1.0 - m * L.dot(rho))))
-        if violation < tol and len(objective_history) > 50:
-            prev = objective_history[-51]
-            if abs(primal - prev) <= tol * max(primal, 1e-300):
-                converged = True
-                break
-
-    slack = m * L.dot(rho)
-    min_slack = float(np.min(slack))
-    if 0.0 < min_slack < 1.0:
+    if min_slack > 0.0:
         rho = rho / min_slack
-    value = float(np.sum(A * rho * rho))
-    violation_final = float(np.max(np.maximum(0.0, 1.0 - m * L.dot(rho))))
-    return ModulusResult(
-        value=value,
-        extremal=DensityField(rho),
-        iterations=it,
-        max_constraint_violation=violation_final,
-        metric=metric,
-        converged=converged,
-        dual_value=g_old,
-    )
+    violation = float(np.max(1.0 - m * L.dot(rho), initial=0.0))
+    return ModulusResult(primal, DensityField(rho), it, violation, metric, stop_reason, dual)
 
 
 def ring_modulus_exact(ring: RingSpec) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -24,6 +25,20 @@ class TestRingModulus:
         assert data["schema_version"] == 1
         assert data["exact"] == pytest.approx(6.59352, abs=1e-4)
         assert data["relative_error"] < 0.05
+        # rays through sector centers share no cell: the solve is exact
+        assert data["stop_reason"] == "closed_form" and data["duality_gap"] == 0.0
+
+    def test_uncertified_solve_fails(self, capsys, monkeypatch):
+        from modlab import modulus
+
+        solve = modulus.modulus_discrete
+        monkeypatch.setattr(modulus, "modulus_discrete",
+                            lambda *a, **kw: dataclasses.replace(solve(*a, **kw), stop_reason="max_iter"))
+        code, out, _ = run_cli(capsys, "ring-modulus", "--r1", "0.5", "--r2", "1.5",
+                               "--grid", "40x96")
+        data = json.loads(out)
+        assert code == 1 and data["relative_error"] < 0.05
+        assert data["stop_reason"] == "max_iter" and not data["converged"]
 
     def test_bad_grid_spec(self, capsys):
         code, _, err = run_cli(capsys, "ring-modulus", "--r1", "0.5", "--r2", "1.5",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ from modlab.experiments import (
 from modlab.mappings import boundary_spiral_map, dilatation, fold_map, identity_map, radial_stretch, winding
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "experiments"
 
 
 def write_cfg(tmp_path, name, data):
@@ -75,6 +77,14 @@ class TestConfigLoading:
         cfg["grid"]["n_theta"] = 100_000
         path = write_cfg(tmp_path, "big.json", cfg)
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(path)
+
+    def test_lower_q_map_must_fix_origin_radially(self, tmp_path):
+        # the shipped identity config with the boundary_mobius map, which moves 0
+        cfg = json.loads((CONFIG_DIR / "lower_q_identity.json").read_text())
+        cfg["map"] = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())["map"]
+        path = write_cfg(tmp_path, "lq_mobius.json", cfg)
+        with pytest.raises(ConfigError, match="fixes 0 radially"):
             ExperimentConfig.from_json(path)
 
     def test_malformed_json(self, tmp_path):
@@ -152,6 +162,30 @@ class TestLowerQ:
         assert prov["lhs"]["module"].startswith("modulus.")
         assert prov["degree_sampled"]["module"].startswith("mappings.")
         assert prov["lhs"]["converged"]
+        # circles at band centers share no cell: the LHS is exact
+        assert prov["lhs"]["stop_reason"] == "closed_form"
+        assert prov["lhs"]["duality_gap"] == 0.0 and prov["lhs"]["iterations"] == 0
+
+    @pytest.mark.parametrize("name", ["lower_q_identity", "lower_q_radial_stretch2", "lower_q_winding2"])
+    def test_shipped_configs_solve_in_closed_form(self, name):
+        rec = run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json"))
+        assert rec.passed and rec.error is None
+        assert rec.provenance["lhs"]["stop_reason"] == "closed_form"
+        assert rec.provenance["lhs"]["duality_gap"] == 0.0
+
+    def test_uncertified_solve_fails_the_verdict(self, tmp_path, monkeypatch):
+        from modlab import experiments
+
+        solve = experiments.modulus_discrete
+        monkeypatch.setattr(experiments, "modulus_discrete",
+                            lambda *a, **kw: dataclasses.replace(solve(*a, **kw), stop_reason="max_iter"))
+        path = write_cfg(tmp_path, "id.json", lower_q_cfg({"kind": "identity"}, ratio_min=0.95, ratio_max=1.05))
+        rec = run_lower_q_verification(ExperimentConfig.from_json(path))
+        assert rec.status == "ok" and 0.95 <= rec.ratio <= 1.05  # the ratio alone would pass
+        assert not rec.passed
+        assert rec.provenance["lhs"]["stop_reason"] == "max_iter"
+        assert not rec.provenance["lhs"]["converged"]
+        assert "not certified" in rec.error and "max_iter" in rec.error
 
 
 class TestBoundaryProbe:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize, nnls
 
 from modlab.diskgeom import Polyline, euclid_radius, hyp_length
 from modlab.fields import parse_field
@@ -27,6 +27,7 @@ from modlab.modulus import (
 from modlab.quadrature import RingSpec
 
 RING = RingSpec(0.5, 1.5)
+EDGE_INDEX = st.none() | st.integers(0, 15)  # see _snap
 
 
 def qp_oracle(family, dom, metric):
@@ -54,6 +55,56 @@ def qp_oracle(family, dom, metric):
     )
     assert res.success, res.message
     return float(np.dot(res.x * res.x, A))
+
+
+def nnls_oracle(family, dom, metric):
+    """Exact small-instance optimum through the NNLS dual (Lawson & Hanson 1974, ch. 23).
+
+    With x = sqrt(A) rho the program is the least-distance problem
+    min |x|^2 s.t. G x >= 1, G = m L / sqrt(A); its solution is
+    x = -r[:-1] / r[-1], where r = E u - e_last and u solves the
+    non-negative least squares problem for E = [G^T; 1^T].
+    """
+    A = dom.area_hyp if metric == "hyperbolic" else dom.area_euclid
+    m = np.asarray(family.multiplicities, dtype=float)
+    G = m[:, None] * family.incidence_matrix(metric).toarray() / np.sqrt(A)
+    E = np.vstack([G.T, np.ones(len(m))])
+    f = np.zeros(dom.n_cells + 1)
+    f[-1] = 1.0
+    u, _ = nnls(E, f, maxiter=50 * len(m))
+    r = E @ u - f
+    x = -r[:-1] / r[-1]
+    assert np.min(G @ x) >= 1.0 - 1e-12
+    return float(x @ x)
+
+
+def _crossing_family():
+    """Four curves crossing on a 6x6 window, one of multiplicity 2: supports overlap."""
+    dom = cartesian_grid(((-0.3, 0.3), (-0.3, 0.3)), 6, 6)
+    polylines = (
+        Polyline((complex(-0.3, -0.12), complex(0.3, -0.12))),
+        Polyline((complex(-0.3, 0.17), complex(0.3, 0.17))),
+        Polyline((complex(-0.3, -0.25), complex(0.0, 0.1), complex(0.3, 0.28))),
+        Polyline((complex(-0.05, -0.3), complex(-0.05, 0.3))),
+    )
+    pf = PolylineFamily(polylines, kind="connecting", multiplicities=(1, 1, 2, 1))
+    return rasterize_family(pf, dom), dom
+
+
+def _snap(z: complex, a, b, geometry) -> complex:
+    """Put a point's coordinates (x, y, or radius, angle) on the a-th and b-th cell edges.
+
+    A coordinate whose index is None is kept; indices wrap around the edge list.
+    """
+    if geometry["kind"] == "cartesian":
+        x_edges, y_edges = geometry["x_edges"], geometry["y_edges"]
+        x = z.real if a is None else x_edges[a % len(x_edges)]
+        y = z.imag if b is None else y_edges[b % len(y_edges)]
+        return complex(x, y)
+    R_edges, theta_edges = geometry["R_edges"], geometry["theta_edges"]
+    r = abs(z) if a is None else R_edges[a % len(R_edges)]
+    theta = math.atan2(z.imag, z.real) if b is None else theta_edges[b % len(theta_edges)]
+    return r * complex(math.cos(theta), math.sin(theta))
 
 
 class TestGrids:
@@ -103,6 +154,17 @@ class TestGrids:
         cells = [cells.tolist() for cells, _, _ in fam.curves]
         assert cells == [[0, 2, 4, 6, 8, 10], [0, 2, 4, 8], [0, 2, 4, 6, 8, 10]]
 
+    def test_pieces_on_window_edges_are_kept(self):
+        # a piece on the lower/left edge counts like one on the upper/right edge
+        dom = cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9)
+        segments = [(-0.4 - 0.2j, -0.4 + 0.2j), (0.4 - 0.2j, 0.4 + 0.2j),
+                    (-0.3 - 0.3j, 0.3 - 0.3j), (-0.3 + 0.35j, 0.3 + 0.35j)]
+        fam = rasterize_family(PolylineFamily(tuple(Polyline(s) for s in segments), kind="connecting"), dom)
+        rows = np.asarray(fam.incidence_matrix("euclidean").sum(axis=1)).ravel()
+        assert rows == pytest.approx([0.4, 0.4, 0.6, 0.6], rel=1e-12)
+        first, last = fam.curves[0][0], fam.curves[1][0]
+        assert np.all(first // 9 == 0) and np.all(last // 9 == 6)
+
     @pytest.mark.parametrize(
         "dom",
         [cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9), polar_grid(RingSpec(0.0, 2.0), 5, 12)],
@@ -112,7 +174,11 @@ class TestGrids:
     @given(
         specs=st.lists(
             st.tuples(
-                st.lists(st.tuples(st.floats(-0.39, 0.39), st.floats(-0.29, 0.34)), min_size=1, max_size=8),
+                st.lists(
+                    st.tuples(st.floats(-0.39, 0.39), st.floats(-0.29, 0.34), EDGE_INDEX, EDGE_INDEX),
+                    min_size=1,
+                    max_size=8,
+                ),
                 st.booleans(),
             ),
             min_size=1,
@@ -120,7 +186,11 @@ class TestGrids:
         )
     )
     def test_cartesian_rasterization_properties(self, dom, specs):
-        polylines = tuple(Polyline([complex(x, y) for x, y in pts], closed=closed) for pts, closed in specs)
+        # some vertices are snapped onto cell edges, the window's outer edges included
+        polylines = tuple(
+            Polyline([_snap(complex(x, y), sa, sb, dom.geometry) for x, y, sa, sb in pts], closed=closed)
+            for pts, closed in specs
+        )
         fam = rasterize_family(PolylineFamily(polylines, kind="connecting"), dom)
         E, H = fam.incidence_matrix("euclidean"), fam.incidence_matrix("hyperbolic")
         assert E.shape == H.shape == (len(polylines), dom.n_cells)
@@ -143,6 +213,7 @@ class TestModulusDiscrete:
         res = modulus_discrete(fam, dom)
         assert res.value == 0.0
         assert np.all(res.extremal.rho == 0.0)
+        assert res.stop_reason == "closed_form" and res.duality_gap == 0.0
 
     def test_square_horizontal_family(self):
         win = ((-0.35, 0.35), (-0.35, 0.35))
@@ -152,20 +223,43 @@ class TestModulusDiscrete:
         assert res.value == pytest.approx(1.0, rel=0.02)
 
     def test_against_qp_oracle(self):
-        win = ((-0.3, 0.3), (-0.3, 0.3))
-        dom = cartesian_grid(win, 6, 6)
-        polylines = (
-            Polyline((complex(-0.3, -0.12), complex(0.3, -0.12))),
-            Polyline((complex(-0.3, 0.17), complex(0.3, 0.17))),
-            Polyline((complex(-0.3, -0.25), complex(0.0, 0.1), complex(0.3, 0.28))),
-            Polyline((complex(-0.05, -0.3), complex(-0.05, 0.3))),
-        )
-        pf = PolylineFamily(polylines, kind="connecting", multiplicities=(1, 1, 2, 1))
-        fam = rasterize_family(pf, dom)
+        fam, dom = _crossing_family()
+        tol = 1e-8
         for metric in ("euclidean", "hyperbolic"):
-            mine = modulus_discrete(fam, dom, metric=metric, tol=1e-8)
+            mine = modulus_discrete(fam, dom, metric=metric, tol=tol)
             oracle = qp_oracle(fam, dom, metric)
             assert mine.value == pytest.approx(oracle, rel=1e-3)
+            exact = nnls_oracle(fam, dom, metric)
+            assert mine.stop_reason == "gap" and mine.iterations > 0
+            # the certificate brackets the exact optimum
+            assert mine.dual_value <= exact * (1 + 1e-12) and exact <= mine.value * (1 + 1e-12)
+            assert mine.value == pytest.approx(exact, rel=tol, abs=0.0)
+
+    def test_closed_form_against_nnls_oracle(self):
+        # circles at band centers never share a cell: the exact per-curve optimum
+        dom = polar_grid(RING, 4, 16)
+        pf = circle_family(RING, 4, n_vertices=256)
+        fam = rasterize_family(pf, dom).with_multiplicities((1, 2, 3, 1))
+        for metric in ("euclidean", "hyperbolic"):
+            res = modulus_discrete(fam, dom, metric=metric)
+            assert res.stop_reason == "closed_form" and res.converged
+            assert res.iterations == 0 and res.duality_gap == 0.0
+            assert res.value == pytest.approx(nnls_oracle(fam, dom, metric), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": 1.0}, {"max_iter": 0}])
+    def test_solver_settings_validated(self, kw):
+        fam, dom = _crossing_family()
+        with pytest.raises(ValueError):
+            modulus_discrete(fam, dom, **kw)
+
+    def test_max_iter_is_not_certified(self):
+        fam, dom = _crossing_family()
+        res = modulus_discrete(fam, dom, tol=1e-8, max_iter=3)
+        assert res.stop_reason == "max_iter" and not res.converged
+        assert res.iterations == 3
+        assert res.duality_gap > 1e-8 * res.value
+        assert res.max_constraint_violation <= 1e-12
+        assert res.to_json()["stop_reason"] == "max_iter"
 
     def test_ring_connecting_family(self):
         dom = polar_grid(RING, 50, 128)
@@ -262,6 +356,7 @@ class TestModulusDiscrete:
         data = res.to_json(tmp_path / "result.json")
         assert (tmp_path / "result.json").exists()
         assert data["value"] == pytest.approx(res.value)
+        assert data["stop_reason"] == "closed_form" and data["duality_gap"] == 0.0
         density_to_csv(dom, res.extremal, tmp_path / "rho.csv")
         assert (tmp_path / "rho.csv").read_text().startswith("re,im,rho")
 
