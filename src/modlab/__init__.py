@@ -26,6 +26,7 @@ from .diskgeom import (
 from .fuchsian import (
     DirichletDomain,
     FuchsianGroup,
+    GroupElements,
     NormalNeighborhood,
     SurfacePoint,
     build_dirichlet_domain,

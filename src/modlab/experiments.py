@@ -107,8 +107,6 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"config {path} missing field {exc}") from exc
-        if kind == "lower_q" and cfg.ring is None:
-            raise ConfigError(f"config {path}: lower_q needs a ring")
         # resolve references eagerly so bad specs fail at load time
         try:
             f = map_from_config(cfg.map_spec)
@@ -116,14 +114,23 @@ class ExperimentConfig:
                 parse_field(cfg.q_majorant)
         except ValueError as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
-        if kind == "lower_q" and not f.fixes_origin_radially:
-            raise ConfigError(
-                f"config {path}: lower_q needs a map that fixes 0 radially, got {f.label}"
-            )
+        problem = _lower_q_problem(cfg, f) if kind == "lower_q" else None
+        if problem is not None:
+            raise ConfigError(f"config {path}: {problem}")
         resolutions = [v for v in cfg.grid.values() if isinstance(v, (int, float))]
         if any(v > 4096 for v in resolutions):
             raise ConfigError(f"config {path}: grid resolution exceeds the 4096 cap")
         return cfg
+
+
+def _lower_q_problem(cfg: ExperimentConfig, f: SampleMap):
+    """Why a lower_q experiment cannot run, or None. The config load raises it;
+    a run of a config built directly reports it as a config_error record."""
+    if cfg.ring is None:
+        return "lower_q needs a ring"
+    if not f.fixes_origin_radially:
+        return f"lower_q needs a map that fixes 0 radially, got {f.label}"
+    return None
 
 
 @dataclass
@@ -180,6 +187,10 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     RHS = reciprocal radial integral with weight N(f) * K_f on the source ring."""
     t0 = time.perf_counter()
     f = map_from_config(cfg.map_spec)
+    problem = _lower_q_problem(cfg, f)
+    if problem is not None:
+        return VerdictRecord(experiment_id=cfg.experiment_id, kind="lower_q",
+                             status="config_error", error=problem)
     ring = RingSpec(float(cfg.ring["r_inner"]), float(cfg.ring["r_outer"]))
     n_circles = int(cfg.grid.get("n_circles", 64))
     n_theta = int(cfg.grid.get("n_theta", 256))

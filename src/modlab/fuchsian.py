@@ -4,6 +4,11 @@ Word enumeration up to a length bound, quotient distance between orbits,
 Dirichlet fundamental polygons, projection to a fundamental set, and the
 injectivity radius that certifies normal neighborhoods (where the quotient
 metric coincides with the disk metric).
+
+An enumerated element set is one `GroupElements` value: two read-only
+coefficient arrays (a, c). `enumerate_elements` builds it one word length at
+a time with numpy, and every orbit query evaluates all its elements at once.
+Points are complex numbers.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import numpy as np
 
 from ._io import write_json
 from .diskgeom import (
+    _DET_TOL,
+    BOUNDARY_MARGIN,
     IDENTITY,
-    DiskPoint,
     MobiusAutomorphism,
     as_complex,
     euclid_radius,
@@ -34,6 +40,7 @@ __all__ = [
     "GrowthOverflowError",
     "NotReducedError",
     "FuchsianGroup",
+    "GroupElements",
     "DirichletDomain",
     "SurfacePoint",
     "NormalNeighborhood",
@@ -52,6 +59,12 @@ __all__ = [
 _DEDUP_TOL = 1e-9
 # non-elliptic trace condition: |Re a| >= 1 + margin for non-identity elements
 _TRACE_MARGIN = 1e-12
+# weights of the linear sort key on (Re a, Im a, Re c, Im c); generic, so
+# distinct elements rarely share a key window
+_KEY_WEIGHTS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
+# elements within _DEDUP_TOL have keys within sum|w| * _DEDUP_TOL; doubled to
+# absorb the rounding of the keys
+_KEY_WINDOW = 2.0 * _DEDUP_TOL * float(np.sum(_KEY_WEIGHTS))
 
 
 class EllipticElementError(ValueError):
@@ -83,103 +96,159 @@ class FuchsianGroup:
         object.__setattr__(self, "generators", gens)
 
 
-def _is_identity(g: MobiusAutomorphism) -> bool:
-    return g.coefficient_distance(IDENTITY) < _DEDUP_TOL
+@dataclass(frozen=True, eq=False)
+class GroupElements:
+    """Finitely many group elements as two read-only coefficient arrays.
+
+    Element k is z -> (a[k] z + c[k]) / (conj(c[k]) z + conj(a[k])). Indexing
+    gives a `MobiusAutomorphism` (a slice gives a `GroupElements`).
+    """
+
+    a: np.ndarray
+    c: np.ndarray
+
+    def __post_init__(self):
+        a, c = np.array(self.a, dtype=complex), np.array(self.c, dtype=complex)
+        if a.ndim != 1 or a.shape != c.shape:
+            raise ValueError("a and c must be one-dimensional and of equal length")
+        a.flags.writeable = c.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return GroupElements(self.a[k], self.c[k])
+        # the stored pair is normalized already; the constructor would rescale a
+        # long word whose determinant rounds more than 1e-12 from 1 once more
+        g = object.__new__(MobiusAutomorphism)
+        object.__setattr__(g, "a", complex(self.a[k]))
+        object.__setattr__(g, "c", complex(self.c[k]))
+        return g
 
 
-def _canonical_key(g: MobiusAutomorphism):
-    """Sign-canonical rounded coefficients for hash-bucket deduplication."""
-    a, c = g.a, g.c
-    if a.real < 0 or (a.real == 0 and (a.imag < 0 or (a.imag == 0 and c.real < 0))):
-        a, c = -a, -c
-    q = 1e6  # bucket width 1e-6 >> dedup tolerance, << element separation
-    return (round(a.real * q), round(a.imag * q), round(c.real * q), round(c.imag * q))
+def _compose(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Components (Re a, Im a, Re c, Im c) of w[:, k] ∘ g[:, k] for (4, n) arrays.
+
+    a = w.a g.a + w.c conj(g.c) and c = w.a g.c + w.c conj(g.a), each product
+    and sum in CPython's complex order, so the bits equal `mobius_compose`'s.
+    """
+    war, wai, wcr, wci = w
+    gar, gai, gcr, gci = g
+    ngai, ngci = -gai, -gci
+    return np.array([
+        (war * gar - wai * gai) + (wcr * gcr - wci * ngci),
+        (war * gai + wai * gar) + (wcr * ngci + wci * gcr),
+        (war * gcr - wai * gci) + (wcr * gar - wci * ngai),
+        (war * gci + wai * gcr) + (wcr * ngai + wci * gar),
+    ])
 
 
-class _ElementSet:
-    """Numerically deduplicated set of automorphisms (sign-insensitive)."""
-
-    def __init__(self):
-        self._buckets: dict = {}
-        self.items: list = []
-
-    def add(self, g: MobiusAutomorphism) -> bool:
-        key = _canonical_key(g)
-        for dk in self._neighbor_keys(key):
-            for h in self._buckets.get(dk, ()):
-                if g.coefficient_distance(h) < _DEDUP_TOL:
-                    return False
-        self._buckets.setdefault(key, []).append(g)
-        self.items.append(g)
-        return True
-
-    @staticmethod
-    def _neighbor_keys(key):
-        k0, k1, k2, k3 = key
-        for d0 in (-1, 0, 1):
-            for d1 in (-1, 0, 1):
-                for d2 in (-1, 0, 1):
-                    for d3 in (-1, 0, 1):
-                        yield (k0 + d0, k1 + d1, k2 + d2, k3 + d3)
+def _normalize(x: np.ndarray) -> None:
+    """Rescale the columns of x to |a|^2 - |c|^2 = 1 in place, as
+    `MobiusAutomorphism` does: |.| is `hypot`, the square is `pow(., 2)`, and
+    only columns with |det - 1| > 1e-12 change."""
+    det = (np.float_power(np.hypot(x[0], x[1]), 2)
+           - np.float_power(np.hypot(x[2], x[3]), 2))
+    bad = det[det <= 0.0]
+    if len(bad):
+        raise ValueError(f"|a|^2 - |c|^2 = {bad[0]} must be positive")
+    fix = np.abs(det - 1.0) > _DET_TOL
+    x[:, fix] *= 1.0 / np.sqrt(det[fix])
 
 
-def enumerate_elements(group: FuchsianGroup) -> list:
+def _distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`MobiusAutomorphism.coefficient_distance` between the columns of x and y."""
+    d_plus = np.maximum(np.hypot(x[0] - y[0], x[1] - y[1]), np.hypot(x[2] - y[2], x[3] - y[3]))
+    d_minus = np.maximum(np.hypot(x[0] + y[0], x[1] + y[1]), np.hypot(x[2] + y[2], x[3] + y[3]))
+    return np.minimum(d_plus, d_minus)
+
+
+def _first_occurrences(x: np.ndarray, n_kept: int) -> np.ndarray:
+    """Mask of the columns of x from n_kept on that no earlier kept column lies
+    within 1e-9 of; the first n_kept columns are kept already.
+
+    This is what adding the columns to an element set one at a time keeps.
+    Close pairs are searched in windows of the sorted keys and confirmed by
+    the coefficient distance.
+    """
+    keys = np.abs(_KEY_WEIGHTS @ x)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    lo = np.searchsorted(sorted_keys, sorted_keys - _KEY_WINDOW, side="left")
+    n = np.searchsorted(sorted_keys, sorted_keys + _KEY_WINDOW, side="right") - lo
+    i = np.repeat(order, n)
+    j = order[np.arange(len(i)) - np.repeat(np.cumsum(n) - n - lo, n)]
+    pair = (j < i) & (i >= n_kept)
+    i, j = i[pair], j[pair]
+    close = _distance(x[:, i], x[:, j]) < _DEDUP_TOL
+    by_i = np.argsort(i[close], kind="stable")
+    i, j = i[close][by_i], j[close][by_i]
+    keep = np.ones(x.shape[1], dtype=bool)
+    # heads ascend, so each partner (an earlier column) is settled before its head
+    heads, starts = np.unique(i, return_index=True)
+    for k, partners in zip(heads, np.split(j, starts[1:])):
+        keep[k] = not keep[partners].any()
+    return keep[n_kept:]
+
+
+def enumerate_elements(group: FuchsianGroup) -> GroupElements:
     """All distinct non-identity elements representable by reduced words up to
     the group's word-length bound; ordered by word length, then generator index
     sequence, so the result is independent of evaluation schedule.
+
+    Each word length is one array pass: every word of the previous length times
+    every letter but its inverse, identities and duplicates (within 1e-9 in
+    coefficients, up to sign; the first occurrence wins) dropped.
 
     Raises EllipticElementError if a non-identity element has |trace| < 2
     (fixed point in the disk, or a parabolic too close to the margin), and
     GrowthOverflowError past the element cap.
     """
-    gens = list(group.generators)
-    if not gens:
-        return []
-    alphabet = []
-    for i, g in enumerate(gens):
-        alphabet.append((2 * i, g))
-        alphabet.append((2 * i + 1, mobius_invert(g)))
-
-    seen = _ElementSet()
-    seen.add(IDENTITY)
-    elements: list = []
-    frontier = [(None, IDENTITY)]  # (last letter index, element)
+    letters = []
+    for g in group.generators:
+        letters += [g, mobius_invert(g)]
+    alphabet = np.array([[g.a.real, g.a.imag, g.c.real, g.c.imag] for g in letters]).reshape(-1, 4).T
+    identity = np.array([[1.0], [0.0], [0.0], [0.0]])
+    found = np.empty((4, 0))
+    frontier, last = identity, np.array([-1])  # words of the current length, last letters
     for _ in range(group.max_word_length):
-        next_frontier = []
-        for last, w in frontier:
-            for idx, letter in alphabet:
-                if last is not None and (idx ^ 1) == last:
-                    continue  # free reduction: skip immediate inverse
-                elem = mobius_compose(w, letter)
-                if _is_identity(elem):
-                    continue  # relator word; fold back to the identity
-                if not seen.add(elem):
-                    continue
-                if abs(elem.trace_real) < 1.0 + _TRACE_MARGIN:
-                    raise EllipticElementError(
-                        f"element with |Re a| = {abs(elem.trace_real):.6f} < 1 "
-                        "has a fixed point in the disk"
-                    )
-                elements.append(elem)
-                next_frontier.append((idx, elem))
-                if len(elements) > group.element_cap:
-                    raise GrowthOverflowError(
-                        f"enumeration exceeded cap of {group.element_cap} elements"
-                    )
-        frontier = next_frontier
-    return elements
+        # free reduction: letter 2i+1 inverts letter 2i, so skip l == last ^ 1
+        rows, cols = np.nonzero(np.arange(len(letters)) != (last ^ 1)[:, None])
+        x = _compose(frontier[:, rows], alphabet[:, cols])
+        _normalize(x)
+        not_identity = _distance(x, identity) >= _DEDUP_TOL  # relator words fold back
+        x, cols = x[:, not_identity], cols[not_identity]
+        new = _first_occurrences(np.hstack([found, x]), found.shape[1])
+        x, cols = x[:, new], cols[new]
+
+        # the checks a one-at-a-time loop makes, in its order: the elliptic test
+        # before each element is kept, the cap after
+        elliptic = np.flatnonzero(np.abs(x[0]) < 1.0 + _TRACE_MARGIN)
+        overflow = group.element_cap - found.shape[1]  # index of the element past the cap
+        if len(elliptic) and elliptic[0] <= overflow:
+            raise EllipticElementError(
+                f"element with |Re a| = {abs(x[0, elliptic[0]]):.6f} < 1 "
+                "has a fixed point in the disk"
+            )
+        if overflow < x.shape[1]:
+            raise GrowthOverflowError(
+                f"enumeration exceeded cap of {group.element_cap} elements"
+            )
+        found, frontier, last = np.hstack([found, x]), x, cols
+    a, c = np.empty(found.shape[1], dtype=complex), np.empty(found.shape[1], dtype=complex)
+    a.real, a.imag, c.real, c.imag = found
+    return GroupElements(a, c)
 
 
-def _coefficients(elements) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficient arrays (a, c) of a sequence of automorphisms."""
-    a = np.array([g.a for g in elements], dtype=complex)
-    c = np.array([g.c for g in elements], dtype=complex)
-    return a, c
-
-
-def _orbit(coefficients, z) -> np.ndarray:
-    """g(z) = (a z + c)/(conj(c) z + conj(a)) for every g of `_coefficients`, as one array."""
-    a, c = coefficients
+def _orbit(elements: GroupElements, z) -> np.ndarray:
+    """g(z) = (a z + c)/(conj(c) z + conj(a)) for every element, as one array."""
+    a, c = elements.a, elements.c
     return (a * z + c) / (np.conjugate(c) * z + np.conjugate(a))
 
 
@@ -194,7 +263,8 @@ def quotient_distance(z1, z2, group: FuchsianGroup, elements=None) -> float:
     """
     if elements is None:
         elements = enumerate_elements(group)
-    images = _orbit(_coefficients([IDENTITY, *elements]), as_complex(z2))
+    w = as_complex(z2)
+    images = np.concatenate(([w], _orbit(elements, w)))
     return float(np.min(hyp_distance(as_complex(z1), images)))
 
 
@@ -202,19 +272,29 @@ def quotient_distance(z1, z2, group: FuchsianGroup, elements=None) -> float:
 class DirichletDomain:
     """Intersection of half-planes {z : h(z, center) < h(z, g(center))}.
 
-    `images` holds g(center) for each constraint g, as one read-only array.
+    `constraints` holds the elements g defining the half-planes (any sequence
+    of automorphisms is converted), and `images` holds g(center) for each, as
+    one read-only array.
     """
 
-    center: DiskPoint
-    constraints: tuple  # automorphisms g defining the half-planes
+    center: complex
+    constraints: GroupElements
     images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        zc = self.center.z
-        images = _orbit(_coefficients(self.constraints), zc)
+        zc = as_complex(self.center)
+        if not abs(zc) <= 1.0 - BOUNDARY_MARGIN:
+            raise ValueError(f"center {zc} is not strictly inside the unit disk")
+        constraints = self.constraints
+        if not isinstance(constraints, GroupElements):
+            gs = tuple(constraints)
+            constraints = GroupElements([g.a for g in gs], [g.c for g in gs])
+        images = _orbit(constraints, zc)
         if np.any(hyp_distance(zc, images) <= _DEDUP_TOL):
             raise ValueError("a constraint fixes the center; domain undefined")
         images.flags.writeable = False
+        object.__setattr__(self, "center", zc)
+        object.__setattr__(self, "constraints", constraints)
         object.__setattr__(self, "images", images)
 
 
@@ -225,14 +305,13 @@ def build_dirichlet_domain(group: FuchsianGroup, center=0j, elements=None) -> Di
     """
     if elements is None:
         elements = enumerate_elements(group)
-    c = as_complex(center)
-    return DirichletDomain(DiskPoint(c.real, c.imag), tuple(elements))
+    return DirichletDomain(as_complex(center), elements)
 
 
 def dirichlet_membership(z, dom: DirichletDomain, tol: float = 1e-9) -> str:
     """Classify z as 'inside', 'boundary' or 'outside' the Dirichlet polygon."""
     zc = as_complex(z)
-    d_center = hyp_distance(zc, dom.center.z)
+    d_center = hyp_distance(zc, dom.center)
     d_images = hyp_distance(zc, dom.images)
     if np.any(d_center >= d_images + tol):
         return "outside"
@@ -251,16 +330,15 @@ def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elemen
     """
     if elements is None:
         elements = enumerate_elements(group)
-    coefficients = _coefficients(elements)
     current = as_complex(z)
     word = IDENTITY
-    center = dom.center.z
+    center = dom.center
     for step in range(len(elements) + 1):
         if dirichlet_membership(current, dom) != "outside":
-            return DiskPoint(current.real, current.imag), word
+            return current, word
         if step == len(elements):
             break  # step budget = enumerated-set size exhausted
-        d = hyp_distance(_orbit(coefficients, current), center)
+        d = hyp_distance(_orbit(elements, current), center)
         best = int(np.argmin(d))  # the first minimum, as a strict `<` scan picks
         if not d[best] < hyp_distance(current, center) - _DEDUP_TOL:
             raise NotReducedError(
@@ -287,14 +365,14 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
     if not elements:
         return math.inf
     z = as_complex(z0)
-    return 0.5 * float(np.min(hyp_distance(z, _orbit(_coefficients(elements), z))))
+    return 0.5 * float(np.min(hyp_distance(z, _orbit(elements, z))))
 
 
 @dataclass(frozen=True)
 class SurfacePoint:
     """Canonical representative of an orbit, inside the Dirichlet domain closure."""
 
-    representative: DiskPoint
+    representative: complex
     group: FuchsianGroup
 
     @classmethod

@@ -87,6 +87,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="fixes 0 radially"):
             ExperimentConfig.from_json(path)
 
+    def test_direct_config_is_checked_at_run(self):
+        # built without from_json: the run makes the load's check and reports it
+        mobius = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())["map"]
+        moving = ExperimentConfig(experiment_id="lq_mobius", kind="lower_q", map_spec=mobius,
+                                  ring=RING, grid={"n_circles": 8, "n_theta": 32})
+        no_ring = ExperimentConfig(experiment_id="lq_no_ring", kind="lower_q",
+                                   map_spec={"kind": "identity"})
+        for cfg, reason in ((moving, "fixes 0 radially"), (no_ring, "needs a ring")):
+            rec = run_experiment(cfg)
+            assert (rec.experiment_id, rec.kind, rec.status) == (cfg.experiment_id, "lower_q", "config_error")
+            assert reason in rec.error
+            assert not rec.passed
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

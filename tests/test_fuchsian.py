@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from modlab.fuchsian import (
     DirichletDomain,
     EllipticElementError,
     FuchsianGroup,
+    GroupElements,
     GrowthOverflowError,
     NormalNeighborhood,
     NotReducedError,
@@ -59,6 +61,62 @@ def brute_force_words(generators, max_len):
     return found
 
 
+def enumeration_oracle(group):
+    """Scalar enumeration: one composition at a time, each element kept unless it
+    lies within 1e-9 (up to sign) of the identity or of an element kept before,
+    found through hash buckets of rounded coefficients."""
+
+    def bucket(g):
+        a, c = g.a, g.c
+        if a.real < 0 or (a.real == 0 and (a.imag < 0 or (a.imag == 0 and c.real < 0))):
+            a, c = -a, -c
+        q = 1e6  # bucket width 1e-6 >> dedup tolerance, << element separation
+        return (round(a.real * q), round(a.imag * q), round(c.real * q), round(c.imag * q))
+
+    buckets = {}
+
+    def add(g):
+        key = bucket(g)
+        for dk in itertools.product((-1, 0, 1), repeat=4):
+            near = tuple(k + d for k, d in zip(key, dk))
+            if any(g.coefficient_distance(h) < 1e-9 for h in buckets.get(near, ())):
+                return False
+        buckets.setdefault(key, []).append(g)
+        return True
+
+    alphabet = []
+    for i, g in enumerate(group.generators):
+        alphabet += [(2 * i, g), (2 * i + 1, mobius_invert(g))]
+    add(IDENTITY)
+    elements = []
+    frontier = [(None, IDENTITY)]  # (last letter index, element)
+    for _ in range(group.max_word_length):
+        next_frontier = []
+        for last, w in frontier:
+            for idx, letter in alphabet:
+                if last is not None and (idx ^ 1) == last:
+                    continue  # free reduction: skip immediate inverse
+                elem = mobius_compose(w, letter)
+                if elem.coefficient_distance(IDENTITY) < 1e-9 or not add(elem):
+                    continue
+                if abs(elem.trace_real) < 1.0 + 1e-12:
+                    raise EllipticElementError(f"|Re a| = {abs(elem.trace_real):.6f}")
+                elements.append(elem)
+                next_frontier.append((idx, elem))
+                if len(elements) > group.element_cap:
+                    raise GrowthOverflowError(f"cap of {group.element_cap} elements")
+        frontier = next_frontier
+    return elements
+
+
+def assert_same_elements(elems, oracle):
+    """Same count and order, every coefficient equal (bit for bit up to the sign of zero)."""
+    assert isinstance(elems, GroupElements)
+    assert len(elems) == len(oracle)
+    np.testing.assert_array_equal(elems.a, np.array([g.a for g in oracle], dtype=complex))
+    np.testing.assert_array_equal(elems.c, np.array([g.c for g in oracle], dtype=complex))
+
+
 def membership_oracle(z, elements, tol=1e-9):
     """Brute force about 0: every half-plane tested with its own scalar distances."""
     d_center = hyp_distance(z, 0j)
@@ -78,7 +136,7 @@ ARRAY_GROUPS = [
 
 class TestEnumeration:
     def test_empty_generators(self):
-        assert enumerate_elements(FuchsianGroup(())) == []
+        assert len(enumerate_elements(FuchsianGroup(()))) == 0
 
     def test_cyclic_words(self):
         grp = cyclic_group(translation_length=2.0, max_word_length=3)
@@ -119,6 +177,107 @@ class TestEnumeration:
         grp = cyclic_group(max_word_length=4)
         for e in enumerate_elements(grp):
             assert e.coefficient_distance(IDENTITY) > 1e-9
+
+
+def _redundant_cyclic():
+    # generators g and g^2: g g (length 2) repeats g^2 (length 1)
+    g = cyclic_group(2.0).generators[0]
+    return FuchsianGroup((g, mobius_compose(g, g)), max_word_length=3)
+
+
+ORACLE_GROUPS = [
+    *(pytest.param(genus2_group(L), id=f"genus2-{L}") for L in range(1, 5)),
+    pytest.param(cyclic_group(2.0, 8), id="cyclic-2.0-8"),
+    pytest.param(cyclic_group(2.0, 12), id="cyclic-2.0-12"),
+    # here squaring |a| by x * x instead of pow(x, 2) moves a rescaled word
+    pytest.param(cyclic_group(2.84, 12), id="cyclic-2.84-12"),
+    pytest.param(FuchsianGroup(genus2_group().generators[:2], max_word_length=3), id="free-2"),
+    pytest.param(_redundant_cyclic(), id="cyclic-redundant"),
+]
+
+
+class TestEnumerationOracle:
+    @pytest.mark.parametrize("grp", ORACLE_GROUPS)
+    def test_matches_scalar_enumeration(self, grp):
+        assert_same_elements(enumerate_elements(grp), enumeration_oracle(grp))
+
+    def test_genus2_counts(self):
+        # 8 * 7^(L-1) reduced words per length; the relator of length 8 makes 8
+        # pairs of length-4 words equal
+        assert [len(enumerate_elements(genus2_group(L))) for L in range(1, 5)] == [8, 64, 456, 3192]
+        assert len(enumerate_elements(_redundant_cyclic())) == 12  # g^-6 .. g^6 without I
+
+    @staticmethod
+    def _turned(g, offset):
+        # turning c keeps |a|^2 - |c|^2, so the constructor does not rescale
+        h = MobiusAutomorphism(g.a, g.c * cmath.exp(1j * offset / abs(g.c)))
+        assert g.coefficient_distance(h) == pytest.approx(offset, rel=1e-6)
+        return h
+
+    @pytest.mark.parametrize("offset, count", [(5e-10, 2), (5e-9, 4)])
+    def test_near_duplicate_generator(self, offset, count):
+        g = genus2_group().generators[0]
+        grp = FuchsianGroup((g, self._turned(g, offset)), max_word_length=1)
+        elems = enumerate_elements(grp)
+        assert len(elems) == count  # within 1e-9 the first occurrence wins
+        assert_same_elements(elems, enumeration_oracle(grp))
+
+    def test_duplicate_of_a_dropped_word_is_kept(self):
+        # g, h, k with h 7e-10 from both g and k, and k 1.4e-9 from g: h is
+        # dropped as a copy of g, so k, close only to the dropped h, is kept
+        g = genus2_group().generators[0]
+        grp = FuchsianGroup((g, self._turned(g, 7e-10), self._turned(g, 1.4e-9)),
+                            max_word_length=1)
+        elems = enumerate_elements(grp)
+        assert len(elems) == 4
+        assert_same_elements(elems, enumeration_oracle(grp))
+
+    @pytest.mark.parametrize("cap", [0, 7, 8, 63, 64, 455])
+    def test_cap_counts_kept_elements(self, cap):
+        grp = FuchsianGroup(genus2_group().generators, max_word_length=3, element_cap=cap)
+        for enumerate_ in (enumerate_elements, enumeration_oracle):
+            with pytest.raises(GrowthOverflowError):
+                enumerate_(grp)
+        grp = FuchsianGroup(genus2_group().generators, max_word_length=3, element_cap=456)
+        assert len(enumerate_elements(grp)) == 456
+
+    @pytest.mark.parametrize("cap, error", [(1, GrowthOverflowError), (2, EllipticElementError)])
+    def test_elliptic_and_cap_in_word_order(self, cap, error):
+        # the words g, g^-1, r, r^-1: the cap falls due at the second, the
+        # elliptic r is reached third
+        rot = MobiusAutomorphism(complex(math.cos(0.3), math.sin(0.3)), 0.0)
+        grp = FuchsianGroup((genus2_group().generators[0], rot), max_word_length=2, element_cap=cap)
+        for enumerate_ in (enumerate_elements, enumeration_oracle):
+            with pytest.raises(error):
+                enumerate_(grp)
+
+
+class TestGroupElements:
+    def test_indexing_returns_stored_coefficients(self):
+        elems = enumerate_elements(cyclic_group(2.0, 12))
+        oracle = enumeration_oracle(cyclic_group(2.0, 12))
+        for g, h in zip(elems, oracle):
+            assert isinstance(g, MobiusAutomorphism)
+            assert (g.a, g.c) == (h.a, h.c)
+        head = elems[:5]
+        assert isinstance(head, GroupElements) and len(head) == 5
+        assert elems[-1].a == elems.a[-1]
+
+    def test_read_only(self):
+        elems = enumerate_elements(genus2_group(1))
+        assert not elems.a.flags.writeable and not elems.c.flags.writeable
+
+    def test_domain_converts_automorphisms(self):
+        g = cyclic_group().generators[0]
+        dom = DirichletDomain(0j, (g,))
+        assert isinstance(dom.constraints, GroupElements)
+        assert (dom.constraints.a[0], dom.constraints.c[0]) == (g.a, g.c)
+        assert dom.center == 0j
+
+    def test_domain_center_inside_disk(self):
+        g = cyclic_group().generators[0]
+        with pytest.raises(ValueError):
+            DirichletDomain(1.0 + 0j, (g,))
 
 
 class TestQuotientDistance:
@@ -241,7 +400,7 @@ class TestProjection:
         grp = cyclic_group(max_word_length=3)
         dom = build_dirichlet_domain(grp)
         rep, word = project_to_fundamental(0.1j, grp, dom)
-        assert rep.z == 0.1j
+        assert rep == 0.1j
         assert word.coefficient_distance(IDENTITY) < 1e-12
 
     def test_single_translate(self):
@@ -251,7 +410,7 @@ class TestProjection:
         w = 0.2 + 0.1j
         z = mobius_apply(mobius_invert(g), w)
         rep, word = project_to_fundamental(z, grp, dom)
-        assert abs(rep.z - w) < 1e-12
+        assert abs(rep - w) < 1e-12
         assert word.coefficient_distance(g) < 1e-9
 
     def test_deep_translate(self):
@@ -266,10 +425,10 @@ class TestProjection:
         z = mobius_apply(mobius_invert(g5), w)
         rep, word = project_to_fundamental(z, grp, dom, elems)
         assert dirichlet_membership(rep, dom) != "outside"
-        assert abs(rep.z - w) < 1e-9
+        assert abs(rep - w) < 1e-9
         # oracle: exhaustive search over the enumerated set finds the same orbit point
         best = min(elems, key=lambda h: hyp_distance(mobius_apply(h, z), 0j))
-        assert abs(mobius_apply(best, z) - rep.z) < 1e-9
+        assert abs(mobius_apply(best, z) - rep) < 1e-9
 
     def test_not_reduced_when_bound_too_small(self):
         # a translate deeper than the step budget of the enumerated set errors
