@@ -43,6 +43,7 @@ from .quadrature import (
     ScalarField,
     ball_integral,
     circle_integral,
+    circle_integrals,
     fubini_residual,
     qnorm_profile,
     ring_reciprocal_integral,

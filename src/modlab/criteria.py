@@ -23,7 +23,7 @@ from .quadrature import (
     ZeroNormError,
     _simpson_nodes,
     ball_integral,
-    circle_integral,
+    circle_integrals,
     qnorm_profile,
 )
 
@@ -188,7 +188,7 @@ def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float,
     """int_eps^eps0 integrand(r, ||Q||(r)) dr for each eps (decreasing), from
     one dense geometric profile that contains the epsilons."""
     grid = np.unique(np.concatenate([np.geomspace(epsilons[-1], eps0, n_dense), epsilons]))
-    norms = np.array([circle_integral(Q, float(r), n_angular) for r in grid])
+    norms = circle_integrals(Q, grid, n_angular)
     values = integrand(grid, norms)
     # cumulative trapezoid from the right: I[k] = int_{grid[k]}^{eps0}
     seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
@@ -310,7 +310,7 @@ def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
 
     # independent route: Simpson nodes, fresh circle integrals
     sim_r, sim_w = _simpson_nodes(ring.r_inner, ring.r_outer, 129)
-    sim_norms = np.array([circle_integral(Q, float(r), n_angular) for r in sim_r])
+    sim_norms = circle_integrals(Q, sim_r, n_angular)
     equality_value = float(np.sum(sim_w / (J * J * sim_norms)))
     one_over_j = 1.0 / J
     equality_rel_error = abs(equality_value - one_over_j) / one_over_j

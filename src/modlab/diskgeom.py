@@ -41,6 +41,13 @@ BOUNDARY_MARGIN = 1e-9
 
 _DET_TOL = 1e-12
 
+# Most points handed to a map or field evaluator in one batched call. numpy
+# computes `x * <temporary>` in place as `<temporary> *= x` once the temporary
+# holds 256 KiB (2^14 complex numbers), and its SIMD complex product is not
+# bitwise commutative; 2^13 points keep batched calls below that size, so they
+# round as the per-circle and per-target calls did.
+_BLOCK_POINTS = 2**13
+
 
 class QuadratureConvergenceWarning(UserWarning):
     """A quadrature refinement check disagreed beyond its tolerance."""

@@ -39,6 +39,7 @@ __all__ = [
     "EllipticElementError",
     "GrowthOverflowError",
     "NotReducedError",
+    "PrecisionLossError",
     "FuchsianGroup",
     "GroupElements",
     "DirichletDomain",
@@ -77,6 +78,11 @@ class GrowthOverflowError(RuntimeError):
 
 class NotReducedError(RuntimeError):
     """No enumerated element brings the point into the fundamental domain."""
+
+
+class PrecisionLossError(ValueError):
+    """A word's coefficients outgrew float resolution: |a|^2 and |c|^2 are so
+    large that their difference, which should be 1, rounds to 0 or below."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,10 @@ def _normalize(x: np.ndarray) -> None:
            - np.float_power(np.hypot(x[2], x[3]), 2))
     bad = det[det <= 0.0]
     if len(bad):
-        raise ValueError(f"|a|^2 - |c|^2 = {bad[0]} must be positive")
+        raise PrecisionLossError(
+            f"word coefficients have lost float resolution: |a|^2 - |c|^2 = {bad[0]} "
+            "where it should be 1; lower the word-length bound"
+        )
     fix = np.abs(det - 1.0) > _DET_TOL
     x[:, fix] *= 1.0 / np.sqrt(det[fix])
 

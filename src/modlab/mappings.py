@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, as_complex, euclid_radius, hyp_radius
+from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, as_complex, euclid_radius, hyp_radius
 from .modulus import CurveFamily, DiscretizedDomain, PolylineFamily, rasterize_family
 
 __all__ = [
@@ -393,15 +393,37 @@ class MultiplicityReport:
     flagged_targets: tuple = ()
 
 
-def _newton_preimages(f: SampleMap, target: complex, seeds: np.ndarray,
-                      newton_tol: float, max_steps: int = 60) -> list:
-    z = seeds.copy()
-    alive = np.ones(len(z), dtype=bool)
+def _seed_grid(n: int) -> np.ndarray:
+    radii = np.sqrt(np.linspace(0.02**2, 0.95**2, n))
+    angles = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+
+
+def _distinct(w: np.ndarray) -> np.ndarray:
+    """The points of w that lie 1e-6 or more from every earlier kept point:
+    keep the first, drop all within 1e-6 of it, repeat."""
+    kept = []
+    while len(w):
+        kept.append(w[0])
+        w = w[1:][~(_cabs(w[1:] - w[0]) < 1e-6)]
+    return np.array(kept, dtype=complex)
+
+
+def _newton(f: SampleMap, z: np.ndarray, t: np.ndarray, newton_tol: float,
+            max_steps: int) -> np.ndarray:
+    """Newton iteration for f(z) = t, each point with its own target, in place
+    on z; returns the mask of points that converged inside the disk.
+
+    A point stops at a singular Jacobian or past the rim, keeping its last
+    position, and freezes once its update leaves it unchanged: it is then at
+    a fixed point, where the remaining steps would not move it.
+    """
+    live = np.arange(len(z))
     for _ in range(max_steps):
-        if not alive.any():
+        if not len(live):
             break
-        za = z[alive]
-        F = f._apply(za) - target
+        za = z[live]
+        F = f._apply(za) - t[live]
         if f.has_analytic_wirtinger:
             fz, fzb = f.wirtinger_analytic(za)
         else:
@@ -412,28 +434,35 @@ def _newton_preimages(f: SampleMap, target: complex, seeds: np.ndarray,
         delta[ok] = (np.conjugate(F[ok]) * fzb[ok] - F[ok] * np.conjugate(fz[ok])) / J[ok]
         # damp oversized steps to keep iterates in the disk
         step_norm = np.abs(delta)
-        delta[step_norm > 0.2] *= 0.2 / step_norm[step_norm > 0.2]
-        za = za + delta
-        dead = (~ok) | (np.abs(za) > 1.0 - 1e-6)
-        z_alive = z[alive]
-        z_alive[~dead] = za[~dead]
-        z[alive] = z_alive
-        sub = alive[alive].copy()
-        sub[dead] = False
-        alive[alive.copy()] = sub
-    residual = np.abs(f._apply(z) - target)
-    good = (residual < newton_tol) & (np.abs(z) < 1.0 - 1e-6)
-    roots: list = []
-    for w in z[good]:
-        if not any(abs(w - r) < 1e-6 for r in roots):
-            roots.append(complex(w))
-    return roots
+        big = step_norm > 0.2
+        delta[big] *= 0.2 / step_norm[big]
+        zn = za + delta
+        moved = ok & ~(np.abs(zn) > 1.0 - 1e-6)
+        z[live[moved]] = zn[moved]
+        live = live[moved & (zn != za)]
+    return (np.abs(f._apply(z) - t) < newton_tol) & (np.abs(z) < 1.0 - 1e-6)
 
 
-def _seed_grid(n: int) -> np.ndarray:
-    radii = np.sqrt(np.linspace(0.02**2, 0.95**2, n))
-    angles = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+def _preimages(f: SampleMap, targets, seed_sets, newton_tol: float,
+               max_steps: int = 60) -> list:
+    """Distinct Newton preimages of each target from each seed set:
+    roots[i][j] for targets[i] and seed_sets[j].
+
+    Every (target, seed) pair runs in one Newton pass per block of 2^13
+    pairs; each point's iterates depend only on its seed and its target.
+    """
+    if not targets:
+        return []
+    sizes = np.tile([len(seeds) for seeds in seed_sets], len(targets))
+    z = np.concatenate([seeds for _ in targets for seeds in seed_sets])
+    t = np.repeat(np.repeat(np.asarray(targets, dtype=complex), len(seed_sets)), sizes)
+    good = np.concatenate([
+        _newton(f, z[i:i + _BLOCK_POINTS], t[i:i + _BLOCK_POINTS], newton_tol, max_steps)
+        for i in range(0, len(z), _BLOCK_POINTS)
+    ])
+    cuts = np.cumsum(sizes)[:-1]
+    roots = [_distinct(w[ok]) for w, ok in zip(np.split(z, cuts), np.split(good, cuts))]
+    return [roots[i:i + len(seed_sets)] for i in range(0, len(roots), len(seed_sets))]
 
 
 def multiplicity(f: SampleMap, targets, seed_grid: int = 40,
@@ -443,14 +472,17 @@ def multiplicity(f: SampleMap, targets, seed_grid: int = 40,
 
     Runs a second, 1.5x denser seed grid; targets whose counts disagree are
     flagged and the report is marked incomplete.
+
+    Newton runs on every (target, seed) pair of both grids together, in
+    blocks of 2^13 points. A point freezes once an update leaves it
+    unchanged, a fixed point, so roots and counts are bit for bit those of
+    iterating each target on each grid alone for all 60 steps.
     """
     targets = tuple(as_complex(t) for t in targets)
-    seeds_a = _seed_grid(seed_grid)
-    seeds_b = _seed_grid(int(seed_grid * 1.5))
+    seed_sets = (_seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5)))
     counts, flagged = [], []
-    for t in targets:
-        na = len(_newton_preimages(f, t, seeds_a, newton_tol))
-        nb = len(_newton_preimages(f, t, seeds_b, newton_tol))
+    for t, (roots_a, roots_b) in zip(targets, _preimages(f, targets, seed_sets, newton_tol)):
+        na, nb = len(roots_a), len(roots_b)
         counts.append(max(na, nb))
         if na != nb:
             flagged.append(t)

@@ -4,6 +4,10 @@ Circle and ball integrals against the hyperbolic line/area elements, the
 Fubini-style self-check (2-D quadrature vs iterated radial integral), radial
 profiles of the circle norm ||Q||(r), and the reciprocal ring integral
 that all ring estimates are built on.
+
+Every radial quadrature goes through `circle_integrals`, which evaluates Q
+on blocks of rows of the radii x angles grid rather than one circle at a
+time; each value is bit-identical to the one-circle trapezoid sum.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from .diskgeom import BOUNDARY_MARGIN, DiskPoint, as_complex, euclid_radius
+from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, DiskPoint, as_complex, euclid_radius
 
 __all__ = [
     "ScalarField",
@@ -24,6 +28,7 @@ __all__ = [
     "ZeroNormError",
     "SingularitySkippedWarning",
     "circle_integral",
+    "circle_integrals",
     "ball_integral",
     "fubini_residual",
     "qnorm_profile",
@@ -117,30 +122,45 @@ class RadialProfile:
         return write_json(data, path)
 
 
-def circle_integral(Q: ScalarField, r: float, n: int = 512) -> float:
-    """L1 norm of Q over the hyperbolic circle of radius r about 0.
+def circle_integrals(Q: ScalarField, radii, n: int = 512) -> np.ndarray:
+    """L1 norms of Q over the hyperbolic circles of the given radii about 0.
 
     Trapezoid sum over n equispaced angles on the Euclidean circle of radius
     R = tanh(r/2), weighted by the line element 2R/(1-R^2) per unit angle.
+    Q is evaluated on blocks of rows of the radii x angles grid, at most
+    2^13 points per call, so memory stays flat however many radii are asked
+    and each value rounds as it does on one circle.
     """
-    if r <= 0:
-        raise ValueError("circle radius must be positive")
     if n < 16:
         raise ValueError("need n >= 16 angular samples")
-    R = euclid_radius(r)
-    if R >= 1.0 - BOUNDARY_MARGIN:
-        raise ValueError("circle reaches the disk boundary")
-    if Q.singular_point is not None and abs(abs(as_complex(Q.singular_point)) - R) < 1e-9:
-        warnings.warn(
-            f"singular point of {Q.label} lies on the integration circle r={r}",
-            SingularitySkippedWarning,
-            stacklevel=2,
-        )
-    theta = np.arange(n) * (2.0 * math.pi / n)
-    z = R * np.exp(1j * theta)
-    vals = Q.evaluate_array(z)
-    weight = 2.0 * R / (1.0 - R * R)
-    return float(np.sum(vals) * weight * (2.0 * math.pi / n))
+    singular = None if Q.singular_point is None else abs(as_complex(Q.singular_point))
+    R = np.empty(len(radii))
+    for i, r in enumerate(radii):
+        r = float(r)
+        if r <= 0:
+            raise ValueError("circle radius must be positive")
+        R[i] = euclid_radius(r)
+        if R[i] >= 1.0 - BOUNDARY_MARGIN:
+            raise ValueError("circle reaches the disk boundary")
+        if singular is not None and abs(singular - R[i]) < 1e-9:
+            warnings.warn(
+                f"singular point of {Q.label} lies on the integration circle r={r}",
+                SingularitySkippedWarning,
+                stacklevel=2,
+            )
+    unit = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
+    rows = max(1, _BLOCK_POINTS // n)
+    sums = np.empty(len(R))
+    for i in range(0, len(R), rows):
+        z = R[i:i + rows, None] * unit
+        sums[i:i + rows] = Q.evaluate_array(z.ravel()).reshape(z.shape).sum(axis=1)
+    return sums * (2.0 * R / (1.0 - R * R)) * (2.0 * math.pi / n)
+
+
+def circle_integral(Q: ScalarField, r: float, n: int = 512) -> float:
+    """L1 norm of Q over the hyperbolic circle of radius r about 0; the
+    one-radius case of `circle_integrals`."""
+    return float(circle_integrals(Q, (r,), n)[0])
 
 
 def _simpson_nodes(a: float, b: float, n: int):
@@ -168,11 +188,11 @@ def ball_integral(Q: ScalarField, r0: float, n_r: int = 129, n_theta: int = 512)
     if Q.singular_point is not None and abs(as_complex(Q.singular_point)) < 1e-12:
         r_start = 1e-6
     radii, weights = _simpson_nodes(r_start, r0, n_r)
+    # the line element vanishes at r = 0 for bounded fields
+    positive = radii > 0.0
     total = 0.0
-    for r, w in zip(radii, weights):
-        if r <= 0.0:
-            continue  # the line element vanishes at r = 0 for bounded fields
-        total += w * circle_integral(Q, float(r), n_theta)
+    for w, v in zip(weights[positive], circle_integrals(Q, radii[positive], n_theta)):
+        total += w * v
     return total
 
 
@@ -279,7 +299,7 @@ def qnorm_profile(Q: ScalarField, ring: RingSpec, n_samples: int = 64,
         raise ValueError("need n_samples >= 8")
     lo = ring.r_inner if ring.r_inner > 0 else ring.r_outer * 1e-6
     radii = np.geomspace(lo, ring.r_outer, n_samples)
-    values = np.array([circle_integral(Q, float(r), n_angular) for r in radii])
+    values = circle_integrals(Q, radii, n_angular)
     return RadialProfile(radii, values, quadrature_n=n_angular, label=Q.label)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modlab import fuchsian
 from modlab.diskgeom import (
     IDENTITY,
     DiskPoint,
@@ -24,6 +25,7 @@ from modlab.fuchsian import (
     GrowthOverflowError,
     NormalNeighborhood,
     NotReducedError,
+    PrecisionLossError,
     SurfacePoint,
     build_dirichlet_domain,
     cyclic_group,
@@ -177,6 +179,16 @@ class TestEnumeration:
         grp = cyclic_group(max_word_length=4)
         for e in enumerate_elements(grp):
             assert e.coefficient_distance(IDENTITY) > 1e-9
+
+    @pytest.mark.parametrize("L", [19, 20])
+    def test_precision_loss_is_typed(self, L):
+        # g^19 has |a| near cosh 19 = 8.9e7: |a|^2 and |c|^2 lie where floats
+        # are 1 apart, so their difference rounds to 0
+        assert issubclass(PrecisionLossError, ValueError)
+        assert "PrecisionLossError" in fuchsian.__all__
+        with pytest.raises(PrecisionLossError, match="lost float resolution"):
+            enumerate_elements(cyclic_group(2.0, L))
+        assert len(enumerate_elements(cyclic_group(2.0, 18))) == 36
 
 
 def _redundant_cyclic():

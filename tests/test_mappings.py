@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from modlab.diskgeom import MobiusAutomorphism, mobius_compose, mobius_invert, m
 from modlab.fields import parse_field
 from modlab.mappings import (
     ChartOverflowError,
+    MultiplicityReport,
     K_INF,
     boundary_spiral_map,
     compose_maps,
@@ -29,6 +31,7 @@ from modlab.mappings import (
     wirtinger,
     wirtinger_fd,
 )
+from modlab.mappings import _fd_stencil, _preimages, _seed_grid
 from modlab.modulus import circle_family, modulus_discrete, polar_grid
 from modlab.quadrature import RingSpec
 
@@ -178,6 +181,105 @@ class TestMultiplicity:
         rep = multiplicity(winding(3), targets, seed_grid=36)
         assert rep.supremum == 3
         assert all(c == 3 for c in rep.counts)
+
+
+def newton_preimages_oracle(f, target, seeds, newton_tol, max_steps=60):
+    """One target, one seed grid: every seed runs all 60 steps or until it
+    dies, then roots are kept in seed order unless within 1e-6 of a kept one."""
+    z = seeds.copy()
+    alive = np.ones(len(z), dtype=bool)
+    for _ in range(max_steps):
+        if not alive.any():
+            break
+        za = z[alive]
+        F = f._apply(za) - target
+        if f.has_analytic_wirtinger:
+            fz, fzb = f.wirtinger_analytic(za)
+        else:
+            fz, fzb = _fd_stencil(f, za, 1e-6)
+        J = np.abs(fz) ** 2 - np.abs(fzb) ** 2
+        ok = np.abs(J) > 1e-14
+        delta = np.zeros_like(za)
+        delta[ok] = (np.conjugate(F[ok]) * fzb[ok] - F[ok] * np.conjugate(fz[ok])) / J[ok]
+        step_norm = np.abs(delta)
+        delta[step_norm > 0.2] *= 0.2 / step_norm[step_norm > 0.2]
+        za = za + delta
+        dead = (~ok) | (np.abs(za) > 1.0 - 1e-6)
+        z_alive = z[alive]
+        z_alive[~dead] = za[~dead]
+        z[alive] = z_alive
+        sub = alive[alive].copy()
+        sub[dead] = False
+        alive[alive.copy()] = sub
+    residual = np.abs(f._apply(z) - target)
+    good = (residual < newton_tol) & (np.abs(z) < 1.0 - 1e-6)
+    roots = []
+    for w in z[good]:
+        if not any(abs(w - r) < 1e-6 for r in roots):
+            roots.append(complex(w))
+    return roots
+
+
+def multiplicity_oracle(f, targets, seed_grid=40, newton_tol=1e-10):
+    """`multiplicity` one target and one seed grid at a time."""
+    targets = tuple(complex(t) for t in targets)
+    seeds_a, seeds_b = _seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5))
+    roots = [(newton_preimages_oracle(f, t, seeds_a, newton_tol),
+              newton_preimages_oracle(f, t, seeds_b, newton_tol)) for t in targets]
+    counts = tuple(max(len(a), len(b)) for a, b in roots)
+    flagged = tuple(t for t, (a, b) in zip(targets, roots) if len(a) != len(b))
+    report = MultiplicityReport(targets, counts, max(counts) if counts else 0,
+                                bool(flagged), flagged)
+    return report, roots
+
+
+def _config_map(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / "experiments" / f"{name}.json"
+    return map_from_config(json.loads(path.read_text())["map"])
+
+
+ORACLE_MAPS = [
+    pytest.param(identity_map(), id="identity"),
+    pytest.param(radial_stretch(2), id="radial_stretch2"),
+    pytest.param(winding(2), id="winding2"),
+    pytest.param(winding(3), id="winding3"),
+    pytest.param(boundary_spiral_map(), id="spiral"),
+    pytest.param(fold_map(), id="fold"),
+    pytest.param(_config_map("boundary_mobius"), id="boundary_mobius"),
+    pytest.param(compose_maps(mobius_map(mobius_invert(mobius_to_zero(0.2 + 0.1j))), winding(2)),
+                 id="mobius-then-winding2"),
+]
+
+
+class TestMultiplicityOracle:
+    @staticmethod
+    def _targets(seed):
+        rng = np.random.default_rng(seed)
+        return [complex(0.7 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+                for _ in range(6)]
+
+    @pytest.mark.parametrize("seed_grid", [24, 40])
+    @pytest.mark.parametrize("f", ORACLE_MAPS)
+    def test_matches_one_target_at_a_time(self, f, seed_grid):
+        targets = self._targets(seed_grid)
+        expected, expected_roots = multiplicity_oracle(f, targets, seed_grid)
+        assert multiplicity(f, targets, seed_grid=seed_grid) == expected
+        seed_sets = (_seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5)))
+        got_roots = _preimages(f, targets, seed_sets, 1e-10)
+        assert len(got_roots) == len(targets)
+        for got, want in zip(got_roots, expected_roots):
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == complex
+                assert np.array_equal(g.view(np.uint64), np.array(w, dtype=complex).view(np.uint64))
+
+    def test_fold_has_targets_without_preimages(self):
+        # fold maps onto the right half disk: a target left of the axis has none
+        for seed_grid in (24, 40):
+            counts = multiplicity(fold_map(), self._targets(seed_grid), seed_grid=seed_grid).counts
+            assert 0 in counts and any(c > 0 for c in counts)
+
+    def test_no_targets(self):
+        assert multiplicity(winding(2), []) == MultiplicityReport((), (), 0, False, ())
 
 
 class TestFiniteDistortion:

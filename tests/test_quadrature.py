@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from modlab.fields import parse_field
+from modlab.criteria import recentered_field
+from modlab.diskgeom import _BLOCK_POINTS, euclid_radius, mobius_invert, mobius_to_zero
+from modlab.experiments import distortion_weight_field
+from modlab.fields import FIELD_SPECS, parse_field
+from modlab.mappings import compose_maps, mobius_map, parse_map
 from modlab.quadrature import (
     RadialProfile,
     RingSpec,
@@ -14,7 +18,10 @@ from modlab.quadrature import (
     SingularitySkippedWarning,
     ZeroNormError,
     ball_integral,
+    _cartesian_disk_integral,
+    _simpson_nodes,
     circle_integral,
+    circle_integrals,
     fubini_residual,
     qnorm_profile,
     ring_reciprocal_integral,
@@ -54,6 +61,112 @@ class TestCircleIntegral:
             circle_integral(ONE, 0.0, 256)
         with pytest.raises(ValueError):
             circle_integral(ONE, 1.0, 8)
+
+
+def circle_integral_oracle(Q, r, n=512):
+    """One circle: trapezoid sum of Q on n angles, times the line element."""
+    R = euclid_radius(r)
+    theta = np.arange(n) * (2.0 * math.pi / n)
+    z = R * np.exp(1j * theta)
+    vals = Q.evaluate_array(z)
+    weight = 2.0 * R / (1.0 - R * R)
+    return float(np.sum(vals) * weight * (2.0 * math.pi / n))
+
+
+def ball_integral_oracle(Q, r0, n_r=129, n_theta=512):
+    r_start = 1e-6 if Q.singular_point is not None and abs(Q.singular_point) < 1e-12 else 0.0
+    radii, weights = _simpson_nodes(r_start, r0, n_r)
+    total = 0.0
+    for r, w in zip(radii, weights):
+        if r > 0.0:
+            total += w * circle_integral_oracle(Q, float(r), n_theta)
+    return total
+
+
+# its Wirtinger data multiply two complex temporaries, which rounds
+# differently once numpy evaluates the product in place (2^14 points or more)
+K_COMPOSITION = distortion_weight_field(
+    compose_maps(mobius_map(mobius_invert(mobius_to_zero(0.2 + 0.1j))), parse_map("winding:2")), 1.0)
+
+
+def _oracle_fields():
+    specs = [spec.replace("<c>", "2.5") for spec in FIELD_SPECS]
+    fields = [pytest.param(parse_field(spec), id=spec) for spec in specs]
+    fields.append(pytest.param(recentered_field(parse_field("inv-r"), 0.3 + 0.2j), id="recentered"))
+    for spec in ("identity", "radial_stretch:2", "winding:2"):
+        fields.append(pytest.param(distortion_weight_field(parse_map(spec), 2.0), id=f"K[{spec}]"))
+    fields.append(pytest.param(K_COMPOSITION, id="K[composition]"))
+    return fields
+
+
+ROWS = _BLOCK_POINTS // 512  # radii per evaluator call at n = 512
+
+
+class TestCircleIntegralsOracle:
+    @pytest.mark.parametrize("count", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5])
+    @pytest.mark.parametrize("Q", _oracle_fields())
+    def test_bit_identical_to_one_circle_at_a_time(self, Q, count):
+        radii = np.geomspace(0.05, 2.5, count)
+        got = circle_integrals(Q, radii, 512)
+        want = np.array([circle_integral_oracle(Q, float(r), 512) for r in radii])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert circle_integral(Q, float(radii[-1]), 512) == want[-1]
+
+    @pytest.mark.parametrize("Q", _oracle_fields())
+    def test_profile_bit_identical(self, Q):
+        prof = qnorm_profile(Q, RingSpec(0.3, 1.7), n_samples=3 * ROWS + 1, n_angular=512)
+        want = np.array([circle_integral_oracle(Q, float(r), 512) for r in prof.radii])
+        assert np.array_equal(prof.values.view(np.uint64), want.view(np.uint64))
+
+    def test_full_block_rounds_as_single_circles(self):
+        R = np.tanh(np.geomspace(0.05, 2.5, ROWS) / 2)
+        z = R[:, None] * np.exp(1j * (np.arange(512) * (2.0 * math.pi / 512)))
+        block = K_COMPOSITION.evaluate_array(z.ravel())
+        circles = np.concatenate([K_COMPOSITION.evaluate_array(row) for row in z])
+        assert np.array_equal(block.view(np.uint64), circles.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [16, 100, 2048, 2 * _BLOCK_POINTS])
+    def test_blocks_bound_evaluator_calls(self, n):
+        sizes = []
+
+        def spy(z):
+            sizes.append(z.size)
+            return np.abs(z)
+
+        Q = ScalarField(spy, label="spy")
+        radii = np.linspace(0.1, 2.0, 70)
+        got = circle_integrals(Q, radii, n)
+        assert sum(sizes) == 70 * n
+        assert max(sizes) <= max(_BLOCK_POINTS, n)
+        want = np.array([circle_integral_oracle(Q, float(r), n) for r in radii])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("Q", [pytest.param(parse_field("radial:h"), id="radial:h"),
+                                   pytest.param(parse_field("radial:inv-h"), id="radial:inv-h"),
+                                   pytest.param(K_COMPOSITION, id="K[composition]")])
+    def test_ball_and_fubini_bit_identical(self, Q):
+        assert ball_integral(Q, 1.1, n_r=65, n_theta=256) == ball_integral_oracle(Q, 1.1, 65, 256)
+        direct = _cartesian_disk_integral(Q, euclid_radius(0.9), 64)
+        iterated = ball_integral_oracle(Q, 0.9, 65, 256)
+        assert fubini_residual(Q, 0.9, resolution=64, n_r=65, n_theta=256) == abs(direct - iterated)
+
+    def test_singular_circle_warns_per_radius(self):
+        r_sing = 1.0
+        Q = ScalarField(lambda z: np.ones(z.shape), label="s",
+                        singular_point=complex(math.tanh(r_sing / 2), 0))
+        with pytest.warns(SingularitySkippedWarning) as record:
+            circle_integrals(Q, [0.5, r_sing, 1.5, r_sing], 64)
+        assert len(record) == 2
+        assert all("r=1.0" in str(w.message) for w in record)
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError, match="positive"):
+            circle_integrals(ONE, [0.5, 0.0, 1.0], 64)
+        with pytest.raises(ValueError, match="n >= 16"):
+            circle_integrals(ONE, [0.5], 8)
+        with pytest.raises(ValueError, match="boundary"):
+            circle_integrals(ONE, [0.5, 60.0], 64)
+        assert circle_integrals(ONE, [], 64).shape == (0,)
 
 
 class TestBallIntegral:
