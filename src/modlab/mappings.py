@@ -138,7 +138,10 @@ class SampleMap:
             w = z
             for part in self.parts:
                 gz, gzb = part.wirtinger_analytic(w)
-                fz, fzb = gz * fz + gzb * np.conjugate(fzb), gz * fzb + gzb * np.conjugate(fz)
+                # named conjugates: numpy would multiply into an unnamed temporary in
+                # place with the operands swapped, which rounds differently from 2^14 points
+                conj_fz, conj_fzb = np.conjugate(fz), np.conjugate(fzb)
+                fz, fzb = gz * fz + gzb * conj_fzb, gz * fzb + gzb * conj_fz
                 w = part._apply(w)
             return fz, fzb
         raise ValueError(f"kind {self.kind!r} has no analytic Wirtinger data")
@@ -216,7 +219,8 @@ def boundary_spiral_map() -> SampleMap:
     def ev(z):
         r = np.abs(z)
         phase = np.log1p(np.log(1.0 / np.maximum(1.0 - r, 1e-15)))
-        return z * np.exp(1j * phase)
+        rotation = np.exp(1j * phase)  # named, as in wirtinger_analytic
+        return z * rotation
 
     return custom_map(ev, label="spiral")
 

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import modlab
 from modlab.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -166,3 +171,26 @@ class TestVerifyAndSuite:
         assert statuses["boundary_winding3"] == "ok"
         assert statuses["bad"] == "config_error"
         assert statuses["unknown_map"] == statuses["missing_k"] == "config_error"
+
+
+def test_closed_form_runs_load_no_scipy(tmp_path):
+    """Only FISTA, for curves that share cells, imports scipy: start-up, the
+    closed-form solve, ring-modulus and the shipped suite never do."""
+    script = textwrap.dedent(f"""
+        import sys
+        import modlab, modlab.cli
+        from modlab.modulus import modulus_discrete, polar_grid, radial_connecting_family, rasterize_family
+        from modlab.quadrature import RingSpec
+
+        ring = RingSpec(0.5, 1.5)
+        dom = polar_grid(ring, 8, 16)
+        assert modulus_discrete(rasterize_family(radial_connecting_family(ring, 16), dom), dom).stop_reason == "closed_form"
+        assert modlab.cli.main(["ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "20x60"]) == 0
+        assert modlab.cli.main(["suite", {str(CONFIG_DIR / "experiments")!r}, "--out-dir", {str(tmp_path)!r}]) == 0
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    src = str(Path(modlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

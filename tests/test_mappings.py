@@ -151,6 +151,39 @@ class TestDilatation:
             assert Jh == pytest.approx(Jg * Jf, rel=1e-8)
 
 
+class TestChunkInvariance:
+    """One call on 2^14 points gives the same bits as 32 calls of 512.
+
+    From 2^14 complex points numpy may multiply into an unnamed temporary in
+    place, with the operands swapped; its SIMD complex product is not bitwise
+    commutative, so the map evaluators name every such factor.
+    """
+
+    N, CHUNK = 1 << 14, 512
+
+    def _points(self):
+        rng = np.random.default_rng(9)
+        return 0.95 * np.sqrt(rng.uniform(size=self.N)) * np.exp(2j * math.pi * rng.uniform(size=self.N))
+
+    def _assert_chunk_invariant(self, fn):
+        z = self._points()
+        whole = fn(z)
+        chunked = np.concatenate([fn(z[i:i + self.CHUNK]) for i in range(0, self.N, self.CHUNK)])
+        assert whole.dtype == chunked.dtype
+        assert np.array_equal(whole.view(np.uint64), chunked.view(np.uint64))
+
+    def test_composition_dilatation(self):
+        f = compose_maps(mobius_map(mobius_invert(mobius_to_zero(0.3 - 0.2j))), winding(2))
+        self._assert_chunk_invariant(lambda z: dilatation(f, z))
+
+    def test_composition_wirtinger(self):
+        f = compose_maps(radial_stretch(2.0), mobius_map(mobius_to_zero(0.1 + 0.4j)), winding(3))
+        self._assert_chunk_invariant(lambda z: np.stack(f.wirtinger_analytic(z), axis=-1))
+
+    def test_boundary_spiral(self):
+        self._assert_chunk_invariant(boundary_spiral_map().apply)
+
+
 class TestMultiplicity:
     def test_mobius_injective(self):
         g = mobius_invert(mobius_to_zero(0.2 + 0.1j))

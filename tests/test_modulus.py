@@ -8,6 +8,7 @@ from scipy.optimize import minimize, nnls
 
 from modlab.diskgeom import Polyline, euclid_radius, hyp_length
 from modlab.fields import parse_field
+from modlab.mappings import pushforward_polylines, winding
 from modlab.modulus import (
     DensityField,
     DiscretizedDomain,
@@ -19,6 +20,7 @@ from modlab.modulus import (
     horizontal_connecting_family,
     modulus_discrete,
     polar_grid,
+    polar_grid_from_band_centers,
     radial_connecting_family,
     rasterize_family,
     ring_modulus_exact,
@@ -76,6 +78,57 @@ def nnls_oracle(family, dom, metric):
     x = -r[:-1] / r[-1]
     assert np.min(G @ x) >= 1.0 - 1e-12
     return float(x @ x)
+
+
+def scipy_closed_form(family, dom, metric):
+    """(value, rho, violation) of the closed form through scipy's CSR products.
+
+    An independent oracle for the solver's numpy path: the matrix is built
+    from copies of the family's arrays, and every sum is scipy's mat-vec.
+    """
+    import scipy.sparse as sp
+
+    A = dom.area_hyp if metric == "hyperbolic" else dom.area_euclid
+    m = np.asarray(family.multiplicities, dtype=float)
+    L = sp.csr_matrix((family.lengths(metric).copy(), family.indices.copy(), family.indptr.copy()),
+                      shape=(len(family), dom.n_cells))
+    LT = L.T.tocsr()
+    assert np.all(np.diff(LT.indptr) <= 1)
+    S = L.power(2).dot(1.0 / A)
+    rho = LT.dot(1.0 / (m * S)) / A
+    value = float(np.sum(1.0 / (m * m * S)))
+    violation = float(np.max(1.0 - m * L.dot(rho), initial=0.0))
+    return value, rho, violation
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.uint64)
+
+
+def _radial_family():
+    dom = polar_grid(RING, 200, 600)
+    return rasterize_family(radial_connecting_family(RING, 600), dom), dom
+
+
+def _winding_image_family():
+    """The lower_q_winding2 image family: 64 circles pushed forward by z -> z^2|z|^-1."""
+    f = winding(2)
+    image = pushforward_polylines(f, circle_family(RING, 64, n_vertices=1024))
+    dom = polar_grid_from_band_centers(image.circle_radii, f.image_radius(RING.r_inner),
+                                       f.image_radius(RING.r_outer), 256)
+    return rasterize_family(image, dom), dom
+
+
+def _overlap_family(seed):
+    """512 chords across [-0.5, 0.5]^2, each bent inside [-0.02, 0.02]^2, on 64 x 64 cells."""
+    rng = np.random.default_rng(seed)
+    h, b = 0.5, 0.02
+    dom = cartesian_grid(((-h, h), (-h, h)), 64, 64)
+    left, right = rng.uniform(-h, h, (2, 512))
+    bends = rng.uniform(-b, b, (512, 2))
+    chords = tuple(Polyline((complex(-h, y0), complex(bx, by), complex(h, y1)))
+                   for y0, (bx, by), y1 in zip(left, bends, right))
+    return rasterize_family(PolylineFamily(chords, kind="connecting"), dom), dom, rng
 
 
 def _crossing_family():
@@ -246,7 +299,39 @@ class TestModulusDiscrete:
             assert res.iterations == 0 and res.duality_gap == 0.0
             assert res.value == pytest.approx(nnls_oracle(fam, dom, metric), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": 1.0}, {"max_iter": 0}])
+    @pytest.mark.parametrize("build", [_radial_family, _winding_image_family])
+    def test_closed_form_matches_scipy_bit_for_bit(self, build):
+        fam, dom = build()
+        for metric in ("euclidean", "hyperbolic"):
+            res = modulus_discrete(fam, dom, metric=metric)
+            value, rho, violation = scipy_closed_form(fam, dom, metric)
+            assert res.stop_reason == "closed_form"
+            assert np.array_equal(_bits(res.value), _bits(value))
+            assert np.array_equal(_bits(res.extremal.rho), _bits(rho))
+            assert np.array_equal(_bits(res.max_constraint_violation), _bits(violation))
+
+    def test_overlap_solve(self):
+        # FISTA on shared cells; the exact last bits of the value depend on the BLAS dot
+        fam, dom, rng = _overlap_family(1)
+        res = modulus_discrete(fam, dom, tol=1e-6, weights=rng.uniform(0.5, 2.0, dom.n_cells))
+        assert res.stop_reason == "gap" and res.iterations == 378
+        assert res.value == pytest.approx(0.28472472709040253, rel=1e-12, abs=0.0)
+        assert res.max_constraint_violation <= 1e-12
+
+    def test_incidence_matrix_shares_the_family_arrays(self):
+        fam, _, _ = _overlap_family(2)
+        for metric in ("euclidean", "hyperbolic"):
+            L = fam.incidence_matrix(metric)
+            assert L.shape == (len(fam), 64 * 64)
+            for mine, theirs in ((fam.indptr, L.indptr), (fam.indices, L.indices),
+                                 (fam.lengths(metric), L.data)):
+                assert np.shares_memory(mine, theirs)
+        with pytest.raises(ValueError, match="metric"):
+            fam.incidence_matrix("Euclidean")
+        with pytest.raises(ValueError, match="metric"):
+            fam.lengths("hyp")
+
+    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": 1.0}, {"max_iter": 0}, {"metric": "Euclidean"}])
     def test_solver_settings_validated(self, kw):
         fam, dom = _crossing_family()
         with pytest.raises(ValueError):
