@@ -9,7 +9,6 @@ verification experiments with a `modlab` CLI (`experiments`, `cli`).
 """
 
 from .diskgeom import (
-    DiskPoint,
     MobiusAutomorphism,
     Polyline,
     euclid_radius,

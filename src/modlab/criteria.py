@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from .diskgeom import as_complex, mobius_invert, mobius_to_zero
+from .diskgeom import mobius_apply, mobius_invert, mobius_to_zero
 from .quadrature import (
     RingSpec,
     ScalarField,
@@ -54,19 +54,18 @@ def default_epsilon_sequence(eps0: float = 0.4, count: int = 12) -> np.ndarray:
 def recentered_field(Q: ScalarField, center) -> ScalarField:
     """Conjugate Q by the automorphism sending `center` to 0, so ball and
     circle integrals about 0 equal the originals about the center."""
-    c = as_complex(center)
+    c = complex(center)
     if c == 0:
         return Q
     g_inv = mobius_invert(mobius_to_zero(c))
     ev = Q.evaluator
     singular = None
     if Q.singular_point is not None:
-        s = as_complex(Q.singular_point)
+        s = complex(Q.singular_point)
         singular = (s - c) / (1.0 - s * c.conjugate())
 
     def conjugated(z, _ev=ev, _g=g_inv):
-        w = (_g.a * z + _g.c) / (np.conjugate(_g.c) * z + np.conjugate(_g.a))
-        return _ev(w)
+        return _ev(mobius_apply(_g, z))
 
     return ScalarField(conjugated, label=f"{Q.label}@{c}", singular_point=singular)
 

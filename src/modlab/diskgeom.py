@@ -1,7 +1,9 @@
 """Complex arithmetic of the Poincaré disk.
 
-Points, disk automorphisms, hyperbolic distance/length/area, geodesics and
-the conversion between hyperbolic and Euclidean radii of circles about 0.
+Points are complex numbers or complex arrays; `inside_disk` is the one check
+that they lie strictly inside. Disk automorphisms, hyperbolic
+distance/length/area, geodesics and the conversion between hyperbolic and
+Euclidean radii of circles about 0.
 The metric normalization is curvature -1: line element 2|dz|/(1-|z|^2),
 area element 4 dm(z)/(1-|z|^2)^2.
 """
@@ -17,11 +19,10 @@ import numpy as np
 
 __all__ = [
     "BOUNDARY_MARGIN",
-    "DiskPoint",
     "MobiusAutomorphism",
     "Polyline",
     "QuadratureConvergenceWarning",
-    "as_complex",
+    "inside_disk",
     "hyp_distance",
     "hyp_length",
     "hyp_area",
@@ -53,32 +54,15 @@ class QuadratureConvergenceWarning(UserWarning):
     """A quadrature refinement check disagreed beyond its tolerance."""
 
 
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point strictly inside the unit disk."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("disk point coordinates must be finite")
-        if abs(self.z) > 1.0 - BOUNDARY_MARGIN:
-            raise ValueError(
-                f"point {self.re}+{self.im}j is not strictly inside the unit disk"
-            )
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __complex__(self) -> complex:
-        return self.z
-
-
-def as_complex(p) -> complex:
-    """Coerce DiskPoint | complex | float into a complex number."""
-    return complex(p)
+def inside_disk(z, what: str) -> np.ndarray:
+    """z as a complex array; ValueError unless every point is finite and
+    |z| <= 1 - BOUNDARY_MARGIN."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(np.hypot(z.real, z.imag) > 1.0 - BOUNDARY_MARGIN):
+        raise ValueError(f"{what} must lie strictly inside the unit disk")
+    return z
 
 
 @dataclass(frozen=True)
@@ -86,7 +70,10 @@ class MobiusAutomorphism:
     """Disk automorphism g(z) = (a z + c) / (conj(c) z + conj(a)).
 
     Coefficients are renormalized on construction so |a|^2 - |c|^2 = 1;
-    the pair (a, c) then determines g up to overall sign.
+    the pair (a, c) then determines g up to overall sign. The rescale happens
+    only when det = |a|^2 - |c|^2 is off 1 by more than 1e-12 (|a|^2 + |c|^2),
+    the scale of its rounding error, so rebuilding from normalized
+    coefficients keeps them.
     """
 
     a: complex
@@ -94,10 +81,11 @@ class MobiusAutomorphism:
 
     def __post_init__(self):
         a, c = complex(self.a), complex(self.c)
-        det = abs(a) ** 2 - abs(c) ** 2
-        if det <= 0.0:
-            raise ValueError(f"|a|^2 - |c|^2 = {det} must be positive")
-        if abs(det - 1.0) > _DET_TOL:
+        a2, c2 = abs(a) ** 2, abs(c) ** 2
+        det = a2 - c2
+        if not 0.0 < det < math.inf:
+            raise ValueError(f"|a|^2 - |c|^2 = {det} must be positive and finite")
+        if abs(det - 1.0) > _DET_TOL * (a2 + c2):
             s = 1.0 / math.sqrt(det)
             a, c = a * s, c * s
         object.__setattr__(self, "a", a)
@@ -125,21 +113,17 @@ IDENTITY = MobiusAutomorphism(1.0, 0.0)
 class Polyline:
     """Ordered vertices strictly inside the disk, as one read-only complex array.
 
-    Accepts complex, float or DiskPoint vertices; consecutive exact duplicates
-    are collapsed.
+    Accepts complex or float vertices; consecutive exact duplicates are
+    collapsed.
     """
 
     vertices: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        z = np.asarray(self.vertices, dtype=complex)
+        z = inside_disk(self.vertices, "polyline vertices")
         if z.ndim != 1 or len(z) == 0:
             raise ValueError("polyline needs a sequence of at least one vertex")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("polyline vertices must be finite")
-        if np.any(np.hypot(z.real, z.imag) > 1.0 - BOUNDARY_MARGIN):
-            raise ValueError("polyline vertices must lie strictly inside the unit disk")
         z = z[np.concatenate(([True], z[1:] != z[:-1]))]  # a copy, so the caller's array stays writable
         z.flags.writeable = False
         object.__setattr__(self, "vertices", z)
@@ -199,7 +183,9 @@ def hyp_area(indicator, window, resolution: int) -> float:
 
     Midpoint rule over cell centers that satisfy the predicate and lie strictly
     inside the disk, evaluated at `resolution` and `2 * resolution`; returns the
-    refined value and warns if the two disagree by more than 1%.
+    refined value and warns if the two disagree by more than 1%. `indicator`
+    takes a complex array of cell centers (all inside the disk) and returns a
+    boolean array of the same shape.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -211,18 +197,13 @@ def hyp_area(indicator, window, resolution: int) -> float:
         xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
         ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
         cell = ((x1 - x0) / n) * ((y1 - y0) / n)
+        r2 = xs * xs + ys[:, None] * ys[:, None]  # one row per y, as xs * xs + y * y
+        keep = r2 < (1.0 - BOUNDARY_MARGIN) ** 2
+        keep[keep] = indicator((xs + 1j * ys[:, None])[keep])
         total = 0.0
-        for y in ys:
-            zs = xs + 1j * y
-            r2 = xs * xs + y * y
-            inside = r2 < (1.0 - BOUNDARY_MARGIN) ** 2
-            if not inside.any():
-                continue
-            keep = np.array(
-                [bool(indicator(DiskPoint(z.real, z.imag))) if ok else False for z, ok in zip(zs, inside)]
-            )
-            if keep.any():
-                total += float(np.sum(4.0 / (1.0 - r2[keep]) ** 2)) * cell
+        for row, k in zip(r2, keep):  # row by row, in the order of the per-row sums
+            if k.any():
+                total += float(np.sum(4.0 / (1.0 - row[k]) ** 2)) * cell
         return total
 
     coarse = midpoint_sum(resolution)
@@ -251,15 +232,17 @@ def hyp_radius(R: float) -> float:
     return 2.0 * math.atanh(R)
 
 
-def mobius_apply(g: MobiusAutomorphism, z):
-    """Apply g; accepts DiskPoint (returns DiskPoint) or complex/ndarray (returns same)."""
-    if isinstance(z, DiskPoint):
-        w = (g.a * z.z + g.c) / (g.c.conjugate() * z.z + g.a.conjugate())
-        return DiskPoint(w.real, w.imag)
-    if isinstance(z, np.ndarray):
-        return (g.a * z + g.c) / (np.conjugate(g.c) * z + np.conjugate(g.a))
-    zc = complex(z)
-    return (g.a * zc + g.c) / (g.c.conjugate() * zc + g.a.conjugate())
+def mobius_apply(g, z):
+    """g(z) = (a z + c) / (conj(c) z + conj(a)), the one evaluation of the formula.
+
+    z is a complex array (the result has its shape) or a scalar, taken as
+    `complex(z)` (the result is a complex). g is a `MobiusAutomorphism` or
+    anything with coefficient arrays `a`, `c`, such as a `fuchsian.GroupElements`;
+    then g(z) of one point z is its orbit, one value per element.
+    """
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+    return (g.a * z + g.c) / (g.c.conjugate() * z + g.a.conjugate())
 
 
 def mobius_compose(g1: MobiusAutomorphism, g2: MobiusAutomorphism) -> MobiusAutomorphism:
@@ -275,9 +258,7 @@ def mobius_invert(g: MobiusAutomorphism) -> MobiusAutomorphism:
 
 def mobius_to_zero(z0) -> MobiusAutomorphism:
     """The automorphism z -> (z - z0)/(1 - z conj(z0)) sending z0 to 0."""
-    w = as_complex(z0)
-    if abs(w) >= 1.0:
-        raise ValueError("center must be inside the disk")
+    w = complex(inside_disk(z0, "center"))
     s = 1.0 / math.sqrt(1.0 - abs(w) ** 2)
     return MobiusAutomorphism(s, -s * w)
 
@@ -296,7 +277,7 @@ def geodesic(z1, z2, n: int) -> Polyline:
     """
     if n < 2:
         raise ValueError("need n >= 2 vertices")
-    a, b = as_complex(z1), as_complex(z2)
+    a, b = complex(z1), complex(z2)
     if a == b:
         return Polyline((a,))
     g = mobius_to_zero(a)

@@ -88,12 +88,9 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            kind = data["kind"]
-            if kind not in ("lower_q", "boundary_ext"):
-                raise ConfigError(f"unknown experiment kind {kind!r}")
             cfg = cls(
                 experiment_id=data["id"],
-                kind=kind,
+                kind=data["kind"],
                 map_spec=data["map"],
                 ring=data.get("ring"),
                 grid=data.get("grid", {}),
@@ -107,17 +104,21 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"config {path} missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:  # not an object, or a field of the wrong type
+            raise ConfigError(f"config {path}: {exc}") from exc
+        if cfg.kind not in ("lower_q", "boundary_ext"):
+            raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
         # resolve references eagerly so bad specs fail at load time
         try:
             f = map_from_config(cfg.map_spec)
             if cfg.q_majorant is not None:
                 parse_field(cfg.q_majorant)
-        except ValueError as exc:
+            resolutions = [v for v in cfg.grid.values() if isinstance(v, (int, float))]
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"config {path}: {exc}") from exc
-        problem = _lower_q_problem(cfg, f) if kind == "lower_q" else None
+        problem = _lower_q_problem(cfg, f) if cfg.kind == "lower_q" else None
         if problem is not None:
             raise ConfigError(f"config {path}: {problem}")
-        resolutions = [v for v in cfg.grid.values() if isinstance(v, (int, float))]
         if any(v > 4096 for v in resolutions):
             raise ConfigError(f"config {path}: grid resolution exceeds the 4096 cap")
         return cfg

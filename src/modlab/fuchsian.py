@@ -7,8 +7,8 @@ metric coincides with the disk metric).
 
 An enumerated element set is one `GroupElements` value: two read-only
 coefficient arrays (a, c). `enumerate_elements` builds it one word length at
-a time with numpy, and every orbit query evaluates all its elements at once.
-Points are complex numbers.
+a time with numpy, and every orbit query evaluates all its elements at once
+with `mobius_apply`. Points are complex numbers.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import numpy as np
 from ._io import write_json
 from .diskgeom import (
     _DET_TOL,
-    BOUNDARY_MARGIN,
     IDENTITY,
     MobiusAutomorphism,
-    as_complex,
     euclid_radius,
     hyp_distance,
+    inside_disk,
     mobius_apply,
     mobius_compose,
     mobius_invert,
@@ -106,8 +105,9 @@ class FuchsianGroup:
 class GroupElements:
     """Finitely many group elements as two read-only coefficient arrays.
 
-    Element k is z -> (a[k] z + c[k]) / (conj(c[k]) z + conj(a[k])). Indexing
-    gives a `MobiusAutomorphism` (a slice gives a `GroupElements`).
+    Element k is z -> (a[k] z + c[k]) / (conj(c[k]) z + conj(a[k])), and
+    `mobius_apply(elements, z)` is the orbit of z. Indexing gives a
+    `MobiusAutomorphism` (a slice gives a `GroupElements`).
     """
 
     a: np.ndarray
@@ -130,12 +130,7 @@ class GroupElements:
     def __getitem__(self, k):
         if isinstance(k, slice):
             return GroupElements(self.a[k], self.c[k])
-        # the stored pair is normalized already; the constructor would rescale a
-        # long word whose determinant rounds more than 1e-12 from 1 once more
-        g = object.__new__(MobiusAutomorphism)
-        object.__setattr__(g, "a", complex(self.a[k]))
-        object.__setattr__(g, "c", complex(self.c[k]))
-        return g
+        return MobiusAutomorphism(self.a[k], self.c[k])
 
 
 def _compose(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -158,16 +153,16 @@ def _compose(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _normalize(x: np.ndarray) -> None:
     """Rescale the columns of x to |a|^2 - |c|^2 = 1 in place, as
     `MobiusAutomorphism` does: |.| is `hypot`, the square is `pow(., 2)`, and
-    only columns with |det - 1| > 1e-12 change."""
-    det = (np.float_power(np.hypot(x[0], x[1]), 2)
-           - np.float_power(np.hypot(x[2], x[3]), 2))
-    bad = det[det <= 0.0]
+    only columns with |det - 1| > 1e-12 (|a|^2 + |c|^2) change."""
+    a2, c2 = np.float_power(np.hypot(x[0], x[1]), 2), np.float_power(np.hypot(x[2], x[3]), 2)
+    det = a2 - c2
+    bad = det[~(det > 0.0)]
     if len(bad):
         raise PrecisionLossError(
             f"word coefficients have lost float resolution: |a|^2 - |c|^2 = {bad[0]} "
             "where it should be 1; lower the word-length bound"
         )
-    fix = np.abs(det - 1.0) > _DET_TOL
+    fix = np.abs(det - 1.0) > _DET_TOL * (a2 + c2)
     x[:, fix] *= 1.0 / np.sqrt(det[fix])
 
 
@@ -255,12 +250,6 @@ def enumerate_elements(group: FuchsianGroup) -> GroupElements:
     return GroupElements(a, c)
 
 
-def _orbit(elements: GroupElements, z) -> np.ndarray:
-    """g(z) = (a z + c)/(conj(c) z + conj(a)) for every element, as one array."""
-    a, c = elements.a, elements.c
-    return (a * z + c) / (np.conjugate(c) * z + np.conjugate(a))
-
-
 def quotient_distance(z1, z2, group: FuchsianGroup, elements=None) -> float:
     """Distance between the orbits of z1 and z2 under the (truncated) group.
 
@@ -272,9 +261,9 @@ def quotient_distance(z1, z2, group: FuchsianGroup, elements=None) -> float:
     """
     if elements is None:
         elements = enumerate_elements(group)
-    w = as_complex(z2)
-    images = np.concatenate(([w], _orbit(elements, w)))
-    return float(np.min(hyp_distance(as_complex(z1), images)))
+    w = complex(z2)
+    images = np.concatenate(([w], mobius_apply(elements, w)))
+    return float(np.min(hyp_distance(complex(z1), images)))
 
 
 @dataclass(frozen=True)
@@ -291,14 +280,12 @@ class DirichletDomain:
     images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        zc = as_complex(self.center)
-        if not abs(zc) <= 1.0 - BOUNDARY_MARGIN:
-            raise ValueError(f"center {zc} is not strictly inside the unit disk")
+        zc = complex(inside_disk(self.center, "domain center"))
         constraints = self.constraints
         if not isinstance(constraints, GroupElements):
             gs = tuple(constraints)
             constraints = GroupElements([g.a for g in gs], [g.c for g in gs])
-        images = _orbit(constraints, zc)
+        images = mobius_apply(constraints, zc)
         if np.any(hyp_distance(zc, images) <= _DEDUP_TOL):
             raise ValueError("a constraint fixes the center; domain undefined")
         images.flags.writeable = False
@@ -314,12 +301,12 @@ def build_dirichlet_domain(group: FuchsianGroup, center=0j, elements=None) -> Di
     """
     if elements is None:
         elements = enumerate_elements(group)
-    return DirichletDomain(as_complex(center), elements)
+    return DirichletDomain(center, elements)
 
 
 def dirichlet_membership(z, dom: DirichletDomain, tol: float = 1e-9) -> str:
     """Classify z as 'inside', 'boundary' or 'outside' the Dirichlet polygon."""
-    zc = as_complex(z)
+    zc = complex(z)
     d_center = hyp_distance(zc, dom.center)
     d_images = hyp_distance(zc, dom.images)
     if np.any(d_center >= d_images + tol):
@@ -339,7 +326,7 @@ def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elemen
     """
     if elements is None:
         elements = enumerate_elements(group)
-    current = as_complex(z)
+    current = complex(z)
     word = IDENTITY
     center = dom.center
     for step in range(len(elements) + 1):
@@ -347,7 +334,7 @@ def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elemen
             return current, word
         if step == len(elements):
             break  # step budget = enumerated-set size exhausted
-        d = hyp_distance(_orbit(elements, current), center)
+        d = hyp_distance(mobius_apply(elements, current), center)
         best = int(np.argmin(d))  # the first minimum, as a strict `<` scan picks
         if not d[best] < hyp_distance(current, center) - _DEDUP_TOL:
             raise NotReducedError(
@@ -373,8 +360,8 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
         elements = enumerate_elements(group)
     if not elements:
         return math.inf
-    z = as_complex(z0)
-    return 0.5 * float(np.min(hyp_distance(z, _orbit(elements, z))))
+    z = complex(z0)
+    return 0.5 * float(np.min(hyp_distance(z, mobius_apply(elements, z))))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, as_complex, euclid_radius, hyp_radius
+from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
 from .modulus import CurveFamily, DiscretizedDomain, PolylineFamily, rasterize_family
 
 __all__ = [
@@ -89,12 +89,12 @@ class SampleMap:
 
     def apply(self, z):
         scalar = not isinstance(z, np.ndarray)
-        w = self._apply(np.asarray([as_complex(z)] if scalar else z, dtype=complex))
+        w = self._apply(np.asarray([complex(z)] if scalar else z, dtype=complex))
         return complex(w[0]) if scalar else w
 
     def _apply(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "mobius":
-            return (self.g.a * z + self.g.c) / (np.conjugate(self.g.c) * z + np.conjugate(self.g.a))
+            return mobius_apply(self.g, z)
         if self.kind == "radial_stretch":
             return z * np.abs(z) ** (self.k - 1.0)
         if self.kind == "winding":
@@ -292,7 +292,7 @@ def _pointwise(derivatives, z):
     """Apply an array function returning (f_z, f_zbar) to a point or an array."""
     if isinstance(z, np.ndarray):
         return derivatives(z.astype(complex))
-    fz, fzb = derivatives(np.array([as_complex(z)]))
+    fz, fzb = derivatives(np.array([complex(z)]))
     return complex(fz[0]), complex(fzb[0])
 
 
@@ -482,7 +482,7 @@ def multiplicity(f: SampleMap, targets, seed_grid: int = 40,
     unchanged, a fixed point, so roots and counts are bit for bit those of
     iterating each target on each grid alone for all 60 steps.
     """
-    targets = tuple(as_complex(t) for t in targets)
+    targets = tuple(complex(t) for t in targets)
     seed_sets = (_seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5)))
     counts, flagged = [], []
     for t, (roots_a, roots_b) in zip(targets, _preimages(f, targets, seed_sets, newton_tol)):

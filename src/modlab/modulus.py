@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from .diskgeom import BOUNDARY_MARGIN, Polyline, _segment_hyp_length, euclid_radius
+from .diskgeom import BOUNDARY_MARGIN, Polyline, _segment_hyp_length, euclid_radius, inside_disk
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 
 __all__ = [
@@ -62,8 +62,7 @@ class DiscretizedDomain:
     def __post_init__(self):
         if np.any(self.area_euclid <= 0) or np.any(self.area_hyp <= 0):
             raise ValueError("cell areas must be positive")
-        if np.any(np.abs(self.centers) > 1.0 - BOUNDARY_MARGIN):
-            raise ValueError("cell centers must lie strictly inside the disk")
+        inside_disk(self.centers, "cell centers")
 
     @property
     def n_cells(self) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, DiskPoint, as_complex, euclid_radius
+from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, euclid_radius
 
 __all__ = [
     "ScalarField",
@@ -57,8 +57,6 @@ class ScalarField:
     singular_point: complex = None
 
     def __call__(self, z):
-        if isinstance(z, DiskPoint):
-            z = z.z
         return self.evaluator(z)
 
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
@@ -133,7 +131,7 @@ def circle_integrals(Q: ScalarField, radii, n: int = 512) -> np.ndarray:
     """
     if n < 16:
         raise ValueError("need n >= 16 angular samples")
-    singular = None if Q.singular_point is None else abs(as_complex(Q.singular_point))
+    singular = None if Q.singular_point is None else abs(complex(Q.singular_point))
     R = np.empty(len(radii))
     for i, r in enumerate(radii):
         r = float(r)
@@ -185,7 +183,7 @@ def ball_integral(Q: ScalarField, r0: float, n_r: int = 129, n_theta: int = 512)
     if r0 <= 0:
         raise ValueError("ball radius must be positive")
     r_start = 0.0
-    if Q.singular_point is not None and abs(as_complex(Q.singular_point)) < 1e-12:
+    if Q.singular_point is not None and abs(complex(Q.singular_point)) < 1e-12:
         r_start = 1e-6
     radii, weights = _simpson_nodes(r_start, r0, n_r)
     # the line element vanishes at r = 0 for bounded fields

@@ -92,6 +92,11 @@ class TestCriteriaCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "not_fmo"
 
+    def test_fmo_non_finite_center(self, capsys):
+        code, _, err = run_cli(capsys, "fmo", "--q", "const:1", "--center", "nan")
+        assert code == 2
+        assert "finite" in err
+
     def test_divergence_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "divergence", "--q", "const:1", "--r2", "1.5")
         assert code == 0
@@ -171,6 +176,18 @@ class TestVerifyAndSuite:
         assert statuses["boundary_winding3"] == "ok"
         assert statuses["bad"] == "config_error"
         assert statuses["unknown_map"] == statuses["missing_k"] == "config_error"
+
+    @pytest.mark.parametrize("bad", ["[1, 2]", None], ids=["top-level-array", "seed-not-a-number"])
+    def test_suite_isolates_mistyped_config(self, capsys, tmp_path, bad):
+        good = (CONFIG_DIR / "experiments" / "boundary_mobius.json").read_text()
+        (tmp_path / "boundary_mobius.json").write_text(good)
+        (tmp_path / "bad.json").write_text(bad or json.dumps({**json.loads(good), "id": "bad", "seed": "x"}))
+        code, _, _ = run_cli(capsys, "suite", str(tmp_path), "--out-dir",
+                             str(tmp_path / "results"))
+        assert code == 1
+        report = json.loads((tmp_path / "results" / "suite_report.json").read_text())
+        assert [(r["experiment_id"], r["status"], r["passed"]) for r in report["records"]] == [
+            ("bad", "config_error", False), ("boundary_mobius", "ok", True)]
 
 
 def test_closed_form_runs_load_no_scipy(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from modlab.diskgeom import (
     BOUNDARY_MARGIN,
     IDENTITY,
-    DiskPoint,
     MobiusAutomorphism,
     Polyline,
     QuadratureConvergenceWarning,
@@ -19,13 +18,15 @@ from modlab.diskgeom import (
     hyp_distance,
     hyp_length,
     hyp_radius,
+    inside_disk,
     mobius_apply,
     mobius_compose,
     mobius_invert,
     mobius_rotation,
     mobius_to_zero,
 )
-from modlab.modulus import PolylineFamily, cartesian_grid, rasterize_family
+from modlab.fuchsian import cyclic_group, enumerate_elements
+from modlab.modulus import DiscretizedDomain, PolylineFamily, cartesian_grid, rasterize_family
 
 
 def random_automorphism(rng) -> MobiusAutomorphism:
@@ -34,27 +35,42 @@ def random_automorphism(rng) -> MobiusAutomorphism:
     return mobius_compose(g, mobius_rotation(rng.uniform(0, 2 * np.pi)))
 
 
-def random_point(rng, rmax=0.9) -> DiskPoint:
-    z = rmax * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return DiskPoint(z.real, z.imag)
+def random_point(rng, rmax=0.9) -> complex:
+    return complex(rmax * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
 
 
 disk_points = st.builds(
-    lambda r, t: DiskPoint(r * math.cos(t), r * math.sin(t)),
+    lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
     st.floats(0, 0.9),
     st.floats(0, 2 * math.pi),
 )
 
 
-class TestDiskPoint:
+class TestInsideDisk:
     def test_interior_ok(self):
-        p = DiskPoint(0.3, -0.4)
-        assert p.z == complex(0.3, -0.4)
+        z = inside_disk(0.3 - 0.4j, "point")
+        assert z.dtype == complex and z.shape == () and z == complex(0.3, -0.4)
+        pts = [0.3, -0.4j, 1.0 - BOUNDARY_MARGIN]
+        assert inside_disk(pts, "points").tolist() == [complex(p) for p in pts]
 
-    @pytest.mark.parametrize("bad", [1.0 + 0j, 0.999999999999j, 2.0, complex("inf")])
+    @pytest.mark.parametrize("bad", [1.0 + 0j, 0.999999999999j, 2.0, complex("inf"), complex("nan")])
     def test_boundary_and_exterior_rejected(self, bad):
         with pytest.raises(ValueError):
-            DiskPoint(bad.real, bad.imag)
+            inside_disk(bad, "point")
+        with pytest.raises(ValueError):
+            inside_disk(np.array([0.1j, bad]), "points")
+
+    @pytest.mark.parametrize("bad", [1.0 + 0j, complex("nan")])
+    def test_every_user_checks(self, bad):
+        dom = cartesian_grid(((-0.5, 0.5), (-0.5, 0.5)), 2, 2)
+        centers = dom.centers.copy()
+        centers[0] = bad
+        with pytest.raises(ValueError):
+            DiscretizedDomain(centers, dom.area_euclid, dom.area_hyp, dom.geometry)
+        with pytest.raises(ValueError):
+            Polyline((0.1, bad))
+        with pytest.raises(ValueError):
+            mobius_to_zero(bad)
 
 
 class TestMobius:
@@ -65,6 +81,33 @@ class TestMobius:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             MobiusAutomorphism(1.0, 1.0)
+
+    @pytest.mark.parametrize("a, c", [(math.nan, 0.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0)])
+    def test_non_finite_rejected(self, a, c):
+        with pytest.raises(ValueError):
+            MobiusAutomorphism(a, c)
+
+    def test_apply_is_the_formula_bit_for_bit(self):
+        # the formula written out in Python scalar and in numpy array arithmetic
+        g = random_automorphism(np.random.default_rng(5))
+        for z in (0.3 - 0.2j, 0.45, np.float64(-0.1)):
+            zc = complex(z)
+            w = mobius_apply(g, z)
+            assert type(w) is complex
+            assert w == (g.a * zc + g.c) / (g.c.conjugate() * zc + g.a.conjugate())
+        zs = np.array([random_point(np.random.default_rng(k)) for k in range(64)])
+        ws = mobius_apply(g, zs)
+        assert ws.shape == zs.shape
+        assert np.array_equal(ws, (g.a * zs + g.c) / (np.conjugate(g.c) * zs + np.conjugate(g.a)))
+
+    def test_apply_to_elements_is_the_orbit(self):
+        elements = enumerate_elements(cyclic_group(2.0, 6))
+        z = 0.2 + 0.1j
+        a, c = elements.a, elements.c
+        orbit = mobius_apply(elements, z)
+        assert np.array_equal(orbit, (a * z + c) / (np.conjugate(c) * z + np.conjugate(a)))
+        # numpy's complex division rounds apart from Python's in the last bit
+        np.testing.assert_allclose(orbit, [mobius_apply(g, z) for g in elements], rtol=1e-14, atol=0.0)
 
     def test_identity_fixes_points(self):
         for z in [0j, 0.5 + 0.1j, -0.3j]:
@@ -78,7 +121,7 @@ class TestMobius:
         rng = np.random.default_rng(7)
         for _ in range(100):
             g = random_automorphism(rng)
-            z = random_point(rng).z
+            z = random_point(rng)
             w = mobius_apply(mobius_invert(g), mobius_apply(g, z))
             assert abs(w - z) < 1e-12
             gg = mobius_compose(g, mobius_invert(g))
@@ -89,7 +132,7 @@ class TestMobius:
         for _ in range(200):
             g = random_automorphism(rng)
             w = mobius_apply(g, random_point(rng))
-            assert abs(w.z) < 1.0
+            assert abs(w) < 1.0
 
 
 class TestDistance:
@@ -145,13 +188,13 @@ class TestDistance:
 
 class TestLength:
     def test_single_vertex(self):
-        assert hyp_length(Polyline((DiskPoint(0.2, 0.0),))) == 0.0
+        assert hyp_length(Polyline((0.2,))) == 0.0
 
     def test_diameter_segment(self):
         # antiderivative oracle: int_0^x 2/(1-t^2) dt = log((1+x)/(1-x))
         x = 0.5
         oracle = math.log((1 + x) / (1 - x))
-        got = hyp_length(Polyline((DiskPoint(0, 0), DiskPoint(x, 0))))
+        got = hyp_length(Polyline((0.0, x)))
         assert got == pytest.approx(oracle, abs=1e-14)
         assert got == pytest.approx(math.log(3), abs=1e-14)
 
@@ -184,7 +227,7 @@ class TestLength:
         R = 0.6
         oracle = 4 * math.pi * R / (1 - R * R)
         thetas = np.linspace(0, 2 * np.pi, 4001)[:-1]
-        poly = Polyline(tuple(DiskPoint(R * math.cos(t), R * math.sin(t)) for t in thetas), closed=True)
+        poly = Polyline(R * np.exp(1j * thetas), closed=True)
         assert hyp_length(poly) == pytest.approx(oracle, rel=1e-6)
 
     def test_length_invariance_under_mobius(self):
@@ -193,7 +236,7 @@ class TestLength:
         rng = np.random.default_rng(3)
         R = 0.5
         ts = np.linspace(0.0, 1.0, 10_000)
-        pts = [DiskPoint(R * math.cos(t), R * math.sin(t)) for t in ts]
+        pts = [complex(R * math.cos(t), R * math.sin(t)) for t in ts]
         poly = Polyline(tuple(pts))
         base = hyp_length(poly)
         for _ in range(3):
@@ -202,8 +245,8 @@ class TestLength:
             assert hyp_length(moved) == pytest.approx(base, rel=1e-9)
 
     def test_duplicate_vertices_canonicalized(self):
-        p = DiskPoint(0.1, 0.1)
-        poly = Polyline((p, p, DiskPoint(0.2, 0.1), DiskPoint(0.2, 0.1)))
+        p = 0.1 + 0.1j
+        poly = Polyline((p, p, 0.2 + 0.1j, 0.2 + 0.1j))
         assert len(poly) == 2
 
     @pytest.mark.parametrize(
@@ -216,7 +259,7 @@ class TestLength:
             Polyline(vertices)
 
     def test_vertices_one_read_only_array(self):
-        mixed = Polyline((DiskPoint(0.1, 0.2), 0.3, 0.1 + 0.5j))
+        mixed = Polyline((np.complex128(0.1 + 0.2j), 0.3, 0.1 + 0.5j))
         assert np.array_equal(mixed.vertices, Polyline((0.1 + 0.2j, 0.3 + 0j, 0.1 + 0.5j)).vertices)
         with pytest.raises(ValueError):
             mixed.vertices[0] = 0.0
@@ -224,7 +267,7 @@ class TestLength:
 
 class TestArea:
     def test_empty_region(self):
-        val = hyp_area(lambda p: False, ((-0.5, 0.5), (-0.5, 0.5)), 64)
+        val = hyp_area(lambda z: np.zeros(z.shape, dtype=bool), ((-0.5, 0.5), (-0.5, 0.5)), 64)
         assert val == 0.0
 
     def test_unit_ball_area(self):
@@ -232,7 +275,7 @@ class TestArea:
         r = 1.0
         oracle = 2 * math.pi * (math.cosh(r) - 1.0)
         R = euclid_radius(r)
-        val = hyp_area(lambda p: abs(p.z) < R, ((-R - 0.01, R + 0.01), (-R - 0.01, R + 0.01)), 200)
+        val = hyp_area(lambda z: np.abs(z) < R, ((-R - 0.01, R + 0.01), (-R - 0.01, R + 0.01)), 200)
         assert val == pytest.approx(oracle, rel=5e-3)
 
     def test_center_independence(self):
@@ -240,7 +283,7 @@ class TestArea:
         oracle = 2 * math.pi * (math.cosh(r) - 1.0)
         center = 0.4 + 0.1j
         val = hyp_area(
-            lambda p: hyp_distance(p, center) < r,
+            lambda z: hyp_distance(z, center) < r,
             ((-0.9, 0.9), (-0.9, 0.9)),
             220,
         )
@@ -249,11 +292,25 @@ class TestArea:
     def test_nonconvergence_warning(self):
         # a sliver seen only by the finer grid triggers the 1% refinement check
         with pytest.warns(QuadratureConvergenceWarning):
-            hyp_area(lambda p: abs(p.im) < 0.016, ((-0.5, 0.5), (-0.5, 0.5)), 16)
+            hyp_area(lambda z: np.abs(z.imag) < 0.016, ((-0.5, 0.5), (-0.5, 0.5)), 16)
+
+    R1 = euclid_radius(1.0)
+
+    # per_point: the value a scalar indicator called once per cell center gives
+    @pytest.mark.parametrize("indicator, window, resolution, per_point", [
+        (lambda z: np.abs(z) < TestArea.R1, ((-R1 - 0.01, R1 + 0.01),) * 2, 200, 3.4132614446780187),
+        (lambda z: hyp_distance(z, 0.4 + 0.1j) < 0.8, ((-0.9, 0.9), (-0.9, 0.9)), 220, 2.119621474990959),
+        (lambda z: z.real > 0.1 * z.imag, ((-1, 1), (-1, 1)), 64, 19356.761474563107),
+        (lambda z: np.ones(z.shape, dtype=bool), ((-1, 1), (-0.5, 1)), 50, 97590.58074608169),
+    ], ids=["ball", "off-center-ball", "half-plane", "whole-window"])
+    def test_equals_per_point_evaluation(self, indicator, window, resolution, per_point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureConvergenceWarning)
+            assert hyp_area(indicator, window, resolution) == per_point
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
-            hyp_area(lambda p: True, ((-0.5, 0.5), (-0.5, 0.5)), 1)
+            hyp_area(lambda z: np.ones(z.shape, dtype=bool), ((-0.5, 0.5), (-0.5, 0.5)), 1)
 
 
 class TestRadiusConversion:

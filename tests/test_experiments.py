@@ -61,6 +61,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("data", [
+        [1, 2],
+        "lower_q",
+        {**boundary_cfg({"kind": "identity"}, "extends"), "seed": "x"},
+        {**boundary_cfg({"kind": "identity"}, "extends"), "grid": [64, 64]},
+        {**boundary_cfg({"kind": "identity"}, "extends"), "q_majorant": 3},
+    ], ids=["array", "string", "seed-not-a-number", "grid-not-an-object", "q-not-a-string"])
+    def test_mistyped_config(self, tmp_path, data):
+        path = write_cfg(tmp_path, "bad.json", data)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(path)
+
     def test_unknown_kind(self, tmp_path):
         path = write_cfg(tmp_path, "bad.json", {"id": "x", "kind": "quantize", "map": {"kind": "identity"}})
         with pytest.raises(ConfigError):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from modlab import fuchsian
 from modlab.diskgeom import (
     IDENTITY,
-    DiskPoint,
     MobiusAutomorphism,
     hyp_distance,
     mobius_apply,
@@ -275,6 +274,14 @@ class TestGroupElements:
         assert isinstance(head, GroupElements) and len(head) == 5
         assert elems[-1].a == elems.a[-1]
 
+    def test_rebuilding_keeps_coefficients(self):
+        # normalized coefficients pass through the constructor unchanged, also
+        # for long words whose determinant rounds more than 1e-12 from 1
+        elems = enumerate_elements(genus2_group(4))
+        for g in elems:
+            h = MobiusAutomorphism(g.a, g.c)
+            assert (h.a, h.c) == (g.a, g.c)
+
     def test_read_only(self):
         elems = enumerate_elements(genus2_group(1))
         assert not elems.a.flags.writeable and not elems.c.flags.writeable
@@ -288,8 +295,9 @@ class TestGroupElements:
 
     def test_domain_center_inside_disk(self):
         g = cyclic_group().generators[0]
-        with pytest.raises(ValueError):
-            DirichletDomain(1.0 + 0j, (g,))
+        for center in (1.0 + 0j, complex(math.nan, 0.0)):
+            with pytest.raises(ValueError):
+                DirichletDomain(center, (g,))
 
 
 class TestQuotientDistance:
@@ -401,7 +409,7 @@ class TestDirichlet:
 
     def test_constraint_fixing_center_rejected(self):
         rot_like = MobiusAutomorphism(math.cosh(1.0), math.sinh(1.0))
-        dom_center = DiskPoint(0.0, 0.0)
+        dom_center = 0j
         fixes = mobius_compose(rot_like, mobius_invert(rot_like))
         with pytest.raises(ValueError):
             DirichletDomain(dom_center, (fixes,))
