@@ -63,7 +63,6 @@ from .mappings import (
     dilatation,
     finite_distortion_check,
     multiplicity,
-    pushforward_family,
     wirtinger,
 )
 from .criteria import (

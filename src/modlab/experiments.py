@@ -108,6 +108,10 @@ class ExperimentConfig:
             raise ConfigError(f"config {path}: {exc}") from exc
         if cfg.kind not in ("lower_q", "boundary_ext"):
             raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+        for name in ("ring", "grid", "paths", "tolerances"):
+            value = getattr(cfg, name)
+            if value is not None and not isinstance(value, dict):
+                raise ConfigError(f"config {path}: {name} must be a JSON object, not {type(value).__name__}")
         # resolve references eagerly so bad specs fail at load time
         try:
             f = map_from_config(cfg.map_spec)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._io import write_csv
 from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
-from .modulus import CurveFamily, DiscretizedDomain, PolylineFamily, rasterize_family
+from .modulus import PolylineFamily
 
 __all__ = [
     "SampleMap",
@@ -44,7 +44,6 @@ __all__ = [
     "multiplicity",
     "finite_distortion_check",
     "pushforward_polylines",
-    "pushforward_family",
 ]
 
 
@@ -568,8 +567,3 @@ def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamil
     return PolylineFamily(tuple(out), kind="circle_family",
                           multiplicities=mult, circle_radii=tuple(radii))
 
-
-def pushforward_family(f: SampleMap, family: PolylineFamily,
-                       dom_image: DiscretizedDomain) -> CurveFamily:
-    """Image family rasterized into the image domain (see pushforward_polylines)."""
-    return rasterize_family(pushforward_polylines(f, family), dom_image)

@@ -9,6 +9,19 @@ stop otherwise. Includes the closed-form ring modulus, the weighted circle
 family modulus against its radial-integral reference, and the weighted
 infimum with its extremal density.
 
+Rasterization makes one pass per family. Whole consecutive curves form
+blocks of at most 2^12 segments and 2^6 curves (a longer curve is a block of
+its own); each block is cut at all its ring and sector (or grid-line)
+crossings at once, its pieces sorted by segment and then by t, and summed per
+(curve, cell) with one `np.unique` and `np.bincount`. A curve never spans two
+blocks, so each per-cell sum adds the same pieces in the same order as
+rasterizing the curve alone: the incidence arrays equal the per-curve ones
+bit for bit. 2^12 segments (four 1024-vertex circles) keep a block's arrays
+in a 2 MB L2 cache, and 2^6 curves bound the pieces of a block of short
+curves that cross many cells. A polar grid holds the tables the crossings
+index in its `geometry`: libm cos and sin of every sector edge a segment can
+cross, and the squared ring radii.
+
 Incidences are plain numpy CSR arrays and the closed form is numpy alone,
 so scipy is imported only when a family has overlapping supports and FISTA
 runs: it supplies FISTA's compiled sparse mat-vec, about 2-6x faster than a
@@ -88,6 +101,9 @@ def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
     centers = (R_mid[:, None] * np.exp(1j * theta_mid[None, :])).ravel()
     area_e = np.repeat(ring_areas, n_theta)
     factor = 4.0 / (1.0 - np.abs(centers) ** 2) ** 2
+    # libm cos/sin of every sector edge a segment can cross, edge indices -2 n_theta - 4
+    # to 2 n_theta + 4: numpy's vectorized ones may round differently
+    angles = (np.arange(-2 * n_theta - 4, 2 * n_theta + 5) * d_theta).tolist()
     return DiscretizedDomain(
         centers=centers,
         area_euclid=area_e,
@@ -98,7 +114,10 @@ def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
             "n_theta": n_theta,
             "r_edges_hyp": r_edges,
             "R_edges": R_edges,
+            "R_edges_sq": np.float_power(R_edges, 2),
             "theta_edges": theta_edges,
+            "sector_cos": np.array([math.cos(a) for a in angles]),
+            "sector_sin": np.array([math.sin(a) for a in angles]),
         },
     )
 
@@ -335,6 +354,12 @@ def horizontal_connecting_family(window, n_curves: int) -> PolylineFamily:
 # ---------------------------------------------------------------------------
 # rasterization
 
+# Most segments and curves cut in one block. 2^12 segments are four 1024-vertex
+# circles, whose arrays stay in L2; 2^6 curves bound the pieces of a block of
+# short curves that cross many cells, such as radial rays.
+_BLOCK_SEGMENTS = 2**12
+_BLOCK_CURVES = 2**6
+
 
 def _ranges(start: np.ndarray, stop: np.ndarray):
     """(segment, k) for every k in range(start[s], stop[s]), segment by segment."""
@@ -344,31 +369,38 @@ def _ranges(start: np.ndarray, stop: np.ndarray):
     return seg, k
 
 
-def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
-    """Candidate (segment, t) where the segments p + t d cross ring or sector edges."""
+def _in_segment(seg: np.ndarray, t: np.ndarray):
+    """The (segment, t) pairs with t strictly inside (0, 1): the cuts a segment needs."""
+    keep = (1e-12 < t) & (t < 1.0 - 1e-12)
+    return seg[keep], t[keep]
+
+
+def _ring_cuts(p, d, q, dd, pd, geometry):
+    """(segment, t) in (0, 1) where the segments p + t d (ending at q) cross ring edges,
+    both roots of |p + t d|^2 = R^2; dd = |d|^2 and pd = <p, d>."""
     R_edges = geometry["R_edges"]
-    dd = d.real * d.real + d.imag * d.imag
-    moving = np.flatnonzero(dd != 0.0)
-    p, d, dd = p[moving], d[moving], dd[moving]
-    pd = p.real * d.real + p.imag * d.imag
     # radial span of the segment: perigee may undercut both endpoints
-    q = p + d
     rp, rq = np.hypot(p.real, p.imag), np.hypot(q.real, q.imag)
     t_foot = -pd / dd
-    foot = p + t_foot * d
     rmin = np.minimum(rp, rq)
-    rmin = np.where((0.0 < t_foot) & (t_foot < 1.0), np.minimum(rmin, np.hypot(foot.real, foot.imag)), rmin)
+    foot = np.hypot(p.real + t_foot * d.real, p.imag + t_foot * d.imag)
+    rmin = np.where((0.0 < t_foot) & (t_foot < 1.0), np.minimum(rmin, foot), rmin)
     rmax = np.maximum(rp, rq)
     k0 = np.searchsorted(R_edges, rmin - 1e-15)
     k1 = np.searchsorted(R_edges, rmax + 1e-15)
     s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(R_edges)))
     b = 2.0 * pd[s]
-    c = np.float_power(rp[s], 2) - np.float_power(R_edges[k], 2)
+    c = np.float_power(rp, 2)[s] - geometry["R_edges_sq"][k]
     disc = b * b - 4.0 * dd[s] * c
-    hit = disc > 0.0
-    s, b, root, two_dd = s[hit], b[hit], np.sqrt(disc[hit]), 2.0 * dd[s[hit]]
-    segs, ts = [s, s], [(-b - root) / two_dd, (-b + root) / two_dd]
+    hit = np.flatnonzero(disc > 0.0)
+    s, b, root = s[hit], b[hit], np.sqrt(disc[hit])
+    two_dd = 2.0 * dd[s]
+    return _in_segment(s, (-b - root) / two_dd), _in_segment(s, (-b + root) / two_dd)
 
+
+def _sector_cuts(p, d, q, dd, pd, geometry):
+    """(segment, t) in (0, 1) where the segments p + t d (ending at q) cross sector
+    edges, and the center of a segment through it."""
     # angular sweep is monotone along a straight segment
     two_pi = 2.0 * math.pi
     step = two_pi / geometry["n_theta"]
@@ -376,32 +408,40 @@ def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
     a1 = np.mod(np.arctan2(q.imag, q.real), two_pi)
     sweep = p.real * d.imag - p.imag * d.real  # sign of d(theta)/dt
     diff = np.mod(a1 - a0, two_pi)
-    diff = np.where(sweep < 0, diff - two_pi, diff)
-    j_start = np.floor(a0 / step).astype(np.int64)
-    n_cross = np.where(sweep != 0.0, (np.abs(diff) / step).astype(np.int64) + 2, 0)
+    # a straight segment sweeps less than pi, so the smaller of the two arcs is its
+    # sweep, also where a nearly radial segment's end angles round the other way
+    swept = np.minimum(diff, two_pi - diff)
+    n_cross = np.where(sweep != 0.0, (swept / step).astype(np.int64) + 2, 0)
     s, j = _ranges(np.ones_like(n_cross), n_cross + 1)
-    edge, at = np.unique(j_start[s] + np.where(sweep[s] > 0, j, 1 - j), return_inverse=True)
-    angles = (edge * step).tolist()
-    # libm cos/sin, once per sector edge: numpy's vectorized ones may round differently
-    ca = np.array([math.cos(a) for a in angles])[at]
-    sa = np.array([math.sin(a) for a in angles])[at]
-    denom = d.imag[s] * ca - d.real[s] * sa
-    nz = denom != 0.0
-    s, ca, sa = s[nz], ca[nz], sa[nz]
-    t = (p.real[s] * sa - p.imag[s] * ca) / denom[nz]
-    z = p[s] + t * d[s]
-    ray = z.real * ca + z.imag * sa > 0  # the ray at the edge angle, not its opposite
-    segs.append(s[ray])
-    ts.append(t[ray])
+    cos_table, sin_table = geometry["sector_cos"], geometry["sector_sin"]
+    # table row of each segment's start edge; the tables start at edge -len // 2
+    j_start = np.floor(a0 / step).astype(np.int64) + len(cos_table) // 2
+    at = j_start[s] + np.where(sweep[s] > 0, j, 1 - j)
+    ca, sa = cos_table[at], sin_table[at]
+    x, y, dx, dy = p.real[s], p.imag[s], d.real[s], d.imag[s]
+    # an edge parallel to its segment gives t = inf or nan, which no cut keeps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (x * sa - y * ca) / (dy * ca - dx * sa)
+        ray = (x + t * dx) * ca + (y + t * dy) * sa > 0  # the ray at the edge angle, not its opposite
     # a segment through the center sweeps no angle: cut it at the center
-    through = np.flatnonzero((sweep == 0.0) & (0.0 < t_foot) & (t_foot < 1.0))
-    segs.append(through)
-    ts.append(t_foot[through])
+    through = np.flatnonzero(sweep == 0.0)
+    return _in_segment(s[ray], t[ray]), _in_segment(through, -pd[through] / dd[through])
+
+
+def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
+    """(segment, t) in (0, 1) where the segments p + t d cross ring or sector edges."""
+    dd = d.real * d.real + d.imag * d.imag
+    moving = np.flatnonzero(dd != 0.0)
+    p, d, dd = p[moving], d[moving], dd[moving]
+    q = p + d
+    pd = p.real * d.real + p.imag * d.imag
+    cuts = _ring_cuts(p, d, q, dd, pd, geometry) + _sector_cuts(p, d, q, dd, pd, geometry)
+    segs, ts = zip(*cuts)
     return moving[np.concatenate(segs)], np.concatenate(ts)
 
 
 def _crossings_cartesian(p: np.ndarray, d: np.ndarray, geometry):
-    """Candidate (segment, t) where the segments p + t d cross grid lines."""
+    """(segment, t) in (0, 1) where the segments p + t d cross grid lines."""
     segs, ts = [], []
     for edges, pp, dd in ((geometry["x_edges"], p.real, d.real), (geometry["y_edges"], p.imag, d.imag)):
         moving = np.flatnonzero(dd != 0.0)
@@ -409,9 +449,10 @@ def _crossings_cartesian(p: np.ndarray, d: np.ndarray, geometry):
         k0 = np.searchsorted(edges, np.minimum(pp, pp + dd) - 1e-15)
         k1 = np.searchsorted(edges, np.maximum(pp, pp + dd) + 1e-15)
         s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(edges)))
-        segs.append(moving[s])
         with np.errstate(over="ignore"):  # a subnormal step gives t = +-inf, outside (0, 1)
-            ts.append((edges[k] - pp[s]) / dd[s])
+            s, t = _in_segment(moving[s], (edges[k] - pp[s]) / dd[s])
+        segs.append(s)
+        ts.append(t)
     return np.concatenate(segs), np.concatenate(ts)
 
 
@@ -436,49 +477,67 @@ def _cells_of(z: np.ndarray, geometry) -> np.ndarray:
     return np.where(inside_x & inside_y, i * geometry["n_y"] + j, -1)
 
 
-def _rasterize_polyline(poly: Polyline, geometry):
-    """Sorted cells the polyline meets, with its euclidean and hyperbolic length in each.
-
-    Segments are cut at every crossing; each piece goes to the cell of its
-    midpoint, and the per-cell sums add the pieces in order along the curve.
-    """
-    p, q = poly.segments()
-    d = q - p
-    crossings = _crossings_polar if geometry["kind"] == "polar" else _crossings_cartesian
-    seg, t = crossings(p, d, geometry)
-    cut = (1e-12 < t) & (t < 1.0 - 1e-12)
-    n = len(p)
-    seg = np.concatenate((np.arange(n), np.arange(n), seg[cut]))
-    t = np.concatenate((np.zeros(n), np.ones(n), t[cut]))
-    order = np.lexsort((t, seg))
-    seg, t = seg[order], t[order]
-    # piece i runs from t[i] to t[i + 1]; an exact duplicate cut starts no piece
-    start = np.flatnonzero((seg[1:] == seg[:-1]) & (t[1:] != t[:-1]))
-    s, t0, t1 = seg[start], t[start], t[start + 1]
-    zm = p[s] + 0.5 * (t0 + t1) * d[s]
-    cell = _cells_of(zm, geometry)
-    inside = cell >= 0
-    le = np.hypot(d.real, d.imag)[s] * (t1 - t0)
-    lh = _segment_hyp_length(p[s], d[s], t0, t1)
-    cells, piece_cell = np.unique(cell[inside], return_inverse=True)
-    return cells, np.bincount(piece_cell, le[inside]), np.bincount(piece_cell, lh[inside])
+def _blocks(polylines):
+    """(first curve, its segments' (start, end) points) of runs of whole consecutive
+    curves: at most _BLOCK_CURVES curves and _BLOCK_SEGMENTS segments each, unless
+    one curve has more segments."""
+    ends, total, first = [], 0, 0
+    for g, poly in enumerate(polylines):
+        p, q = poly.segments()
+        if total and (total + len(p) > _BLOCK_SEGMENTS or len(ends) == _BLOCK_CURVES):
+            yield first, ends
+            ends, total, first = [], 0, g
+        ends.append((p, q))
+        total += len(p)
+    if ends:
+        yield first, ends
 
 
 def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFamily:
-    """Clip every polyline to the domain cells: one CSR incidence matrix per metric."""
-    rows = [_rasterize_polyline(poly, dom.geometry) for poly in family.polylines]
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
-    cells, len_e, len_h = (np.concatenate(column) for column in zip(empty, *rows))
-    indptr = np.cumsum([0] + [len(row[0]) for row in rows])
+    """Clip every polyline to the domain cells: one CSR incidence matrix per metric.
+
+    Segments are cut at every crossing; each piece goes to the cell of its
+    midpoint, and the per-cell sums add the pieces in order along the curve.
+    The segments of whole curves are cut and summed in blocks (see the module
+    docstring).
+    """
+    geometry, n_cells = dom.geometry, dom.n_cells
+    crossings = _crossings_polar if geometry["kind"] == "polar" else _crossings_cartesian
+    keys, len_e, len_h = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
+    for first, ends in _blocks(family.polylines):
+        n_segments = [len(p) for p, _ in ends]
+        p = np.concatenate([p for p, _ in ends])
+        d = np.concatenate([q for _, q in ends]) - p
+        seg_curve = np.repeat(np.arange(first, first + len(ends)), n_segments)
+        seg, t = crossings(p, d, geometry)
+        n = len(p)
+        seg = np.concatenate((np.arange(n), np.arange(n), seg))
+        t = np.concatenate((np.zeros(n), np.ones(n), t))
+        order = np.lexsort((t, seg))
+        seg, t = seg[order], t[order]
+        # piece i runs from t[i] to t[i + 1]; an exact duplicate cut starts no piece
+        start = np.flatnonzero((seg[1:] == seg[:-1]) & (t[1:] != t[:-1]))
+        s, t0, t1 = seg[start], t[start], t[start + 1]
+        cell = _cells_of(p[s] + 0.5 * (t0 + t1) * d[s], geometry)
+        inside = cell >= 0
+        s, t0, t1 = s[inside], t0[inside], t1[inside]
+        # one sum per (curve, cell), adding the pieces in order along the curve
+        key, at = np.unique(seg_curve[s] * n_cells + cell[inside], return_inverse=True)
+        keys.append(key)
+        len_e.append(np.bincount(at, np.hypot(d.real, d.imag)[s] * (t1 - t0)))
+        len_h.append(np.bincount(at, _segment_hyp_length(p[s], d[s], t0, t1)))
+    # blocks hold whole curves in order, so the keys are sorted curve by curve
+    curve, cells = np.divmod(np.concatenate(keys), n_cells)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(curve, minlength=len(family)))))
     # 32-bit indices where they fit, as scipy.sparse picks them: its view then copies nothing
-    fits = max(len(cells), len(rows), dom.n_cells) <= np.iinfo(np.int32).max
+    fits = max(len(cells), len(family), n_cells) <= np.iinfo(np.int32).max
     index_type = np.int32 if fits else np.int64
     return CurveFamily(
         indptr.astype(index_type),
         cells.astype(index_type),
-        len_e,
-        len_h,
-        n_cells=dom.n_cells,
+        np.concatenate(len_e),  # float, also where a block's bincount of no pieces is int
+        np.concatenate(len_h),
+        n_cells=n_cells,
         kind=family.kind,
         multiplicities=family.multiplicities,
     )

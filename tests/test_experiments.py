@@ -73,6 +73,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("name, field", [
+        ("boundary_mobius", "paths"),
+        ("lower_q_identity", "ring"),
+        ("lower_q_identity", "tolerances"),
+    ])
+    @pytest.mark.parametrize("value", ["x", [0.5, 1.5], 3])
+    def test_object_field_not_an_object(self, tmp_path, name, field, value):
+        # a shipped config with one object-valued field replaced fails at load, not in the run
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        cfg[field] = value
+        path = write_cfg(tmp_path, f"{name}.json", cfg)
+        with pytest.raises(ConfigError, match=f"{field} must be a JSON object"):
+            ExperimentConfig.from_json(path)
+
     def test_unknown_kind(self, tmp_path):
         path = write_cfg(tmp_path, "bad.json", {"id": "x", "kind": "quantize", "map": {"kind": "identity"}})
         with pytest.raises(ConfigError):

@@ -24,7 +24,6 @@ from modlab.mappings import (
     mobius_map,
     multiplicity,
     parse_map,
-    pushforward_family,
     pushforward_polylines,
     radial_stretch,
     winding,
@@ -32,7 +31,7 @@ from modlab.mappings import (
     wirtinger_fd,
 )
 from modlab.mappings import _fd_stencil, _preimages, _seed_grid
-from modlab.modulus import circle_family, modulus_discrete, polar_grid
+from modlab.modulus import circle_family, modulus_discrete, polar_grid, rasterize_family
 from modlab.quadrature import RingSpec
 
 RING = RingSpec(0.5, 1.5)
@@ -362,10 +361,8 @@ class TestPushforward:
     def test_winding_image_modulus_scales_inverse_square(self):
         dom = polar_grid(RING, 12, 64)
         pf = circle_family(RING, 12, n_vertices=1024)
-        from modlab.modulus import rasterize_family
-
         base = modulus_discrete(rasterize_family(pf, dom), dom, tol=1e-7).value
-        pushed = pushforward_family(winding(2), pf, dom)
+        pushed = rasterize_family(pushforward_polylines(winding(2), pf), dom)
         val = modulus_discrete(pushed, dom, tol=1e-7).value
         assert val == pytest.approx(base / 4, rel=1e-3)
 

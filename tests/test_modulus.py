@@ -26,6 +26,7 @@ from modlab.modulus import (
     ring_modulus_exact,
     weighted_infimum,
 )
+from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _blocks, _crossings_polar
 from modlab.quadrature import RingSpec
 
 RING = RingSpec(0.5, 1.5)
@@ -119,16 +120,20 @@ def _winding_image_family():
     return rasterize_family(image, dom), dom
 
 
-def _overlap_family(seed):
-    """512 chords across [-0.5, 0.5]^2, each bent inside [-0.02, 0.02]^2, on 64 x 64 cells."""
-    rng = np.random.default_rng(seed)
+def _overlap_chords(rng):
+    """512 chords across [-0.5, 0.5]^2, each bent inside [-0.02, 0.02]^2."""
     h, b = 0.5, 0.02
-    dom = cartesian_grid(((-h, h), (-h, h)), 64, 64)
     left, right = rng.uniform(-h, h, (2, 512))
     bends = rng.uniform(-b, b, (512, 2))
-    chords = tuple(Polyline((complex(-h, y0), complex(bx, by), complex(h, y1)))
-                   for y0, (bx, by), y1 in zip(left, bends, right))
-    return rasterize_family(PolylineFamily(chords, kind="connecting"), dom), dom, rng
+    return tuple(Polyline((complex(-h, y0), complex(bx, by), complex(h, y1)))
+                 for y0, (bx, by), y1 in zip(left, bends, right))
+
+
+def _overlap_family(seed):
+    """The overlap chords on 64 x 64 cells."""
+    rng = np.random.default_rng(seed)
+    dom = cartesian_grid(((-0.5, 0.5), (-0.5, 0.5)), 64, 64)
+    return rasterize_family(PolylineFamily(_overlap_chords(rng), kind="connecting"), dom), dom, rng
 
 
 def _crossing_family():
@@ -257,6 +262,86 @@ class TestGrids:
             assert row_h == pytest.approx(hyp_length(poly), rel=1e-12, abs=0.0)
             assert np.array_equal(cells, E.indices[lo:hi]) and np.array_equal(cells, H.indices[lo:hi])
             assert np.array_equal(le, E.data[lo:hi]) and np.array_equal(lh, H.data[lo:hi])
+
+
+def _one_curve_rows(polylines, dom):
+    """(indptr, indices, euclidean, hyperbolic) of each polyline rasterized alone, rows stacked."""
+    rows = [rasterize_family(PolylineFamily((poly,), kind="connecting"), dom) for poly in polylines]
+    indptr = np.cumsum([0] + [len(row.indices) for row in rows])
+    empty = (np.zeros(0, dtype=np.int32), np.zeros(0), np.zeros(0))
+    columns = zip(empty, *((row.indices, row.euclidean, row.hyperbolic) for row in rows))
+    return (indptr, *(np.concatenate(column) for column in columns))
+
+
+def _spiral(n_vertices):
+    """A polyline winding three times around 0 through the RING grid's bands."""
+    s = np.linspace(0.0, 1.0, n_vertices)
+    return Polyline(euclid_radius(0.6) * (1.0 + 0.6 * s) * np.exp(6j * math.pi * s))
+
+
+class TestBlockInvariance:
+    """A family's rows equal, bit for bit, the rows of its curves rasterized one by one."""
+
+    @pytest.mark.parametrize("build, n_blocks", [
+        (lambda: (circle_family(RING, 64, n_vertices=1024).polylines, polar_grid(RING, 64, 256)), 16),
+        (lambda: ((_spiral(40), _spiral(3 * _BLOCK_SEGMENTS), _spiral(7)), polar_grid(RING, 16, 64)), 3),
+        (lambda: ((_spiral(40), Polyline([0.3 + 0.2j]), _spiral(9)), polar_grid(RING, 16, 64)), 1),
+        (lambda: ((), polar_grid(RING, 4, 8)), 0),
+        (lambda: (_overlap_chords(np.random.default_rng(1)), cartesian_grid(((-0.5, 0.5), (-0.5, 0.5)), 64, 64)),
+         512 // _BLOCK_CURVES),
+    ], ids=["64-circles", "longer-than-a-block", "single-vertex", "empty", "cartesian-chords"])
+    def test_family_equals_stacked_curves(self, build, n_blocks):
+        polylines, dom = build()
+        assert sum(1 for _ in _blocks(polylines)) == n_blocks
+        fam = rasterize_family(PolylineFamily(tuple(polylines), kind="connecting"), dom)
+        indptr, indices, euclidean, hyperbolic = _one_curve_rows(polylines, dom)
+        assert np.array_equal(fam.indptr, indptr) and np.array_equal(fam.indices, indices)
+        assert fam.indptr.dtype == fam.indices.dtype == np.int32
+        assert np.array_equal(_bits(fam.euclidean), _bits(euclidean))
+        assert np.array_equal(_bits(fam.hyperbolic), _bits(hyperbolic))
+
+
+POLAR_GRIDS = [polar_grid(RING, 6, 12), polar_grid_from_band_centers([0.6, 0.9, 1.0, 1.4], 0.5, 1.5, 20)]
+
+
+class TestSectorEdgeTable:
+    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "band-centers"])
+    def test_entries_are_libm_values(self, dom):
+        geometry = dom.geometry
+        n = geometry["n_theta"]
+        angles = [edge * (2.0 * math.pi / n) for edge in range(-2 * n - 4, 2 * n + 5)]
+        assert np.array_equal(_bits(geometry["sector_cos"]), _bits([math.cos(a) for a in angles]))
+        assert np.array_equal(_bits(geometry["sector_sin"]), _bits([math.sin(a) for a in angles]))
+        assert np.array_equal(_bits(geometry["R_edges_sq"]), _bits(np.float_power(geometry["R_edges"], 2)))
+
+    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "band-centers"])
+    @pytest.mark.parametrize("alpha", [0.5 * math.pi - 1e-3, 0.5 * math.pi - 0.2])
+    @pytest.mark.parametrize("direction", [1, -1], ids=["counterclockwise", "clockwise"])
+    def test_sweep_across_angle_zero(self, dom, alpha, direction):
+        # from angle -alpha to alpha (or back): a sweep of 2 alpha, close to pi, across angle 0
+        R = euclid_radius(1.0)
+        p, q = R * np.exp(-1j * alpha * direction), R * np.exp(1j * alpha * direction)
+        d = np.array([q - p])
+        seg, t = _crossings_polar(np.array([p]), d, dom.geometry)
+        assert np.all(seg == 0) and np.all((0.0 < t) & (t < 1.0))
+        z = p + t * d[0]
+        on_ring = np.min(np.abs(np.abs(z)[:, None] - dom.geometry["R_edges"]), axis=1) < 1e-12
+        # each sector edge the segment crosses, from libm values of its own angle in [0, 2 pi)
+        n = dom.geometry["n_theta"]
+        expected = []
+        for edge in range(n):
+            ca, sa = math.cos(edge * 2.0 * math.pi / n), math.sin(edge * 2.0 * math.pi / n)
+            t_edge = (p.real * sa - p.imag * ca) / (d[0].imag * ca - d[0].real * sa)
+            z_edge = p + t_edge * d[0]
+            if 0.0 < t_edge < 1.0 and z_edge.real * ca + z_edge.imag * sa > 0:
+                expected.append(t_edge)
+        assert len(expected) > n // 3
+        assert np.sort(t[~on_ring]) == pytest.approx(np.sort(expected), rel=0.0, abs=1e-12)
+        # the rasterized row is the segment's length outside the ring's hole
+        fam = rasterize_family(PolylineFamily((Polyline((p, q)),), kind="connecting"), dom)
+        R_inner, x = dom.geometry["R_edges"][0], p.real
+        assert fam.euclidean.sum() == pytest.approx(abs(q - p) - 2.0 * math.sqrt(R_inner**2 - x * x),
+                                                    rel=1e-12, abs=0.0)
 
 
 class TestModulusDiscrete:
