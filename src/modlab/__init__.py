@@ -12,8 +12,6 @@ from .diskgeom import (
     MobiusAutomorphism,
     Polyline,
     euclid_radius,
-    geodesic,
-    hyp_area,
     hyp_distance,
     hyp_length,
     hyp_radius,
@@ -26,15 +24,12 @@ from .fuchsian import (
     DirichletDomain,
     FuchsianGroup,
     GroupElements,
-    NormalNeighborhood,
-    SurfacePoint,
     build_dirichlet_domain,
     dirichlet_membership,
     enumerate_elements,
     injectivity_radius,
     load_group,
     project_to_fundamental,
-    quotient_distance,
 )
 from .quadrature import (
     RadialProfile,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import write_json
 from .diskgeom import mobius_apply, mobius_invert, mobius_to_zero
 from .quadrature import (
     RingSpec,
@@ -100,9 +100,6 @@ class FMOReport:
         }
         return write_json(data, path)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ("epsilon", "oscillation"), zip(self.epsilons, self.oscillations))
-
 
 def fmo_check(Q: ScalarField, epsilons=None, center=0j,
               n_r: int = 65, n_theta: int = 256) -> FMOReport:
@@ -177,9 +174,6 @@ class DivergenceReport:
             "residuals": {k: float(v) for k, v in self.residuals.items()},
         }
         return write_json(data, path)
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("epsilon", "partial_integral"), zip(self.epsilons, self.partial_integrals))
 
 
 def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float,
@@ -257,9 +251,6 @@ class EtaProfile:
     radii: np.ndarray
     eta0: np.ndarray
 
-    def normalization(self) -> float:
-        return float(np.trapezoid(self.eta0, self.radii))
-
 
 @dataclass(frozen=True)
 class EtaCheckReport:
@@ -270,18 +261,6 @@ class EtaCheckReport:
     n_random: int
     min_relative_margin: float
     all_above: bool
-
-    def to_json(self, path=None):
-        data = {
-            "J": self.eta.J,
-            "one_over_j": self.one_over_j,
-            "equality_value": self.equality_value,
-            "equality_rel_error": self.equality_rel_error,
-            "n_random": self.n_random,
-            "min_relative_margin": self.min_relative_margin,
-            "all_above": self.all_above,
-        }
-        return write_json(data, path)
 
 
 def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
@@ -350,17 +329,6 @@ class SlopeReport:
     intercept: float
     residual: float
     tail_increment: float  # slope between the last two epsilon points
-
-    def to_json(self, path=None):
-        data = {
-            "epsilons": list(map(float, self.epsilons)),
-            "values": list(map(float, self.values)),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "tail_increment": self.tail_increment,
-        }
-        return write_json(data, path)
 
 
 def fmo_integral_estimate(Q: ScalarField, eps_list=None, eps0: float = 0.5,

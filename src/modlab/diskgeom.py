@@ -1,9 +1,9 @@
 """Complex arithmetic of the Poincaré disk.
 
 Points are complex numbers or complex arrays; `inside_disk` is the one check
-that they lie strictly inside. Disk automorphisms, hyperbolic
-distance/length/area, geodesics and the conversion between hyperbolic and
-Euclidean radii of circles about 0.
+that they lie strictly inside. Disk automorphisms, hyperbolic distance and
+length, and the conversion between hyperbolic and Euclidean radii of circles
+about 0.
 The metric normalization is curvature -1: line element 2|dz|/(1-|z|^2),
 area element 4 dm(z)/(1-|z|^2)^2.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,9 @@ __all__ = [
     "BOUNDARY_MARGIN",
     "MobiusAutomorphism",
     "Polyline",
-    "QuadratureConvergenceWarning",
     "inside_disk",
     "hyp_distance",
     "hyp_length",
-    "hyp_area",
     "euclid_radius",
     "hyp_radius",
     "mobius_apply",
@@ -33,7 +30,6 @@ __all__ = [
     "mobius_invert",
     "mobius_to_zero",
     "mobius_rotation",
-    "geodesic",
 ]
 
 # Points this close to |z| = 1 are rejected: every computation in the library
@@ -48,10 +44,6 @@ _DET_TOL = 1e-12
 # bitwise commutative; 2^13 points keep batched calls below that size, so they
 # round as the per-circle and per-target calls did.
 _BLOCK_POINTS = 2**13
-
-
-class QuadratureConvergenceWarning(UserWarning):
-    """A quadrature refinement check disagreed beyond its tolerance."""
 
 
 def inside_disk(z, what: str) -> np.ndarray:
@@ -178,46 +170,6 @@ def hyp_length(curve: Polyline) -> float:
     return float(np.sum(_segment_hyp_length(p, q - p, 0.0, 1.0)))
 
 
-def hyp_area(indicator, window, resolution: int) -> float:
-    """Hyperbolic area of {indicator true} inside a Euclidean rectangle window.
-
-    Midpoint rule over cell centers that satisfy the predicate and lie strictly
-    inside the disk, evaluated at `resolution` and `2 * resolution`; returns the
-    refined value and warns if the two disagree by more than 1%. `indicator`
-    takes a complex array of cell centers (all inside the disk) and returns a
-    boolean array of the same shape.
-    """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    (x0, x1), (y0, y1) = window
-    if max(abs(x0), abs(x1), abs(y0), abs(y1)) > 1.0 + 1e-12:
-        raise ValueError("window must lie inside [-1, 1]^2")
-
-    def midpoint_sum(n: int) -> float:
-        xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-        ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-        cell = ((x1 - x0) / n) * ((y1 - y0) / n)
-        r2 = xs * xs + ys[:, None] * ys[:, None]  # one row per y, as xs * xs + y * y
-        keep = r2 < (1.0 - BOUNDARY_MARGIN) ** 2
-        keep[keep] = indicator((xs + 1j * ys[:, None])[keep])
-        total = 0.0
-        for row, k in zip(r2, keep):  # row by row, in the order of the per-row sums
-            if k.any():
-                total += float(np.sum(4.0 / (1.0 - row[k]) ** 2)) * cell
-        return total
-
-    coarse = midpoint_sum(resolution)
-    fine = midpoint_sum(2 * resolution)
-    scale = max(abs(fine), abs(coarse), 1e-300)
-    if abs(fine - coarse) > 0.01 * scale:
-        warnings.warn(
-            f"hyp_area refinement changed by {abs(fine - coarse) / scale:.2e} (> 1%)",
-            QuadratureConvergenceWarning,
-            stacklevel=2,
-        )
-    return fine
-
-
 def euclid_radius(r: float) -> float:
     """Euclidean radius (e^r - 1)/(e^r + 1) = tanh(r/2) of the hyperbolic circle about 0."""
     if r < 0:
@@ -266,25 +218,3 @@ def mobius_to_zero(z0) -> MobiusAutomorphism:
 def mobius_rotation(theta: float) -> MobiusAutomorphism:
     """Rotation z -> e^{i theta} z about the origin."""
     return MobiusAutomorphism(cmath.exp(0.5j * theta), 0.0)
-
-
-def geodesic(z1, z2, n: int) -> Polyline:
-    """n-vertex polyline along the geodesic from z1 to z2.
-
-    Vertices are spaced uniformly in hyperbolic arclength (so swapping the
-    endpoints reverses the vertex list); the polyline length converges to
-    hyp_distance(z1, z2) from above at rate O(1/n^2).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2 vertices")
-    a, b = complex(z1), complex(z2)
-    if a == b:
-        return Polyline((a,))
-    g = mobius_to_zero(a)
-    g_inv = mobius_invert(g)
-    w = mobius_apply(g, b)
-    d = hyp_radius(abs(w))
-    radii = np.tanh(0.5 * np.linspace(0.0, d, n))
-    pts = mobius_apply(g_inv, radii * (w / abs(w)))
-    pts[0], pts[-1] = a, b
-    return Polyline(pts)

@@ -79,7 +79,6 @@ class ExperimentConfig:
     expected: str = None  # boundary_ext: "extends" | "no_limit"
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
-    out_dir: str = None
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -100,7 +99,6 @@ class ExperimentConfig:
                 expected=data.get("expected"),
                 tolerances=data.get("tolerances", {}),
                 seed=int(data.get("seed", 0)),
-                out_dir=data.get("out_dir"),
             )
         except KeyError as exc:
             raise ConfigError(f"config {path} missing field {exc}") from exc
@@ -118,24 +116,40 @@ class ExperimentConfig:
             if cfg.q_majorant is not None:
                 parse_field(cfg.q_majorant)
             resolutions = [v for v in cfg.grid.values() if isinstance(v, (int, float))]
-        except (AttributeError, TypeError, ValueError) as exc:
+            if cfg.kind == "lower_q":
+                _lower_q_ring(cfg, f)
+            else:
+                _check_boundary_ext(cfg)
+        except (AttributeError, TypeError, ValueError) as exc:  # ConfigError included
             raise ConfigError(f"config {path}: {exc}") from exc
-        problem = _lower_q_problem(cfg, f) if cfg.kind == "lower_q" else None
-        if problem is not None:
-            raise ConfigError(f"config {path}: {problem}")
         if any(v > 4096 for v in resolutions):
             raise ConfigError(f"config {path}: grid resolution exceeds the 4096 cap")
         return cfg
 
 
-def _lower_q_problem(cfg: ExperimentConfig, f: SampleMap):
-    """Why a lower_q experiment cannot run, or None. The config load raises it;
-    a run of a config built directly reports it as a config_error record."""
+def _lower_q_ring(cfg: ExperimentConfig, f: SampleMap) -> RingSpec:
+    """The ring of a lower_q experiment, or a ConfigError why it cannot run. The
+    config load raises it; a run of a config built directly reports it as a
+    config_error record."""
     if cfg.ring is None:
-        return "lower_q needs a ring"
+        raise ConfigError("lower_q needs a ring")
     if not f.fixes_origin_radially:
-        return f"lower_q needs a map that fixes 0 radially, got {f.label}"
-    return None
+        raise ConfigError(f"lower_q needs a map that fixes 0 radially, got {f.label}")
+    try:
+        return RingSpec(float(cfg.ring["r_inner"]), float(cfg.ring["r_outer"]))
+    except KeyError as exc:
+        raise ConfigError(f"ring missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"ring: {exc}") from exc
+
+
+def _check_boundary_ext(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the expectation is known and each path has two steps;
+    raised and reported as `_lower_q_ring` does."""
+    if cfg.expected not in (None, "extends", "no_limit"):
+        raise ConfigError(f"expected must be 'extends' or 'no_limit', not {cfg.expected!r}")
+    if int(cfg.paths.get("n_steps", 14)) < 2:
+        raise ConfigError("paths.n_steps must be at least 2")
 
 
 @dataclass
@@ -192,11 +206,11 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     RHS = reciprocal radial integral with weight N(f) * K_f on the source ring."""
     t0 = time.perf_counter()
     f = map_from_config(cfg.map_spec)
-    problem = _lower_q_problem(cfg, f)
-    if problem is not None:
+    try:
+        ring = _lower_q_ring(cfg, f)
+    except ConfigError as exc:
         return VerdictRecord(experiment_id=cfg.experiment_id, kind="lower_q",
-                             status="config_error", error=problem)
-    ring = RingSpec(float(cfg.ring["r_inner"]), float(cfg.ring["r_outer"]))
+                             status="config_error", error=str(exc))
     n_circles = int(cfg.grid.get("n_circles", 64))
     n_theta = int(cfg.grid.get("n_theta", 256))
     n_profile = int(cfg.grid.get("n_profile", 512))
@@ -276,6 +290,11 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
 def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     """Tail-diameter Cauchy probe of continuous extension at a boundary point."""
     t0 = time.perf_counter()
+    try:
+        _check_boundary_ext(cfg)
+    except ConfigError as exc:
+        return VerdictRecord(experiment_id=cfg.experiment_id, kind="boundary_ext",
+                             status="config_error", error=str(exc))
     f = map_from_config(cfg.map_spec)
     zeta = np.exp(1j * cfg.boundary_point_angle)
     n_steps = int(cfg.paths.get("n_steps", 14))

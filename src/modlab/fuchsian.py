@@ -1,9 +1,8 @@
 """Finitely generated Fuchsian groups acting on the disk.
 
-Word enumeration up to a length bound, quotient distance between orbits,
-Dirichlet fundamental polygons, projection to a fundamental set, and the
-injectivity radius that certifies normal neighborhoods (where the quotient
-metric coincides with the disk metric).
+Word enumeration up to a length bound, Dirichlet fundamental polygons,
+projection to a fundamental set, and the injectivity radius: balls of a
+smaller radius embed in the quotient surface.
 
 An enumerated element set is one `GroupElements` value: two read-only
 coefficient arrays (a, c). `enumerate_elements` builds it one word length at
@@ -20,18 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import write_json
 from .diskgeom import (
     _DET_TOL,
     IDENTITY,
     MobiusAutomorphism,
-    euclid_radius,
     hyp_distance,
     inside_disk,
     mobius_apply,
     mobius_compose,
     mobius_invert,
-    mobius_to_zero,
 )
 
 __all__ = [
@@ -42,16 +38,12 @@ __all__ = [
     "FuchsianGroup",
     "GroupElements",
     "DirichletDomain",
-    "SurfacePoint",
-    "NormalNeighborhood",
     "enumerate_elements",
-    "quotient_distance",
     "build_dirichlet_domain",
     "dirichlet_membership",
     "project_to_fundamental",
     "injectivity_radius",
     "load_group",
-    "save_group",
     "cyclic_group",
     "genus2_group",
 ]
@@ -250,22 +242,6 @@ def enumerate_elements(group: FuchsianGroup) -> GroupElements:
     return GroupElements(a, c)
 
 
-def quotient_distance(z1, z2, group: FuchsianGroup, elements=None) -> float:
-    """Distance between the orbits of z1 and z2 under the (truncated) group.
-
-    By invariance of the disk metric the double infimum over (g1, g2)
-    collapses to a single minimum over g = g1^{-1} g2, so this returns
-    min over enumerated g (including the identity) of h(z1, g z2).
-    The value is an upper bound on the true orbit distance, non-increasing
-    in the word-length bound.
-    """
-    if elements is None:
-        elements = enumerate_elements(group)
-    w = complex(z2)
-    images = np.concatenate(([w], mobius_apply(elements, w)))
-    return float(np.min(hyp_distance(complex(z1), images)))
-
-
 @dataclass(frozen=True)
 class DirichletDomain:
     """Intersection of half-planes {z : h(z, center) < h(z, g(center))}.
@@ -364,60 +340,6 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
     return 0.5 * float(np.min(hyp_distance(z, mobius_apply(elements, z))))
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Canonical representative of an orbit, inside the Dirichlet domain closure."""
-
-    representative: complex
-    group: FuchsianGroup
-
-    @classmethod
-    def project(cls, z, group: FuchsianGroup, dom: DirichletDomain, elements=None) -> "SurfacePoint":
-        rep, _ = project_to_fundamental(z, group, dom, elements)
-        return cls(rep, group)
-
-
-@dataclass(frozen=True)
-class NormalNeighborhood:
-    """Ball on the surface where the quotient metric equals the disk metric.
-
-    The radius must stay strictly below the injectivity radius at the center;
-    that bound is a proxy, not a proof, so `validate_by_sampling` offers an
-    empirical check.
-    """
-
-    center: SurfacePoint
-    radius: float
-    _injectivity: float = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        rho = self._injectivity
-        if rho is None:
-            rho = injectivity_radius(self.center.representative, self.center.group)
-        if self.radius >= rho:
-            raise ValueError(
-                f"radius {self.radius} not below injectivity radius {rho:.6g}"
-            )
-        object.__setattr__(self, "_injectivity", rho)
-
-    def validate_by_sampling(self, n: int = 64, seed: int = 0, tol: float = 1e-10) -> bool:
-        """Check d = h on sampled pairs inside the ball (local isometry)."""
-        rng = np.random.default_rng(seed)
-        group = self.center.group
-        elements = enumerate_elements(group)
-        to_center = mobius_invert(mobius_to_zero(self.center.representative))
-        R = euclid_radius(self.radius)
-        for _ in range(n):
-            u, v = rng.uniform(size=2) ** 0.5 * R, rng.uniform(size=2) * 2 * math.pi
-            p = mobius_apply(to_center, u[0] * complex(math.cos(v[0]), math.sin(v[0])))
-            q = mobius_apply(to_center, u[1] * complex(math.cos(v[1]), math.sin(v[1])))
-            if abs(quotient_distance(p, q, group, elements) - hyp_distance(p, q)) > tol:
-                return False
-        return True
-
-
 def load_group(path) -> FuchsianGroup:
     """Read a group definition from JSON.
 
@@ -434,18 +356,6 @@ def load_group(path) -> FuchsianGroup:
         max_word_length=int(data.get("max_word_length", 4)),
         element_cap=int(data.get("element_cap", 1_000_000)),
     )
-
-
-def save_group(group: FuchsianGroup, path) -> None:
-    data = {
-        "generators": [
-            {"a_re": g.a.real, "a_im": g.a.imag, "c_re": g.c.real, "c_im": g.c.imag}
-            for g in group.generators
-        ],
-        "max_word_length": group.max_word_length,
-        "element_cap": group.element_cap,
-    }
-    write_json(data, path)
 
 
 def cyclic_group(translation_length: float = 2.0, max_word_length: int = 8) -> FuchsianGroup:

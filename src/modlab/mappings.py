@@ -22,7 +22,6 @@ from .modulus import PolylineFamily
 
 __all__ = [
     "SampleMap",
-    "DistortionField",
     "MultiplicityReport",
     "ChartOverflowError",
     "K_INF",
@@ -39,7 +38,6 @@ __all__ = [
     "wirtinger",
     "wirtinger_fd",
     "dilatation",
-    "distortion_at",
     "distortion_to_csv",
     "multiplicity",
     "finite_distortion_check",
@@ -322,8 +320,7 @@ def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
     """|f_z|, |f_zbar|, the Jacobian and K = (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|)
     as arrays; K is 1 where the norm vanishes and inf where J vanishes relative
     to the norm squared. _cabs and float_power (libm pow) round as Python's
-    abs and ** do, so these agree bit for bit with DistortionField.norm and
-    .jacobian."""
+    abs and ** do on each point."""
     a, b = _cabs(f_z), _cabs(f_zbar)
     n = a + b
     jac = np.float_power(a, 2) - np.float_power(b, 2)
@@ -332,39 +329,14 @@ def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
     return a, b, jac, np.where(n < 1e-15, 1.0, k)
 
 
-@dataclass(frozen=True)
-class DistortionField:
-    """Pointwise derivative data: operator norm, Jacobian and dilatation."""
-
-    f_z: complex
-    f_zbar: complex
-
-    @property
-    def norm(self) -> float:
-        return abs(self.f_z) + abs(self.f_zbar)
-
-    @property
-    def jacobian(self) -> float:
-        return abs(self.f_z) ** 2 - abs(self.f_zbar) ** 2
-
-    @property
-    def K(self):
-        k = float(_derivative_data(np.array([self.f_z]), np.array([self.f_zbar]))[3][0])
-        return K_INF if k == math.inf else k
-
-
-def distortion_at(f: SampleMap, z, step: float = None) -> DistortionField:
-    fz, fzb = wirtinger(f, z, step)
-    return DistortionField(fz, fzb)
-
-
 def dilatation(f: SampleMap, z, step: float = None):
     """K_f(z): (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|) when J != 0, 1 when the norm
     vanishes, and the K_INF sentinel otherwise. For an array of points,
-    returns an array with inf where J = 0."""
+    returns an array with inf where J = 0; a point is the one-point array."""
     if isinstance(z, np.ndarray):
         return _derivative_data(*wirtinger(f, z, step))[3]
-    return distortion_at(f, z, step).K
+    k = float(dilatation(f, np.array([complex(z)]), step)[0])
+    return K_INF if k == math.inf else k
 
 
 def _distortion_grid(f: SampleMap, grid: int, extent: float):

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
 from .diskgeom import BOUNDARY_MARGIN, Polyline, _segment_hyp_length, euclid_radius, inside_disk
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 
@@ -52,13 +51,11 @@ __all__ = [
     "cartesian_grid",
     "circle_family",
     "radial_connecting_family",
-    "horizontal_connecting_family",
     "rasterize_family",
     "modulus_discrete",
     "ring_modulus_exact",
     "circle_family_modulus",
     "weighted_infimum",
-    "density_to_csv",
     "density_to_svg",
 ]
 
@@ -112,7 +109,6 @@ def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
             "kind": "polar",
             "n_r": len(r_edges) - 1,
             "n_theta": n_theta,
-            "r_edges_hyp": r_edges,
             "R_edges": R_edges,
             "R_edges_sq": np.float_power(R_edges, 2),
             "theta_edges": theta_edges,
@@ -168,7 +164,6 @@ def cartesian_grid(window, n_x: int, n_y: int) -> DiscretizedDomain:
         area_hyp=area * factor,
         geometry={
             "kind": "cartesian",
-            "n_x": n_x,
             "n_y": n_y,
             "x_edges": x_edges,
             "y_edges": y_edges,
@@ -223,7 +218,7 @@ class CurveFamily:
             raise ValueError("indices and lengths must hold one entry per incidence")
         if np.any(self.euclidean < 0) or np.any(self.hyperbolic < 0):
             raise ValueError("incidence lengths must be non-negative")
-        for array in (self.indptr, self.indices, self.euclidean, self.hyperbolic):  # shared by with_multiplicities
+        for array in (self.indptr, self.indices, self.euclidean, self.hyperbolic):
             array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -231,7 +226,8 @@ class CurveFamily:
 
     @property
     def curves(self) -> tuple:
-        """(cells, euclid length, hyp length) of each curve, as views of the matrix rows."""
+        """(cells, euclid length, hyp length) of each curve, as views of the matrix
+        rows; `perfbench/spans.py` counts incidences with it."""
         bounds = zip(self.indptr[:-1], self.indptr[1:])
         return tuple((self.indices[lo:hi], self.euclidean[lo:hi], self.hyperbolic[lo:hi])
                      for lo, hi in bounds)
@@ -250,10 +246,6 @@ class CurveFamily:
 
         return sp.csr_matrix((self.lengths(metric), self.indices, self.indptr),
                              shape=(len(self), self.n_cells))
-
-    def with_multiplicities(self, multiplicities) -> "CurveFamily":
-        return CurveFamily(self.indptr, self.indices, self.euclidean, self.hyperbolic,
-                           self.n_cells, self.kind, tuple(int(m) for m in multiplicities))
 
 
 @dataclass(frozen=True)
@@ -293,23 +285,6 @@ class ModulusResult:
     def duality_gap(self) -> float:
         return self.value - self.dual_value
 
-    def to_json(self, path=None):
-        data = {
-            "value": self.value,
-            "metric": self.metric,
-            "iterations": self.iterations,
-            "max_constraint_violation": self.max_constraint_violation,
-            "stop_reason": self.stop_reason,
-            "converged": self.converged,
-            "dual_value": self.dual_value,
-            "duality_gap": self.duality_gap,
-        }
-        return write_json(data, path)
-
-
-def density_to_csv(dom: DiscretizedDomain, density: DensityField, path) -> None:
-    write_csv(path, ("re", "im", "rho"), zip(dom.centers.real, dom.centers.imag, density.rho))
-
 
 def density_to_svg(dom: DiscretizedDomain, density: DensityField, path, title="extremal density") -> None:
     """Heatmap of the extremal density on a polar domain."""
@@ -340,14 +315,6 @@ def radial_connecting_family(ring: RingSpec, n_rays: int) -> PolylineFamily:
         raise ValueError("connecting family needs r_inner > 0")
     theta = (np.arange(n_rays) + 0.5) * (2.0 * math.pi / n_rays)
     polylines = tuple(Polyline(np.array([R1, R2]) * np.exp(1j * t)) for t in theta)
-    return PolylineFamily(polylines, kind="connecting")
-
-
-def horizontal_connecting_family(window, n_curves: int) -> PolylineFamily:
-    """Left-to-right segments across a rectangular window, one per row."""
-    (x0, x1), (y0, y1) = window
-    ys = y0 + (np.arange(n_curves) + 0.5) * (y1 - y0) / n_curves
-    polylines = tuple(Polyline(np.array([x0, x1]) + 1j * y) for y in ys)
     return PolylineFamily(polylines, kind="connecting")
 
 

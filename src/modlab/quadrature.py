@@ -62,12 +62,6 @@ class ScalarField:
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(z), dtype=float)
 
-    def scaled(self, c: float) -> "ScalarField":
-        ev = self.evaluator
-        return ScalarField(lambda z, _ev=ev, _c=c: _c * _ev(z),
-                           label=f"{c}*{self.label}",
-                           singular_point=self.singular_point)
-
 
 @dataclass(frozen=True)
 class RingSpec:

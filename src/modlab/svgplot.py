@@ -151,7 +151,7 @@ def polar_heatmap_svg(dom, values, title="") -> str:
     return "\n".join(parts) + "\n"
 
 
-def disk_scene_svg(polylines, labels=None, title="") -> str:
+def disk_scene_svg(polylines, title="") -> str:
     """Unit disk with polylines drawn inside (for fundamental domains etc.)."""
     size = 520
     c = size / 2
@@ -163,19 +163,12 @@ def disk_scene_svg(polylines, labels=None, title="") -> str:
         f'<circle cx="{c}" cy="{c}" r="{scale}" fill="none" stroke="#333" stroke-width="1.5"/>',
         f'<text x="{c}" y="{size + 20}" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    for i, pts in enumerate(polylines):
-        pts = np.asarray(pts, dtype=complex)
-        color = _PALETTE[i % len(_PALETTE)] if labels else "#1f77b4"
+    for pts in polylines:
         path = " ".join(
-            f"{_fmt(c + scale * z.real)},{_fmt(c - scale * z.imag)}" for z in pts
+            f"{_fmt(c + scale * z.real)},{_fmt(c - scale * z.imag)}"
+            for z in np.asarray(pts, dtype=complex)
         )
-        parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.2"/>')
-        if labels and i < len(labels):
-            z0 = pts[0]
-            parts.append(
-                f'<text x="{_fmt(c + scale * z0.real)}" y="{_fmt(c - scale * z0.imag - 4)}" '
-                f'font-size="10" fill="{color}">{labels[i]}</text>'
-            )
+        parts.append(f'<polyline points="{path}" fill="none" stroke="#1f77b4" stroke-width="1.2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

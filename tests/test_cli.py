@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -211,3 +213,11 @@ def test_closed_form_runs_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(modlab.__path__)))
+def test_all_names_resolve(name):
+    """`from modlab.<module> import *` cannot break on a stale `__all__` entry."""
+    module = importlib.import_module(f"modlab.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, missing

@@ -16,7 +16,17 @@ from modlab.experiments import (
     run_lower_q_verification,
     run_suite,
 )
-from modlab.mappings import boundary_spiral_map, dilatation, fold_map, identity_map, radial_stretch, winding
+from modlab.mappings import (
+    K_INF,
+    boundary_spiral_map,
+    compose_maps,
+    custom_map,
+    dilatation,
+    fold_map,
+    identity_map,
+    radial_stretch,
+    winding,
+)
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "experiments"
@@ -67,7 +77,12 @@ class TestConfigLoading:
         {**boundary_cfg({"kind": "identity"}, "extends"), "seed": "x"},
         {**boundary_cfg({"kind": "identity"}, "extends"), "grid": [64, 64]},
         {**boundary_cfg({"kind": "identity"}, "extends"), "q_majorant": 3},
-    ], ids=["array", "string", "seed-not-a-number", "grid-not-an-object", "q-not-a-string"])
+        {**lower_q_cfg({"kind": "identity"}), "ring": {"r_outer": 1.5}},
+        {**lower_q_cfg({"kind": "identity"}), "ring": {"r_inner": 1.5, "r_outer": 0.5}},
+        boundary_cfg({"kind": "identity"}, "maybe"),
+        {**boundary_cfg({"kind": "identity"}, "extends"), "paths": {"n_steps": 1}},
+    ], ids=["array", "string", "seed-not-a-number", "grid-not-an-object", "q-not-a-string",
+            "ring-missing-key", "ring-inverted", "expected-unknown", "one-step-paths"])
     def test_mistyped_config(self, tmp_path, data):
         path = write_cfg(tmp_path, "bad.json", data)
         with pytest.raises(ConfigError):
@@ -120,9 +135,17 @@ class TestConfigLoading:
                                   ring=RING, grid={"n_circles": 8, "n_theta": 32})
         no_ring = ExperimentConfig(experiment_id="lq_no_ring", kind="lower_q",
                                    map_spec={"kind": "identity"})
-        for cfg, reason in ((moving, "fixes 0 radially"), (no_ring, "needs a ring")):
+        inverted = ExperimentConfig(experiment_id="lq_inverted", kind="lower_q",
+                                    map_spec={"kind": "identity"}, ring={"r_inner": 1.5, "r_outer": 0.5})
+        unknown = ExperimentConfig(experiment_id="b_maybe", kind="boundary_ext",
+                                   map_spec={"kind": "identity"}, expected="maybe")
+        one_step = ExperimentConfig(experiment_id="b_one_step", kind="boundary_ext",
+                                    map_spec={"kind": "identity"}, paths={"n_steps": 1})
+        for cfg, reason in ((moving, "fixes 0 radially"), (no_ring, "needs a ring"),
+                            (inverted, "r_inner < r_outer"), (unknown, "'maybe'"),
+                            (one_step, "n_steps")):
             rec = run_experiment(cfg)
-            assert (rec.experiment_id, rec.kind, rec.status) == (cfg.experiment_id, "lower_q", "config_error")
+            assert (rec.experiment_id, rec.kind, rec.status) == (cfg.experiment_id, cfg.kind, "config_error")
             assert reason in rec.error
             assert not rec.passed
 
@@ -145,14 +168,23 @@ class TestDistortionWeightField:
         assert Q.evaluate_array(z)[0] == pytest.approx(4.0, rel=1e-12)
 
     @pytest.mark.parametrize("f, points", [
-        (fold_map(), [0.5j, 0.3 + 0.2j, -0.4 - 0.1j]),  # J = 0 on the imaginary axis
+        (fold_map(), [0.5j, 0j, 0.3 + 0.2j, -0.4 - 0.1j]),  # J = 0 on the imaginary axis
         (radial_stretch(2), [0j, 0.3 + 0.2j]),  # f_z = f_zbar = 0 at the origin
         (winding(3), [0.1 - 0.6j, -0.5 + 0.5j]),
-        (boundary_spiral_map(), [0.2 + 0.7j]),
-    ], ids=["fold", "radial_stretch", "winding", "spiral"])
+        (boundary_spiral_map(), [0.2 + 0.7j, -0.6 + 0.1j]),  # central differences
+        (custom_map(lambda z: np.zeros_like(z), label="zero"), [0.2, -0.1j]),  # K = 1
+        (compose_maps(radial_stretch(2), winding(2)), [0.3 - 0.4j]),
+    ], ids=["fold", "radial_stretch", "winding", "spiral", "zero", "composition"])
     def test_equals_scaled_dilatation(self, f, points):
-        values = distortion_weight_field(f, 3.0).evaluate_array(np.array(points))
-        assert list(values) == [3.0 * float(dilatation(f, z)) for z in points]
+        z = np.array(points, dtype=complex)
+        # scalar dilatation is the array path on one point, bit for bit, with
+        # K_INF where the array holds inf
+        array_path = dilatation(f, z)
+        scalar_path = [dilatation(f, w) for w in points]
+        assert np.array_equal(array_path.view(np.uint64), np.array(scalar_path, dtype=float).view(np.uint64))
+        assert [k is K_INF for k in scalar_path] == list(np.isinf(array_path))
+        values = distortion_weight_field(f, 3.0).evaluate_array(z)
+        assert list(values) == [3.0 * float(k) for k in scalar_path]
 
 
 class TestLowerQ:

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -22,10 +23,8 @@ from modlab.fuchsian import (
     FuchsianGroup,
     GroupElements,
     GrowthOverflowError,
-    NormalNeighborhood,
     NotReducedError,
     PrecisionLossError,
-    SurfacePoint,
     build_dirichlet_domain,
     cyclic_group,
     dirichlet_membership,
@@ -34,8 +33,6 @@ from modlab.fuchsian import (
     injectivity_radius,
     load_group,
     project_to_fundamental,
-    quotient_distance,
-    save_group,
 )
 
 
@@ -300,57 +297,6 @@ class TestGroupElements:
                 DirichletDomain(center, (g,))
 
 
-class TestQuotientDistance:
-    def test_trivial_group(self):
-        grp = FuchsianGroup(())
-        assert quotient_distance(0.1, 0.5, grp) == pytest.approx(hyp_distance(0.1, 0.5))
-
-    def test_orbit_point_distance_zero(self):
-        grp = cyclic_group(max_word_length=3)
-        g = grp.generators[0]
-        z = 0.2 + 0.1j
-        assert quotient_distance(z, mobius_apply(g, z), grp) < 1e-12
-
-    def test_straddling_points_shorter_through_translate(self):
-        # oracle: brute force over word lengths 1..8 with monotone stabilization
-        z1, z2 = 0.3 + 0j, 0.75 + 0j
-        direct = hyp_distance(z1, z2)
-        values = []
-        for wl in range(1, 9):
-            grp = cyclic_group(translation_length=2.0, max_word_length=wl)
-            values.append(quotient_distance(z1, z2, grp))
-        assert values[-1] < direct
-        for a, b in zip(values, values[1:]):
-            assert b <= a + 1e-12
-        assert values[3] == pytest.approx(values[-1], abs=1e-13)  # stabilized
-
-    def test_never_exceeds_disk_distance(self):
-        grp = genus2_group(max_word_length=2)
-        elems = enumerate_elements(grp)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            z1 = 0.8 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            z2 = 0.8 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            q = quotient_distance(z1, z2, grp, elems)
-            assert q <= hyp_distance(z1, z2) + 1e-14
-
-    def test_symmetry_and_triangle(self):
-        grp = genus2_group(max_word_length=2)
-        elems = enumerate_elements(grp)
-        rng = np.random.default_rng(11)
-        pts = [
-            0.7 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            for _ in range(30)
-        ]
-        for x, y, z in zip(pts, pts[1:], pts[2:]):
-            dxy = quotient_distance(x, y, grp, elems)
-            dyx = quotient_distance(y, x, grp, elems)
-            assert abs(dxy - dyx) < 1e-10
-            dxz = quotient_distance(x, z, grp, elems)
-            dyz = quotient_distance(y, z, grp, elems)
-            assert dxz <= dxy + dyz + 1e-10
-
-
 class TestDirichlet:
     def test_center_inside(self):
         grp = cyclic_group(max_word_length=3)
@@ -468,14 +414,15 @@ class TestProjection:
         assert dirichlet_membership(rep, dom_ok) != "outside"
 
     def test_projection_has_zero_quotient_distance(self):
+        # word(z) = rep, so z and rep are one point of the quotient
         grp = genus2_group(max_word_length=2)
         elems = enumerate_elements(grp)
         dom = build_dirichlet_domain(grp, elements=elems)
         rng = np.random.default_rng(2)
         for _ in range(10):
             z = 0.85 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            rep, _ = project_to_fundamental(z, grp, dom, elems)
-            assert quotient_distance(rep, z, grp, elems) < 1e-10
+            rep, word = project_to_fundamental(z, grp, dom, elems)
+            assert hyp_distance(rep, mobius_apply(word, z)) < 1e-10
 
 
 class TestInjectivityRadius:
@@ -497,41 +444,16 @@ class TestInjectivityRadius:
             assert injectivity_radius(complex(0, y), grp) >= 1.0 - 1e-12
 
 
-class TestNormalNeighborhood:
-    def test_radius_capped_by_injectivity(self):
-        grp = genus2_group(max_word_length=1)
-        dom = build_dirichlet_domain(grp)
-        center = SurfacePoint.project(0j, grp, dom)
-        rho = injectivity_radius(0j, grp)
-        with pytest.raises(ValueError):
-            NormalNeighborhood(center, rho + 0.1)
-        nb = NormalNeighborhood(center, 0.7)
-        assert nb.radius == 0.7
-
-    def test_local_isometry_by_sampling(self):
-        grp = genus2_group(max_word_length=2)
-        dom = build_dirichlet_domain(grp)
-        center = SurfacePoint.project(0j, grp, dom)
-        nb = NormalNeighborhood(center, 0.7)
-        assert nb.validate_by_sampling(n=64, seed=1)
-
-    def test_local_isometry_random_pairs(self):
-        grp = genus2_group(max_word_length=2)
-        elems = enumerate_elements(grp)
-        rng = np.random.default_rng(9)
-        R = math.tanh(0.35)  # points within the hyperbolic ball of radius 0.7
-        for _ in range(100):
-            z1 = R * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            z2 = R * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            q = quotient_distance(z1, z2, grp, elems)
-            assert abs(q - hyp_distance(z1, z2)) < 1e-10
-
-
 class TestGroupIO:
     def test_round_trip(self, tmp_path):
         grp = genus2_group(max_word_length=2)
         path = tmp_path / "group.json"
-        save_group(grp, path)
+        path.write_text(json.dumps({
+            "generators": [{"a_re": g.a.real, "a_im": g.a.imag, "c_re": g.c.real, "c_im": g.c.imag}
+                           for g in grp.generators],
+            "max_word_length": grp.max_word_length,
+            "element_cap": grp.element_cap,
+        }))
         loaded = load_group(path)
         assert loaded.max_word_length == 2
         assert len(loaded.generators) == 4

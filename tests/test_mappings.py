@@ -15,7 +15,6 @@ from modlab.mappings import (
     compose_maps,
     custom_map,
     dilatation,
-    distortion_at,
     distortion_to_csv,
     finite_distortion_check,
     fold_map,
@@ -136,6 +135,10 @@ class TestDilatation:
             assert k_conj == pytest.approx(k_f, abs=1e-6)
 
     def test_composition_jacobian_law(self):
+        def jacobian(f, z):
+            fz, fzb = wirtinger(f, z)
+            return abs(fz) ** 2 - abs(fzb) ** 2
+
         rng = np.random.default_rng(4)
         f = radial_stretch(2.0)
         g = winding(3)
@@ -144,9 +147,7 @@ class TestDilatation:
             z = 0.7 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * math.pi))
             if abs(z) < 0.05:
                 continue
-            Jh = distortion_at(h, z).jacobian
-            Jf = distortion_at(f, z).jacobian
-            Jg = distortion_at(g, f.apply(z)).jacobian
+            Jh, Jf, Jg = jacobian(h, z), jacobian(f, z), jacobian(g, f.apply(z))
             assert Jh == pytest.approx(Jg * Jf, rel=1e-8)
 
 
