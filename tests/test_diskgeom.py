@@ -148,6 +148,13 @@ class TestDistance:
         oracle = hyp_length(Polyline((0j, w)))
         assert hyp_distance(z1, z2) == pytest.approx(oracle, rel=1e-12)
 
+    @given(disk_points, disk_points)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_length_of_moved_diameter(self, z1, z2):
+        # the pair moved by the automorphism sending z1 to 0 spans a diameter segment
+        w = mobius_apply(mobius_to_zero(z1), z2)
+        assert hyp_distance(z1, z2) == pytest.approx(hyp_length(Polyline((0j, w))), rel=1e-9, abs=1e-12)
+
     @given(disk_points, disk_points, disk_points)
     @settings(max_examples=200, deadline=None)
     def test_triangle_inequality(self, x, y, z):
@@ -242,6 +249,18 @@ class TestLength:
             g = random_automorphism(rng)
             moved = Polyline(tuple(mobius_apply(g, p) for p in pts))
             assert hyp_length(moved) == pytest.approx(base, rel=1e-9)
+
+    @given(disk_points, disk_points, disk_points)
+    @settings(max_examples=100, deadline=None)
+    def test_broken_path_bounds_distance_from_above(self, z1, w, z2):
+        # a geodesic is the shortest path: detouring through w never helps
+        assert hyp_length(Polyline((z1, w, z2))) >= hyp_distance(z1, z2) * (1 - 1e-12)
+
+    def test_reversal_symmetry(self):
+        rng = np.random.default_rng(5)
+        pts = [random_point(rng) for _ in range(20)]
+        fwd, bwd = hyp_length(Polyline(pts)), hyp_length(Polyline(pts[::-1]))
+        assert fwd == pytest.approx(bwd, rel=1e-12)
 
     def test_duplicate_vertices_canonicalized(self):
         p = 0.1 + 0.1j

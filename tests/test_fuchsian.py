@@ -425,6 +425,28 @@ class TestProjection:
             assert hyp_distance(rep, mobius_apply(word, z)) < 1e-10
 
 
+    def test_orbit_points_share_representative(self):
+        # z and h(z) are one point of the quotient, so they reduce to one representative
+        grp = genus2_group(max_word_length=2)
+        elems = enumerate_elements(grp)
+        dom = build_dirichlet_domain(grp, elements=elems)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            w = 0.3 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            for h in grp.generators:
+                rep, _ = project_to_fundamental(mobius_apply(h, w), grp, dom, elems)
+                assert abs(rep - w) < 1e-9
+
+    def test_representative_is_fixed(self):
+        grp = genus2_group(max_word_length=2)
+        elems = enumerate_elements(grp)
+        dom = build_dirichlet_domain(grp, elements=elems)
+        rep, _ = project_to_fundamental(0.8 - 0.3j, grp, dom, elems)
+        again, word = project_to_fundamental(rep, grp, dom, elems)
+        assert again == rep
+        assert word.coefficient_distance(IDENTITY) < 1e-12
+
+
 class TestInjectivityRadius:
     def test_trivial_group_unbounded(self):
         assert injectivity_radius(0j, FuchsianGroup(())) == math.inf
@@ -442,6 +464,17 @@ class TestInjectivityRadius:
         grp = cyclic_group(translation_length=2.0, max_word_length=5)
         for y in (0.1, 0.3, 0.5):
             assert injectivity_radius(complex(0, y), grp) >= 1.0 - 1e-12
+
+
+    def test_half_minimal_displacement_off_axis(self):
+        # oracle: the brute-force minimum over the enumerated orbit, per point
+        grp = genus2_group(max_word_length=2)
+        elems = enumerate_elements(grp)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            z = 0.6 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            oracle = 0.5 * min(hyp_distance(z, mobius_apply(g, z)) for g in elems)
+            assert injectivity_radius(z, grp, elems) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestGroupIO:
