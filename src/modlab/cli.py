@@ -168,7 +168,7 @@ def _cmd_dirichlet(args) -> int:
     dots = [[w, w * (1 + 1e-9) + 1e-3] for w in orbit]  # tiny strokes mark orbit points
     svg = disk_scene_svg(
         [outline] + dots,
-        title=f"Dirichlet domain about 0 ({len(dom.constraints)} constraints)",
+        title=f"Dirichlet domain about 0 ({len(dom.constraints)} of {len(elements)} half-planes kept)",
     )
     out_file = args.out_file or "dirichlet.svg"
     write_svg(svg, out_file)

@@ -144,12 +144,16 @@ def _lower_q_ring(cfg: ExperimentConfig, f: SampleMap) -> RingSpec:
 
 
 def _check_boundary_ext(cfg: ExperimentConfig) -> None:
-    """ConfigError unless the expectation is known and each path has two steps;
-    raised and reported as `_lower_q_ring` does."""
+    """ConfigError unless the expectation is known, each path has two steps and
+    starts inside the disk (0 < delta0 < 1); raised and reported as
+    `_lower_q_ring` does."""
     if cfg.expected not in (None, "extends", "no_limit"):
         raise ConfigError(f"expected must be 'extends' or 'no_limit', not {cfg.expected!r}")
     if int(cfg.paths.get("n_steps", 14)) < 2:
         raise ConfigError("paths.n_steps must be at least 2")
+    delta0 = float(cfg.paths.get("delta0", 0.3))
+    if not 0.0 < delta0 < 1.0:
+        raise ConfigError(f"paths.delta0 must lie in (0, 1), not {delta0}")
 
 
 @dataclass

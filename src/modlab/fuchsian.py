@@ -8,6 +8,14 @@ An enumerated element set is one `GroupElements` value: two read-only
 coefficient arrays (a, c). `enumerate_elements` builds it one word length at
 a time with numpy, and every orbit query evaluates all its elements at once
 with `mobius_apply`. Points are complex numbers.
+
+A Dirichlet domain keeps only the half-planes whose bisector comes within
+`_PRUNE_MARGIN` (Euclidean, in the Klein model about the center) of the
+polygon. That loses no label at the membership tolerance 1e-9: a point whose
+kept distance differences are all below 1e-9 lies within about 1e-9 of the
+polygon, and a dropped bisector is more than the margin away, so its half-plane
+holds the point with a distance difference far below -1e-9; it can decide
+neither 'outside' nor 'boundary'.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .diskgeom import (
     mobius_apply,
     mobius_compose,
     mobius_invert,
+    mobius_to_zero,
 )
 
 __all__ = [
@@ -57,6 +66,9 @@ _KEY_WEIGHTS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)])
 # elements within _DEDUP_TOL have keys within sum|w| * _DEDUP_TOL; doubled to
 # absorb the rounding of the keys
 _KEY_WINDOW = 2.0 * _DEDUP_TOL * float(np.sum(_KEY_WEIGHTS))
+# a Dirichlet constraint is kept when its bisector comes this close (Klein
+# model, about the center) to the polygon
+_PRUNE_MARGIN = 1e-3
 
 
 class EllipticElementError(ValueError):
@@ -246,14 +258,17 @@ def enumerate_elements(group: FuchsianGroup) -> GroupElements:
 class DirichletDomain:
     """Intersection of half-planes {z : h(z, center) < h(z, g(center))}.
 
-    `constraints` holds the elements g defining the half-planes (any sequence
-    of automorphisms is converted), and `images` holds g(center) for each, as
-    one read-only array.
+    The given elements (any sequence of automorphisms is converted) are pruned
+    to `constraints`: those whose bisector comes within `_PRUNE_MARGIN` of the
+    polygon, in their given order. `images` holds g(center) for each, as one
+    read-only array, and `vertices` the polygon's vertices inside the disk,
+    counterclockwise.
     """
 
     center: complex
     constraints: GroupElements
     images: np.ndarray = field(init=False, repr=False, compare=False)
+    vertices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         zc = complex(inside_disk(self.center, "domain center"))
@@ -264,17 +279,70 @@ class DirichletDomain:
         images = mobius_apply(constraints, zc)
         if np.any(hyp_distance(zc, images) <= _DEDUP_TOL):
             raise ValueError("a constraint fixes the center; domain undefined")
-        images.flags.writeable = False
+        to_zero = mobius_to_zero(zc)
+        keep, klein = _prune(mobius_apply(to_zero, images))
+        images = images[keep]
+        vertices = mobius_apply(mobius_invert(to_zero), klein / (1.0 + np.sqrt(1.0 - np.abs(klein) ** 2)))
+        images.flags.writeable = vertices.flags.writeable = False
         object.__setattr__(self, "center", zc)
-        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "constraints", GroupElements(constraints.a[keep], constraints.c[keep]))
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "vertices", vertices)
+
+
+def _clip(poly: list, w: complex) -> list:
+    """The convex polygon poly (complex vertices in order) cut to Re(x conj(w)) <= |w|^2.
+
+    Sutherland-Hodgman on a plain list: polygons have a few dozen vertices at
+    most, where a Python loop beats numpy's per-call overhead.
+    """
+    r2, wc = abs(w) ** 2, w.conjugate()
+    s = [r2 - (x * wc).real for x in poly]
+    if min(s) >= 0.0:
+        return poly  # the line misses the polygon
+    out = []
+    p, sp = poly[-1], s[-1]
+    for q, sq in zip(poly, s):
+        if (sp > 0.0 and sq < 0.0) or (sp < 0.0 and sq > 0.0):
+            out.append(p + (q - p) * (sp / (sp - sq)))
+        if sq >= 0.0:
+            out.append(q)
+        p, sp = q, sq
+    return out
+
+
+def _prune(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the images w of a domain centered at 0 whose bisector comes within
+    `_PRUNE_MARGIN` of the polygon, and the polygon's vertices inside the disk,
+    in the Klein model.
+
+    There the half-plane of w is Re(x conj(w)) < |w|^2, bounded by a line at
+    distance |w| from 0. A square around the closed disk is clipped by the
+    half-planes in order of |w| until the next line lies more than the margin
+    beyond every vertex; the lines left out cannot reach the polygon.
+    """
+    r = np.abs(w)
+    poly = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
+    reach = math.sqrt(2.0) + _PRUNE_MARGIN
+    for k in np.argsort(r, kind="stable").tolist():
+        if r[k] > reach:
+            break
+        clipped = _clip(poly, complex(w[k]))
+        if clipped is not poly:
+            poly = clipped
+            reach = max(map(abs, poly)) + _PRUNE_MARGIN
+    poly = np.array(poly)
+    near = np.flatnonzero(r <= reach)
+    slack = r[near, None] - (poly[None, :] * w[near, None].conjugate()).real / r[near, None]
+    keep = np.zeros(len(w), dtype=bool)
+    keep[near[np.min(slack, axis=1) < _PRUNE_MARGIN]] = True
+    # lines through one vertex leave copies of it, a rounding apart
+    poly = poly[np.abs(poly - np.roll(poly, 1)) > _DEDUP_TOL]
+    return keep, poly[np.abs(poly) < 1.0]
 
 
 def build_dirichlet_domain(group: FuchsianGroup, center=0j, elements=None) -> DirichletDomain:
-    """Dirichlet polygon about `center`, one constraint per enumerated element.
-
-    A repeated orbit image repeats a half-plane, which leaves membership as it is.
-    """
+    """Dirichlet polygon about `center`, pruned from the enumerated elements."""
     if elements is None:
         elements = enumerate_elements(group)
     return DirichletDomain(center, elements)

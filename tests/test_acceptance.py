@@ -15,7 +15,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize
 
 from modlab.diskgeom import (
@@ -41,7 +40,7 @@ from modlab.modulus import (
     ring_modulus_exact,
     weighted_infimum,
 )
-from modlab.quadrature import RingSpec, circle_integral, fubini_residual, qnorm_profile, ring_reciprocal_integral
+from modlab.quadrature import RingSpec, circle_integral, fubini_residual
 
 RING = RingSpec(0.5, 1.5)
 CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "configs" / "experiments"

@@ -115,6 +115,7 @@ class TestDirichlet:
         text = out_file.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+        assert "(2 of 16 half-planes kept)" in text  # the generator and its inverse
 
 
 class TestDistortion:

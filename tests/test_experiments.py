@@ -149,6 +149,19 @@ class TestConfigLoading:
             assert reason in rec.error
             assert not rec.passed
 
+    @pytest.mark.parametrize("delta0", [2.5, 1.0, 0, -0.1])
+    def test_path_start_outside_disk(self, tmp_path, delta0):
+        # the first path points (1 - delta0) * zeta must lie inside the disk
+        cfg = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())
+        cfg["paths"]["delta0"] = delta0
+        with pytest.raises(ConfigError, match="delta0"):
+            ExperimentConfig.from_json(write_cfg(tmp_path, "boundary_mobius.json", cfg))
+        direct = ExperimentConfig(experiment_id=cfg["id"], kind="boundary_ext", map_spec=cfg["map"],
+                                  expected=cfg["expected"], paths=cfg["paths"])
+        rec = run_experiment(direct)
+        assert rec.status == "config_error" and "delta0" in rec.error
+        assert not rec.passed
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from modlab import fuchsian
 from modlab.diskgeom import (
@@ -16,6 +14,7 @@ from modlab.diskgeom import (
     mobius_apply,
     mobius_compose,
     mobius_invert,
+    mobius_to_zero,
 )
 from modlab.fuchsian import (
     DirichletDomain,
@@ -124,6 +123,32 @@ def membership_oracle(z, elements, tol=1e-9):
     if any(d_center > d - tol for d in d_images):
         return "boundary"
     return "inside"
+
+
+PRUNE_CASES = [
+    pytest.param(genus2_group(3), 0j, id="genus2-3"),
+    pytest.param(genus2_group(4), 0j, id="genus2-4"),
+    pytest.param(cyclic_group(2.0, 12), 0j, id="cyclic-2.0-12"),
+    pytest.param(genus2_group(3), 0.3 + 0.1j, id="genus2-3-off-center"),
+]
+
+
+def full_set_label(z, center, images, tol=1e-9):
+    """Membership on the half-plane of every element, unpruned: the oracle for the prune."""
+    d_center = hyp_distance(z, center)
+    d_images = hyp_distance(z, images)
+    if np.any(d_center >= d_images + tol):
+        return "outside"
+    if np.any(d_center > d_images - tol):
+        return "boundary"
+    return "inside"
+
+
+def geodesic_midpoint(p, q):
+    """The hyperbolic midpoint of p and q, found with p moved to 0."""
+    to_p = mobius_to_zero(p)
+    u = mobius_apply(to_p, q)
+    return mobius_apply(mobius_invert(to_p), math.tanh(0.5 * math.atanh(abs(u))) * u / abs(u))
 
 
 ARRAY_GROUPS = [
@@ -328,15 +353,50 @@ class TestDirichlet:
         assert dirichlet_membership(complex(0.0, 1 - 1e-7), dom) == "inside"
 
     @pytest.mark.parametrize("grp", ARRAY_GROUPS)
-    def test_one_constraint_per_element(self, grp):
-        # near the rim distinct orbit points can be closer than 1e-9 in the chart
+    def test_kept_constraints_are_elements(self, grp):
         elems = enumerate_elements(grp)
         dom = build_dirichlet_domain(grp, elements=elems)
-        assert len(dom.constraints) == len(elems)
-        scalar = np.array([mobius_apply(g, 0j) for g in elems])
+        # a subset of the elements, in their order
+        index = [int(np.flatnonzero((elems.a == g.a) & (elems.c == g.c))[0]) for g in dom.constraints]
+        assert 0 < len(index) < len(elems) and index == sorted(set(index))
+        scalar = np.array([mobius_apply(g, 0j) for g in dom.constraints])
         # numpy divides complex numbers through the reciprocal, so the last bit may differ
         np.testing.assert_allclose(dom.images, scalar, rtol=1e-15, atol=0.0)
         assert not dom.images.flags.writeable
+
+    @pytest.mark.parametrize("grp, center", PRUNE_CASES)
+    def test_pruned_labels_near_vertices_and_sides(self, grp, center):
+        # every kept bisector meets the polygon, so the points that decide the
+        # prune are the vertices and the sides, at offsets across the tolerance
+        elems = enumerate_elements(grp)
+        dom = build_dirichlet_domain(grp, center, elems)
+        images = mobius_apply(elems, dom.center)
+        anchors = [geodesic_midpoint(dom.center, w) for w in dom.images]
+        for v, v_next in zip(dom.vertices, np.roll(dom.vertices, -1)):
+            anchors += [v, geodesic_midpoint(v, v_next)]
+        offsets = [0.0] + [d * cmath.exp(1j * math.pi * k / 4) for d in (1e-10, 1e-9, 2e-9) for k in range(8)]
+        points = [p + d for p in anchors for d in offsets]
+        found = [dirichlet_membership(z, dom) for z in points]
+        assert found == [full_set_label(z, dom.center, images) for z in points]
+        assert {"inside", "boundary", "outside"} <= set(found)
+
+    def test_genus2_octagon(self):
+        dom = build_dirichlet_domain(genus2_group(4))
+        # 8 sides, and the 5 further bisectors through each of the 8 vertices
+        assert len(dom.constraints) == 48
+        v = dom.vertices
+        assert len(v) == 8
+        assert np.min(np.abs(v[:, None] - v[None, :]) + np.eye(8)) > 0.1
+        np.testing.assert_allclose(hyp_distance(0j, v), math.acosh(3.0 + 2.0 * math.sqrt(2.0)),
+                                   rtol=0.0, atol=1e-9)
+        assert not v.flags.writeable
+
+    def test_cyclic_keeps_its_generator_pair(self):
+        grp = cyclic_group(2.0, 12)
+        dom = build_dirichlet_domain(grp)
+        pair = (grp.generators[0], mobius_invert(grp.generators[0]))
+        assert {(h.a, h.c) for h in dom.constraints} == {(g.a, g.c) for g in pair}
+        assert len(dom.vertices) == 0  # the strip meets the rim, not the disk
 
     @pytest.mark.parametrize("grp", ARRAY_GROUPS)
     def test_membership_matches_scalar_oracle(self, grp):

@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modlab.diskgeom import MobiusAutomorphism, mobius_compose, mobius_invert, mobius_rotation, mobius_to_zero
-from modlab.fields import parse_field
+from modlab.diskgeom import mobius_compose, mobius_invert, mobius_rotation, mobius_to_zero
 from modlab.mappings import (
     ChartOverflowError,
     MultiplicityReport,

@@ -11,7 +11,6 @@ from modlab.fields import parse_field
 from modlab.mappings import pushforward_polylines, winding
 from modlab.modulus import (
     DensityField,
-    DiscretizedDomain,
     PolylineFamily,
     cartesian_grid,
     circle_family,
