@@ -7,13 +7,13 @@ multiplicity count, and a CSV sweep of the derivative data.
 Usage: python scripts/distortion_report.py [out_dir]
 """
 
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from modlab.mappings import (
-    K_INF,
     dilatation,
     distortion_to_csv,
     finite_distortion_check,
@@ -34,8 +34,8 @@ def main() -> int:
     targets = [0.5 * np.exp(1j * rng.uniform(0, 6.28)) for _ in range(5)]
     print(f"{'map':<18} {'K(0.4+0.1j)':>12} {'finite dist.':>13} {'N (5 targets)':>14}")
     for f in MAPS:
-        k = dilatation(f, 0.4 + 0.1j)
-        k_str = "inf" if k is K_INF else f"{float(k):.4f}"
+        k = float(dilatation(f, np.array([0.4 + 0.1j]))[0])
+        k_str = "inf" if math.isinf(k) else f"{k:.4f}"
         fd = finite_distortion_check(f, grid=33)
         rep = multiplicity(f, targets, seed_grid=24)
         print(f"{f.label:<18} {k_str:>12} {str(fd.passed):>13} {rep.supremum:>14}")

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 EPSILON_FLOOR = 1e-4  # quadrature floor in hyperbolic units
+_BALL_N_R, _BALL_N_THETA = 65, 256  # ball quadrature of the FMO check
+_TAIL_N_DENSE, _TAIL_N_ANGULAR = 512, 256  # radial profile of the tail integrals
+_ETA_N_SAMPLES, _ETA_N_ANGULAR, _ETA_N_BINS = 1024, 512, 32  # eta_0 check
 
 
 def default_epsilon_sequence(eps0: float = 0.4, count: int = 12) -> np.ndarray:
@@ -101,8 +104,7 @@ class FMOReport:
         return write_json(data, path)
 
 
-def fmo_check(Q: ScalarField, epsilons=None, center=0j,
-              n_r: int = 65, n_theta: int = 256) -> FMOReport:
+def fmo_check(Q: ScalarField, epsilons=None, center=0j) -> FMOReport:
     """Mean oscillation of Q over shrinking balls about a point.
 
     For each epsilon the ball mean and the normalized mean oscillation are
@@ -123,13 +125,13 @@ def fmo_check(Q: ScalarField, epsilons=None, center=0j,
     means, oscillations = [], []
     for eps in epsilons:
         area = 2.0 * math.pi * (math.cosh(eps) - 1.0)
-        mean = ball_integral(field, eps, n_r=n_r, n_theta=n_theta) / area
+        mean = ball_integral(field, eps, n_r=_BALL_N_R, n_theta=_BALL_N_THETA) / area
         deviation = ScalarField(
             lambda z, _ev=field.evaluator, _m=mean: np.abs(np.asarray(_ev(z), dtype=float) - _m),
             label=f"|{field.label} - mean|",
             singular_point=field.singular_point,
         )
-        osc = ball_integral(deviation, eps, n_r=n_r, n_theta=n_theta) / area
+        osc = ball_integral(deviation, eps, n_r=_BALL_N_R, n_theta=_BALL_N_THETA) / area
         means.append(mean)
         oscillations.append(osc)
     means = np.array(means)
@@ -176,12 +178,11 @@ class DivergenceReport:
         return write_json(data, path)
 
 
-def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float,
-                    n_dense: int, n_angular: int, integrand) -> np.ndarray:
+def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float, integrand) -> np.ndarray:
     """int_eps^eps0 integrand(r, ||Q||(r)) dr for each eps (decreasing), from
     one dense geometric profile that contains the epsilons."""
-    grid = np.unique(np.concatenate([np.geomspace(epsilons[-1], eps0, n_dense), epsilons]))
-    norms = circle_integrals(Q, grid, n_angular)
+    grid = np.unique(np.concatenate([np.geomspace(epsilons[-1], eps0, _TAIL_N_DENSE), epsilons]))
+    norms = circle_integrals(Q, grid, _TAIL_N_ANGULAR)
     values = integrand(grid, norms)
     # cumulative trapezoid from the right: I[k] = int_{grid[k]}^{eps0}
     seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
@@ -195,10 +196,9 @@ def _reciprocal_norm(r: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return 1.0 / norms
 
 
-def divergence_check(Q: ScalarField, ring: RingSpec, n_eps: int = 12,
-                     n_dense: int = 512, n_angular: int = 256) -> DivergenceReport:
-    """Partial integrals int_eps^eps0 dr/||Q||(r) for geometrically shrinking
-    eps, with growth fitted on the small-eps tail against three 2-parameter
+def divergence_check(Q: ScalarField, ring: RingSpec) -> DivergenceReport:
+    """Partial integrals int_eps^eps0 dr/||Q||(r) for eps = eps0 2^-k,
+    k = 1..12, with eps0 = ring.r_outer, floored at the inner radius, and growth fitted on the small-eps tail against three 2-parameter
     models: a + b*eps (bounded), a + b*log(1/eps), a + b*loglog(1/eps).
 
     Verdict "diverges" when the best unbounded-model residual beats the
@@ -207,11 +207,11 @@ def divergence_check(Q: ScalarField, ring: RingSpec, n_eps: int = 12,
     """
     eps0 = ring.r_outer
     floor = max(ring.r_inner, EPSILON_FLOOR)
-    epsilons = eps0 * 0.5 ** np.arange(1, n_eps + 1)
+    epsilons = eps0 * 0.5 ** np.arange(1, 13)
     epsilons = np.unique(np.maximum(epsilons, floor))[::-1]
     if len(epsilons) < 6:
-        raise ValueError("epsilon sequence too short; widen the ring or raise n_eps")
-    partials = _tail_integrals(Q, epsilons, eps0, n_dense, n_angular, _reciprocal_norm)
+        raise ValueError("epsilon sequence too short; widen the ring")
+    partials = _tail_integrals(Q, epsilons, eps0, _reciprocal_norm)
 
     tail = epsilons <= eps0 / 4 + 1e-15
     if np.count_nonzero(tail) < 6:
@@ -264,16 +264,15 @@ class EtaCheckReport:
 
 
 def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
-                         seed: int = 0, n_samples: int = 1024,
-                         n_angular: int = 512, n_bins: int = 32) -> EtaCheckReport:
+                         seed: int = 0) -> EtaCheckReport:
     """Extremality of eta_0 among unit-integral radial weights.
 
     Checks (a) the identity: the ring integral of Q * eta_0^2(h) equals 1/J,
     recomputed with an independent Simpson quadrature; (b) for seeded random
-    piecewise-constant eta with int eta dr = 1, the weighted integral never
-    drops below 1/J (beyond 1e-9 relative).
+    eta, piecewise constant on 32 equal radial bins, with int eta dr = 1, the
+    weighted integral never drops below 1/J (beyond 1e-9 relative).
     """
-    profile = qnorm_profile(Q, ring, n_samples=n_samples, n_angular=n_angular)
+    profile = qnorm_profile(Q, ring, n_samples=_ETA_N_SAMPLES, n_angular=_ETA_N_ANGULAR)
     radii, norms = profile.radii, profile.values
     if np.any(norms <= 0):
         raise ZeroNormError("||Q|| vanishes on the ring")
@@ -288,19 +287,19 @@ def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
 
     # independent route: Simpson nodes, fresh circle integrals
     sim_r, sim_w = _simpson_nodes(ring.r_inner, ring.r_outer, 129)
-    sim_norms = circle_integrals(Q, sim_r, n_angular)
+    sim_norms = circle_integrals(Q, sim_r, _ETA_N_ANGULAR)
     equality_value = float(np.sum(sim_w / (J * J * sim_norms)))
     one_over_j = 1.0 / J
     equality_rel_error = abs(equality_value - one_over_j) / one_over_j
 
     rng = np.random.default_rng(seed)
     bins = np.minimum(
-        ((radii - ring.r_inner) / (ring.r_outer - ring.r_inner) * n_bins).astype(int),
-        n_bins - 1,
+        ((radii - ring.r_inner) / (ring.r_outer - ring.r_inner) * _ETA_N_BINS).astype(int),
+        _ETA_N_BINS - 1,
     )
     min_margin = math.inf
     for _ in range(n_random):
-        heights = rng.uniform(0.05, 1.0, n_bins)
+        heights = rng.uniform(0.05, 1.0, _ETA_N_BINS)
         eta = heights[bins]
         eta = eta / float(np.sum(w * eta))
         integral = float(np.sum(w * eta * eta * norms))
@@ -331,10 +330,9 @@ class SlopeReport:
     tail_increment: float  # slope between the last two epsilon points
 
 
-def fmo_integral_estimate(Q: ScalarField, eps_list=None, eps0: float = 0.5,
-                          center=0j, n_dense: int = 512,
-                          n_angular: int = 256) -> SlopeReport:
-    """Growth of int_{eps<h<eps0} Q / (h log(1/h))^2 dh against loglog(1/eps).
+def fmo_integral_estimate(Q: ScalarField, eps0: float = 0.5) -> SlopeReport:
+    """Growth of int_{eps<h<eps0} Q / (h log(1/h))^2 dh against loglog(1/eps),
+    for the 16 epsilons of `default_epsilon_sequence(eps0, 16)`, about 0.
 
     Radial reduction: the integrand is ||Q||(r) / (r log(1/r))^2. The report
     carries the global regression slope and the incremental slope over the
@@ -344,13 +342,8 @@ def fmo_integral_estimate(Q: ScalarField, eps_list=None, eps0: float = 0.5,
     """
     if eps0 >= 1.0:
         raise ValueError("need eps0 < 1 so log(1/r) stays positive")
-    if eps_list is None:
-        eps_list = default_epsilon_sequence(eps0, count=16)
-    epsilons = np.asarray(sorted(map(float, eps_list), reverse=True))
-    field = recentered_field(Q, center)
-
-    values = _tail_integrals(field, epsilons, eps0, n_dense, n_angular,
-                             lambda r, norms: norms / (r * np.log(1.0 / r)) ** 2)
+    epsilons = default_epsilon_sequence(eps0, count=16)
+    values = _tail_integrals(Q, epsilons, eps0, lambda r, norms: norms / (r * np.log(1.0 / r)) ** 2)
 
     xi = np.log(np.log(1.0 / epsilons))
     if np.all(values <= 1e-300):

@@ -115,45 +115,77 @@ class ExperimentConfig:
             f = map_from_config(cfg.map_spec)
             if cfg.q_majorant is not None:
                 parse_field(cfg.q_majorant)
-            resolutions = [v for v in cfg.grid.values() if isinstance(v, (int, float))]
             if cfg.kind == "lower_q":
                 _lower_q_ring(cfg, f)
             else:
                 _check_boundary_ext(cfg)
         except (AttributeError, TypeError, ValueError) as exc:  # ConfigError included
             raise ConfigError(f"config {path}: {exc}") from exc
-        if any(v > 4096 for v in resolutions):
-            raise ConfigError(f"config {path}: grid resolution exceeds the 4096 cap")
         return cfg
 
 
-def _lower_q_ring(cfg: ExperimentConfig, f: SampleMap) -> RingSpec:
-    """The ring of a lower_q experiment, or a ConfigError why it cannot run. The
-    config load raises it; a run of a config built directly reports it as a
+def _number(cfg: ExperimentConfig, section: str, key: str, default, convert=float):
+    """cfg.<section>[key], or the default when absent, through convert; a
+    ConfigError naming section.key when it is not a number."""
+    value = getattr(cfg, section).get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.{key} must be a number, not {value!r}") from exc
+
+
+def _grid_count(cfg: ExperimentConfig, key: str, default: int, low: int) -> int:
+    """grid[key] as an int in [low, 4096], the cap on every grid resolution."""
+    count = _number(cfg, "grid", key, default, int)
+    if not low <= count <= 4096:
+        raise ConfigError(f"grid.{key} must lie in [{low}, 4096], not {count}")
+    return count
+
+
+def _lower_q_ring(cfg: ExperimentConfig, f: SampleMap):
+    """(ring, n_circles, n_theta, n_profile, solver_tol, ratio_min, ratio_max)
+    of a lower_q experiment, or a ConfigError why it cannot run. The config
+    load raises it; a run of a config built directly reports it as a
     config_error record."""
     if cfg.ring is None:
         raise ConfigError("lower_q needs a ring")
     if not f.fixes_origin_radially:
         raise ConfigError(f"lower_q needs a map that fixes 0 radially, got {f.label}")
     try:
-        return RingSpec(float(cfg.ring["r_inner"]), float(cfg.ring["r_outer"]))
+        ring = RingSpec(float(cfg.ring["r_inner"]), float(cfg.ring["r_outer"]))
     except KeyError as exc:
         raise ConfigError(f"ring missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"ring: {exc}") from exc
+    n_circles = _grid_count(cfg, "n_circles", 64, 1)
+    n_theta = _grid_count(cfg, "n_theta", 256, 16)  # also the angular samples of the RHS profile
+    n_profile = _grid_count(cfg, "n_profile", 512, 8)
+    tol = _number(cfg, "tolerances", "solver_tol", 1e-6)
+    if not 0.0 < tol < 1.0:
+        raise ConfigError(f"tolerances.solver_tol must lie in (0, 1), not {tol}")
+    ratio_min = _number(cfg, "tolerances", "ratio_min", 0.95)
+    ratio_max = cfg.tolerances.get("ratio_max")
+    if ratio_max is not None:
+        ratio_max = _number(cfg, "tolerances", "ratio_max", None)
+    return ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max
 
 
-def _check_boundary_ext(cfg: ExperimentConfig) -> None:
-    """ConfigError unless the expectation is known, each path has two steps and
-    starts inside the disk (0 < delta0 < 1); raised and reported as
-    `_lower_q_ring` does."""
+def _check_boundary_ext(cfg: ExperimentConfig):
+    """(n_steps, delta0, beta, contract_abs, contract_ratio) of a boundary_ext
+    experiment; a ConfigError unless the expectation is known, each path has
+    two steps and starts inside the disk (0 < delta0 < 1). Raised and reported
+    as `_lower_q_ring` does."""
     if cfg.expected not in (None, "extends", "no_limit"):
         raise ConfigError(f"expected must be 'extends' or 'no_limit', not {cfg.expected!r}")
-    if int(cfg.paths.get("n_steps", 14)) < 2:
+    n_steps = _number(cfg, "paths", "n_steps", 14, int)
+    if n_steps < 2:
         raise ConfigError("paths.n_steps must be at least 2")
-    delta0 = float(cfg.paths.get("delta0", 0.3))
+    delta0 = _number(cfg, "paths", "delta0", 0.3)
     if not 0.0 < delta0 < 1.0:
         raise ConfigError(f"paths.delta0 must lie in (0, 1), not {delta0}")
+    return (n_steps, delta0, _number(cfg, "paths", "beta", 0.3),
+            _number(cfg, "tolerances", "contract_abs", 0.02),
+            _number(cfg, "tolerances", "contract_ratio", 0.1))
 
 
 @dataclass
@@ -199,10 +231,7 @@ def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
     """The weight n_factor * K_f(z) as a chart field, from analytic Wirtinger
     data when available and central differences otherwise; inf where J = 0."""
 
-    def evaluate(z):
-        return n_factor * dilatation(f, np.atleast_1d(np.asarray(z, dtype=complex)))
-
-    return ScalarField(evaluate, label=f"{n_factor:g}*K[{f.label}]")
+    return ScalarField(lambda z: n_factor * dilatation(f, z), label=f"{n_factor:g}*K[{f.label}]")
 
 
 def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
@@ -211,14 +240,10 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     t0 = time.perf_counter()
     f = map_from_config(cfg.map_spec)
     try:
-        ring = _lower_q_ring(cfg, f)
+        ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = _lower_q_ring(cfg, f)
     except ConfigError as exc:
         return VerdictRecord(experiment_id=cfg.experiment_id, kind="lower_q",
                              status="config_error", error=str(exc))
-    n_circles = int(cfg.grid.get("n_circles", 64))
-    n_theta = int(cfg.grid.get("n_theta", 256))
-    n_profile = int(cfg.grid.get("n_profile", 512))
-    tol = float(cfg.tolerances.get("solver_tol", 1e-6))
 
     degree = f.degree
     spot_targets = [0.25 * euclid_radius(ring.r_outer) * np.exp(2j * math.pi * j / 3)
@@ -237,14 +262,16 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     lhs = result.value
 
     ratio = lhs / rhs
-    ratio_min = float(cfg.tolerances.get("ratio_min", 0.95))
-    ratio_max = cfg.tolerances.get("ratio_max")
-    passed = ratio >= ratio_min and (ratio_max is None or ratio <= float(ratio_max))
+    passed = ratio >= ratio_min and (ratio_max is None or ratio <= ratio_max)
     error = None
     if not result.converged:  # a ratio without a certified LHS proves nothing
         passed = False
         error = (f"modulus solve not certified: stop_reason {result.stop_reason!r}, "
                  f"duality gap {result.duality_gap!r}")
+    elif spot.incomplete or spot.supremum != degree:  # the weight N assumes the analytic degree
+        passed = False
+        error = (f"sampled degree not certified: supremum {spot.supremum} against analytic "
+                 f"degree {degree}, incomplete {spot.incomplete}")
     record = VerdictRecord(
         experiment_id=cfg.experiment_id,
         kind="lower_q",
@@ -295,22 +322,19 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     """Tail-diameter Cauchy probe of continuous extension at a boundary point."""
     t0 = time.perf_counter()
     try:
-        _check_boundary_ext(cfg)
+        n_steps, delta0, beta, contract_abs, contract_ratio = _check_boundary_ext(cfg)
     except ConfigError as exc:
         return VerdictRecord(experiment_id=cfg.experiment_id, kind="boundary_ext",
                              status="config_error", error=str(exc))
     f = map_from_config(cfg.map_spec)
     zeta = np.exp(1j * cfg.boundary_point_angle)
-    n_steps = int(cfg.paths.get("n_steps", 14))
-    delta0 = float(cfg.paths.get("delta0", 0.3))
-    beta = float(cfg.paths.get("beta", 0.3))
     deltas = delta0 * 0.5 ** np.arange(n_steps)
 
     # three approach paths: radial plus two tilted spirals closing onto zeta
     path_points = []
     for b in (0.0, beta, -beta):
         pts = (1.0 - deltas) * zeta * np.exp(1j * b * deltas)
-        path_points.append(f._apply(pts.astype(complex)))
+        path_points.append(f(pts))
     images = np.stack(path_points)  # (3, n_steps)
 
     # tail diameters need at least two depth indices: a single-index tail sees
@@ -328,8 +352,6 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
             parse_field(cfg.q_majorant), RingSpec(0.0, 0.5)
         ).verdict
 
-    contract_abs = float(cfg.tolerances.get("contract_abs", 0.02))
-    contract_ratio = float(cfg.tolerances.get("contract_ratio", 0.1))
     start = max(residuals[0], 1e-300)
     contracted = residuals[-1] <= contract_abs and residuals[-1] / start <= contract_ratio
     observed = "extends" if contracted else "no_limit"

@@ -11,11 +11,11 @@ with `mobius_apply`. Points are complex numbers.
 
 A Dirichlet domain keeps only the half-planes whose bisector comes within
 `_PRUNE_MARGIN` (Euclidean, in the Klein model about the center) of the
-polygon. That loses no label at the membership tolerance 1e-9: a point whose
-kept distance differences are all below 1e-9 lies within about 1e-9 of the
-polygon, and a dropped bisector is more than the margin away, so its half-plane
-holds the point with a distance difference far below -1e-9; it can decide
-neither 'outside' nor 'boundary'.
+polygon. That loses no label at the membership tolerance `_MEMBERSHIP_TOL`
+= 1e-9: a point whose kept distance differences are all below 1e-9 lies
+within about 1e-9 of the polygon, and a dropped bisector is more than the
+margin away, so its half-plane holds the point with a distance difference far
+below -1e-9; it can decide neither 'outside' nor 'boundary'.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _DEDUP_TOL = 1e-9
+_MEMBERSHIP_TOL = 1e-9  # distance difference within which a point is on the boundary
 # non-elliptic trace condition: |Re a| >= 1 + margin for non-identity elements
 _TRACE_MARGIN = 1e-12
 # weights of the linear sort key on (Re a, Im a, Re c, Im c); generic, so
@@ -348,14 +349,16 @@ def build_dirichlet_domain(group: FuchsianGroup, center=0j, elements=None) -> Di
     return DirichletDomain(center, elements)
 
 
-def dirichlet_membership(z, dom: DirichletDomain, tol: float = 1e-9) -> str:
-    """Classify z as 'inside', 'boundary' or 'outside' the Dirichlet polygon."""
+def dirichlet_membership(z, dom: DirichletDomain) -> str:
+    """Classify z as 'inside', 'boundary' or 'outside' the Dirichlet polygon:
+    'boundary' when its distance to the center is within `_MEMBERSHIP_TOL` of
+    its distance to the nearest kept image."""
     zc = complex(z)
     d_center = hyp_distance(zc, dom.center)
     d_images = hyp_distance(zc, dom.images)
-    if np.any(d_center >= d_images + tol):
+    if np.any(d_center >= d_images + _MEMBERSHIP_TOL):
         return "outside"
-    if np.any(d_center > d_images - tol):
+    if np.any(d_center > d_images - _MEMBERSHIP_TOL):
         return "boundary"
     return "inside"
 

@@ -6,6 +6,9 @@ formulas where the kind provides them and from central differences otherwise;
 dilatation, Jacobian, multiplicity counts and the finite-distortion check are
 derived from them. Pushforward carries curve families (with traversal
 multiplicities for branched maps) into an image domain.
+
+Maps, Wirtinger derivatives and the dilatation take and return complex
+arrays; a point is a one-element array. K is inf where the Jacobian vanishes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "SampleMap",
     "MultiplicityReport",
     "ChartOverflowError",
-    "K_INF",
     "identity_map",
     "mobius_map",
     "radial_stretch",
@@ -49,27 +51,6 @@ class ChartOverflowError(RuntimeError):
     """An image point left the chart (reached the disk boundary)."""
 
 
-class _InfiniteDilatation:
-    """Distinguished sentinel for K = infinity; not a floating-point inf so
-    reports can count singular cells explicitly."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "K_INF"
-
-    def __float__(self):
-        return math.inf
-
-
-K_INF = _InfiniteDilatation()
-
-
 @dataclass(frozen=True)
 class SampleMap:
     """A disk-to-disk mapping with optional analytic Wirtinger evaluators."""
@@ -81,15 +62,8 @@ class SampleMap:
     evaluator: object = None  # custom kinds
     label: str = ""
 
-    def __call__(self, z):
-        return self.apply(z)
-
-    def apply(self, z):
-        scalar = not isinstance(z, np.ndarray)
-        w = self._apply(np.asarray([complex(z)] if scalar else z, dtype=complex))
-        return complex(w[0]) if scalar else w
-
-    def _apply(self, z: np.ndarray) -> np.ndarray:
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """f at an array of complex points; a point is a one-element array."""
         if self.kind == "mobius":
             return mobius_apply(self.g, z)
         if self.kind == "radial_stretch":
@@ -99,7 +73,7 @@ class SampleMap:
             return np.where(r > 0, z**self.k / np.where(r > 0, r, 1.0) ** (self.k - 1.0), 0.0)
         if self.kind == "composition":
             for part in self.parts:
-                z = part._apply(z)
+                z = part(z)
             return z
         return np.asarray(self.evaluator(z), dtype=complex)
 
@@ -139,7 +113,7 @@ class SampleMap:
                 # place with the operands swapped, which rounds differently from 2^14 points
                 conj_fz, conj_fzb = np.conjugate(fz), np.conjugate(fzb)
                 fz, fzb = gz * fz + gzb * conj_fzb, gz * fzb + gzb * conj_fz
-                w = part._apply(w)
+                w = part(w)
             return fz, fzb
         raise ValueError(f"kind {self.kind!r} has no analytic Wirtinger data")
 
@@ -171,7 +145,7 @@ class SampleMap:
 
         The image is a circle about 0 when `fixes_origin_radially`.
         """
-        return hyp_radius(abs(self.apply(euclid_radius(r))))
+        return hyp_radius(abs(complex(self(np.array([euclid_radius(r)], dtype=complex))[0])))
 
 
 def identity_map() -> SampleMap:
@@ -276,8 +250,8 @@ def _fd_stencil(f: SampleMap, z: np.ndarray, h):
     """Central differences at points z with steps h (an array or one step):
     f_z = (f_x - i f_y)/2, f_zbar = (f_x + i f_y)/2."""
     two_h = 2.0 * h
-    dx = f._apply(z + h) - f._apply(z - h)
-    dy = f._apply(z + 1j * h) - f._apply(z - 1j * h)
+    dx = f(z + h) - f(z - h)
+    dy = f(z + 1j * h) - f(z - 1j * h)
     # divide componentwise: numpy's complex-by-real division multiplies by a
     # reciprocal, which rounds differently from the true quotient
     fx = dx.real / two_h + 1j * (dx.imag / two_h)
@@ -285,34 +259,23 @@ def _fd_stencil(f: SampleMap, z: np.ndarray, h):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def _pointwise(derivatives, z):
-    """Apply an array function returning (f_z, f_zbar) to a point or an array."""
-    if isinstance(z, np.ndarray):
-        return derivatives(z.astype(complex))
-    fz, fzb = derivatives(np.array([complex(z)]))
-    return complex(fz[0]), complex(fzb[0])
-
-
 def wirtinger_fd(f: SampleMap, z, step: float = None):
-    """Central-difference Wirtinger derivatives at a point or an array of
+    """Central-difference Wirtinger derivatives (f_z, f_zbar) at an array of
     points; the default step shrinks with the distance to the rim."""
-
-    def fd(zs):
-        r = _cabs(zs)
-        h = np.maximum(1e-5 * (1.0 - r), 1e-9) if step is None else step
-        if np.any(r + h >= 1.0 - BOUNDARY_MARGIN):
-            raise ValueError("stencil leaves the disk; shrink the step")
-        return _fd_stencil(f, zs, h)
-
-    return _pointwise(fd, z)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = _cabs(z)
+    h = np.maximum(1e-5 * (1.0 - r), 1e-9) if step is None else step
+    if np.any(r + h >= 1.0 - BOUNDARY_MARGIN):
+        raise ValueError("stencil leaves the disk; shrink the step")
+    return _fd_stencil(f, z, h)
 
 
 def wirtinger(f: SampleMap, z, step: float = None):
-    """(f_z, f_zbar) at a point or an array of points: analytic when the kind
-    provides it, else central differences with the given step. wirtinger_fd
-    stays available for cross-checking the analytic path."""
+    """(f_z, f_zbar) at an array of points: analytic when the kind provides
+    it, else central differences with the given step. wirtinger_fd stays
+    available for cross-checking the analytic path."""
     if f.has_analytic_wirtinger:
-        return _pointwise(f.wirtinger_analytic, z)
+        return f.wirtinger_analytic(np.atleast_1d(np.asarray(z, dtype=complex)))
     return wirtinger_fd(f, z, step)
 
 
@@ -329,28 +292,27 @@ def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
     return a, b, jac, np.where(n < 1e-15, 1.0, k)
 
 
-def dilatation(f: SampleMap, z, step: float = None):
-    """K_f(z): (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|) when J != 0, 1 when the norm
-    vanishes, and the K_INF sentinel otherwise. For an array of points,
-    returns an array with inf where J = 0; a point is the one-point array."""
-    if isinstance(z, np.ndarray):
-        return _derivative_data(*wirtinger(f, z, step))[3]
-    k = float(dilatation(f, np.array([complex(z)]), step)[0])
-    return K_INF if k == math.inf else k
+def dilatation(f: SampleMap, z, step: float = None) -> np.ndarray:
+    """K_f at an array of points: (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|) where
+    J != 0, 1 where the norm vanishes and inf where J = 0."""
+    return _derivative_data(*wirtinger(f, z, step))[3]
 
 
-def _distortion_grid(f: SampleMap, grid: int, extent: float):
-    """Points of the grid x grid lattice on [-extent, extent]^2 with
-    |z| <= extent, ordered by x then y, and (f_z, f_zbar) there."""
-    xs = np.linspace(-extent, extent, grid)
+_DISTORTION_EXTENT = 0.9  # the sweeps sample the disk |z| <= 0.9
+
+
+def _distortion_grid(f: SampleMap, grid: int):
+    """Points of the grid x grid lattice on [-0.9, 0.9]^2 with |z| <= 0.9,
+    ordered by x then y, and (f_z, f_zbar) there."""
+    xs = np.linspace(-_DISTORTION_EXTENT, _DISTORTION_EXTENT, grid)
     z = (xs[:, None] + 1j * xs[None, :]).ravel()
-    z = z[_cabs(z) <= extent]
+    z = z[_cabs(z) <= _DISTORTION_EXTENT]
     return (z, *wirtinger(f, z))
 
 
-def distortion_to_csv(f: SampleMap, grid: int, path, extent: float = 0.9) -> None:
+def distortion_to_csv(f: SampleMap, grid: int, path) -> None:
     """CSV sweep of (z, |f_z|, |f_zbar|, K, J) over a grid in the disk."""
-    z, fz, fzb = _distortion_grid(f, grid, extent)
+    z, fz, fzb = _distortion_grid(f, grid)
     a, b, jac, k = _derivative_data(fz, fzb)
     write_csv(path, ("re", "im", "abs_fz", "abs_fzbar", "K", "J"), zip(z.real, z.imag, a, b, k, jac))
 
@@ -384,8 +346,11 @@ def _distinct(w: np.ndarray) -> np.ndarray:
     return np.array(kept, dtype=complex)
 
 
-def _newton(f: SampleMap, z: np.ndarray, t: np.ndarray, newton_tol: float,
-            max_steps: int) -> np.ndarray:
+_NEWTON_TOL = 1e-10  # a converged point has |f(z) - t| below this
+_NEWTON_STEPS = 60
+
+
+def _newton(f: SampleMap, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Newton iteration for f(z) = t, each point with its own target, in place
     on z; returns the mask of points that converged inside the disk.
 
@@ -394,11 +359,11 @@ def _newton(f: SampleMap, z: np.ndarray, t: np.ndarray, newton_tol: float,
     a fixed point, where the remaining steps would not move it.
     """
     live = np.arange(len(z))
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         if not len(live):
             break
         za = z[live]
-        F = f._apply(za) - t[live]
+        F = f(za) - t[live]
         if f.has_analytic_wirtinger:
             fz, fzb = f.wirtinger_analytic(za)
         else:
@@ -415,11 +380,10 @@ def _newton(f: SampleMap, z: np.ndarray, t: np.ndarray, newton_tol: float,
         moved = ok & ~(np.abs(zn) > 1.0 - 1e-6)
         z[live[moved]] = zn[moved]
         live = live[moved & (zn != za)]
-    return (np.abs(f._apply(z) - t) < newton_tol) & (np.abs(z) < 1.0 - 1e-6)
+    return (np.abs(f(z) - t) < _NEWTON_TOL) & (np.abs(z) < 1.0 - 1e-6)
 
 
-def _preimages(f: SampleMap, targets, seed_sets, newton_tol: float,
-               max_steps: int = 60) -> list:
+def _preimages(f: SampleMap, targets, seed_sets) -> list:
     """Distinct Newton preimages of each target from each seed set:
     roots[i][j] for targets[i] and seed_sets[j].
 
@@ -432,7 +396,7 @@ def _preimages(f: SampleMap, targets, seed_sets, newton_tol: float,
     z = np.concatenate([seeds for _ in targets for seeds in seed_sets])
     t = np.repeat(np.repeat(np.asarray(targets, dtype=complex), len(seed_sets)), sizes)
     good = np.concatenate([
-        _newton(f, z[i:i + _BLOCK_POINTS], t[i:i + _BLOCK_POINTS], newton_tol, max_steps)
+        _newton(f, z[i:i + _BLOCK_POINTS], t[i:i + _BLOCK_POINTS])
         for i in range(0, len(z), _BLOCK_POINTS)
     ])
     cuts = np.cumsum(sizes)[:-1]
@@ -440,8 +404,7 @@ def _preimages(f: SampleMap, targets, seed_sets, newton_tol: float,
     return [roots[i:i + len(seed_sets)] for i in range(0, len(roots), len(seed_sets))]
 
 
-def multiplicity(f: SampleMap, targets, seed_grid: int = 40,
-                 newton_tol: float = 1e-10) -> MultiplicityReport:
+def multiplicity(f: SampleMap, targets, seed_grid: int = 40) -> MultiplicityReport:
     """Count distinct preimages of each target by Newton refinement from a seed
     grid (deduplicated at 1e-6), reporting the supremum over targets.
 
@@ -456,7 +419,7 @@ def multiplicity(f: SampleMap, targets, seed_grid: int = 40,
     targets = tuple(complex(t) for t in targets)
     seed_sets = (_seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5)))
     counts, flagged = [], []
-    for t, (roots_a, roots_b) in zip(targets, _preimages(f, targets, seed_sets, newton_tol)):
+    for t, (roots_a, roots_b) in zip(targets, _preimages(f, targets, seed_sets)):
         na, nb = len(roots_a), len(roots_b)
         counts.append(max(na, nb))
         if na != nb:
@@ -482,15 +445,14 @@ class FiniteDistortionReport:
     passed: bool
 
 
-def finite_distortion_check(f: SampleMap, grid: int = 32,
-                            jac_tol: float = 1e-10, norm_tol: float = 1e-8) -> FiniteDistortionReport:
+def finite_distortion_check(f: SampleMap, grid: int = 32) -> FiniteDistortionReport:
     """Grid check of the finite-distortion requirement: wherever the Jacobian
-    vanishes the operator norm must vanish too."""
+    vanishes (|J| <= 1e-10) the operator norm must vanish too (at most 1e-8)."""
     if grid < 16:
         raise ValueError("need grid >= 16")
-    z, fz, fzb = _distortion_grid(f, grid, 0.9)
+    z, fz, fzb = _distortion_grid(f, grid)
     a, b, jac, _ = _derivative_data(fz, fzb)
-    violations = z[(np.abs(jac) <= jac_tol) & (a + b > norm_tol)]
+    violations = z[(np.abs(jac) <= 1e-10) & (a + b > 1e-8)]
     return FiniteDistortionReport(
         n_points=len(z),
         n_violations=len(violations),
@@ -510,7 +472,7 @@ def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamil
     if deg == 1:
         out = []
         for poly in family.polylines:
-            pts = f._apply(poly.vertices)
+            pts = f(poly.vertices)
             if np.any(np.abs(pts) >= 1.0 - BOUNDARY_MARGIN):
                 raise ChartOverflowError(f"image of a curve under {f.label} leaves the chart")
             out.append(Polyline(pts, closed=poly.closed))
@@ -528,7 +490,7 @@ def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamil
     radii = []
     for poly, r in zip(family.polylines, family.circle_radii):
         R = euclid_radius(r)
-        R_img = abs(f.apply(R))
+        R_img = abs(complex(f(np.array([R], dtype=complex))[0]))
         if R_img >= 1.0 - BOUNDARY_MARGIN:
             raise ChartOverflowError(f"image circle under {f.label} leaves the chart")
         scale = R_img / R

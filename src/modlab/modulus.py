@@ -208,7 +208,6 @@ class CurveFamily:
     euclidean: np.ndarray
     hyperbolic: np.ndarray
     n_cells: int
-    kind: str
     multiplicities: tuple
 
     def __post_init__(self):
@@ -273,7 +272,6 @@ class ModulusResult:
     extremal: DensityField
     iterations: int
     max_constraint_violation: float
-    metric: str
     stop_reason: str
     dual_value: float
 
@@ -505,7 +503,6 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
         np.concatenate(len_e),  # float, also where a block's bincount of no pieces is int
         np.concatenate(len_h),
         n_cells=n_cells,
-        kind=family.kind,
         multiplicities=family.multiplicities,
     )
 
@@ -514,11 +511,12 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
 # solver
 
 
-def _power_iteration_norm(op, n: int, iters: int = 40, seed: int = 0) -> float:
-    """Largest eigenvalue of a nonzero positive semidefinite operator, by power iteration."""
-    v = np.random.default_rng(seed).standard_normal(n)
+def _power_iteration_norm(op, n: int) -> float:
+    """Largest eigenvalue of a nonzero positive semidefinite operator, by 40
+    steps of power iteration from a seeded random start."""
+    v = np.random.default_rng(0).standard_normal(n)
     sigma = np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(40):
         v = op(v / sigma)
         sigma = np.linalg.norm(v)
     return sigma
@@ -577,7 +575,7 @@ def modulus_discrete(
         value = float(np.sum(1.0 / (m * m * S)))
         slack = m * np.bincount(curve, lengths * rho[cells], minlength=n_curves)
         violation = float(np.max(1.0 - slack, initial=0.0))
-        return ModulusResult(value, DensityField(rho), 0, violation, metric, "closed_form", value)
+        return ModulusResult(value, DensityField(rho), 0, violation, "closed_form", value)
 
     L = family.incidence_matrix(metric)  # the first scipy import: its compiled mat-vec
     LT = L.T.tocsr()
@@ -615,7 +613,7 @@ def modulus_discrete(
     if min_slack > 0.0:
         rho = rho / min_slack
     violation = float(np.max(1.0 - m * L.dot(rho), initial=0.0))
-    return ModulusResult(primal, DensityField(rho), it, violation, metric, stop_reason, dual)
+    return ModulusResult(primal, DensityField(rho), it, violation, stop_reason, dual)
 
 
 def ring_modulus_exact(ring: RingSpec) -> float:
@@ -631,31 +629,24 @@ def ring_modulus_exact(ring: RingSpec) -> float:
     return 2.0 * math.pi / math.log(R2 / R1)
 
 
-def circle_family_modulus(
-    ring: RingSpec,
-    Q: ScalarField,
-    dom: DiscretizedDomain = None,
-    n_circles: int = 64,
-    n_theta: int = 256,
-    tol: float = 1e-6,
-):
+def circle_family_modulus(ring: RingSpec, Q: ScalarField, n_circles: int = 64, n_theta: int = 256):
     """Discrete weighted modulus of the family of ring circles vs its reference.
 
-    Solves min sum rho^2 / Q * dA over densities admissible for n_circles
-    sampled metric circles, and returns (value, reference) where the reference
-    is the reciprocal radial integral of the matching ||Q|| profile. The two
-    agree within discretization error.
+    Solves min sum rho^2 / Q * dA, to a relative duality gap of 1e-6, over
+    densities admissible for n_circles sampled metric circles on the
+    n_circles x n_theta polar grid of the ring, and returns (value, reference)
+    where the reference is the reciprocal radial integral of the matching
+    ||Q|| profile. The two agree within discretization error.
     """
     if n_circles < 4:
         raise ValueError("need n_circles >= 4")
-    if dom is None:
-        dom = polar_grid(ring, n_r=n_circles, n_theta=n_theta)
-    pf = circle_family(ring, n_circles, n_vertices=max(1024, 4 * dom.geometry.get("n_theta", n_theta)))
+    dom = polar_grid(ring, n_r=n_circles, n_theta=n_theta)
+    pf = circle_family(ring, n_circles, n_vertices=max(1024, 4 * n_theta))
     fam = rasterize_family(pf, dom)
     q_cells = Q.evaluate_array(dom.centers)
     if np.any(q_cells <= 0):
         raise ValueError("Q must be positive on the ring")
-    result = modulus_discrete(fam, dom, metric="hyperbolic", tol=tol, weights=1.0 / q_cells)
+    result = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6, weights=1.0 / q_cells)
     profile = qnorm_profile(Q, ring, n_samples=max(128, 2 * n_circles), n_angular=512)
     reference = ring_reciprocal_integral(profile)
     return result.value, reference

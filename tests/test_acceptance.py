@@ -174,8 +174,9 @@ def test_criterion_10_distortion_and_multiplicity():
     for k in (2, 3, 5):
         for f in (winding(k), radial_stretch(k)):
             for z in (0.4 + 0.1j, -0.2 + 0.5j):
-                worst_analytic = max(worst_analytic, abs(dilatation(f, z) - k))
-                fz, fzb = wirtinger_fd(f, z)
+                [k_analytic] = dilatation(f, np.array([z]))
+                worst_analytic = max(worst_analytic, abs(k_analytic - k))
+                [fz], [fzb] = wirtinger_fd(f, np.array([z]))
                 k_fd = (abs(fz) + abs(fzb)) / (abs(fz) - abs(fzb))
                 worst_fd = max(worst_fd, abs(k_fd - k))
     rng = np.random.default_rng(10)

@@ -17,7 +17,6 @@ from modlab.experiments import (
     run_suite,
 )
 from modlab.mappings import (
-    K_INF,
     boundary_spiral_map,
     compose_maps,
     custom_map,
@@ -65,6 +64,13 @@ def boundary_cfg(map_spec, expected, q=None):
     return cfg
 
 
+def shipped_with(name, section, key, value):
+    """A shipped config with one value of one section replaced."""
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg[section][key] = value
+    return cfg
+
+
 class TestConfigLoading:
     def test_missing_field(self, tmp_path):
         path = write_cfg(tmp_path, "bad.json", {"kind": "lower_q"})
@@ -81,8 +87,21 @@ class TestConfigLoading:
         {**lower_q_cfg({"kind": "identity"}), "ring": {"r_inner": 1.5, "r_outer": 0.5}},
         boundary_cfg({"kind": "identity"}, "maybe"),
         {**boundary_cfg({"kind": "identity"}, "extends"), "paths": {"n_steps": 1}},
+        shipped_with("boundary_mobius", "paths", "beta", "x"),
+        shipped_with("boundary_mobius", "tolerances", "contract_abs", "x"),
+        shipped_with("boundary_mobius", "tolerances", "contract_ratio", None),
+        shipped_with("lower_q_identity", "grid", "n_circles", "x"),
+        shipped_with("lower_q_identity", "grid", "n_theta", 2),
+        shipped_with("lower_q_identity", "grid", "n_profile", 4),
+        shipped_with("lower_q_identity", "grid", "n_theta", "100000"),
+        shipped_with("lower_q_identity", "tolerances", "solver_tol", "x"),
+        shipped_with("lower_q_identity", "tolerances", "ratio_max", "x"),
     ], ids=["array", "string", "seed-not-a-number", "grid-not-an-object", "q-not-a-string",
-            "ring-missing-key", "ring-inverted", "expected-unknown", "one-step-paths"])
+            "ring-missing-key", "ring-inverted", "expected-unknown", "one-step-paths",
+            "beta-not-a-number", "contract-abs-not-a-number", "contract-ratio-null",
+            "n-circles-not-a-number", "n-theta-2", "n-profile-4", "n-theta-string-over-cap",
+            "solver-tol-not-a-number",
+            "ratio-max-not-a-number"])
     def test_mistyped_config(self, tmp_path, data):
         path = write_cfg(tmp_path, "bad.json", data)
         with pytest.raises(ConfigError):
@@ -141,9 +160,14 @@ class TestConfigLoading:
                                    map_spec={"kind": "identity"}, expected="maybe")
         one_step = ExperimentConfig(experiment_id="b_one_step", kind="boundary_ext",
                                     map_spec={"kind": "identity"}, paths={"n_steps": 1})
+        bad_tol = ExperimentConfig(experiment_id="lq_bad_tol", kind="lower_q", map_spec={"kind": "identity"},
+                                   ring=RING, tolerances={"solver_tol": "x"})
+        no_ratio = ExperimentConfig(experiment_id="b_no_ratio", kind="boundary_ext",
+                                    map_spec={"kind": "identity"}, tolerances={"contract_ratio": None})
         for cfg, reason in ((moving, "fixes 0 radially"), (no_ring, "needs a ring"),
                             (inverted, "r_inner < r_outer"), (unknown, "'maybe'"),
-                            (one_step, "n_steps")):
+                            (one_step, "n_steps"), (bad_tol, "tolerances.solver_tol"),
+                            (no_ratio, "tolerances.contract_ratio")):
             rec = run_experiment(cfg)
             assert (rec.experiment_id, rec.kind, rec.status) == (cfg.experiment_id, cfg.kind, "config_error")
             assert reason in rec.error
@@ -190,14 +214,8 @@ class TestDistortionWeightField:
     ], ids=["fold", "radial_stretch", "winding", "spiral", "zero", "composition"])
     def test_equals_scaled_dilatation(self, f, points):
         z = np.array(points, dtype=complex)
-        # scalar dilatation is the array path on one point, bit for bit, with
-        # K_INF where the array holds inf
-        array_path = dilatation(f, z)
-        scalar_path = [dilatation(f, w) for w in points]
-        assert np.array_equal(array_path.view(np.uint64), np.array(scalar_path, dtype=float).view(np.uint64))
-        assert [k is K_INF for k in scalar_path] == list(np.isinf(array_path))
         values = distortion_weight_field(f, 3.0).evaluate_array(z)
-        assert list(values) == [3.0 * float(k) for k in scalar_path]
+        assert list(values) == [3.0 * k for k in dilatation(f, z)]
 
 
 class TestLowerQ:
@@ -270,6 +288,22 @@ class TestLowerQ:
         assert rec.provenance["lhs"]["stop_reason"] == "max_iter"
         assert not rec.provenance["lhs"]["converged"]
         assert "not certified" in rec.error and "max_iter" in rec.error
+
+
+    @pytest.mark.parametrize("change", [{"supremum": 2}, {"incomplete": True}],
+                             ids=["supremum-off-degree", "incomplete"])
+    def test_uncertified_degree_fails_the_verdict(self, tmp_path, monkeypatch, change):
+        from modlab import experiments
+
+        count = experiments.multiplicity
+        monkeypatch.setattr(experiments, "multiplicity",
+                            lambda *a, **kw: dataclasses.replace(count(*a, **kw), **change))
+        path = write_cfg(tmp_path, "id.json", lower_q_cfg({"kind": "identity"}, ratio_min=0.95, ratio_max=1.05))
+        rec = run_lower_q_verification(ExperimentConfig.from_json(path))
+        assert rec.status == "ok" and 0.95 <= rec.ratio <= 1.05  # the ratio alone would pass
+        assert rec.provenance["lhs"]["converged"]
+        assert not rec.passed
+        assert "sampled degree not certified" in rec.error
 
 
 class TestBoundaryProbe:
