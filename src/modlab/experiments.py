@@ -102,7 +102,7 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"config {path} missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:  # not an object, or a field of the wrong type
+        except (TypeError, ValueError, OverflowError) as exc:  # not an object, or a field of the wrong type
             raise ConfigError(f"config {path}: {exc}") from exc
         if cfg.kind not in ("lower_q", "boundary_ext"):
             raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
@@ -116,22 +116,32 @@ class ExperimentConfig:
             if cfg.q_majorant is not None:
                 parse_field(cfg.q_majorant)
             if cfg.kind == "lower_q":
-                _lower_q_ring(cfg, f)
+                _lower_q_params(cfg, f)
             else:
-                _check_boundary_ext(cfg)
-        except (AttributeError, TypeError, ValueError) as exc:  # ConfigError included
+                _boundary_ext_params(cfg)
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # ConfigError included
             raise ConfigError(f"config {path}: {exc}") from exc
         return cfg
 
 
 def _number(cfg: ExperimentConfig, section: str, key: str, default, convert=float):
     """cfg.<section>[key], or the default when absent, through convert; a
-    ConfigError naming section.key when it is not a number."""
+    ConfigError naming section.key unless it is a JSON number (not a string or
+    a boolean) that convert takes without overflow, and whole where convert is
+    int. A default of None marks an optional value: absent or null, it is None."""
     value = getattr(cfg, section).get(key, default)
+    if value is None and default is None:
+        return None
+    wanted = "a whole number" if convert is int else "a number"
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key} must be a number, not {value!r}") from exc
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{section}.{key} must be {wanted}, not {value!r}") from None
+    if convert is int and number != value:  # a fraction
+        raise ConfigError(f"{section}.{key} must be {wanted}, not {value!r}")
+    return number
 
 
 def _grid_count(cfg: ExperimentConfig, key: str, default: int, low: int) -> int:
@@ -142,7 +152,7 @@ def _grid_count(cfg: ExperimentConfig, key: str, default: int, low: int) -> int:
     return count
 
 
-def _lower_q_ring(cfg: ExperimentConfig, f: SampleMap):
+def _lower_q_params(cfg: ExperimentConfig, f: SampleMap):
     """(ring, n_circles, n_theta, n_profile, solver_tol, ratio_min, ratio_max)
     of a lower_q experiment, or a ConfigError why it cannot run. The config
     load raises it; a run of a config built directly reports it as a
@@ -155,7 +165,7 @@ def _lower_q_ring(cfg: ExperimentConfig, f: SampleMap):
         ring = RingSpec(float(cfg.ring["r_inner"]), float(cfg.ring["r_outer"]))
     except KeyError as exc:
         raise ConfigError(f"ring missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"ring: {exc}") from exc
     n_circles = _grid_count(cfg, "n_circles", 64, 1)
     n_theta = _grid_count(cfg, "n_theta", 256, 16)  # also the angular samples of the RHS profile
@@ -164,17 +174,15 @@ def _lower_q_ring(cfg: ExperimentConfig, f: SampleMap):
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"tolerances.solver_tol must lie in (0, 1), not {tol}")
     ratio_min = _number(cfg, "tolerances", "ratio_min", 0.95)
-    ratio_max = cfg.tolerances.get("ratio_max")
-    if ratio_max is not None:
-        ratio_max = _number(cfg, "tolerances", "ratio_max", None)
+    ratio_max = _number(cfg, "tolerances", "ratio_max", None)
     return ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max
 
 
-def _check_boundary_ext(cfg: ExperimentConfig):
+def _boundary_ext_params(cfg: ExperimentConfig):
     """(n_steps, delta0, beta, contract_abs, contract_ratio) of a boundary_ext
     experiment; a ConfigError unless the expectation is known, each path has
-    two steps and starts inside the disk (0 < delta0 < 1). Raised and reported
-    as `_lower_q_ring` does."""
+    at least two steps and starts inside the disk (0 < delta0 < 1). Raised and
+    reported as `_lower_q_params` does."""
     if cfg.expected not in (None, "extends", "no_limit"):
         raise ConfigError(f"expected must be 'extends' or 'no_limit', not {cfg.expected!r}")
     n_steps = _number(cfg, "paths", "n_steps", 14, int)
@@ -240,7 +248,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     t0 = time.perf_counter()
     f = map_from_config(cfg.map_spec)
     try:
-        ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = _lower_q_ring(cfg, f)
+        ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = _lower_q_params(cfg, f)
     except ConfigError as exc:
         return VerdictRecord(experiment_id=cfg.experiment_id, kind="lower_q",
                              status="config_error", error=str(exc))
@@ -322,7 +330,7 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     """Tail-diameter Cauchy probe of continuous extension at a boundary point."""
     t0 = time.perf_counter()
     try:
-        n_steps, delta0, beta, contract_abs, contract_ratio = _check_boundary_ext(cfg)
+        n_steps, delta0, beta, contract_abs, contract_ratio = _boundary_ext_params(cfg)
     except ConfigError as exc:
         return VerdictRecord(experiment_id=cfg.experiment_id, kind="boundary_ext",
                              status="config_error", error=str(exc))

@@ -10,6 +10,7 @@ from modlab.experiments import (
     ConfigError,
     ExperimentConfig,
     VerdictRecord,
+    _lower_q_params,
     distortion_weight_field,
     run_boundary_extension_probe,
     run_experiment,
@@ -23,6 +24,7 @@ from modlab.mappings import (
     dilatation,
     fold_map,
     identity_map,
+    map_from_config,
     radial_stretch,
     winding,
 )
@@ -96,16 +98,33 @@ class TestConfigLoading:
         shipped_with("lower_q_identity", "grid", "n_theta", "100000"),
         shipped_with("lower_q_identity", "tolerances", "solver_tol", "x"),
         shipped_with("lower_q_identity", "tolerances", "ratio_max", "x"),
+        shipped_with("lower_q_identity", "grid", "n_theta", float("inf")),
+        shipped_with("lower_q_identity", "grid", "n_circles", 64.5),
+        shipped_with("lower_q_identity", "grid", "n_circles", True),
+        shipped_with("lower_q_identity", "tolerances", "solver_tol", 10 ** 400),
+        shipped_with("lower_q_identity", "ring", "r_outer", 10 ** 400),
+        shipped_with("boundary_mobius", "paths", "beta", 10 ** 400),
+        shipped_with("boundary_mobius", "paths", "n_steps", float("inf")),
     ], ids=["array", "string", "seed-not-a-number", "grid-not-an-object", "q-not-a-string",
             "ring-missing-key", "ring-inverted", "expected-unknown", "one-step-paths",
             "beta-not-a-number", "contract-abs-not-a-number", "contract-ratio-null",
             "n-circles-not-a-number", "n-theta-2", "n-profile-4", "n-theta-string-over-cap",
-            "solver-tol-not-a-number",
-            "ratio-max-not-a-number"])
+            "solver-tol-not-a-number", "ratio-max-not-a-number", "n-theta-infinite",
+            "n-circles-fraction", "n-circles-boolean", "solver-tol-overflows", "ring-overflows",
+            "beta-overflows", "n-steps-infinite"])
     def test_mistyped_config(self, tmp_path, data):
         path = write_cfg(tmp_path, "bad.json", data)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
+
+    def test_optional_and_whole_float_values_load(self, tmp_path):
+        # a null ratio_max means no upper bound; a count written as 64.0 is the int 64
+        cfg = shipped_with("lower_q_identity", "tolerances", "ratio_max", None)
+        cfg["grid"]["n_circles"] = 64.0
+        loaded = ExperimentConfig.from_json(write_cfg(tmp_path, "ok.json", cfg))
+        _, n_circles, *_, ratio_max = _lower_q_params(loaded, map_from_config(loaded.map_spec))
+        assert n_circles == 64 and isinstance(n_circles, int)
+        assert ratio_max is None
 
     @pytest.mark.parametrize("name, field", [
         ("boundary_mobius", "paths"),
