@@ -1,4 +1,6 @@
-"""The report file formats: JSON objects and CSV tables.
+"""The file formats. `json_number` is the one reader of numbers in JSON input
+(experiment configs, map specs, group files); JSON objects and CSV tables are
+written here.
 
 Suite determinism (byte-identical output outside `meta`) rests on these two
 formats, so every module writes its files through here: JSON with sorted
@@ -9,7 +11,27 @@ digits) and empty cells for missing values, both ending in a newline.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+
+
+def json_number(value, name: str, whole: bool = False, optional: bool = False):
+    """A JSON value as a float (an int when `whole`; None stays None when
+    `optional`), or a ValueError naming the field unless it is a finite number,
+    not a string or a boolean, that converts without overflow and, when
+    `whole`, has no fraction."""
+    if value is None and optional:
+        return None
+    wanted = "a whole number" if whole else "a finite number"
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        number = float(value)  # OverflowError for an int beyond the float range
+        if not math.isfinite(number) or (whole and not number.is_integer()):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {wanted}, not {value!r}") from None
+    return int(value) if whole else number
 
 
 def write_json(data, path):

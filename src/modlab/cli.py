@@ -199,14 +199,10 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .experiments import ConfigError, ExperimentConfig, run_experiment
+    from .experiments import ExperimentConfig, run_experiment
 
     kind_alias = {"lower-q": "lower_q", "boundary-ext": "boundary_ext"}
-    try:
-        cfg = ExperimentConfig.from_json(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig.from_json(args.config)  # a ConfigError is a ValueError: main exits 2
     if cfg.kind != kind_alias[args.what]:
         print(f"config error: config kind {cfg.kind!r} does not match {args.what!r}",
               file=sys.stderr)
@@ -284,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dirichlet", help="render the Dirichlet domain of a group")
     p.add_argument("--group", required=True, help="group definition JSON")
-    p.add_argument("--out", choices=["svg"], default="svg")
     p.add_argument("--rays", type=int, default=720)
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_dirichlet)

@@ -15,8 +15,9 @@ Two experiment kinds, both driven by JSON configs:
   compares the observed behavior with the configured expectation.
 
 Every number in a record is traceable through its provenance block; records
-are deterministic given config + seed, with volatile data (timestamp,
-runtime) confined to the `meta` block.
+are deterministic given the config, with volatile data (timestamp, runtime)
+confined to the `meta` block. A config is checked when it is built, so a run
+never meets a malformed one.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import json_number, write_csv, write_json
 from .criteria import divergence_check
-from .diskgeom import euclid_radius
+from .diskgeom import euclid_radius, inside_disk
 from .fields import parse_field
 from .mappings import (
     SampleMap,
@@ -68,6 +69,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked once, when built (a ConfigError says why it
+    cannot run); the parsed map, majorant and parameters are kept for the run."""
+
     experiment_id: str
     kind: str  # "lower_q" | "boundary_ext"
     map_spec: dict
@@ -78,75 +82,61 @@ class ExperimentConfig:
     q_majorant: str = None
     expected: str = None  # boundary_ext: "extends" | "no_limit"
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
+    sample_map: SampleMap = field(init=False, compare=False, repr=False)
+    majorant: ScalarField = field(init=False, compare=False, repr=False)
+    params: tuple = field(init=False, compare=False, repr=False)  # _lower_q_params or _boundary_ext_params
+
+    def __post_init__(self):
+        if self.kind not in ("lower_q", "boundary_ext"):
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for name in ("ring", "grid", "paths", "tolerances"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a JSON object, not {type(value).__name__}")
+        try:
+            angle = json_number(self.boundary_point_angle, "boundary_point_angle")
+            f = map_from_config(self.map_spec)
+            majorant = None if self.q_majorant is None else parse_field(self.q_majorant)
+            params = _lower_q_params(self, f) if self.kind == "lower_q" else _boundary_ext_params(self)
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # ConfigError included
+            raise ConfigError(str(exc)) from exc
+        for name, value in (("boundary_point_angle", angle), ("sample_map", f),
+                            ("majorant", majorant), ("params", params)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
+        """Read and build a config; every failure is a ConfigError naming the path."""
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        try:
-            cfg = cls(
+            return cls(
                 experiment_id=data["id"],
                 kind=data["kind"],
                 map_spec=data["map"],
                 ring=data.get("ring"),
                 grid=data.get("grid", {}),
                 paths=data.get("paths", {}),
-                boundary_point_angle=float(data.get("boundary_point_angle", 0.0)),
+                boundary_point_angle=data.get("boundary_point_angle", 0.0),
                 q_majorant=data.get("q_majorant"),
                 expected=data.get("expected"),
                 tolerances=data.get("tolerances", {}),
-                seed=int(data.get("seed", 0)),
             )
         except KeyError as exc:
             raise ConfigError(f"config {path} missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:  # not an object, or a field of the wrong type
+        except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON or not an object; ConfigError
             raise ConfigError(f"config {path}: {exc}") from exc
-        if cfg.kind not in ("lower_q", "boundary_ext"):
-            raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-        for name in ("ring", "grid", "paths", "tolerances"):
-            value = getattr(cfg, name)
-            if value is not None and not isinstance(value, dict):
-                raise ConfigError(f"config {path}: {name} must be a JSON object, not {type(value).__name__}")
-        # resolve references eagerly so bad specs fail at load time
-        try:
-            f = map_from_config(cfg.map_spec)
-            if cfg.q_majorant is not None:
-                parse_field(cfg.q_majorant)
-            if cfg.kind == "lower_q":
-                _lower_q_params(cfg, f)
-            else:
-                _boundary_ext_params(cfg)
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # ConfigError included
-            raise ConfigError(f"config {path}: {exc}") from exc
-        return cfg
 
 
-def _number(cfg: ExperimentConfig, section: str, key: str, default, convert=float):
-    """cfg.<section>[key], or the default when absent, through convert; a
-    ConfigError naming section.key unless it is a JSON number (not a string or
-    a boolean) that convert takes without overflow, and whole where convert is
-    int. A default of None marks an optional value: absent or null, it is None."""
-    value = getattr(cfg, section).get(key, default)
-    if value is None and default is None:
-        return None
-    wanted = "a whole number" if convert is int else "a number"
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{section}.{key} must be {wanted}, not {value!r}") from None
-    if convert is int and number != value:  # a fraction
-        raise ConfigError(f"{section}.{key} must be {wanted}, not {value!r}")
-    return number
+def _section_number(cfg: ExperimentConfig, section: str, key: str, default, whole: bool = False):
+    """cfg.<section>[key], or the default when absent, by `json_number`; a
+    default of None marks an optional value."""
+    return json_number(getattr(cfg, section).get(key, default), f"{section}.{key}",
+                       whole, optional=default is None)
 
 
 def _grid_count(cfg: ExperimentConfig, key: str, default: int, low: int) -> int:
     """grid[key] as an int in [low, 4096], the cap on every grid resolution."""
-    count = _number(cfg, "grid", key, default, int)
+    count = _section_number(cfg, "grid", key, default, whole=True)
     if not low <= count <= 4096:
         raise ConfigError(f"grid.{key} must lie in [{low}, 4096], not {count}")
     return count
@@ -154,46 +144,42 @@ def _grid_count(cfg: ExperimentConfig, key: str, default: int, low: int) -> int:
 
 def _lower_q_params(cfg: ExperimentConfig, f: SampleMap):
     """(ring, n_circles, n_theta, n_profile, solver_tol, ratio_min, ratio_max)
-    of a lower_q experiment, or a ConfigError why it cannot run. The config
-    load raises it; a run of a config built directly reports it as a
-    config_error record."""
+    of a lower_q experiment, or a ConfigError why it cannot run."""
     if cfg.ring is None:
         raise ConfigError("lower_q needs a ring")
     if not f.fixes_origin_radially:
         raise ConfigError(f"lower_q needs a map that fixes 0 radially, got {f.label}")
-    try:
-        ring = RingSpec(float(cfg.ring["r_inner"]), float(cfg.ring["r_outer"]))
-    except KeyError as exc:
-        raise ConfigError(f"ring missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"ring: {exc}") from exc
+    ring = RingSpec(*(json_number(cfg.ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
     n_circles = _grid_count(cfg, "n_circles", 64, 1)
     n_theta = _grid_count(cfg, "n_theta", 256, 16)  # also the angular samples of the RHS profile
     n_profile = _grid_count(cfg, "n_profile", 512, 8)
-    tol = _number(cfg, "tolerances", "solver_tol", 1e-6)
+    tol = _section_number(cfg, "tolerances", "solver_tol", 1e-6)
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"tolerances.solver_tol must lie in (0, 1), not {tol}")
-    ratio_min = _number(cfg, "tolerances", "ratio_min", 0.95)
-    ratio_max = _number(cfg, "tolerances", "ratio_max", None)
+    ratio_min = _section_number(cfg, "tolerances", "ratio_min", 0.95)
+    ratio_max = _section_number(cfg, "tolerances", "ratio_max", None)
     return ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max
 
 
 def _boundary_ext_params(cfg: ExperimentConfig):
     """(n_steps, delta0, beta, contract_abs, contract_ratio) of a boundary_ext
     experiment; a ConfigError unless the expectation is known, each path has
-    at least two steps and starts inside the disk (0 < delta0 < 1). Raised and
-    reported as `_lower_q_params` does."""
+    at least two steps, starts inside the disk (0 < delta0 < 1) and ends
+    there by the library's one disk rule (`diskgeom.inside_disk`)."""
     if cfg.expected not in (None, "extends", "no_limit"):
         raise ConfigError(f"expected must be 'extends' or 'no_limit', not {cfg.expected!r}")
-    n_steps = _number(cfg, "paths", "n_steps", 14, int)
+    n_steps = _section_number(cfg, "paths", "n_steps", 14, whole=True)
     if n_steps < 2:
         raise ConfigError("paths.n_steps must be at least 2")
-    delta0 = _number(cfg, "paths", "delta0", 0.3)
+    delta0 = _section_number(cfg, "paths", "delta0", 0.3)
     if not 0.0 < delta0 < 1.0:
         raise ConfigError(f"paths.delta0 must lie in (0, 1), not {delta0}")
-    return (n_steps, delta0, _number(cfg, "paths", "beta", 0.3),
-            _number(cfg, "tolerances", "contract_abs", 0.02),
-            _number(cfg, "tolerances", "contract_ratio", 0.1))
+    # |path point| is 1 - delta0 * 2**-k on every path; the deepest, at k = n_steps - 1:
+    inside_disk(1.0 - delta0 * 0.5 ** (n_steps - 1),
+                f"the deepest path point (paths.n_steps {n_steps}, paths.delta0 {delta0})")
+    return (n_steps, delta0, _section_number(cfg, "paths", "beta", 0.3),
+            _section_number(cfg, "tolerances", "contract_abs", 0.02),
+            _section_number(cfg, "tolerances", "contract_ratio", 0.1))
 
 
 @dataclass
@@ -246,13 +232,8 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     """LHS = discrete modulus of the pushed-forward circle family;
     RHS = reciprocal radial integral with weight N(f) * K_f on the source ring."""
     t0 = time.perf_counter()
-    f = map_from_config(cfg.map_spec)
-    try:
-        ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = _lower_q_params(cfg, f)
-    except ConfigError as exc:
-        return VerdictRecord(experiment_id=cfg.experiment_id, kind="lower_q",
-                             status="config_error", error=str(exc))
-
+    f = cfg.sample_map
+    ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = cfg.params
     degree = f.degree
     spot_targets = [0.25 * euclid_radius(ring.r_outer) * np.exp(2j * math.pi * j / 3)
                     for j in range(3)]
@@ -329,12 +310,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
 def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     """Tail-diameter Cauchy probe of continuous extension at a boundary point."""
     t0 = time.perf_counter()
-    try:
-        n_steps, delta0, beta, contract_abs, contract_ratio = _boundary_ext_params(cfg)
-    except ConfigError as exc:
-        return VerdictRecord(experiment_id=cfg.experiment_id, kind="boundary_ext",
-                             status="config_error", error=str(exc))
-    f = map_from_config(cfg.map_spec)
+    n_steps, delta0, beta, contract_abs, contract_ratio = cfg.params
     zeta = np.exp(1j * cfg.boundary_point_angle)
     deltas = delta0 * 0.5 ** np.arange(n_steps)
 
@@ -342,7 +318,7 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     path_points = []
     for b in (0.0, beta, -beta):
         pts = (1.0 - deltas) * zeta * np.exp(1j * b * deltas)
-        path_points.append(f(pts))
+        path_points.append(cfg.sample_map(pts))
     images = np.stack(path_points)  # (3, n_steps)
 
     # tail diameters need at least two depth indices: a single-index tail sees
@@ -354,11 +330,8 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
         residuals.append(diam)
     residuals = np.array(residuals)
 
-    majorant_verdict = None
-    if cfg.q_majorant is not None:
-        majorant_verdict = divergence_check(
-            parse_field(cfg.q_majorant), RingSpec(0.0, 0.5)
-        ).verdict
+    majorant_verdict = (None if cfg.majorant is None
+                        else divergence_check(cfg.majorant, RingSpec(0.0, 0.5)).verdict)
 
     start = max(residuals[0], 1e-300)
     contracted = residuals[-1] <= contract_abs and residuals[-1] / start <= contract_ratio
@@ -392,9 +365,7 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
 def run_experiment(cfg: ExperimentConfig) -> VerdictRecord:
     if cfg.kind == "lower_q":
         return run_lower_q_verification(cfg)
-    if cfg.kind == "boundary_ext":
-        return run_boundary_extension_probe(cfg)
-    raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    return run_boundary_extension_probe(cfg)
 
 
 def _write_artifacts(record: VerdictRecord, out_dir: Path) -> None:

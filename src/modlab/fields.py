@@ -1,7 +1,7 @@
 """Fixed catalog of weight fields selectable from the CLI and config files.
 
 Spec strings:
-    const:<c>     constant c > 0
+    const:<c>     constant c, finite and > 0
     log-inv-r     log(1/|z|)            (positive on the whole disk)
     inv-r         1/|z|
     inv-r2        1/|z|^2
@@ -27,8 +27,8 @@ def _hyp_radius_of(z: np.ndarray) -> np.ndarray:
 
 
 def _const(c: float) -> ScalarField:
-    if c <= 0:
-        raise ValueError("const field needs c > 0")
+    if not (c > 0.0 and np.isfinite(c)):
+        raise ValueError(f"const field needs a finite c > 0, not {c!r}")
     return ScalarField(lambda z: np.full_like(np.abs(np.asarray(z, dtype=complex)), c, dtype=float),
                        label=f"const:{c:g}")
 

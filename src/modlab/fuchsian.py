@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import json_number
 from .diskgeom import (
     _DET_TOL,
     IDENTITY,
@@ -412,21 +413,28 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
 
 
 def load_group(path) -> FuchsianGroup:
-    """Read a group definition from JSON.
+    """Read a group definition from JSON, every number by `_io.json_number`;
+    a ValueError naming the field when the file is malformed.
 
     Schema: {"generators": [{"a_re", "a_im", "c_re", "c_im"}, ...],
              "max_word_length": int, "element_cap": int}.
     """
     data = json.loads(Path(path).read_text())
-    gens = tuple(
-        MobiusAutomorphism(complex(g["a_re"], g["a_im"]), complex(g["c_re"], g["c_im"]))
-        for g in data["generators"]
-    )
-    return FuchsianGroup(
-        generators=gens,
-        max_word_length=int(data.get("max_word_length", 4)),
-        element_cap=int(data.get("element_cap", 1_000_000)),
-    )
+    try:
+        gens = []
+        for i, g in enumerate(data["generators"]):
+            a_re, a_im, c_re, c_im = (json_number(g[key], f"generators[{i}].{key}")
+                                      for key in ("a_re", "a_im", "c_re", "c_im"))
+            gens.append(MobiusAutomorphism(complex(a_re, a_im), complex(c_re, c_im)))
+        return FuchsianGroup(
+            generators=gens,
+            max_word_length=json_number(data.get("max_word_length", 4), "max_word_length", whole=True),
+            element_cap=json_number(data.get("element_cap", 1_000_000), "element_cap", whole=True),
+        )
+    except KeyError as exc:
+        raise ValueError(f"group file {path} missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # an object or a list missing where one belongs; a bad number
+        raise ValueError(f"group file {path}: {exc}") from exc
 
 
 def cyclic_group(translation_length: float = 2.0, max_word_length: int = 8) -> FuchsianGroup:

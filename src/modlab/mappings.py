@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import json_number, write_csv
 from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
 from .modulus import PolylineFamily
 
@@ -205,26 +205,28 @@ def parse_map(spec: str) -> SampleMap:
     kind, _, arg = spec.partition(":")
     cfg = {"kind": "radial_stretch" if kind == "radial-stretch" else kind}
     if arg:
-        cfg["k"] = arg
+        try:
+            cfg["k"] = json.loads(arg)  # winding:3 gives 3, as {"k": 3} does
+        except ValueError:
+            cfg["k"] = arg  # not JSON at all: the number rule refuses it by name
     return map_from_config(cfg)
 
 
 def map_from_config(cfg: dict) -> SampleMap:
-    """Map definition from config JSON, e.g. {"kind": "winding", "k": 3}."""
+    """Map definition from config JSON, e.g. {"kind": "winding", "k": 3};
+    every number is read by `_io.json_number`."""
     try:
         kind = cfg["kind"]
         if kind == "identity":
             return identity_map()
         if kind == "winding":
-            return winding(int(cfg["k"]))
+            return winding(json_number(cfg["k"], "map.k", whole=True))
         if kind == "radial_stretch":
-            return radial_stretch(float(cfg["k"]))
+            return radial_stretch(json_number(cfg["k"], "map.k"))
         if kind == "mobius":
-            g = MobiusAutomorphism(
-                complex(cfg["a_re"], cfg.get("a_im", 0.0)),
-                complex(cfg["c_re"], cfg.get("c_im", 0.0)),
-            )
-            return mobius_map(g)
+            a_re, c_re = (json_number(cfg[key], f"map.{key}") for key in ("a_re", "c_re"))
+            a_im, c_im = (json_number(cfg.get(key, 0.0), f"map.{key}") for key in ("a_im", "c_im"))
+            return mobius_map(MobiusAutomorphism(complex(a_re, a_im), complex(c_re, c_im)))
         if kind == "composition":
             return compose_maps(*(map_from_config(part) for part in cfg["parts"]))
         if kind == "spiral":

@@ -104,6 +104,18 @@ class TestCriteriaCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "diverges"
 
+    @pytest.mark.parametrize("argv", [
+        ("qnorm", "--q", "const:nan", "--r1", "0.5", "--r2", "1.5"),
+        ("qnorm", "--q", "const:inf", "--r1", "0.5", "--r2", "1.5"),
+        ("qnorm", "--q", "const:1e999", "--r1", "0.5", "--r2", "1.5"),
+        ("fmo", "--q", "const:nan"),
+        ("divergence", "--q", "const:nan", "--r2", "1.5"),
+    ], ids=["qnorm-nan", "qnorm-inf", "qnorm-overflow", "fmo-nan", "divergence-nan"])
+    def test_const_field_must_be_finite(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "finite c > 0" in err
+
 
 class TestDirichlet:
     def test_svg_written(self, capsys, tmp_path):
@@ -116,6 +128,20 @@ class TestDirichlet:
         assert text.startswith("<svg")
         assert "polyline" in text
         assert "(2 of 16 half-planes kept)" in text  # the generator and its inverse
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda grp: grp["generators"][0].pop("a_im"), "a_im"),
+        (lambda grp: grp.update(max_word_length=2.7), "max_word_length"),
+    ], ids=["generator-without-a-im", "word-length-fraction"])
+    def test_malformed_group_is_a_config_error(self, capsys, tmp_path, change, field):
+        group = json.loads((CONFIG_DIR / "groups" / "cyclic.json").read_text())
+        change(group)
+        (tmp_path / "group.json").write_text(json.dumps(group))
+        code, _, err = run_cli(capsys, "dirichlet", "--group", str(tmp_path / "group.json"),
+                               "--rays", "8", "--out-file", str(tmp_path / "dom.svg"))
+        assert code == 2
+        assert err.startswith("config error") and field in err
+        assert not (tmp_path / "dom.svg").exists()
 
 
 class TestDistortion:
@@ -149,6 +175,16 @@ class TestVerifyAndSuite:
                                "--out-dir", str(tmp_path))
         assert code == 2
 
+    def test_verify_refuses_mistyped_config(self, capsys, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "experiments" / "lower_q_winding2.json").read_text())
+        cfg["map"]["k"] = 2.5
+        (tmp_path / "lower_q_winding2.json").write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "verify", "lower-q", "--config",
+                                 str(tmp_path / "lower_q_winding2.json"))
+        assert code == 2 and out == ""
+        assert "map.k must be a whole number" in err
+        assert not (tmp_path / "results").exists()
+
     def test_verify_missing_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "lower-q", "--config",
                                str(tmp_path / "nope.json"))
@@ -180,11 +216,15 @@ class TestVerifyAndSuite:
         assert statuses["bad"] == "config_error"
         assert statuses["unknown_map"] == statuses["missing_k"] == "config_error"
 
-    @pytest.mark.parametrize("bad", ["[1, 2]", None], ids=["top-level-array", "seed-not-a-number"])
+    @pytest.mark.parametrize("bad", [
+        "[1, 2]", {"boundary_point_angle": "0.5"}, {"map": {"kind": "winding", "k": 2.5}},
+    ], ids=["top-level-array", "angle-a-string", "winding-k-fraction"])
     def test_suite_isolates_mistyped_config(self, capsys, tmp_path, bad):
         good = (CONFIG_DIR / "experiments" / "boundary_mobius.json").read_text()
         (tmp_path / "boundary_mobius.json").write_text(good)
-        (tmp_path / "bad.json").write_text(bad or json.dumps({**json.loads(good), "id": "bad", "seed": "x"}))
+        if not isinstance(bad, str):  # the good config with the bad values
+            bad = json.dumps({**json.loads(good), "id": "bad", **bad})
+        (tmp_path / "bad.json").write_text(bad)
         code, _, _ = run_cli(capsys, "suite", str(tmp_path), "--out-dir",
                              str(tmp_path / "results"))
         assert code == 1

@@ -10,7 +10,6 @@ from modlab.experiments import (
     ConfigError,
     ExperimentConfig,
     VerdictRecord,
-    _lower_q_params,
     distortion_weight_field,
     run_boundary_extension_probe,
     run_experiment,
@@ -24,7 +23,6 @@ from modlab.mappings import (
     dilatation,
     fold_map,
     identity_map,
-    map_from_config,
     radial_stretch,
     winding,
 )
@@ -47,7 +45,6 @@ def lower_q_cfg(map_spec, n_circles=32, **tol):
         "map": map_spec,
         "grid": {"n_circles": n_circles, "n_theta": 128, "n_profile": 256},
         "tolerances": {"solver_tol": 1e-6, **tol},
-        "seed": 1,
     }
 
 
@@ -59,7 +56,6 @@ def boundary_cfg(map_spec, expected, q=None):
         "boundary_point_angle": 0.0,
         "paths": {"n_steps": 14, "delta0": 0.3, "beta": 0.3},
         "expected": expected,
-        "seed": 2,
     }
     if q:
         cfg["q_majorant"] = q
@@ -82,7 +78,7 @@ class TestConfigLoading:
     @pytest.mark.parametrize("data", [
         [1, 2],
         "lower_q",
-        {**boundary_cfg({"kind": "identity"}, "extends"), "seed": "x"},
+        {**boundary_cfg({"kind": "identity"}, "extends"), "boundary_point_angle": "0.5"},
         {**boundary_cfg({"kind": "identity"}, "extends"), "grid": [64, 64]},
         {**boundary_cfg({"kind": "identity"}, "extends"), "q_majorant": 3},
         {**lower_q_cfg({"kind": "identity"}), "ring": {"r_outer": 1.5}},
@@ -105,13 +101,28 @@ class TestConfigLoading:
         shipped_with("lower_q_identity", "ring", "r_outer", 10 ** 400),
         shipped_with("boundary_mobius", "paths", "beta", 10 ** 400),
         shipped_with("boundary_mobius", "paths", "n_steps", float("inf")),
-    ], ids=["array", "string", "seed-not-a-number", "grid-not-an-object", "q-not-a-string",
+        shipped_with("lower_q_winding2", "map", "k", 2.5),
+        shipped_with("lower_q_winding2", "map", "k", True),
+        shipped_with("lower_q_winding2", "map", "k", "2"),
+        shipped_with("lower_q_radial_stretch2", "map", "k", float("nan")),
+        shipped_with("boundary_mobius", "map", "c_re", True),
+        shipped_with("boundary_mobius", "paths", "beta", float("nan")),
+        {**boundary_cfg({"kind": "identity"}, "extends"), "boundary_point_angle": float("nan")},
+        shipped_with("boundary_mobius", "tolerances", "contract_abs", float("inf")),
+        shipped_with("boundary_mobius", "paths", "n_steps", 60),
+        shipped_with("boundary_mobius", "paths", "n_steps", 10 ** 9),
+        boundary_cfg({"kind": "identity"}, "extends", q="const:nan"),
+        boundary_cfg({"kind": "identity"}, "extends", q="const:1e999"),
+    ], ids=["array", "string", "angle-a-string", "grid-not-an-object", "q-not-a-string",
             "ring-missing-key", "ring-inverted", "expected-unknown", "one-step-paths",
             "beta-not-a-number", "contract-abs-not-a-number", "contract-ratio-null",
             "n-circles-not-a-number", "n-theta-2", "n-profile-4", "n-theta-string-over-cap",
             "solver-tol-not-a-number", "ratio-max-not-a-number", "n-theta-infinite",
             "n-circles-fraction", "n-circles-boolean", "solver-tol-overflows", "ring-overflows",
-            "beta-overflows", "n-steps-infinite"])
+            "beta-overflows", "n-steps-infinite", "winding-k-fraction", "winding-k-boolean",
+            "winding-k-string", "radial-stretch-k-nan", "mobius-c-re-boolean", "beta-nan", "angle-nan",
+            "contract-abs-infinite", "n-steps-past-the-rim", "n-steps-billion", "q-const-nan",
+            "q-const-overflows"])
     def test_mistyped_config(self, tmp_path, data):
         path = write_cfg(tmp_path, "bad.json", data)
         with pytest.raises(ConfigError):
@@ -122,7 +133,7 @@ class TestConfigLoading:
         cfg = shipped_with("lower_q_identity", "tolerances", "ratio_max", None)
         cfg["grid"]["n_circles"] = 64.0
         loaded = ExperimentConfig.from_json(write_cfg(tmp_path, "ok.json", cfg))
-        _, n_circles, *_, ratio_max = _lower_q_params(loaded, map_from_config(loaded.map_spec))
+        _, n_circles, *_, ratio_max = loaded.params
         assert n_circles == 64 and isinstance(n_circles, int)
         assert ratio_max is None
 
@@ -166,31 +177,39 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="fixes 0 radially"):
             ExperimentConfig.from_json(path)
 
-    def test_direct_config_is_checked_at_run(self):
-        # built without from_json: the run makes the load's check and reports it
+    def test_direct_config_is_checked_when_built(self):
+        # built without from_json, a config makes the same checks and raises
         mobius = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())["map"]
-        moving = ExperimentConfig(experiment_id="lq_mobius", kind="lower_q", map_spec=mobius,
-                                  ring=RING, grid={"n_circles": 8, "n_theta": 32})
-        no_ring = ExperimentConfig(experiment_id="lq_no_ring", kind="lower_q",
-                                   map_spec={"kind": "identity"})
-        inverted = ExperimentConfig(experiment_id="lq_inverted", kind="lower_q",
-                                    map_spec={"kind": "identity"}, ring={"r_inner": 1.5, "r_outer": 0.5})
-        unknown = ExperimentConfig(experiment_id="b_maybe", kind="boundary_ext",
-                                   map_spec={"kind": "identity"}, expected="maybe")
-        one_step = ExperimentConfig(experiment_id="b_one_step", kind="boundary_ext",
-                                    map_spec={"kind": "identity"}, paths={"n_steps": 1})
-        bad_tol = ExperimentConfig(experiment_id="lq_bad_tol", kind="lower_q", map_spec={"kind": "identity"},
-                                   ring=RING, tolerances={"solver_tol": "x"})
-        no_ratio = ExperimentConfig(experiment_id="b_no_ratio", kind="boundary_ext",
-                                    map_spec={"kind": "identity"}, tolerances={"contract_ratio": None})
-        for cfg, reason in ((moving, "fixes 0 radially"), (no_ring, "needs a ring"),
-                            (inverted, "r_inner < r_outer"), (unknown, "'maybe'"),
-                            (one_step, "n_steps"), (bad_tol, "tolerances.solver_tol"),
-                            (no_ratio, "tolerances.contract_ratio")):
-            rec = run_experiment(cfg)
-            assert (rec.experiment_id, rec.kind, rec.status) == (cfg.experiment_id, cfg.kind, "config_error")
-            assert reason in rec.error
-            assert not rec.passed
+        identity = {"kind": "identity"}
+        for kwargs, reason in (
+            (dict(kind="lower_q", map_spec=mobius, ring=RING, grid={"n_circles": 8, "n_theta": 32}),
+             "fixes 0 radially"),
+            (dict(kind="lower_q", map_spec=identity), "needs a ring"),
+            (dict(kind="lower_q", map_spec=identity, ring={"r_inner": 1.5, "r_outer": 0.5}), "r_inner < r_outer"),
+            (dict(kind="boundary_ext", map_spec=identity, expected="maybe"), "'maybe'"),
+            (dict(kind="boundary_ext", map_spec=identity, paths={"n_steps": 1}), "n_steps"),
+            (dict(kind="lower_q", map_spec=identity, ring=RING, tolerances={"solver_tol": "x"}),
+             "tolerances.solver_tol"),
+            (dict(kind="boundary_ext", map_spec=identity, tolerances={"contract_ratio": None}),
+             "tolerances.contract_ratio"),
+            (dict(kind="quantize", map_spec=identity), "unknown experiment kind"),
+        ):
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig(experiment_id="direct", **kwargs)
+            assert reason in str(info.value)
+
+    def test_specs_are_parsed_once(self, monkeypatch):
+        # the load parses the map and the field; the run uses what the config kept
+        from modlab import experiments
+
+        calls = []
+        for name in ("map_from_config", "parse_field"):
+            parse = getattr(experiments, name)
+            monkeypatch.setattr(experiments, name,
+                                lambda spec, _parse=parse, _name=name: calls.append(_name) or _parse(spec))
+        rec = run_experiment(ExperimentConfig.from_json(CONFIG_DIR / "boundary_mobius.json"))
+        assert rec.passed
+        assert sorted(calls) == ["map_from_config", "parse_field"]
 
     @pytest.mark.parametrize("delta0", [2.5, 1.0, 0, -0.1])
     def test_path_start_outside_disk(self, tmp_path, delta0):
@@ -199,11 +218,17 @@ class TestConfigLoading:
         cfg["paths"]["delta0"] = delta0
         with pytest.raises(ConfigError, match="delta0"):
             ExperimentConfig.from_json(write_cfg(tmp_path, "boundary_mobius.json", cfg))
-        direct = ExperimentConfig(experiment_id=cfg["id"], kind="boundary_ext", map_spec=cfg["map"],
-                                  expected=cfg["expected"], paths=cfg["paths"])
-        rec = run_experiment(direct)
-        assert rec.status == "config_error" and "delta0" in rec.error
-        assert not rec.passed
+        with pytest.raises(ConfigError, match="delta0"):
+            ExperimentConfig(experiment_id=cfg["id"], kind="boundary_ext", map_spec=cfg["map"],
+                             expected=cfg["expected"], paths=cfg["paths"])
+
+    def test_deepest_path_point_meets_the_disk_rule(self, tmp_path):
+        # at delta0 0.3 the deepest point 1 - 0.3 * 2**-(n_steps - 1) is within 1 - 1e-9 up to 29 steps
+        cfg = shipped_with("boundary_mobius", "paths", "n_steps", 29)
+        assert ExperimentConfig.from_json(write_cfg(tmp_path, "ok.json", cfg)).params[0] == 29
+        cfg["paths"]["n_steps"] = 30
+        with pytest.raises(ConfigError, match="deepest path point"):
+            ExperimentConfig.from_json(write_cfg(tmp_path, "deep.json", cfg))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

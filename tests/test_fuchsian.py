@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from modlab.fuchsian import (
     load_group,
     project_to_fundamental,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_force_words(generators, max_len):
@@ -552,3 +555,20 @@ class TestGroupIO:
         assert len(loaded.generators) == 4
         for g, h in zip(grp.generators, loaded.generators):
             assert g.coefficient_distance(h) < 1e-15
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda grp: grp["generators"][0].pop("a_im"), "a_im"),
+        (lambda grp: grp["generators"][0].update(a_re="1.5430806348152437"), "a_re"),
+        (lambda grp: grp["generators"][0].update(c_re=True), "c_re"),
+        (lambda grp: grp.update(max_word_length=2.7), "max_word_length"),
+        (lambda grp: grp.update(max_word_length=True), "max_word_length"),
+        (lambda grp: grp.update(element_cap="1000000"), "element_cap"),
+    ], ids=["a-im-missing", "a-re-string", "c-re-boolean", "word-length-fraction", "word-length-boolean",
+            "cap-string"])
+    def test_malformed_file_names_the_field(self, tmp_path, change, field):
+        group = json.loads((CONFIG_DIR / "groups" / "cyclic.json").read_text())
+        change(group)
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        with pytest.raises(ValueError, match=field):
+            load_group(path)

@@ -423,6 +423,24 @@ class TestMapConstruction:
         z = np.array([0.4 + 0.2j])
         assert comp(z) == pytest.approx(winding(2)(radial_stretch(2)(z)))
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "winding", "k": 2.5},
+        {"kind": "winding", "k": True},
+        {"kind": "winding", "k": "2"},
+        {"kind": "radial_stretch", "k": float("nan")},
+        {"kind": "radial_stretch", "k": float("inf")},
+        {"kind": "mobius", "a_re": True, "c_re": 0.0},
+        "radial_stretch:nan",
+        "radial_stretch:inf",
+        "radial_stretch:NaN",
+        "radial_stretch:1e999",
+    ], ids=["k-fraction", "k-boolean", "k-string", "k-nan", "k-infinite", "a-re-boolean",
+            "shorthand-nan", "shorthand-inf", "shorthand-json-nan", "shorthand-overflow"])
+    def test_numbers_follow_the_json_rule(self, spec):
+        # the JSON form and the shorthand meet the one rule of `_io.json_number`
+        with pytest.raises(ValueError, match="map.k must be|map.a_re must be"):
+            parse_map(spec) if isinstance(spec, str) else map_from_config(spec)
+
     def test_disk_preserved(self):
         rng = np.random.default_rng(6)
         for f in (winding(3), radial_stretch(2), boundary_spiral_map()):
