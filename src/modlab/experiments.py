@@ -87,6 +87,9 @@ class ExperimentConfig:
     params: tuple = field(init=False, compare=False, repr=False)  # _lower_q_params or _boundary_ext_params
 
     def __post_init__(self):
+        eid = self.experiment_id  # names the run's output files
+        if not isinstance(eid, str) or eid in ("", ".", "..") or any(c in eid for c in "/\\\0"):
+            raise ConfigError(f"id must be a plain file name, not {eid!r}")
         if self.kind not in ("lower_q", "boundary_ext"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for name in ("ring", "grid", "paths", "tolerances"):

@@ -104,6 +104,8 @@ class FuchsianGroup:
             raise TypeError("generators must be MobiusAutomorphism instances")
         if self.max_word_length < 1:
             raise ValueError("max_word_length must be >= 1")
+        if self.element_cap < 1:
+            raise ValueError("element_cap must be >= 1")
         object.__setattr__(self, "generators", gens)
 
 
@@ -414,13 +416,14 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
 
 def load_group(path) -> FuchsianGroup:
     """Read a group definition from JSON, every number by `_io.json_number`;
-    a ValueError naming the field when the file is malformed.
+    a ValueError naming the path when the file is unreadable or not JSON, and
+    naming the field when it is malformed.
 
     Schema: {"generators": [{"a_re", "a_im", "c_re", "c_im"}, ...],
              "max_word_length": int, "element_cap": int}.
     """
-    data = json.loads(Path(path).read_text())
     try:
+        data = json.loads(Path(path).read_text())
         gens = []
         for i, g in enumerate(data["generators"]):
             a_re, a_im, c_re, c_im = (json_number(g[key], f"generators[{i}].{key}")
@@ -433,7 +436,7 @@ def load_group(path) -> FuchsianGroup:
         )
     except KeyError as exc:
         raise ValueError(f"group file {path} missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:  # an object or a list missing where one belongs; a bad number
+    except (OSError, TypeError, ValueError) as exc:  # unreadable; not JSON (a ValueError); a bad number
         raise ValueError(f"group file {path}: {exc}") from exc
 
 

@@ -11,16 +11,25 @@ infimum with its extremal density.
 
 Rasterization makes one pass per family. Whole consecutive curves form
 blocks of at most 2^12 segments and 2^6 curves (a longer curve is a block of
-its own); each block is cut at all its ring and sector (or grid-line)
-crossings at once, its pieces sorted by segment and then by t, and summed per
-(curve, cell) with one `np.unique` and `np.bincount`. A curve never spans two
-blocks, so each per-cell sum adds the same pieces in the same order as
-rasterizing the curve alone: the incidence arrays equal the per-curve ones
-bit for bit. 2^12 segments (four 1024-vertex circles) keep a block's arrays
-in a 2 MB L2 cache, and 2^6 curves bound the pieces of a block of short
-curves that cross many cells. A polar grid holds the tables the crossings
-index in its `geometry`: libm cos and sin of every sector edge a segment can
-cross, and the squared ring radii.
+its own). In each block a certificate first picks out the segments that
+cross no cell edge: each is one piece, in the cell of its midpoint. The other
+segments are cut at all their ring and sector (or grid-line) crossings at
+once and their pieces sorted by t. All pieces, merged in segment order, are
+summed per (curve, cell) with one `np.unique` and `np.bincount`. A curve
+never spans two blocks, so each per-cell sum adds the same pieces in the same
+order as rasterizing the curve alone: the incidence arrays equal the
+per-curve ones bit for bit. The certificate only admits a segment in which
+the search would keep no cut, so the arrays also equal those of searching
+every segment. On a cartesian grid it asks that both ends lie in the
+midpoint's closed cell. On a polar grid it asks that no ring edge lie within
+1e-6 of the segment's radii, and that both ends lie in the midpoint's sector
+widened by 1e-12 |p x d| / rmax^2 less a rounding allowance (see
+`_cut_free_polar`). It admits every segment of the shipped lower_q circles,
+whose vertices sit on sector edges. 2^12 segments (four 1024-vertex circles)
+keep a block's arrays in a 2 MB L2 cache, and 2^6 curves bound the pieces of
+a block of short curves that cross many cells. A polar grid holds the tables
+the crossings index in its `geometry`: libm cos and sin of every sector edge
+a segment can cross, and the squared ring radii.
 
 Incidences are plain numpy CSR arrays and the closed form is numpy alone,
 so scipy is imported only when a family has overlapping supports and FISTA
@@ -340,17 +349,11 @@ def _in_segment(seg: np.ndarray, t: np.ndarray):
     return seg[keep], t[keep]
 
 
-def _ring_cuts(p, d, q, dd, pd, geometry):
-    """(segment, t) in (0, 1) where the segments p + t d (ending at q) cross ring edges,
-    both roots of |p + t d|^2 = R^2; dd = |d|^2 and pd = <p, d>."""
+def _ring_cuts(p, d, dd, pd, rp, rmin, rmax, geometry):
+    """(segment, t) in (0, 1) where the segments p + t d cross ring edges, both roots of
+    |p + t d|^2 = R^2; dd = |d|^2, pd = <p, d>, rp = |p|, and the segment's radii span
+    [rmin, rmax]."""
     R_edges = geometry["R_edges"]
-    # radial span of the segment: perigee may undercut both endpoints
-    rp, rq = np.hypot(p.real, p.imag), np.hypot(q.real, q.imag)
-    t_foot = -pd / dd
-    rmin = np.minimum(rp, rq)
-    foot = np.hypot(p.real + t_foot * d.real, p.imag + t_foot * d.imag)
-    rmin = np.where((0.0 < t_foot) & (t_foot < 1.0), np.minimum(rmin, foot), rmin)
-    rmax = np.maximum(rp, rq)
     k0 = np.searchsorted(R_edges, rmin - 1e-15)
     k1 = np.searchsorted(R_edges, rmax + 1e-15)
     s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(R_edges)))
@@ -363,15 +366,14 @@ def _ring_cuts(p, d, q, dd, pd, geometry):
     return _in_segment(s, (-b - root) / two_dd), _in_segment(s, (-b + root) / two_dd)
 
 
-def _sector_cuts(p, d, q, dd, pd, geometry):
+def _sector_cuts(p, d, q, dd, pd, sweep, geometry):
     """(segment, t) in (0, 1) where the segments p + t d (ending at q) cross sector
-    edges, and the center of a segment through it."""
+    edges, and the center of a segment through it; sweep = p x d."""
     # angular sweep is monotone along a straight segment
     two_pi = 2.0 * math.pi
     step = two_pi / geometry["n_theta"]
     a0 = np.mod(np.arctan2(p.imag, p.real), two_pi)
     a1 = np.mod(np.arctan2(q.imag, q.real), two_pi)
-    sweep = p.real * d.imag - p.imag * d.real  # sign of d(theta)/dt
     diff = np.mod(a1 - a0, two_pi)
     # a straight segment sweeps less than pi, so the smaller of the two arcs is its
     # sweep, also where a nearly radial segment's end angles round the other way
@@ -393,32 +395,126 @@ def _sector_cuts(p, d, q, dd, pd, geometry):
     return _in_segment(s[ray], t[ray]), _in_segment(through, -pd[through] / dd[through])
 
 
+# Margins of the polar certificate (see _cut_free_polar): _RING_MARGIN in Euclidean
+# radius; _ROUNDING, 32 unit roundoffs in radians, for the rounding of the
+# certificate's and the search's sector tests.
+_RING_MARGIN = 1e-6
+_ROUNDING = 32.0 * 2.0**-53
+
+
+def _cut_free_polar(p, d, q, dd, sweep, rp, rq, rmin, rmax, geometry):
+    """(free, cell): which segments p + t d (ending at q) the crossing search would cut
+    nowhere in (1e-12, 1 - 1e-12), and the cell of each such segment's midpoint.
+
+    Radial: no ring edge lies within _RING_MARGIN of [rmin, rmax]. The search solves
+    |p + t d|^2 = R^2 with c = rp^2 - R^2, b^2 and 4 dd c each rounded by a few
+    ulps, and b^2 <= 4 dd rp^2 (Cauchy-Schwarz). So at a root it keeps, |p + t d|^2
+    is within about 32 ulps of R^2 (radii are below 1), also where a near-tangent
+    chord's rounded discriminant turns positive with no real crossing. Such an R
+    lies within sqrt(32 * 2^-53) < 1e-7 of [rmin, rmax], also where rmin is near 0;
+    1e-6 covers that and the few-ulp errors of rmin and rmax.
+
+    Angular: sweep = p x d is nonzero, and both ends lie in the midpoint's sector
+    widened by m on each side, tested as |z| sin(angle past an edge) >= -m |z| with
+    the edge's own cos and sin from the tables the search uses. A sector is a convex
+    cone, so the whole segment stays in it. Where an end lies delta past an edge,
+    the crossing is at t <= delta rmax^2 / |sweep| from that end, since the angle
+    moves at |sweep| / |p + t d|^2 along the segment. So m = 1e-12 |sweep| / rmax^2
+    keeps every real cut in (1e-12, 1 - 1e-12) out of the certificate, whatever the
+    segment's length: an absolute margin would drop the real cut at t ~ 1e-9 of an
+    end 1e-12 rad past an edge on a segment sweeping 1e-3 rad. From m comes off
+    _ROUNDING (1 + |d| / min(rp, rq)): the rounding of both tests and of q = p + d,
+    the edge tables' 2 pi against n_theta times the sector width, and the search's
+    t, whose error grows as an end nears the center. On the lower_q circles, whose
+    every fourth vertex sits on a sector edge, m is about 23 ulps and those vertices
+    lie within 3 ulps of their edge.
+
+    The cell is the one `_cells_of` gives the midpoint p + d / 2: its sector is
+    computed the same way, and its band is the band of [rmin, rmax], which holds
+    the midpoint's radius and no edge.
+    """
+    R_edges, n_theta = geometry["R_edges"], geometry["n_theta"]
+    below = np.searchsorted(R_edges, rmin - _RING_MARGIN)
+    ring_free = below == np.searchsorted(R_edges, rmax + _RING_MARGIN, side="right")
+    sector = _sectors(p + 0.5 * d, n_theta)
+    lower = sector + len(geometry["sector_cos"]) // 2  # table row of the sector's lower edge
+    cl, sl = geometry["sector_cos"][lower], geometry["sector_sin"][lower]
+    cu, su = geometry["sector_cos"][lower + 1], geometry["sector_sin"][lower + 1]
+    # an end at the center gives m = -inf, which certifies nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = 1e-12 * np.abs(sweep) / (rmax * rmax) - _ROUNDING * (1.0 + np.sqrt(dd) / np.minimum(rp, rq))
+        mp, mq = -m * rp, -m * rq
+        free = (ring_free & (sweep != 0.0)
+                & (p.imag * cl - p.real * sl >= mp) & (q.imag * cl - q.real * sl >= mq)
+                & (p.real * su - p.imag * cu >= mp) & (q.real * su - q.imag * cu >= mq))
+    inside = (1 <= below) & (below < len(R_edges))
+    return free, np.where(inside, (below - 1) * n_theta + sector, -1)
+
+
 def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
-    """(segment, t) in (0, 1) where the segments p + t d cross ring or sector edges."""
+    """(whole, cell, seg, t): which segments p + t d are certified to cross no ring or
+    sector edge, the cell of each of those, and the (segment, t) in (0, 1) where the
+    other segments cross ring or sector edges."""
+    whole = np.zeros(len(p), dtype=bool)
     dd = d.real * d.real + d.imag * d.imag
     moving = np.flatnonzero(dd != 0.0)
     p, d, dd = p[moving], d[moving], dd[moving]
     q = p + d
     pd = p.real * d.real + p.imag * d.imag
-    cuts = _ring_cuts(p, d, q, dd, pd, geometry) + _sector_cuts(p, d, q, dd, pd, geometry)
+    sweep = p.real * d.imag - p.imag * d.real  # sign of d(theta)/dt
+    # radial span of the segment: perigee may undercut both endpoints
+    rp, rq = np.hypot(p.real, p.imag), np.hypot(q.real, q.imag)
+    t_foot = -pd / dd
+    foot = np.hypot(p.real + t_foot * d.real, p.imag + t_foot * d.imag)
+    rmin = np.minimum(rp, rq)
+    rmin = np.where((0.0 < t_foot) & (t_foot < 1.0), np.minimum(rmin, foot), rmin)
+    rmax = np.maximum(rp, rq)
+    free, cell = _cut_free_polar(p, d, q, dd, sweep, rp, rq, rmin, rmax, geometry)
+    whole[moving[free]] = True
+    rest = np.flatnonzero(~free)
+    p, d, q, dd, pd, sweep, rp, rmin, rmax = (a[rest] for a in (p, d, q, dd, pd, sweep, rp, rmin, rmax))
+    cuts = (_ring_cuts(p, d, dd, pd, rp, rmin, rmax, geometry)
+            + _sector_cuts(p, d, q, dd, pd, sweep, geometry))
     segs, ts = zip(*cuts)
-    return moving[np.concatenate(segs)], np.concatenate(ts)
+    return whole, cell[free], moving[rest][np.concatenate(segs)], np.concatenate(ts)
+
+
+def _cut_free_cartesian(p, d, geometry):
+    """(free, cell): which segments p + t d have both ends in the closed cell of their
+    midpoint p + d / 2, and that cell as `_cells_of` gives it.
+
+    A cell is convex, so such a segment never leaves it: every grid-line crossing is
+    at an end, where the rounding of q = p + d and of the search's t moves it by a
+    few ulps of t, and the search keeps none within 1e-12 of an end.
+    """
+    q, mid = p + d, p + 0.5 * d
+    i, inside_x = _bins(geometry["x_edges"], mid.real)
+    j, inside_y = _bins(geometry["y_edges"], mid.imag)
+    free = inside_x & inside_y
+    for edges, k, a, b in ((geometry["x_edges"], i, p.real, q.real), (geometry["y_edges"], j, p.imag, q.imag)):
+        free &= (edges[k] <= np.minimum(a, b)) & (np.maximum(a, b) <= edges[k + 1])
+    return free, i * geometry["n_y"] + j
 
 
 def _crossings_cartesian(p: np.ndarray, d: np.ndarray, geometry):
-    """(segment, t) in (0, 1) where the segments p + t d cross grid lines."""
+    """(whole, cell, seg, t): which segments p + t d are certified to cross no grid
+    line, the cell of each of those, and the (segment, t) in (0, 1) where the other
+    segments cross grid lines."""
+    whole, cell = _cut_free_cartesian(p, d, geometry)
+    rest = np.flatnonzero(~whole)
     segs, ts = [], []
-    for edges, pp, dd in ((geometry["x_edges"], p.real, d.real), (geometry["y_edges"], p.imag, d.imag)):
+    for edges, pp, dd in ((geometry["x_edges"], p.real[rest], d.real[rest]),
+                          (geometry["y_edges"], p.imag[rest], d.imag[rest])):
         moving = np.flatnonzero(dd != 0.0)
         pp, dd = pp[moving], dd[moving]
         k0 = np.searchsorted(edges, np.minimum(pp, pp + dd) - 1e-15)
         k1 = np.searchsorted(edges, np.maximum(pp, pp + dd) + 1e-15)
         s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(edges)))
         with np.errstate(over="ignore"):  # a subnormal step gives t = +-inf, outside (0, 1)
-            s, t = _in_segment(moving[s], (edges[k] - pp[s]) / dd[s])
+            s, t = _in_segment(rest[moving[s]], (edges[k] - pp[s]) / dd[s])
         segs.append(s)
         ts.append(t)
-    return np.concatenate(segs), np.concatenate(ts)
+    return whole, cell[whole], np.concatenate(segs), np.concatenate(ts)
 
 
 def _bins(edges: np.ndarray, x: np.ndarray):
@@ -429,14 +525,20 @@ def _bins(edges: np.ndarray, x: np.ndarray):
     return np.searchsorted(edges[1:-1], x), (edges[0] <= x) & (x <= edges[-1])
 
 
+def _sectors(z: np.ndarray, n_theta: int) -> np.ndarray:
+    """Sector index of each point among n_theta equal sectors from angle 0."""
+    angle = np.arctan2(z.imag, z.real)
+    # np.mod(angle, 2 pi) bit for bit, also at -0.0, in a seventh of its time
+    theta = angle + (angle < 0.0) * (2.0 * math.pi)
+    return (theta / (2.0 * math.pi / n_theta)).astype(np.int64) % n_theta
+
+
 def _cells_of(z: np.ndarray, geometry) -> np.ndarray:
     """Cell index of each point, -1 outside the grid."""
     if geometry["kind"] == "polar":
         n_theta = geometry["n_theta"]
         k, inside = _bins(geometry["R_edges"], np.hypot(z.real, z.imag))
-        theta = np.mod(np.arctan2(z.imag, z.real), 2.0 * math.pi)
-        j = (theta / (2.0 * math.pi / n_theta)).astype(np.int64) % n_theta
-        return np.where(inside, k * n_theta + j, -1)
+        return np.where(inside, k * n_theta + _sectors(z, n_theta), -1)
     i, inside_x = _bins(geometry["x_edges"], z.real)
     j, inside_y = _bins(geometry["y_edges"], z.imag)
     return np.where(inside_x & inside_y, i * geometry["n_y"] + j, -1)
@@ -463,8 +565,11 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
 
     Segments are cut at every crossing; each piece goes to the cell of its
     midpoint, and the per-cell sums add the pieces in order along the curve.
-    The segments of whole curves are cut and summed in blocks (see the module
-    docstring).
+    A segment certified to cross no cell edge (`_cut_free_polar`,
+    `_cut_free_cartesian`) skips the crossing search as one piece, t from 0 to
+    1; the certificate admits no segment the search would cut, so the arrays
+    are those of searching every segment. The segments of whole curves are
+    cut and summed in blocks (see the module docstring).
     """
     geometry, n_cells = dom.geometry, dom.n_cells
     crossings = _crossings_polar if geometry["kind"] == "polar" else _crossings_cartesian
@@ -474,16 +579,23 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
         p = np.concatenate([p for p, _ in ends])
         d = np.concatenate([q for _, q in ends]) - p
         seg_curve = np.repeat(np.arange(first, first + len(ends)), n_segments)
-        seg, t = crossings(p, d, geometry)
-        n = len(p)
-        seg = np.concatenate((np.arange(n), np.arange(n), seg))
-        t = np.concatenate((np.zeros(n), np.ones(n), t))
+        whole, whole_cell, seg, t = crossings(p, d, geometry)
+        whole, rest = np.flatnonzero(whole), np.flatnonzero(~whole)
+        seg = np.concatenate((rest, rest, seg))
+        t = np.concatenate((np.zeros(len(rest)), np.ones(len(rest)), t))
         order = np.lexsort((t, seg))
         seg, t = seg[order], t[order]
         # piece i runs from t[i] to t[i + 1]; an exact duplicate cut starts no piece
         start = np.flatnonzero((seg[1:] == seg[:-1]) & (t[1:] != t[:-1]))
         s, t0, t1 = seg[start], t[start], t[start + 1]
         cell = _cells_of(p[s] + 0.5 * (t0 + t1) * d[s], geometry)
+        # a certified segment is one piece, t from 0 to 1, in the cell the certificate
+        # found; a stable sort by segment merges it in order along the curve
+        s = np.concatenate((whole, s))
+        order = np.argsort(s, kind="stable")
+        s, cell = s[order], np.concatenate((whole_cell, cell))[order]
+        t0 = np.concatenate((np.zeros(len(whole)), t0))[order]
+        t1 = np.concatenate((np.ones(len(whole)), t1))[order]
         inside = cell >= 0
         s, t0, t1 = s[inside], t0[inside], t1[inside]
         # one sum per (curve, cell), adding the pieces in order along the curve

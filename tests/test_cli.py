@@ -143,6 +143,16 @@ class TestDirichlet:
         assert err.startswith("config error") and field in err
         assert not (tmp_path / "dom.svg").exists()
 
+    @pytest.mark.parametrize("text", [None, "{nope"], ids=["missing", "not-json"])
+    def test_unreadable_group_is_a_config_error(self, capsys, tmp_path, text):
+        if text is not None:
+            (tmp_path / "nope.json").write_text(text)
+        code, _, err = run_cli(capsys, "dirichlet", "--group", str(tmp_path / "nope.json"),
+                               "--rays", "8", "--out-file", str(tmp_path / "dom.svg"))
+        assert code == 2
+        assert err.startswith("config error") and "nope.json" in err
+        assert not (tmp_path / "dom.svg").exists()
+
 
 class TestDistortion:
     def test_csv_and_summary(self, capsys, tmp_path):
@@ -231,6 +241,23 @@ class TestVerifyAndSuite:
         report = json.loads((tmp_path / "results" / "suite_report.json").read_text())
         assert [(r["experiment_id"], r["status"], r["passed"]) for r in report["records"]] == [
             ("bad", "config_error", False), ("boundary_mobius", "ok", True)]
+
+
+    @pytest.mark.parametrize("eid", ["../escaped", 7, ["a"]], ids=["parent-dir", "number", "list"])
+    def test_suite_refuses_an_id_that_is_no_file_name(self, capsys, tmp_path, eid):
+        cfg = json.loads((CONFIG_DIR / "experiments" / "boundary_mobius.json").read_text())
+        configs, out_dir = tmp_path / "configs", tmp_path / "out" / "inner"
+        configs.mkdir()
+        (configs / "escaped.json").write_text(json.dumps({**cfg, "id": eid}))
+        code, _, _ = run_cli(capsys, "suite", str(configs), "--out-dir", str(out_dir))
+        assert code == 1
+        report = json.loads((out_dir / "suite_report.json").read_text())
+        [record] = report["records"]
+        assert (record["experiment_id"], record["status"]) == ("escaped", "config_error")
+        assert "id must be a plain file name" in record["error"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["inner"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "escaped.json", "suite_report.json", "suite_summary.csv"]
 
 
 def test_closed_form_runs_load_no_scipy(tmp_path):

@@ -151,6 +151,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=f"{field} must be a JSON object"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("eid", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", "..", 7, ["a"], None],
+                             ids=["parent-dir", "slash", "backslash", "nul", "empty", "dot", "dot-dot",
+                                  "number", "list", "null"])
+    def test_id_must_be_a_plain_file_name(self, eid):
+        # the id names the run's output files, so it may not leave the output directory
+        cfg = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())
+        with pytest.raises(ConfigError, match="id must be a plain file name"):
+            ExperimentConfig(experiment_id=eid, kind=cfg["kind"], map_spec=cfg["map"], paths=cfg["paths"])
+
     def test_unknown_kind(self, tmp_path):
         path = write_cfg(tmp_path, "bad.json", {"id": "x", "kind": "quantize", "map": {"kind": "identity"}})
         with pytest.raises(ConfigError):

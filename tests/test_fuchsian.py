@@ -268,7 +268,7 @@ class TestEnumerationOracle:
         assert len(elems) == 4
         assert_same_elements(elems, enumeration_oracle(grp))
 
-    @pytest.mark.parametrize("cap", [0, 7, 8, 63, 64, 455])
+    @pytest.mark.parametrize("cap", [1, 7, 8, 63, 64, 455])  # a cap below 1 is refused when the group is built
     def test_cap_counts_kept_elements(self, cap):
         grp = FuchsianGroup(genus2_group().generators, max_word_length=3, element_cap=cap)
         for enumerate_ in (enumerate_elements, enumeration_oracle):
@@ -563,8 +563,9 @@ class TestGroupIO:
         (lambda grp: grp.update(max_word_length=2.7), "max_word_length"),
         (lambda grp: grp.update(max_word_length=True), "max_word_length"),
         (lambda grp: grp.update(element_cap="1000000"), "element_cap"),
+        (lambda grp: grp.update(element_cap=0), "element_cap"),
     ], ids=["a-im-missing", "a-re-string", "c-re-boolean", "word-length-fraction", "word-length-boolean",
-            "cap-string"])
+            "cap-string", "cap-zero"])
     def test_malformed_file_names_the_field(self, tmp_path, change, field):
         group = json.loads((CONFIG_DIR / "groups" / "cyclic.json").read_text())
         change(group)
@@ -572,3 +573,16 @@ class TestGroupIO:
         path.write_text(json.dumps(group))
         with pytest.raises(ValueError, match=field):
             load_group(path)
+
+    @pytest.mark.parametrize("text", [None, "{nope", "\udcff"], ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_file_names_the_path(self, tmp_path, text):
+        path = tmp_path / "group.json"
+        if text is not None:
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match="group file .*group.json"):
+            load_group(path)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_element_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="element_cap"):
+            FuchsianGroup(genus2_group().generators, element_cap=cap)

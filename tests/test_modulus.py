@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, nnls
 
+from modlab import modulus
 from modlab.diskgeom import Polyline, euclid_radius, hyp_length
+from modlab.experiments import ExperimentConfig
 from modlab.fields import parse_field
-from modlab.mappings import pushforward_polylines, winding
+from modlab.mappings import pushforward_polylines
 from modlab.modulus import (
     DensityField,
     PolylineFamily,
@@ -27,6 +30,7 @@ from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _blocks, _crossings_p
 from modlab.quadrature import RingSpec
 
 RING = RingSpec(0.5, 1.5)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "experiments"
 EDGE_INDEX = st.none() | st.integers(0, 15)  # see _snap
 
 
@@ -108,13 +112,58 @@ def _radial_family():
     return rasterize_family(radial_connecting_family(RING, 600), dom), dom
 
 
+def _lower_q_image_family(name):
+    """The image circles of a shipped lower_q config and its image grid, as its run builds them."""
+    cfg = ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json")
+    f, (ring, n_circles, n_theta, *_) = cfg.sample_map, cfg.params
+    image = pushforward_polylines(f, circle_family(ring, n_circles, n_vertices=4 * n_theta))
+    dom = polar_grid_from_band_centers(image.circle_radii, f.image_radius(ring.r_inner),
+                                       f.image_radius(ring.r_outer), n_theta)
+    return image, dom
+
+
 def _winding_image_family():
     """The lower_q_winding2 image family: 64 circles pushed forward by z -> z^2|z|^-1."""
-    f = winding(2)
-    image = pushforward_polylines(f, circle_family(RING, 64, n_vertices=1024))
-    dom = polar_grid_from_band_centers(image.circle_radii, f.image_radius(RING.r_inner),
-                                       f.image_radius(RING.r_outer), 256)
+    image, dom = _lower_q_image_family("lower_q_winding2")
     return rasterize_family(image, dom), dom
+
+
+def _certify_nothing(certify):
+    """The certificate with every segment sent on to the crossing search."""
+    def nothing(*args):
+        free, cell = certify(*args)
+        return np.zeros_like(free), cell
+    return nothing
+
+
+def _searched(family, dom):
+    """rasterize_family with no segment certified: every one goes through the crossing search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modulus, "_cut_free_polar", _certify_nothing(modulus._cut_free_polar))
+        mp.setattr(modulus, "_cut_free_cartesian", _certify_nothing(modulus._cut_free_cartesian))
+        return rasterize_family(family, dom)
+
+
+def _rasterize_counting(family, dom):
+    """(family, segments, segments the polar certificate lets through to the search)."""
+    certify, counts = modulus._cut_free_polar, [0, 0]
+
+    def counting(*args):
+        free, cell = certify(*args)
+        counts[0] += len(free)
+        counts[1] += int(np.count_nonzero(~free))
+        return free, cell
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modulus, "_cut_free_polar", counting)
+        return (rasterize_family(family, dom), *counts)
+
+
+def _assert_same_family(fam, ref):
+    assert np.array_equal(fam.indptr, ref.indptr) and np.array_equal(fam.indices, ref.indices)
+    assert fam.indptr.dtype == ref.indptr.dtype and fam.indices.dtype == ref.indices.dtype
+    assert np.array_equal(_bits(fam.euclidean), _bits(ref.euclidean))
+    assert np.array_equal(_bits(fam.hyperbolic), _bits(ref.hyperbolic))
 
 
 def _overlap_chords(rng):
@@ -259,6 +308,8 @@ class TestGrids:
             assert row_h == pytest.approx(hyp_length(poly), rel=1e-12, abs=0.0)
             assert np.array_equal(cells, E.indices[lo:hi]) and np.array_equal(cells, H.indices[lo:hi])
             assert np.array_equal(le, E.data[lo:hi]) and np.array_equal(lh, H.data[lo:hi])
+        # the certificate changes nothing: the same arrays with every segment searched
+        _assert_same_family(fam, _searched(PolylineFamily(polylines, kind="connecting"), dom))
 
 
 def _one_curve_rows(polylines, dom):
@@ -319,8 +370,8 @@ class TestSectorEdgeTable:
         R = euclid_radius(1.0)
         p, q = R * np.exp(-1j * alpha * direction), R * np.exp(1j * alpha * direction)
         d = np.array([q - p])
-        seg, t = _crossings_polar(np.array([p]), d, dom.geometry)
-        assert np.all(seg == 0) and np.all((0.0 < t) & (t < 1.0))
+        whole, _, seg, t = _crossings_polar(np.array([p]), d, dom.geometry)
+        assert not whole.any() and np.all(seg == 0) and np.all((0.0 < t) & (t < 1.0))
         z = p + t * d[0]
         on_ring = np.min(np.abs(np.abs(z)[:, None] - dom.geometry["R_edges"]), axis=1) < 1e-12
         # each sector edge the segment crosses, from libm values of its own angle in [0, 2 pi)
@@ -339,6 +390,93 @@ class TestSectorEdgeTable:
         R_inner, x = dom.geometry["R_edges"][0], p.real
         assert fam.euclidean.sum() == pytest.approx(abs(q - p) - 2.0 * math.sqrt(R_inner**2 - x * x),
                                                     rel=1e-12, abs=0.0)
+
+
+class TestCutFreeCertificate:
+    """Segments certified to cross no cell edge skip the crossing search; the arrays
+    equal, bit for bit, those of searching every segment."""
+
+    @pytest.mark.parametrize("name", ["lower_q_identity", "lower_q_radial_stretch2", "lower_q_winding2"])
+    def test_shipped_lower_q_families_skip_the_search(self, name):
+        image, dom = _lower_q_image_family(name)
+        fam, n_segments, fall_through = _rasterize_counting(image, dom)
+        assert (n_segments, fall_through) == (65536, 0)
+        _assert_same_family(fam, _searched(image, dom))
+
+    @pytest.mark.parametrize("n_theta", [4, 12, 256])
+    def test_vertices_on_sector_edges(self, n_theta):
+        # every fourth vertex on a sector edge, up to rounding, as on the lower_q circles
+        dom = polar_grid(RING, 6, n_theta)
+        pf = circle_family(RING, 6, n_vertices=4 * n_theta)
+        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
+        assert fall_through == 0
+        _assert_same_family(fam, _searched(pf, dom))
+        # chords from a vertex exactly on each edge, to either side
+        R, step = euclid_radius(1.0 + 1.0 / 12.0), 2.0 * math.pi / n_theta  # mid-band
+        edges = dom.geometry["theta_edges"]
+        chords = tuple(Polyline((R * np.exp(1j * a), R * np.exp(1j * (a + side * step / 3))))
+                       for a in edges for side in (1, -1))
+        pf = PolylineFamily(chords, kind="connecting")
+        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
+        assert fall_through == 0
+        _assert_same_family(fam, _searched(pf, dom))
+
+    @pytest.mark.parametrize("past", [1e-10, -1e-10, 1e-13], ids=["past-end", "past-start", "1e-13-past-end"])
+    def test_end_just_past_an_edge_of_a_short_segment(self, past):
+        # a chord sweeping 1e-3 rad with an end beyond a sector edge: the crossing is at
+        # t ~ past / 1e-3 from that end, which the search keeps, so the certificate must not
+        dom = polar_grid(RING, 6, 12)
+        R, edge = euclid_radius(1.0 + 1.0 / 12.0), dom.geometry["theta_edges"][2]  # mid-band
+        if past > 0:
+            a0, a1 = edge - 1e-3 + past, edge + past
+        else:
+            a0, a1 = edge + past, edge + 1e-3 + past
+        pf = PolylineFamily((Polyline((R * np.exp(1j * a0), R * np.exp(1j * a1))),), kind="connecting")
+        fam, _, fall_through = _rasterize_counting(pf, dom)
+        ref = _searched(pf, dom)
+        assert fall_through == 1
+        assert len(ref.indices) == 2  # a piece on each side of the edge
+        _assert_same_family(fam, ref)
+
+    def test_ends_at_the_margin_that_keeps_real_cuts_out(self):
+        # chords ending past a sector edge by about 1e-12 |p x d| / rmax^2, where a real
+        # cut lies about 1e-12 from the end: only the rounding allowance keeps the
+        # certificate off the ones whose rounded t the search keeps
+        dom = polar_grid(RING, 6, 12)
+        R = euclid_radius(1.0 + 1.0 / 12.0)  # mid-band
+        chords = []
+        for swept in (6e-3, 2e-2):
+            for edge in dom.geometry["theta_edges"][1:4]:
+                for delta in 1e-12 * math.sin(swept) * (1.0 + 2e-4 * np.arange(-100, 101)):
+                    for a0, a1 in ((edge - swept + delta, edge + delta), (edge - delta, edge - delta + swept)):
+                        chords.append(Polyline((R * np.exp(1j * a0), R * np.exp(1j * a1))))
+        pf = PolylineFamily(tuple(chords), kind="connecting")
+        _assert_same_family(rasterize_family(pf, dom), _searched(pf, dom))
+
+    def test_chords_tangent_to_a_ring_edge(self):
+        # chords whose perigee lies on a ring edge or a few ulps above it: rounding can
+        # turn the discriminant positive and the search then cuts the chord near its perigee
+        dom = polar_grid(RING, 8, 16)
+        step = 2.0 * math.pi / 16
+        chords = []
+        for R in dom.geometry["R_edges"]:
+            h = R
+            for _ in range(4):
+                for phi in (np.arange(16) + 0.5) * step:
+                    e = complex(math.cos(phi), math.sin(phi))
+                    chords += [Polyline((h * e - 1j * s * e, h * e + 1j * s * e)) for s in (1e-3, 1e-2, 3e-2)]
+                h = np.nextafter(h, 2.0)
+        pf = PolylineFamily(tuple(chords), kind="connecting")
+        _assert_same_family(rasterize_family(pf, dom), _searched(pf, dom))
+
+    @pytest.mark.parametrize("dom", [polar_grid(RingSpec(0.0, 2.0), 5, 4), polar_grid(RING, 6, 12)],
+                             ids=["grid-from-center", "ring-grid"])
+    def test_segments_through_the_center(self, dom):
+        segments = [(0.3 + 0.3j, -0.3 - 0.3j), (-0.4, 0.4), (0.5j, -0.5j), (0.0, 0.2j), (0.1 + 0.1j, 0.0)]
+        pf = PolylineFamily(tuple(Polyline(s) for s in segments), kind="connecting")
+        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
+        assert fall_through == n_segments == 5
+        _assert_same_family(fam, _searched(pf, dom))
 
 
 class TestModulusDiscrete:
