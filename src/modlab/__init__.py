@@ -64,7 +64,6 @@ from .criteria import (
     divergence_check,
     eta_inequality_check,
     fmo_check,
-    fmo_integral_estimate,
 )
 from .fields import parse_field
 from .experiments import run_boundary_extension_probe, run_lower_q_verification, run_suite

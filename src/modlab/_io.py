@@ -14,6 +14,9 @@ import json
 import math
 from pathlib import Path
 
+# the cap on every count read from outside input: config grid counts and CLI counts
+MAX_COUNT = 4096
+
 
 def json_number(value, name: str, whole: bool = False, optional: bool = False):
     """A JSON value as a float (an int when `whole`; None stays None when
@@ -34,11 +37,8 @@ def json_number(value, name: str, whole: bool = False, optional: bool = False):
     return int(value) if whole else number
 
 
-def write_json(data, path):
-    """Write data to path (skipped when path is None) and return it."""
-    if path is not None:
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    return data
+def write_json(data, path) -> None:
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _cell(value) -> str:

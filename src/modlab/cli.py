@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import write_json
+from ._io import MAX_COUNT, write_json
 
 SCHEMA_VERSION = 1
 
@@ -29,12 +29,20 @@ def _emit(data: dict, out_file=None) -> None:
         print(json.dumps(data, indent=2, sort_keys=True))
 
 
+def _count(value: int, flag: str) -> int:
+    """A count given on the command line, refused above the cap on config counts."""
+    if value > MAX_COUNT:
+        raise ValueError(f"{flag} must be at most {MAX_COUNT}, not {value}")
+    return value
+
+
 def _parse_grid(spec: str):
     try:
         n_r, n_theta = spec.lower().split("x")
-        return int(n_r), int(n_theta)
+        n_r, n_theta = int(n_r), int(n_theta)
     except ValueError as exc:
         raise ValueError(f"grid must look like 200x600, got {spec!r}") from exc
+    return _count(n_r, "--grid"), _count(n_theta, "--grid")
 
 
 def _cmd_ring_modulus(args) -> int:
@@ -74,7 +82,7 @@ def _cmd_circle_family(args) -> int:
 
     ring = RingSpec(args.r1, args.r2)
     value, reference = circle_family_modulus(
-        ring, parse_field(args.q), n_circles=args.n_circles
+        ring, parse_field(args.q), n_circles=_count(args.n_circles, "--n-circles")
     )
     rel = abs(value - reference) / reference
     _emit({
@@ -92,7 +100,7 @@ def _cmd_qnorm(args) -> int:
     from .quadrature import RingSpec, qnorm_profile
 
     ring = RingSpec(args.r1, args.r2)
-    prof = qnorm_profile(parse_field(args.q), ring, n_samples=args.samples)
+    prof = qnorm_profile(parse_field(args.q), ring, n_samples=_count(args.samples, "--samples"))
     if args.out == "csv":
         if args.out_file:
             prof.to_csv(args.out_file)
@@ -109,7 +117,7 @@ def _cmd_fmo(args) -> int:
     from .criteria import default_epsilon_sequence, fmo_check
     from .fields import parse_field
 
-    eps = default_epsilon_sequence(args.eps_start, args.eps_count)
+    eps = default_epsilon_sequence(args.eps_start, _count(args.eps_count, "--eps-count"))
     rep = fmo_check(parse_field(args.q), epsilons=eps, center=complex(args.center))
     if args.svg_file:
         from .svgplot import line_plot_svg, write_svg
@@ -143,28 +151,16 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    from .fuchsian import build_dirichlet_domain, dirichlet_membership, enumerate_elements, load_group
+    from .diskgeom import mobius_apply
+    from .fuchsian import build_dirichlet_domain, dirichlet_boundary, enumerate_elements, load_group
     from .svgplot import disk_scene_svg, write_svg
 
     group = load_group(args.group)
     elements = enumerate_elements(group)
     dom = build_dirichlet_domain(group, elements=elements)
-
-    # ray-march the domain boundary: outermost radius still inside, per angle
-    outline = []
-    for theta in np.linspace(0.0, 2 * math.pi, args.rays + 1):
-        lo, hi = 0.0, 0.999
-        if dirichlet_membership(0.999 * np.exp(1j * theta), dom) != "outside":
-            outline.append(0.999 * np.exp(1j * theta))
-            continue
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if dirichlet_membership(mid * np.exp(1j * theta), dom) == "outside":
-                hi = mid
-            else:
-                lo = mid
-        outline.append(lo * np.exp(1j * theta))
-    orbit = [g(0j) for g in elements]
+    boundary = dirichlet_boundary(dom, np.linspace(0.0, 2 * math.pi, 721))
+    outline = boundary * np.minimum(1.0, 0.999 / np.abs(boundary))  # drawn inside the rim
+    orbit = mobius_apply(elements, 0j)
     dots = [[w, w * (1 + 1e-9) + 1e-3] for w in orbit]  # tiny strokes mark orbit points
     svg = disk_scene_svg(
         [outline] + dots,
@@ -180,7 +176,7 @@ def _cmd_distortion(args) -> int:
     from .mappings import distortion_to_csv, finite_distortion_check, parse_map
 
     f = parse_map(args.map)
-    rep = finite_distortion_check(f, grid=args.grid)
+    rep = finite_distortion_check(f, grid=_count(args.grid, "--grid"))
     if args.out == "csv":
         out_file = args.out_file or "distortion.csv"
         distortion_to_csv(f, args.grid, out_file)
@@ -280,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dirichlet", help="render the Dirichlet domain of a group")
     p.add_argument("--group", required=True, help="group definition JSON")
-    p.add_argument("--rays", type=int, default=720)
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_dirichlet)
 

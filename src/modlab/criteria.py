@@ -1,11 +1,10 @@
 """Numeric verdicts for the analytic hypotheses on the weight Q.
 
 Finite mean oscillation at a point, divergence of the reciprocal ring
-integral, the extremal-weight identity/inequality for eta_0 = 1/(J ||Q||),
-and the growth of the log-squared weighted ring integral. "limsup < inf" and
-"integral = inf" are not decidable from finitely many samples; every verdict
-here is a model comparison over an explicit epsilon sequence with the raw
-data exposed in the report.
+integral, and the extremal-weight identity/inequality for eta_0 =
+1/(J ||Q||). "limsup < inf" and "integral = inf" are not decidable from
+finitely many samples; every verdict here is a model comparison over an
+explicit epsilon sequence with the raw data exposed in the report.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_json
 from .diskgeom import mobius_apply, mobius_invert, mobius_to_zero
 from .quadrature import (
     RingSpec,
@@ -32,13 +30,11 @@ __all__ = [
     "DivergenceReport",
     "EtaProfile",
     "EtaCheckReport",
-    "SlopeReport",
     "default_epsilon_sequence",
     "recentered_field",
     "fmo_check",
     "divergence_check",
     "eta_inequality_check",
-    "fmo_integral_estimate",
 ]
 
 EPSILON_FLOOR = 1e-4  # quadrature floor in hyperbolic units
@@ -93,15 +89,14 @@ class FMOReport:
     trend_slope: float
     verdict: str  # "fmo" | "not_fmo" | "inconclusive"
 
-    def to_json(self, path=None):
-        data = {
+    def to_json(self) -> dict:
+        return {
             "epsilons": list(map(float, self.epsilons)),
             "means": list(map(float, self.means)),
             "oscillations": list(map(float, self.oscillations)),
             "trend_slope": self.trend_slope,
             "verdict": self.verdict,
         }
-        return write_json(data, path)
 
 
 def fmo_check(Q: ScalarField, epsilons=None, center=0j) -> FMOReport:
@@ -167,33 +162,28 @@ class DivergenceReport:
     verdict: str  # "diverges" | "converges" | "inconclusive"
     residuals: dict
 
-    def to_json(self, path=None):
-        data = {
+    def to_json(self) -> dict:
+        return {
             "epsilons": list(map(float, self.epsilons)),
             "partial_integrals": list(map(float, self.partial_integrals)),
             "fitted_growth": self.fitted_growth,
             "verdict": self.verdict,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
         }
-        return write_json(data, path)
 
 
-def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float, integrand) -> np.ndarray:
-    """int_eps^eps0 integrand(r, ||Q||(r)) dr for each eps (decreasing), from
-    one dense geometric profile that contains the epsilons."""
+def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float) -> np.ndarray:
+    """int_eps^eps0 dr / ||Q||(r) for each eps (decreasing), from one dense
+    geometric profile that contains the epsilons."""
     grid = np.unique(np.concatenate([np.geomspace(epsilons[-1], eps0, _TAIL_N_DENSE), epsilons]))
     norms = circle_integrals(Q, grid, _TAIL_N_ANGULAR)
-    values = integrand(grid, norms)
+    if np.any(norms <= 0.0):
+        raise ZeroNormError("||Q|| vanishes on the ring; reciprocal integral undefined")
+    values = 1.0 / norms
     # cumulative trapezoid from the right: I[k] = int_{grid[k]}^{eps0}
     seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
     cum = np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
     return cum[np.searchsorted(grid, epsilons)]
-
-
-def _reciprocal_norm(r: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    if np.any(norms <= 0.0):
-        raise ZeroNormError("||Q|| vanishes on the ring; reciprocal integral undefined")
-    return 1.0 / norms
 
 
 def divergence_check(Q: ScalarField, ring: RingSpec) -> DivergenceReport:
@@ -211,7 +201,7 @@ def divergence_check(Q: ScalarField, ring: RingSpec) -> DivergenceReport:
     epsilons = np.unique(np.maximum(epsilons, floor))[::-1]
     if len(epsilons) < 6:
         raise ValueError("epsilon sequence too short; widen the ring")
-    partials = _tail_integrals(Q, epsilons, eps0, _reciprocal_norm)
+    partials = _tail_integrals(Q, epsilons, eps0)
 
     tail = epsilons <= eps0 / 4 + 1e-15
     if np.count_nonzero(tail) < 6:
@@ -314,41 +304,3 @@ def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
         min_relative_margin=min_margin,
         all_above=min_margin >= -1e-9,
     )
-
-
-# ---------------------------------------------------------------------------
-# FMO integral growth
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    epsilons: np.ndarray
-    values: np.ndarray
-    slope: float
-    intercept: float
-    residual: float
-    tail_increment: float  # slope between the last two epsilon points
-
-
-def fmo_integral_estimate(Q: ScalarField, eps0: float = 0.5) -> SlopeReport:
-    """Growth of int_{eps<h<eps0} Q / (h log(1/h))^2 dh against loglog(1/eps),
-    for the 16 epsilons of `default_epsilon_sequence(eps0, 16)`, about 0.
-
-    Radial reduction: the integrand is ||Q||(r) / (r log(1/r))^2. The report
-    carries the global regression slope and the incremental slope over the
-    smallest epsilons; a finite slope (with decaying increments for bounded
-    integrals) is the expected signature for weights of finite mean
-    oscillation at the center.
-    """
-    if eps0 >= 1.0:
-        raise ValueError("need eps0 < 1 so log(1/r) stays positive")
-    epsilons = default_epsilon_sequence(eps0, count=16)
-    values = _tail_integrals(Q, epsilons, eps0, lambda r, norms: norms / (r * np.log(1.0 / r)) ** 2)
-
-    xi = np.log(np.log(1.0 / epsilons))
-    if np.all(values <= 1e-300):
-        return SlopeReport(epsilons, values, 0.0, 0.0, 0.0, 0.0)
-    slope, intercept, residual = _linear_fit_residual(xi, values)
-    tail = (values[-1] - values[-2]) / (xi[-1] - xi[-2])
-    return SlopeReport(epsilons, values, float(slope), float(intercept),
-                       residual, float(tail))

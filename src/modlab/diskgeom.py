@@ -86,11 +86,6 @@ class MobiusAutomorphism:
     def __call__(self, z):
         return mobius_apply(self, z)
 
-    @property
-    def trace_real(self) -> float:
-        """Re(trace) of the SU(1,1) matrix; |2 Re a| classifies the element."""
-        return self.a.real
-
     def coefficient_distance(self, other: "MobiusAutomorphism") -> float:
         """Distance between coefficient pairs, minimized over the sign ambiguity."""
         d_plus = max(abs(self.a - other.a), abs(self.c - other.c))

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import json_number, write_csv, write_json
+from ._io import MAX_COUNT, json_number, write_csv, write_json
 from .criteria import divergence_check
 from .diskgeom import euclid_radius, inside_disk
 from .fields import parse_field
@@ -138,10 +138,10 @@ def _section_number(cfg: ExperimentConfig, section: str, key: str, default, whol
 
 
 def _grid_count(cfg: ExperimentConfig, key: str, default: int, low: int) -> int:
-    """grid[key] as an int in [low, 4096], the cap on every grid resolution."""
+    """grid[key] as an int in [low, MAX_COUNT]."""
     count = _section_number(cfg, "grid", key, default, whole=True)
-    if not low <= count <= 4096:
-        raise ConfigError(f"grid.{key} must lie in [{low}, 4096], not {count}")
+    if not low <= count <= MAX_COUNT:
+        raise ConfigError(f"grid.{key} must lie in [{low}, {MAX_COUNT}], not {count}")
     return count
 
 

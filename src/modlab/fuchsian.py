@@ -1,8 +1,9 @@
 """Finitely generated Fuchsian groups acting on the disk.
 
-Word enumeration up to a length bound, Dirichlet fundamental polygons,
-projection to a fundamental set, and the injectivity radius: balls of a
-smaller radius embed in the quotient surface.
+Word enumeration up to a length bound, Dirichlet fundamental polygons and
+their boundary along rays from the center, projection to a fundamental set,
+and the injectivity radius: balls of a smaller radius embed in the quotient
+surface.
 
 An enumerated element set is one `GroupElements` value: two read-only
 coefficient arrays (a, c). `enumerate_elements` builds it one word length at
@@ -51,6 +52,7 @@ __all__ = [
     "enumerate_elements",
     "build_dirichlet_domain",
     "dirichlet_membership",
+    "dirichlet_boundary",
     "project_to_fundamental",
     "injectivity_radius",
     "load_group",
@@ -364,6 +366,21 @@ def dirichlet_membership(z, dom: DirichletDomain) -> str:
     if np.any(d_center > d_images - _MEMBERSHIP_TOL):
         return "boundary"
     return "inside"
+
+
+def dirichlet_boundary(dom: DirichletDomain, angles) -> np.ndarray:
+    """Where the geodesic ray from `dom.center` at each angle leaves the polygon,
+    or its end on the rim where it never does: in the Klein model about the
+    center (see `_prune`), at R = min |w|^2 / Re(e^{i theta} conj(w)) over the
+    images w with a positive denominator, capped at 1."""
+    to_zero = mobius_to_zero(dom.center)
+    w = mobius_apply(to_zero, dom.images)
+    direction = np.exp(1j * np.asarray(angles, dtype=float))
+    toward = (direction[:, None] * w.conjugate()).real
+    with np.errstate(divide="ignore"):
+        exits = np.where(toward > 0.0, np.abs(w) ** 2 / toward, 1.0)
+    klein = np.min(exits, axis=1, initial=1.0)
+    return mobius_apply(mobius_invert(to_zero), klein / (1.0 + np.sqrt(1.0 - klein**2)) * direction)
 
 
 def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elements=None):

@@ -272,13 +272,13 @@ def wirtinger_fd(f: SampleMap, z, step: float = None):
     return _fd_stencil(f, z, h)
 
 
-def wirtinger(f: SampleMap, z, step: float = None):
+def wirtinger(f: SampleMap, z):
     """(f_z, f_zbar) at an array of points: analytic when the kind provides
-    it, else central differences with the given step. wirtinger_fd stays
-    available for cross-checking the analytic path."""
+    it, else central differences with wirtinger_fd's default step.
+    wirtinger_fd stays available for cross-checking the analytic path."""
     if f.has_analytic_wirtinger:
         return f.wirtinger_analytic(np.atleast_1d(np.asarray(z, dtype=complex)))
-    return wirtinger_fd(f, z, step)
+    return wirtinger_fd(f, z)
 
 
 def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
@@ -294,10 +294,10 @@ def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
     return a, b, jac, np.where(n < 1e-15, 1.0, k)
 
 
-def dilatation(f: SampleMap, z, step: float = None) -> np.ndarray:
+def dilatation(f: SampleMap, z) -> np.ndarray:
     """K_f at an array of points: (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|) where
     J != 0, 1 where the norm vanishes and inf where J = 0."""
-    return _derivative_data(*wirtinger(f, z, step))[3]
+    return _derivative_data(*wirtinger(f, z))[3]
 
 
 _DISTORTION_EXTENT = 0.9  # the sweeps sample the disk |z| <= 0.9

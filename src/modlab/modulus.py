@@ -11,7 +11,7 @@ infimum with its extremal density.
 
 Rasterization makes one pass per family. Whole consecutive curves form
 blocks of at most 2^12 segments and 2^6 curves (a longer curve is a block of
-its own). In each block a certificate first picks out the segments that
+its own). On a polar grid a certificate first picks out the segments that
 cross no cell edge: each is one piece, in the cell of its midpoint. The other
 segments are cut at all their ring and sector (or grid-line) crossings at
 once and their pieces sorted by t. All pieces, merged in segment order, are
@@ -20,16 +20,17 @@ never spans two blocks, so each per-cell sum adds the same pieces in the same
 order as rasterizing the curve alone: the incidence arrays equal the
 per-curve ones bit for bit. The certificate only admits a segment in which
 the search would keep no cut, so the arrays also equal those of searching
-every segment. On a cartesian grid it asks that both ends lie in the
-midpoint's closed cell. On a polar grid it asks that no ring edge lie within
-1e-6 of the segment's radii, and that both ends lie in the midpoint's sector
-widened by 1e-12 |p x d| / rmax^2 less a rounding allowance (see
-`_cut_free_polar`). It admits every segment of the shipped lower_q circles,
-whose vertices sit on sector edges. 2^12 segments (four 1024-vertex circles)
-keep a block's arrays in a 2 MB L2 cache, and 2^6 curves bound the pieces of
-a block of short curves that cross many cells. A polar grid holds the tables
-the crossings index in its `geometry`: libm cos and sin of every sector edge
-a segment can cross, and the squared ring radii.
+every segment. It asks that no ring edge lie within 1e-6 of the segment's
+radii, and that both ends lie in the midpoint's sector widened by
+1e-12 |p x d| / rmax^2 less a rounding allowance (see `_cut_free_polar`).
+It admits every segment of the shipped lower_q circles, whose vertices sit
+on sector edges, so their blocks run no search. A cartesian grid has none:
+on the chords of the one cartesian workload it admitted no segment. 2^12
+segments (four 1024-vertex circles) keep a block's arrays in a 2 MB L2
+cache, and 2^6 curves bound the pieces of a block of short curves that cross
+many cells. A polar grid holds the tables the crossings index in its
+`geometry`: libm cos and sin of every sector edge a segment can cross, and
+the squared ring radii.
 
 Incidences are plain numpy CSR arrays and the closed form is numpy alone,
 so scipy is imported only when a family has overlapping supports and FISTA
@@ -472,6 +473,8 @@ def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
     free, cell = _cut_free_polar(p, d, q, dd, sweep, rp, rq, rmin, rmax, geometry)
     whole[moving[free]] = True
     rest = np.flatnonzero(~free)
+    if len(rest) == 0:  # every lower_q block: nothing to search
+        return whole, cell, np.zeros(0, dtype=np.int64), np.zeros(0)
     p, d, q, dd, pd, sweep, rp, rmin, rmax = (a[rest] for a in (p, d, q, dd, pd, sweep, rp, rmin, rmax))
     cuts = (_ring_cuts(p, d, dd, pd, rp, rmin, rmax, geometry)
             + _sector_cuts(p, d, q, dd, pd, sweep, geometry))
@@ -479,42 +482,22 @@ def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
     return whole, cell[free], moving[rest][np.concatenate(segs)], np.concatenate(ts)
 
 
-def _cut_free_cartesian(p, d, geometry):
-    """(free, cell): which segments p + t d have both ends in the closed cell of their
-    midpoint p + d / 2, and that cell as `_cells_of` gives it.
-
-    A cell is convex, so such a segment never leaves it: every grid-line crossing is
-    at an end, where the rounding of q = p + d and of the search's t moves it by a
-    few ulps of t, and the search keeps none within 1e-12 of an end.
-    """
-    q, mid = p + d, p + 0.5 * d
-    i, inside_x = _bins(geometry["x_edges"], mid.real)
-    j, inside_y = _bins(geometry["y_edges"], mid.imag)
-    free = inside_x & inside_y
-    for edges, k, a, b in ((geometry["x_edges"], i, p.real, q.real), (geometry["y_edges"], j, p.imag, q.imag)):
-        free &= (edges[k] <= np.minimum(a, b)) & (np.maximum(a, b) <= edges[k + 1])
-    return free, i * geometry["n_y"] + j
-
-
 def _crossings_cartesian(p: np.ndarray, d: np.ndarray, geometry):
-    """(whole, cell, seg, t): which segments p + t d are certified to cross no grid
-    line, the cell of each of those, and the (segment, t) in (0, 1) where the other
-    segments cross grid lines."""
-    whole, cell = _cut_free_cartesian(p, d, geometry)
-    rest = np.flatnonzero(~whole)
+    """(whole, cell, seg, t) in the shape `_crossings_polar` returns: no segment is
+    certified, and (segment, t) in (0, 1) are where the segments p + t d cross grid
+    lines."""
     segs, ts = [], []
-    for edges, pp, dd in ((geometry["x_edges"], p.real[rest], d.real[rest]),
-                          (geometry["y_edges"], p.imag[rest], d.imag[rest])):
+    for edges, pp, dd in ((geometry["x_edges"], p.real, d.real), (geometry["y_edges"], p.imag, d.imag)):
         moving = np.flatnonzero(dd != 0.0)
         pp, dd = pp[moving], dd[moving]
         k0 = np.searchsorted(edges, np.minimum(pp, pp + dd) - 1e-15)
         k1 = np.searchsorted(edges, np.maximum(pp, pp + dd) + 1e-15)
         s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(edges)))
         with np.errstate(over="ignore"):  # a subnormal step gives t = +-inf, outside (0, 1)
-            s, t = _in_segment(rest[moving[s]], (edges[k] - pp[s]) / dd[s])
+            s, t = _in_segment(moving[s], (edges[k] - pp[s]) / dd[s])
         segs.append(s)
         ts.append(t)
-    return whole, cell[whole], np.concatenate(segs), np.concatenate(ts)
+    return np.zeros(len(p), dtype=bool), np.zeros(0, dtype=np.int64), np.concatenate(segs), np.concatenate(ts)
 
 
 def _bins(edges: np.ndarray, x: np.ndarray):
@@ -565,11 +548,11 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
 
     Segments are cut at every crossing; each piece goes to the cell of its
     midpoint, and the per-cell sums add the pieces in order along the curve.
-    A segment certified to cross no cell edge (`_cut_free_polar`,
-    `_cut_free_cartesian`) skips the crossing search as one piece, t from 0 to
-    1; the certificate admits no segment the search would cut, so the arrays
-    are those of searching every segment. The segments of whole curves are
-    cut and summed in blocks (see the module docstring).
+    A segment of a polar grid certified to cross no cell edge
+    (`_cut_free_polar`) skips the crossing search as one piece, t from 0 to 1;
+    the certificate admits no segment the search would cut, so the arrays are
+    those of searching every segment. The segments of whole curves are cut
+    and summed in blocks (see the module docstring).
     """
     geometry, n_cells = dom.geometry, dom.n_cells
     crossings = _crossings_polar if geometry["kind"] == "polar" else _crossings_cartesian
@@ -622,6 +605,8 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
 # ---------------------------------------------------------------------------
 # solver
 
+_MAX_ITER = 200_000  # FISTA iterations before an uncertified stop
+
 
 def _power_iteration_norm(op, n: int) -> float:
     """Largest eigenvalue of a nonzero positive semidefinite operator, by 40
@@ -639,7 +624,6 @@ def modulus_discrete(
     dom: DiscretizedDomain,
     metric: str = "hyperbolic",
     tol: float = 1e-4,
-    max_iter: int = 200_000,
     weights: np.ndarray = None,
 ) -> ModulusResult:
     """Certified solve of  min sum_c A_c rho_c^2  s.t.  m_g (L rho)_g >= 1.
@@ -655,14 +639,12 @@ def modulus_discrete(
     step 1/||m L diag(1/2A) L^T m||. Every iterate yields a lower bound (its
     dual value) and an upper bound (its density rescaled by the smallest
     constraint slack); the loop stops once their relative gap is at most
-    `tol` ("gap") or after `max_iter` iterations ("max_iter", uncertified).
+    `tol` ("gap") or after `_MAX_ITER` iterations ("max_iter", uncertified).
     The reported density is the rescaled, exactly feasible one.
     """
     lengths = family.lengths(metric)  # ValueError for an unknown metric
     if not 0.0 < tol < 1.0:  # a relative gap
         raise ValueError("tol must lie in (0, 1)")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     n_cells = dom.n_cells
     if family.n_cells != n_cells:
         raise ValueError(
@@ -701,7 +683,7 @@ def modulus_discrete(
     x = y = slack = slack_y = np.zeros(len(family))
     t = 1.0
     stop_reason = "max_iter"
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         x_new = np.maximum(0.0, y + step * (1.0 - slack_y))
         rho = rho_of(x_new)
         slack_new = m * L.dot(rho)

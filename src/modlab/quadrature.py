@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import write_csv
 from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, euclid_radius
 
 __all__ = [
@@ -104,14 +104,13 @@ class RadialProfile:
     def to_csv(self, path) -> None:
         write_csv(path, ("r", "qnorm"), zip(self.radii, self.values))
 
-    def to_json(self, path=None):
-        data = {
+    def to_json(self) -> dict:
+        return {
             "label": self.label,
             "quadrature_n": self.quadrature_n,
             "radii": list(map(float, self.radii)),
             "qnorm": list(map(float, self.values)),
         }
-        return write_json(data, path)
 
 
 def circle_integrals(Q: ScalarField, radii, n: int = 512) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Acceptance gate: one test per criterion, each at its stated tolerance,
-printing a [PASS]/[FAIL] line so the whole run reads as a checklist.
+printing a [PASS]/[FAIL] line so the whole run reads as a checklist, and the
+golden test, which pins the suite and command outputs to tests/golden/ (see
+scripts/refresh_golden.py).
 
 Criterion 2 note: the round trip r -> tanh(r/2) -> 2*atanh(.) is measured in
 relative terms. An absolute 1e-13 bound is unreachable in float64 for r near
@@ -9,12 +11,15 @@ no matter how the pair is implemented. The relative bound is the attainable
 reading; the absolute error is additionally capped at its float64 ceiling.
 """
 
+import importlib.util
 import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize
 
 from modlab.diskgeom import (
@@ -43,7 +48,12 @@ from modlab.modulus import (
 from modlab.quadrature import RingSpec, circle_integral, fubini_residual
 
 RING = RingSpec(0.5, 1.5)
-CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parent.parent / "configs" / "experiments"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs" / "experiments"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("refresh_golden", ROOT / "scripts" / "refresh_golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def report(number, description, passed, extra=""):
@@ -217,9 +227,16 @@ def test_criterion_12_criteria_verdicts():
            fmo_ok and div_ok)
 
 
-def test_criterion_13_determinism(tmp_path):
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    code1 = run_suite(CONFIG_DIR, out1)
+@pytest.fixture(scope="module")
+def suite_run(tmp_path_factory):
+    """(exit code, output directory) of one suite run, shared by criterion 13 and the golden test."""
+    out = tmp_path_factory.mktemp("suite")
+    return run_suite(CONFIG_DIR, out), out
+
+
+def test_criterion_13_determinism(suite_run, tmp_path):
+    code1, out1 = suite_run
+    out2 = tmp_path / "run2"
     code2 = run_suite(CONFIG_DIR, out2)
 
     def canonical(path):
@@ -240,3 +257,15 @@ def test_criterion_13_determinism(tmp_path):
     report(13, "suite reruns byte-identical modulo timestamps",
            code1 == 0 and code2 == 0 and identical,
            f"{len(names1)} artifacts compared")
+
+
+def test_golden_outputs(suite_run):
+    # the suite records, the 200x600 ring record and the verify stdout, as
+    # scripts/refresh_golden.py wrote them: floats within 4 ulps of the golden
+    # value, which allows the last-bit drift of SIMD complex products between hosts
+    texts = golden.outputs(suite_run[1])
+    assert sorted(texts) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    moved = [(name, *m) for name, text in texts.items()
+             for m in golden.moved(golden.parse(name, (GOLDEN_DIR / name).read_text()),
+                                   golden.parse(name, text), ulps=4)]
+    assert moved == [], f"{len(moved)} golden values moved, first: {moved[:5]}"

@@ -122,7 +122,7 @@ class TestDirichlet:
         out_file = tmp_path / "dom.svg"
         code, out, _ = run_cli(capsys, "dirichlet", "--group",
                                str(CONFIG_DIR / "groups" / "cyclic.json"),
-                               "--rays", "90", "--out-file", str(out_file))
+                               "--out-file", str(out_file))
         assert code == 0
         text = out_file.read_text()
         assert text.startswith("<svg")
@@ -138,7 +138,7 @@ class TestDirichlet:
         change(group)
         (tmp_path / "group.json").write_text(json.dumps(group))
         code, _, err = run_cli(capsys, "dirichlet", "--group", str(tmp_path / "group.json"),
-                               "--rays", "8", "--out-file", str(tmp_path / "dom.svg"))
+                               "--out-file", str(tmp_path / "dom.svg"))
         assert code == 2
         assert err.startswith("config error") and field in err
         assert not (tmp_path / "dom.svg").exists()
@@ -148,7 +148,7 @@ class TestDirichlet:
         if text is not None:
             (tmp_path / "nope.json").write_text(text)
         code, _, err = run_cli(capsys, "dirichlet", "--group", str(tmp_path / "nope.json"),
-                               "--rays", "8", "--out-file", str(tmp_path / "dom.svg"))
+                               "--out-file", str(tmp_path / "dom.svg"))
         assert code == 2
         assert err.startswith("config error") and "nope.json" in err
         assert not (tmp_path / "dom.svg").exists()
@@ -167,6 +167,28 @@ class TestDistortion:
     def test_unknown_map(self, capsys):
         code, _, err = run_cli(capsys, "distortion", "--map", "teleport:9")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "4097x4"), "--grid"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "4x4097"), "--grid"),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--n-circles", "4097"),
+     "--n-circles"),
+    (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5", "--samples", "4097"), "--samples"),
+    (("fmo", "--q", "const:1", "--eps-count", "4097"), "--eps-count"),
+    (("distortion", "--map", "winding:3", "--grid", "4097", "--out", "none"), "--grid"),
+], ids=["ring-rings", "ring-sectors", "circle-family", "qnorm", "fmo", "distortion"])
+def test_count_above_the_config_cap_is_refused(capsys, argv, flag):
+    # the cap of config grid counts; a typo such as --grid 20000x60000 would ask for ~1e9 cells
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("config error") and flag in err and "4096" in err
+
+
+def test_count_at_the_config_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5",
+                           "--samples", "4096", "--out", "csv")
+    assert code == 0 and len(out.splitlines()) == 4097
 
 
 class TestVerifyAndSuite:

@@ -99,8 +99,8 @@ def enumeration_oracle(group):
                 elem = mobius_compose(w, letter)
                 if elem.coefficient_distance(IDENTITY) < 1e-9 or not add(elem):
                     continue
-                if abs(elem.trace_real) < 1.0 + 1e-12:
-                    raise EllipticElementError(f"|Re a| = {abs(elem.trace_real):.6f}")
+                if abs(elem.a.real) < 1.0 + 1e-12:
+                    raise EllipticElementError(f"|Re a| = {abs(elem.a.real):.6f}")
                 elements.append(elem)
                 next_frontier.append((idx, elem))
                 if len(elements) > group.element_cap:
@@ -400,6 +400,28 @@ class TestDirichlet:
         pair = (grp.generators[0], mobius_invert(grp.generators[0]))
         assert {(h.a, h.c) for h in dom.constraints} == {(g.a, g.c) for g in pair}
         assert len(dom.vertices) == 0  # the strip meets the rim, not the disk
+
+    @pytest.mark.parametrize("name, center", [("genus2", 0j), ("cyclic", 0j), ("genus2", 0.1 + 0.05j)],
+                             ids=["genus2", "cyclic", "genus2-off-center"])
+    def test_boundary_is_where_each_ray_leaves(self, name, center):
+        dom = build_dirichlet_domain(load_group(CONFIG_DIR / "groups" / f"{name}.json"), center)
+        angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        boundary = fuchsian.dirichlet_boundary(dom, angles)
+        # rays from the center are rays from 0 once the center is moved there
+        to_zero = mobius_to_zero(dom.center)
+        from_zero = mobius_invert(to_zero)
+        rims = 0
+        for theta, b, end in zip(angles, boundary, mobius_apply(to_zero, boundary)):
+            ray, r = cmath.exp(1j * theta), abs(end)
+            assert abs(end - r * ray) < 1e-12
+            if r > 1.0 - 1e-9:  # the ray never leaves the polygon
+                rims += 1
+                assert dirichlet_membership(mobius_apply(from_zero, (1.0 - 1e-6) * ray), dom) != "outside"
+                continue
+            assert dirichlet_membership(b, dom) == "boundary"
+            assert dirichlet_membership(mobius_apply(from_zero, (r - 1e-7) * ray), dom) != "outside"
+            assert dirichlet_membership(mobius_apply(from_zero, (r + 1e-7) * ray), dom) == "outside"
+        assert (rims > 0) == (name == "cyclic")  # the strip meets the rim, the octagon does not
 
     @pytest.mark.parametrize("grp", ARRAY_GROUPS)
     def test_membership_matches_scalar_oracle(self, grp):

@@ -137,7 +137,7 @@ class TestDilatation:
         ), label="g2∘f∘g1")
         for z in (0.2 + 0.1j, -0.3j, 0.4):
             w = (g1.a * z + g1.c) / (g1.c.conjugate() * z + g1.a.conjugate())
-            k_conj = dilatation(conj, np.array([z]), step=1e-6)
+            k_conj = dilatation(conj, np.array([z]))
             k_f = dilatation(f, np.array([w]))
             assert k_conj == pytest.approx(k_f, abs=1e-6)
 

@@ -140,7 +140,6 @@ def _searched(family, dom):
     """rasterize_family with no segment certified: every one goes through the crossing search."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modulus, "_cut_free_polar", _certify_nothing(modulus._cut_free_polar))
-        mp.setattr(modulus, "_cut_free_cartesian", _certify_nothing(modulus._cut_free_cartesian))
         return rasterize_family(family, dom)
 
 
@@ -553,15 +552,16 @@ class TestModulusDiscrete:
         with pytest.raises(ValueError, match="metric"):
             fam.lengths("hyp")
 
-    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": 1.0}, {"max_iter": 0}, {"metric": "Euclidean"}])
+    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": 1.0}, {"metric": "Euclidean"}])
     def test_solver_settings_validated(self, kw):
         fam, dom = _crossing_family()
         with pytest.raises(ValueError):
             modulus_discrete(fam, dom, **kw)
 
-    def test_max_iter_is_not_certified(self):
+    def test_max_iter_is_not_certified(self, monkeypatch):
         fam, dom = _crossing_family()
-        res = modulus_discrete(fam, dom, tol=1e-8, max_iter=3)
+        monkeypatch.setattr(modulus, "_MAX_ITER", 3)
+        res = modulus_discrete(fam, dom, tol=1e-8)
         assert res.stop_reason == "max_iter" and not res.converged
         assert res.iterations == 3
         assert res.duality_gap > 1e-8 * res.value

@@ -257,7 +257,7 @@ class TestProfile:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "r,qnorm"
         assert len(lines) == 9
-        data = prof.to_json(tmp_path / "prof.json")
+        data = prof.to_json()
         assert data["qnorm"][0] == pytest.approx(prof.values[0])
 
 
