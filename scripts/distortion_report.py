@@ -15,7 +15,7 @@ import numpy as np
 
 from modlab.mappings import (
     dilatation,
-    distortion_to_csv,
+    distortion_sweep,
     finite_distortion_check,
     fold_map,
     identity_map,
@@ -36,11 +36,12 @@ def main() -> int:
     for f in MAPS:
         k = float(dilatation(f, np.array([0.4 + 0.1j]))[0])
         k_str = "inf" if math.isinf(k) else f"{k:.4f}"
-        fd = finite_distortion_check(f, grid=33)
+        sweep = distortion_sweep(f, 33)
+        fd = finite_distortion_check(sweep)
         rep = multiplicity(f, targets, seed_grid=24)
         print(f"{f.label:<18} {k_str:>12} {str(fd.passed):>13} {rep.supremum:>14}")
         safe = f.label.replace(":", "_").replace("(", "").replace(")", "")
-        distortion_to_csv(f, 33, out_dir / f"{safe}.csv")
+        (out_dir / f"{safe}.csv").write_text(sweep.to_csv())
     print(f"CSV sweeps in {out_dir}")
     return 0
 

@@ -56,6 +56,7 @@ from .modulus import (
 from .mappings import (
     SampleMap,
     dilatation,
+    distortion_sweep,
     finite_distortion_check,
     multiplicity,
     wirtinger,

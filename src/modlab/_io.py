@@ -1,6 +1,6 @@
 """The file formats. `json_number` is the one reader of numbers in JSON input
 (experiment configs, map specs, group files); JSON objects and CSV tables are
-written here.
+formatted here (`json_text`, `csv_text`), for files and for stdout alike.
 
 Suite determinism (byte-identical output outside `meta`) rests on these two
 formats, so every module writes its files through here: JSON with sorted
@@ -37,8 +37,12 @@ def json_number(value, name: str, whole: bool = False, optional: bool = False):
     return int(value) if whole else number
 
 
+def json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(data, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(data))
 
 
 def _cell(value) -> str:
@@ -49,8 +53,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
+def csv_text(header, rows) -> str:
     """One line per row after the header; `header` names the columns."""
     lines = [",".join(header)]
     lines += [",".join(_cell(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    Path(path).write_text(csv_text(header, rows))

@@ -9,24 +9,27 @@ runner. Exit codes: 0 pass, 1 any failure, 2 config/usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from ._io import MAX_COUNT, write_json
+from ._io import MAX_COUNT, json_text
 
 SCHEMA_VERSION = 1
 
 
-def _emit(data: dict, out_file=None) -> None:
-    data = {"schema_version": SCHEMA_VERSION, **data}
+def _write(text: str, out_file=None) -> None:
+    """The one output path: to the file when given, else to stdout, the same bytes."""
     if out_file:
-        write_json(data, out_file)
+        Path(out_file).write_text(text)
     else:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        sys.stdout.write(text)
+
+
+def _emit(data: dict, out_file=None) -> None:
+    _write(json_text({"schema_version": SCHEMA_VERSION, **data}), out_file)
 
 
 def _count(value: int, flag: str) -> int:
@@ -102,12 +105,7 @@ def _cmd_qnorm(args) -> int:
     ring = RingSpec(args.r1, args.r2)
     prof = qnorm_profile(parse_field(args.q), ring, n_samples=_count(args.samples, "--samples"))
     if args.out == "csv":
-        if args.out_file:
-            prof.to_csv(args.out_file)
-        else:
-            print("r,qnorm")
-            for r, v in zip(prof.radii, prof.values):
-                print(f"{float(r)!r},{float(v)!r}")
+        _write(prof.to_csv(), args.out_file)
     else:
         _emit(prof.to_json(), args.out_file)
     return 0
@@ -173,13 +171,13 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    from .mappings import distortion_to_csv, finite_distortion_check, parse_map
+    from .mappings import distortion_sweep, finite_distortion_check, parse_map
 
-    f = parse_map(args.map)
-    rep = finite_distortion_check(f, grid=_count(args.grid, "--grid"))
+    sweep = distortion_sweep(parse_map(args.map), _count(args.grid, "--grid"))
+    rep = finite_distortion_check(sweep)
     if args.out == "csv":
         out_file = args.out_file or "distortion.csv"
-        distortion_to_csv(f, args.grid, out_file)
+        _write(sweep.to_csv(), out_file)
         print(out_file)
     summary = {
         "map": args.map,

@@ -141,16 +141,15 @@ def hyp_distance(z1, z2):
     return float(d) if d.ndim == 0 else d
 
 
-def _segment_hyp_length(p, d, t0, t1):
-    """Hyperbolic length of the pieces p + t d, t0 <= t <= t1, in closed form; broadcasts.
+def _segment_hyp_length(p, d, r, speed, t0, t1):
+    """Hyperbolic length of the pieces p + t d, t0 <= t <= t1, in closed form, given
+    r = |p| and speed = |d| (both `np.hypot`); broadcasts.
 
     With z = p + s u, |u| = 1: 1 - |z|^2 = (s_plus - s)(s - s_minus), so the line
     element 2 ds / (1 - |z|^2) integrates to two logarithms.
     """
-    speed = np.hypot(d.real, d.imag)
     ux, uy = d.real / speed, d.imag / speed  # numpy's complex / real overflows on a subnormal step
     b = p.real * ux + p.imag * uy
-    r = np.hypot(p.real, p.imag)
     c = (1.0 - r) * (1.0 + r)
     root_d = np.sqrt(b * b + c)
     big = np.abs(b) + root_d  # root of s^2 + 2 b s - c without cancellation; s_plus s_minus = -c
@@ -162,7 +161,9 @@ def _segment_hyp_length(p, d, t0, t1):
 def hyp_length(curve: Polyline) -> float:
     """Hyperbolic arclength of a polyline: the closed-form lengths of its segments, summed."""
     p, q = curve.segments()
-    return float(np.sum(_segment_hyp_length(p, q - p, 0.0, 1.0)))
+    d = q - p
+    r, speed = np.hypot(p.real, p.imag), np.hypot(d.real, d.imag)
+    return float(np.sum(_segment_hyp_length(p, d, r, speed, 0.0, 1.0)))
 
 
 def euclid_radius(r: float) -> float:

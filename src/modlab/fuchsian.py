@@ -10,6 +10,10 @@ coefficient arrays (a, c). `enumerate_elements` builds it one word length at
 a time with numpy, and every orbit query evaluates all its elements at once
 with `mobius_apply`. Points are complex numbers.
 
+A Dirichlet domain stores its center and kept images as one array, so a
+membership query is one distance row and one min over the images; projection
+takes its label and its distance to the center from that same row.
+
 A Dirichlet domain keeps only the half-planes whose bisector comes within
 `_PRUNE_MARGIN` (Euclidean, in the Klein model about the center) of the
 polygon. That loses no label at the membership tolerance `_MEMBERSHIP_TOL`
@@ -117,7 +121,8 @@ class GroupElements:
 
     Element k is z -> (a[k] z + c[k]) / (conj(c[k]) z + conj(a[k])), and
     `mobius_apply(elements, z)` is the orbit of z. Indexing gives a
-    `MobiusAutomorphism` (a slice gives a `GroupElements`).
+    `MobiusAutomorphism` (a slice gives a `GroupElements`); iteration goes
+    through indexing.
     """
 
     a: np.ndarray
@@ -133,9 +138,6 @@ class GroupElements:
 
     def __len__(self) -> int:
         return len(self.a)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -266,15 +268,17 @@ class DirichletDomain:
 
     The given elements (any sequence of automorphisms is converted) are pruned
     to `constraints`: those whose bisector comes within `_PRUNE_MARGIN` of the
-    polygon, in their given order. `images` holds g(center) for each, as one
-    read-only array, and `vertices` the polygon's vertices inside the disk,
-    counterclockwise.
+    polygon, in their given order. `images` holds g(center) for each, a
+    read-only view of `_points` = [center, *images], which a membership query
+    measures in one pass; `vertices` holds the polygon's vertices inside the
+    disk, counterclockwise.
     """
 
     center: complex
     constraints: GroupElements
     images: np.ndarray = field(init=False, repr=False, compare=False)
     vertices: np.ndarray = field(init=False, repr=False, compare=False)
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         zc = complex(inside_disk(self.center, "domain center"))
@@ -287,13 +291,14 @@ class DirichletDomain:
             raise ValueError("a constraint fixes the center; domain undefined")
         to_zero = mobius_to_zero(zc)
         keep, klein = _prune(mobius_apply(to_zero, images))
-        images = images[keep]
+        points = np.concatenate(([zc], images[keep]))
         vertices = mobius_apply(mobius_invert(to_zero), klein / (1.0 + np.sqrt(1.0 - np.abs(klein) ** 2)))
-        images.flags.writeable = vertices.flags.writeable = False
+        points.flags.writeable = vertices.flags.writeable = False
         object.__setattr__(self, "center", zc)
         object.__setattr__(self, "constraints", GroupElements(constraints.a[keep], constraints.c[keep]))
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", points[1:])
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_points", points)
 
 
 def _clip(poly: list, w: complex) -> list:
@@ -354,18 +359,31 @@ def build_dirichlet_domain(group: FuchsianGroup, center=0j, elements=None) -> Di
     return DirichletDomain(center, elements)
 
 
+def _locate(z: complex, dom: DirichletDomain) -> tuple[str, float]:
+    """The membership label of z and its distance to the center, from one row of
+    distances to `dom._points` = [center, *images]."""
+    d = hyp_distance(z, dom._points)
+    d_center, d_image = float(d[0]), float(d[1:].min(initial=math.inf))
+    if d_center >= d_image + _MEMBERSHIP_TOL:
+        return "outside", d_center
+    if d_center > d_image - _MEMBERSHIP_TOL:
+        return "boundary", d_center
+    return "inside", d_center
+
+
 def dirichlet_membership(z, dom: DirichletDomain) -> str:
     """Classify z as 'inside', 'boundary' or 'outside' the Dirichlet polygon:
-    'boundary' when its distance to the center is within `_MEMBERSHIP_TOL` of
-    its distance to the nearest kept image."""
-    zc = complex(z)
-    d_center = hyp_distance(zc, dom.center)
-    d_images = hyp_distance(zc, dom.images)
-    if np.any(d_center >= d_images + _MEMBERSHIP_TOL):
-        return "outside"
-    if np.any(d_center > d_images - _MEMBERSHIP_TOL):
-        return "boundary"
-    return "inside"
+    'boundary' when its distance d_c to the center is within `_MEMBERSHIP_TOL`
+    of its distance to the nearest kept image.
+
+    One distance row and one min over the images d_i decide it. Rounded
+    addition is monotone, so fl(min d_i + tol) = min fl(d_i + tol), and
+    d_c >= fl(min d_i + tol) holds exactly when d_c >= fl(d_i + tol) for some
+    i; likewise for d_c > fl(d_i - tol). These are the per-image tests of the
+    definition, so the labels are theirs bit for bit. With no images (the
+    trivial group) the min is +inf: every point at finite distance is inside.
+    """
+    return _locate(complex(z), dom)[0]
 
 
 def dirichlet_boundary(dom: DirichletDomain, angles) -> np.ndarray:
@@ -397,13 +415,14 @@ def project_to_fundamental(z, group: FuchsianGroup, dom: DirichletDomain, elemen
     word = IDENTITY
     center = dom.center
     for step in range(len(elements) + 1):
-        if dirichlet_membership(current, dom) != "outside":
+        label, d_current = _locate(current, dom)
+        if label != "outside":
             return current, word
         if step == len(elements):
             break  # step budget = enumerated-set size exhausted
         d = hyp_distance(mobius_apply(elements, current), center)
         best = int(np.argmin(d))  # the first minimum, as a strict `<` scan picks
-        if not d[best] < hyp_distance(current, center) - _DEDUP_TOL:
+        if not d[best] < d_current - _DEDUP_TOL:
             raise NotReducedError(
                 "no enumerated element decreases the distance to the center; "
                 "increase max_word_length"

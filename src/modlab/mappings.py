@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import json_number, write_csv
+from ._io import csv_text, json_number
 from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
 from .modulus import PolylineFamily
 
@@ -40,7 +40,8 @@ __all__ = [
     "wirtinger",
     "wirtinger_fd",
     "dilatation",
-    "distortion_to_csv",
+    "DistortionSweep",
+    "distortion_sweep",
     "multiplicity",
     "finite_distortion_check",
     "pushforward_polylines",
@@ -303,20 +304,32 @@ def dilatation(f: SampleMap, z) -> np.ndarray:
 _DISTORTION_EXTENT = 0.9  # the sweeps sample the disk |z| <= 0.9
 
 
-def _distortion_grid(f: SampleMap, grid: int):
-    """Points of the grid x grid lattice on [-0.9, 0.9]^2 with |z| <= 0.9,
-    ordered by x then y, and (f_z, f_zbar) there."""
+@dataclass(frozen=True, eq=False)
+class DistortionSweep:
+    """Derivative data of a map at the points z of a grid in the disk, as arrays."""
+
+    z: np.ndarray
+    abs_fz: np.ndarray
+    abs_fzbar: np.ndarray
+    dilatation: np.ndarray
+    jacobian: np.ndarray
+
+    def to_csv(self) -> str:
+        """One row (re, im, |f_z|, |f_zbar|, K, J) per point."""
+        return csv_text(("re", "im", "abs_fz", "abs_fzbar", "K", "J"),
+                        zip(self.z.real, self.z.imag, self.abs_fz, self.abs_fzbar, self.dilatation, self.jacobian))
+
+
+def distortion_sweep(f: SampleMap, grid: int) -> DistortionSweep:
+    """The derivative data of f at the points of the grid x grid lattice on
+    [-0.9, 0.9]^2 with |z| <= 0.9, ordered by x then y; grid >= 16."""
+    if grid < 16:
+        raise ValueError("need grid >= 16")
     xs = np.linspace(-_DISTORTION_EXTENT, _DISTORTION_EXTENT, grid)
     z = (xs[:, None] + 1j * xs[None, :]).ravel()
     z = z[_cabs(z) <= _DISTORTION_EXTENT]
-    return (z, *wirtinger(f, z))
-
-
-def distortion_to_csv(f: SampleMap, grid: int, path) -> None:
-    """CSV sweep of (z, |f_z|, |f_zbar|, K, J) over a grid in the disk."""
-    z, fz, fzb = _distortion_grid(f, grid)
-    a, b, jac, k = _derivative_data(fz, fzb)
-    write_csv(path, ("re", "im", "abs_fz", "abs_fzbar", "K", "J"), zip(z.real, z.imag, a, b, k, jac))
+    a, b, jac, k = _derivative_data(*wirtinger(f, z))
+    return DistortionSweep(z, a, b, k, jac)
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +460,12 @@ class FiniteDistortionReport:
     passed: bool
 
 
-def finite_distortion_check(f: SampleMap, grid: int = 32) -> FiniteDistortionReport:
-    """Grid check of the finite-distortion requirement: wherever the Jacobian
+def finite_distortion_check(sweep: DistortionSweep) -> FiniteDistortionReport:
+    """Check of the finite-distortion requirement on a sweep: wherever the Jacobian
     vanishes (|J| <= 1e-10) the operator norm must vanish too (at most 1e-8)."""
-    if grid < 16:
-        raise ValueError("need grid >= 16")
-    z, fz, fzb = _distortion_grid(f, grid)
-    a, b, jac, _ = _derivative_data(fz, fzb)
-    violations = z[(np.abs(jac) <= 1e-10) & (a + b > 1e-8)]
+    violations = sweep.z[(np.abs(sweep.jacobian) <= 1e-10) & (sweep.abs_fz + sweep.abs_fzbar > 1e-8)]
     return FiniteDistortionReport(
-        n_points=len(z),
+        n_points=len(sweep.z),
         n_violations=len(violations),
         violations=tuple(complex(v) for v in violations[:100]),
         passed=len(violations) == 0,

@@ -441,8 +441,9 @@ def _cut_free_polar(p, d, q, dd, sweep, rp, rq, rmin, rmax, geometry):
     lower = sector + len(geometry["sector_cos"]) // 2  # table row of the sector's lower edge
     cl, sl = geometry["sector_cos"][lower], geometry["sector_sin"][lower]
     cu, su = geometry["sector_cos"][lower + 1], geometry["sector_sin"][lower + 1]
-    # an end at the center gives m = -inf, which certifies nothing
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an end at (or a subnormal distance from) the center gives m = -inf, which
+    # certifies nothing
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m = 1e-12 * np.abs(sweep) / (rmax * rmax) - _ROUNDING * (1.0 + np.sqrt(dd) / np.minimum(rp, rq))
         mp, mq = -m * rp, -m * rq
         free = (ring_free & (sweep != 0.0)
@@ -452,19 +453,19 @@ def _cut_free_polar(p, d, q, dd, sweep, rp, rq, rmin, rmax, geometry):
     return free, np.where(inside, (below - 1) * n_theta + sector, -1)
 
 
-def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
-    """(whole, cell, seg, t): which segments p + t d are certified to cross no ring or
-    sector edge, the cell of each of those, and the (segment, t) in (0, 1) where the
-    other segments cross ring or sector edges."""
+def _crossings_polar(p: np.ndarray, d: np.ndarray, r: np.ndarray, geometry):
+    """(whole, cell, seg, t): which segments p + t d (r = |p|) are certified to cross
+    no ring or sector edge, the cell of each of those, and the (segment, t) in (0, 1)
+    where the other segments cross ring or sector edges."""
     whole = np.zeros(len(p), dtype=bool)
     dd = d.real * d.real + d.imag * d.imag
     moving = np.flatnonzero(dd != 0.0)
-    p, d, dd = p[moving], d[moving], dd[moving]
+    p, d, dd, rp = p[moving], d[moving], dd[moving], r[moving]
     q = p + d
     pd = p.real * d.real + p.imag * d.imag
     sweep = p.real * d.imag - p.imag * d.real  # sign of d(theta)/dt
     # radial span of the segment: perigee may undercut both endpoints
-    rp, rq = np.hypot(p.real, p.imag), np.hypot(q.real, q.imag)
+    rq = np.hypot(q.real, q.imag)
     t_foot = -pd / dd
     foot = np.hypot(p.real + t_foot * d.real, p.imag + t_foot * d.imag)
     rmin = np.minimum(rp, rq)
@@ -482,10 +483,10 @@ def _crossings_polar(p: np.ndarray, d: np.ndarray, geometry):
     return whole, cell[free], moving[rest][np.concatenate(segs)], np.concatenate(ts)
 
 
-def _crossings_cartesian(p: np.ndarray, d: np.ndarray, geometry):
+def _crossings_cartesian(p: np.ndarray, d: np.ndarray, r: np.ndarray, geometry):
     """(whole, cell, seg, t) in the shape `_crossings_polar` returns: no segment is
     certified, and (segment, t) in (0, 1) are where the segments p + t d cross grid
-    lines."""
+    lines; grid lines need no r = |p|."""
     segs, ts = [], []
     for edges, pp, dd in ((geometry["x_edges"], p.real, d.real), (geometry["y_edges"], p.imag, d.imag)):
         moving = np.flatnonzero(dd != 0.0)
@@ -561,8 +562,9 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
         n_segments = [len(p) for p, _ in ends]
         p = np.concatenate([p for p, _ in ends])
         d = np.concatenate([q for _, q in ends]) - p
+        r, speed = np.hypot(p.real, p.imag), np.hypot(d.real, d.imag)
         seg_curve = np.repeat(np.arange(first, first + len(ends)), n_segments)
-        whole, whole_cell, seg, t = crossings(p, d, geometry)
+        whole, whole_cell, seg, t = crossings(p, d, r, geometry)
         whole, rest = np.flatnonzero(whole), np.flatnonzero(~whole)
         seg = np.concatenate((rest, rest, seg))
         t = np.concatenate((np.zeros(len(rest)), np.ones(len(rest)), t))
@@ -584,8 +586,8 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
         # one sum per (curve, cell), adding the pieces in order along the curve
         key, at = np.unique(seg_curve[s] * n_cells + cell[inside], return_inverse=True)
         keys.append(key)
-        len_e.append(np.bincount(at, np.hypot(d.real, d.imag)[s] * (t1 - t0)))
-        len_h.append(np.bincount(at, _segment_hyp_length(p[s], d[s], t0, t1)))
+        len_e.append(np.bincount(at, speed[s] * (t1 - t0)))
+        len_h.append(np.bincount(at, _segment_hyp_length(p[s], d[s], r[s], speed[s], t0, t1)))
     # blocks hold whole curves in order, so the keys are sorted curve by curve
     curve, cells = np.divmod(np.concatenate(keys), n_cells)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(curve, minlength=len(family)))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import csv_text
 from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, euclid_radius
 
 __all__ = [
@@ -101,8 +101,8 @@ class RadialProfile:
     def __len__(self) -> int:
         return len(self.radii)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ("r", "qnorm"), zip(self.radii, self.values))
+    def to_csv(self) -> str:
+        return csv_text(("r", "qnorm"), zip(self.radii, self.values))
 
     def to_json(self) -> dict:
         return {

@@ -78,6 +78,16 @@ class TestQnorm:
         r, v = map(float, lines[1].split(","))
         assert v == pytest.approx(2 * math.pi * math.sinh(r), rel=1e-9)
 
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_stdout_equals_out_file(self, capsys, tmp_path, out):
+        argv = ("qnorm", "--q", "inv-r", "--r1", "0.5", "--r2", "1.5", "--samples", "8", "--out", out)
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        out_file = tmp_path / f"prof.{out}"
+        code, printed, _ = run_cli(capsys, *argv, "--out-file", str(out_file))
+        assert code == 0 and printed == ""
+        assert out_file.read_bytes() == stdout.encode()
+
     def test_json_file(self, capsys, tmp_path):
         out_file = tmp_path / "prof.json"
         code, _, _ = run_cli(capsys, "qnorm", "--q", "const:1", "--r1", "0.5",

@@ -299,6 +299,11 @@ class TestGroupElements:
         assert isinstance(head, GroupElements) and len(head) == 5
         assert elems[-1].a == elems.a[-1]
 
+    def test_iteration_is_indexing(self):
+        # iteration goes through __getitem__, which raises IndexError past the end
+        elems = enumerate_elements(genus2_group(2))
+        assert list(elems) == [elems[k] for k in range(len(elems))]
+
     def test_rebuilding_keeps_coefficients(self):
         # normalized coefficients pass through the constructor unchanged, also
         # for long words whose determinant rounds more than 1e-12 from 1
@@ -436,6 +441,24 @@ class TestDirichlet:
             points.append(math.tanh(0.5 * math.atanh(abs(w))) * w / abs(w))
         found = [dirichlet_membership(z, dom) for z in points]
         assert found == [membership_oracle(z, elems) for z in points]
+        assert {"inside", "boundary", "outside"} <= set(found)
+
+    @pytest.mark.parametrize("grp", [genus2_group(2), genus2_group(4), cyclic_group()],
+                             ids=["genus2-2", "genus2-4", "cyclic"])
+    def test_membership_matches_two_call_definition(self, grp):
+        # one distance row and one min over the images label as the per-image tests do
+        dom = build_dirichlet_domain(grp)
+        rng = np.random.default_rng(11)
+        points = list(np.tanh(0.5 * rng.uniform(0.0, 4.0, 1000)) * np.exp(2j * np.pi * rng.uniform(size=1000)))
+        points += list(dom.vertices)
+        sides = [geodesic_midpoint(v, w) for v, w in zip(dom.vertices, np.roll(dom.vertices, -1))]
+        sides += list(fuchsian.dirichlet_boundary(dom, np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)))
+        # and offsets across the tolerance, so that labels straddle it
+        offsets = [0.0] + [d * cmath.exp(1j * math.pi * k / 4) for d in (3e-10, 1e-9, 2e-9) for k in range(8)]
+        points += [p + d for p in sides for d in offsets]
+        points = [z for z in points if abs(z) < 1.0 - 1e-9]  # a ray that never leaves ends on the rim
+        found = [dirichlet_membership(z, dom) for z in points]
+        assert found == [full_set_label(z, dom.center, dom.images) for z in points]
         assert {"inside", "boundary", "outside"} <= set(found)
 
     def test_constraint_fixing_center_rejected(self):

@@ -13,7 +13,7 @@ from modlab.mappings import (
     compose_maps,
     custom_map,
     dilatation,
-    distortion_to_csv,
+    distortion_sweep,
     finite_distortion_check,
     fold_map,
     identity_map,
@@ -325,21 +325,21 @@ class TestMultiplicityOracle:
 class TestFiniteDistortion:
     def test_mobius_passes(self):
         g = mobius_invert(mobius_to_zero(0.3))
-        rep = finite_distortion_check(mobius_map(g), grid=17)
+        rep = finite_distortion_check(distortion_sweep(mobius_map(g), 17))
         assert rep.passed
 
     def test_winding_passes(self):
-        rep = finite_distortion_check(winding(3), grid=17)
+        rep = finite_distortion_check(distortion_sweep(winding(3), 17))
         assert rep.passed
 
     def test_fold_fails_on_axis(self):
-        rep = finite_distortion_check(fold_map(), grid=33)
+        rep = finite_distortion_check(distortion_sweep(fold_map(), 33))
         assert not rep.passed
         assert all(abs(z.real) < 1e-9 for z in rep.violations)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            finite_distortion_check(winding(2), grid=8)
+            distortion_sweep(winding(2), 8)
 
 
 class TestPushforward:
@@ -455,9 +455,7 @@ class TestMapConstruction:
         with pytest.raises(ValueError):
             radial_stretch(0.5)
 
-    def test_distortion_csv(self, tmp_path):
-        path = tmp_path / "distortion.csv"
-        distortion_to_csv(winding(2), 17, path)
-        lines = path.read_text().strip().splitlines()
+    def test_distortion_csv(self):
+        lines = distortion_sweep(winding(2), 17).to_csv().strip().splitlines()
         assert lines[0] == "re,im,abs_fz,abs_fzbar,K,J"
         assert len(lines) > 100

@@ -369,7 +369,8 @@ class TestSectorEdgeTable:
         R = euclid_radius(1.0)
         p, q = R * np.exp(-1j * alpha * direction), R * np.exp(1j * alpha * direction)
         d = np.array([q - p])
-        whole, _, seg, t = _crossings_polar(np.array([p]), d, dom.geometry)
+        start = np.array([p])
+        whole, _, seg, t = _crossings_polar(start, d, np.hypot(start.real, start.imag), dom.geometry)
         assert not whole.any() and np.all(seg == 0) and np.all((0.0 < t) & (t < 1.0))
         z = p + t * d[0]
         on_ring = np.min(np.abs(np.abs(z)[:, None] - dom.geometry["R_edges"]), axis=1) < 1e-12
@@ -475,6 +476,14 @@ class TestCutFreeCertificate:
         pf = PolylineFamily(tuple(Polyline(s) for s in segments), kind="connecting")
         fam, n_segments, fall_through = _rasterize_counting(pf, dom)
         assert fall_through == n_segments == 5
+        _assert_same_family(fam, _searched(pf, dom))
+
+    def test_segment_from_a_subnormal_distance_of_the_center(self):
+        # |d| / min(rp, rq) overflows to inf, so m = -inf and the segment is searched
+        pf = PolylineFamily((Polyline([5e-324j, 0.25j]),), kind="connecting")
+        dom = polar_grid(RingSpec(0.0, 2.0), 5, 12)
+        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
+        assert fall_through == n_segments == 1
         _assert_same_family(fam, _searched(pf, dom))
 
 

@@ -250,11 +250,9 @@ class TestProfile:
         big = qnorm_profile(parse_field("const:2"), ring, n_samples=8, n_angular=64)
         assert np.all(small.values <= big.values + 1e-12)
 
-    def test_csv_and_json_round_trip(self, tmp_path):
+    def test_csv_and_json_round_trip(self):
         prof = qnorm_profile(ONE, RingSpec(0.5, 1.5), n_samples=8, n_angular=64)
-        csv_path = tmp_path / "prof.csv"
-        prof.to_csv(csv_path)
-        lines = csv_path.read_text().strip().splitlines()
+        lines = prof.to_csv().strip().splitlines()
         assert lines[0] == "r,qnorm"
         assert len(lines) == 9
         data = prof.to_json()
