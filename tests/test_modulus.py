@@ -61,7 +61,7 @@ def qp_oracle(family, dom, metric):
     return float(np.dot(res.x * res.x, A))
 
 
-def nnls_oracle(family, dom, metric):
+def nnls_oracle(family, dom, metric, weights=None):
     """Exact small-instance optimum through the NNLS dual (Lawson & Hanson 1974, ch. 23).
 
     With x = sqrt(A) rho the program is the least-distance problem
@@ -70,6 +70,8 @@ def nnls_oracle(family, dom, metric):
     non-negative least squares problem for E = [G^T; 1^T].
     """
     A = dom.area_hyp if metric == "hyperbolic" else dom.area_euclid
+    if weights is not None:
+        A = A * weights
     m = np.asarray(family.multiplicities, dtype=float)
     G = m[:, None] * family.incidence_matrix(metric).toarray() / np.sqrt(A)
     E = np.vstack([G.T, np.ones(len(m))])
@@ -179,6 +181,16 @@ def _overlap_family(seed):
     rng = np.random.default_rng(seed)
     dom = cartesian_grid(((-0.5, 0.5), (-0.5, 0.5)), 64, 64)
     return rasterize_family(PolylineFamily(_overlap_chords(rng), kind="connecting"), dom), dom, rng
+
+
+def _bent_chord_family(chords):
+    """Chords (y0, bx, by, y1, multiplicity) from (-0.4, y0) over (bx, by) to (0.4, y1)
+    on 8 x 8 cells of [-0.4, 0.4]^2."""
+    dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), 8, 8)
+    polylines = tuple(Polyline((complex(-0.4, y0), complex(bx, by), complex(0.4, y1)))
+                      for y0, bx, by, y1, _ in chords)
+    pf = PolylineFamily(polylines, kind="connecting", multiplicities=tuple(c[-1] for c in chords))
+    return rasterize_family(pf, dom), dom
 
 
 def _crossing_family():
@@ -541,12 +553,62 @@ class TestModulusDiscrete:
             assert np.array_equal(_bits(res.max_constraint_violation), _bits(violation))
 
     def test_overlap_solve(self):
-        # FISTA on shared cells; the exact last bits of the value depend on the BLAS dot
+        # FISTA and its face solves on shared cells; the exact last bits of the value
+        # depend on the BLAS dot
         fam, dom, rng = _overlap_family(1)
-        res = modulus_discrete(fam, dom, tol=1e-6, weights=rng.uniform(0.5, 2.0, dom.n_cells))
-        assert res.stop_reason == "gap" and res.iterations == 378
-        assert res.value == pytest.approx(0.28472472709040253, rel=1e-12, abs=0.0)
+        weights = rng.uniform(0.5, 2.0, dom.n_cells)
+        res = modulus_discrete(fam, dom, tol=1e-6, weights=weights)
+        assert res.stop_reason == "gap" and res.iterations == 230
+        assert res.value == pytest.approx(0.28472446190348505, rel=1e-12, abs=0.0)
         assert res.max_constraint_violation <= 1e-12
+        # the certificate brackets a tighter solve of the same problem
+        ref = modulus_discrete(fam, dom, tol=1e-10, weights=weights)
+        assert ref.stop_reason == "gap"
+        assert res.dual_value <= ref.dual_value <= ref.value <= res.value
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chords=st.lists(
+            st.tuples(st.floats(-0.39, 0.39), st.floats(0.02, 0.08), st.floats(0.02, 0.08),
+                      st.floats(-0.39, 0.39), st.integers(1, 3)),
+            min_size=3,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        metric=st.sampled_from(["euclidean", "hyperbolic"]),
+        tol=st.sampled_from([1e-4, 1e-8]),
+    )
+    def test_face_solve_brackets_the_optimum(self, chords, seed, metric, tol):
+        # every chord bends inside the cell [0, 0.1]^2, so all of them share it
+        fam, dom = _bent_chord_family(chords)
+        weights = np.random.default_rng(seed).uniform(0.5, 2.0, dom.n_cells)
+        res = modulus_discrete(fam, dom, metric=metric, tol=tol, weights=weights)
+        exact = nnls_oracle(fam, dom, metric, weights)
+        assert res.stop_reason == "gap"
+        assert res.dual_value <= exact * (1 + 1e-12) and exact <= res.value * (1 + 1e-12)
+        assert res.max_constraint_violation <= 1e-12
+
+    def test_face_solve_with_a_duplicated_curve(self, monkeypatch):
+        # two equal rows make H_FF singular; both curves are on the face CG solves
+        chords = ((-0.3, 0.05, 0.05, 0.2, 1), (-0.3, 0.05, 0.05, 0.2, 1),
+                  (0.1, 0.03, 0.07, -0.25, 2), (0.35, 0.06, 0.04, -0.1, 1))
+        fam, dom = _bent_chord_family(chords)
+        faces = []
+
+        def recording(H, lam, slack, face, *args):
+            faces.append(face.copy())
+            return face_cg(H, lam, slack, face, *args)
+
+        face_cg = modulus._face_cg
+        monkeypatch.setattr(modulus, "_face_cg", recording)
+        for metric in ("euclidean", "hyperbolic"):
+            for tol in (1e-4, 1e-8):
+                res = modulus_discrete(fam, dom, metric=metric, tol=tol)
+                exact = nnls_oracle(fam, dom, metric)
+                assert res.stop_reason == "gap"
+                assert res.dual_value <= exact * (1 + 1e-12) and exact <= res.value * (1 + 1e-12)
+                assert res.max_constraint_violation <= 1e-12
+        assert any(face[0] and face[1] for face in faces)
 
     def test_incidence_matrix_shares_the_family_arrays(self):
         fam, _, _ = _overlap_family(2)
@@ -575,6 +637,46 @@ class TestModulusDiscrete:
         assert res.iterations == 3
         assert res.duality_gap > 1e-8 * res.value
         assert res.max_constraint_violation <= 1e-12
+
+    @pytest.mark.parametrize("budget", [15, 100])
+    def test_face_solve_steps_count_toward_the_budget(self, monkeypatch, budget):
+        # on overlap seed 1 the first face solve starts after FISTA step 91, so a
+        # budget of 100 ends inside its CG, keeping the last product for z's slack
+        fam, dom, rng = _overlap_family(1)
+        weights = rng.uniform(0.5, 2.0, dom.n_cells)
+        bounds, face_cg, counts = modulus._bounds, modulus._face_cg, [0, 0]
+
+        def counting_bounds(*args):
+            counts[0] += 1  # one per FISTA step and one per face solve's z
+            return bounds(*args)
+
+        def counting_cg(*args):
+            lam, steps = face_cg(*args)
+            counts[1] += steps
+            return lam, steps
+
+        monkeypatch.setattr(modulus, "_MAX_ITER", budget)
+        monkeypatch.setattr(modulus, "_bounds", counting_bounds)
+        monkeypatch.setattr(modulus, "_face_cg", counting_cg)
+        res = modulus_discrete(fam, dom, tol=1e-6, weights=weights)
+        assert res.stop_reason == "max_iter" and res.iterations == budget
+        assert res.iterations == counts[0] + counts[1]
+        assert (counts[1] > 0) == (budget == 100)
+        assert res.max_constraint_violation <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [_radial_family, _crossing_family], ids=["closed_form", "fista"])
+    def test_non_finite_weights_rejected(self, monkeypatch, build, bad):
+        fam, dom = build()
+        weights = np.ones(dom.n_cells)
+        weights[dom.n_cells // 2] = bad
+
+        def no_product(*args):
+            raise AssertionError("the solver started")
+
+        monkeypatch.setattr(modulus, "_power_iteration_norm", no_product)
+        with pytest.raises(ValueError, match="weights must be finite and keep cell costs positive"):
+            modulus_discrete(fam, dom, weights=weights)
 
     def test_ring_connecting_family(self):
         dom = polar_grid(RING, 50, 128)
