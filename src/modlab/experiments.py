@@ -401,21 +401,29 @@ def run_suite(config_dir, out_dir=None) -> int:
 
     One failing or malformed experiment does not stop the others. Writes
     per-experiment records plus suite_report.json and suite_summary.csv.
-    Returns 0 only if every experiment ran and passed.
+    Configs run in file-name order; a config whose id names an earlier
+    record or a suite output file is a config_error, so no output file is
+    written twice. Returns 0 only if every experiment ran and passed.
     """
     config_dir = Path(config_dir)
     out_dir = Path(out_dir) if out_dir is not None else config_dir / "results"
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
+    taken = {"suite_report", "suite_summary"}  # output file stems already claimed
     for path in sorted(config_dir.glob("*.json")):
         try:
             cfg = ExperimentConfig.from_json(path)
+            if cfg.experiment_id in taken:
+                raise ConfigError(f"config {path}: id {cfg.experiment_id!r} is taken by an "
+                                  "earlier record or a suite output file")
         except ConfigError as exc:
             records.append(VerdictRecord(
                 experiment_id=path.stem, kind="unknown", status="config_error",
                 error=str(exc),
             ))
+            taken.add(path.stem)
             continue
+        taken.add(cfg.experiment_id)
         try:
             records.append(run_experiment(cfg))
         except Exception as exc:  # isolation: record and continue

@@ -1,11 +1,13 @@
 """Closed-form sample mappings of the disk and their distortion data.
 
-Kinds: mobius (conformal), radial_stretch z|z|^{k-1}, winding r e^{i k theta},
-compositions, and custom evaluators. Wirtinger derivatives come from analytic
-formulas where the kind provides them and from central differences otherwise;
-dilatation, Jacobian, multiplicity counts and the finite-distortion check are
-derived from them. Pushforward carries curve families (with traversal
-multiplicities for branched maps) into an image domain.
+Each kind is defined by its constructor, which sets the map's evaluator, its
+analytic Wirtinger derivatives (or none, for central differences), its degree
+at 0 and whether it fixes 0 radially: mobius (conformal), radial_stretch
+z|z|^{k-1}, winding r e^{i k theta}, compositions, and custom evaluators.
+Dilatation, Jacobian, multiplicity counts and the finite-distortion check are
+derived from the Wirtinger derivatives. Pushforward is defined for circle
+families about 0 under maps that fix 0 radially: each image circle is the
+source circle rescaled, traversed `degree` times.
 
 Maps, Wirtinger derivatives and the dilatation take and return complex
 arrays; a point is a one-element array. K is inf where the Jacobian vanishes.
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .modulus import PolylineFamily
 __all__ = [
     "SampleMap",
     "MultiplicityReport",
-    "ChartOverflowError",
     "identity_map",
     "mobius_map",
     "radial_stretch",
@@ -48,135 +50,130 @@ __all__ = [
 ]
 
 
-class ChartOverflowError(RuntimeError):
-    """An image point left the chart (reached the disk boundary)."""
-
-
 @dataclass(frozen=True)
 class SampleMap:
-    """A disk-to-disk mapping with optional analytic Wirtinger evaluators."""
+    """A disk-to-disk map, as its constructor defines it.
 
-    kind: str
-    k: float = None
-    g: MobiusAutomorphism = None
-    parts: tuple = None  # inner-to-outer for compositions
-    evaluator: object = None  # custom kinds
-    label: str = ""
+    `evaluate` maps an array of complex points; `wirtinger_analytic` gives the
+    (f_z, f_zbar) arrays, with branch points taking the limit along arg z = 0,
+    or is None when derivatives come from central differences. `degree` is the
+    local topological degree at the branch point 0 (= N on circles about 0);
+    `fixes_origin_radially` is True when |f(z)| depends only on |z| and f(0) = 0.
+    """
+
+    evaluate: Callable
+    label: str
+    wirtinger_analytic: Callable = None
+    degree: int = 1
+    fixes_origin_radially: bool = False
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """f at an array of complex points; a point is a one-element array."""
-        if self.kind == "mobius":
-            return mobius_apply(self.g, z)
-        if self.kind == "radial_stretch":
-            return z * np.abs(z) ** (self.k - 1.0)
-        if self.kind == "winding":
-            r = np.abs(z)
-            return np.where(r > 0, z**self.k / np.where(r > 0, r, 1.0) ** (self.k - 1.0), 0.0)
-        if self.kind == "composition":
-            for part in self.parts:
-                z = part(z)
-            return z
-        return np.asarray(self.evaluator(z), dtype=complex)
+        return self.evaluate(z)
 
     @property
     def has_analytic_wirtinger(self) -> bool:
-        if self.kind == "composition":
-            return all(p.has_analytic_wirtinger for p in self.parts)
-        return self.kind in ("mobius", "radial_stretch", "winding")
+        return self.wirtinger_analytic is not None
 
-    def wirtinger_analytic(self, z: np.ndarray):
-        """(f_z, f_zbar) arrays; branch points take the limit along arg z = 0."""
-        if self.kind == "mobius":
-            fz = 1.0 / (np.conjugate(self.g.c) * z + np.conjugate(self.g.a)) ** 2
-            return fz, np.zeros_like(fz)
-        if self.kind == "radial_stretch":
-            k = self.k
-            r = np.abs(z)
-            u = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)  # unit direction
-            rk = r ** (k - 1.0)
-            fz = (0.5 * (k + 1.0) * rk).astype(complex)
-            fzb = 0.5 * (k - 1.0) * rk * u**2
-            return fz, fzb
-        if self.kind == "winding":
-            k = self.k
-            r = np.abs(z)
-            u = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
-            fz = 0.5 * (k + 1.0) * u ** (k - 1.0)
-            fzb = -0.5 * (k - 1.0) * u ** (k + 1.0)
-            return fz, fzb
-        if self.kind == "composition":
-            fz = np.ones_like(z)
-            fzb = np.zeros_like(z)
-            w = z
-            for part in self.parts:
-                gz, gzb = part.wirtinger_analytic(w)
-                # named conjugates: numpy would multiply into an unnamed temporary in
-                # place with the operands swapped, which rounds differently from 2^14 points
-                conj_fz, conj_fzb = np.conjugate(fz), np.conjugate(fzb)
-                fz, fzb = gz * fz + gzb * conj_fzb, gz * fzb + gzb * conj_fz
-                w = part(w)
-            return fz, fzb
-        raise ValueError(f"kind {self.kind!r} has no analytic Wirtinger data")
-
-    @property
-    def degree(self) -> int:
-        """Local topological degree at the branch point 0 (= N on circles about 0)."""
-        if self.kind == "winding":
-            return int(self.k)
-        if self.kind == "composition":
-            d = 1
-            for p in self.parts:
-                d *= p.degree
-            return d
-        return 1
-
-    @property
-    def fixes_origin_radially(self) -> bool:
-        """True when |f(z)| depends only on |z| and f(0) = 0."""
-        if self.kind in ("winding", "radial_stretch"):
-            return True
-        if self.kind == "mobius":
-            return abs(self.g.c) < 1e-15  # rotation about 0
-        if self.kind == "composition":
-            return all(p.fixes_origin_radially for p in self.parts)
-        return False
+    def _image_abs(self, R: float) -> float:
+        """|f(R)|: the Euclidean radius of the image of the circle |z| = R when
+        `fixes_origin_radially`."""
+        return abs(complex(self(np.array([R], dtype=complex))[0]))
 
     def image_radius(self, r: float) -> float:
         """Hyperbolic radius of the image of the circle of hyperbolic radius r about 0.
 
         The image is a circle about 0 when `fixes_origin_radially`.
         """
-        return hyp_radius(abs(complex(self(np.array([euclid_radius(r)], dtype=complex))[0])))
-
-
-def identity_map() -> SampleMap:
-    return SampleMap(kind="mobius", g=MobiusAutomorphism(1.0, 0.0), label="identity")
+        return hyp_radius(self._image_abs(euclid_radius(r)))
 
 
 def mobius_map(g: MobiusAutomorphism) -> SampleMap:
-    return SampleMap(kind="mobius", g=g, label="mobius")
+    def wirtinger_analytic(z):
+        fz = 1.0 / (np.conjugate(g.c) * z + np.conjugate(g.a)) ** 2
+        return fz, np.zeros_like(fz)
+
+    return SampleMap(lambda z: mobius_apply(g, z), "mobius", wirtinger_analytic,
+                     fixes_origin_radially=abs(g.c) < 1e-15)  # a rotation about 0
+
+
+def identity_map() -> SampleMap:
+    return replace(mobius_map(MobiusAutomorphism(1.0, 0.0)), label="identity")
+
+
+def _direction(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """z/|z|, and 1 at 0."""
+    return np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
 
 
 def radial_stretch(k: float) -> SampleMap:
     if k < 1.0:
         raise ValueError("radial stretch exponent must be >= 1")
-    return SampleMap(kind="radial_stretch", k=float(k), label=f"radial_stretch:{k:g}")
+    label, k = f"radial_stretch:{k:g}", float(k)
+
+    def wirtinger_analytic(z):
+        r = np.abs(z)
+        u = _direction(z, r)
+        rk = r ** (k - 1.0)
+        fz = (0.5 * (k + 1.0) * rk).astype(complex)
+        fzb = 0.5 * (k - 1.0) * rk * u**2
+        return fz, fzb
+
+    return SampleMap(lambda z: z * np.abs(z) ** (k - 1.0), label, wirtinger_analytic,
+                     fixes_origin_radially=True)
 
 
 def winding(k: int) -> SampleMap:
     if int(k) != k or k < 1:
         raise ValueError("winding order must be a positive integer")
-    return SampleMap(kind="winding", k=int(k), label=f"winding:{int(k)}")
+    k = int(k)
+
+    def evaluate(z):
+        r = np.abs(z)
+        return np.where(r > 0, z**k / np.where(r > 0, r, 1.0) ** (k - 1.0), 0.0)
+
+    def wirtinger_analytic(z):
+        u = _direction(z, np.abs(z))
+        fz = 0.5 * (k + 1.0) * u ** (k - 1.0)
+        fzb = -0.5 * (k - 1.0) * u ** (k + 1.0)
+        return fz, fzb
+
+    return SampleMap(evaluate, f"winding:{k}", wirtinger_analytic, degree=k, fixes_origin_radially=True)
 
 
 def compose_maps(*maps: SampleMap) -> SampleMap:
     """Composition applied inner-to-outer: compose_maps(f, g) is g after f."""
-    return SampleMap(kind="composition", parts=tuple(maps),
-                     label="(" + "∘".join(m.label for m in reversed(maps)) + ")")
+
+    def evaluate(z):
+        for part in maps:
+            z = part(z)
+        return z
+
+    def wirtinger_analytic(z):
+        fz = np.ones_like(z)
+        fzb = np.zeros_like(z)
+        w = z
+        for part in maps:
+            gz, gzb = part.wirtinger_analytic(w)
+            # named conjugates: numpy would multiply into an unnamed temporary in
+            # place with the operands swapped, which rounds differently from 2^14 points
+            conj_fz, conj_fzb = np.conjugate(fz), np.conjugate(fzb)
+            fz, fzb = gz * fz + gzb * conj_fzb, gz * fzb + gzb * conj_fz
+            w = part(w)
+        return fz, fzb
+
+    return SampleMap(
+        evaluate,
+        "(" + "∘".join(m.label for m in reversed(maps)) + ")",
+        wirtinger_analytic if all(m.has_analytic_wirtinger for m in maps) else None,
+        degree=math.prod(m.degree for m in maps),
+        fixes_origin_radially=all(m.fixes_origin_radially for m in maps),
+    )
 
 
 def custom_map(evaluator, label="custom") -> SampleMap:
-    return SampleMap(kind="custom", evaluator=evaluator, label=label)
+    """A map from an evaluator alone: derivatives by central differences."""
+    return SampleMap(lambda z: np.asarray(evaluator(z), dtype=complex), label)
 
 
 def fold_map() -> SampleMap:
@@ -191,7 +188,7 @@ def boundary_spiral_map() -> SampleMap:
     def ev(z):
         r = np.abs(z)
         phase = np.log1p(np.log(1.0 / np.maximum(1.0 - r, 1e-15)))
-        rotation = np.exp(1j * phase)  # named, as in wirtinger_analytic
+        rotation = np.exp(1j * phase)  # named, as the conjugates in compose_maps
         return z * rotation
 
     return custom_map(ev, label="spiral")
@@ -473,42 +470,24 @@ def finite_distortion_check(sweep: DistortionSweep) -> FiniteDistortionReport:
 
 
 def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamily:
-    """Geometric image of a polyline family under f.
+    """Image of a circle family about 0 under a map f that fixes 0 radially.
 
-    Injective kinds map vertices pointwise. Branched kinds (degree k > 1) are
-    supported on circle families about 0: the image circle is the same point
-    set traversed k times, encoded as a single traversal with multiplicity k.
+    The image of the circle |z| = R is the circle |w| = |f(R)| traversed
+    f.degree times: each circle's vertices are scaled by |f(R)|/R and each
+    multiplicity multiplied by f.degree. Any other input is a ValueError.
     """
-    deg = f.degree
-    if deg == 1:
-        out = []
-        for poly in family.polylines:
-            pts = f(poly.vertices)
-            if np.any(np.abs(pts) >= 1.0 - BOUNDARY_MARGIN):
-                raise ChartOverflowError(f"image of a curve under {f.label} leaves the chart")
-            out.append(Polyline(pts, closed=poly.closed))
-        radii = None
-        if family.circle_radii is not None and f.fixes_origin_radially:
-            radii = tuple(f.image_radius(r) for r in family.circle_radii)
-        return PolylineFamily(tuple(out), kind=family.kind,
-                              multiplicities=family.multiplicities, circle_radii=radii)
-
     if family.kind != "circle_family" or not f.fixes_origin_radially:
-        raise ValueError(
-            "pushforward under a branched map is only defined for circle families about 0"
-        )
+        raise ValueError("pushforward is only defined for circle families about 0 "
+                         f"under maps that fix 0 radially, not {family.kind} under {f.label}")
     out = []
     radii = []
     for poly, r in zip(family.polylines, family.circle_radii):
         R = euclid_radius(r)
-        R_img = abs(complex(f(np.array([R], dtype=complex))[0]))
-        if R_img >= 1.0 - BOUNDARY_MARGIN:
-            raise ChartOverflowError(f"image circle under {f.label} leaves the chart")
+        R_img = f._image_abs(R)
         scale = R_img / R
         pts = poly.vertices * scale  # same angular samples, image radius
         out.append(Polyline(pts, closed=True))
         radii.append(hyp_radius(R_img))
-    mult = tuple(m * deg for m in family.multiplicities)
+    mult = tuple(m * f.degree for m in family.multiplicities)
     return PolylineFamily(tuple(out), kind="circle_family",
                           multiplicities=mult, circle_radii=tuple(radii))
-

@@ -403,6 +403,22 @@ class TestSuite:
         assert statuses["b_winding"] == "ok"
         assert statuses["b_bad"] == "config_error"
 
+    def test_clashing_ids_are_config_errors(self, tmp_path):
+        # a repeated id, or a suite output's name, would overwrite an earlier file
+        shipped = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())
+        for name, eid in (("a", "same"), ("b", "same"), ("c", "suite_report")):
+            write_cfg(tmp_path, f"{name}.json", {**shipped, "id": eid})
+        out = tmp_path / "results"
+        assert run_suite(tmp_path, out) == 1
+        records = json.loads((out / "suite_report.json").read_text())["records"]
+        assert [(r["experiment_id"], r["status"]) for r in records] == \
+            [("same", "ok"), ("b", "config_error"), ("c", "config_error")]
+        assert "'same' is taken" in records[1]["error"]
+        assert "'suite_report' is taken" in records[2]["error"]
+        assert json.loads((out / "same.json").read_text())["status"] == "ok"
+        assert sorted(p.name for p in out.glob("*.json")) == \
+            ["b.json", "c.json", "same.json", "suite_report.json"]
+
     def test_failing_experiment_flips_exit(self, tmp_path):
         cfg = boundary_cfg({"kind": "spiral"}, "extends")  # wrong expectation
         write_cfg(tmp_path, "s.json", cfg)

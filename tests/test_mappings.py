@@ -7,7 +7,6 @@ import pytest
 
 from modlab.diskgeom import mobius_compose, mobius_invert, mobius_rotation, mobius_to_zero
 from modlab.mappings import (
-    ChartOverflowError,
     MultiplicityReport,
     boundary_spiral_map,
     compose_maps,
@@ -344,12 +343,13 @@ class TestFiniteDistortion:
 
 class TestPushforward:
     def test_identity_unchanged(self):
+        # bit for bit: the scale |f(R)|/R is 1.0, so lower_q_identity keeps its numbers
         pf = circle_family(RING, 8, n_vertices=256)
         out = pushforward_polylines(identity_map(), pf)
         assert out.multiplicities == pf.multiplicities
         assert out.circle_radii == pytest.approx(pf.circle_radii)
         for a, b in zip(pf.polylines, out.polylines):
-            assert np.allclose(a.vertices, b.vertices)
+            assert np.array_equal(a.vertices, b.vertices)
 
     def test_winding_same_point_sets_multiplicity_k(self):
         pf = circle_family(RING, 8, n_vertices=256)
@@ -374,11 +374,13 @@ class TestPushforward:
         val = modulus_discrete(pushed, dom, tol=1e-7).value
         assert val == pytest.approx(base / 4, rel=1e-3)
 
-    def test_chart_overflow(self):
+    @pytest.mark.parametrize("f", [mobius_map(mobius_to_zero(0.3 + 0.1j)), boundary_spiral_map()],
+                             ids=["non-rotation-mobius", "spiral"])
+    def test_map_must_fix_origin_radially(self, f):
+        # |spiral(z)| = |z|, but nothing declares it of a custom map
         pf = circle_family(RING, 4, n_vertices=64)
-        blow_up = custom_map(lambda z: 2.0 * z, label="double")
-        with pytest.raises(ChartOverflowError):
-            pushforward_polylines(blow_up, pf)
+        with pytest.raises(ValueError, match="fix 0 radially"):
+            pushforward_polylines(f, pf)
 
     def test_branched_needs_circle_family(self):
         from modlab.modulus import radial_connecting_family
@@ -388,16 +390,36 @@ class TestPushforward:
             pushforward_polylines(winding(2), rays)
 
 
+ROTATION = {"kind": "mobius", "a_re": 0.6, "a_im": 0.8, "c_re": 0.0}
+NON_ROTATION = {"kind": "mobius", "a_re": 1.2, "a_im": 0.3, "c_re": 0.4, "c_im": -0.2}
+STRETCH_THEN_WIND = {"kind": "composition", "parts": [{"kind": "radial_stretch", "k": 2}, {"kind": "winding", "k": 2}]}
+
+
 class TestMapConstruction:
+    @pytest.mark.parametrize("make, degree, fixes_origin_radially, analytic", [
+        (lambda: parse_map("identity"), 1, True, True),
+        (lambda: map_from_config(ROTATION), 1, True, True),
+        (lambda: map_from_config(NON_ROTATION), 1, False, True),
+        (lambda: parse_map("winding:3"), 3, True, True),
+        (lambda: parse_map("radial_stretch:2"), 1, True, True),
+        (lambda: parse_map("spiral"), 1, False, False),
+        (lambda: parse_map("fold"), 1, False, False),
+        (lambda: map_from_config(STRETCH_THEN_WIND), 2, True, True),
+        (lambda: compose_maps(winding(2), fold_map()), 2, False, False),
+    ], ids=["identity", "rotation", "mobius", "winding3", "radial_stretch2", "spiral", "fold",
+            "stretch-then-winding", "winding-then-custom"])
+    def test_map_fields(self, make, degree, fixes_origin_radially, analytic):
+        f = make()
+        assert (f.degree, f.fixes_origin_radially, f.has_analytic_wirtinger) == \
+            (degree, fixes_origin_radially, analytic)
+
     def test_parse_shorthand(self):
         assert parse_map("winding:3").degree == 3
-        assert parse_map("radial_stretch:2").k == 2.0
+        assert parse_map("radial_stretch:2").label == "radial_stretch:2"
         assert parse_map("identity").label == "identity"
-        assert parse_map("spiral").kind == "custom"
+        assert not parse_map("spiral").has_analytic_wirtinger
         with pytest.raises(ValueError):
             parse_map("besselflow:2")
-        mobius = {"kind": "mobius", "a_re": 1.2, "a_im": 0.3, "c_re": 0.4, "c_im": -0.2}
-        composition = {"kind": "composition", "parts": [{"kind": "radial_stretch", "k": 2}, {"kind": "winding", "k": 2}]}
         z = np.array([0.3 + 0.1j, -0.5j, -0.2 + 0.6j])
         for spec, cfg in [
             ("identity", {"kind": "identity"}),
@@ -406,8 +428,8 @@ class TestMapConstruction:
             ("radial-stretch:2", {"kind": "radial_stretch", "k": 2}),
             ("spiral", {"kind": "spiral"}),
             ("fold", {"kind": "fold"}),
-            (json.dumps(mobius), mobius),
-            (json.dumps(composition), composition),
+            (json.dumps(NON_ROTATION), NON_ROTATION),
+            (json.dumps(STRETCH_THEN_WIND), STRETCH_THEN_WIND),
         ]:
             f, g = parse_map(spec), map_from_config(cfg)
             assert (f.label, f.degree) == (g.label, g.degree), spec
@@ -447,7 +469,7 @@ class TestMapConstruction:
             z = 0.95 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * math.pi * rng.uniform(size=50))
             w = f(z)
             assert np.all(np.abs(w) < 1.0)
-            assert np.all(np.abs(np.abs(w) - np.abs(z)) < 1e-12) or f.kind == "radial_stretch"
+            assert np.all(np.abs(np.abs(w) - np.abs(z)) < 1e-12) or f.label == "radial_stretch:2"
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
