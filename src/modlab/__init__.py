@@ -13,7 +13,6 @@ from .diskgeom import (
     Polyline,
     euclid_radius,
     hyp_distance,
-    hyp_length,
     hyp_radius,
     mobius_apply,
     mobius_compose,

@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--r1", type=float, required=True)
     p.add_argument("--r2", type=float, required=True)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=64, help="Gauss-Legendre nodes in log r, at least 4")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_qnorm)

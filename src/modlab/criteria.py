@@ -234,12 +234,14 @@ def divergence_check(Q: ScalarField, ring: RingSpec) -> DivergenceReport:
 
 @dataclass(frozen=True)
 class EtaProfile:
-    """Sampled extremal radial weight eta_0(r) = 1/(J ||Q||(r)) on a ring."""
+    """Sampled extremal radial weight eta_0(r) = 1/(J ||Q||(r)) on a ring, with
+    the quadrature weights of its radii: sum(weights * eta0) = 1."""
 
     ring: RingSpec
     J: float
     radii: np.ndarray
     eta0: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -263,17 +265,13 @@ def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
     weighted integral never drops below 1/J (beyond 1e-9 relative).
     """
     profile = qnorm_profile(Q, ring, n_samples=_ETA_N_SAMPLES, n_angular=_ETA_N_ANGULAR)
-    radii, norms = profile.radii, profile.values
+    radii, norms, w = profile.radii, profile.values, profile.weights
     if np.any(norms <= 0):
         raise ZeroNormError("||Q|| vanishes on the ring")
-    # trapezoid weights shared by J, the normalizations, and the integrals
-    w = np.zeros_like(radii)
-    dr = np.diff(radii)
-    w[:-1] += 0.5 * dr
-    w[1:] += 0.5 * dr
+    # the profile's Gauss-Legendre weights serve J, the normalizations and the integrals
     J = float(np.sum(w / norms))
     eta0 = 1.0 / (J * norms)
-    eta_profile = EtaProfile(ring, J, radii, eta0)
+    eta_profile = EtaProfile(ring, J, radii, eta0, w)
 
     # independent route: Simpson nodes, fresh circle integrals
     sim_r, sim_w = _simpson_nodes(ring.r_inner, ring.r_outer, 129)

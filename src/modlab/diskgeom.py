@@ -1,9 +1,9 @@
 """Complex arithmetic of the Poincaré disk.
 
 Points are complex numbers or complex arrays; `inside_disk` is the one check
-that they lie strictly inside. Disk automorphisms, hyperbolic distance and
-length, and the conversion between hyperbolic and Euclidean radii of circles
-about 0.
+that they lie strictly inside. Disk automorphisms, hyperbolic distance, the
+closed-form hyperbolic length of segments, and the conversion between
+hyperbolic and Euclidean radii of circles about 0.
 The metric normalization is curvature -1: line element 2|dz|/(1-|z|^2),
 area element 4 dm(z)/(1-|z|^2)^2.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "Polyline",
     "inside_disk",
     "hyp_distance",
-    "hyp_length",
     "euclid_radius",
     "hyp_radius",
     "mobius_apply",
@@ -156,14 +155,6 @@ def _segment_hyp_length(p, d, r, speed, t0, t1):
     s_plus, s_minus = np.where(b < 0.0, big, c / big), np.where(b < 0.0, -c / big, -big)
     step, to_start, to_end = speed * (t1 - t0), speed * t0 - s_minus, s_plus - speed * t1
     return (np.log1p(step / to_start) + np.log1p(step / to_end)) / root_d
-
-
-def hyp_length(curve: Polyline) -> float:
-    """Hyperbolic arclength of a polyline: the closed-form lengths of its segments, summed."""
-    p, q = curve.segments()
-    d = q - p
-    r, speed = np.hypot(p.real, p.imag), np.hypot(d.real, d.imag)
-    return float(np.sum(_segment_hyp_length(p, d, r, speed, 0.0, 1.0)))
 
 
 def euclid_radius(r: float) -> float:

@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 
+_RHS_DELTA_MAX = 1e-6  # largest refinement delta / rhs of a passing lower_q verdict
+
+
 class ConfigError(ValueError):
     """An experiment config is malformed or references something unknown."""
 
@@ -155,7 +158,7 @@ def _lower_q_params(cfg: ExperimentConfig, f: SampleMap):
     ring = RingSpec(*(json_number(cfg.ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
     n_circles = _grid_count(cfg, "n_circles", 64, 1)
     n_theta = _grid_count(cfg, "n_theta", 256, 16)  # also the angular samples of the RHS profile
-    n_profile = _grid_count(cfg, "n_profile", 512, 8)
+    n_profile = _grid_count(cfg, "n_profile", 32, 8)  # Gauss-Legendre nodes of the RHS
     tol = _section_number(cfg, "tolerances", "solver_tol", 1e-6)
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"tolerances.solver_tol must lie in (0, 1), not {tol}")
@@ -233,7 +236,10 @@ def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
 
 def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     """LHS = discrete modulus of the pushed-forward circle family;
-    RHS = reciprocal radial integral with weight N(f) * K_f on the source ring."""
+    RHS = reciprocal radial integral with weight N(f) * K_f on the source ring,
+    by Gauss-Legendre in log r at n_profile nodes. The RHS at n_profile // 2
+    nodes gives the refinement delta |Q_n - Q_{n/2}|; above _RHS_DELTA_MAX
+    relative to the RHS it fails the verdict."""
     t0 = time.perf_counter()
     f = cfg.sample_map
     ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = cfg.params
@@ -244,6 +250,9 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     weight = distortion_weight_field(f, float(degree))
     profile = qnorm_profile(weight, ring, n_samples=n_profile, n_angular=n_theta)
     rhs = ring_reciprocal_integral(profile)
+    # the same rule at half the nodes: a weight that is not smooth in r shows here
+    rhs_delta = abs(rhs - ring_reciprocal_integral(
+        qnorm_profile(weight, ring, n_samples=n_profile // 2, n_angular=n_theta)))
 
     source = circle_family(ring, n_circles, n_vertices=4 * n_theta)
     image = pushforward_polylines(f, source)
@@ -264,6 +273,10 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
         passed = False
         error = (f"sampled degree not certified: supremum {spot.supremum} against analytic "
                  f"degree {degree}, incomplete {spot.incomplete}")
+    elif not rhs_delta <= _RHS_DELTA_MAX * rhs:  # the quadrature does not resolve the RHS (or it is NaN)
+        passed = False
+        error = (f"rhs quadrature not converged: refinement_delta {rhs_delta!r} between "
+                 f"{n_profile} and {n_profile // 2} nodes exceeds {_RHS_DELTA_MAX:g} * rhs")
     record = VerdictRecord(
         experiment_id=cfg.experiment_id,
         kind="lower_q",
@@ -290,6 +303,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
                 "weight": weight.label,
                 "n_samples": n_profile,
                 "n_angular": n_theta,
+                "refinement_delta": rhs_delta,
                 "profile_radii": [float(r) for r in profile.radii[:: max(1, n_profile // 64)]],
                 "profile_qnorm": [float(v) for v in profile.values[:: max(1, n_profile // 64)]],
             },
@@ -402,11 +416,17 @@ def run_suite(config_dir, out_dir=None) -> int:
     One failing or malformed experiment does not stop the others. Writes
     per-experiment records plus suite_report.json and suite_summary.csv.
     Configs run in file-name order; a config whose id names an earlier
-    record or a suite output file is a config_error, so no output file is
-    written twice. Returns 0 only if every experiment ran and passed.
+    record or a suite output file is a config_error, and a config_error
+    record is named by its file stem, suffixed -2, -3, ... where that is
+    taken, so no output file is written twice. An output directory that is
+    the config directory is refused (ConfigError) before anything is written.
+    Returns 0 only if every experiment ran and passed.
     """
     config_dir = Path(config_dir)
     out_dir = Path(out_dir) if out_dir is not None else config_dir / "results"
+    if out_dir.resolve() == config_dir.resolve():
+        raise ConfigError(f"output directory {out_dir} is the config directory {config_dir}: "
+                          "the records would overwrite the configs")
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     taken = {"suite_report", "suite_summary"}  # output file stems already claimed
@@ -417,11 +437,15 @@ def run_suite(config_dir, out_dir=None) -> int:
                 raise ConfigError(f"config {path}: id {cfg.experiment_id!r} is taken by an "
                                   "earlier record or a suite output file")
         except ConfigError as exc:
+            stem, k = path.stem, 1
+            while stem in taken:
+                k += 1
+                stem = f"{path.stem}-{k}"
             records.append(VerdictRecord(
-                experiment_id=path.stem, kind="unknown", status="config_error",
+                experiment_id=stem, kind="unknown", status="config_error",
                 error=str(exc),
             ))
-            taken.add(path.stem)
+            taken.add(stem)
             continue
         taken.add(cfg.experiment_id)
         try:

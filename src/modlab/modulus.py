@@ -614,17 +614,6 @@ _MAX_ITER = 200_000  # products m L rho(lam) before an uncertified stop
 _FACE_STABLE = 10  # FISTA steps with an unchanged face {lam > 0} before a face solve
 
 
-def _power_iteration_norm(op, n: int) -> float:
-    """Largest eigenvalue of a nonzero positive semidefinite operator, by 40
-    steps of power iteration from a seeded random start."""
-    v = np.random.default_rng(0).standard_normal(n)
-    sigma = np.linalg.norm(v)
-    for _ in range(40):
-        v = op(v / sigma)
-        sigma = np.linalg.norm(v)
-    return sigma
-
-
 def _bounds(lam: np.ndarray, slack: np.ndarray):
     """(dual, primal, min_slack) of a lam >= 0 with slack = m L rho(lam): the dual
     value, and the energy of rho(lam) rescaled by its smallest slack (inf when
@@ -676,20 +665,21 @@ def modulus_discrete(
     Otherwise FISTA (Beck & Teboulle 2009) with gradient-mapping restart
     (O'Donoghue & Candes 2015) maximizes the dual
     sum(lam) - sum(A rho^2), rho = L^T(m lam) / (2A), over lam >= 0, with
-    step 1/||m L diag(1/2A) L^T m||. Every iterate yields a lower bound (its
-    dual value) and an upper bound (its density rescaled by the smallest
-    constraint slack); the loop stops once their relative gap is at most
-    `tol` ("gap") or after `_MAX_ITER` iterations ("max_iter", uncertified).
-    The reported density is the rescaled, exactly feasible one.
+    step 1/max(H 1), H = m L diag(1/2A) L^T m: H's entries are non-negative,
+    so its largest row sum bounds ||H||_2 from above. Every iterate yields a
+    lower bound (its dual value) and an upper bound (its density rescaled by
+    the smallest constraint slack); the loop stops once their relative gap is
+    at most `tol` ("gap") or after `_MAX_ITER` iterations ("max_iter",
+    uncertified). The reported density is the rescaled, exactly feasible one.
 
     Face step (the gradient-projection / CG split of Moré & Toraldo 1991):
     once the face F = {lam > 0} of FISTA's iterate has been unchanged for
     `_FACE_STABLE` steps, conjugate gradients solve H_FF lam_F = 1_F from the
-    iterate, H = m L diag(1/2A) L^T m and lam 0 off F, for at most |F| steps,
-    until the RMS residual is at most tol / 100, or until p^T H p <= 0 (H_FF is
-    singular where curves repeat). z = max(lam, 0) is a dual-feasible point
-    with bounds of its own: it stops the solve if they meet `tol`, restarts
-    FISTA from z if its dual value is the higher, and is dropped otherwise.
+    iterate, with lam 0 off F, for at most |F| steps, until the RMS residual
+    is at most tol / 100, or until p^T H p <= 0 (H_FF is singular where curves
+    repeat). z = max(lam, 0) is a dual-feasible point with bounds of its own:
+    it stops the solve if they meet `tol`, restarts FISTA from z if its dual
+    value is the higher, and is dropped otherwise.
     So every bound still comes from a lam >= 0 and an exactly rescaled
     density. `iterations` counts the products m L rho(lam) of the loop (FISTA
     steps, CG steps and z's slack), and `_MAX_ITER` bounds that count.
@@ -733,7 +723,7 @@ def modulus_discrete(
     def H(v):
         return m * L.dot(rho_of(v))
 
-    step = 1.0 / _power_iteration_norm(H, len(family))
+    step = 1.0 / float(np.max(H(np.ones(len(family)))))  # one product; see the docstring
     # slacks are linear in lam, so the extrapolated point's slack needs no product
     x = y = slack = slack_y = np.zeros(len(family))
     t = 1.0
@@ -816,7 +806,7 @@ def circle_family_modulus(ring: RingSpec, Q: ScalarField, n_circles: int = 64, n
     if np.any(q_cells <= 0):
         raise ValueError("Q must be positive on the ring")
     result = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6, weights=1.0 / q_cells)
-    profile = qnorm_profile(Q, ring, n_samples=max(128, 2 * n_circles), n_angular=512)
+    profile = qnorm_profile(Q, ring, n_samples=32, n_angular=512)
     reference = ring_reciprocal_integral(profile)
     return result.value, reference
 

@@ -5,13 +5,17 @@ Fubini-style self-check (2-D quadrature vs iterated radial integral), radial
 profiles of the circle norm ||Q||(r), and the reciprocal ring integral
 that all ring estimates are built on.
 
-Every radial quadrature goes through `circle_integrals`, which evaluates Q
-on blocks of rows of the radii x angles grid rather than one circle at a
-time; each value is bit-identical to the one-circle trapezoid sum.
+Every circle integral goes through `circle_integrals`: the trapezoid rule in
+the angle, which is spectrally accurate on smooth periodic integrands,
+evaluated on blocks of rows of the radii x angles grid rather than one circle
+at a time; each value is bit-identical to the one-circle trapezoid sum. A
+radial profile samples the circles at the Gauss-Legendre nodes in u = log r
+and carries the matching weights, so a ring integral is one weighted sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -79,24 +83,28 @@ class RingSpec:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Samples of r -> ||Q||(r), strictly increasing radii."""
+    """Samples of r -> ||Q||(r) at strictly increasing radii, with the positive
+    quadrature weights of the radii: sum(weights * g(radii)) integrates g dr."""
 
     radii: np.ndarray
     values: np.ndarray
+    weights: np.ndarray
     quadrature_n: int
     label: str = "Q"
 
     def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if radii.shape != values.shape or radii.ndim != 1:
-            raise ValueError("radii and values must be 1-d arrays of equal length")
+        radii, values, weights = (np.asarray(a, dtype=float)
+                                  for a in (self.radii, self.values, self.weights))
+        if radii.ndim != 1 or values.shape != radii.shape or weights.shape != radii.shape:
+            raise ValueError("radii, values and weights must be 1-d arrays of equal length")
         if np.any(np.diff(radii) <= 0):
             raise ValueError("radii must be strictly increasing")
         if np.any(values < 0):
             raise ValueError("profile values must be non-negative")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "values", values)
+        if not np.all(weights > 0):
+            raise ValueError("quadrature weights must be positive")
+        for name, value in (("radii", radii), ("values", values), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -279,25 +287,59 @@ def fubini_residual(Q: ScalarField, r0: float, resolution: int = 400,
     return abs(direct - iterated)
 
 
+def _legendre(n: int, x: np.ndarray):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for x inside (-1, 1)."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int):
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    exact for polynomials of degree up to 2n - 1; read-only arrays.
+
+    Newton on P_n from Tricomi's guesses cos(pi (k - 1/4) / (n + 1/2)), which
+    converges in three or four steps, then w = 2 / ((1 - x^2) P_n'(x)^2). O(n)
+    memory, where an eigenvalue solve would build an n x n matrix.
+    """
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(10):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def qnorm_profile(Q: ScalarField, ring: RingSpec, n_samples: int = 64,
                   n_angular: int = 512) -> RadialProfile:
-    """Sample ||Q||(r) on geometric-progression radii spanning the ring.
+    """||Q||(r) at the n_samples Gauss-Legendre nodes in u = log r on [lo, r_outer].
 
-    Both endpoints are included so downstream trapezoid integration covers
-    the whole ring; a zero inner radius is floored at r_outer * 1e-6.
+    lo is r_inner, floored at r_outer * 1e-6 for a ring about the center. The
+    weights are w_i r_i (b - a)/2 with a = log lo and b = log r_outer, since
+    dr = r du: a smooth g(r) integrates to sum(weights * g(radii)) with the
+    rule's spectral accuracy, and g(log r)/r exactly for g of degree up to
+    2 n_samples - 1. Each circle integral uses n_angular angles.
     """
-    if n_samples < 8:
-        raise ValueError("need n_samples >= 8")
+    if n_samples < 4:
+        raise ValueError("need n_samples >= 4")
     lo = ring.r_inner if ring.r_inner > 0 else ring.r_outer * 1e-6
-    radii = np.geomspace(lo, ring.r_outer, n_samples)
+    a, b = math.log(lo), math.log(ring.r_outer)
+    x, w = _gauss_legendre(n_samples)
+    radii = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x)
     values = circle_integrals(Q, radii, n_angular)
-    return RadialProfile(radii, values, quadrature_n=n_angular, label=Q.label)
+    return RadialProfile(radii, values, w * radii * (0.5 * (b - a)),
+                         quadrature_n=n_angular, label=Q.label)
 
 
 def ring_reciprocal_integral(profile: RadialProfile) -> float:
-    """Trapezoid integral of 1/||Q||(r) over the sampled radii."""
-    if len(profile) < 2:
-        raise ValueError("need at least 2 radii")
+    """Integral of dr / ||Q||(r) over the profile's ring: sum(weights / values)."""
     if np.any(profile.values <= 0.0):
         raise ZeroNormError("profile contains a zero norm; reciprocal undefined")
-    return float(np.trapezoid(1.0 / profile.values, profile.radii))
+    return float(np.sum(profile.weights / profile.values))

@@ -243,6 +243,18 @@ class TestVerifyAndSuite:
         report = json.loads((tmp_path / "results" / "suite_report.json").read_text())
         assert report["records"] == []
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_suite_refuses_the_config_dir_as_out_dir(self, capsys, tmp_path, spelling):
+        configs = tmp_path / "cfg"
+        configs.mkdir()
+        shipped = (CONFIG_DIR / "experiments" / "boundary_mobius.json").read_bytes()
+        (configs / "boundary_mobius.json").write_bytes(shipped)
+        out_dir = configs if spelling == "same" else tmp_path / "cfg" / ".." / "cfg"
+        code, _, err = run_cli(capsys, "suite", str(configs), "--out-dir", str(out_dir))
+        assert code == 2 and "is the config directory" in err
+        assert sorted(p.name for p in configs.iterdir()) == ["boundary_mobius.json"]
+        assert (configs / "boundary_mobius.json").read_bytes() == shipped
+
     def test_suite_isolates_bad_config(self, capsys, tmp_path):
         good = json.loads((CONFIG_DIR / "experiments" / "boundary_winding3.json").read_text())
         (tmp_path / "good.json").write_text(json.dumps(good))

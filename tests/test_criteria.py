@@ -138,8 +138,8 @@ class TestEtaInequality:
     def test_unit_field_identity(self):
         rep = eta_inequality_check(parse_field("const:1"), RING, n_random=500, seed=0)
         oracle_j = (math.log(math.tanh(0.75)) - math.log(math.tanh(0.25))) / (2 * math.pi)
-        assert rep.eta.J == pytest.approx(oracle_j, rel=1e-5)
-        assert rep.one_over_j == pytest.approx(1.0 / oracle_j, rel=1e-5)
+        assert rep.eta.J == pytest.approx(oracle_j, rel=1e-12)
+        assert rep.one_over_j == pytest.approx(1.0 / oracle_j, rel=1e-12)
         assert rep.equality_rel_error < 1e-6
         assert rep.all_above
         assert rep.min_relative_margin >= -1e-9
@@ -147,7 +147,7 @@ class TestEtaInequality:
     def test_normalization_forced(self):
         for spec in ("const:1", "radial:inv-h", "log-inv-r"):
             rep = eta_inequality_check(parse_field(spec), RING, n_random=10, seed=1)
-            assert np.trapezoid(rep.eta.eta0, rep.eta.radii) == pytest.approx(1.0, abs=1e-8)
+            assert np.sum(rep.eta.weights * rep.eta.eta0) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_eta_has_positive_gap(self):
         # closed forms: integral = 2 pi (cosh r2 - cosh r1)/(r2-r1)^2 vs 1/J
@@ -156,10 +156,7 @@ class TestEtaInequality:
         uniform_integral = 2 * math.pi * (math.cosh(1.5) - math.cosh(0.5)) / width**2
         assert uniform_integral > rep.one_over_j
         radii, norms = rep.eta.radii, 1.0 / (rep.eta.J * rep.eta.eta0)
-        w = np.zeros_like(radii)
-        dr = np.diff(radii)
-        w[:-1] += 0.5 * dr
-        w[1:] += 0.5 * dr
+        w = rep.eta.weights
         eta_u = np.full_like(radii, 1.0 / width)
         eta_u /= float(np.sum(w * eta_u))
         got = float(np.sum(w * eta_u**2 * norms))
@@ -170,10 +167,7 @@ class TestEtaInequality:
         rep = eta_inequality_check(parse_field("const:1"), RING, n_random=5, seed=3)
         radii, eta0 = rep.eta.radii, rep.eta.eta0
         norms = 1.0 / (rep.eta.J * eta0)
-        w = np.zeros_like(radii)
-        dr = np.diff(radii)
-        w[:-1] += 0.5 * dr
-        w[1:] += 0.5 * dr
+        w = rep.eta.weights
         rng = np.random.default_rng(4)
         for _ in range(10):
             eta = eta0 * (1.0 + 0.2 * rng.uniform(-1, 1, len(eta0)))

@@ -13,7 +13,6 @@ from modlab.diskgeom import (
     Polyline,
     euclid_radius,
     hyp_distance,
-    hyp_length,
     hyp_radius,
     inside_disk,
     mobius_apply,
@@ -24,6 +23,8 @@ from modlab.diskgeom import (
 )
 from modlab.fuchsian import cyclic_group, enumerate_elements
 from modlab.modulus import DiscretizedDomain, PolylineFamily, cartesian_grid, rasterize_family
+
+from oracles import hyp_length
 
 
 def random_automorphism(rng) -> MobiusAutomorphism:

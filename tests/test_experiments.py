@@ -26,6 +26,7 @@ from modlab.mappings import (
     radial_stretch,
     winding,
 )
+from modlab.quadrature import ScalarField
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "experiments"
@@ -43,7 +44,7 @@ def lower_q_cfg(map_spec, n_circles=32, **tol):
         "kind": "lower_q",
         "ring": RING,
         "map": map_spec,
-        "grid": {"n_circles": n_circles, "n_theta": 128, "n_profile": 256},
+        "grid": {"n_circles": n_circles, "n_theta": 128, "n_profile": 32},
         "tolerances": {"solver_tol": 1e-6, **tol},
     }
 
@@ -328,6 +329,34 @@ class TestLowerQ:
         assert rec.provenance["lhs"]["stop_reason"] == "closed_form"
         assert rec.provenance["lhs"]["duality_gap"] == 0.0
 
+    @pytest.mark.parametrize("name", ["lower_q_identity", "lower_q_radial_stretch2", "lower_q_winding2"])
+    def test_shipped_rhs_refinement_delta(self, name):
+        rec = run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json"))
+        assert rec.provenance["rhs"]["n_samples"] == 32
+        assert rec.provenance["rhs"]["refinement_delta"] / rec.rhs < 1e-10
+
+    def test_identity_rhs_is_the_closed_form(self):
+        # K = 1 and N = 1: the RHS is the ring's integral of dr / (2 pi sinh r)
+        rec = run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / "lower_q_identity.json"))
+        exact = math.log(math.tanh(0.75) / math.tanh(0.25)) / (2 * math.pi)
+        assert rec.rhs == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_unresolved_rhs_fails_the_verdict(self, tmp_path, monkeypatch):
+        from modlab import experiments
+
+        def jump_weight(f, n_factor):  # N * K_f with K doubled beyond r = 1
+            return ScalarField(lambda z: n_factor * np.where(np.abs(z) < math.tanh(0.5), 1.0, 2.0),
+                               label="jump")
+
+        monkeypatch.setattr(experiments, "distortion_weight_field", jump_weight)
+        path = write_cfg(tmp_path, "id.json", lower_q_cfg({"kind": "identity"}, ratio_min=0.95))
+        rec = run_lower_q_verification(ExperimentConfig.from_json(path))
+        assert rec.status == "ok" and rec.ratio >= 0.95  # the ratio alone would pass
+        assert rec.provenance["lhs"]["converged"]
+        assert rec.provenance["rhs"]["refinement_delta"] / rec.rhs > 1e-6
+        assert not rec.passed
+        assert "refinement_delta" in rec.error
+
     def test_uncertified_solve_fails_the_verdict(self, tmp_path, monkeypatch):
         from modlab import experiments
 
@@ -418,6 +447,30 @@ class TestSuite:
         assert json.loads((out / "same.json").read_text())["status"] == "ok"
         assert sorted(p.name for p in out.glob("*.json")) == \
             ["b.json", "c.json", "same.json", "suite_report.json"]
+
+    def test_malformed_config_named_by_a_free_stem(self, tmp_path):
+        # the file stem of same.json is the id of the earlier record from a.json
+        shipped = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())
+        write_cfg(tmp_path, "a.json", {**shipped, "id": "same"})
+        (tmp_path / "same.json").write_text("{broken")
+        out = tmp_path / "results"
+        assert run_suite(tmp_path, out) == 1
+        records = json.loads((out / "suite_report.json").read_text())["records"]
+        assert [(r["experiment_id"], r["status"]) for r in records] == \
+            [("same", "ok"), ("same-2", "config_error")]
+        assert json.loads((out / "same.json").read_text())["status"] == "ok"
+        assert json.loads((out / "same-2.json").read_text())["status"] == "config_error"
+
+    def test_malformed_config_named_like_the_report(self, tmp_path):
+        (tmp_path / "suite_report.json").write_text("{broken")
+        out = tmp_path / "results"
+        assert run_suite(tmp_path, out) == 1
+        report = json.loads((out / "suite_report.json").read_text())
+        assert report["n_experiments"] == 1
+        assert [(r["experiment_id"], r["status"]) for r in report["records"]] == \
+            [("suite_report-2", "config_error")]
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["suite_report-2.json", "suite_report.json", "suite_summary.csv"]
 
     def test_failing_experiment_flips_exit(self, tmp_path):
         cfg = boundary_cfg({"kind": "spiral"}, "extends")  # wrong expectation

@@ -221,8 +221,8 @@ class TestProfile:
         ring = RingSpec(0.5, 1.5)
         prof = qnorm_profile(ONE, ring, n_samples=16, n_angular=256)
         assert len(prof) == 16
-        assert prof.radii[0] == pytest.approx(0.5)
-        assert prof.radii[-1] == pytest.approx(1.5)
+        assert 0.5 < prof.radii[0] and prof.radii[-1] < 1.5  # Gauss nodes are interior
+        assert np.sum(prof.weights) == pytest.approx(1.0, rel=1e-13)
         for r, v in zip(prof.radii, prof.values):
             assert v == pytest.approx(2 * math.pi * math.sinh(r), rel=1e-10)
 
@@ -240,7 +240,7 @@ class TestProfile:
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
-            qnorm_profile(ONE, RingSpec(0.5, 1.5), n_samples=4)
+            qnorm_profile(ONE, RingSpec(0.5, 1.5), n_samples=3)
 
     @given(st.floats(0.3, 1.0), st.floats(1.2, 2.0))
     @settings(max_examples=10, deadline=None)
@@ -263,9 +263,28 @@ class TestReciprocalIntegral:
     def test_unit_field_closed_form(self):
         # antiderivative: d/dr (1/(2 pi)) log tanh(r/2) = 1/(2 pi sinh r)
         ring = RingSpec(0.5, 1.5)
-        prof = qnorm_profile(ONE, ring, n_samples=256, n_angular=64)
+        prof = qnorm_profile(ONE, ring, n_samples=32, n_angular=64)
         oracle = (math.log(math.tanh(0.75)) - math.log(math.tanh(0.25))) / (2 * math.pi)
-        assert ring_reciprocal_integral(prof) == pytest.approx(oracle, rel=1e-5)
+        assert ring_reciprocal_integral(prof) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    def test_exact_on_polynomials_in_log_r(self, n):
+        # sum(weights * g(log r) / r) = integral of g(u) du for every g of degree <= 2n - 1
+        ring = RingSpec(0.5, 1.5)
+        prof = qnorm_profile(ONE, ring, n_samples=n, n_angular=16)
+        a, b = math.log(0.5), math.log(1.5)
+        t = (np.log(prof.radii) - a) / (b - a)  # u mapped to [0, 1]
+        for k in range(2 * n):
+            got = float(np.sum(prof.weights * t**k / prof.radii))
+            assert got == pytest.approx((b - a) / (k + 1), rel=1e-12, abs=0.0), k
+
+    def test_jump_in_r_shows_in_the_refinement_delta(self):
+        # the rule converges slowly across a jump: |Q_n - Q_{n/2}| is far above 1e-6
+        ring = RingSpec(0.5, 1.5)
+        step = radial_field(lambda h: np.where(h < 1.0, 1.0, 2.0), label="step")
+        fine, coarse = (ring_reciprocal_integral(qnorm_profile(step, ring, n_samples=n, n_angular=64))
+                        for n in (32, 16))
+        assert abs(fine - coarse) / fine > 1e-6
 
     def test_scaling_antitone(self):
         ring = RingSpec(0.5, 1.5)
@@ -275,13 +294,14 @@ class TestReciprocalIntegral:
         )
         assert scaled == pytest.approx(base / 4, rel=1e-12)
 
-    def test_single_sample_rejected(self):
-        prof = RadialProfile(np.array([1.0]), np.array([2.0]), quadrature_n=64)
-        with pytest.raises(ValueError):
-            ring_reciprocal_integral(prof)
+    @pytest.mark.parametrize("weights", [[0.5], [0.5, 0.0], [0.5, math.nan]],
+                             ids=["short", "zero", "nan"])
+    def test_weights_checked(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            RadialProfile(np.array([0.5, 1.0]), np.array([1.0, 2.0]), np.array(weights), quadrature_n=64)
 
     def test_zero_norm_rejected(self):
-        prof = RadialProfile(np.array([0.5, 1.0]), np.array([1.0, 0.0]), quadrature_n=64)
+        prof = RadialProfile(np.array([0.5, 1.0]), np.array([1.0, 0.0]), np.array([0.25, 0.25]), quadrature_n=64)
         with pytest.raises(ZeroNormError):
             ring_reciprocal_integral(prof)
 
