@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Distortion report for the sample-map catalog.
 
-For each map: dilatation spot checks, the finite-distortion grid verdict, a
-multiplicity count, and a CSV sweep of the derivative data.
+For each map: dilatation spot checks, the finite-distortion grid verdict, the
+certified multiplicity bound on five targets (or the reason the map is
+refused), and a CSV sweep of the derivative data.
 
 Usage: python scripts/distortion_report.py [out_dir]
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from modlab.mappings import (
+    NotSensePreservingError,
     dilatation,
     distortion_sweep,
     finite_distortion_check,
@@ -38,8 +40,12 @@ def main() -> int:
         k_str = "inf" if math.isinf(k) else f"{k:.4f}"
         sweep = distortion_sweep(f, 33)
         fd = finite_distortion_check(sweep)
-        rep = multiplicity(f, targets, seed_grid=24)
-        print(f"{f.label:<18} {k_str:>12} {str(fd.passed):>13} {rep.supremum:>14}")
+        try:
+            rep = multiplicity(f, targets)
+            n_str = f"{rep.supremum}" + (" (incomplete)" if rep.incomplete else "")
+        except NotSensePreservingError as exc:
+            n_str = f"refused: {exc}"
+        print(f"{f.label:<18} {k_str:>12} {str(fd.passed):>13} {n_str:>14}")
         safe = f.label.replace(":", "_").replace("(", "").replace(")", "")
         (out_dir / f"{safe}.csv").write_text(sweep.to_csv())
     print(f"CSV sweeps in {out_dir}")

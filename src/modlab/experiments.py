@@ -239,14 +239,16 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     RHS = reciprocal radial integral with weight N(f) * K_f on the source ring,
     by Gauss-Legendre in log r at n_profile nodes. The RHS at n_profile // 2
     nodes gives the refinement delta |Q_n - Q_{n/2}|; above _RHS_DELTA_MAX
-    relative to the RHS it fails the verdict."""
+    relative to the RHS it fails the verdict. N is the analytic degree; the
+    verdict fails unless `multiplicity` certifies it as the degree of f at
+    three spot targets."""
     t0 = time.perf_counter()
     f = cfg.sample_map
     ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = cfg.params
     degree = f.degree
     spot_targets = [0.25 * euclid_radius(ring.r_outer) * np.exp(2j * math.pi * j / 3)
                     for j in range(3)]
-    spot = multiplicity(f, spot_targets, seed_grid=24)
+    spot = multiplicity(f, spot_targets)
     weight = distortion_weight_field(f, float(degree))
     profile = qnorm_profile(weight, ring, n_samples=n_profile, n_angular=n_theta)
     rhs = ring_reciprocal_integral(profile)
@@ -297,6 +299,12 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
                 "targets": [[t.real, t.imag] for t in spot.targets],
                 "counts": list(spot.counts),
                 "supremum": spot.supremum,
+                "incomplete": spot.incomplete,
+                "samples": spot.samples,
+                # known to about 1e-16 rad, hundreds of its ulps, as atan2 differs
+                # by an ulp between builds: ten digits give every host one record
+                "max_step": float(f"{spot.max_step:.10g}"),
+                "min_distance": list(spot.min_distance),
             },
             "rhs": {
                 "module": "quadrature.qnorm_profile + ring_reciprocal_integral",

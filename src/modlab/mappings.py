@@ -4,10 +4,11 @@ Each kind is defined by its constructor, which sets the map's evaluator, its
 analytic Wirtinger derivatives (or none, for central differences), its degree
 at 0 and whether it fixes 0 radially: mobius (conformal), radial_stretch
 z|z|^{k-1}, winding r e^{i k theta}, compositions, and custom evaluators.
-Dilatation, Jacobian, multiplicity counts and the finite-distortion check are
-derived from the Wirtinger derivatives. Pushforward is defined for circle
-families about 0 under maps that fix 0 radially: each image circle is the
-source circle rescaled, traversed `degree` times.
+Dilatation, Jacobian and the finite-distortion check are derived from the
+Wirtinger derivatives; multiplicity bounds are winding numbers of the image of
+the circle |z| = 0.999. Pushforward is defined for circle families about 0
+under maps that fix 0 radially: each image circle is the source circle
+rescaled, traversed `degree` times.
 
 Maps, Wirtinger derivatives and the dilatation take and return complex
 arrays; a point is a one-element array. K is inf where the Jacobian vanishes.
@@ -15,6 +16,7 @@ arrays; a point is a one-element array. K is inf where the Jacobian vanishes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -23,12 +25,13 @@ from typing import Callable
 import numpy as np
 
 from ._io import csv_text, json_number
-from .diskgeom import _BLOCK_POINTS, BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
+from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
 from .modulus import PolylineFamily
 
 __all__ = [
     "SampleMap",
     "MultiplicityReport",
+    "NotSensePreservingError",
     "identity_map",
     "mobius_map",
     "radial_stretch",
@@ -246,9 +249,15 @@ def _cabs(w: np.ndarray) -> np.ndarray:
     return np.hypot(w.real, w.imag)
 
 
-def _fd_stencil(f: SampleMap, z: np.ndarray, h):
-    """Central differences at points z with steps h (an array or one step):
-    f_z = (f_x - i f_y)/2, f_zbar = (f_x + i f_y)/2."""
+def wirtinger_fd(f: SampleMap, z, step: float = None):
+    """Central-difference Wirtinger derivatives (f_z, f_zbar) at an array of
+    points, f_z = (f_x - i f_y)/2 and f_zbar = (f_x + i f_y)/2; the default
+    step shrinks with the distance to the rim."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = _cabs(z)
+    h = np.maximum(1e-5 * (1.0 - r), 1e-9) if step is None else step
+    if np.any(r + h >= 1.0 - BOUNDARY_MARGIN):
+        raise ValueError("stencil leaves the disk; shrink the step")
     two_h = 2.0 * h
     dx = f(z + h) - f(z - h)
     dy = f(z + 1j * h) - f(z - 1j * h)
@@ -257,17 +266,6 @@ def _fd_stencil(f: SampleMap, z: np.ndarray, h):
     fx = dx.real / two_h + 1j * (dx.imag / two_h)
     fy = dy.real / two_h + 1j * (dy.imag / two_h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-
-def wirtinger_fd(f: SampleMap, z, step: float = None):
-    """Central-difference Wirtinger derivatives (f_z, f_zbar) at an array of
-    points; the default step shrinks with the distance to the rim."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    r = _cabs(z)
-    h = np.maximum(1e-5 * (1.0 - r), 1e-9) if step is None else step
-    if np.any(r + h >= 1.0 - BOUNDARY_MARGIN):
-        raise ValueError("stencil leaves the disk; shrink the step")
-    return _fd_stencil(f, z, h)
 
 
 def wirtinger(f: SampleMap, z):
@@ -330,118 +328,101 @@ def distortion_sweep(f: SampleMap, grid: int) -> DistortionSweep:
 
 
 # ---------------------------------------------------------------------------
-# multiplicity
+# multiplicity: the degree by the argument principle
+
+_DEGREE_RADIUS = 0.999  # the swept circle |z| = R: the counts bound preimages in |z| < R only
+_DEGREE_SAMPLES = 4096  # the first sampling of the circle
+_DEGREE_SAMPLE_CAP = 2**16  # the finest sampling; a count it cannot certify leaves the report incomplete
+
+
+class NotSensePreservingError(ValueError):
+    """J < 0 at a sampled point: the winding number of f(|z| = R) then bounds
+    no preimage count, so the map is refused."""
 
 
 @dataclass(frozen=True)
 class MultiplicityReport:
+    """`counts[i]` is the winding number of the polygon f(R e^{2 pi i j/n}),
+    j < n = `samples`, about `targets[i]`, or None where the sampling did not
+    certify it; `max_step` is the largest angle that f - y turns through
+    between neighbouring samples, and `min_distance[i]` is min |f - y| over
+    the 2n samples at which each count was checked again."""
+
     targets: tuple
     counts: tuple
     supremum: int
     incomplete: bool
-    flagged_targets: tuple = ()
+    samples: int
+    max_step: float
+    min_distance: tuple
 
 
-def _seed_grid(n: int) -> np.ndarray:
-    radii = np.sqrt(np.linspace(0.02**2, 0.95**2, n))
-    angles = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+@functools.lru_cache(maxsize=None)  # one entry per doubling: at most 5
+def _circle_points(n: int) -> np.ndarray:
+    """The points R e^{2 pi i j/n}, j < n, of the swept circle; read-only."""
+    z = _DEGREE_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
+    z.flags.writeable = False
+    return z
 
 
-def _distinct(w: np.ndarray) -> np.ndarray:
-    """The points of w that lie 1e-6 or more from every earlier kept point:
-    keep the first, drop all within 1e-6 of it, repeat."""
-    kept = []
-    while len(w):
-        kept.append(w[0])
-        w = w[1:][~(_cabs(w[1:] - w[0]) < 1e-6)]
-    return np.array(kept, dtype=complex)
+def _refuse_sense_reversing(f: SampleMap, z: np.ndarray) -> None:
+    """NotSensePreservingError unless J >= 0 at the points z and on the
+    16 x 16 distortion_sweep lattice."""
+    fz, fzb = wirtinger(f, z)
+    jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
+    sweep = distortion_sweep(f, 16)
+    bad = np.concatenate([z[jac < 0], sweep.z[sweep.jacobian < 0]])
+    if len(bad):
+        raise NotSensePreservingError(
+            f"{f.label} is not sense-preserving: J < 0 at {len(bad)} of {len(z) + len(sweep.z)} "
+            f"sampled points, first at z = {complex(bad[0])!r}")
 
 
-_NEWTON_TOL = 1e-10  # a converged point has |f(z) - t| below this
-_NEWTON_STEPS = 60
+def _winding_numbers(arg: np.ndarray):
+    """Winding numbers of closed polygons about a point, one polygon per row
+    of `arg`, the arguments of its vertices seen from the point, with each
+    row's largest angle step; a step is taken in [-pi, pi]."""
+    turn = 2.0 * math.pi
+    steps = np.diff(arg, axis=1, append=arg[:, :1])
+    steps -= turn * np.rint(steps / turn)
+    return np.rint(steps.sum(axis=1) / turn), np.abs(steps).max(axis=1)
 
 
-def _newton(f: SampleMap, z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Newton iteration for f(z) = t, each point with its own target, in place
-    on z; returns the mask of points that converged inside the disk.
+def multiplicity(f: SampleMap, targets) -> MultiplicityReport:
+    """Upper bounds on the number of preimages of each target in |z| < R,
+    R = 0.999, by the argument principle: deg(f, D_R, y) is the winding number
+    of f(|z| = R) about y, and for a sense-preserving, discrete, open map it
+    is at least N(f, y, D_R), with equality off the branch values.
 
-    A point stops at a singular Jacobian or past the rim, keeping its last
-    position, and freezes once its update leaves it unchanged: it is then at
-    a fixed point, where the remaining steps would not move it.
-    """
-    live = np.arange(len(z))
-    for _ in range(_NEWTON_STEPS):
-        if not len(live):
-            break
-        za = z[live]
-        F = f(za) - t[live]
-        if f.has_analytic_wirtinger:
-            fz, fzb = f.wirtinger_analytic(za)
-        else:
-            fz, fzb = _fd_stencil(f, za, 1e-6)
-        J = np.abs(fz) ** 2 - np.abs(fzb) ** 2
-        ok = np.abs(J) > 1e-14
-        delta = np.zeros_like(za)
-        delta[ok] = (np.conjugate(F[ok]) * fzb[ok] - F[ok] * np.conjugate(fz[ok])) / J[ok]
-        # damp oversized steps to keep iterates in the disk
-        step_norm = np.abs(delta)
-        big = step_norm > 0.2
-        delta[big] *= 0.2 / step_norm[big]
-        zn = za + delta
-        moved = ok & ~(np.abs(zn) > 1.0 - 1e-6)
-        z[live[moved]] = zn[moved]
-        live = live[moved & (zn != za)]
-    return (np.abs(f(z) - t) < _NEWTON_TOL) & (np.abs(z) < 1.0 - 1e-6)
-
-
-def _preimages(f: SampleMap, targets, seed_sets) -> list:
-    """Distinct Newton preimages of each target from each seed set:
-    roots[i][j] for targets[i] and seed_sets[j].
-
-    Every (target, seed) pair runs in one Newton pass per block of 2^13
-    pairs; each point's iterates depend only on its seed and its target.
-    """
-    if not targets:
-        return []
-    sizes = np.tile([len(seeds) for seeds in seed_sets], len(targets))
-    z = np.concatenate([seeds for _ in targets for seeds in seed_sets])
-    t = np.repeat(np.repeat(np.asarray(targets, dtype=complex), len(seed_sets)), sizes)
-    good = np.concatenate([
-        _newton(f, z[i:i + _BLOCK_POINTS], t[i:i + _BLOCK_POINTS])
-        for i in range(0, len(z), _BLOCK_POINTS)
-    ])
-    cuts = np.cumsum(sizes)[:-1]
-    roots = [_distinct(w[ok]) for w, ok in zip(np.split(z, cuts), np.split(good, cuts))]
-    return [roots[i:i + len(seed_sets)] for i in range(0, len(roots), len(seed_sets))]
-
-
-def multiplicity(f: SampleMap, targets, seed_grid: int = 40) -> MultiplicityReport:
-    """Count distinct preimages of each target by Newton refinement from a seed
-    grid (deduplicated at 1e-6), reporting the supremum over targets.
-
-    Runs a second, 1.5x denser seed grid; targets whose counts disagree are
-    flagged and the report is marked incomplete.
-
-    Newton runs on every (target, seed) pair of both grids together, in
-    blocks of 2^13 points. A point freezes once an update leaves it
-    unchanged, a fixed point, so roots and counts are bit for bit those of
-    iterating each target on each grid alone for all 60 steps.
+    The circle is sampled at 4096 points, doubled until every angle step is
+    below pi/2 and each winding number is unchanged under one more doubling,
+    up to 2^16 samples; a target a sample lands on is never counted. A map
+    with J < 0 at a sample is refused with NotSensePreservingError.
+    Discreteness and openness are not checked, and the sampling condition is
+    checked a posteriori: it is not a proof for an arbitrary f.
     """
     targets = tuple(complex(t) for t in targets)
-    seed_sets = (_seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5)))
-    counts, flagged = [], []
-    for t, (roots_a, roots_b) in zip(targets, _preimages(f, targets, seed_sets)):
-        na, nb = len(roots_a), len(roots_b)
-        counts.append(max(na, nb))
-        if na != nb:
-            flagged.append(t)
+    y = np.array(targets, dtype=complex)[:, None]
+    n = _DEGREE_SAMPLES
+    _refuse_sense_reversing(f, _circle_points(n))
+    while True:
+        d = f(_circle_points(2 * n)) - y
+        arg = np.angle(d)
+        turns, steps = _winding_numbers(arg[:, 0::2])
+        distance = np.abs(d).min(axis=1)
+        certified = (steps < 0.5 * math.pi) & (turns == _winding_numbers(arg)[0]) & (distance > 0)
+        if certified.all() or 4 * n > _DEGREE_SAMPLE_CAP:
+            break
+        n *= 2
+    counts = tuple(int(t) if ok else None for t, ok in zip(turns, certified))
     return MultiplicityReport(
         targets=targets,
-        counts=tuple(counts),
-        supremum=max(counts) if counts else 0,
-        incomplete=bool(flagged),
-        flagged_targets=tuple(flagged),
+        counts=counts,
+        supremum=max((c for c in counts if c is not None), default=0),
+        incomplete=not certified.all(),
+        samples=n,
+        max_step=float(steps.max(initial=0.0)),
+        min_distance=tuple(float(v) for v in distance),
     )
 
 

@@ -192,7 +192,7 @@ def test_criterion_10_distortion_and_multiplicity():
     rng = np.random.default_rng(10)
     targets = [float(rng.uniform(0.1, 0.8)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
                for _ in range(50)]
-    rep = multiplicity(winding(3), targets, seed_grid=36)
+    rep = multiplicity(winding(3), targets)
     mult_ok = all(c == 3 for c in rep.counts)
     report(10, "dilatation K = k (analytic 1e-6, FD 1e-4); winding(3) multiplicity 3 on 50 targets",
            worst_analytic < 1e-6 and worst_fd < 1e-4 and mult_ok,

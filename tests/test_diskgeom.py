@@ -58,6 +58,25 @@ class TestInsideDisk:
         with pytest.raises(ValueError):
             inside_disk(np.array([0.1j, bad]), "points")
 
+    @pytest.mark.parametrize("bad, message", [
+        (complex("nan"), "must be finite"),
+        (complex(0.5, float("nan")), "must be finite"),
+        (complex("inf"), "must be finite"),
+        (complex(0.0, float("-inf")), "must be finite"),
+        (1.5j, "must lie strictly inside"),
+        (1e308 + 1e308j, "must lie strictly inside"),  # finite, though |z| overflows to inf
+    ], ids=["nan", "nan-imag", "inf", "inf-imag", "past-rim", "overflow"])
+    def test_each_failure_keeps_its_message(self, bad, message):
+        for z in (bad, np.array([bad]), np.array([0.1j, bad, 2.0]), np.array([[0.2, 0.3], [bad, 0.1]])):
+            with pytest.raises(ValueError, match=f"^point {message}"):
+                inside_disk(z, "point")
+
+    def test_empty_passes(self):
+        # Polyline and the other callers raise their own error for no points
+        for z in ([], np.zeros((0, 3), dtype=complex)):
+            out = inside_disk(z, "points")
+            assert out.dtype == complex and out.size == 0 and out.shape == np.shape(z)
+
     @pytest.mark.parametrize("bad", [1.0 + 0j, complex("nan")])
     def test_every_user_checks(self, bad):
         dom = cartesian_grid(((-0.5, 0.5), (-0.5, 0.5)), 2, 2)

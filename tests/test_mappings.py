@@ -1,13 +1,13 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modlab import mappings
 from modlab.diskgeom import mobius_compose, mobius_invert, mobius_rotation, mobius_to_zero
 from modlab.mappings import (
-    MultiplicityReport,
+    NotSensePreservingError,
     boundary_spiral_map,
     compose_maps,
     custom_map,
@@ -26,7 +26,6 @@ from modlab.mappings import (
     wirtinger,
     wirtinger_fd,
 )
-from modlab.mappings import _fd_stencil, _preimages, _seed_grid
 from modlab.modulus import circle_family, modulus_discrete, polar_grid, rasterize_family
 from modlab.quadrature import RingSpec
 
@@ -193,13 +192,17 @@ class TestChunkInvariance:
 class TestMultiplicity:
     def test_mobius_injective(self):
         g = mobius_invert(mobius_to_zero(0.2 + 0.1j))
-        rep = multiplicity(mobius_map(g), [0.3, -0.2 + 0.4j, 0.1j], seed_grid=24)
+        rep = multiplicity(mobius_map(g), [0.3, -0.2 + 0.4j, 0.1j])
         assert rep.supremum == 1
         assert rep.counts == (1, 1, 1)
         assert not rep.incomplete
 
+    def test_composition_degree(self):
+        rep = multiplicity(compose_maps(radial_stretch(2), winding(2)), [0.3, -0.2 + 0.4j, 0.1j])
+        assert rep.counts == (2, 2, 2) and rep.supremum == 2 and not rep.incomplete
+
     def test_winding3_target_half(self):
-        rep = multiplicity(winding(3), [0.5], seed_grid=36)
+        rep = multiplicity(winding(3), [0.5])
         assert rep.counts[0] == 3
         # closed-form preimages: radius 0.5 at angles 2 pi j / 3
         f = winding(3)
@@ -207,9 +210,14 @@ class TestMultiplicity:
         for w in expected:
             assert abs(f(np.array([w]))[0] - 0.5) < 1e-12
 
-    def test_winding_branch_point(self):
-        rep = multiplicity(winding(4), [0j], seed_grid=24)
-        assert rep.counts[0] == 1
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_branch_value_counts_the_local_index(self, k):
+        # |winding(k)(z)| = |z|, so 0 has the one preimage 0, of local index k
+        f = winding(k)
+        z = 0.3 * np.exp(2j * math.pi * np.arange(64) / 64)
+        assert np.allclose(np.abs(f(z)), 0.3) and f(np.array([0j]))[0] == 0
+        rep = multiplicity(f, [0j])
+        assert rep.counts == (k,) and not rep.incomplete
 
     def test_winding_random_targets(self):
         rng = np.random.default_rng(1)
@@ -217,108 +225,54 @@ class TestMultiplicity:
             float(rng.uniform(0.1, 0.8)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
             for _ in range(10)
         ]
-        rep = multiplicity(winding(3), targets, seed_grid=36)
+        rep = multiplicity(winding(3), targets)
         assert rep.supremum == 3
         assert all(c == 3 for c in rep.counts)
 
+    def test_fold_is_refused(self):
+        with pytest.raises(NotSensePreservingError, match="fold is not sense-preserving: J < 0"):
+            multiplicity(fold_map(), [0.3])
 
-def newton_preimages_oracle(f, target, seeds, newton_tol, max_steps=60):
-    """One target, one seed grid: every seed runs all 60 steps or until it
-    dies, then roots are kept in seed order unless within 1e-6 of a kept one."""
-    z = seeds.copy()
-    alive = np.ones(len(z), dtype=bool)
-    for _ in range(max_steps):
-        if not alive.any():
-            break
-        za = z[alive]
-        F = f(za) - target
-        if f.has_analytic_wirtinger:
-            fz, fzb = f.wirtinger_analytic(za)
-        else:
-            fz, fzb = _fd_stencil(f, za, 1e-6)
-        J = np.abs(fz) ** 2 - np.abs(fzb) ** 2
-        ok = np.abs(J) > 1e-14
-        delta = np.zeros_like(za)
-        delta[ok] = (np.conjugate(F[ok]) * fzb[ok] - F[ok] * np.conjugate(fz[ok])) / J[ok]
-        step_norm = np.abs(delta)
-        delta[step_norm > 0.2] *= 0.2 / step_norm[step_norm > 0.2]
-        za = za + delta
-        dead = (~ok) | (np.abs(za) > 1.0 - 1e-6)
-        z_alive = z[alive]
-        z_alive[~dead] = za[~dead]
-        z[alive] = z_alive
-        sub = alive[alive].copy()
-        sub[dead] = False
-        alive[alive.copy()] = sub
-    residual = np.abs(f(z) - target)
-    good = (residual < newton_tol) & (np.abs(z) < 1.0 - 1e-6)
-    roots = []
-    for w in z[good]:
-        if not any(abs(w - r) < 1e-6 for r in roots):
-            roots.append(complex(w))
-    return roots
+    def test_reversed_near_the_rim_is_refused(self):
+        # z + a conj(z)^40 / 40 has J = 1 - |a|^2 r^78: positive on the sweep
+        # lattice (r <= 0.9), negative on the circle r = 0.999
+        a = 0.96**-39
+        f = custom_map(lambda z: z + a * np.conjugate(z) ** 40 / 40, label="rim_fold")
+        assert (distortion_sweep(f, 16).jacobian > 0).all()
+        with pytest.raises(NotSensePreservingError, match="rim_fold is not sense-preserving"):
+            multiplicity(f, [0.3])
 
+    @pytest.mark.parametrize("f", [identity_map(), radial_stretch(2), winding(3), boundary_spiral_map(),
+                                   compose_maps(mobius_map(mobius_to_zero(0.2 + 0.1j)), winding(2))],
+                             ids=["identity", "radial_stretch2", "winding3", "spiral", "mobius-then-winding2"])
+    def test_count_stable_under_doubling(self, f, monkeypatch):
+        rng = np.random.default_rng(3)
+        targets = 0.9 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * math.pi * rng.uniform(size=8))
+        rep = multiplicity(f, targets)
+        assert not rep.incomplete and rep.max_step < 0.5 * math.pi
+        assert rep.samples == 4096 and min(rep.min_distance) > 0
+        for first in (8192, 16384):
+            monkeypatch.setattr(mappings, "_DEGREE_SAMPLES", first)
+            assert multiplicity(f, targets).counts == rep.counts
 
-def multiplicity_oracle(f, targets, seed_grid=40, newton_tol=1e-10):
-    """`multiplicity` one target and one seed grid at a time."""
-    targets = tuple(complex(t) for t in targets)
-    seeds_a, seeds_b = _seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5))
-    roots = [(newton_preimages_oracle(f, t, seeds_a, newton_tol),
-              newton_preimages_oracle(f, t, seeds_b, newton_tol)) for t in targets]
-    counts = tuple(max(len(a), len(b)) for a, b in roots)
-    flagged = tuple(t for t, (a, b) in zip(targets, roots) if len(a) != len(b))
-    report = MultiplicityReport(targets, counts, max(counts) if counts else 0,
-                                bool(flagged), flagged)
-    return report, roots
+    def test_near_target_refines(self):
+        # 5e-4 inside the curve, midway between two of the first 4096 samples:
+        # their step subtends about 2 rad, and each half of it about 1
+        rep = multiplicity(identity_map(), [0.9985 * np.exp(1j * math.pi / 4096)])
+        assert rep.counts == (1,) and rep.samples == 8192 and rep.max_step < 0.5 * math.pi
+        assert rep.min_distance[0] == pytest.approx(5e-4, rel=1e-9)
 
-
-def _config_map(name):
-    path = Path(__file__).resolve().parents[1] / "configs" / "experiments" / f"{name}.json"
-    return map_from_config(json.loads(path.read_text())["map"])
-
-
-ORACLE_MAPS = [
-    pytest.param(identity_map(), id="identity"),
-    pytest.param(radial_stretch(2), id="radial_stretch2"),
-    pytest.param(winding(2), id="winding2"),
-    pytest.param(winding(3), id="winding3"),
-    pytest.param(boundary_spiral_map(), id="spiral"),
-    pytest.param(fold_map(), id="fold"),
-    pytest.param(_config_map("boundary_mobius"), id="boundary_mobius"),
-    pytest.param(compose_maps(mobius_map(mobius_invert(mobius_to_zero(0.2 + 0.1j))), winding(2)),
-                 id="mobius-then-winding2"),
-]
-
-
-class TestMultiplicityOracle:
-    @staticmethod
-    def _targets(seed):
-        rng = np.random.default_rng(seed)
-        return [complex(0.7 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-                for _ in range(6)]
-
-    @pytest.mark.parametrize("seed_grid", [24, 40])
-    @pytest.mark.parametrize("f", ORACLE_MAPS)
-    def test_matches_one_target_at_a_time(self, f, seed_grid):
-        targets = self._targets(seed_grid)
-        expected, expected_roots = multiplicity_oracle(f, targets, seed_grid)
-        assert multiplicity(f, targets, seed_grid=seed_grid) == expected
-        seed_sets = (_seed_grid(seed_grid), _seed_grid(int(seed_grid * 1.5)))
-        got_roots = _preimages(f, targets, seed_sets)
-        assert len(got_roots) == len(targets)
-        for got, want in zip(got_roots, expected_roots):
-            for g, w in zip(got, want, strict=True):
-                assert g.dtype == complex
-                assert np.array_equal(g.view(np.uint64), np.array(w, dtype=complex).view(np.uint64))
-
-    def test_fold_has_targets_without_preimages(self):
-        # fold maps onto the right half disk: a target left of the axis has none
-        for seed_grid in (24, 40):
-            counts = multiplicity(fold_map(), self._targets(seed_grid), seed_grid=seed_grid).counts
-            assert 0 in counts and any(c > 0 for c in counts)
+    def test_target_on_the_curve_is_not_counted(self):
+        # 0.999 is a sample; the second target lies on the circle between samples at every level
+        on_curve = [0.999, 0.999 * np.exp(2j * math.pi / 12288)]
+        rep = multiplicity(identity_map(), on_curve + [0.5])
+        assert rep.counts == (None, None, 1) and rep.supremum == 1 and rep.incomplete
+        assert rep.samples == 2**15  # the last level below the cap of 2^16
+        assert rep.min_distance[0] == 0.0 and 0 < rep.min_distance[1] < 1e-4
 
     def test_no_targets(self):
-        assert multiplicity(winding(2), []) == MultiplicityReport((), (), 0, False, ())
+        rep = multiplicity(winding(2), [])
+        assert (rep.counts, rep.supremum, rep.incomplete, rep.min_distance) == ((), 0, False, ())
 
 
 class TestFiniteDistortion:
