@@ -19,7 +19,7 @@ from .quadrature import (
     RingSpec,
     ScalarField,
     ZeroNormError,
-    _simpson_nodes,
+    _gauss_nodes,
     ball_integral,
     circle_integrals,
     qnorm_profile,
@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 EPSILON_FLOOR = 1e-4  # quadrature floor in hyperbolic units
-_BALL_N_R, _BALL_N_THETA = 65, 256  # ball quadrature of the FMO check
-_TAIL_N_DENSE, _TAIL_N_ANGULAR = 512, 256  # radial profile of the tail integrals
+_BALL_N_R, _BALL_N_THETA = 64, 256  # ball quadrature of the FMO check
+_TAIL_N_NODES, _TAIL_N_ANGULAR = 16, 256  # per epsilon interval, in the tail integrals
 _ETA_N_SAMPLES, _ETA_N_ANGULAR, _ETA_N_BINS = 1024, 512, 32  # eta_0 check
 
 
@@ -173,22 +173,21 @@ class DivergenceReport:
 
 
 def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float) -> np.ndarray:
-    """int_eps^eps0 dr / ||Q||(r) for each eps (decreasing), from one dense
-    geometric profile that contains the epsilons."""
-    grid = np.unique(np.concatenate([np.geomspace(epsilons[-1], eps0, _TAIL_N_DENSE), epsilons]))
-    norms = circle_integrals(Q, grid, _TAIL_N_ANGULAR)
+    """int_eps^eps0 dr / ||Q||(r) for each eps (decreasing below eps0): running
+    sums of 16-node Gauss-Legendre rules in u = log r (dr = r du) on the
+    intervals [eps_k, eps_{k-1}], eps_0 = eps0."""
+    u, w = _gauss_nodes(_TAIL_N_NODES, np.log(epsilons), np.log(np.append(eps0, epsilons[:-1])))
+    radii = np.exp(u)
+    norms = circle_integrals(Q, radii.ravel(), _TAIL_N_ANGULAR).reshape(radii.shape)
     if np.any(norms <= 0.0):
         raise ZeroNormError("||Q|| vanishes on the ring; reciprocal integral undefined")
-    values = 1.0 / norms
-    # cumulative trapezoid from the right: I[k] = int_{grid[k]}^{eps0}
-    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
-    cum = np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
-    return cum[np.searchsorted(grid, epsilons)]
+    return np.cumsum(np.sum(w * radii / norms, axis=1))
 
 
 def divergence_check(Q: ScalarField, ring: RingSpec) -> DivergenceReport:
     """Partial integrals int_eps^eps0 dr/||Q||(r) for eps = eps0 2^-k,
-    k = 1..12, with eps0 = ring.r_outer, floored at the inner radius, and growth fitted on the small-eps tail against three 2-parameter
+    k = 1..12, with eps0 = ring.r_outer and eps floored at the inner radius.
+    Their growth on the small-eps tail is fitted against three 2-parameter
     models: a + b*eps (bounded), a + b*log(1/eps), a + b*loglog(1/eps).
 
     Verdict "diverges" when the best unbounded-model residual beats the
@@ -260,9 +259,10 @@ def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
     """Extremality of eta_0 among unit-integral radial weights.
 
     Checks (a) the identity: the ring integral of Q * eta_0^2(h) equals 1/J,
-    recomputed with an independent Simpson quadrature; (b) for seeded random
-    eta, piecewise constant on 32 equal radial bins, with int eta dr = 1, the
-    weighted integral never drops below 1/J (beyond 1e-9 relative).
+    recomputed independently at 129 fresh circles by Gauss-Legendre in r, not
+    log r; (b) for seeded random eta, piecewise constant on 32 equal radial
+    bins, with int eta dr = 1, the weighted integral never drops below 1/J
+    (beyond 1e-9 relative).
     """
     profile = qnorm_profile(Q, ring, n_samples=_ETA_N_SAMPLES, n_angular=_ETA_N_ANGULAR)
     radii, norms, w = profile.radii, profile.values, profile.weights
@@ -273,10 +273,10 @@ def eta_inequality_check(Q: ScalarField, ring: RingSpec, n_random: int = 500,
     eta0 = 1.0 / (J * norms)
     eta_profile = EtaProfile(ring, J, radii, eta0, w)
 
-    # independent route: Simpson nodes, fresh circle integrals
-    sim_r, sim_w = _simpson_nodes(ring.r_inner, ring.r_outer, 129)
-    sim_norms = circle_integrals(Q, sim_r, _ETA_N_ANGULAR)
-    equality_value = float(np.sum(sim_w / (J * J * sim_norms)))
+    # independent route: other nodes in another variable, fresh circle integrals
+    ind_r, ind_w = _gauss_nodes(129, ring.r_inner, ring.r_outer)
+    ind_norms = circle_integrals(Q, ind_r, _ETA_N_ANGULAR)
+    equality_value = float(np.sum(ind_w / (J * J * ind_norms)))
     one_over_j = 1.0 / J
     equality_rel_error = abs(equality_value - one_over_j) / one_over_j
 

@@ -33,9 +33,10 @@ import numpy as np
 
 from ._io import MAX_COUNT, json_number, write_csv, write_json
 from .criteria import divergence_check
-from .diskgeom import euclid_radius, inside_disk
+from .diskgeom import euclid_radius, hyp_radius, inside_disk
 from .fields import parse_field
 from .mappings import (
+    _DEGREE_RADIUS,
     SampleMap,
     dilatation,
     map_from_config,
@@ -156,6 +157,9 @@ def _lower_q_params(cfg: ExperimentConfig, f: SampleMap):
     if not f.fixes_origin_radially:
         raise ConfigError(f"lower_q needs a map that fixes 0 radially, got {f.label}")
     ring = RingSpec(*(json_number(cfg.ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
+    if euclid_radius(ring.r_outer) >= _DEGREE_RADIUS:
+        raise ConfigError(f"ring.r_outer {ring.r_outer} (Euclidean {euclid_radius(ring.r_outer)}) must lie inside "
+                          f"the degree certificate's circle |z| = {_DEGREE_RADIUS} (r = {hyp_radius(_DEGREE_RADIUS)})")
     n_circles = _grid_count(cfg, "n_circles", 64, 1)
     n_theta = _grid_count(cfg, "n_theta", 256, 16)  # also the angular samples of the RHS profile
     n_profile = _grid_count(cfg, "n_profile", 32, 8)  # Gauss-Legendre nodes of the RHS

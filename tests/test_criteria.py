@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from modlab.criteria import (
+    _tail_integrals,
     default_epsilon_sequence,
     divergence_check,
     eta_inequality_check,
@@ -100,7 +101,15 @@ class TestDivergenceCheck:
         # closed form: (1/2pi) log(tanh(eps0/2)/tanh(eps/2))
         for eps, got in zip(rep.epsilons, rep.partial_integrals):
             oracle = (math.log(math.tanh(0.75)) - math.log(math.tanh(eps / 2))) / (2 * math.pi)
-            assert got == pytest.approx(oracle, rel=1e-4)
+            assert got == pytest.approx(oracle, rel=1e-12)
+
+    def test_tail_integrals_of_unit_field(self):
+        # unequal intervals between the epsilons: each partial is the closed form
+        # (log tanh(eps0/2) - log tanh(eps/2)) / 2 pi
+        eps0, epsilons = 2.0, np.array([1.3, 0.7, 0.2, 0.05, 1e-3])
+        got = _tail_integrals(parse_field("const:1"), epsilons, eps0)
+        oracle = (math.log(math.tanh(eps0 / 2)) - np.log(np.tanh(epsilons / 2))) / (2 * math.pi)
+        np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0.0)
 
     def test_partials_monotone(self):
         ring = RingSpec(0.0, 1.5)
@@ -115,7 +124,7 @@ class TestDivergenceCheck:
         assert rep.verdict == "converges"
         for eps, got in zip(rep.epsilons, rep.partial_integrals):
             oracle, _ = quad(lambda r: r / (2 * math.pi * math.sinh(r)), eps, 1.5)
-            assert got == pytest.approx(oracle, rel=1e-4)
+            assert got == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("c", [0.5, 3.0])
     def test_scaled_constants_diverge(self, c):
@@ -140,7 +149,7 @@ class TestEtaInequality:
         oracle_j = (math.log(math.tanh(0.75)) - math.log(math.tanh(0.25))) / (2 * math.pi)
         assert rep.eta.J == pytest.approx(oracle_j, rel=1e-12)
         assert rep.one_over_j == pytest.approx(1.0 / oracle_j, rel=1e-12)
-        assert rep.equality_rel_error < 1e-6
+        assert rep.equality_rel_error < 1e-12
         assert rep.all_above
         assert rep.min_relative_margin >= -1e-9
 
@@ -179,7 +188,7 @@ class TestEtaInequality:
         rep = eta_inequality_check(parse_field("radial:inv-h"), RING, n_random=500, seed=7)
         assert rep.all_above
         assert rep.min_relative_margin >= -1e-9
-        assert rep.equality_rel_error < 1e-6
+        assert rep.equality_rel_error < 1e-12
 
 
 class TestRecentering:
@@ -199,4 +208,4 @@ class TestRecentering:
         shifted = recentered_field(Q, c)
         got = ball_integral(shifted, 0.8, n_r=129, n_theta=256)
         oracle, _ = quad(lambda t: t * t * 2 * math.pi * math.sinh(t), 0, 0.8)
-        assert got == pytest.approx(oracle, rel=1e-6)
+        assert got == pytest.approx(oracle, rel=1e-12)

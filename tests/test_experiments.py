@@ -187,6 +187,20 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="fixes 0 radially"):
             ExperimentConfig.from_json(path)
 
+    def test_lower_q_ring_inside_the_degree_circle(self, tmp_path):
+        # the degree certificate sweeps |z| = 0.999, hyperbolic radius about 7.6004
+        cfg = json.loads((CONFIG_DIR / "lower_q_winding2.json").read_text())
+        cfg["ring"] = {"r_inner": 7.0, "r_outer": 7.6}
+        assert ExperimentConfig(experiment_id="inside", kind="lower_q", map_spec=cfg["map"],
+                                ring=cfg["ring"]).params[0].r_outer == 7.6
+        cfg["ring"] = {"r_inner": 7.0, "r_outer": 8.0}
+        write_cfg(tmp_path, "lower_q_winding2.json", cfg)
+        out = tmp_path / "results"
+        assert run_suite(tmp_path, out) == 1
+        [record] = json.loads((out / "suite_report.json").read_text())["records"]
+        assert record["status"] == "config_error"
+        assert "Euclidean 0.99932" in record["error"] and "|z| = 0.999 " in record["error"]
+
     def test_direct_config_is_checked_when_built(self):
         # built without from_json, a config makes the same checks and raises
         mobius = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())["map"]
