@@ -6,7 +6,7 @@ block removed:
 - the six records of `modlab suite configs/experiments` and its
   suite_summary.csv;
 - the record of `modlab ring-modulus --r1 0.5 --r2 1.5 --grid 200x600`;
-- the stdout of `modlab verify lower-q` and `modlab verify boundary-ext`.
+- the stdout of `modlab verify` on lower_q_identity.json and boundary_mobius.json.
 
 tests/test_acceptance.py compares a fresh run against them: keys, strings,
 counts and booleans exactly, each float to within 4 units in the last place.
@@ -34,10 +34,8 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 CONFIG_DIR = ROOT / "configs" / "experiments"
 COMMANDS = {
     "ring_modulus_200x600.json": ["ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "200x600"],
-    "verify_lower_q_identity.json": ["verify", "lower-q", "--config",
-                                     str(CONFIG_DIR / "lower_q_identity.json")],
-    "verify_boundary_mobius.json": ["verify", "boundary-ext", "--config",
-                                    str(CONFIG_DIR / "boundary_mobius.json")],
+    "verify_lower_q_identity.json": ["verify", "--config", str(CONFIG_DIR / "lower_q_identity.json")],
+    "verify_boundary_mobius.json": ["verify", "--config", str(CONFIG_DIR / "boundary_mobius.json")],
 }
 
 

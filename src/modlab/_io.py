@@ -1,5 +1,6 @@
-"""The file formats. `json_number` is the one reader of numbers in JSON input
-(experiment configs, map specs, group files); JSON objects and CSV tables are
+"""The file formats. JSON input (experiment configs, map specs, group files)
+is read by two rules: `json_number` reads every number and `json_object`
+refuses every key its reader does not read. JSON objects and CSV tables are
 formatted here (`json_text`, `csv_text`), for files and for stdout alike.
 
 Suite determinism (byte-identical output outside `meta`) rests on these two
@@ -35,6 +36,17 @@ def json_number(value, name: str, whole: bool = False, optional: bool = False):
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be {wanted}, not {value!r}") from None
     return int(value) if whole else number
+
+
+def json_object(value, name: str, known) -> dict:
+    """A JSON object whose keys are all `known`, or a ValueError naming the
+    object and, for a key its reader does not read, that key and the known ones."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, not {type(value).__name__}")
+    unknown = sorted(set(value) - set(known), key=str)
+    if unknown:
+        raise ValueError(f"{name} has unknown key {unknown[0]!r}; known keys: {', '.join(sorted(known)) or 'none'}")
+    return value
 
 
 def json_text(data) -> str:

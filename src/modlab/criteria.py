@@ -27,6 +27,7 @@ from .quadrature import (
 
 __all__ = [
     "FMOReport",
+    "NotIntegrableError",
     "DivergenceReport",
     "EtaProfile",
     "EtaCheckReport",
@@ -39,6 +40,7 @@ __all__ = [
 
 EPSILON_FLOOR = 1e-4  # quadrature floor in hyperbolic units
 _BALL_N_R, _BALL_N_THETA = 64, 256  # ball quadrature of the FMO check
+_BALL_DELTA_MAX = 1e-3  # largest |mean at n_r - mean at n_r // 2 nodes| / |mean| of the FMO check
 _TAIL_N_NODES, _TAIL_N_ANGULAR = 16, 256  # per epsilon interval, in the tail integrals
 _ETA_N_SAMPLES, _ETA_N_ANGULAR, _ETA_N_BINS = 1024, 512, 32  # eta_0 check
 
@@ -81,6 +83,12 @@ def _linear_fit_residual(x: np.ndarray, y: np.ndarray):
 # finite mean oscillation
 
 
+class NotIntegrableError(ValueError):
+    """A ball mean of the FMO check moves by more than 1e-3 of itself from
+    n_r to n_r // 2 radial nodes, as for a field not integrable about the
+    center (1/|z|^2): the mean is then an artefact of the rule."""
+
+
 @dataclass(frozen=True)
 class FMOReport:
     epsilons: np.ndarray
@@ -103,7 +111,9 @@ def fmo_check(Q: ScalarField, epsilons=None, center=0j) -> FMOReport:
     """Mean oscillation of Q over shrinking balls about a point.
 
     For each epsilon the ball mean and the normalized mean oscillation are
-    computed by the iterated ball quadrature. Verdict: "not_fmo" when the
+    computed by the iterated ball quadrature; a mean that the same rule at
+    half the radial nodes does not reproduce to 1e-3 is a
+    NotIntegrableError naming the field. Verdict: "not_fmo" when the
     log-log regression of oscillation against 1/epsilon has slope > 0.2,
     "fmo" when the oscillations are bounded across the sequence
     (max/median <= 3), otherwise "inconclusive".
@@ -121,6 +131,12 @@ def fmo_check(Q: ScalarField, epsilons=None, center=0j) -> FMOReport:
     for eps in epsilons:
         area = 2.0 * math.pi * (math.cosh(eps) - 1.0)
         mean = ball_integral(field, eps, n_r=_BALL_N_R, n_theta=_BALL_N_THETA) / area
+        delta = abs(mean - ball_integral(field, eps, n_r=_BALL_N_R // 2, n_theta=_BALL_N_THETA) / area)
+        if not delta <= _BALL_DELTA_MAX * abs(mean):  # NaN too
+            raise NotIntegrableError(
+                f"{field.label} is not integrable about the center: its ball mean at epsilon {eps:g} "
+                f"moves by {delta:.3g} between {_BALL_N_R} and {_BALL_N_R // 2} radial nodes, "
+                f"more than {_BALL_DELTA_MAX:g} of the mean {mean:.6g}")
         deviation = ScalarField(
             lambda z, _ev=field.evaluator, _m=mean: np.abs(np.asarray(_ev(z), dtype=float) - _m),
             label=f"|{field.label} - mean|",

@@ -31,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import MAX_COUNT, json_number, write_csv, write_json
+from ._io import MAX_COUNT, json_number, json_object, write_csv, write_json
 from .criteria import divergence_check
-from .diskgeom import euclid_radius, hyp_radius, inside_disk
+from .diskgeom import euclid_radius, hyp_radius
 from .fields import parse_field
 from .mappings import (
     _DEGREE_RADIUS,
@@ -65,6 +65,19 @@ __all__ = [
 
 
 _RHS_DELTA_MAX = 1e-6  # largest refinement delta / rhs of a passing lower_q verdict
+_SOLVER_TOL = 1e-6  # the relative duality gap of the lower_q modulus solve
+# the boundary probe's paths: n_steps points each, at |z| = 1 - delta0 * 2**-k,
+# k < n_steps, one radial and two tilted by +-beta; the deepest is 1 - 0.3 * 2**-13
+_PATH_N_STEPS, _PATH_DELTA0, _PATH_BETA = 14, 0.3, 0.3
+_CONTRACT_ABS, _CONTRACT_RATIO = 0.02, 0.1  # a tail diameter below both has contracted
+
+# the keys each kind reads at the top level of its config; all but id, kind and
+# map are optional fields of ExperimentConfig
+_CONFIG_KEYS = {
+    "lower_q": ("id", "kind", "map", "ring", "grid", "tolerances"),
+    "boundary_ext": ("id", "kind", "map", "boundary_point_angle", "expected", "q_majorant"),
+}
+_OPTIONAL_KEYS = _CONFIG_KEYS["lower_q"][3:] + _CONFIG_KEYS["boundary_ext"][3:]
 
 
 class ConfigError(ValueError):
@@ -74,21 +87,21 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, checked once, when built (a ConfigError says why it
-    cannot run); the parsed map, majorant and parameters are kept for the run."""
+    cannot run); the parsed map, majorant and parameters are kept for the run.
+    A field the kind does not read (`_CONFIG_KEYS`) must be left None."""
 
     experiment_id: str
     kind: str  # "lower_q" | "boundary_ext"
     map_spec: dict
     ring: dict = None
-    grid: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
-    boundary_point_angle: float = 0.0
-    q_majorant: str = None
+    grid: dict = None
+    tolerances: dict = None
+    boundary_point_angle: float = None
     expected: str = None  # boundary_ext: "extends" | "no_limit"
-    tolerances: dict = field(default_factory=dict)
+    q_majorant: str = None
     sample_map: SampleMap = field(init=False, compare=False, repr=False)
     majorant: ScalarField = field(init=False, compare=False, repr=False)
-    params: tuple = field(init=False, compare=False, repr=False)  # _lower_q_params or _boundary_ext_params
+    params: tuple = field(init=False, compare=False, repr=False)  # lower_q: _lower_q_params
 
     def __post_init__(self):
         eid = self.experiment_id  # names the run's output files
@@ -96,15 +109,17 @@ class ExperimentConfig:
             raise ConfigError(f"id must be a plain file name, not {eid!r}")
         if self.kind not in ("lower_q", "boundary_ext"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        for name in ("ring", "grid", "paths", "tolerances"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, dict):
-                raise ConfigError(f"{name} must be a JSON object, not {type(value).__name__}")
         try:
-            angle = json_number(self.boundary_point_angle, "boundary_point_angle")
+            json_object({key: value for key in _OPTIONAL_KEYS if (value := getattr(self, key)) is not None},
+                        f"{self.kind} config", _CONFIG_KEYS[self.kind])
+            angle = json_number(self.boundary_point_angle, "boundary_point_angle", optional=True) or 0.0
             f = map_from_config(self.map_spec)
             majorant = None if self.q_majorant is None else parse_field(self.q_majorant)
-            params = _lower_q_params(self, f) if self.kind == "lower_q" else _boundary_ext_params(self)
+            params = None
+            if self.kind == "lower_q":
+                params = _lower_q_params(self, f)
+            elif self.expected not in (None, "extends", "no_limit"):
+                raise ConfigError(f"expected must be 'extends' or 'no_limit', not {self.expected!r}")
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # ConfigError included
             raise ConfigError(str(exc)) from exc
         for name, value in (("boundary_point_angle", angle), ("sample_map", f),
@@ -116,80 +131,49 @@ class ExperimentConfig:
         """Read and build a config; every failure is a ConfigError naming the path."""
         try:
             data = json.loads(Path(path).read_text())
-            return cls(
-                experiment_id=data["id"],
-                kind=data["kind"],
-                map_spec=data["map"],
-                ring=data.get("ring"),
-                grid=data.get("grid", {}),
-                paths=data.get("paths", {}),
-                boundary_point_angle=data.get("boundary_point_angle", 0.0),
-                q_majorant=data.get("q_majorant"),
-                expected=data.get("expected"),
-                tolerances=data.get("tolerances", {}),
-            )
+            if data["kind"] in _CONFIG_KEYS:  # an unknown kind is refused when built
+                json_object(data, "config", _CONFIG_KEYS[data["kind"]])
+            return cls(experiment_id=data["id"], kind=data["kind"], map_spec=data["map"],
+                       **{key: data[key] for key in _OPTIONAL_KEYS if key in data})
         except KeyError as exc:
             raise ConfigError(f"config {path} missing field {exc}") from exc
         except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON or not an object; ConfigError
             raise ConfigError(f"config {path}: {exc}") from exc
 
 
-def _section_number(cfg: ExperimentConfig, section: str, key: str, default, whole: bool = False):
-    """cfg.<section>[key], or the default when absent, by `json_number`; a
-    default of None marks an optional value."""
-    return json_number(getattr(cfg, section).get(key, default), f"{section}.{key}",
-                       whole, optional=default is None)
+def _section(value, name: str, known) -> dict:
+    """An optional config section: {} when absent (None), else by `json_object`."""
+    return {} if value is None else json_object(value, name, known)
 
 
-def _grid_count(cfg: ExperimentConfig, key: str, default: int, low: int) -> int:
-    """grid[key] as an int in [low, MAX_COUNT]."""
-    count = _section_number(cfg, "grid", key, default, whole=True)
+def _grid_count(grid: dict, key: str, default: int, low: int) -> int:
+    """grid[key], or the default when absent, as an int in [low, MAX_COUNT]."""
+    count = json_number(grid.get(key, default), f"grid.{key}", whole=True)
     if not low <= count <= MAX_COUNT:
         raise ConfigError(f"grid.{key} must lie in [{low}, {MAX_COUNT}], not {count}")
     return count
 
 
 def _lower_q_params(cfg: ExperimentConfig, f: SampleMap):
-    """(ring, n_circles, n_theta, n_profile, solver_tol, ratio_min, ratio_max)
-    of a lower_q experiment, or a ConfigError why it cannot run."""
+    """(ring, n_circles, n_theta, n_profile, ratio_min, ratio_max) of a
+    lower_q experiment, or a ConfigError why it cannot run."""
     if cfg.ring is None:
         raise ConfigError("lower_q needs a ring")
     if not f.fixes_origin_radially:
         raise ConfigError(f"lower_q needs a map that fixes 0 radially, got {f.label}")
-    ring = RingSpec(*(json_number(cfg.ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
+    ring = json_object(cfg.ring, "ring", ("r_inner", "r_outer"))
+    ring = RingSpec(*(json_number(ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
     if euclid_radius(ring.r_outer) >= _DEGREE_RADIUS:
         raise ConfigError(f"ring.r_outer {ring.r_outer} (Euclidean {euclid_radius(ring.r_outer)}) must lie inside "
                           f"the degree certificate's circle |z| = {_DEGREE_RADIUS} (r = {hyp_radius(_DEGREE_RADIUS)})")
-    n_circles = _grid_count(cfg, "n_circles", 64, 1)
-    n_theta = _grid_count(cfg, "n_theta", 256, 16)  # also the angular samples of the RHS profile
-    n_profile = _grid_count(cfg, "n_profile", 32, 8)  # Gauss-Legendre nodes of the RHS
-    tol = _section_number(cfg, "tolerances", "solver_tol", 1e-6)
-    if not 0.0 < tol < 1.0:
-        raise ConfigError(f"tolerances.solver_tol must lie in (0, 1), not {tol}")
-    ratio_min = _section_number(cfg, "tolerances", "ratio_min", 0.95)
-    ratio_max = _section_number(cfg, "tolerances", "ratio_max", None)
-    return ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max
-
-
-def _boundary_ext_params(cfg: ExperimentConfig):
-    """(n_steps, delta0, beta, contract_abs, contract_ratio) of a boundary_ext
-    experiment; a ConfigError unless the expectation is known, each path has
-    at least two steps, starts inside the disk (0 < delta0 < 1) and ends
-    there by the library's one disk rule (`diskgeom.inside_disk`)."""
-    if cfg.expected not in (None, "extends", "no_limit"):
-        raise ConfigError(f"expected must be 'extends' or 'no_limit', not {cfg.expected!r}")
-    n_steps = _section_number(cfg, "paths", "n_steps", 14, whole=True)
-    if n_steps < 2:
-        raise ConfigError("paths.n_steps must be at least 2")
-    delta0 = _section_number(cfg, "paths", "delta0", 0.3)
-    if not 0.0 < delta0 < 1.0:
-        raise ConfigError(f"paths.delta0 must lie in (0, 1), not {delta0}")
-    # |path point| is 1 - delta0 * 2**-k on every path; the deepest, at k = n_steps - 1:
-    inside_disk(1.0 - delta0 * 0.5 ** (n_steps - 1),
-                f"the deepest path point (paths.n_steps {n_steps}, paths.delta0 {delta0})")
-    return (n_steps, delta0, _section_number(cfg, "paths", "beta", 0.3),
-            _section_number(cfg, "tolerances", "contract_abs", 0.02),
-            _section_number(cfg, "tolerances", "contract_ratio", 0.1))
+    grid = _section(cfg.grid, "grid", ("n_circles", "n_theta", "n_profile"))
+    n_circles = _grid_count(grid, "n_circles", 64, 1)
+    n_theta = _grid_count(grid, "n_theta", 256, 16)  # also the angular samples of the RHS profile
+    n_profile = _grid_count(grid, "n_profile", 32, 8)  # Gauss-Legendre nodes of the RHS
+    tolerances = _section(cfg.tolerances, "tolerances", ("ratio_min", "ratio_max"))
+    ratio_min = json_number(tolerances.get("ratio_min", 0.95), "tolerances.ratio_min")
+    ratio_max = json_number(tolerances.get("ratio_max"), "tolerances.ratio_max", optional=True)
+    return ring, n_circles, n_theta, n_profile, ratio_min, ratio_max
 
 
 @dataclass
@@ -248,7 +232,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     three spot targets."""
     t0 = time.perf_counter()
     f = cfg.sample_map
-    ring, n_circles, n_theta, n_profile, tol, ratio_min, ratio_max = cfg.params
+    ring, n_circles, n_theta, n_profile, ratio_min, ratio_max = cfg.params
     degree = f.degree
     spot_targets = [0.25 * euclid_radius(ring.r_outer) * np.exp(2j * math.pi * j / 3)
                     for j in range(3)]
@@ -265,7 +249,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     r1_img, r2_img = f.image_radius(ring.r_inner), f.image_radius(ring.r_outer)
     dom_img = polar_grid_from_band_centers(image.circle_radii, r1_img, r2_img, n_theta)
     fam = rasterize_family(image, dom_img)
-    result = modulus_discrete(fam, dom_img, metric="hyperbolic", tol=tol)
+    result = modulus_discrete(fam, dom_img, metric="hyperbolic", tol=_SOLVER_TOL)
     lhs = result.value
 
     ratio = lhs / rhs
@@ -339,21 +323,20 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
 def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     """Tail-diameter Cauchy probe of continuous extension at a boundary point."""
     t0 = time.perf_counter()
-    n_steps, delta0, beta, contract_abs, contract_ratio = cfg.params
     zeta = np.exp(1j * cfg.boundary_point_angle)
-    deltas = delta0 * 0.5 ** np.arange(n_steps)
+    deltas = _PATH_DELTA0 * 0.5 ** np.arange(_PATH_N_STEPS)
 
     # three approach paths: radial plus two tilted spirals closing onto zeta
     path_points = []
-    for b in (0.0, beta, -beta):
+    for b in (0.0, _PATH_BETA, -_PATH_BETA):
         pts = (1.0 - deltas) * zeta * np.exp(1j * b * deltas)
         path_points.append(cfg.sample_map(pts))
-    images = np.stack(path_points)  # (3, n_steps)
+    images = np.stack(path_points)  # (3, _PATH_N_STEPS)
 
     # tail diameters need at least two depth indices: a single-index tail sees
     # only the common rotation of the paths and misses along-path drift
     residuals = []
-    for k in range(n_steps - 1):
+    for k in range(_PATH_N_STEPS - 1):
         tail = images[:, k:].ravel()
         diam = float(np.max(np.abs(tail[:, None] - tail[None, :])))
         residuals.append(diam)
@@ -363,7 +346,7 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
                         else divergence_check(cfg.majorant, RingSpec(0.0, 0.5)).verdict)
 
     start = max(residuals[0], 1e-300)
-    contracted = residuals[-1] <= contract_abs and residuals[-1] / start <= contract_ratio
+    contracted = residuals[-1] <= _CONTRACT_ABS and residuals[-1] / start <= _CONTRACT_RATIO
     observed = "extends" if contracted else "no_limit"
     expected = cfg.expected or "extends"
     record = VerdictRecord(
@@ -374,7 +357,7 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
         rhs=float(residuals[0]),
         ratio=float(residuals[-1] / start),
         passed=bool(observed == expected),
-        tolerance={"contract_abs": contract_abs, "contract_ratio": contract_ratio},
+        tolerance={"contract_abs": _CONTRACT_ABS, "contract_ratio": _CONTRACT_RATIO},
         provenance={
             "map": cfg.map_spec,
             "boundary_point": [float(zeta.real), float(zeta.imag)],

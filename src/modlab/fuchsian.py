@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import json_number
+from ._io import json_number, json_object
 from .diskgeom import (
     _DET_TOL,
     IDENTITY,
@@ -451,19 +451,23 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
 
 
 def load_group(path) -> FuchsianGroup:
-    """Read a group definition from JSON, every number by `_io.json_number`;
-    a ValueError naming the path when the file is unreadable or not JSON, and
-    naming the field when it is malformed.
+    """Read a group definition from JSON, every number by `_io.json_number`
+    and every object by `_io.json_object`; a ValueError naming the path when
+    the file is unreadable or not JSON, and naming the field or key when it is
+    malformed.
 
     Schema: {"generators": [{"a_re", "a_im", "c_re", "c_im"}, ...],
              "max_word_length": int, "element_cap": int}.
     """
+    coefficients = ("a_re", "a_im", "c_re", "c_im")
     try:
-        data = json.loads(Path(path).read_text())
+        data = json_object(json.loads(Path(path).read_text()), "group",
+                           ("generators", "max_word_length", "element_cap"))
         gens = []
         for i, g in enumerate(data["generators"]):
-            a_re, a_im, c_re, c_im = (json_number(g[key], f"generators[{i}].{key}")
-                                      for key in ("a_re", "a_im", "c_re", "c_im"))
+            name = f"generators[{i}]"
+            g = json_object(g, name, coefficients)
+            a_re, a_im, c_re, c_im = (json_number(g[key], f"{name}.{key}") for key in coefficients)
             gens.append(MobiusAutomorphism(complex(a_re, a_im), complex(c_re, c_im)))
         return FuchsianGroup(
             generators=gens,
@@ -472,7 +476,7 @@ def load_group(path) -> FuchsianGroup:
         )
     except KeyError as exc:
         raise ValueError(f"group file {path} missing field {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:  # unreadable; not JSON (a ValueError); a bad number
+    except (OSError, TypeError, ValueError) as exc:  # unreadable; not JSON (a ValueError); a bad number or key
         raise ValueError(f"group file {path}: {exc}") from exc
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import csv_text, json_number
+from ._io import csv_text, json_number, json_object
 from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
 from .modulus import PolylineFamily
 
@@ -213,11 +213,20 @@ def parse_map(spec: str) -> SampleMap:
     return map_from_config(cfg)
 
 
+# the keys each map kind reads besides "kind"
+_MAP_KEYS = {"identity": (), "winding": ("k",), "radial_stretch": ("k",),
+             "mobius": ("a_re", "a_im", "c_re", "c_im"), "composition": ("parts",), "spiral": (), "fold": ()}
+
+
 def map_from_config(cfg: dict) -> SampleMap:
     """Map definition from config JSON, e.g. {"kind": "winding", "k": 3};
-    every number is read by `_io.json_number`."""
+    every number is read by `_io.json_number`, and a key the kind does not
+    read is refused by `_io.json_object`, in each part of a composition too."""
     try:
         kind = cfg["kind"]
+        if kind not in _MAP_KEYS:
+            raise ValueError(f"unknown map kind {kind!r}")
+        json_object(cfg, "map", ("kind", *_MAP_KEYS[kind]))
         if kind == "identity":
             return identity_map()
         if kind == "winding":
@@ -230,13 +239,9 @@ def map_from_config(cfg: dict) -> SampleMap:
             return mobius_map(MobiusAutomorphism(complex(a_re, a_im), complex(c_re, c_im)))
         if kind == "composition":
             return compose_maps(*(map_from_config(part) for part in cfg["parts"]))
-        if kind == "spiral":
-            return boundary_spiral_map()
-        if kind == "fold":
-            return fold_map()
+        return boundary_spiral_map() if kind == "spiral" else fold_map()
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed map spec {cfg!r}: {exc!r}") from exc
-    raise ValueError(f"unknown map kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +373,7 @@ def _circle_points(n: int) -> np.ndarray:
 def _refuse_sense_reversing(f: SampleMap, z: np.ndarray) -> None:
     """NotSensePreservingError unless J >= 0 at the points z and on the
     16 x 16 distortion_sweep lattice."""
-    fz, fzb = wirtinger(f, z)
-    jac = np.abs(fz) ** 2 - np.abs(fzb) ** 2
+    jac = _derivative_data(*wirtinger(f, z))[2]
     sweep = distortion_sweep(f, 16)
     bad = np.concatenate([z[jac < 0], sweep.z[sweep.jacobian < 0]])
     if len(bad):

@@ -165,18 +165,15 @@ def circle_integral(Q: ScalarField, r: float, n: int = 512) -> float:
 def ball_integral(Q: ScalarField, r0: float, n_r: int = 129, n_theta: int = 512) -> float:
     """Integral of Q over the hyperbolic ball of radius r0 about 0.
 
-    Iterated form: the n_r-point Gauss-Legendre rule in r on [r_start, r0]
+    Iterated form: the n_r-point Gauss-Legendre rule in r on [0, r0]
     applied to the circle integrals (the radial reduction of the area
-    integral). r_start is 0, or 1e-6 for a field singular at the center. The
-    variable is r, not log r: the deviation |Q - mean| of the FMO check has a
-    kink in r, which a log-r rule resolves worse.
+    integral). Its nodes never touch 0, so a field singular at the center
+    needs no cutoff. The variable is r, not log r: the deviation |Q - mean|
+    of the FMO check has a kink in r, which a log-r rule resolves worse.
     """
     if r0 <= 0:
         raise ValueError("ball radius must be positive")
-    r_start = 0.0
-    if Q.singular_point is not None and abs(complex(Q.singular_point)) < 1e-12:
-        r_start = 1e-6
-    radii, weights = _gauss_nodes(n_r, r_start, r0)
+    radii, weights = _gauss_nodes(n_r, 0.0, r0)
     return float(np.sum(weights * circle_integrals(Q, radii, n_theta)))
 
 

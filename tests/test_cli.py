@@ -104,6 +104,11 @@ class TestCriteriaCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "not_fmo"
 
+    def test_fmo_refuses_a_non_integrable_field(self, capsys):
+        code, out, err = run_cli(capsys, "fmo", "--q", "inv-r2")
+        assert code == 2 and out == ""
+        assert err.startswith("config error") and "inv-r2 is not integrable" in err
+
     def test_fmo_non_finite_center(self, capsys):
         code, _, err = run_cli(capsys, "fmo", "--q", "const:1", "--center", "nan")
         assert code == 2
@@ -142,7 +147,10 @@ class TestDirichlet:
     @pytest.mark.parametrize("change, field", [
         (lambda grp: grp["generators"][0].pop("a_im"), "a_im"),
         (lambda grp: grp.update(max_word_length=2.7), "max_word_length"),
-    ], ids=["generator-without-a-im", "word-length-fraction"])
+        (lambda grp: grp.update(max_word_lenght=8), "max_word_lenght"),
+        (lambda grp: grp["generators"][0].update(b_re=0.0), "b_re"),
+    ], ids=["generator-without-a-im", "word-length-fraction", "word-length-misspelled",
+            "generator-unknown-key"])
     def test_malformed_group_is_a_config_error(self, capsys, tmp_path, change, field):
         group = json.loads((CONFIG_DIR / "groups" / "cyclic.json").read_text())
         change(group)
@@ -178,6 +186,15 @@ class TestDistortion:
         code, _, err = run_cli(capsys, "distortion", "--map", "teleport:9")
         assert code == 2
 
+    @pytest.mark.parametrize("spec, key", [
+        ("identity:3", "k"),
+        ('{"kind": "mobius", "a_re": 1.0, "c_re": 0.0, "a_imag": 0.5}', "a_imag"),
+    ], ids=["identity-with-k", "mobius-a-imag"])
+    def test_map_key_its_kind_does_not_read(self, capsys, spec, key):
+        code, out, err = run_cli(capsys, "distortion", "--map", spec, "--out", "none")
+        assert code == 2 and out == ""
+        assert err.startswith("config error") and f"unknown key {key!r}" in err
+
 
 @pytest.mark.parametrize("argv, flag", [
     (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "4097x4"), "--grid"),
@@ -203,7 +220,7 @@ def test_count_at_the_config_cap_runs(capsys):
 
 class TestVerifyAndSuite:
     def test_verify_lower_q(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "verify", "lower-q", "--config",
+        code, out, _ = run_cli(capsys, "verify", "--config",
                                str(CONFIG_DIR / "experiments" / "lower_q_winding2.json"),
                                "--out-dir", str(tmp_path))
         assert code == 0
@@ -211,24 +228,42 @@ class TestVerifyAndSuite:
         assert data["passed"]
         assert (tmp_path / "lower_q_winding2.json").exists()
 
-    def test_verify_kind_mismatch(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "verify", "boundary-ext", "--config",
-                               str(CONFIG_DIR / "experiments" / "lower_q_winding2.json"),
-                               "--out-dir", str(tmp_path))
-        assert code == 2
+    def test_verify_takes_no_kind(self, capsys):
+        # the config names its kind; the positional that restated it is gone
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "lower-q", "--config",
+                  str(CONFIG_DIR / "experiments" / "lower_q_winding2.json")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: lower-q" in capsys.readouterr().err
 
     def test_verify_refuses_mistyped_config(self, capsys, tmp_path):
         cfg = json.loads((CONFIG_DIR / "experiments" / "lower_q_winding2.json").read_text())
         cfg["map"]["k"] = 2.5
         (tmp_path / "lower_q_winding2.json").write_text(json.dumps(cfg))
-        code, out, err = run_cli(capsys, "verify", "lower-q", "--config",
+        code, out, err = run_cli(capsys, "verify", "--config",
                                  str(tmp_path / "lower_q_winding2.json"))
         assert code == 2 and out == ""
         assert "map.k must be a whole number" in err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("name, change, key", [
+        ("lower_q_identity", lambda cfg: cfg["grid"].update(n_circle=8), "n_circle"),
+        ("lower_q_identity", lambda cfg: cfg.update(tolerance={"ratio_min": 2.0}), "tolerance"),
+        ("lower_q_identity", lambda cfg: cfg["tolerances"].update(solver_tol=1e-6), "solver_tol"),
+        ("boundary_mobius", lambda cfg: cfg.update(paths={"n_steps": 14}), "paths"),
+        ("boundary_mobius", lambda cfg: cfg["map"].update(a_imag=0.5), "a_imag"),
+    ], ids=["grid-n-circle", "top-level-tolerance", "removed-solver-tol", "removed-paths", "mobius-a-imag"])
+    def test_verify_refuses_an_unknown_key(self, capsys, tmp_path, name, change, key):
+        cfg = json.loads((CONFIG_DIR / "experiments" / f"{name}.json").read_text())
+        change(cfg)
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "verify", "--config", str(tmp_path / f"{name}.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("config error") and f"unknown key {key!r}" in err
+        assert not (tmp_path / "results").exists()
+
     def test_verify_missing_config(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "verify", "lower-q", "--config",
+        code, _, err = run_cli(capsys, "verify", "--config",
                                str(tmp_path / "nope.json"))
         assert code == 2
 
@@ -272,7 +307,9 @@ class TestVerifyAndSuite:
 
     @pytest.mark.parametrize("bad", [
         "[1, 2]", {"boundary_point_angle": "0.5"}, {"map": {"kind": "winding", "k": 2.5}},
-    ], ids=["top-level-array", "angle-a-string", "winding-k-fraction"])
+        {"boundary_point_angel": 0.5}, {"tolerances": {"contract_abs": 0.02}},
+    ], ids=["top-level-array", "angle-a-string", "winding-k-fraction", "angle-misspelled",
+            "removed-tolerances"])
     def test_suite_isolates_mistyped_config(self, capsys, tmp_path, bad):
         good = (CONFIG_DIR / "experiments" / "boundary_mobius.json").read_text()
         (tmp_path / "boundary_mobius.json").write_text(good)
@@ -286,6 +323,17 @@ class TestVerifyAndSuite:
         assert [(r["experiment_id"], r["status"], r["passed"]) for r in report["records"]] == [
             ("bad", "config_error", False), ("boundary_mobius", "ok", True)]
 
+
+    def test_suite_refuses_a_misspelled_grid_key(self, capsys, tmp_path):
+        # grid.n_circle is no key: run on its defaults, the verdict would pass on 64 circles
+        cfg = json.loads((CONFIG_DIR / "experiments" / "lower_q_identity.json").read_text())
+        cfg["grid"]["n_circle"] = cfg["grid"].pop("n_circles")
+        (tmp_path / "lower_q_identity.json").write_text(json.dumps(cfg))
+        code, _, _ = run_cli(capsys, "suite", str(tmp_path), "--out-dir", str(tmp_path / "results"))
+        assert code == 1
+        [record] = json.loads((tmp_path / "results" / "suite_report.json").read_text())["records"]
+        assert (record["experiment_id"], record["status"]) == ("lower_q_identity", "config_error")
+        assert "grid has unknown key 'n_circle'" in record["error"]
 
     @pytest.mark.parametrize("eid", ["../escaped", 7, ["a"]], ids=["parent-dir", "number", "list"])
     def test_suite_refuses_an_id_that_is_no_file_name(self, capsys, tmp_path, eid):

@@ -10,6 +10,7 @@ from modlab.criteria import (
     default_epsilon_sequence,
     divergence_check,
     eta_inequality_check,
+    NotIntegrableError,
     fmo_check,
     recentered_field,
 )
@@ -81,6 +82,12 @@ class TestFmoCheck:
         assert fmo_check(base).verdict == expected
         scaled = ScalarField(lambda z: 7.0 * base(z), label=f"7*{spec}", singular_point=base.singular_point)
         assert fmo_check(scaled).verdict == expected
+
+    def test_non_integrable_field_is_refused(self):
+        # 1/|z|^2 against the area element has no ball integral: its ball means move
+        # with the radial rule, by about 0.14 of themselves from 64 to 32 nodes
+        with pytest.raises(NotIntegrableError, match="inv-r2 is not integrable"):
+            fmo_check(parse_field("inv-r2"))
 
     def test_epsilon_floor_enforced(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from modlab.mappings import (
     radial_stretch,
     winding,
 )
+from modlab.diskgeom import inside_disk
 from modlab.quadrature import ScalarField
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
@@ -45,7 +46,7 @@ def lower_q_cfg(map_spec, n_circles=32, **tol):
         "ring": RING,
         "map": map_spec,
         "grid": {"n_circles": n_circles, "n_theta": 128, "n_profile": 32},
-        "tolerances": {"solver_tol": 1e-6, **tol},
+        "tolerances": tol,
     }
 
 
@@ -55,7 +56,6 @@ def boundary_cfg(map_spec, expected, q=None):
         "kind": "boundary_ext",
         "map": map_spec,
         "boundary_point_angle": 0.0,
-        "paths": {"n_steps": 14, "delta0": 0.3, "beta": 0.3},
         "expected": expected,
     }
     if q:
@@ -63,10 +63,21 @@ def boundary_cfg(map_spec, expected, q=None):
     return cfg
 
 
+def shipped(name):
+    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
 def shipped_with(name, section, key, value):
     """A shipped config with one value of one section replaced."""
-    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg = shipped(name)
     cfg[section][key] = value
+    return cfg
+
+
+def shipped_with_part(name, part):
+    """A shipped config whose map is the composition of its map and `part`."""
+    cfg = shipped(name)
+    cfg["map"] = {"kind": "composition", "parts": [cfg["map"], part]}
     return cfg
 
 
@@ -77,57 +88,72 @@ class TestConfigLoading:
             ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize("data", [
-        [1, 2],
-        "lower_q",
-        {**boundary_cfg({"kind": "identity"}, "extends"), "boundary_point_angle": "0.5"},
-        {**boundary_cfg({"kind": "identity"}, "extends"), "grid": [64, 64]},
-        {**boundary_cfg({"kind": "identity"}, "extends"), "q_majorant": 3},
-        {**lower_q_cfg({"kind": "identity"}), "ring": {"r_outer": 1.5}},
-        {**lower_q_cfg({"kind": "identity"}), "ring": {"r_inner": 1.5, "r_outer": 0.5}},
-        boundary_cfg({"kind": "identity"}, "maybe"),
-        {**boundary_cfg({"kind": "identity"}, "extends"), "paths": {"n_steps": 1}},
-        shipped_with("boundary_mobius", "paths", "beta", "x"),
-        shipped_with("boundary_mobius", "tolerances", "contract_abs", "x"),
-        shipped_with("boundary_mobius", "tolerances", "contract_ratio", None),
-        shipped_with("lower_q_identity", "grid", "n_circles", "x"),
-        shipped_with("lower_q_identity", "grid", "n_theta", 2),
-        shipped_with("lower_q_identity", "grid", "n_profile", 4),
-        shipped_with("lower_q_identity", "grid", "n_theta", "100000"),
-        shipped_with("lower_q_identity", "tolerances", "solver_tol", "x"),
-        shipped_with("lower_q_identity", "tolerances", "ratio_max", "x"),
-        shipped_with("lower_q_identity", "grid", "n_theta", float("inf")),
-        shipped_with("lower_q_identity", "grid", "n_circles", 64.5),
-        shipped_with("lower_q_identity", "grid", "n_circles", True),
-        shipped_with("lower_q_identity", "tolerances", "solver_tol", 10 ** 400),
-        shipped_with("lower_q_identity", "ring", "r_outer", 10 ** 400),
-        shipped_with("boundary_mobius", "paths", "beta", 10 ** 400),
-        shipped_with("boundary_mobius", "paths", "n_steps", float("inf")),
-        shipped_with("lower_q_winding2", "map", "k", 2.5),
-        shipped_with("lower_q_winding2", "map", "k", True),
-        shipped_with("lower_q_winding2", "map", "k", "2"),
-        shipped_with("lower_q_radial_stretch2", "map", "k", float("nan")),
-        shipped_with("boundary_mobius", "map", "c_re", True),
-        shipped_with("boundary_mobius", "paths", "beta", float("nan")),
-        {**boundary_cfg({"kind": "identity"}, "extends"), "boundary_point_angle": float("nan")},
-        shipped_with("boundary_mobius", "tolerances", "contract_abs", float("inf")),
-        shipped_with("boundary_mobius", "paths", "n_steps", 60),
-        shipped_with("boundary_mobius", "paths", "n_steps", 10 ** 9),
-        boundary_cfg({"kind": "identity"}, "extends", q="const:nan"),
-        boundary_cfg({"kind": "identity"}, "extends", q="const:1e999"),
-    ], ids=["array", "string", "angle-a-string", "grid-not-an-object", "q-not-a-string",
-            "ring-missing-key", "ring-inverted", "expected-unknown", "one-step-paths",
-            "beta-not-a-number", "contract-abs-not-a-number", "contract-ratio-null",
-            "n-circles-not-a-number", "n-theta-2", "n-profile-4", "n-theta-string-over-cap",
-            "solver-tol-not-a-number", "ratio-max-not-a-number", "n-theta-infinite",
-            "n-circles-fraction", "n-circles-boolean", "solver-tol-overflows", "ring-overflows",
-            "beta-overflows", "n-steps-infinite", "winding-k-fraction", "winding-k-boolean",
-            "winding-k-string", "radial-stretch-k-nan", "mobius-c-re-boolean", "beta-nan", "angle-nan",
-            "contract-abs-infinite", "n-steps-past-the-rim", "n-steps-billion", "q-const-nan",
-            "q-const-overflows"])
+        pytest.param([1, 2], id="array"),
+        pytest.param("lower_q", id="string"),
+        pytest.param({**boundary_cfg({"kind": "identity"}, "extends"), "boundary_point_angle": "0.5"},
+                     id="angle-a-string"),
+        pytest.param({**lower_q_cfg({"kind": "identity"}), "grid": [64, 64]}, id="grid-not-an-object"),
+        pytest.param({**boundary_cfg({"kind": "identity"}, "extends"), "q_majorant": 3}, id="q-not-a-string"),
+        pytest.param({**lower_q_cfg({"kind": "identity"}), "ring": {"r_outer": 1.5}}, id="ring-missing-key"),
+        pytest.param({**lower_q_cfg({"kind": "identity"}), "ring": {"r_inner": 1.5, "r_outer": 0.5}},
+                     id="ring-inverted"),
+        pytest.param(boundary_cfg({"kind": "identity"}, "maybe"), id="expected-unknown"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_circles", "x"), id="n-circles-not-a-number"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_theta", 2), id="n-theta-2"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_profile", 4), id="n-profile-4"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_theta", "100000"), id="n-theta-string-over-cap"),
+        pytest.param(shipped_with("lower_q_identity", "tolerances", "ratio_max", "x"), id="ratio-max-not-a-number"),
+        pytest.param(shipped_with("lower_q_identity", "tolerances", "ratio_min", 10 ** 400),
+                     id="ratio-min-overflows"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_theta", float("inf")), id="n-theta-infinite"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_circles", 64.5), id="n-circles-fraction"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_circles", True), id="n-circles-boolean"),
+        pytest.param(shipped_with("lower_q_identity", "ring", "r_outer", 10 ** 400), id="ring-overflows"),
+        pytest.param(shipped_with("lower_q_winding2", "map", "k", 2.5), id="winding-k-fraction"),
+        pytest.param(shipped_with("lower_q_winding2", "map", "k", True), id="winding-k-boolean"),
+        pytest.param(shipped_with("lower_q_winding2", "map", "k", "2"), id="winding-k-string"),
+        pytest.param(shipped_with("lower_q_radial_stretch2", "map", "k", float("nan")), id="radial-stretch-k-nan"),
+        pytest.param(shipped_with("boundary_mobius", "map", "c_re", True), id="mobius-c-re-boolean"),
+        pytest.param({**boundary_cfg({"kind": "identity"}, "extends"), "boundary_point_angle": float("nan")},
+                     id="angle-nan"),
+        pytest.param(boundary_cfg({"kind": "identity"}, "extends", q="const:nan"), id="q-const-nan"),
+        pytest.param(boundary_cfg({"kind": "identity"}, "extends", q="const:1e999"), id="q-const-overflows"),
+    ])
     def test_mistyped_config(self, tmp_path, data):
         path = write_cfg(tmp_path, "bad.json", data)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("data, key", [
+        pytest.param({**shipped("lower_q_identity"), "tolerance": {"ratio_min": 2.0}}, "tolerance",
+                     id="lower-q-top-level"),
+        pytest.param({**shipped("boundary_mobius"), "boundary_point_angel": 0.5}, "boundary_point_angel",
+                     id="boundary-ext-top-level"),
+        pytest.param({**shipped("lower_q_identity"), "expected": "extends"}, "expected",
+                     id="lower-q-reads-no-expected"),
+        pytest.param({**shipped("boundary_mobius"), "grid": {"n_circles": 8}}, "grid",
+                     id="boundary-ext-reads-no-grid"),
+        pytest.param({**shipped("lower_q_identity"), "q_majorant": "const:1"}, "q_majorant",
+                     id="lower-q-reads-no-majorant"),
+        pytest.param(shipped_with("lower_q_identity", "ring", "r_middle", 1.0), "r_middle", id="ring"),
+        pytest.param(shipped_with("lower_q_identity", "grid", "n_circle", 8), "n_circle", id="grid"),
+        pytest.param(shipped_with("lower_q_identity", "tolerances", "ratio_mn", 2.0), "ratio_mn", id="tolerances"),
+        pytest.param(shipped_with("lower_q_identity", "tolerances", "solver_tol", 1e-6), "solver_tol",
+                     id="removed-solver-tol"),
+        pytest.param({**shipped("boundary_mobius"), "paths": {"n_steps": 14, "delta0": 0.3, "beta": 0.3}}, "paths",
+                     id="removed-paths"),
+        pytest.param({**shipped("boundary_mobius"), "tolerances": {"contract_abs": 0.02}}, "tolerances",
+                     id="removed-boundary-tolerances"),
+        pytest.param(shipped_with("boundary_mobius", "map", "a_imag", 0.5), "a_imag", id="mobius-a-imag"),
+        pytest.param(shipped_with_part("lower_q_winding2", {"kind": "winding", "k": 2, "j": 1}), "j",
+                     id="composition-part"),
+        pytest.param(shipped_with_part("boundary_mobius", {**shipped("boundary_mobius")["map"], "a_imag": 0.5}),
+                     "a_imag", id="composition-part-a-imag"),
+    ])
+    def test_unknown_key_is_refused(self, tmp_path, data, key):
+        # a key the reader does not read would leave its value at the default: it is refused by name
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'; known keys: "):
+            ExperimentConfig.from_json(write_cfg(tmp_path, "bad.json", data))
 
     def test_optional_and_whole_float_values_load(self, tmp_path):
         # a null ratio_max means no upper bound; a count written as 64.0 is the int 64
@@ -139,7 +165,7 @@ class TestConfigLoading:
         assert ratio_max is None
 
     @pytest.mark.parametrize("name, field", [
-        ("boundary_mobius", "paths"),
+        ("lower_q_identity", "grid"),
         ("lower_q_identity", "ring"),
         ("lower_q_identity", "tolerances"),
     ])
@@ -159,7 +185,7 @@ class TestConfigLoading:
         # the id names the run's output files, so it may not leave the output directory
         cfg = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())
         with pytest.raises(ConfigError, match="id must be a plain file name"):
-            ExperimentConfig(experiment_id=eid, kind=cfg["kind"], map_spec=cfg["map"], paths=cfg["paths"])
+            ExperimentConfig(experiment_id=eid, kind=cfg["kind"], map_spec=cfg["map"])
 
     def test_unknown_kind(self, tmp_path):
         path = write_cfg(tmp_path, "bad.json", {"id": "x", "kind": "quantize", "map": {"kind": "identity"}})
@@ -211,11 +237,14 @@ class TestConfigLoading:
             (dict(kind="lower_q", map_spec=identity), "needs a ring"),
             (dict(kind="lower_q", map_spec=identity, ring={"r_inner": 1.5, "r_outer": 0.5}), "r_inner < r_outer"),
             (dict(kind="boundary_ext", map_spec=identity, expected="maybe"), "'maybe'"),
-            (dict(kind="boundary_ext", map_spec=identity, paths={"n_steps": 1}), "n_steps"),
-            (dict(kind="lower_q", map_spec=identity, ring=RING, tolerances={"solver_tol": "x"}),
-             "tolerances.solver_tol"),
-            (dict(kind="boundary_ext", map_spec=identity, tolerances={"contract_ratio": None}),
-             "tolerances.contract_ratio"),
+            (dict(kind="boundary_ext", map_spec=identity, tolerances={"contract_ratio": 0.1}),
+             "boundary_ext config has unknown key 'tolerances'"),
+            (dict(kind="lower_q", map_spec=identity, ring=RING, expected="extends"),
+             "lower_q config has unknown key 'expected'"),
+            (dict(kind="lower_q", map_spec=identity, ring=RING, tolerances={"solver_tol": 1e-6}),
+             "tolerances has unknown key 'solver_tol'"),
+            (dict(kind="lower_q", map_spec=identity, ring=RING, grid={"n_circle": 8}),
+             "grid has unknown key 'n_circle'"),
             (dict(kind="quantize", map_spec=identity), "unknown experiment kind"),
         ):
             with pytest.raises(ConfigError) as info:
@@ -235,24 +264,13 @@ class TestConfigLoading:
         assert rec.passed
         assert sorted(calls) == ["map_from_config", "parse_field"]
 
-    @pytest.mark.parametrize("delta0", [2.5, 1.0, 0, -0.1])
-    def test_path_start_outside_disk(self, tmp_path, delta0):
-        # the first path points (1 - delta0) * zeta must lie inside the disk
-        cfg = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())
-        cfg["paths"]["delta0"] = delta0
-        with pytest.raises(ConfigError, match="delta0"):
-            ExperimentConfig.from_json(write_cfg(tmp_path, "boundary_mobius.json", cfg))
-        with pytest.raises(ConfigError, match="delta0"):
-            ExperimentConfig(experiment_id=cfg["id"], kind="boundary_ext", map_spec=cfg["map"],
-                             expected=cfg["expected"], paths=cfg["paths"])
+    def test_path_constants_meet_the_disk_rule(self):
+        # the deepest probe point, 1 - delta0 * 2**-(n_steps - 1), passes the one disk rule
+        from modlab import experiments
 
-    def test_deepest_path_point_meets_the_disk_rule(self, tmp_path):
-        # at delta0 0.3 the deepest point 1 - 0.3 * 2**-(n_steps - 1) is within 1 - 1e-9 up to 29 steps
-        cfg = shipped_with("boundary_mobius", "paths", "n_steps", 29)
-        assert ExperimentConfig.from_json(write_cfg(tmp_path, "ok.json", cfg)).params[0] == 29
-        cfg["paths"]["n_steps"] = 30
-        with pytest.raises(ConfigError, match="deepest path point"):
-            ExperimentConfig.from_json(write_cfg(tmp_path, "deep.json", cfg))
+        deepest = 1.0 - experiments._PATH_DELTA0 * 0.5 ** (experiments._PATH_N_STEPS - 1)
+        assert deepest == 1.0 - 0.3 * 2.0 ** -13
+        assert inside_disk(deepest, "the deepest path point") == deepest
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -619,6 +619,19 @@ class TestGroupIO:
         with pytest.raises(ValueError, match=field):
             load_group(path)
 
+    @pytest.mark.parametrize("change, key", [
+        (lambda grp: grp.update(max_word_lenght=8), "max_word_lenght"),
+        (lambda grp: grp["generators"][0].update(b_re=0.0), "b_re"),
+    ], ids=["word-length-misspelled", "generator-unknown-key"])
+    def test_unknown_key_is_refused(self, tmp_path, change, key):
+        # read on its defaults, a misspelled max_word_length would enumerate words of length 4
+        group = json.loads((CONFIG_DIR / "groups" / "cyclic.json").read_text())
+        change(group)
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        with pytest.raises(ValueError, match=f"unknown key '{key}'; known keys: "):
+            load_group(path)
+
     @pytest.mark.parametrize("text", [None, "{nope", "\udcff"], ids=["missing", "not-json", "not-utf8"])
     def test_unreadable_file_names_the_path(self, tmp_path, text):
         path = tmp_path / "group.json"

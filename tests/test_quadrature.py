@@ -74,8 +74,7 @@ def circle_integral_oracle(Q, r, n=512):
 
 
 def ball_integral_oracle(Q, r0, n_r=129, n_theta=512):
-    r_start = 1e-6 if Q.singular_point is not None and abs(Q.singular_point) < 1e-12 else 0.0
-    radii, weights = _gauss_nodes(n_r, r_start, r0)
+    radii, weights = _gauss_nodes(n_r, 0.0, r0)
     values = np.array([circle_integral_oracle(Q, float(r), n_theta) for r in radii])
     return float(np.sum(weights * values))
 
@@ -185,8 +184,15 @@ class TestBallIntegral:
     def test_singular_center_field(self):
         # Q = 1/h(0,z): circle integrals tend to 2 pi; ball integral stays finite
         Q = parse_field("radial:inv-h")
-        oracle, _ = quad(lambda r: 2 * math.pi * math.sinh(r) / r, 1e-6, 1.0)
+        oracle, _ = quad(lambda r: 2 * math.pi * math.sinh(r) / r, 0.0, 1.0)
         assert ball_integral(Q, 1.0) == pytest.approx(oracle, rel=1e-13)
+
+    def test_inverse_radius_at_the_smallest_ball(self):
+        # 1/|z| with |z| = tanh(r/2) against the area element 2 pi sinh r integrates in
+        # closed form to 2 pi (eps + sinh eps); no cutoff at the singular center
+        eps = 1e-4
+        exact = 2 * math.pi * (eps + math.sinh(eps))
+        assert ball_integral(parse_field("inv-r"), eps, n_r=64, n_theta=256) == pytest.approx(exact, rel=1e-12)
 
 
 class TestFubini:
