@@ -3,7 +3,8 @@
 Subcommands cover the ring modulus, the weighted circle-family modulus,
 radial Q-norm profiles, FMO and divergence verdicts, Dirichlet-domain
 rendering, distortion sweeps, single experiment verification and the suite
-runner. Exit codes: 0 pass, 1 any failure, 2 config/usage error.
+runner. Exit codes: 0 pass, 1 any failure, 2 config/usage error or a field
+that `fmo` refuses as not integrable.
 """
 
 from __future__ import annotations
@@ -113,11 +114,16 @@ def _cmd_qnorm(args) -> int:
 
 
 def _cmd_fmo(args) -> int:
-    from .criteria import default_epsilon_sequence, fmo_check
+    from .criteria import NotIntegrableError, default_epsilon_sequence, fmo_check
     from .fields import parse_field
 
     eps = default_epsilon_sequence(args.eps_start, _count(args.eps_count, "--eps-count"))
-    rep = fmo_check(parse_field(args.q), epsilons=eps, center=complex(args.center))
+    field = parse_field(args.q)
+    try:
+        rep = fmo_check(field, epsilons=eps, center=complex(args.center))
+    except NotIntegrableError as exc:  # a valid spec, refused for what the field is
+        print(f"field refused: {exc}", file=sys.stderr)
+        return 2
     if args.svg_file:
         from .svgplot import line_plot_svg, write_svg
 

@@ -128,7 +128,9 @@ def circle_integrals(Q: ScalarField, radii, n: int = 512) -> np.ndarray:
     R = tanh(r/2), weighted by the line element 2R/(1-R^2) per unit angle.
     Q is evaluated on blocks of rows of the radii x angles grid, at most
     2^13 points per call, so memory stays flat however many radii are asked
-    and each value rounds as it does on one circle.
+    and each value rounds as it does on one circle. A circle whose radius R
+    lies within 1e-9 R of the distance of Q's singular point from 0 warns
+    SingularitySkippedWarning.
     """
     if n < 16:
         raise ValueError("need n >= 16 angular samples")
@@ -141,7 +143,7 @@ def circle_integrals(Q: ScalarField, radii, n: int = 512) -> np.ndarray:
         R[i] = euclid_radius(r)
         if R[i] >= 1.0 - BOUNDARY_MARGIN:
             raise ValueError("circle reaches the disk boundary")
-        if singular is not None and abs(singular - R[i]) < 1e-9:
+        if singular is not None and abs(singular - R[i]) < 1e-9 * R[i]:
             warnings.warn(
                 f"singular point of {Q.label} lies on the integration circle r={r}",
                 SingularitySkippedWarning,

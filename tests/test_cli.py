@@ -107,7 +107,7 @@ class TestCriteriaCommands:
     def test_fmo_refuses_a_non_integrable_field(self, capsys):
         code, out, err = run_cli(capsys, "fmo", "--q", "inv-r2")
         assert code == 2 and out == ""
-        assert err.startswith("config error") and "inv-r2 is not integrable" in err
+        assert err.startswith("field refused: inv-r2 is not integrable")
 
     def test_fmo_non_finite_center(self, capsys):
         code, _, err = run_cli(capsys, "fmo", "--q", "const:1", "--center", "nan")

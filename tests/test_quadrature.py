@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,13 @@ class TestCircleIntegral:
                                  singular_point=complex(math.tanh(0.5), 0))
         with pytest.warns(SingularitySkippedWarning):
             circle_integral(off_center, 1.0, 256)
+
+    def test_small_circle_about_a_singular_center_does_not_warn(self):
+        # the test is relative to R: a circle of radius 1e-10 about 0 misses 0 by all of R
+        centered = ScalarField(lambda z: np.ones(z.shape), label="s", singular_point=0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SingularitySkippedWarning)
+            assert circle_integral(centered, 1e-10, 256) == pytest.approx(2 * math.pi * 1e-10, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
