@@ -353,7 +353,7 @@ class TestVerifyAndSuite:
 
 
 def test_closed_form_runs_load_no_scipy(tmp_path):
-    """Only FISTA, for curves that share cells, imports scipy: start-up, the
+    """Only the iterative solve, for curves that share cells, imports scipy: start-up, the
     closed-form solve, ring-modulus and the shipped suite never do."""
     script = textwrap.dedent(f"""
         import sys
