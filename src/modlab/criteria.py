@@ -115,8 +115,9 @@ def fmo_check(Q: ScalarField, epsilons=None, center=0j) -> FMOReport:
     half the radial nodes does not reproduce to 1e-3 is a
     NotIntegrableError naming the field. Verdict: "not_fmo" when the
     log-log regression of oscillation against 1/epsilon has slope > 0.2,
-    "fmo" when the oscillations are bounded across the sequence
-    (max/median <= 3), otherwise "inconclusive".
+    "fmo" when the oscillations are bounded across the sequence: the slope
+    is <= 0 (they fall as the balls shrink) or max/median <= 3; otherwise
+    "inconclusive".
     """
     if epsilons is None:
         epsilons = default_epsilon_sequence()
@@ -159,7 +160,7 @@ def fmo_check(Q: ScalarField, epsilons=None, center=0j) -> FMOReport:
     )
     if slope > 0.2:
         verdict = "not_fmo"
-    elif float(np.max(oscillations)) <= 3.0 * float(np.median(oscillations)):
+    elif slope <= 0.0 or float(np.max(oscillations)) <= 3.0 * float(np.median(oscillations)):
         verdict = "fmo"
     else:
         verdict = "inconclusive"

@@ -5,14 +5,20 @@ Two experiment kinds, both driven by JSON configs:
 * lower_q: the modulus of the pushed-forward ring circle family (LHS) against
   the reciprocal radial integral of the weight N * K_f (RHS). The theory
   guarantees LHS >= c * RHS with an unspecified constant, so the record
-  reports the calibration ratio LHS/RHS and passes on ratio >= ratio_min
+  reports the calibration ratio LHS/RHS, in band when ratio >= ratio_min
   (with an optional two-sided band for maps where the ratio should be 1).
+  Its certificates: the solve, the sampled degree and the RHS refinement.
 
 * boundary_ext: Cauchy-type probe of continuous extension at a boundary
   point. Points approach the boundary along several paths; the record tracks
   the Euclidean diameter of the image tails (the chart gauge in which a
   continuous extension to the closed disk is equivalent to contraction) and
   compares the observed behavior with the configured expectation.
+
+Every per-kind decision is one row of `_KINDS`: the keys a kind reads, their
+reader, the run and the plot. Every verdict goes through `_verdict`: a record
+passes when it is in band and all its certificates hold, and its `error`
+names every certificate that fails.
 
 Every number in a record is traceable through its provenance block; records
 are deterministic given the config, with volatile data (timestamp, runtime)
@@ -71,14 +77,6 @@ _SOLVER_TOL = 1e-6  # the relative duality gap of the lower_q modulus solve
 _PATH_N_STEPS, _PATH_DELTA0, _PATH_BETA = 14, 0.3, 0.3
 _CONTRACT_ABS, _CONTRACT_RATIO = 0.02, 0.1  # a tail diameter below both has contracted
 
-# the keys each kind reads at the top level of its config; all but id, kind and
-# map are optional fields of ExperimentConfig
-_CONFIG_KEYS = {
-    "lower_q": ("id", "kind", "map", "ring", "grid", "tolerances"),
-    "boundary_ext": ("id", "kind", "map", "boundary_point_angle", "expected", "q_majorant"),
-}
-_OPTIONAL_KEYS = _CONFIG_KEYS["lower_q"][3:] + _CONFIG_KEYS["boundary_ext"][3:]
-
 
 class ConfigError(ValueError):
     """An experiment config is malformed or references something unknown."""
@@ -87,54 +85,41 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, checked once, when built (a ConfigError says why it
-    cannot run); the parsed map, majorant and parameters are kept for the run.
-    A field the kind does not read (`_CONFIG_KEYS`) must be left None."""
+    cannot run). `settings` holds the config's keys other than id, kind and
+    map; the kind's row of `_KINDS` names the keys it reads and parses them
+    into `params`, kept for the run with the parsed map."""
 
     experiment_id: str
-    kind: str  # "lower_q" | "boundary_ext"
+    kind: str
     map_spec: dict
-    ring: dict = None
-    grid: dict = None
-    tolerances: dict = None
-    boundary_point_angle: float = None
-    expected: str = None  # boundary_ext: "extends" | "no_limit"
-    q_majorant: str = None
+    settings: dict = field(default_factory=dict)
     sample_map: SampleMap = field(init=False, compare=False, repr=False)
-    majorant: ScalarField = field(init=False, compare=False, repr=False)
-    params: tuple = field(init=False, compare=False, repr=False)  # lower_q: _lower_q_params
+    params: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         eid = self.experiment_id  # names the run's output files
         if not isinstance(eid, str) or eid in ("", ".", "..") or any(c in eid for c in "/\\\0"):
             raise ConfigError(f"id must be a plain file name, not {eid!r}")
-        if self.kind not in ("lower_q", "boundary_ext"):
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}; known kinds: {', '.join(sorted(_KINDS))}")
+        keys, read, _, _ = _KINDS[self.kind]
         try:
-            json_object({key: value for key in _OPTIONAL_KEYS if (value := getattr(self, key)) is not None},
-                        f"{self.kind} config", _CONFIG_KEYS[self.kind])
-            angle = json_number(self.boundary_point_angle, "boundary_point_angle", optional=True) or 0.0
+            settings = json_object(self.settings, f"{self.kind} config", keys)
             f = map_from_config(self.map_spec)
-            majorant = None if self.q_majorant is None else parse_field(self.q_majorant)
-            params = None
-            if self.kind == "lower_q":
-                params = _lower_q_params(self, f)
-            elif self.expected not in (None, "extends", "no_limit"):
-                raise ConfigError(f"expected must be 'extends' or 'no_limit', not {self.expected!r}")
+            params = read(settings, f)
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # ConfigError included
             raise ConfigError(str(exc)) from exc
-        for name, value in (("boundary_point_angle", angle), ("sample_map", f),
-                            ("majorant", majorant), ("params", params)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "sample_map", f)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         """Read and build a config; every failure is a ConfigError naming the path."""
         try:
             data = json.loads(Path(path).read_text())
-            if data["kind"] in _CONFIG_KEYS:  # an unknown kind is refused when built
-                json_object(data, "config", _CONFIG_KEYS[data["kind"]])
-            return cls(experiment_id=data["id"], kind=data["kind"], map_spec=data["map"],
-                       **{key: data[key] for key in _OPTIONAL_KEYS if key in data})
+            eid, kind, map_spec = data["id"], data["kind"], data["map"]
+            return cls(experiment_id=eid, kind=kind, map_spec=map_spec,
+                       settings={key: value for key, value in data.items() if key not in ("id", "kind", "map")})
         except KeyError as exc:
             raise ConfigError(f"config {path} missing field {exc}") from exc
         except (OSError, TypeError, ValueError) as exc:  # unreadable, not JSON or not an object; ConfigError
@@ -154,26 +139,45 @@ def _grid_count(grid: dict, key: str, default: int, low: int) -> int:
     return count
 
 
-def _lower_q_params(cfg: ExperimentConfig, f: SampleMap):
+def _read_lower_q(settings: dict, f: SampleMap) -> tuple:
     """(ring, n_circles, n_theta, n_profile, ratio_min, ratio_max) of a
     lower_q experiment, or a ConfigError why it cannot run."""
-    if cfg.ring is None:
+    if settings.get("ring") is None:
         raise ConfigError("lower_q needs a ring")
     if not f.fixes_origin_radially:
         raise ConfigError(f"lower_q needs a map that fixes 0 radially, got {f.label}")
-    ring = json_object(cfg.ring, "ring", ("r_inner", "r_outer"))
+    ring = json_object(settings["ring"], "ring", ("r_inner", "r_outer"))
     ring = RingSpec(*(json_number(ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
     if euclid_radius(ring.r_outer) >= _DEGREE_RADIUS:
         raise ConfigError(f"ring.r_outer {ring.r_outer} (Euclidean {euclid_radius(ring.r_outer)}) must lie inside "
                           f"the degree certificate's circle |z| = {_DEGREE_RADIUS} (r = {hyp_radius(_DEGREE_RADIUS)})")
-    grid = _section(cfg.grid, "grid", ("n_circles", "n_theta", "n_profile"))
+    grid = _section(settings.get("grid"), "grid", ("n_circles", "n_theta", "n_profile"))
     n_circles = _grid_count(grid, "n_circles", 64, 1)
     n_theta = _grid_count(grid, "n_theta", 256, 16)  # also the angular samples of the RHS profile
     n_profile = _grid_count(grid, "n_profile", 32, 8)  # Gauss-Legendre nodes of the RHS
-    tolerances = _section(cfg.tolerances, "tolerances", ("ratio_min", "ratio_max"))
+    tolerances = _section(settings.get("tolerances"), "tolerances", ("ratio_min", "ratio_max"))
     ratio_min = json_number(tolerances.get("ratio_min", 0.95), "tolerances.ratio_min")
     ratio_max = json_number(tolerances.get("ratio_max"), "tolerances.ratio_max", optional=True)
     return ring, n_circles, n_theta, n_profile, ratio_min, ratio_max
+
+
+def _read_boundary_ext(settings: dict, f: SampleMap) -> tuple:
+    """(boundary_point_angle, expected, q_majorant spec, its parsed field) of a
+    boundary_ext experiment, or a ConfigError why it cannot run."""
+    angle = json_number(settings.get("boundary_point_angle"), "boundary_point_angle", optional=True) or 0.0
+    expected = settings.get("expected")
+    if expected not in (None, "extends", "no_limit"):
+        raise ConfigError(f"expected must be 'extends' or 'no_limit', not {expected!r}")
+    q_spec = settings.get("q_majorant")
+    return angle, expected or "extends", q_spec, None if q_spec is None else parse_field(q_spec)
+
+
+def _verdict(in_band: bool, certificates) -> tuple:
+    """(passed, error) of a record: it passes when its figure is in band and
+    every certificate, a (holds, reason) pair, holds; `error` joins the reason
+    of every certificate that fails by "; ", None when none fails."""
+    failing = [reason for holds, reason in certificates if not holds]
+    return bool(in_band) and not failing, "; ".join(failing) or None
 
 
 @dataclass
@@ -253,28 +257,26 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     lhs = result.value
 
     ratio = lhs / rhs
-    passed = ratio >= ratio_min and (ratio_max is None or ratio <= ratio_max)
-    error = None
-    if not result.converged:  # a ratio without a certified LHS proves nothing
-        passed = False
-        error = (f"modulus solve not certified: stop_reason {result.stop_reason!r}, "
-                 f"duality gap {result.duality_gap!r}")
-    elif spot.incomplete or spot.supremum != degree:  # the weight N assumes the analytic degree
-        passed = False
-        error = (f"sampled degree not certified: supremum {spot.supremum} against analytic "
-                 f"degree {degree}, incomplete {spot.incomplete}")
-    elif not rhs_delta <= _RHS_DELTA_MAX * rhs:  # the quadrature does not resolve the RHS (or it is NaN)
-        passed = False
-        error = (f"rhs quadrature not converged: refinement_delta {rhs_delta!r} between "
-                 f"{n_profile} and {n_profile // 2} nodes exceeds {_RHS_DELTA_MAX:g} * rhs")
+    # a ratio proves nothing without a certified LHS, the weight N assumes the
+    # analytic degree, and the RHS must be resolved by its quadrature (not NaN)
+    passed, error = _verdict(ratio >= ratio_min and (ratio_max is None or ratio <= ratio_max), (
+        (result.converged, f"modulus solve not certified: stop_reason {result.stop_reason!r}, "
+                           f"duality gap {result.duality_gap!r}"),
+        (not spot.incomplete and spot.supremum == degree,
+         f"sampled degree not certified: supremum {spot.supremum} against analytic "
+         f"degree {degree}, incomplete {spot.incomplete}"),
+        (rhs_delta <= _RHS_DELTA_MAX * rhs,
+         f"rhs quadrature not converged: refinement_delta {rhs_delta!r} between "
+         f"{n_profile} and {n_profile // 2} nodes exceeds {_RHS_DELTA_MAX:g} * rhs"),
+    ))
     record = VerdictRecord(
         experiment_id=cfg.experiment_id,
-        kind="lower_q",
+        kind=cfg.kind,
         status="ok",
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,
-        passed=bool(passed),
+        passed=passed,
         tolerance={"ratio_min": ratio_min, "ratio_max": ratio_max},
         error=error,
         provenance={
@@ -323,7 +325,8 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
 def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     """Tail-diameter Cauchy probe of continuous extension at a boundary point."""
     t0 = time.perf_counter()
-    zeta = np.exp(1j * cfg.boundary_point_angle)
+    angle, expected, q_spec, majorant = cfg.params
+    zeta = np.exp(1j * angle)
     deltas = _PATH_DELTA0 * 0.5 ** np.arange(_PATH_N_STEPS)
 
     # three approach paths: radial plus two tilted spirals closing onto zeta
@@ -342,28 +345,28 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
         residuals.append(diam)
     residuals = np.array(residuals)
 
-    majorant_verdict = (None if cfg.majorant is None
-                        else divergence_check(cfg.majorant, RingSpec(0.0, 0.5)).verdict)
+    majorant_verdict = None if majorant is None else divergence_check(majorant, RingSpec(0.0, 0.5)).verdict
 
     start = max(residuals[0], 1e-300)
     contracted = residuals[-1] <= _CONTRACT_ABS and residuals[-1] / start <= _CONTRACT_RATIO
     observed = "extends" if contracted else "no_limit"
-    expected = cfg.expected or "extends"
+    passed, error = _verdict(observed == expected, ())
     record = VerdictRecord(
         experiment_id=cfg.experiment_id,
-        kind="boundary_ext",
+        kind=cfg.kind,
         status="ok",
         lhs=float(residuals[-1]),
         rhs=float(residuals[0]),
         ratio=float(residuals[-1] / start),
-        passed=bool(observed == expected),
+        passed=passed,
         tolerance={"contract_abs": _CONTRACT_ABS, "contract_ratio": _CONTRACT_RATIO},
+        error=error,
         provenance={
             "map": cfg.map_spec,
             "boundary_point": [float(zeta.real), float(zeta.imag)],
             "deltas": list(map(float, deltas[: len(residuals)])),
             "tail_diameters": list(map(float, residuals)),
-            "q_majorant": cfg.q_majorant,
+            "q_majorant": q_spec,
             "q_majorant_divergence": majorant_verdict,
             "observed": observed,
             "expected": expected,
@@ -374,35 +377,37 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     return record
 
 
+def _plot_lower_q(record: VerdictRecord) -> str:
+    rhs = record.provenance["rhs"]
+    return line_plot_svg([("||Q||(r)", rhs["profile_radii"], rhs["profile_qnorm"])], xlabel="r", ylabel="||Q||",
+                         title=f"{record.experiment_id}: circle norm of the distortion weight")
+
+
+def _plot_boundary_ext(record: VerdictRecord) -> str:
+    diam = [max(d, 1e-16) for d in record.provenance["tail_diameters"]]
+    return line_plot_svg([("tail diameter", record.provenance["deltas"], diam)], xlabel="delta", ylabel="diameter",
+                         title=f"{record.experiment_id}: image tail diameter", logx=True, logy=True)
+
+
+# every per-kind decision: kind -> (the config keys it reads besides id, kind and map,
+# the reader of those keys into params, the run, the plot of its record); the runs
+# are looked up by name at call time, so a wrapper set on the module sees each call
+_KINDS = {
+    "lower_q": (("ring", "grid", "tolerances"), _read_lower_q,
+                lambda cfg: run_lower_q_verification(cfg), _plot_lower_q),
+    "boundary_ext": (("boundary_point_angle", "expected", "q_majorant"), _read_boundary_ext,
+                     lambda cfg: run_boundary_extension_probe(cfg), _plot_boundary_ext),
+}
+
+
 def run_experiment(cfg: ExperimentConfig) -> VerdictRecord:
-    if cfg.kind == "lower_q":
-        return run_lower_q_verification(cfg)
-    return run_boundary_extension_probe(cfg)
+    return _KINDS[cfg.kind][2](cfg)
 
 
 def _write_artifacts(record: VerdictRecord, out_dir: Path) -> None:
-    rid = record.experiment_id
-    record.write(out_dir / f"{rid}.json")
-    if record.status != "ok":
-        return
-    if record.kind == "boundary_ext":
-        deltas = record.provenance["deltas"]
-        diam = record.provenance["tail_diameters"]
-        svg = line_plot_svg(
-            [("tail diameter", deltas, [max(d, 1e-16) for d in diam])],
-            title=f"{rid}: image tail diameter",
-            xlabel="delta", ylabel="diameter", logx=True, logy=True,
-        )
-        write_svg(svg, out_dir / f"{rid}.svg")
-    elif record.kind == "lower_q":
-        radii = record.provenance["rhs"]["profile_radii"]
-        qnorm = record.provenance["rhs"]["profile_qnorm"]
-        svg = line_plot_svg(
-            [("||Q||(r)", radii, qnorm)],
-            title=f"{rid}: circle norm of the distortion weight",
-            xlabel="r", ylabel="||Q||",
-        )
-        write_svg(svg, out_dir / f"{rid}.svg")
+    record.write(out_dir / f"{record.experiment_id}.json")
+    if record.status == "ok":
+        write_svg(_KINDS[record.kind][3](record), out_dir / f"{record.experiment_id}.svg")
 
 
 def run_suite(config_dir, out_dir=None) -> int:

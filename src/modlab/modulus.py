@@ -251,13 +251,6 @@ class CurveFamily:
             return self.hyperbolic
         raise ValueError("metric must be 'hyperbolic' or 'euclidean'")
 
-    def incidence_matrix(self, metric: str):
-        """One metric's incidences as a scipy CSR matrix sharing this family's arrays."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.lengths(metric), self.indices, self.indptr),
-                             shape=(len(self), self.n_cells))
-
 
 @dataclass(frozen=True)
 class DensityField:

@@ -217,6 +217,7 @@ def test_criterion_12_criteria_verdicts():
         fmo_check(parse_field("const:1")).verdict == "fmo"
         and fmo_check(parse_field("log-inv-r")).verdict == "fmo"
         and fmo_check(parse_field("inv-r")).verdict == "not_fmo"
+        and fmo_check(parse_field("radial:h")).verdict == "fmo"
     )
     ring = RingSpec(0.0, 1.5)
     div_ok = (

@@ -218,7 +218,7 @@ class TestConfigLoading:
         cfg = json.loads((CONFIG_DIR / "lower_q_winding2.json").read_text())
         cfg["ring"] = {"r_inner": 7.0, "r_outer": 7.6}
         assert ExperimentConfig(experiment_id="inside", kind="lower_q", map_spec=cfg["map"],
-                                ring=cfg["ring"]).params[0].r_outer == 7.6
+                                settings={"ring": cfg["ring"]}).params[0].r_outer == 7.6
         cfg["ring"] = {"r_inner": 7.0, "r_outer": 8.0}
         write_cfg(tmp_path, "lower_q_winding2.json", cfg)
         out = tmp_path / "results"
@@ -231,24 +231,23 @@ class TestConfigLoading:
         # built without from_json, a config makes the same checks and raises
         mobius = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())["map"]
         identity = {"kind": "identity"}
-        for kwargs, reason in (
-            (dict(kind="lower_q", map_spec=mobius, ring=RING, grid={"n_circles": 8, "n_theta": 32}),
-             "fixes 0 radially"),
-            (dict(kind="lower_q", map_spec=identity), "needs a ring"),
-            (dict(kind="lower_q", map_spec=identity, ring={"r_inner": 1.5, "r_outer": 0.5}), "r_inner < r_outer"),
-            (dict(kind="boundary_ext", map_spec=identity, expected="maybe"), "'maybe'"),
-            (dict(kind="boundary_ext", map_spec=identity, tolerances={"contract_ratio": 0.1}),
+        for kind, map_spec, settings, reason in (
+            ("lower_q", mobius, {"ring": RING, "grid": {"n_circles": 8, "n_theta": 32}}, "fixes 0 radially"),
+            ("lower_q", identity, {}, "needs a ring"),
+            ("lower_q", identity, {"ring": {"r_inner": 1.5, "r_outer": 0.5}}, "r_inner < r_outer"),
+            ("boundary_ext", identity, {"expected": "maybe"}, "'maybe'"),
+            ("boundary_ext", identity, {"tolerances": {"contract_ratio": 0.1}},
              "boundary_ext config has unknown key 'tolerances'"),
-            (dict(kind="lower_q", map_spec=identity, ring=RING, expected="extends"),
-             "lower_q config has unknown key 'expected'"),
-            (dict(kind="lower_q", map_spec=identity, ring=RING, tolerances={"solver_tol": 1e-6}),
+            ("lower_q", identity, {"ring": RING, "expected": "extends"}, "lower_q config has unknown key 'expected'"),
+            ("lower_q", identity, {"ring": RING, "tolerances": {"solver_tol": 1e-6}},
              "tolerances has unknown key 'solver_tol'"),
-            (dict(kind="lower_q", map_spec=identity, ring=RING, grid={"n_circle": 8}),
-             "grid has unknown key 'n_circle'"),
-            (dict(kind="quantize", map_spec=identity), "unknown experiment kind"),
+            ("lower_q", identity, {"ring": RING, "grid": {"n_circle": 8}}, "grid has unknown key 'n_circle'"),
+            ("lower_q", identity, [RING], "lower_q config must be a JSON object"),
+            ("quantize", identity, {}, "unknown experiment kind 'quantize'; known kinds: boundary_ext, lower_q"),
+            (["lower_q"], identity, {}, "unknown experiment kind ['lower_q']"),
         ):
             with pytest.raises(ConfigError) as info:
-                ExperimentConfig(experiment_id="direct", **kwargs)
+                ExperimentConfig(experiment_id="direct", kind=kind, map_spec=map_spec, settings=settings)
             assert reason in str(info.value)
 
     def test_specs_are_parsed_once(self, monkeypatch):
@@ -418,6 +417,30 @@ class TestLowerQ:
         assert rec.provenance["lhs"]["converged"]
         assert not rec.passed
         assert "sampled degree not certified" in rec.error
+
+    def test_every_failing_certificate_is_named(self, monkeypatch):
+        # two certificates fail in one run: the verdict names both, in the order they are checked
+        from modlab import experiments
+
+        count = experiments.multiplicity
+        monkeypatch.setattr(experiments, "_RHS_DELTA_MAX", 0.0)
+        monkeypatch.setattr(experiments, "multiplicity",
+                            lambda *a, **kw: dataclasses.replace(count(*a, **kw), incomplete=True))
+        rec = run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / "lower_q_identity.json"))
+        delta = rec.provenance["rhs"]["refinement_delta"]
+        assert rec.status == "ok" and rec.provenance["lhs"]["converged"] and delta > 0.0
+        assert not rec.passed
+        assert rec.error == (
+            "sampled degree not certified: supremum 1 against analytic degree 1, incomplete True; "
+            f"rhs quadrature not converged: refinement_delta {delta!r} between 32 and 16 nodes exceeds 0 * rhs")
+
+    def test_out_of_band_ratio_fails_without_an_error(self, tmp_path):
+        # every certificate holds, but the ratio lies above ratio_max: no certificate to name
+        path = write_cfg(tmp_path, "id.json", lower_q_cfg({"kind": "identity"}, ratio_min=0.5, ratio_max=0.9))
+        rec = run_lower_q_verification(ExperimentConfig.from_json(path))
+        assert rec.status == "ok" and rec.ratio > 0.9
+        assert not rec.passed
+        assert rec.error is None
 
 
 class TestBoundaryProbe:
