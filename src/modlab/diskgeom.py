@@ -130,14 +130,19 @@ def hyp_distance(z1, z2):
     """Hyperbolic distance log((1+t)/(1-t)), t = |z1-z2| / |1 - z1 conj(z2)|.
 
     Broadcasts over complex arrays; a float when both inputs are scalars.
+    t^2 is taken as n / (n + (1-|z1|^2)(1-|z2|^2)), n = |z1-z2|^2, an
+    identity of the disk: every term is symmetric, so both argument orders
+    give the same bits (numpy's complex product rounds z1 conj(z2) and
+    z2 conj(z1) apart), and t^2 <= 1 holds in floating point too.
     """
     a, b = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
-    t = np.minimum(np.abs(a - b) / np.abs(1.0 - a * np.conjugate(b)), 1.0)
+    n = np.abs(a - b) ** 2
+    t2 = n / (n + (1.0 - np.abs(a) ** 2) * (1.0 - np.abs(b) ** 2))
     # log((1+t)/(1-t)) = 2 atanh t, accurate for small separations; beyond a
     # distance of about 37 t rounds to 1 and the distance to inf, which still
     # orders it after every finite one
     with np.errstate(divide="ignore"):
-        d = 2.0 * np.arctanh(t)
+        d = 2.0 * np.arctanh(np.sqrt(t2))
     return float(d) if d.ndim == 0 else d
 
 

@@ -47,7 +47,6 @@ from .mappings import (
     dilatation,
     map_from_config,
     multiplicity,
-    pushforward_polylines,
 )
 from .modulus import (
     circle_family,
@@ -226,8 +225,19 @@ def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
     return ScalarField(lambda z: n_factor * dilatation(f, z), label=f"{n_factor:g}*K[{f.label}]")
 
 
+def _image_circles(f: SampleMap, ring: RingSpec, n_circles: int, n_theta: int):
+    """(f(Σ), its grid, the image ring's hyperbolic radii) for the circles Σ at
+    the ring's band centers and a map f that fixes 0 radially: f takes the
+    circle |z| = R to the circle |w| = f.image_radius(R), run f.degree times,
+    and the bands of the image grid bracket the image circles."""
+    R = [f.image_radius(euclid_radius(r)) for r in (ring.r_inner, *ring.band_centers(n_circles), ring.r_outer)]
+    r = [hyp_radius(x) for x in R]
+    image = circle_family(R[1:-1], multiplicity=f.degree, n_vertices=4 * n_theta)
+    return image, polar_grid_from_band_centers(r[1:-1], r[0], r[-1], n_theta), (r[0], r[-1])
+
+
 def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
-    """LHS = discrete modulus of the pushed-forward circle family;
+    """LHS = discrete modulus of the image circle family f(Σ);
     RHS = reciprocal radial integral with weight N(f) * K_f on the source ring,
     by Gauss-Legendre in log r at n_profile nodes. The RHS at n_profile // 2
     nodes gives the refinement delta |Q_n - Q_{n/2}|; above _RHS_DELTA_MAX
@@ -248,10 +258,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     rhs_delta = abs(rhs - ring_reciprocal_integral(
         qnorm_profile(weight, ring, n_samples=n_profile // 2, n_angular=n_theta)))
 
-    source = circle_family(ring, n_circles, n_vertices=4 * n_theta)
-    image = pushforward_polylines(f, source)
-    r1_img, r2_img = f.image_radius(ring.r_inner), f.image_radius(ring.r_outer)
-    dom_img = polar_grid_from_band_centers(image.circle_radii, r1_img, r2_img, n_theta)
+    image, dom_img, (r1_img, r2_img) = _image_circles(f, ring, n_circles, n_theta)
     fam = rasterize_family(image, dom_img)
     result = modulus_discrete(fam, dom_img, metric="hyperbolic", tol=_SOLVER_TOL)
     lhs = result.value

@@ -6,9 +6,9 @@ at 0 and whether it fixes 0 radially: mobius (conformal), radial_stretch
 z|z|^{k-1}, winding r e^{i k theta}, compositions, and custom evaluators.
 Dilatation, Jacobian and the finite-distortion check are derived from the
 Wirtinger derivatives; multiplicity bounds are winding numbers of the image of
-the circle |z| = 0.999. Pushforward is defined for circle families about 0
-under maps that fix 0 radially: each image circle is the source circle
-rescaled, traversed `degree` times.
+the circle |z| = 0.999. A map that fixes 0 radially takes the circle of
+Euclidean radius R about 0 to the circle of radius `image_radius(R)`, run
+`degree` times; lower_q builds its image circles from that alone.
 
 Maps, Wirtinger derivatives and the dilatation take and return complex
 arrays; a point is a one-element array. K is inf where the Jacobian vanishes.
@@ -25,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._io import csv_text, json_number, json_object
-from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, Polyline, euclid_radius, hyp_radius, mobius_apply
-from .modulus import PolylineFamily
+from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, mobius_apply
 
 __all__ = [
     "SampleMap",
@@ -49,7 +48,6 @@ __all__ = [
     "distortion_sweep",
     "multiplicity",
     "finite_distortion_check",
-    "pushforward_polylines",
 ]
 
 
@@ -78,17 +76,10 @@ class SampleMap:
     def has_analytic_wirtinger(self) -> bool:
         return self.wirtinger_analytic is not None
 
-    def _image_abs(self, R: float) -> float:
-        """|f(R)|: the Euclidean radius of the image of the circle |z| = R when
-        `fixes_origin_radially`."""
+    def image_radius(self, R: float) -> float:
+        """|f(R)|: when `fixes_origin_radially`, the Euclidean radius of the
+        image of the circle |z| = R, which is the circle |w| = |f(R)|."""
         return abs(complex(self(np.array([R], dtype=complex))[0]))
-
-    def image_radius(self, r: float) -> float:
-        """Hyperbolic radius of the image of the circle of hyperbolic radius r about 0.
-
-        The image is a circle about 0 when `fixes_origin_radially`.
-        """
-        return hyp_radius(self._image_abs(euclid_radius(r)))
 
 
 def mobius_map(g: MobiusAutomorphism) -> SampleMap:
@@ -431,7 +422,7 @@ def multiplicity(f: SampleMap, targets) -> MultiplicityReport:
 
 
 # ---------------------------------------------------------------------------
-# finite distortion and pushforward
+# finite distortion
 
 
 @dataclass(frozen=True)
@@ -452,27 +443,3 @@ def finite_distortion_check(sweep: DistortionSweep) -> FiniteDistortionReport:
         violations=tuple(complex(v) for v in violations[:100]),
         passed=len(violations) == 0,
     )
-
-
-def pushforward_polylines(f: SampleMap, family: PolylineFamily) -> PolylineFamily:
-    """Image of a circle family about 0 under a map f that fixes 0 radially.
-
-    The image of the circle |z| = R is the circle |w| = |f(R)| traversed
-    f.degree times: each circle's vertices are scaled by |f(R)|/R and each
-    multiplicity multiplied by f.degree. Any other input is a ValueError.
-    """
-    if family.kind != "circle_family" or not f.fixes_origin_radially:
-        raise ValueError("pushforward is only defined for circle families about 0 "
-                         f"under maps that fix 0 radially, not {family.kind} under {f.label}")
-    out = []
-    radii = []
-    for poly, r in zip(family.polylines, family.circle_radii):
-        R = euclid_radius(r)
-        R_img = f._image_abs(R)
-        scale = R_img / R
-        pts = poly.vertices * scale  # same angular samples, image radius
-        out.append(Polyline(pts, closed=True))
-        radii.append(hyp_radius(R_img))
-    mult = tuple(m * f.degree for m in family.multiplicities)
-    return PolylineFamily(tuple(out), kind="circle_family",
-                          multiplicities=mult, circle_radii=tuple(radii))

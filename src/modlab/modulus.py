@@ -190,7 +190,6 @@ class PolylineFamily:
     polylines: tuple
     kind: str  # "connecting" | "circle_family"
     multiplicities: tuple = None
-    circle_radii: tuple = None  # hyperbolic radii, for circle families
 
     def __post_init__(self):
         mult = self.multiplicities
@@ -302,15 +301,14 @@ def density_to_svg(dom: DiscretizedDomain, density: DensityField, path, title="e
 # family builders
 
 
-def circle_family(ring: RingSpec, n_circles: int, n_vertices: int = 2048) -> PolylineFamily:
-    """Concentric circles at hyperbolic band midpoints of the ring."""
-    if n_circles < 1:
+def circle_family(radii, multiplicity: int = 1, n_vertices: int = 2048) -> PolylineFamily:
+    """The circles |z| = R about 0 at the given Euclidean radii, each run
+    `multiplicity` times."""
+    if len(radii) < 1:
         raise ValueError("need at least one circle")
-    dr = (ring.r_outer - ring.r_inner) / n_circles
-    radii = ring.r_inner + (np.arange(n_circles) + 0.5) * dr
     circle = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n_vertices, endpoint=False))
-    polylines = tuple(Polyline(euclid_radius(float(r)) * circle, closed=True) for r in radii)
-    return PolylineFamily(polylines, kind="circle_family", circle_radii=tuple(map(float, radii)))
+    polylines = tuple(Polyline(R * circle, closed=True) for R in radii)
+    return PolylineFamily(polylines, kind="circle_family", multiplicities=(multiplicity,) * len(polylines))
 
 
 def radial_connecting_family(ring: RingSpec, n_rays: int) -> PolylineFamily:
@@ -779,7 +777,8 @@ def circle_family_modulus(ring: RingSpec, Q: ScalarField, n_circles: int = 64, n
     if n_circles < 4:
         raise ValueError("need n_circles >= 4")
     dom = polar_grid(ring, n_r=n_circles, n_theta=n_theta)
-    pf = circle_family(ring, n_circles, n_vertices=max(1024, 4 * n_theta))
+    pf = circle_family([euclid_radius(r) for r in ring.band_centers(n_circles)],
+                       n_vertices=max(1024, 4 * n_theta))
     fam = rasterize_family(pf, dom)
     q_cells = Q.evaluate_array(dom.centers)
     if np.any(q_cells <= 0):

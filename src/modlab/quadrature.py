@@ -80,6 +80,10 @@ class RingSpec:
         if euclid_radius(self.r_outer) >= 1.0 - 1e-6:
             raise ValueError("outer radius too close to the disk boundary")
 
+    def band_centers(self, n: int) -> np.ndarray:
+        """The hyperbolic radii at the middles of n equal bands of the ring."""
+        return self.r_inner + (np.arange(n) + 0.5) * ((self.r_outer - self.r_inner) / n)
+
 
 @dataclass(frozen=True)
 class RadialProfile:

@@ -10,6 +10,7 @@ from modlab.experiments import (
     ConfigError,
     ExperimentConfig,
     VerdictRecord,
+    _image_circles,
     distortion_weight_field,
     run_boundary_extension_probe,
     run_experiment,
@@ -26,8 +27,9 @@ from modlab.mappings import (
     radial_stretch,
     winding,
 )
-from modlab.diskgeom import inside_disk
-from modlab.quadrature import ScalarField
+from modlab.diskgeom import euclid_radius, hyp_radius, inside_disk
+from modlab.modulus import circle_family, modulus_discrete, polar_grid, rasterize_family
+from modlab.quadrature import RingSpec, ScalarField
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "experiments"
@@ -301,6 +303,56 @@ class TestDistortionWeightField:
         z = np.array(points, dtype=complex)
         values = distortion_weight_field(f, 3.0).evaluate_array(z)
         assert list(values) == [3.0 * k for k in dilatation(f, z)]
+
+
+class TestImageCircles:
+    """f(Σ) for the circles Σ at the ring's band centers, and the image grid, as lower_q builds them."""
+
+    RING = RingSpec(0.5, 1.5)
+
+    def _source(self, n_circles, n_theta):
+        return circle_family([euclid_radius(r) for r in self.RING.band_centers(n_circles)], n_vertices=4 * n_theta)
+
+    def test_identity_images_equal_the_source(self):
+        # bit for bit: |f(R)| = R, so lower_q_identity keeps its numbers
+        image, dom, image_ring = _image_circles(identity_map(), self.RING, 8, 64)
+        source = self._source(8, 64)
+        assert image.multiplicities == source.multiplicities == (1,) * 8
+        for a, b in zip(source.polylines, image.polylines):
+            assert np.array_equal(a.vertices, b.vertices)
+        assert image_ring == pytest.approx((0.5, 1.5), rel=1e-15)
+        assert np.allclose(dom.centers, polar_grid(self.RING, 8, 64).centers, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_winding_keeps_radii_and_multiplies_multiplicity(self, k):
+        image, _, image_ring = _image_circles(winding(k), self.RING, 8, 64)
+        assert image.multiplicities == (k,) * 8
+        for a, b in zip(self._source(8, 64).polylines, image.polylines):
+            assert np.allclose(a.vertices, b.vertices, rtol=1e-15, atol=0.0)
+        assert image_ring == pytest.approx((0.5, 1.5), rel=1e-15)
+
+    def test_radial_stretch_squares_euclid_radii(self):
+        # z|z| takes |z| = R to |w| = R^2, hyperbolic radius 2 atanh(R^2)
+        image, dom, image_ring = _image_circles(radial_stretch(2), self.RING, 6, 64)
+        R_edges = dom.geometry["R_edges"]
+        for i, (r, poly) in enumerate(zip(self.RING.band_centers(6), image.polylines)):
+            R = math.tanh(0.5 * r)
+            radius = np.abs(poly.vertices)
+            assert hyp_radius(float(radius[0])) == pytest.approx(2 * math.atanh(R * R), rel=1e-12)
+            assert np.allclose(radius, R * R, rtol=1e-15, atol=0.0)
+            assert R_edges[i] < radius.min() and radius.max() < R_edges[i + 1]  # inside its own band
+        assert image_ring == pytest.approx([2 * math.atanh(math.tanh(0.5 * r) ** 2) for r in (0.5, 1.5)], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_multiplicity_k_image_has_modulus_base_over_k_squared(self, k):
+        # winding:k runs each circle k times on the same grid: each curve's closed form scales by 1/k^2
+        base = modulus_discrete(*self._rasterized(identity_map()), tol=1e-7).value
+        value = modulus_discrete(*self._rasterized(winding(k)), tol=1e-7).value
+        assert value == pytest.approx(base / k**2, rel=1e-12)
+
+    def _rasterized(self, f):
+        image, dom, _ = _image_circles(f, self.RING, 12, 64)
+        return rasterize_family(image, dom), dom
 
 
 class TestLowerQ:

@@ -20,16 +20,11 @@ from modlab.mappings import (
     mobius_map,
     multiplicity,
     parse_map,
-    pushforward_polylines,
     radial_stretch,
     winding,
     wirtinger,
     wirtinger_fd,
 )
-from modlab.modulus import circle_family, modulus_discrete, polar_grid, rasterize_family
-from modlab.quadrature import RingSpec
-
-RING = RingSpec(0.5, 1.5)
 
 
 def polar_wirtinger_oracle(R, dR, k_angle, z):
@@ -293,55 +288,6 @@ class TestFiniteDistortion:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             distortion_sweep(winding(2), 8)
-
-
-class TestPushforward:
-    def test_identity_unchanged(self):
-        # bit for bit: the scale |f(R)|/R is 1.0, so lower_q_identity keeps its numbers
-        pf = circle_family(RING, 8, n_vertices=256)
-        out = pushforward_polylines(identity_map(), pf)
-        assert out.multiplicities == pf.multiplicities
-        assert out.circle_radii == pytest.approx(pf.circle_radii)
-        for a, b in zip(pf.polylines, out.polylines):
-            assert np.array_equal(a.vertices, b.vertices)
-
-    def test_winding_same_point_sets_multiplicity_k(self):
-        pf = circle_family(RING, 8, n_vertices=256)
-        out = pushforward_polylines(winding(2), pf)
-        assert out.multiplicities == tuple(2 for _ in range(8))
-        assert out.circle_radii == pytest.approx(pf.circle_radii)
-        for a, b in zip(pf.polylines, out.polylines):
-            assert np.allclose(a.vertices, b.vertices)
-
-    def test_radial_stretch_squares_euclid_radii(self):
-        pf = circle_family(RING, 6, n_vertices=256)
-        out = pushforward_polylines(radial_stretch(2), pf)
-        for r_src, r_img in zip(pf.circle_radii, out.circle_radii):
-            R = math.tanh(0.5 * r_src)
-            assert r_img == pytest.approx(2 * math.atanh(R * R), rel=1e-12)
-
-    def test_winding_image_modulus_scales_inverse_square(self):
-        dom = polar_grid(RING, 12, 64)
-        pf = circle_family(RING, 12, n_vertices=1024)
-        base = modulus_discrete(rasterize_family(pf, dom), dom, tol=1e-7).value
-        pushed = rasterize_family(pushforward_polylines(winding(2), pf), dom)
-        val = modulus_discrete(pushed, dom, tol=1e-7).value
-        assert val == pytest.approx(base / 4, rel=1e-3)
-
-    @pytest.mark.parametrize("f", [mobius_map(mobius_to_zero(0.3 + 0.1j)), boundary_spiral_map()],
-                             ids=["non-rotation-mobius", "spiral"])
-    def test_map_must_fix_origin_radially(self, f):
-        # |spiral(z)| = |z|, but nothing declares it of a custom map
-        pf = circle_family(RING, 4, n_vertices=64)
-        with pytest.raises(ValueError, match="fix 0 radially"):
-            pushforward_polylines(f, pf)
-
-    def test_branched_needs_circle_family(self):
-        from modlab.modulus import radial_connecting_family
-
-        rays = radial_connecting_family(RING, 8)
-        with pytest.raises(ValueError):
-            pushforward_polylines(winding(2), rays)
 
 
 ROTATION = {"kind": "mobius", "a_re": 0.6, "a_im": 0.8, "c_re": 0.0}

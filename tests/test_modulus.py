@@ -9,9 +9,8 @@ from scipy.optimize import minimize, nnls
 
 from modlab import modulus
 from modlab.diskgeom import Polyline, euclid_radius
-from modlab.experiments import ExperimentConfig
+from modlab.experiments import ExperimentConfig, _image_circles
 from modlab.fields import parse_field
-from modlab.mappings import pushforward_polylines
 from modlab.modulus import (
     DensityField,
     PolylineFamily,
@@ -116,13 +115,16 @@ def _radial_family():
     return rasterize_family(radial_connecting_family(RING, 600), dom), dom
 
 
+def _ring_circles(n_circles, n_vertices):
+    """The circles at the band centers of RING."""
+    return circle_family([euclid_radius(r) for r in RING.band_centers(n_circles)], n_vertices=n_vertices)
+
+
 def _lower_q_image_family(name):
-    """The image circles of a shipped lower_q config and its image grid, as its run builds them."""
+    """The image circles of a shipped lower_q config and its image grid, built by its run's code."""
     cfg = ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json")
-    f, (ring, n_circles, n_theta, *_) = cfg.sample_map, cfg.params
-    image = pushforward_polylines(f, circle_family(ring, n_circles, n_vertices=4 * n_theta))
-    dom = polar_grid_from_band_centers(image.circle_radii, f.image_radius(ring.r_inner),
-                                       f.image_radius(ring.r_outer), n_theta)
+    ring, n_circles, n_theta, *_ = cfg.params
+    image, dom, _ = _image_circles(cfg.sample_map, ring, n_circles, n_theta)
     return image, dom
 
 
@@ -185,10 +187,10 @@ def _overlap_family(seed):
     return rasterize_family(PolylineFamily(_overlap_chords(rng), kind="connecting"), dom), dom, rng
 
 
-def _bent_chord_family(chords):
+def _bent_chord_family(chords, n_cells=8):
     """Chords (y0, bx, by, y1, multiplicity) from (-0.4, y0) over (bx, by) to (0.4, y1)
-    on 8 x 8 cells of [-0.4, 0.4]^2."""
-    dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), 8, 8)
+    on n_cells x n_cells cells of [-0.4, 0.4]^2."""
+    dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), n_cells, n_cells)
     polylines = tuple(Polyline((complex(-0.4, y0), complex(bx, by), complex(0.4, y1)))
                       for y0, bx, by, y1, _ in chords)
     pf = PolylineFamily(polylines, kind="connecting", multiplicities=tuple(c[-1] for c in chords))
@@ -250,9 +252,8 @@ class TestGrids:
 
     def test_circle_rasterization_perimeter(self):
         dom = polar_grid(RING, 8, 64)
-        pf = circle_family(RING, 8, n_vertices=4096)
-        fam = rasterize_family(pf, dom)
-        for (cells, le, lh), r in zip(fam.curves, pf.circle_radii):
+        fam = rasterize_family(_ring_circles(8, 4096), dom)
+        for (cells, le, lh), r in zip(fam.curves, RING.band_centers(8)):
             R = euclid_radius(r)
             assert float(np.sum(le)) == pytest.approx(2 * math.pi * R, rel=1e-5)
             assert float(np.sum(lh)) == pytest.approx(2 * math.pi * math.sinh(r), rel=1e-5)
@@ -344,7 +345,7 @@ class TestBlockInvariance:
     """A family's rows equal, bit for bit, the rows of its curves rasterized one by one."""
 
     @pytest.mark.parametrize("build, n_blocks", [
-        (lambda: (circle_family(RING, 64, n_vertices=1024).polylines, polar_grid(RING, 64, 256)), 16),
+        (lambda: (_ring_circles(64, 1024).polylines, polar_grid(RING, 64, 256)), 16),
         (lambda: ((_spiral(40), _spiral(3 * _BLOCK_SEGMENTS), _spiral(7)), polar_grid(RING, 16, 64)), 3),
         (lambda: ((_spiral(40), Polyline([0.3 + 0.2j]), _spiral(9)), polar_grid(RING, 16, 64)), 1),
         (lambda: ((), polar_grid(RING, 4, 8)), 0),
@@ -421,7 +422,7 @@ class TestCutFreeCertificate:
     def test_vertices_on_sector_edges(self, n_theta):
         # every fourth vertex on a sector edge, up to rounding, as on the lower_q circles
         dom = polar_grid(RING, 6, n_theta)
-        pf = circle_family(RING, 6, n_vertices=4 * n_theta)
+        pf = _ring_circles(6, 4 * n_theta)
         fam, n_segments, fall_through = _rasterize_counting(pf, dom)
         assert fall_through == 0
         _assert_same_family(fam, _searched(pf, dom))
@@ -535,7 +536,7 @@ class TestModulusDiscrete:
     def test_closed_form_against_nnls_oracle(self):
         # circles at band centers never share a cell: the exact per-curve optimum
         dom = polar_grid(RING, 4, 16)
-        pf = circle_family(RING, 4, n_vertices=256)
+        pf = _ring_circles(4, 256)
         fam = rasterize_family(PolylineFamily(pf.polylines, pf.kind, multiplicities=(1, 2, 3, 1)), dom)
         for metric in ("euclidean", "hyperbolic"):
             res = modulus_discrete(fam, dom, metric=metric)
@@ -596,6 +597,20 @@ class TestModulusDiscrete:
         assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert res.dual_value == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert res.max_constraint_violation <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_more_curves_than_cells_keeps_valid_bounds(self, seed):
+        # 12 curves on 4 cells: H is singular beyond repeated rows, and block principal
+        # pivoting may stop on max_iter; certified or not, the bounds bracket the optimum
+        rng = np.random.default_rng(seed)
+        y0, y1 = rng.uniform(-0.39, 0.39, (2, 12))
+        bx, by = rng.uniform(0.02, 0.08, (2, 12))
+        fam, dom = _bent_chord_family(list(zip(y0, bx, by, y1, [1] * 12)), n_cells=2)
+        for metric in ("euclidean", "hyperbolic"):
+            res = modulus_discrete(fam, dom, metric=metric, tol=1e-12)
+            exact = nnls_oracle(fam, dom, metric)
+            assert res.stop_reason in ("gap", "max_iter")
+            assert res.dual_value <= exact * (1 + 1e-12) and exact <= res.value * (1 + 1e-12)
 
     def test_face_solve_with_a_duplicated_curve(self):
         # two equal rows, of multiplicities 1 and 2: the solve keeps the first alone
@@ -718,7 +733,7 @@ class TestModulusDiscrete:
 
     def test_multiplicity_law(self):
         dom = polar_grid(RING, 16, 64)
-        pf = circle_family(RING, 16, n_vertices=1024)
+        pf = _ring_circles(16, 1024)
         fam = rasterize_family(pf, dom)
         base = modulus_discrete(fam, dom, tol=1e-7).value
         for k in (2, 3):
@@ -746,7 +761,7 @@ class TestModulusDiscrete:
 
     def test_untouched_cells_have_zero_density(self):
         dom = polar_grid(RING, 16, 32)
-        fam = rasterize_family(circle_family(RING, 4, n_vertices=512), dom)
+        fam = rasterize_family(_ring_circles(4, 512), dom)
         res = modulus_discrete(fam, dom, tol=1e-6)
         touched = np.zeros(dom.n_cells, dtype=bool)
         for cells, _, _ in fam.curves:
