@@ -37,7 +37,6 @@ from .quadrature import (
     ball_integral,
     circle_integral,
     circle_integrals,
-    fubini_residual,
     qnorm_profile,
     ring_reciprocal_integral,
 )

@@ -5,7 +5,8 @@ Cartesian window), curves are rasterized into per-cell incidence lengths, and
 the modulus  min sum rho_c^2 A_c  subject to  m_g * sum_c rho_c l_{cg} >= 1
 for every curve g  is solved with a certificate: in closed form when no cell
 is shared by two curves, by block principal pivoting on the dual otherwise,
-which ends on its exact optimum in a few dense solves (see
+which ends on its exact optimum in a few dense solves on a working set of
+the curves, grown until no other curve is violated (see
 `modulus_discrete`). Includes the closed-form ring modulus, the weighted
 circle family modulus against its radial-integral reference, and the
 weighted infimum with its extremal density.
@@ -35,11 +36,12 @@ the squared ring radii.
 
 Incidences are plain numpy CSR arrays and the closed form is numpy alone,
 so scipy is imported only when a family has overlapping supports: its sparse
-product forms the dual's matrix. `import modlab, modlab.cli` thus loads
-about 230 modules instead of about 550 and takes about 0.35 s instead of
-0.61 s (median of nine fresh interpreters on a two-core x86-64 host). The
-dense solves are numpy's: importing `scipy.linalg` alone raised a process's
-peak resident memory from 48.7 to 57.1 MB.
+products form the dual's matrix on the working set. `import modlab,
+modlab.cli` thus loads about 230 modules instead of about 550 and takes
+about 0.35 s instead of 0.61 s (median of nine fresh interpreters on a
+two-core x86-64 host). The dense solves are numpy's: importing
+`scipy.linalg` alone raised a process's peak resident memory from 48.7 to
+57.1 MB.
 """
 
 from __future__ import annotations
@@ -271,7 +273,8 @@ class ModulusResult:
     `stop_reason` is "closed_form" (exact), "gap" (relative duality gap at
     most the solver tolerance; the active-set passes usually end on the exact
     optimum, with a gap of about 1e-15) or "max_iter" (not certified).
-    `iterations` counts the active-set passes, 0 for the closed form.
+    `iterations` counts the active-set passes of all working-set rounds, 0
+    for the closed form.
     """
 
     value: float
@@ -604,6 +607,8 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
 
 _MAX_PASSES = 1000  # active-set passes before an uncertified stop
 _BACKUP_AFTER = 3  # passes without fewer infeasible indices before Murty's rule
+_START_FRACTION = 1 / 4  # of the distinct curves: the first working set
+_GROW_FRACTION = 1 / 8  # of the distinct curves: most added to it in one round
 
 
 def _bounds(lam: np.ndarray, slack: np.ndarray):
@@ -616,17 +621,33 @@ def _bounds(lam: np.ndarray, slack: np.ndarray):
     return float(np.sum(lam)) - energy, primal, min_slack
 
 
-def _distinct_rows(family: CurveFamily, lengths: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _distinct_rows(family: CurveFamily, lengths: np.ndarray, m: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
     """Indices of the curves the solve keeps: of identical incidence rows, the one of
-    smallest multiplicity (the first among equals), whose constraint implies the others'."""
-    seen, kept = set(), []
-    for g in np.argsort(m, kind="stable"):
+    smallest multiplicity (the first among equals), whose constraint implies the others'.
+
+    Identical rows share their count and their sum of lengths (`row_sums`, added in
+    storage order), so bytes are compared only among rows that share both."""
+    count = np.diff(family.indptr)
+    order = np.lexsort((m, row_sums, count))  # stable: equal multiplicities by index
+    count, total = count[order], row_sums[order]
+    same = (count[1:] == count[:-1]) & (total[1:] == total[:-1])
+    collide = np.zeros(len(m), dtype=bool)  # in sorted order: shares its key with a neighbour
+    collide[1:] = same
+    collide[:-1] |= same
+    keep, seen = np.ones(len(m), dtype=bool), set()
+    for g in order[collide]:
         lo, hi = family.indptr[g], family.indptr[g + 1]
         row = (family.indices[lo:hi].tobytes(), lengths[lo:hi].tobytes())
-        if row not in seen:
-            seen.add(row)
-            kept.append(g)
-    return np.sort(kept)
+        keep[g] = row not in seen
+        seen.add(row)
+    return np.flatnonzero(keep)
+
+
+def _extended(H: np.ndarray, B_W) -> np.ndarray:
+    """B_W B_W^T from its leading block H, forming only the columns of the rows of the
+    sparse B_W beyond len(H)."""
+    H_new = (B_W @ B_W[len(H):].T).toarray()
+    return np.block([[H, H_new[:len(H)]], [H_new.T]])
 
 
 def _face_solve(H_FF: np.ndarray) -> np.ndarray:
@@ -658,25 +679,36 @@ def modulus_discrete(
 
     Otherwise block principal pivoting (Júdice & Pires 1994; Kim & Park 2011)
     solves the dual  min 1/2 lam^T H lam - 1^T lam  over lam >= 0, with
-    H = B B^T and B = m L diag(1/sqrt(2A)) formed once as a dense array. Its
-    optimum is lam_F = H_FF^-1 1_F on the right face F and 0 off it. Each pass
-    solves that system on the current face, starting from all curves, and
-    finds the infeasible indices: lam_g < 0 on F, (H lam)_g < 1 off it. All of
-    them change sides while their count falls; after `_BACKUP_AFTER` passes
-    without a fall only the largest does (Murty's rule), which ends in finitely
-    many passes where H is positive definite. Identical incidence rows are
-    one constraint, implied by the row of smallest multiplicity: the solve
-    keeps that one alone, the others get lam = 0. A face whose LU meets a zero
-    pivot or overflows is solved in least squares; where H is singular beyond
-    repeated rows (more curves than cells) the passes may cycle.
+    H = B B^T and B = m L diag(1/sqrt(2A)), in rounds on a working set W of
+    curves: the optimum is carried by a small subfamily (Albin &
+    Poggi-Corradini 2016), so H is formed, as a dense array, only on W.
+    W starts as the `_START_FRACTION` of the curves shortest under rho_1,
+    the sum of every curve's closed-form density above. The optimum on W is
+    lam_F = H_FF^-1 1_F on the right face F of W and 0 off it. Each pass
+    solves that system on the current face, which starts as all of W, and
+    finds the infeasible indices of W: lam_g < 0 on F, (H lam)_g < 1 off it.
+    All of them change sides while their count falls; after `_BACKUP_AFTER`
+    passes without a fall only the last one in W does (Murty's rule), which
+    ends in finitely many passes where H is positive definite. A pass that
+    leaves none is the optimum on W and ends the round: the curves outside W
+    with slack below 1 join W and its face, most violated first and at most
+    `_GROW_FRACTION` of the curves per round, and only their columns of H
+    are formed. In the worst case W grows to every curve. Identical
+    incidence rows are one constraint, implied by the row of smallest
+    multiplicity: the solve keeps that one alone, the others get lam = 0. A
+    face whose LU meets a zero pivot or overflows is solved in least
+    squares; where H is singular beyond repeated rows (more curves than
+    cells) the passes may cycle.
 
-    Each pass is certified by z = max(lam, 0): its dual value
-    sum(z) - sum(A rho^2), rho = L^T(m z) / (2A), bounds the optimum from
-    below, and rho rescaled by its smallest slack m L rho (exactly feasible)
-    from above. The solve stops once their relative gap is at most `tol`
-    ("gap"), and uncertified ("max_iter") after `_MAX_PASSES` passes or on a
-    face with no infeasible index whose gap still exceeds `tol` (a `tol`
-    below rounding). `iterations` counts the passes. Weak duality holds for
+    Each pass is certified over every curve by z = max(lam, 0), 0 off W: its
+    dual value sum(z) - sum(A rho^2), rho = L^T(m z) / (2A), bounds the
+    optimum from below, and rho rescaled by its smallest slack m L rho =
+    B (B^T z) (exactly feasible) from above. The solve stops once their
+    relative gap is at most `tol` ("gap"), and uncertified ("max_iter")
+    after `_MAX_PASSES` passes or at an optimum on W that no curve outside W
+    violates whose gap still exceeds `tol` (a `tol` below rounding); where
+    it stops before rho meets every curve, the density reported is rho_1.
+    `iterations` counts the passes of all rounds. Weak duality holds for
     every z >= 0 and its computed slack, so a dual above the primal is
     rounding in their sums (at the exact optimum they agree to about 1e-16,
     and on 3 to 8 chords the dual came out above in 43 of 800 solves): the
@@ -699,55 +731,71 @@ def modulus_discrete(
     n_curves = len(family)
     cells = family.indices
     curve = np.repeat(np.arange(n_curves), np.diff(family.indptr))  # row of each incidence
-    if np.any(np.bincount(curve, lengths, minlength=n_curves) <= 0.0):
+    row_sums = np.bincount(curve, lengths, minlength=n_curves)
+    if np.any(row_sums <= 0.0):
         raise ValueError("a curve has no incidence length inside the domain")
 
+    # rho_1, the sum of every curve's closed-form density, meets each curve with slack
+    # at least 1: the optimum where no two curves share a cell. bincount adds in
+    # storage order from 0.0, as scipy's CSR mat-vec does.
+    S = np.bincount(curve, lengths**2 * (1.0 / A)[cells], minlength=n_curves)
+    rho_1 = np.bincount(cells, lengths * (1.0 / (m * S))[curve], minlength=n_cells) / A
+    slack = m * np.bincount(curve, lengths * rho_1[cells], minlength=n_curves)
     if np.all(np.bincount(cells, minlength=n_cells) <= 1):  # disjoint supports
-        # bincount adds in storage order from 0.0, as scipy's CSR mat-vec does
-        S = np.bincount(curve, lengths**2 * (1.0 / A)[cells], minlength=n_curves)
-        rho = np.bincount(cells, lengths * (1.0 / (m * S))[curve], minlength=n_cells) / A
         value = float(np.sum(1.0 / (m * m * S)))
-        slack = m * np.bincount(curve, lengths * rho[cells], minlength=n_curves)
         violation = float(np.max(1.0 - slack, initial=0.0))
-        return ModulusResult(value, DensityField(rho), 0, violation, "closed_form", value)
+        return ModulusResult(value, DensityField(rho_1), 0, violation, "closed_form", value)
 
     import scipy.sparse as sp  # the first scipy import
 
     B = sp.csr_matrix((lengths * m[curve] / np.sqrt(2.0 * A)[cells], cells, family.indptr),
                       shape=(n_curves, n_cells))
-    H = (B @ B.T).toarray()
-    kept = _distinct_rows(family, lengths, m)
-    on_face = np.zeros(n_curves, dtype=bool)
-    on_face[kept] = True
-    fewest, backup = len(kept) + 1, _BACKUP_AFTER
+    BT = B.T
+    kept = _distinct_rows(family, lengths, m, row_sums)
+    outside = np.zeros(n_curves, dtype=bool)
+    outside[kept] = True
+    # the curves shortest under rho_1 are the first working set
+    new = kept[np.argsort(slack[kept], kind="stable")[:math.ceil(_START_FRACTION * len(kept))]]
+    W, H, on_face = new[:0], np.zeros((0, 0)), np.zeros(0, dtype=bool)
     passes, stop_reason = 0, "max_iter"
     while passes < _MAX_PASSES:
+        if len(new):  # a round starts: the new curves join W and its face
+            W = np.concatenate((W, new))
+            H = _extended(H, B[W])
+            outside[new] = False
+            on_face = np.concatenate((on_face, np.ones(len(new), dtype=bool)))
+            fewest, backup, new = len(W) + 1, _BACKUP_AFTER, new[:0]
         face = np.flatnonzero(on_face)
-        lam = np.zeros(n_curves)
+        lam = np.zeros(len(W))
         # the full face is H itself: the solve copies it anyway
-        lam[face] = _face_solve(H if len(face) == n_curves else H[np.ix_(face, face)])
+        lam[face] = _face_solve(H if len(face) == len(W) else H[np.ix_(face, face)])
         passes += 1
-        slack = H @ lam
-        z = np.maximum(lam, 0.0)
-        slack_z = slack if np.all(lam >= 0.0) else H @ z
-        dual, primal, min_slack = _bounds(z, slack_z)
+        z = np.zeros(n_curves)
+        z[W] = np.maximum(lam, 0.0)
+        slack = B @ (BT @ z)  # m L rho(z) on every curve
+        dual, primal, min_slack = _bounds(z, slack)
         if dual >= (1.0 - tol) * primal:  # relative gap at most tol; never when primal is inf
             stop_reason = "gap"
             break
-        infeasible = kept[np.where(on_face[kept], lam[kept] < 0.0, slack[kept] < 1.0)]
-        if len(infeasible) == 0:  # nothing to swap, and the bounds miss tol
-            break
+        infeasible = np.flatnonzero(np.where(on_face, lam < 0.0, H @ lam < 1.0))
+        if len(infeasible) == 0:  # the optimum on W: the curves it leaves short join next
+            new = np.flatnonzero(outside & (slack < 1.0))
+            if len(new) == 0:  # nothing to add, and the bounds miss tol
+                break
+            new = new[np.argsort(slack[new], kind="stable")[:math.ceil(_GROW_FRACTION * len(kept))]]
+            continue
         if len(infeasible) < fewest:
             fewest, backup = len(infeasible), _BACKUP_AFTER
         elif backup > 0:
             backup -= 1
         else:
-            infeasible = infeasible[-1:]  # Murty's rule: the largest index alone
+            infeasible = infeasible[-1:]  # Murty's rule: the last index of W alone
         on_face[infeasible] = ~on_face[infeasible]
 
-    rho = np.bincount(cells, lengths * (m * z)[curve], minlength=n_cells) * (0.5 / A)
     if min_slack > 0.0:
-        rho = rho / min_slack
+        rho = np.bincount(cells, lengths * (m * z)[curve], minlength=n_cells) * (0.5 / A) / min_slack
+    else:  # stopped before rho(z) met every curve
+        rho, primal = rho_1, float(A @ rho_1**2)
     violation = float(np.max(1.0 - m * np.bincount(curve, lengths * rho[cells], minlength=n_curves), initial=0.0))
     return ModulusResult(primal, DensityField(rho), passes, violation, stop_reason, min(dual, primal))
 

@@ -1,7 +1,6 @@
 """Integration on the surface in a normal chart about the origin.
 
-Circle and ball integrals against the hyperbolic line/area elements, the
-Fubini-style self-check (2-D quadrature vs iterated radial integral), radial
+Circle and ball integrals against the hyperbolic line/area elements, radial
 profiles of the circle norm ||Q||(r), and the reciprocal ring integral
 that all ring estimates are built on.
 
@@ -34,7 +33,6 @@ __all__ = [
     "circle_integral",
     "circle_integrals",
     "ball_integral",
-    "fubini_residual",
     "qnorm_profile",
     "ring_reciprocal_integral",
 ]
@@ -181,98 +179,6 @@ def ball_integral(Q: ScalarField, r0: float, n_r: int = 129, n_theta: int = 512)
         raise ValueError("ball radius must be positive")
     radii, weights = _gauss_nodes(n_r, 0.0, r0)
     return float(np.sum(weights * circle_integrals(Q, radii, n_theta)))
-
-
-def _sqrt_antiderivative(x: float, R: float) -> float:
-    """Antiderivative of sqrt(R^2 - x^2) on [-R, R]."""
-    x = min(max(x, -R), R)
-    return 0.5 * (x * math.sqrt(max(R * R - x * x, 0.0)) + R * R * math.asin(x / R))
-
-
-def _rect_disk_overlap(a: float, b: float, c: float, d: float, R: float) -> float:
-    """Exact area of [a,b] x [c,d] intersected with the disk x^2 + y^2 < R^2.
-
-    The vertical chord length max(0, min(d, g) - max(c, -g)), g = sqrt(R^2-x^2),
-    changes formula only at |x| = R and |x| = sqrt(R^2 - c^2), sqrt(R^2 - d^2);
-    between breakpoints each active piece integrates in closed form.
-    """
-    lo, hi = max(a, -R), min(b, R)
-    if lo >= hi:
-        return 0.0
-    breaks = {lo, hi}
-    for y in (c, d):
-        if abs(y) < R:
-            x_star = math.sqrt(R * R - y * y)
-            for x in (x_star, -x_star):
-                if lo < x < hi:
-                    breaks.add(x)
-    xs = sorted(breaks)
-    area = 0.0
-    for x0, x1 in zip(xs, xs[1:]):
-        xm = 0.5 * (x0 + x1)
-        g = math.sqrt(max(R * R - xm * xm, 0.0))
-        upper_flat = d <= g   # else the circle caps the cell top
-        lower_flat = c >= -g  # else the circle caps the cell bottom
-        if min(d, g) <= max(c, -g):
-            continue  # empty on this strip (no switch inside by construction)
-        piece = 0.0
-        piece += d * (x1 - x0) if upper_flat else _sqrt_antiderivative(x1, R) - _sqrt_antiderivative(x0, R)
-        piece -= c * (x1 - x0) if lower_flat else -(_sqrt_antiderivative(x1, R) - _sqrt_antiderivative(x0, R))
-        area += piece
-    return area
-
-
-def _cartesian_disk_integral(Q: ScalarField, R0: float, resolution: int) -> float:
-    """Midpoint quadrature of Q * 4/(1-|z|^2)^2 over the Euclidean disk |z| < R0.
-
-    Cells straddling the rim are subdivided 8x8 with each subcell weighted by
-    its exact overlap area with the disk, so the boundary contribution carries
-    no indicator noise and the total error is the smooth interior O(h^2) term.
-    """
-    n = resolution
-    h = 2.0 * R0 / n
-    centers = -R0 + (np.arange(n) + 0.5) * h
-    X, Y = np.meshgrid(centers, centers)
-    Z = X + 1j * Y
-    rho = np.abs(Z)
-    half_diag = h * math.sqrt(0.5)
-    inside = rho <= R0 - half_diag
-    straddle = (~inside) & (rho < R0 + half_diag)
-
-    def weighted(z):
-        r2 = np.abs(z) ** 2
-        return Q.evaluate_array(z) * 4.0 / (1.0 - r2) ** 2
-
-    total = float(np.sum(weighted(Z[inside]))) * h * h if inside.any() else 0.0
-
-    if straddle.any():
-        m = 8
-        sub = (np.arange(m) + 0.5) / m - 0.5
-        SX, SY = np.meshgrid(sub * h, sub * h)
-        offsets = (SX + 1j * SY).ravel()
-        zs = Z[straddle][:, None] + offsets[None, :]
-        half = h / (2.0 * m)
-        areas = np.array([
-            [_rect_disk_overlap(z.real - half, z.real + half, z.imag - half, z.imag + half, R0)
-             for z in row]
-            for row in zs
-        ])
-        keep = areas > 0.0
-        if keep.any():
-            vals = np.zeros(zs.shape)
-            vals[keep] = weighted(zs[keep])
-            total += float(np.sum(vals * areas))
-    return total
-
-
-def fubini_residual(Q: ScalarField, r0: float, resolution: int = 400,
-                    n_r: int = 257, n_theta: int = 512) -> float:
-    """Absolute gap between the direct 2-D quadrature of the ball integral and
-    its iterated radial form; tends to 0 under refinement."""
-    R0 = euclid_radius(r0)
-    direct = _cartesian_disk_integral(Q, R0, resolution)
-    iterated = ball_integral(Q, r0, n_r=n_r, n_theta=n_theta)
-    return abs(direct - iterated)
 
 
 def _legendre(n: int, x: np.ndarray):

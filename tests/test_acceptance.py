@@ -45,7 +45,9 @@ from modlab.modulus import (
     ring_modulus_exact,
     weighted_infimum,
 )
-from modlab.quadrature import RingSpec, circle_integral, fubini_residual
+from modlab.quadrature import RingSpec, circle_integral
+
+from oracles import fubini_residual
 
 RING = RingSpec(0.5, 1.5)
 ROOT = Path(__file__).resolve().parent.parent

@@ -561,7 +561,7 @@ class TestModulusDiscrete:
         fam, dom, rng = _overlap_family(1)
         weights = rng.uniform(0.5, 2.0, dom.n_cells)
         res = modulus_discrete(fam, dom, tol=1e-6, weights=weights)
-        assert res.stop_reason == "gap" and res.iterations == 9
+        assert res.stop_reason == "gap" and res.iterations == 16
         assert res.value == pytest.approx(0.28472444731562546, rel=1e-12, abs=0.0)
         assert res.duality_gap <= 1e-12 * res.value
         assert res.max_constraint_violation <= 1e-12
@@ -645,10 +645,11 @@ class TestModulusDiscrete:
             assert res.max_constraint_violation <= 1e-12
 
     def test_singular_face_never_raises(self, monkeypatch):
-        # five chords through one cell: H has rank 1, so faces of two or more curves
-        # meet a zero pivot, and the pass solves them in least squares instead
+        # nine chords through one cell, five distinct: H has rank 1, so the first face,
+        # two curves of the working set, meets a zero pivot, and the pass solves it in
+        # least squares instead
         dom = cartesian_grid(((-0.2, 0.2), (-0.2, 0.2)), 1, 1)
-        chords = tuple(Polyline((complex(-0.2, y), complex(0.2, 0.5 * y))) for y in np.linspace(-0.15, 0.15, 5))
+        chords = tuple(Polyline((complex(-0.2, y), complex(0.2, 0.5 * y))) for y in np.linspace(-0.15, 0.15, 9))
         fam = rasterize_family(PolylineFamily(chords, kind="connecting"), dom)
         solve, singular = np.linalg.solve, []
 
@@ -666,6 +667,68 @@ class TestModulusDiscrete:
             assert res.dual_value <= exact * (1 + 1e-12) and exact <= res.value * (1 + 1e-12)
             assert res.max_constraint_violation <= 1e-12
         assert singular
+
+    def test_working_set_reaches_a_curve_ranked_last(self):
+        # seven rungs and a rail crossing them all: under rho_1 the rail is the longest
+        # curve, so it joins the working set last, yet the optimum needs it
+        dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), 8, 8)
+        rungs = tuple(Polyline((complex(-0.4, y), complex(0.4, y))) for y in -0.35 + 0.1 * np.arange(7))
+        rail = Polyline((complex(0.05, -0.4), complex(0.05, 0.4)))
+        fam = rasterize_family(PolylineFamily(rungs + (rail,), kind="connecting"), dom)
+        without_rail = rasterize_family(PolylineFamily(rungs, kind="connecting"), dom)
+        for metric in ("euclidean", "hyperbolic"):
+            A = dom.area_hyp if metric == "hyperbolic" else dom.area_euclid
+            L = incidence_matrix(fam, metric).toarray()
+            rho_1 = np.sum(L / np.sum(L**2 / A, axis=1)[:, None], axis=0) / A
+            assert np.argmax(L @ rho_1) == len(rungs)
+            res = modulus_discrete(fam, dom, metric=metric, tol=1e-12)
+            exact = nnls_oracle(fam, dom, metric)
+            assert res.stop_reason == "gap"
+            assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert res.dual_value == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert modulus_discrete(without_rail, dom, metric=metric, tol=1e-12).value < exact * (1 - 1e-3)
+
+    def test_working_set_grows_to_every_binding_curve(self, monkeypatch):
+        # eight diameters through the center: every one binds, so the working set
+        # grows round by round until the solve factors all of them
+        dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), 8, 8)
+        ends = 0.35 * np.exp(1j * (np.arange(8) + 0.3) * math.pi / 8)
+        fam = rasterize_family(PolylineFamily(tuple(Polyline((e, -e)) for e in ends), kind="connecting"), dom)
+        solve, rows = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: rows.append(len(a)) or solve(a, b))
+        for metric in ("euclidean", "hyperbolic"):
+            rows.clear()
+            res = modulus_discrete(fam, dom, metric=metric, tol=1e-12)
+            assert res.stop_reason == "gap"
+            assert res.value == pytest.approx(nnls_oracle(fam, dom, metric), rel=1e-12, abs=0.0)
+            assert rows[0] == 2 and max(rows) == len(fam)
+
+    def test_overlap_solves_fewer_rows_than_the_family(self, monkeypatch):
+        fam, dom, rng = _overlap_family(1)
+        solve, rows = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: rows.append(len(a)) or solve(a, b))
+        res = modulus_discrete(fam, dom, tol=1e-6, weights=rng.uniform(0.5, 2.0, dom.n_cells))
+        assert res.stop_reason == "gap" and len(rows) == res.iterations
+        assert max(rows) < len(fam)
+
+    def test_distinct_rows_keeps_the_smallest_multiplicity(self):
+        # rows 0, 2 and 4 are equal; rows 1 and 3 share their cells, count and sum
+        # but not their lengths; row 5 is alone
+        indptr = np.array([0, 2, 4, 6, 8, 10, 11])
+        indices = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2])
+        lengths = np.array([1.0, 2.0, 0.5, 2.5, 1.0, 2.0, 2.5, 0.5, 1.0, 2.0, 3.0])
+        for mult in ((1, 1, 1, 1, 1, 1), (3, 2, 2, 1, 2, 1), (2, 1, 3, 1, 1, 2)):
+            fam = modulus.CurveFamily(indptr, indices, lengths, lengths, 3, mult)
+            m = np.asarray(mult, dtype=float)
+            # the reference: curves by multiplicity, each kept unless an equal row was
+            seen, kept = set(), []
+            for g in np.argsort(m, kind="stable"):
+                row = (indices[indptr[g]:indptr[g + 1]].tobytes(), lengths[indptr[g]:indptr[g + 1]].tobytes())
+                if row not in seen:
+                    seen.add(row)
+                    kept.append(g)
+            row_sums = np.add.reduceat(lengths, indptr[:-1])
+            assert np.array_equal(modulus._distinct_rows(fam, lengths, m, row_sums), np.sort(kept))
 
     @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": 1.0}, {"metric": "Euclidean"}])
     def test_solver_settings_validated(self, kw):
