@@ -22,7 +22,6 @@ from .diskgeom import (
 from .fuchsian import (
     DirichletDomain,
     FuchsianGroup,
-    GroupElements,
     build_dirichlet_domain,
     dirichlet_membership,
     enumerate_elements,

@@ -58,12 +58,10 @@ def recentered_field(Q: ScalarField, center) -> ScalarField:
     c = complex(center)
     if c == 0:
         return Q
-    g_inv = mobius_invert(mobius_to_zero(c))
+    g = mobius_to_zero(c)
+    g_inv = mobius_invert(g)
     ev = Q.evaluator
-    singular = None
-    if Q.singular_point is not None:
-        s = complex(Q.singular_point)
-        singular = (s - c) / (1.0 - s * c.conjugate())
+    singular = None if Q.singular_point is None else mobius_apply(g, Q.singular_point)
 
     def conjugated(z, _ev=ev, _g=g_inv):
         return _ev(mobius_apply(_g, z))

@@ -1,9 +1,9 @@
 """Complex arithmetic of the Poincaré disk.
 
 Points are complex numbers or complex arrays; `inside_disk` is the one check
-that they lie strictly inside. Disk automorphisms, hyperbolic distance, the
-closed-form hyperbolic length of segments, and the conversion between
-hyperbolic and Euclidean radii of circles about 0.
+that they lie strictly inside. Disk automorphisms (one type for one or a
+set), hyperbolic distance, the closed-form hyperbolic length of segments,
+and the conversion between hyperbolic and Euclidean radii of circles about 0.
 The metric normalization is curvature -1: line element 2|dz|/(1-|z|^2),
 area element 4 dm(z)/(1-|z|^2)^2.
 """
@@ -20,6 +20,7 @@ __all__ = [
     "BOUNDARY_MARGIN",
     "MobiusAutomorphism",
     "Polyline",
+    "PrecisionLossError",
     "inside_disk",
     "hyp_distance",
     "euclid_radius",
@@ -57,40 +58,96 @@ def inside_disk(z, what: str) -> np.ndarray:
     return z
 
 
+class PrecisionLossError(ValueError):
+    """A composition's coefficients outgrew float resolution: |a|^2 and |c|^2
+    are so large that their difference, which should be 1, rounds to 0 or below."""
+
+
 @dataclass(frozen=True)
 class MobiusAutomorphism:
-    """Disk automorphism g(z) = (a z + c) / (conj(c) z + conj(a)).
+    """Disk automorphism g(z) = (a z + c) / (conj(c) z + conj(a)), or a set of them.
+
+    `a` and `c` are complex numbers for one automorphism, or equal-length
+    read-only 1-d complex arrays for a set whose element k is (a[k], c[k]); a
+    set has a length, an integer index gives one element and a slice, mask or
+    index array a set, and `mobius_apply(g, z)` of one point z is its orbit.
 
     Coefficients are renormalized on construction so |a|^2 - |c|^2 = 1;
     the pair (a, c) then determines g up to overall sign. The rescale happens
     only when det = |a|^2 - |c|^2 is off 1 by more than 1e-12 (|a|^2 + |c|^2),
     the scale of its rounding error, so rebuilding from normalized
-    coefficients keeps them.
+    coefficients keeps them. It is written once, for this and `mobius_compose`,
+    on real components with moduli by `hypot` and squares by `pow`, as CPython's
+    abs(a) ** 2 rounds them: an element of a set gets the bits it gets alone.
     """
 
-    a: complex
-    c: complex
+    a: complex | np.ndarray
+    c: complex | np.ndarray
 
     def __post_init__(self):
-        a, c = complex(self.a), complex(self.c)
-        a2, c2 = abs(a) ** 2, abs(c) ** 2
-        det = a2 - c2
-        if not 0.0 < det < math.inf:
-            raise ValueError(f"|a|^2 - |c|^2 = {det} must be positive and finite")
-        if abs(det - 1.0) > _DET_TOL * (a2 + c2):
-            s = 1.0 / math.sqrt(det)
-            a, c = a * s, c * s
+        if isinstance(self.a, np.ndarray) or isinstance(self.c, np.ndarray):
+            a, c = np.asarray(self.a, dtype=complex), np.asarray(self.c, dtype=complex)
+            if a.ndim != 1 or a.shape != c.shape:
+                raise ValueError("a and c must be one-dimensional and of equal length")
+        else:
+            a, c = complex(self.a), complex(self.c)
+        a, c = _normalized(a.real, a.imag, c.real, c.imag)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
 
     def __call__(self, z):
         return mobius_apply(self, z)
 
-    def coefficient_distance(self, other: "MobiusAutomorphism") -> float:
-        """Distance between coefficient pairs, minimized over the sign ambiguity."""
-        d_plus = max(abs(self.a - other.a), abs(self.c - other.c))
-        d_minus = max(abs(self.a + other.a), abs(self.c + other.c))
-        return min(d_plus, d_minus)
+    def __len__(self) -> int:
+        return len(self.a)  # a TypeError for one automorphism
+
+    def __getitem__(self, k):
+        return _stored(self.a[k], self.c[k])
+
+    def coefficient_distance(self, other: "MobiusAutomorphism"):
+        """Distance between coefficient pairs, max(|a - a'|, |c - c'|) minimized
+        over the sign ambiguity; elementwise for sets."""
+        ar, ai, cr, ci = self.a.real, self.a.imag, self.c.real, self.c.imag
+        br, bi, dr, di = other.a.real, other.a.imag, other.c.real, other.c.imag
+        d_plus = np.maximum(np.hypot(ar - br, ai - bi), np.hypot(cr - dr, ci - di))
+        d_minus = np.maximum(np.hypot(ar + br, ai + bi), np.hypot(cr + dr, ci + di))
+        return np.minimum(d_plus, d_minus)
+
+
+def _normalized(ar, ai, cr, ci) -> tuple:
+    """The coefficients (a, c) with these real components, rescaled as the
+    class docstring says; ValueError where |a|^2 - |c|^2 is not positive and finite."""
+    a2, c2 = np.float_power(np.hypot(ar, ai), 2), np.float_power(np.hypot(cr, ci), 2)
+    det = a2 - c2
+    valid = (det > 0.0) & (det < math.inf)
+    if not valid.all():
+        raise ValueError(f"|a|^2 - |c|^2 = {np.extract(~valid, det)[0]} must be positive and finite")
+    rescale = abs(det - 1.0) > _DET_TOL * (a2 + c2)
+    s = 1.0 / np.sqrt(det * rescale + ~rescale)  # 1 exactly where det stays
+    return _complex(ar * s, ai * s), _complex(cr * s, ci * s)
+
+
+def _complex(re, im):
+    """re + i im exactly: a complex from floats, a new read-only array from arrays."""
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    z.flags.writeable = False
+    return z
+
+
+def _stored(a, c) -> MobiusAutomorphism:
+    """An automorphism or set with coefficients taken from normalized ones (an element,
+    a subset, a concatenation), which the constructor would keep at the cost of their determinants."""
+    if isinstance(a, np.ndarray):
+        a.flags.writeable = c.flags.writeable = False
+    else:
+        a, c = complex(a), complex(c)
+    g = object.__new__(MobiusAutomorphism)
+    object.__setattr__(g, "a", a)
+    object.__setattr__(g, "c", c)
+    return g
 
 
 IDENTITY = MobiusAutomorphism(1.0, 0.0)
@@ -181,9 +238,8 @@ def mobius_apply(g, z):
     """g(z) = (a z + c) / (conj(c) z + conj(a)), the one evaluation of the formula.
 
     z is a complex array (the result has its shape) or a scalar, taken as
-    `complex(z)` (the result is a complex). g is a `MobiusAutomorphism` or
-    anything with coefficient arrays `a`, `c`, such as a `fuchsian.GroupElements`;
-    then g(z) of one point z is its orbit, one value per element.
+    `complex(z)` (the result is a complex). For a set g, g(z) of one point z
+    is its orbit, one value per element.
     """
     if not isinstance(z, np.ndarray):
         z = complex(z)
@@ -191,14 +247,30 @@ def mobius_apply(g, z):
 
 
 def mobius_compose(g1: MobiusAutomorphism, g2: MobiusAutomorphism) -> MobiusAutomorphism:
-    """Composition g1 ∘ g2 (apply g2 first)."""
-    a = g1.a * g2.a + g1.c * g2.c.conjugate()
-    c = g1.a * g2.c + g1.c * g2.a.conjugate()
-    return MobiusAutomorphism(a, c)
+    """Composition g1 ∘ g2 (apply g2 first), elementwise for sets.
+
+    a = a1 a2 + c1 conj(c2) and c = a1 c2 + c1 conj(a2), each product and sum
+    in CPython's complex order on real components, so one automorphism and
+    the elements of a set round alike. A result whose |a|^2 - |c|^2, which
+    should be 1, rounds to 0 or below raises PrecisionLossError.
+    """
+    a1r, a1i, c1r, c1i = g1.a.real, g1.a.imag, g1.c.real, g1.c.imag
+    a2r, a2i, c2r, c2i = g2.a.real, g2.a.imag, g2.c.real, g2.c.imag
+    n2i, m2i = -a2i, -c2i  # the imaginary parts of conj(a2), conj(c2)
+    ar = (a1r * a2r - a1i * a2i) + (c1r * c2r - c1i * m2i)
+    ai = (a1r * a2i + a1i * a2r) + (c1r * m2i + c1i * c2r)
+    cr = (a1r * c2r - a1i * c2i) + (c1r * a2r - c1i * n2i)
+    ci = (a1r * c2i + a1i * c2r) + (c1r * n2i + c1i * a2r)
+    try:
+        a, c = _normalized(ar, ai, cr, ci)
+    except ValueError as exc:
+        raise PrecisionLossError(f"composed coefficients have lost float resolution ({exc}); "
+                                 "lower the word-length bound") from None
+    return _stored(a, c)
 
 
 def mobius_invert(g: MobiusAutomorphism) -> MobiusAutomorphism:
-    return MobiusAutomorphism(g.a.conjugate(), -g.c)
+    return _stored(g.a.conjugate(), -g.c)  # no modulus changes, so the coefficients stay normalized
 
 
 def mobius_to_zero(z0) -> MobiusAutomorphism:

@@ -5,10 +5,10 @@ their boundary along rays from the center, projection to a fundamental set,
 and the injectivity radius: balls of a smaller radius embed in the quotient
 surface.
 
-An enumerated element set is one `GroupElements` value: two read-only
+An enumerated element set is one `MobiusAutomorphism` with two read-only
 coefficient arrays (a, c). `enumerate_elements` builds it one word length at
-a time with numpy, and every orbit query evaluates all its elements at once
-with `mobius_apply`. Points are complex numbers.
+a time with `mobius_compose` on sets, and every orbit query evaluates all its
+elements at once with `mobius_apply`. Points are complex numbers.
 
 A Dirichlet domain stores its center and kept images as one array, so a
 membership query is one distance row and one min over the images; projection
@@ -34,9 +34,10 @@ import numpy as np
 
 from ._io import json_number, json_object
 from .diskgeom import (
-    _DET_TOL,
     IDENTITY,
     MobiusAutomorphism,
+    PrecisionLossError,
+    _stored,
     hyp_distance,
     inside_disk,
     mobius_apply,
@@ -51,7 +52,6 @@ __all__ = [
     "NotReducedError",
     "PrecisionLossError",
     "FuchsianGroup",
-    "GroupElements",
     "DirichletDomain",
     "enumerate_elements",
     "build_dirichlet_domain",
@@ -91,11 +91,6 @@ class NotReducedError(RuntimeError):
     """No enumerated element brings the point into the fundamental domain."""
 
 
-class PrecisionLossError(ValueError):
-    """A word's coefficients outgrew float resolution: |a|^2 and |c|^2 are so
-    large that their difference, which should be 1, rounds to 0 or below."""
-
-
 @dataclass(frozen=True)
 class FuchsianGroup:
     """Generators plus the word-length bound used for all truncated queries."""
@@ -115,85 +110,16 @@ class FuchsianGroup:
         object.__setattr__(self, "generators", gens)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElements:
-    """Finitely many group elements as two read-only coefficient arrays.
+def _first_occurrences(x: MobiusAutomorphism, n_kept: int) -> np.ndarray:
+    """Mask of the elements of the set x from n_kept on that no earlier kept
+    element lies within 1e-9 of; the first n_kept elements are kept already.
 
-    Element k is z -> (a[k] z + c[k]) / (conj(c[k]) z + conj(a[k])), and
-    `mobius_apply(elements, z)` is the orbit of z. Indexing gives a
-    `MobiusAutomorphism` (a slice gives a `GroupElements`); iteration goes
-    through indexing.
+    This is what adding the elements to a set one at a time keeps. Close
+    pairs are searched in windows of the sorted keys and confirmed by the
+    coefficient distance.
     """
-
-    a: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        a, c = np.array(self.a, dtype=complex), np.array(self.c, dtype=complex)
-        if a.ndim != 1 or a.shape != c.shape:
-            raise ValueError("a and c must be one-dimensional and of equal length")
-        a.flags.writeable = c.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return GroupElements(self.a[k], self.c[k])
-        return MobiusAutomorphism(self.a[k], self.c[k])
-
-
-def _compose(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Components (Re a, Im a, Re c, Im c) of w[:, k] ∘ g[:, k] for (4, n) arrays.
-
-    a = w.a g.a + w.c conj(g.c) and c = w.a g.c + w.c conj(g.a), each product
-    and sum in CPython's complex order, so the bits equal `mobius_compose`'s.
-    """
-    war, wai, wcr, wci = w
-    gar, gai, gcr, gci = g
-    ngai, ngci = -gai, -gci
-    return np.array([
-        (war * gar - wai * gai) + (wcr * gcr - wci * ngci),
-        (war * gai + wai * gar) + (wcr * ngci + wci * gcr),
-        (war * gcr - wai * gci) + (wcr * gar - wci * ngai),
-        (war * gci + wai * gcr) + (wcr * ngai + wci * gar),
-    ])
-
-
-def _normalize(x: np.ndarray) -> None:
-    """Rescale the columns of x to |a|^2 - |c|^2 = 1 in place, as
-    `MobiusAutomorphism` does: |.| is `hypot`, the square is `pow(., 2)`, and
-    only columns with |det - 1| > 1e-12 (|a|^2 + |c|^2) change."""
-    a2, c2 = np.float_power(np.hypot(x[0], x[1]), 2), np.float_power(np.hypot(x[2], x[3]), 2)
-    det = a2 - c2
-    bad = det[~(det > 0.0)]
-    if len(bad):
-        raise PrecisionLossError(
-            f"word coefficients have lost float resolution: |a|^2 - |c|^2 = {bad[0]} "
-            "where it should be 1; lower the word-length bound"
-        )
-    fix = np.abs(det - 1.0) > _DET_TOL * (a2 + c2)
-    x[:, fix] *= 1.0 / np.sqrt(det[fix])
-
-
-def _distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`MobiusAutomorphism.coefficient_distance` between the columns of x and y."""
-    d_plus = np.maximum(np.hypot(x[0] - y[0], x[1] - y[1]), np.hypot(x[2] - y[2], x[3] - y[3]))
-    d_minus = np.maximum(np.hypot(x[0] + y[0], x[1] + y[1]), np.hypot(x[2] + y[2], x[3] + y[3]))
-    return np.minimum(d_plus, d_minus)
-
-
-def _first_occurrences(x: np.ndarray, n_kept: int) -> np.ndarray:
-    """Mask of the columns of x from n_kept on that no earlier kept column lies
-    within 1e-9 of; the first n_kept columns are kept already.
-
-    This is what adding the columns to an element set one at a time keeps.
-    Close pairs are searched in windows of the sorted keys and confirmed by
-    the coefficient distance.
-    """
-    keys = np.abs(_KEY_WEIGHTS @ x)
+    w = _KEY_WEIGHTS
+    keys = np.abs(w[0] * x.a.real + w[1] * x.a.imag + w[2] * x.c.real + w[3] * x.c.imag)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     lo = np.searchsorted(sorted_keys, sorted_keys - _KEY_WINDOW, side="left")
@@ -202,67 +128,73 @@ def _first_occurrences(x: np.ndarray, n_kept: int) -> np.ndarray:
     j = order[np.arange(len(i)) - np.repeat(np.cumsum(n) - n - lo, n)]
     pair = (j < i) & (i >= n_kept)
     i, j = i[pair], j[pair]
-    close = _distance(x[:, i], x[:, j]) < _DEDUP_TOL
+    close = x[i].coefficient_distance(x[j]) < _DEDUP_TOL
     by_i = np.argsort(i[close], kind="stable")
     i, j = i[close][by_i], j[close][by_i]
-    keep = np.ones(x.shape[1], dtype=bool)
-    # heads ascend, so each partner (an earlier column) is settled before its head
+    keep = np.ones(len(x), dtype=bool)
+    # heads ascend, so each partner (an earlier element) is settled before its head
     heads, starts = np.unique(i, return_index=True)
     for k, partners in zip(heads, np.split(j, starts[1:])):
         keep[k] = not keep[partners].any()
     return keep[n_kept:]
 
 
-def enumerate_elements(group: FuchsianGroup) -> GroupElements:
-    """All distinct non-identity elements representable by reduced words up to
-    the group's word-length bound; ordered by word length, then generator index
-    sequence, so the result is independent of evaluation schedule.
+def _as_set(gs) -> MobiusAutomorphism:
+    """A sequence of single automorphisms as one set."""
+    return MobiusAutomorphism(np.array([g.a for g in gs], dtype=complex),
+                              np.array([g.c for g in gs], dtype=complex))
 
-    Each word length is one array pass: every word of the previous length times
-    every letter but its inverse, identities and duplicates (within 1e-9 in
-    coefficients, up to sign; the first occurrence wins) dropped.
+
+def _joined(g: MobiusAutomorphism, h: MobiusAutomorphism) -> MobiusAutomorphism:
+    """The elements of g, then those of h, as one set."""
+    return _stored(np.concatenate((g.a, h.a)), np.concatenate((g.c, h.c)))
+
+
+def enumerate_elements(group: FuchsianGroup) -> MobiusAutomorphism:
+    """All distinct non-identity elements representable by reduced words up to
+    the group's word-length bound, as one set, ordered by word length, then
+    generator index sequence, so the result is independent of evaluation schedule.
+
+    Each word length is one `mobius_compose` of sets: every word of the
+    previous length times every letter but its inverse, identities and
+    duplicates (within 1e-9 in coefficients, up to sign; the first occurrence
+    wins) dropped.
 
     Raises EllipticElementError if a non-identity element has |trace| < 2
-    (fixed point in the disk, or a parabolic too close to the margin), and
-    GrowthOverflowError past the element cap.
+    (fixed point in the disk, or a parabolic too close to the margin),
+    GrowthOverflowError past the element cap, and PrecisionLossError for a
+    word past float resolution.
     """
-    letters = []
-    for g in group.generators:
-        letters += [g, mobius_invert(g)]
-    alphabet = np.array([[g.a.real, g.a.imag, g.c.real, g.c.imag] for g in letters]).reshape(-1, 4).T
-    identity = np.array([[1.0], [0.0], [0.0], [0.0]])
-    found = np.empty((4, 0))
-    frontier, last = identity, np.array([-1])  # words of the current length, last letters
+    alphabet = _as_set([h for g in group.generators for h in (g, mobius_invert(g))])
+    found = alphabet[:0]
+    frontier, last = _as_set([IDENTITY]), np.array([-1])  # words of the current length, last letters
     for _ in range(group.max_word_length):
         # free reduction: letter 2i+1 inverts letter 2i, so skip l == last ^ 1
-        rows, cols = np.nonzero(np.arange(len(letters)) != (last ^ 1)[:, None])
-        x = _compose(frontier[:, rows], alphabet[:, cols])
-        _normalize(x)
-        not_identity = _distance(x, identity) >= _DEDUP_TOL  # relator words fold back
-        x, cols = x[:, not_identity], cols[not_identity]
-        new = _first_occurrences(np.hstack([found, x]), found.shape[1])
-        x, cols = x[:, new], cols[new]
+        rows, cols = np.nonzero(np.arange(len(alphabet)) != (last ^ 1)[:, None])
+        x = mobius_compose(frontier[rows], alphabet[cols])
+        not_identity = x.coefficient_distance(IDENTITY) >= _DEDUP_TOL  # relator words fold back
+        x, cols = x[not_identity], cols[not_identity]
+        new = _first_occurrences(_joined(found, x), len(found))
+        x, cols = x[new], cols[new]
 
         # the checks a one-at-a-time loop makes, in its order: the elliptic test
         # before each element is kept, the cap after
-        elliptic = np.flatnonzero(np.abs(x[0]) < 1.0 + _TRACE_MARGIN)
-        overflow = group.element_cap - found.shape[1]  # index of the element past the cap
+        elliptic = np.flatnonzero(np.abs(x.a.real) < 1.0 + _TRACE_MARGIN)
+        overflow = group.element_cap - len(found)  # index of the element past the cap
         if len(elliptic) and elliptic[0] <= overflow:
             raise EllipticElementError(
-                f"element with |Re a| = {abs(x[0, elliptic[0]]):.6f} < 1 "
+                f"element with |Re a| = {abs(x.a.real[elliptic[0]]):.6f} < 1 "
                 "has a fixed point in the disk"
             )
-        if overflow < x.shape[1]:
+        if overflow < len(x):
             raise GrowthOverflowError(
                 f"enumeration exceeded cap of {group.element_cap} elements"
             )
-        found, frontier, last = np.hstack([found, x]), x, cols
-    a, c = np.empty(found.shape[1], dtype=complex), np.empty(found.shape[1], dtype=complex)
-    a.real, a.imag, c.real, c.imag = found
-    return GroupElements(a, c)
+        found, frontier, last = _joined(found, x), x, cols
+    return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletDomain:
     """Intersection of half-planes {z : h(z, center) < h(z, g(center))}.
 
@@ -275,7 +207,7 @@ class DirichletDomain:
     """
 
     center: complex
-    constraints: GroupElements
+    constraints: MobiusAutomorphism
     images: np.ndarray = field(init=False, repr=False, compare=False)
     vertices: np.ndarray = field(init=False, repr=False, compare=False)
     _points: np.ndarray = field(init=False, repr=False, compare=False)
@@ -283,9 +215,8 @@ class DirichletDomain:
     def __post_init__(self):
         zc = complex(inside_disk(self.center, "domain center"))
         constraints = self.constraints
-        if not isinstance(constraints, GroupElements):
-            gs = tuple(constraints)
-            constraints = GroupElements([g.a for g in gs], [g.c for g in gs])
+        if not isinstance(constraints, MobiusAutomorphism):
+            constraints = _as_set(tuple(constraints))
         images = mobius_apply(constraints, zc)
         if np.any(hyp_distance(zc, images) <= _DEDUP_TOL):
             raise ValueError("a constraint fixes the center; domain undefined")
@@ -295,7 +226,7 @@ class DirichletDomain:
         vertices = mobius_apply(mobius_invert(to_zero), klein / (1.0 + np.sqrt(1.0 - np.abs(klein) ** 2)))
         points.flags.writeable = vertices.flags.writeable = False
         object.__setattr__(self, "center", zc)
-        object.__setattr__(self, "constraints", GroupElements(constraints.a[keep], constraints.c[keep]))
+        object.__setattr__(self, "constraints", constraints[keep])
         object.__setattr__(self, "images", points[1:])
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_points", points)
@@ -444,10 +375,8 @@ def injectivity_radius(z0, group: FuchsianGroup, elements=None) -> float:
     """
     if elements is None:
         elements = enumerate_elements(group)
-    if not elements:
-        return math.inf
     z = complex(z0)
-    return 0.5 * float(np.min(hyp_distance(z, mobius_apply(elements, z))))
+    return 0.5 * float(np.min(hyp_distance(z, mobius_apply(elements, z)), initial=math.inf))
 
 
 def load_group(path) -> FuchsianGroup:

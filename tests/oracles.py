@@ -18,6 +18,31 @@ def hyp_length(curve: Polyline) -> float:
     return float(np.sum(_segment_hyp_length(p, d, r, speed, 0.0, 1.0)))
 
 
+def normalized_reference(a: complex, c: complex) -> tuple[complex, complex]:
+    """`MobiusAutomorphism`'s coefficients for (a, c), in Python's complex
+    arithmetic: rescaled to |a|^2 - |c|^2 = 1 when that is off 1 by more than
+    1e-12 (|a|^2 + |c|^2); ValueError for a non-positive or non-finite one."""
+    a2, c2 = abs(a) ** 2, abs(c) ** 2
+    det = a2 - c2
+    if not 0.0 < det < math.inf:
+        raise ValueError(f"|a|^2 - |c|^2 = {det} must be positive and finite")
+    if abs(det - 1.0) > 1e-12 * (a2 + c2):
+        s = 1.0 / math.sqrt(det)
+        a, c = a * s, c * s
+    return a, c
+
+
+def compose_reference(g1, g2) -> tuple[complex, complex]:
+    """The normalized coefficients of g1 ∘ g2 for two single automorphisms, in
+    Python's complex arithmetic."""
+    return normalized_reference(g1.a * g2.a + g1.c * g2.c.conjugate(), g1.a * g2.c + g1.c * g2.a.conjugate())
+
+
+def apply_reference(g, z: complex) -> complex:
+    """g(z) for one automorphism and one point, in Python's complex arithmetic."""
+    return (g.a * z + g.c) / (g.c.conjugate() * z + g.a.conjugate())
+
+
 def incidence_matrix(family: CurveFamily, metric: str) -> sp.csr_matrix:
     """One metric's incidences of a family as a scipy CSR matrix sharing the family's arrays."""
     return sp.csr_matrix((family.lengths(metric), family.indices, family.indptr),

@@ -11,6 +11,7 @@ from modlab.diskgeom import (
     IDENTITY,
     MobiusAutomorphism,
     Polyline,
+    PrecisionLossError,
     euclid_radius,
     hyp_distance,
     hyp_radius,
@@ -24,7 +25,7 @@ from modlab.diskgeom import (
 from modlab.fuchsian import cyclic_group, enumerate_elements
 from modlab.modulus import DiscretizedDomain, PolylineFamily, cartesian_grid, rasterize_family
 
-from oracles import hyp_length
+from oracles import apply_reference, compose_reference, hyp_length, normalized_reference
 
 
 def random_automorphism(rng) -> MobiusAutomorphism:
@@ -41,6 +42,17 @@ disk_points = st.builds(
     lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
     st.floats(0, 0.9),
     st.floats(0, 2 * math.pi),
+)
+
+# (a, c) = scale (sqrt(1 + rho^2) e^{i psi}, rho e^{i phi}): a scale off 1 hits
+# the rescale branch, and rho past 1e4 makes compositions lose float resolution
+coefficients = st.builds(
+    lambda rho, phi, psi, scale: (scale * math.sqrt(1.0 + rho * rho) * complex(math.cos(psi), math.sin(psi)),
+                                  scale * rho * complex(math.cos(phi), math.sin(phi))),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 1e5)),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.one_of(st.just(1.0), st.floats(0.5, 4.0)),
 )
 
 
@@ -96,8 +108,46 @@ class TestMobius:
         assert abs(abs(g.a) ** 2 - abs(g.c) ** 2 - 1.0) < 1e-12
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            MobiusAutomorphism(1.0, 1.0)
+        # outside input keeps the constructor's message; PrecisionLossError is for compositions
+        for a, c in ((1.0, 1.0), (np.array([2.0, 1.0]), np.array([1.0, 1.0]))):
+            with pytest.raises(ValueError, match=r"^\|a\|\^2 - \|c\|\^2 = 0.0 must be positive and finite$") as info:
+                MobiusAutomorphism(a, c)
+            assert not isinstance(info.value, PrecisionLossError)
+
+    @pytest.mark.parametrize("a, c", [(np.ones((2, 2)), np.zeros((2, 2))), (np.ones(3), np.zeros(2)),
+                                      (np.ones(2), 0.0)], ids=["2-d", "lengths", "array-and-scalar"])
+    def test_set_needs_equal_1d_arrays(self, a, c):
+        with pytest.raises(ValueError, match="one-dimensional and of equal length"):
+            MobiusAutomorphism(a, c)
+
+    @given(st.lists(st.tuples(coefficients, coefficients), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    @example([((2.0 + 0.5j, 1.0 - 0.25j), (1.0, 0.0)),  # rescaled, and the identity
+              # rescaled by another last bit had |a|^2 been |a| * |a|, not pow(|a|, 2)
+              ((2.571318206476673 + 0.9059759680177346j, 0.5), (1.0, 0.0)),
+              ((math.cosh(9.0), math.sinh(9.0)), (math.cosh(10.0), math.sinh(10.0)))])  # det rounds to 0
+    def test_sets_are_the_scalar_reference(self, pairs):
+        # construction and composition on arrays equal the Python complex
+        # formulas element by element, bit for bit up to the sign of zero
+        a1, c1, a2, c2 = (np.array(v, dtype=complex) for v in zip(*((*p, *q) for p, q in pairs)))
+        g1, g2 = MobiusAutomorphism(a1, c1), MobiusAutomorphism(a2, c2)
+        for g, a, c in ((g1, a1, c1), (g2, a2, c2)):
+            assert not g.a.flags.writeable and not g.c.flags.writeable
+            assert list(zip(g.a, g.c)) == [normalized_reference(x, y) for x, y in zip(a, c)]
+        expected = []
+        for k in range(len(pairs)):
+            try:
+                expected.append(compose_reference(g1[k], g2[k]))
+            except ValueError:
+                with pytest.raises(PrecisionLossError):
+                    mobius_compose(g1[k], g2[k])
+                with pytest.raises(PrecisionLossError):
+                    mobius_compose(g1, g2)
+                return
+            g = mobius_compose(g1[k], g2[k])
+            assert (type(g.a), type(g.c)) == (complex, complex) and (g.a, g.c) == expected[-1]
+        g = mobius_compose(g1, g2)
+        assert list(zip(g.a, g.c)) == expected
 
     @pytest.mark.parametrize("a, c", [(math.nan, 0.0), (1.0, complex(0.0, math.nan)), (math.inf, 0.0)])
     def test_non_finite_rejected(self, a, c):
@@ -108,10 +158,9 @@ class TestMobius:
         # the formula written out in Python scalar and in numpy array arithmetic
         g = random_automorphism(np.random.default_rng(5))
         for z in (0.3 - 0.2j, 0.45, np.float64(-0.1)):
-            zc = complex(z)
             w = mobius_apply(g, z)
             assert type(w) is complex
-            assert w == (g.a * zc + g.c) / (g.c.conjugate() * zc + g.a.conjugate())
+            assert w == apply_reference(g, complex(z))
         zs = np.array([random_point(np.random.default_rng(k)) for k in range(64)])
         ws = mobius_apply(g, zs)
         assert ws.shape == zs.shape

@@ -21,7 +21,6 @@ from modlab.fuchsian import (
     DirichletDomain,
     EllipticElementError,
     FuchsianGroup,
-    GroupElements,
     GrowthOverflowError,
     NotReducedError,
     PrecisionLossError,
@@ -111,7 +110,7 @@ def enumeration_oracle(group):
 
 def assert_same_elements(elems, oracle):
     """Same count and order, every coefficient equal (bit for bit up to the sign of zero)."""
-    assert isinstance(elems, GroupElements)
+    assert isinstance(elems, MobiusAutomorphism) and elems.a.ndim == elems.c.ndim == 1
     assert len(elems) == len(oracle)
     np.testing.assert_array_equal(elems.a, np.array([g.a for g in oracle], dtype=complex))
     np.testing.assert_array_equal(elems.c, np.array([g.c for g in oracle], dtype=complex))
@@ -214,6 +213,15 @@ class TestEnumeration:
             enumerate_elements(cyclic_group(2.0, L))
         assert len(enumerate_elements(cyclic_group(2.0, 18))) == 36
 
+    def test_precision_loss_is_typed_one_composition_at_a_time(self):
+        # the same word built from automorphisms one at a time raises the same error
+        g = cyclic_group(2.0).generators[0]
+        w = IDENTITY
+        for _ in range(18):
+            w = mobius_compose(w, g)
+        with pytest.raises(PrecisionLossError, match="lost float resolution"):
+            mobius_compose(w, g)
+
 
 def _redundant_cyclic():
     # generators g and g^2: g g (length 2) repeats g^2 (length 1)
@@ -288,16 +296,19 @@ class TestEnumerationOracle:
                 enumerate_(grp)
 
 
-class TestGroupElements:
+class TestElementSets:
     def test_indexing_returns_stored_coefficients(self):
         elems = enumerate_elements(cyclic_group(2.0, 12))
         oracle = enumeration_oracle(cyclic_group(2.0, 12))
         for g, h in zip(elems, oracle):
-            assert isinstance(g, MobiusAutomorphism)
+            assert type(g.a) is complex and type(g.c) is complex
             assert (g.a, g.c) == (h.a, h.c)
         head = elems[:5]
-        assert isinstance(head, GroupElements) and len(head) == 5
+        assert isinstance(head.a, np.ndarray) and len(head) == 5
+        assert np.array_equal(head.a, elems.a[:5]) and np.array_equal(head.c, elems.c[:5])
         assert elems[-1].a == elems.a[-1]
+        with pytest.raises(TypeError):
+            len(elems[0])
 
     def test_iteration_is_indexing(self):
         # iteration goes through __getitem__, which raises IndexError past the end
@@ -311,6 +322,8 @@ class TestGroupElements:
         for g in elems:
             h = MobiusAutomorphism(g.a, g.c)
             assert (h.a, h.c) == (g.a, g.c)
+        again = MobiusAutomorphism(elems.a, elems.c)
+        assert np.array_equal(again.a, elems.a) and np.array_equal(again.c, elems.c)
 
     def test_read_only(self):
         elems = enumerate_elements(genus2_group(1))
@@ -319,9 +332,11 @@ class TestGroupElements:
     def test_domain_converts_automorphisms(self):
         g = cyclic_group().generators[0]
         dom = DirichletDomain(0j, (g,))
-        assert isinstance(dom.constraints, GroupElements)
+        assert isinstance(dom.constraints, MobiusAutomorphism) and len(dom.constraints) == 1
         assert (dom.constraints.a[0], dom.constraints.c[0]) == (g.a, g.c)
         assert dom.center == 0j
+        # a domain compares and hashes by identity, as its coefficient arrays cannot
+        assert dom == dom and dom != DirichletDomain(0j, (g,)) and hash(dom) == hash(dom)
 
     def test_domain_center_inside_disk(self):
         g = cyclic_group().generators[0]
