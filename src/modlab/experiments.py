@@ -48,12 +48,7 @@ from .mappings import (
     map_from_config,
     multiplicity,
 )
-from .modulus import (
-    circle_family,
-    modulus_discrete,
-    polar_grid_from_band_centers,
-    rasterize_family,
-)
+from .modulus import _polar_grid, circle_family, modulus_discrete, rasterize_family
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 from .svgplot import line_plot_svg, write_svg
 
@@ -227,13 +222,14 @@ def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
 
 def _image_circles(f: SampleMap, ring: RingSpec, n_circles: int, n_theta: int):
     """(f(Σ), its grid, the image ring's hyperbolic radii) for the circles Σ at
-    the ring's band centers and a map f that fixes 0 radially: f takes the
+    the ring's band centers and a map f that fixes 0 radially. f takes the
     circle |z| = R to the circle |w| = f.image_radius(R), run f.degree times,
-    and the bands of the image grid bracket the image circles."""
-    R = [f.image_radius(euclid_radius(r)) for r in (ring.r_inner, *ring.band_centers(n_circles), ring.r_outer)]
-    r = [hyp_radius(x) for x in R]
-    image = circle_family(R[1:-1], multiplicity=f.degree, n_vertices=4 * n_theta)
-    return image, polar_grid_from_band_centers(r[1:-1], r[0], r[-1], n_theta), (r[0], r[-1])
+    so it takes each band of the source grid onto a band: the image grid is
+    the source grid carried by f, and each image circle lies in its own band."""
+    edges = [hyp_radius(f.image_radius(euclid_radius(r))) for r in ring.band_edges(n_circles)]
+    image = circle_family([f.image_radius(euclid_radius(r)) for r in ring.band_centers(n_circles)],
+                          multiplicity=f.degree, n_vertices=4 * n_theta)
+    return image, _polar_grid(np.array(edges), n_theta), (edges[0], edges[-1])
 
 
 def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:

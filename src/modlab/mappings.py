@@ -8,7 +8,8 @@ Dilatation, Jacobian and the finite-distortion check are derived from the
 Wirtinger derivatives; multiplicity bounds are winding numbers of the image of
 the circle |z| = 0.999. A map that fixes 0 radially takes the circle of
 Euclidean radius R about 0 to the circle of radius `image_radius(R)`, run
-`degree` times; lower_q builds its image circles from that alone.
+`degree` times; lower_q builds its image circles and the image grid, the
+source grid's band edges carried by f, from that alone.
 
 Maps, Wirtinger derivatives and the dilatation take and return complex
 arrays; a point is a one-element array. K is inf where the Jacobian vanishes.

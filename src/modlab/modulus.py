@@ -61,7 +61,6 @@ __all__ = [
     "DensityField",
     "ModulusResult",
     "polar_grid",
-    "polar_grid_from_band_centers",
     "cartesian_grid",
     "circle_family",
     "radial_connecting_family",
@@ -94,10 +93,13 @@ class DiscretizedDomain:
 
 
 def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
-    """Polar cells between the given hyperbolic band edges, n_theta sectors each.
+    """Polar cells between the given increasing hyperbolic band edges, n_theta
+    sectors each: a ring's `band_edges`, or those edges carried by a map that
+    fixes 0 radially.
 
-    Cell centers sit at the hyperbolic band midpoint, so circles placed at
-    band centers share the metric factor of their cells exactly.
+    Cell centers sit at the hyperbolic band midpoint, the rule of
+    `RingSpec.band_centers`, so circles placed at a ring's band centers
+    share the metric factor of their cells exactly.
     """
     if n_theta < 4:
         raise ValueError("need n_theta >= 4")
@@ -136,24 +138,7 @@ def polar_grid(ring: RingSpec, n_r: int, n_theta: int) -> DiscretizedDomain:
     """Polar cells over the ring, bands uniform in hyperbolic radius."""
     if n_r < 1:
         raise ValueError("need n_r >= 1")
-    return _polar_grid(np.linspace(ring.r_inner, ring.r_outer, n_r + 1), n_theta)
-
-
-def polar_grid_from_band_centers(centers_hyp, r_inner: float, r_outer: float,
-                                 n_theta: int) -> DiscretizedDomain:
-    """Polar grid whose radial bands bracket the given hyperbolic radii.
-
-    Band edges are the midpoints of consecutive center radii with the ring
-    bounds closing the ends, so each given radius lies inside its own band;
-    for uniformly spaced centers this reproduces the uniform grid.
-    """
-    centers_hyp = np.asarray(sorted(map(float, centers_hyp)))
-    if centers_hyp[0] <= r_inner or centers_hyp[-1] >= r_outer:
-        raise ValueError("band centers must lie strictly between the ring radii")
-    r_edges = np.concatenate(
-        [[r_inner], 0.5 * (centers_hyp[:-1] + centers_hyp[1:]), [r_outer]]
-    )
-    return _polar_grid(r_edges, n_theta)
+    return _polar_grid(ring.band_edges(n_r), n_theta)
 
 
 def cartesian_grid(window, n_x: int, n_y: int) -> DiscretizedDomain:
@@ -304,7 +289,7 @@ def density_to_svg(dom: DiscretizedDomain, density: DensityField, path, title="e
 # family builders
 
 
-def circle_family(radii, multiplicity: int = 1, n_vertices: int = 2048) -> PolylineFamily:
+def circle_family(radii, multiplicity: int = 1, *, n_vertices: int) -> PolylineFamily:
     """The circles |z| = R about 0 at the given Euclidean radii, each run
     `multiplicity` times."""
     if len(radii) < 1:
@@ -826,7 +811,7 @@ def circle_family_modulus(ring: RingSpec, Q: ScalarField, n_circles: int = 64, n
         raise ValueError("need n_circles >= 4")
     dom = polar_grid(ring, n_r=n_circles, n_theta=n_theta)
     pf = circle_family([euclid_radius(r) for r in ring.band_centers(n_circles)],
-                       n_vertices=max(1024, 4 * n_theta))
+                       n_vertices=4 * n_theta)
     fam = rasterize_family(pf, dom)
     q_cells = Q.evaluate_array(dom.centers)
     if np.any(q_cells <= 0):

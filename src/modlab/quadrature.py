@@ -78,9 +78,15 @@ class RingSpec:
         if euclid_radius(self.r_outer) >= 1.0 - 1e-6:
             raise ValueError("outer radius too close to the disk boundary")
 
+    def band_edges(self, n: int) -> np.ndarray:
+        """The n + 1 hyperbolic radii bounding n equal bands of the ring: the
+        one band rule, which every polar grid and circle family of a ring uses."""
+        return np.linspace(self.r_inner, self.r_outer, n + 1)
+
     def band_centers(self, n: int) -> np.ndarray:
-        """The hyperbolic radii at the middles of n equal bands of the ring."""
-        return self.r_inner + (np.arange(n) + 0.5) * ((self.r_outer - self.r_inner) / n)
+        """The hyperbolic radii at the middles of the n bands of `band_edges`."""
+        edges = self.band_edges(n)
+        return 0.5 * (edges[:-1] + edges[1:])
 
 
 @dataclass(frozen=True)

@@ -306,9 +306,13 @@ class TestDistortionWeightField:
 
 
 class TestImageCircles:
-    """f(Σ) for the circles Σ at the ring's band centers, and the image grid, as lower_q builds them."""
+    """f(Σ) for the circles Σ at the ring's band centers, and the image grid, as lower_q
+    builds them: the source grid's band edges carried by f."""
 
     RING = RingSpec(0.5, 1.5)
+    MAPS = [identity_map(), winding(2), radial_stretch(2), radial_stretch(3),
+            compose_maps(radial_stretch(2), winding(3))]
+    MAP_IDS = ["identity", "winding2", "radial_stretch2", "radial_stretch3", "composition"]
 
     def _source(self, n_circles, n_theta):
         return circle_family([euclid_radius(r) for r in self.RING.band_centers(n_circles)], n_vertices=4 * n_theta)
@@ -331,16 +335,30 @@ class TestImageCircles:
             assert np.allclose(a.vertices, b.vertices, rtol=1e-15, atol=0.0)
         assert image_ring == pytest.approx((0.5, 1.5), rel=1e-15)
 
+    @pytest.mark.parametrize("f", MAPS, ids=MAP_IDS)
+    @pytest.mark.parametrize("n_circles", [6, 16])
+    def test_grid_is_the_source_grid_carried_by_f(self, f, n_circles):
+        image, dom, image_ring = _image_circles(f, self.RING, n_circles, 64)
+        carried = [f.image_radius(euclid_radius(r)) for r in self.RING.band_edges(n_circles)]
+        assert dom.geometry["n_r"] == n_circles and dom.geometry["n_theta"] == 64
+        assert dom.geometry["R_edges"] == pytest.approx(carried, rel=4e-16, abs=0.0)
+        assert image_ring == (hyp_radius(carried[0]), hyp_radius(carried[-1]))
+        R_edges = dom.geometry["R_edges"]
+        for i, (r, poly) in enumerate(zip(self.RING.band_centers(n_circles), image.polylines)):
+            radius = np.abs(poly.vertices)
+            assert np.allclose(radius, f.image_radius(euclid_radius(r)), rtol=1e-15, atol=0.0)
+            assert R_edges[i] < radius.min() and radius.max() < R_edges[i + 1]  # inside its own band
+        assert image.multiplicities == (f.degree,) * n_circles
+
     def test_radial_stretch_squares_euclid_radii(self):
         # z|z| takes |z| = R to |w| = R^2, hyperbolic radius 2 atanh(R^2)
         image, dom, image_ring = _image_circles(radial_stretch(2), self.RING, 6, 64)
-        R_edges = dom.geometry["R_edges"]
-        for i, (r, poly) in enumerate(zip(self.RING.band_centers(6), image.polylines)):
+        for r, poly in zip(self.RING.band_centers(6), image.polylines):
             R = math.tanh(0.5 * r)
             radius = np.abs(poly.vertices)
             assert hyp_radius(float(radius[0])) == pytest.approx(2 * math.atanh(R * R), rel=1e-12)
             assert np.allclose(radius, R * R, rtol=1e-15, atol=0.0)
-            assert R_edges[i] < radius.min() and radius.max() < R_edges[i + 1]  # inside its own band
+        assert dom.geometry["R_edges"] == pytest.approx(np.tanh(0.5 * self.RING.band_edges(6)) ** 2, rel=1e-15)
         assert image_ring == pytest.approx([2 * math.atanh(math.tanh(0.5 * r) ** 2) for r in (0.5, 1.5)], rel=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -372,6 +390,13 @@ class TestLowerQ:
         assert rec.lhs == pytest.approx(base / 4, rel=0.02)
         assert rec.rhs == pytest.approx(base / 4, rel=0.02)
         assert rec.provenance["degree_sampled"]["supremum"] == 2
+
+    def test_radial_stretch2_lhs_is_the_image_ring_closed_form(self):
+        # the circles of the image ring (R1', R2') = (R1^2, R2^2) have modulus log(R2'/R1') / 2 pi
+        rec = run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / "lower_q_radial_stretch2.json"))
+        exact = (math.log(math.tanh(0.75) ** 2) - math.log(math.tanh(0.25) ** 2)) / (2 * math.pi)
+        assert abs(rec.lhs / exact - 1) < 3e-5
+        assert abs(rec.ratio / 4 - 1) < 1e-4
 
     def test_radial_stretch_one_sided(self, tmp_path):
         path = write_cfg(tmp_path, "rs.json", lower_q_cfg({"kind": "radial_stretch", "k": 2}))

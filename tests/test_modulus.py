@@ -11,6 +11,7 @@ from modlab import modulus
 from modlab.diskgeom import Polyline, euclid_radius
 from modlab.experiments import ExperimentConfig, _image_circles
 from modlab.fields import parse_field
+from modlab.mappings import radial_stretch
 from modlab.modulus import (
     DensityField,
     PolylineFamily,
@@ -19,7 +20,6 @@ from modlab.modulus import (
     circle_family_modulus,
     modulus_discrete,
     polar_grid,
-    polar_grid_from_band_centers,
     radial_connecting_family,
     rasterize_family,
     ring_modulus_exact,
@@ -238,6 +238,19 @@ class TestGrids:
         factor = 4.0 / (1.0 - np.abs(dom.centers) ** 2) ** 2
         assert np.allclose(dom.area_hyp, dom.area_euclid * factor)
 
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_cell_centers_sit_at_band_centers(self, n):
+        # the grid's cells are centred at RING.band_centers bit for bit, and on this ring
+        # those equal the closed form r_inner + (i + 1/2) h the shipped numbers were made with
+        dom = polar_grid(RING, n, 16)
+        assert np.array_equal(dom.geometry["R_edges"], np.tanh(0.5 * RING.band_edges(n)))
+        theta_edges = np.linspace(0.0, 2.0 * math.pi, 17)
+        theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
+        R_mid = np.tanh(0.5 * RING.band_centers(n))
+        assert np.array_equal(dom.centers, (R_mid[:, None] * np.exp(1j * theta_mid[None, :])).ravel())
+        h = (RING.r_outer - RING.r_inner) / n
+        assert np.array_equal(RING.band_centers(n), RING.r_inner + (np.arange(n) + 0.5) * h)
+
     def test_cartesian_window_must_fit_disk(self):
         with pytest.raises(ValueError):
             cartesian_grid(((-0.9, 0.9), (-0.9, 0.9)), 4, 4)
@@ -363,11 +376,12 @@ class TestBlockInvariance:
         assert np.array_equal(_bits(fam.hyperbolic), _bits(hyperbolic))
 
 
-POLAR_GRIDS = [polar_grid(RING, 6, 12), polar_grid_from_band_centers([0.6, 0.9, 1.0, 1.4], 0.5, 1.5, 20)]
+# a uniform grid, and the non-uniform one z|z| carries the 4 bands of the ring (1, 2.5) onto
+POLAR_GRIDS = [polar_grid(RING, 6, 12), _image_circles(radial_stretch(2), RingSpec(1.0, 2.5), 4, 20)[1]]
 
 
 class TestSectorEdgeTable:
-    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "band-centers"])
+    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "carried"])
     def test_entries_are_libm_values(self, dom):
         geometry = dom.geometry
         n = geometry["n_theta"]
@@ -376,7 +390,7 @@ class TestSectorEdgeTable:
         assert np.array_equal(_bits(geometry["sector_sin"]), _bits([math.sin(a) for a in angles]))
         assert np.array_equal(_bits(geometry["R_edges_sq"]), _bits(np.float_power(geometry["R_edges"], 2)))
 
-    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "band-centers"])
+    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "carried"])
     @pytest.mark.parametrize("alpha", [0.5 * math.pi - 1e-3, 0.5 * math.pi - 0.2])
     @pytest.mark.parametrize("direction", [1, -1], ids=["counterclockwise", "clockwise"])
     def test_sweep_across_angle_zero(self, dom, alpha, direction):
