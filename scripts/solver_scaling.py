@@ -49,9 +49,9 @@ def measure(n_chords: int) -> dict:
         working_sets.append(B_W.shape[0])
         return extended(H, B_W)
 
-    def face_solve_spy(H_FF):
+    def face_solve_spy(H_FF, mu, c_F):
         faces.append(len(H_FF))
-        return face_solve(H_FF)
+        return face_solve(H_FF, mu, c_F)
 
     modulus._extended, modulus._face_solve = extended_spy, face_solve_spy
     t0 = time.perf_counter()

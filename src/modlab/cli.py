@@ -17,6 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from ._io import MAX_COUNT, json_text
+from .criteria import NotIntegrableError, default_epsilon_sequence, divergence_check, fmo_check
+from .diskgeom import mobius_apply
+from .experiments import ExperimentConfig, run_experiment, run_suite
+from .fields import parse_field
+from .fuchsian import build_dirichlet_domain, dirichlet_boundary, enumerate_elements, load_group
+from .mappings import distortion_sweep, finite_distortion_check, parse_map
+from .modulus import (
+    circle_family_modulus,
+    density_to_svg,
+    modulus_discrete,
+    polar_grid,
+    radial_connecting_family,
+    rasterize_family,
+    ring_modulus_exact,
+)
+from .quadrature import RingSpec, qnorm_profile
+from .svgplot import disk_scene_svg, line_plot_svg, write_svg
 
 SCHEMA_VERSION = 1
 _RING_TOL = 1e-5  # ring-modulus solver tolerance; its rays meet no common cell, so the solve is closed form
@@ -51,9 +68,6 @@ def _parse_grid(spec: str):
 
 
 def _cmd_ring_modulus(args) -> int:
-    from .modulus import modulus_discrete, polar_grid, radial_connecting_family, rasterize_family, ring_modulus_exact
-    from .quadrature import RingSpec
-
     ring = RingSpec(args.r1, args.r2)
     n_r, n_theta = _parse_grid(args.grid)
     exact = ring_modulus_exact(ring)
@@ -62,8 +76,6 @@ def _cmd_ring_modulus(args) -> int:
     res = modulus_discrete(fam, dom, metric=args.metric, tol=_RING_TOL)
     rel = abs(res.value - exact) / exact
     if args.heatmap_file:
-        from .modulus import density_to_svg
-
         density_to_svg(dom, res.extremal, args.heatmap_file,
                        title=f"extremal density, ring ({args.r1}, {args.r2})")
     _emit({
@@ -81,10 +93,6 @@ def _cmd_ring_modulus(args) -> int:
 
 
 def _cmd_circle_family(args) -> int:
-    from .fields import parse_field
-    from .modulus import circle_family_modulus
-    from .quadrature import RingSpec
-
     ring = RingSpec(args.r1, args.r2)
     value, reference = circle_family_modulus(
         ring, parse_field(args.q), n_circles=_count(args.n_circles, "--n-circles")
@@ -101,9 +109,6 @@ def _cmd_circle_family(args) -> int:
 
 
 def _cmd_qnorm(args) -> int:
-    from .fields import parse_field
-    from .quadrature import RingSpec, qnorm_profile
-
     ring = RingSpec(args.r1, args.r2)
     prof = qnorm_profile(parse_field(args.q), ring, n_samples=_count(args.samples, "--samples"))
     if args.out == "csv":
@@ -114,9 +119,6 @@ def _cmd_qnorm(args) -> int:
 
 
 def _cmd_fmo(args) -> int:
-    from .criteria import NotIntegrableError, default_epsilon_sequence, fmo_check
-    from .fields import parse_field
-
     eps = default_epsilon_sequence(args.eps_start, _count(args.eps_count, "--eps-count"))
     field = parse_field(args.q)
     try:
@@ -125,8 +127,6 @@ def _cmd_fmo(args) -> int:
         print(f"field refused: {exc}", file=sys.stderr)
         return 2
     if args.svg_file:
-        from .svgplot import line_plot_svg, write_svg
-
         osc = np.maximum(rep.oscillations, 1e-300)
         write_svg(line_plot_svg(
             [("oscillation", rep.epsilons, osc)],
@@ -138,14 +138,8 @@ def _cmd_fmo(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    from .criteria import divergence_check
-    from .fields import parse_field
-    from .quadrature import RingSpec
-
     rep = divergence_check(parse_field(args.q), RingSpec(args.r1, args.r2))
     if args.svg_file:
-        from .svgplot import line_plot_svg, write_svg
-
         write_svg(line_plot_svg(
             [("partial integral", rep.epsilons, np.maximum(rep.partial_integrals, 1e-300))],
             title=f"reciprocal ring integral of {args.q} (verdict: {rep.verdict})",
@@ -156,10 +150,6 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    from .diskgeom import mobius_apply
-    from .fuchsian import build_dirichlet_domain, dirichlet_boundary, enumerate_elements, load_group
-    from .svgplot import disk_scene_svg, write_svg
-
     group = load_group(args.group)
     elements = enumerate_elements(group)
     dom = build_dirichlet_domain(group, elements=elements)
@@ -178,8 +168,6 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    from .mappings import distortion_sweep, finite_distortion_check, parse_map
-
     sweep = distortion_sweep(parse_map(args.map), _count(args.grid, "--grid"))
     rep = finite_distortion_check(sweep)
     if args.out == "csv":
@@ -200,8 +188,6 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .experiments import ExperimentConfig, run_experiment
-
     cfg = ExperimentConfig.from_json(args.config)  # a ConfigError is a ValueError: main exits 2
     record = run_experiment(cfg)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.config).parent / "results"
@@ -212,8 +198,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from .experiments import run_suite
-
     config_dir = Path(args.config_dir)
     if not config_dir.is_dir():
         print(f"config error: {config_dir} is not a directory", file=sys.stderr)

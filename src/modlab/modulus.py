@@ -257,7 +257,9 @@ class ModulusResult:
     bounds the discrete optimum from above; `dual_value` bounds it from below.
     `stop_reason` is "closed_form" (exact), "gap" (relative duality gap at
     most the solver tolerance; the active-set passes usually end on the exact
-    optimum, with a gap of about 1e-15) or "max_iter" (not certified).
+    optimum, with a gap of about 1e-15) or "max_iter" (not certified: the pass
+    budget ran out, or a tolerance below rounding left a proximal fixed point
+    short of it).
     `iterations` counts the active-set passes of all working-set rounds, 0
     for the closed form.
     """
@@ -592,8 +594,9 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
 
 _MAX_PASSES = 1000  # active-set passes before an uncertified stop
 _BACKUP_AFTER = 3  # passes without fewer infeasible indices before Murty's rule
-_START_FRACTION = 1 / 4  # of the distinct curves: the first working set
-_GROW_FRACTION = 1 / 8  # of the distinct curves: most added to it in one round
+_START_FRACTION = 1 / 4  # of the curves: the first working set
+_GROW_FRACTION = 1 / 8  # of the curves: most added to it in one round
+_PROXIMAL = 1e-10  # the proximal weight mu, relative to the largest diagonal entry of H
 
 
 def _bounds(lam: np.ndarray, slack: np.ndarray):
@@ -606,28 +609,6 @@ def _bounds(lam: np.ndarray, slack: np.ndarray):
     return float(np.sum(lam)) - energy, primal, min_slack
 
 
-def _distinct_rows(family: CurveFamily, lengths: np.ndarray, m: np.ndarray, row_sums: np.ndarray) -> np.ndarray:
-    """Indices of the curves the solve keeps: of identical incidence rows, the one of
-    smallest multiplicity (the first among equals), whose constraint implies the others'.
-
-    Identical rows share their count and their sum of lengths (`row_sums`, added in
-    storage order), so bytes are compared only among rows that share both."""
-    count = np.diff(family.indptr)
-    order = np.lexsort((m, row_sums, count))  # stable: equal multiplicities by index
-    count, total = count[order], row_sums[order]
-    same = (count[1:] == count[:-1]) & (total[1:] == total[:-1])
-    collide = np.zeros(len(m), dtype=bool)  # in sorted order: shares its key with a neighbour
-    collide[1:] = same
-    collide[:-1] |= same
-    keep, seen = np.ones(len(m), dtype=bool), set()
-    for g in order[collide]:
-        lo, hi = family.indptr[g], family.indptr[g + 1]
-        row = (family.indices[lo:hi].tobytes(), lengths[lo:hi].tobytes())
-        keep[g] = row not in seen
-        seen.add(row)
-    return np.flatnonzero(keep)
-
-
 def _extended(H: np.ndarray, B_W) -> np.ndarray:
     """B_W B_W^T from its leading block H, forming only the columns of the rows of the
     sparse B_W beyond len(H)."""
@@ -635,17 +616,17 @@ def _extended(H: np.ndarray, B_W) -> np.ndarray:
     return np.block([[H, H_new[:len(H)]], [H_new.T]])
 
 
-def _face_solve(H_FF: np.ndarray) -> np.ndarray:
-    """lam_F with H_FF lam_F = 1_F: by LU, or in least squares where the LU meets a zero
-    pivot or overflows (H_FF singular)."""
+def _face_solve(H_FF: np.ndarray, mu: float, c_F: np.ndarray):
+    """lam_F with (H_FF + mu I) lam_F = 1_F + mu c_F by LU, None where the LU meets a
+    zero pivot or the result is not finite (H_FF singular and mu = 0)."""
     ones = np.ones(len(H_FF))
+    if mu:
+        H_FF, ones = H_FF + mu * np.eye(len(H_FF)), ones + mu * c_F
     try:
         lam = np.linalg.solve(H_FF, ones)
-        if np.all(np.isfinite(lam)):
-            return lam
     except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(H_FF, ones, rcond=None)[0]
+        return None
+    return lam if np.all(np.isfinite(lam)) else None
 
 
 def modulus_discrete(
@@ -673,31 +654,38 @@ def modulus_discrete(
     solves that system on the current face, which starts as all of W, and
     finds the infeasible indices of W: lam_g < 0 on F, (H lam)_g < 1 off it.
     All of them change sides while their count falls; after `_BACKUP_AFTER`
-    passes without a fall only the last one in W does (Murty's rule), which
-    ends in finitely many passes where H is positive definite. A pass that
-    leaves none is the optimum on W and ends the round: the curves outside W
-    with slack below 1 join W and its face, most violated first and at most
-    `_GROW_FRACTION` of the curves per round, and only their columns of H
-    are formed. In the worst case W grows to every curve. Identical
-    incidence rows are one constraint, implied by the row of smallest
-    multiplicity: the solve keeps that one alone, the others get lam = 0. A
-    face whose LU meets a zero pivot or overflows is solved in least
-    squares; where H is singular beyond repeated rows (more curves than
-    cells) the passes may cycle.
+    passes without a fall only the last one in W does (Murty's rule). A pass
+    that leaves none is the optimum on W and ends the round: the curves
+    outside W with slack below 1 join W and its face, most violated first and
+    at most `_GROW_FRACTION` of the curves per round, and only their columns
+    of H are formed. In the worst case W grows to every curve.
+
+    H is singular where a row repeats (up to its multiplicity), one curve is
+    the sum of others, or there are more curves than cells. A proximal term
+    (Rockafellar 1976) makes every face definite: the passes minimize the dual
+    plus mu/2 |lam - c|^2, so a face solves (H_FF + mu I) lam_F = 1_F + mu c_F
+    and an index off it is infeasible where (H lam - mu c)_g < 1. mu is 0, and
+    the passes are those above, until the first singular face (solved again
+    in a pass of its own), Murty step, or optimum on W that no curve outside
+    W violates and that misses `tol`. From then on mu is `_PROXIMAL` times
+    the largest diagonal entry of H: Murty's rule ends in finitely many
+    passes on the definite faces (Júdice & Pires 1994), and each such optimum
+    on W moves the center c, 0 before, to lam: a proximal step, and the steps
+    converge to an optimum of the dual (Rockafellar 1976).
 
     Each pass is certified over every curve by z = max(lam, 0), 0 off W: its
     dual value sum(z) - sum(A rho^2), rho = L^T(m z) / (2A), bounds the
     optimum from below, and rho rescaled by its smallest slack m L rho =
     B (B^T z) (exactly feasible) from above. The solve stops once their
     relative gap is at most `tol` ("gap"), and uncertified ("max_iter")
-    after `_MAX_PASSES` passes or at an optimum on W that no curve outside W
-    violates whose gap still exceeds `tol` (a `tol` below rounding); where
-    it stops before rho meets every curve, the density reported is rho_1.
-    `iterations` counts the passes of all rounds. Weak duality holds for
-    every z >= 0 and its computed slack, so a dual above the primal is
-    rounding in their sums (at the exact optimum they agree to about 1e-16,
-    and on 3 to 8 chords the dual came out above in 43 of 800 solves): the
-    dual is lowered to the primal.
+    after `_MAX_PASSES` passes or at a proximal step that leaves lam
+    unchanged, bit for bit, with the gap still above `tol` (a `tol` below
+    rounding); where it stops before rho meets every curve, the density
+    reported is rho_1. `iterations` counts the passes of all rounds. Weak
+    duality holds for every z >= 0 and its computed slack, so a dual above
+    the primal is rounding in their sums (at the exact optimum they agree to
+    about 1e-16, and on 3 to 8 chords the dual came out above in 43 of 800
+    solves): the dual is lowered to the primal.
     """
     lengths = family.lengths(metric)  # ValueError for an unknown metric
     if not 0.0 < tol < 1.0:  # a relative gap
@@ -736,25 +724,30 @@ def modulus_discrete(
     B = sp.csr_matrix((lengths * m[curve] / np.sqrt(2.0 * A)[cells], cells, family.indptr),
                       shape=(n_curves, n_cells))
     BT = B.T
-    kept = _distinct_rows(family, lengths, m, row_sums)
-    outside = np.zeros(n_curves, dtype=bool)
-    outside[kept] = True
+    outside = np.ones(n_curves, dtype=bool)
     # the curves shortest under rho_1 are the first working set
-    new = kept[np.argsort(slack[kept], kind="stable")[:math.ceil(_START_FRACTION * len(kept))]]
-    W, H, on_face = new[:0], np.zeros((0, 0)), np.zeros(0, dtype=bool)
-    passes, stop_reason = 0, "max_iter"
+    new = np.argsort(slack, kind="stable")[:math.ceil(_START_FRACTION * n_curves)]
+    W, H, on_face, c = new[:0], np.zeros((0, 0)), np.zeros(0, dtype=bool), np.zeros(0)
+    passes, stop_reason, dual, min_slack = 0, "max_iter", 0.0, 0.0
+    # the proximal weight, 0 until the passes need it; H_gg = m_g^2 S_g / 2
+    mu, mu_on = 0.0, _PROXIMAL * 0.5 * float(np.max(m * m * S))
     while passes < _MAX_PASSES:
         if len(new):  # a round starts: the new curves join W and its face
             W = np.concatenate((W, new))
             H = _extended(H, B[W])
             outside[new] = False
             on_face = np.concatenate((on_face, np.ones(len(new), dtype=bool)))
+            c = np.concatenate((c, np.zeros(len(new))))
             fewest, backup, new = len(W) + 1, _BACKUP_AFTER, new[:0]
         face = np.flatnonzero(on_face)
-        lam = np.zeros(len(W))
         # the full face is H itself: the solve copies it anyway
-        lam[face] = _face_solve(H if len(face) == len(W) else H[np.ix_(face, face)])
+        lam_F = _face_solve(H if len(face) == len(W) else H[np.ix_(face, face)], mu, c[face])
         passes += 1
+        if lam_F is None:  # a singular face: solved again with the proximal term
+            mu = mu_on
+            continue
+        lam = np.zeros(len(W))
+        lam[face] = lam_F
         z = np.zeros(n_curves)
         z[W] = np.maximum(lam, 0.0)
         slack = B @ (BT @ z)  # m L rho(z) on every curve
@@ -762,12 +755,16 @@ def modulus_discrete(
         if dual >= (1.0 - tol) * primal:  # relative gap at most tol; never when primal is inf
             stop_reason = "gap"
             break
-        infeasible = np.flatnonzero(np.where(on_face, lam < 0.0, H @ lam < 1.0))
+        infeasible = np.flatnonzero(np.where(on_face, lam < 0.0, H @ lam - mu * c < 1.0))
         if len(infeasible) == 0:  # the optimum on W: the curves it leaves short join next
             new = np.flatnonzero(outside & (slack < 1.0))
-            if len(new) == 0:  # nothing to add, and the bounds miss tol
+            if len(new):
+                new = new[np.argsort(slack[new], kind="stable")[:math.ceil(_GROW_FRACTION * n_curves)]]
+            elif mu and np.array_equal(lam, c):  # a proximal fixed point that misses tol
                 break
-            new = new[np.argsort(slack[new], kind="stable")[:math.ceil(_GROW_FRACTION * len(kept))]]
+            else:  # a proximal step: the center moves to lam
+                mu = mu_on
+                c = lam
             continue
         if len(infeasible) < fewest:
             fewest, backup = len(infeasible), _BACKUP_AFTER
@@ -775,6 +772,7 @@ def modulus_discrete(
             backup -= 1
         else:
             infeasible = infeasible[-1:]  # Murty's rule: the last index of W alone
+            mu = mu_on
         on_face[infeasible] = ~on_face[infeasible]
 
     if min_slack > 0.0:

@@ -36,10 +36,10 @@ class TestRingModulus:
         assert data["stop_reason"] == "closed_form" and data["duality_gap"] == 0.0
 
     def test_uncertified_solve_fails(self, capsys, monkeypatch):
-        from modlab import modulus
+        from modlab import cli
 
-        solve = modulus.modulus_discrete
-        monkeypatch.setattr(modulus, "modulus_discrete",
+        solve = cli.modulus_discrete
+        monkeypatch.setattr(cli, "modulus_discrete",
                             lambda *a, **kw: dataclasses.replace(solve(*a, **kw), stop_reason="max_iter"))
         code, out, _ = run_cli(capsys, "ring-modulus", "--r1", "0.5", "--r2", "1.5",
                                "--grid", "40x96")

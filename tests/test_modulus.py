@@ -187,14 +187,26 @@ def _overlap_family(seed):
     return rasterize_family(PolylineFamily(_overlap_chords(rng), kind="connecting"), dom), dom, rng
 
 
-def _bent_chord_family(chords, n_cells=8):
+def _bent_chord_family(chords, n_x=8, n_y=None):
     """Chords (y0, bx, by, y1, multiplicity) from (-0.4, y0) over (bx, by) to (0.4, y1)
-    on n_cells x n_cells cells of [-0.4, 0.4]^2."""
-    dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), n_cells, n_cells)
+    on n_x x n_y cells of [-0.4, 0.4]^2 (n_y = n_x by default)."""
+    dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), n_x, n_y or n_x)
     polylines = tuple(Polyline((complex(-0.4, y0), complex(bx, by), complex(0.4, y1)))
                       for y0, bx, by, y1, _ in chords)
     pf = PolylineFamily(polylines, kind="connecting", multiplicities=tuple(c[-1] for c in chords))
     return rasterize_family(pf, dom), dom
+
+
+def _random_chord_family(rng, n_chords, n_x, n_y, copies):
+    """A `_bent_chord_family` drawn from rng: n_chords chords, each run 1 to `copies`
+    times as separate curves of multiplicity 1 or 2, and cell weights in [0.5, 2]."""
+    y0, y1 = rng.uniform(-0.39, 0.39, (2, n_chords))
+    bx, by = rng.uniform(0.02, 0.08, (2, n_chords))
+    repeats = rng.integers(1, copies + 1, n_chords)
+    chords = [(a, b, c, d) for a, b, c, d, k in zip(y0, bx, by, y1, repeats) for _ in range(k)]
+    mult = rng.integers(1, 3, len(chords))
+    fam, dom = _bent_chord_family([(*chord, int(k)) for chord, k in zip(chords, mult)], n_x, n_y)
+    return fam, dom, rng.uniform(0.5, 2.0, dom.n_cells)
 
 
 def _crossing_family():
@@ -614,20 +626,46 @@ class TestModulusDiscrete:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_more_curves_than_cells_keeps_valid_bounds(self, seed):
-        # 12 curves on 4 cells: H is singular beyond repeated rows, and block principal
-        # pivoting may stop on max_iter; certified or not, the bounds bracket the optimum
+        # 12 curves on 4 cells: H is singular beyond repeated rows, and the proximal
+        # term makes every face definite, so the solve certifies the bracket
         rng = np.random.default_rng(seed)
         y0, y1 = rng.uniform(-0.39, 0.39, (2, 12))
         bx, by = rng.uniform(0.02, 0.08, (2, 12))
-        fam, dom = _bent_chord_family(list(zip(y0, bx, by, y1, [1] * 12)), n_cells=2)
+        fam, dom = _bent_chord_family(list(zip(y0, bx, by, y1, [1] * 12)), n_x=2)
         for metric in ("euclidean", "hyperbolic"):
             res = modulus_discrete(fam, dom, metric=metric, tol=1e-12)
             exact = nnls_oracle(fam, dom, metric)
-            assert res.stop_reason in ("gap", "max_iter")
+            assert res.stop_reason == "gap"
             assert res.dual_value <= exact * (1 + 1e-12) and exact <= res.value * (1 + 1e-12)
 
+    def test_singular_families_certify(self):
+        # 5-24 chords on 1-3 x 1-3 cells: most families have more curves than cells
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n_chords, n_x, n_y = int(rng.integers(5, 25)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            fam, dom, weights = _random_chord_family(rng, n_chords, n_x, n_y, copies=1)
+            for metric in ("euclidean", "hyperbolic"):
+                res = modulus_discrete(fam, dom, metric=metric, tol=1e-12, weights=weights)
+                exact = nnls_oracle(fam, dom, metric, weights)
+                assert res.stop_reason == "gap", (seed, metric)
+                assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0), (seed, metric)
+                assert res.dual_value == pytest.approx(exact, rel=1e-12, abs=0.0), (seed, metric)
+
+    def test_duplicated_curves_certify(self):
+        # 3-8 chords, each run 1-3 times as separate curves: equal rows, and rows equal
+        # up to their multiplicities, make singular faces
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            fam, dom, weights = _random_chord_family(rng, int(rng.integers(3, 9)), 8, 8, copies=3)
+            for metric in ("euclidean", "hyperbolic"):
+                res = modulus_discrete(fam, dom, metric=metric, tol=1e-12, weights=weights)
+                exact = nnls_oracle(fam, dom, metric, weights)
+                assert res.stop_reason == "gap", (seed, metric)
+                assert res.value == pytest.approx(exact, rel=1e-12, abs=0.0), (seed, metric)
+                assert res.dual_value == pytest.approx(exact, rel=1e-12, abs=0.0), (seed, metric)
+
     def test_face_solve_with_a_duplicated_curve(self):
-        # two equal rows, of multiplicities 1 and 2: the solve keeps the first alone
+        # two equal rows, of multiplicities 1 and 2: a face holding both is singular
         chords = ((-0.3, 0.05, 0.05, 0.2, 1), (-0.3, 0.05, 0.05, 0.2, 2),
                   (0.1, 0.03, 0.07, -0.25, 2), (0.35, 0.06, 0.04, -0.1, 1))
         fam, dom = _bent_chord_family(chords)
@@ -660,8 +698,8 @@ class TestModulusDiscrete:
 
     def test_singular_face_never_raises(self, monkeypatch):
         # nine chords through one cell, five distinct: H has rank 1, so the first face,
-        # two curves of the working set, meets a zero pivot, and the pass solves it in
-        # least squares instead
+        # three curves of the working set, meets a zero pivot, and the pass solves it
+        # again with the proximal term
         dom = cartesian_grid(((-0.2, 0.2), (-0.2, 0.2)), 1, 1)
         chords = tuple(Polyline((complex(-0.2, y), complex(0.2, 0.5 * y))) for y in np.linspace(-0.15, 0.15, 9))
         fam = rasterize_family(PolylineFamily(chords, kind="connecting"), dom)
@@ -678,6 +716,7 @@ class TestModulusDiscrete:
         for metric in ("euclidean", "hyperbolic"):
             res = modulus_discrete(fam, dom, metric=metric, tol=1e-12)
             exact = nnls_oracle(fam, dom, metric)
+            assert res.stop_reason == "gap"
             assert res.dual_value <= exact * (1 + 1e-12) and exact <= res.value * (1 + 1e-12)
             assert res.max_constraint_violation <= 1e-12
         assert singular
@@ -724,25 +763,6 @@ class TestModulusDiscrete:
         res = modulus_discrete(fam, dom, tol=1e-6, weights=rng.uniform(0.5, 2.0, dom.n_cells))
         assert res.stop_reason == "gap" and len(rows) == res.iterations
         assert max(rows) < len(fam)
-
-    def test_distinct_rows_keeps_the_smallest_multiplicity(self):
-        # rows 0, 2 and 4 are equal; rows 1 and 3 share their cells, count and sum
-        # but not their lengths; row 5 is alone
-        indptr = np.array([0, 2, 4, 6, 8, 10, 11])
-        indices = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 2])
-        lengths = np.array([1.0, 2.0, 0.5, 2.5, 1.0, 2.0, 2.5, 0.5, 1.0, 2.0, 3.0])
-        for mult in ((1, 1, 1, 1, 1, 1), (3, 2, 2, 1, 2, 1), (2, 1, 3, 1, 1, 2)):
-            fam = modulus.CurveFamily(indptr, indices, lengths, lengths, 3, mult)
-            m = np.asarray(mult, dtype=float)
-            # the reference: curves by multiplicity, each kept unless an equal row was
-            seen, kept = set(), []
-            for g in np.argsort(m, kind="stable"):
-                row = (indices[indptr[g]:indptr[g + 1]].tobytes(), lengths[indptr[g]:indptr[g + 1]].tobytes())
-                if row not in seen:
-                    seen.add(row)
-                    kept.append(g)
-            row_sums = np.add.reduceat(lengths, indptr[:-1])
-            assert np.array_equal(modulus._distinct_rows(fam, lengths, m, row_sums), np.sort(kept))
 
     @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": 1.0}, {"metric": "Euclidean"}])
     def test_solver_settings_validated(self, kw):
