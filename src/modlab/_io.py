@@ -38,6 +38,15 @@ def json_number(value, name: str, whole: bool = False, optional: bool = False):
     return int(value) if whole else number
 
 
+def spec_argument(text: str):
+    """The JSON value a CLI spec's argument spells (3 for winding:3), else the
+    text itself ("1_000", " 2"), for `json_number` to refuse by name."""
+    try:
+        return json.loads(text) if text == text.strip() else text
+    except ValueError:
+        return text
+
+
 def json_object(value, name: str, known) -> dict:
     """A JSON object whose keys are all `known`, or a ValueError naming the
     object and, for a key its reader does not read, that key and the known ones."""

@@ -44,6 +44,8 @@ from .fields import parse_field
 from .mappings import (
     _DEGREE_RADIUS,
     SampleMap,
+    _cabs,
+    _refuse_sense_reversing,
     dilatation,
     map_from_config,
     multiplicity,
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 
+_RADIAL_TOL = 1e-12  # the largest spread of |f| on a band edge circle |z| = R, relative to |f(R)|
 _RHS_DELTA_MAX = 1e-6  # largest refinement delta / rhs of a passing lower_q verdict
 _SOLVER_TOL = 1e-6  # the relative duality gap of the lower_q modulus solve
 # the boundary probe's paths: n_steps points each, at |z| = 1 - delta0 * 2**-k,
@@ -138,8 +141,6 @@ def _read_lower_q(settings: dict, f: SampleMap) -> tuple:
     lower_q experiment, or a ConfigError why it cannot run."""
     if settings.get("ring") is None:
         raise ConfigError("lower_q needs a ring")
-    if not f.fixes_origin_radially:
-        raise ConfigError(f"lower_q needs a map that fixes 0 radially, got {f.label}")
     ring = json_object(settings["ring"], "ring", ("r_inner", "r_outer"))
     ring = RingSpec(*(json_number(ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
     if euclid_radius(ring.r_outer) >= _DEGREE_RADIUS:
@@ -152,7 +153,23 @@ def _read_lower_q(settings: dict, f: SampleMap) -> tuple:
     tolerances = _section(settings.get("tolerances"), "tolerances", ("ratio_min", "ratio_max"))
     ratio_min = json_number(tolerances.get("ratio_min", 0.95), "tolerances.ratio_min")
     ratio_max = json_number(tolerances.get("ratio_max"), "tolerances.ratio_max", optional=True)
+    _refuse_non_radial(f, ring, n_circles)
     return ring, n_circles, n_theta, n_profile, ratio_min, ratio_max
+
+
+def _refuse_non_radial(f: SampleMap, ring: RingSpec, n_circles: int) -> None:
+    """A ConfigError unless f fixes 0 radially where lower_q uses it: on each
+    band edge circle |z| = R, at 8 angles, |f| spreads by at most
+    _RADIAL_TOL * |f(R)| (absolute, so R = 0 passes), |f(R)| rises strictly
+    with R, and J >= 0 there and on the distortion lattice."""
+    R = np.array([euclid_radius(r) for r in ring.band_edges(n_circles)])
+    z = (R[:, None] * np.exp(2j * math.pi * np.arange(8) / 8)).ravel()
+    w = _cabs(f(z)).reshape(len(R), 8)
+    spread = w.max(axis=1) - w.min(axis=1)
+    if np.any(spread > _RADIAL_TOL * w[:, 0]) or not np.all(np.diff(w[:, 0]) > 0.0):
+        raise ConfigError(f"lower_q needs a map that fixes 0 radially, but on the band edge circles |z| = R "
+                          f"|{f.label}| spreads by up to {spread.max():.3g} or does not rise strictly with R")
+    _refuse_sense_reversing(f, z)
 
 
 def _read_boundary_ext(settings: dict, f: SampleMap) -> tuple:
@@ -222,13 +239,15 @@ def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
 
 def _image_circles(f: SampleMap, ring: RingSpec, n_circles: int, n_theta: int):
     """(f(Σ), its grid, the image ring's hyperbolic radii) for the circles Σ at
-    the ring's band centers and a map f that fixes 0 radially. f takes the
-    circle |z| = R to the circle |w| = f.image_radius(R), run f.degree times,
-    so it takes each band of the source grid onto a band: the image grid is
-    the source grid carried by f, and each image circle lies in its own band."""
-    edges = [hyp_radius(f.image_radius(euclid_radius(r))) for r in ring.band_edges(n_circles)]
-    image = circle_family([f.image_radius(euclid_radius(r)) for r in ring.band_centers(n_circles)],
-                          multiplicity=f.degree, n_vertices=4 * n_theta)
+    the ring's band centers and a map f that fixes 0 radially, as
+    `_refuse_non_radial` checked at load. f takes the circle |z| = R to the
+    circle |w| = |f(R)|, run f.degree times, so it takes each band of the
+    source grid onto a band: the image grid is the source grid carried by f,
+    and each image circle lies in its own band."""
+    radii = np.concatenate([ring.band_edges(n_circles), ring.band_centers(n_circles)])
+    image_radii = _cabs(f(np.array([euclid_radius(r) for r in radii], dtype=complex))).tolist()
+    edges = [hyp_radius(R) for R in image_radii[: n_circles + 1]]
+    image = circle_family(image_radii[n_circles + 1:], multiplicity=f.degree, n_vertices=4 * n_theta)
     return image, _polar_grid(np.array(edges), n_theta), (edges[0], edges[-1])
 
 

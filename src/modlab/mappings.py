@@ -1,15 +1,14 @@
 """Closed-form sample mappings of the disk and their distortion data.
 
 Each kind is defined by its constructor, which sets the map's evaluator, its
-analytic Wirtinger derivatives (or none, for central differences), its degree
-at 0 and whether it fixes 0 radially: mobius (conformal), radial_stretch
-z|z|^{k-1}, winding r e^{i k theta}, compositions, and custom evaluators.
-Dilatation, Jacobian and the finite-distortion check are derived from the
-Wirtinger derivatives; multiplicity bounds are winding numbers of the image of
-the circle |z| = 0.999. A map that fixes 0 radially takes the circle of
-Euclidean radius R about 0 to the circle of radius `image_radius(R)`, run
-`degree` times; lower_q builds its image circles and the image grid, the
-source grid's band edges carried by f, from that alone.
+analytic Wirtinger derivatives (or none, for central differences) and its
+degree at 0: mobius (conformal), radial_stretch z|z|^{k-1}, winding
+r e^{i k theta}, compositions, and custom evaluators. A config names a kind
+by one row of `_MAP_KINDS`: the keys it reads and its builder. Dilatation,
+Jacobian and the finite-distortion check are derived from the Wirtinger
+derivatives; multiplicity bounds are winding numbers of the image of the
+circle |z| = 0.999. Whether a map takes circles about 0 onto circles about 0
+is not declared here: lower_q measures it on f when its config is loaded.
 
 Maps, Wirtinger derivatives and the dilatation take and return complex
 arrays; a point is a one-element array. K is inf where the Jacobian vanishes.
@@ -25,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import csv_text, json_number, json_object
+from ._io import csv_text, json_number, json_object, spec_argument
 from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, mobius_apply
 
 __all__ = [
@@ -59,15 +58,13 @@ class SampleMap:
     `evaluate` maps an array of complex points; `wirtinger_analytic` gives the
     (f_z, f_zbar) arrays, with branch points taking the limit along arg z = 0,
     or is None when derivatives come from central differences. `degree` is the
-    local topological degree at the branch point 0 (= N on circles about 0);
-    `fixes_origin_radially` is True when |f(z)| depends only on |z| and f(0) = 0.
+    local topological degree at the branch point 0 (= N on circles about 0).
     """
 
     evaluate: Callable
     label: str
     wirtinger_analytic: Callable = None
     degree: int = 1
-    fixes_origin_radially: bool = False
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """f at an array of complex points; a point is a one-element array."""
@@ -77,19 +74,13 @@ class SampleMap:
     def has_analytic_wirtinger(self) -> bool:
         return self.wirtinger_analytic is not None
 
-    def image_radius(self, R: float) -> float:
-        """|f(R)|: when `fixes_origin_radially`, the Euclidean radius of the
-        image of the circle |z| = R, which is the circle |w| = |f(R)|."""
-        return abs(complex(self(np.array([R], dtype=complex))[0]))
-
 
 def mobius_map(g: MobiusAutomorphism) -> SampleMap:
     def wirtinger_analytic(z):
         fz = 1.0 / (np.conjugate(g.c) * z + np.conjugate(g.a)) ** 2
         return fz, np.zeros_like(fz)
 
-    return SampleMap(lambda z: mobius_apply(g, z), "mobius", wirtinger_analytic,
-                     fixes_origin_radially=abs(g.c) < 1e-15)  # a rotation about 0
+    return SampleMap(lambda z: mobius_apply(g, z), "mobius", wirtinger_analytic)
 
 
 def identity_map() -> SampleMap:
@@ -114,8 +105,7 @@ def radial_stretch(k: float) -> SampleMap:
         fzb = 0.5 * (k - 1.0) * rk * u**2
         return fz, fzb
 
-    return SampleMap(lambda z: z * np.abs(z) ** (k - 1.0), label, wirtinger_analytic,
-                     fixes_origin_radially=True)
+    return SampleMap(lambda z: z * np.abs(z) ** (k - 1.0), label, wirtinger_analytic)
 
 
 def winding(k: int) -> SampleMap:
@@ -133,7 +123,7 @@ def winding(k: int) -> SampleMap:
         fzb = -0.5 * (k - 1.0) * u ** (k + 1.0)
         return fz, fzb
 
-    return SampleMap(evaluate, f"winding:{k}", wirtinger_analytic, degree=k, fixes_origin_radially=True)
+    return SampleMap(evaluate, f"winding:{k}", wirtinger_analytic, degree=k)
 
 
 def compose_maps(*maps: SampleMap) -> SampleMap:
@@ -162,7 +152,6 @@ def compose_maps(*maps: SampleMap) -> SampleMap:
         "(" + "∘".join(m.label for m in reversed(maps)) + ")",
         wirtinger_analytic if all(m.has_analytic_wirtinger for m in maps) else None,
         degree=math.prod(m.degree for m in maps),
-        fixes_origin_radially=all(m.fixes_origin_radially for m in maps),
     )
 
 
@@ -198,16 +187,26 @@ def parse_map(spec: str) -> SampleMap:
     kind, _, arg = spec.partition(":")
     cfg = {"kind": "radial_stretch" if kind == "radial-stretch" else kind}
     if arg:
-        try:
-            cfg["k"] = json.loads(arg)  # winding:3 gives 3, as {"k": 3} does
-        except ValueError:
-            cfg["k"] = arg  # not JSON at all: the number rule refuses it by name
+        cfg["k"] = spec_argument(arg)  # winding:3 gives 3, as {"k": 3} does
     return map_from_config(cfg)
 
 
-# the keys each map kind reads besides "kind"
-_MAP_KEYS = {"identity": (), "winding": ("k",), "radial_stretch": ("k",),
-             "mobius": ("a_re", "a_im", "c_re", "c_im"), "composition": ("parts",), "spiral": (), "fold": ()}
+def _mobius_from_config(cfg: dict) -> SampleMap:
+    a_re, c_re = (json_number(cfg[key], f"map.{key}") for key in ("a_re", "c_re"))
+    a_im, c_im = (json_number(cfg.get(key, 0.0), f"map.{key}") for key in ("a_im", "c_im"))
+    return mobius_map(MobiusAutomorphism(complex(a_re, a_im), complex(c_re, c_im)))
+
+
+# every map kind a config can name: kind -> (the keys it reads besides "kind", its builder)
+_MAP_KINDS = {
+    "identity": ((), lambda cfg: identity_map()),
+    "winding": (("k",), lambda cfg: winding(json_number(cfg["k"], "map.k", whole=True))),
+    "radial_stretch": (("k",), lambda cfg: radial_stretch(json_number(cfg["k"], "map.k"))),
+    "mobius": (("a_re", "a_im", "c_re", "c_im"), _mobius_from_config),
+    "composition": (("parts",), lambda cfg: compose_maps(*(map_from_config(part) for part in cfg["parts"]))),
+    "spiral": ((), lambda cfg: boundary_spiral_map()),
+    "fold": ((), lambda cfg: fold_map()),
+}
 
 
 def map_from_config(cfg: dict) -> SampleMap:
@@ -216,22 +215,10 @@ def map_from_config(cfg: dict) -> SampleMap:
     read is refused by `_io.json_object`, in each part of a composition too."""
     try:
         kind = cfg["kind"]
-        if kind not in _MAP_KEYS:
+        if kind not in _MAP_KINDS:
             raise ValueError(f"unknown map kind {kind!r}")
-        json_object(cfg, "map", ("kind", *_MAP_KEYS[kind]))
-        if kind == "identity":
-            return identity_map()
-        if kind == "winding":
-            return winding(json_number(cfg["k"], "map.k", whole=True))
-        if kind == "radial_stretch":
-            return radial_stretch(json_number(cfg["k"], "map.k"))
-        if kind == "mobius":
-            a_re, c_re = (json_number(cfg[key], f"map.{key}") for key in ("a_re", "c_re"))
-            a_im, c_im = (json_number(cfg.get(key, 0.0), f"map.{key}") for key in ("a_im", "c_im"))
-            return mobius_map(MobiusAutomorphism(complex(a_re, a_im), complex(c_re, c_im)))
-        if kind == "composition":
-            return compose_maps(*(map_from_config(part) for part in cfg["parts"]))
-        return boundary_spiral_map() if kind == "spiral" else fold_map()
+        keys, build = _MAP_KINDS[kind]
+        return build(json_object(cfg, "map", ("kind", *keys)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed map spec {cfg!r}: {exc!r}") from exc
 

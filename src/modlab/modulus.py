@@ -98,8 +98,8 @@ def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
     fixes 0 radially.
 
     Cell centers sit at the hyperbolic band midpoint, the rule of
-    `RingSpec.band_centers`, so circles placed at a ring's band centers
-    share the metric factor of their cells exactly.
+    `RingSpec.band_centers`, so circles at a ring's band centers run through
+    their cells' centers to an ulp (numpy's tanh here, math's for circles).
     """
     if n_theta < 4:
         raise ValueError("need n_theta >= 4")

@@ -69,6 +69,11 @@ def shipped(name):
     return json.loads((CONFIG_DIR / f"{name}.json").read_text())
 
 
+def shipped_settings(name):
+    """A shipped config's settings: its keys other than id, kind and map."""
+    return {key: value for key, value in shipped(name).items() if key not in ("id", "kind", "map")}
+
+
 def shipped_with(name, section, key, value):
     """A shipped config with one value of one section replaced."""
     cfg = shipped(name)
@@ -207,13 +212,36 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
-    def test_lower_q_map_must_fix_origin_radially(self, tmp_path):
-        # the shipped identity config with the boundary_mobius map, which moves 0
-        cfg = json.loads((CONFIG_DIR / "lower_q_identity.json").read_text())
-        cfg["map"] = json.loads((CONFIG_DIR / "boundary_mobius.json").read_text())["map"]
-        path = write_cfg(tmp_path, "lq_mobius.json", cfg)
-        with pytest.raises(ConfigError, match="fixes 0 radially"):
+    @pytest.mark.parametrize("map_spec, reason", [
+        (shipped("boundary_mobius")["map"], "fixes 0 radially"),  # moves 0
+        ({"kind": "fold"}, "fold is not sense-preserving"),  # |fold(z)| = |z|, but J < 0 on x < 0
+    ], ids=["boundary_mobius", "fold"])
+    def test_lower_q_map_must_fix_origin_radially(self, tmp_path, map_spec, reason):
+        path = write_cfg(tmp_path, "lq.json", {**shipped("lower_q_identity"), "map": map_spec})
+        with pytest.raises(ConfigError, match=reason):
             ExperimentConfig.from_json(path)
+
+    @pytest.mark.parametrize("map_spec", [
+        {"kind": "identity"},
+        {"kind": "mobius", "a_re": 0.6, "a_im": 0.8, "c_re": 0.0},
+        {"kind": "radial_stretch", "k": 2},
+        {"kind": "winding", "k": 3},
+        {"kind": "composition", "parts": [{"kind": "radial_stretch", "k": 2}, {"kind": "winding", "k": 2}]},
+        {"kind": "spiral"},
+        {"kind": "composition", "parts": [{"kind": "spiral"}, {"kind": "winding", "k": 2}]},
+    ], ids=["identity", "rotation", "radial_stretch2", "winding3", "stretch-then-winding", "spiral",
+            "spiral-then-winding2"])
+    def test_lower_q_measures_that_f_fixes_origin_radially(self, map_spec):
+        # no map declares it: the load measures |f| on the band edge circles of the shipped ring
+        assert ExperimentConfig(experiment_id="radial", kind="lower_q", map_spec=map_spec,
+                                settings=shipped_settings("lower_q_identity")).params[1] == 64
+
+    def test_lower_q_ring_may_start_at_the_origin(self):
+        # the band edge circle |z| = 0 is one point: its spread of |f| is 0, with no ratio 0/0 to take
+        settings = {**shipped_settings("lower_q_identity"), "ring": {"r_inner": 0.0, "r_outer": 1.5}}
+        cfg = ExperimentConfig(experiment_id="origin", kind="lower_q", map_spec={"kind": "identity"},
+                               settings=settings)
+        assert cfg.params[0] == RingSpec(0.0, 1.5)
 
     def test_lower_q_ring_inside_the_degree_circle(self, tmp_path):
         # the degree certificate sweeps |z| = 0.999, hyperbolic radius about 7.6004
@@ -314,6 +342,11 @@ class TestImageCircles:
             compose_maps(radial_stretch(2), winding(3))]
     MAP_IDS = ["identity", "winding2", "radial_stretch2", "radial_stretch3", "composition"]
 
+    @staticmethod
+    def _image_radius(f, r):
+        """|f(R)| at the Euclidean radius R of the hyperbolic radius r, one point at a time."""
+        return abs(complex(f(np.array([euclid_radius(r)], dtype=complex))[0]))
+
     def _source(self, n_circles, n_theta):
         return circle_family([euclid_radius(r) for r in self.RING.band_centers(n_circles)], n_vertices=4 * n_theta)
 
@@ -339,14 +372,14 @@ class TestImageCircles:
     @pytest.mark.parametrize("n_circles", [6, 16])
     def test_grid_is_the_source_grid_carried_by_f(self, f, n_circles):
         image, dom, image_ring = _image_circles(f, self.RING, n_circles, 64)
-        carried = [f.image_radius(euclid_radius(r)) for r in self.RING.band_edges(n_circles)]
+        carried = [self._image_radius(f, r) for r in self.RING.band_edges(n_circles)]
         assert dom.geometry["n_r"] == n_circles and dom.geometry["n_theta"] == 64
         assert dom.geometry["R_edges"] == pytest.approx(carried, rel=4e-16, abs=0.0)
         assert image_ring == (hyp_radius(carried[0]), hyp_radius(carried[-1]))
         R_edges = dom.geometry["R_edges"]
         for i, (r, poly) in enumerate(zip(self.RING.band_centers(n_circles), image.polylines)):
             radius = np.abs(poly.vertices)
-            assert np.allclose(radius, f.image_radius(euclid_radius(r)), rtol=1e-15, atol=0.0)
+            assert np.allclose(radius, self._image_radius(f, r), rtol=1e-15, atol=0.0)
             assert R_edges[i] < radius.min() and radius.max() < R_edges[i + 1]  # inside its own band
         assert image.multiplicities == (f.degree,) * n_circles
 
@@ -407,6 +440,16 @@ class TestLowerQ:
         base = (math.log(math.tanh(0.75)) - math.log(math.tanh(0.25))) / (2 * math.pi)
         assert rec.lhs == pytest.approx(2 * base, rel=0.02)
         assert rec.rhs == pytest.approx(base / 2, rel=0.02)
+
+    def test_spiral_maps_each_circle_onto_itself(self):
+        # |spiral(z)| = |z|: the image circles are the identity's, so the lhs is lower_q_identity's
+        settings = shipped_settings("lower_q_identity")
+        del settings["tolerances"]["ratio_max"]
+        spiral = ExperimentConfig(experiment_id="lower_q_spiral", kind="lower_q", map_spec={"kind": "spiral"},
+                                  settings=settings)
+        rec = run_lower_q_verification(spiral)
+        assert rec.passed and rec.error is None and rec.ratio >= 1.0
+        assert rec.lhs == run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / "lower_q_identity.json")).lhs
 
     def test_ratio_stable_under_refinement(self, tmp_path):
         ratios = []

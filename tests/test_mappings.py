@@ -296,22 +296,21 @@ STRETCH_THEN_WIND = {"kind": "composition", "parts": [{"kind": "radial_stretch",
 
 
 class TestMapConstruction:
-    @pytest.mark.parametrize("make, degree, fixes_origin_radially, analytic", [
-        (lambda: parse_map("identity"), 1, True, True),
-        (lambda: map_from_config(ROTATION), 1, True, True),
-        (lambda: map_from_config(NON_ROTATION), 1, False, True),
-        (lambda: parse_map("winding:3"), 3, True, True),
-        (lambda: parse_map("radial_stretch:2"), 1, True, True),
-        (lambda: parse_map("spiral"), 1, False, False),
-        (lambda: parse_map("fold"), 1, False, False),
-        (lambda: map_from_config(STRETCH_THEN_WIND), 2, True, True),
-        (lambda: compose_maps(winding(2), fold_map()), 2, False, False),
+    @pytest.mark.parametrize("make, degree, analytic", [
+        (lambda: parse_map("identity"), 1, True),
+        (lambda: map_from_config(ROTATION), 1, True),
+        (lambda: map_from_config(NON_ROTATION), 1, True),
+        (lambda: parse_map("winding:3"), 3, True),
+        (lambda: parse_map("radial_stretch:2"), 1, True),
+        (lambda: parse_map("spiral"), 1, False),
+        (lambda: parse_map("fold"), 1, False),
+        (lambda: map_from_config(STRETCH_THEN_WIND), 2, True),
+        (lambda: compose_maps(winding(2), fold_map()), 2, False),
     ], ids=["identity", "rotation", "mobius", "winding3", "radial_stretch2", "spiral", "fold",
             "stretch-then-winding", "winding-then-custom"])
-    def test_map_fields(self, make, degree, fixes_origin_radially, analytic):
+    def test_map_fields(self, make, degree, analytic):
         f = make()
-        assert (f.degree, f.fixes_origin_radially, f.has_analytic_wirtinger) == \
-            (degree, fixes_origin_radially, analytic)
+        assert (f.degree, f.has_analytic_wirtinger) == (degree, analytic)
 
     def test_parse_shorthand(self):
         assert parse_map("winding:3").degree == 3
@@ -356,8 +355,11 @@ class TestMapConstruction:
         "radial_stretch:inf",
         "radial_stretch:NaN",
         "radial_stretch:1e999",
+        "winding:1_000",
+        "winding: 3",
     ], ids=["k-fraction", "k-boolean", "k-string", "k-nan", "k-infinite", "a-re-boolean",
-            "shorthand-nan", "shorthand-inf", "shorthand-json-nan", "shorthand-overflow"])
+            "shorthand-nan", "shorthand-inf", "shorthand-json-nan", "shorthand-overflow",
+            "shorthand-underscore", "shorthand-space"])
     def test_numbers_follow_the_json_rule(self, spec):
         # the JSON form and the shorthand meet the one rule of `_io.json_number`
         with pytest.raises(ValueError, match="map.k must be|map.a_re must be"):

@@ -335,6 +335,21 @@ class TestFieldCatalog:
         with pytest.raises(ValueError):
             parse_field("const:0")
 
+    @pytest.mark.parametrize("spec, label, value", [
+        ("const:2.5", "const:2.5", 2.5), ("const:1", "const:1", 1.0), (" const:1e2 ", "const:100", 100.0),
+    ])
+    def test_const_reads_a_json_number(self, spec, label, value):
+        field = parse_field(spec)
+        assert field.label == label
+        assert field.evaluate_array(np.array([0.3 + 0.1j]))[0] == value
+
+    @pytest.mark.parametrize("spec", ["const:1_000", "const: 2", "const:2 .5", "const:\"2\"", "const:true",
+                                      "const:NaN", "const:-1", "const:"])
+    def test_const_refuses_what_json_number_refuses(self, spec):
+        # the one number rule of map specs: 1_000 and " 2" are not JSON numbers
+        with pytest.raises(ValueError, match="finite c > 0 written as a JSON number"):
+            parse_field(spec)
+
     def test_values(self):
         z = np.array([0.5 + 0j])
         assert parse_field("inv-r").evaluate_array(z)[0] == pytest.approx(2.0)
