@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 
-_RADIAL_TOL = 1e-12  # the largest spread of |f| on a band edge circle |z| = R, relative to |f(R)|
+_RADIAL_TOL = 1e-12  # the largest spread of |f| on a band circle |z| = R, relative to |f(R)|
 _RHS_DELTA_MAX = 1e-6  # largest refinement delta / rhs of a passing lower_q verdict
 _SOLVER_TOL = 1e-6  # the relative duality gap of the lower_q modulus solve
 # the boundary probe's paths: n_steps points each, at |z| = 1 - delta0 * 2**-k,
@@ -159,15 +159,18 @@ def _read_lower_q(settings: dict, f: SampleMap) -> tuple:
 
 def _refuse_non_radial(f: SampleMap, ring: RingSpec, n_circles: int) -> None:
     """A ConfigError unless f fixes 0 radially where lower_q uses it: on each
-    band edge circle |z| = R, at 8 angles, |f| spreads by at most
-    _RADIAL_TOL * |f(R)| (absolute, so R = 0 passes), |f(R)| rises strictly
-    with R, and J >= 0 there and on the distortion lattice."""
-    R = np.array([euclid_radius(r) for r in ring.band_edges(n_circles)])
-    z = (R[:, None] * np.exp(2j * math.pi * np.arange(8) / 8)).ravel()
+    circle |z| = R at a band edge or center, the radii `_image_circles`
+    evaluates, |f| spreads by at most _RADIAL_TOL * |f(R)| (absolute, so R = 0
+    passes) over 8 angles, |f(R)| rises strictly with R, and J >= 0 there and
+    on the distortion lattice. The angles are multiples of the golden angle:
+    no integer winding order k sends them all to one point, as e^{ik 2πj/8}
+    does for k a multiple of 8."""
+    R = np.sort([euclid_radius(r) for r in (*ring.band_edges(n_circles), *ring.band_centers(n_circles))])
+    z = (R[:, None] * np.exp(1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(8))).ravel()
     w = _cabs(f(z)).reshape(len(R), 8)
     spread = w.max(axis=1) - w.min(axis=1)
     if np.any(spread > _RADIAL_TOL * w[:, 0]) or not np.all(np.diff(w[:, 0]) > 0.0):
-        raise ConfigError(f"lower_q needs a map that fixes 0 radially, but on the band edge circles |z| = R "
+        raise ConfigError(f"lower_q needs a map that fixes 0 radially, but on the band circles |z| = R "
                           f"|{f.label}| spreads by up to {spread.max():.3g} or does not rise strictly with R")
     _refuse_sense_reversing(f, z)
 

@@ -215,7 +215,14 @@ class TestConfigLoading:
     @pytest.mark.parametrize("map_spec, reason", [
         (shipped("boundary_mobius")["map"], "fixes 0 radially"),  # moves 0
         ({"kind": "fold"}, "fold is not sense-preserving"),  # |fold(z)| = |z|, but J < 0 on x < 0
-    ], ids=["boundary_mobius", "fold"])
+        # |g(R)| rises and both parts keep orientation, but g(|w| = R) is not centred at 0; 8 evenly
+        # spaced angles alias under w = z^8 (and |g| is even in w for c on the imaginary axis)
+        ({"kind": "composition", "parts": [{"kind": "winding", "k": 8},
+                                           {"kind": "mobius", "a_re": 1.0, "c_re": 0.3}]}, "fixes 0 radially"),
+        ({"kind": "composition", "parts": [{"kind": "winding", "k": 4},
+                                           {"kind": "mobius", "a_re": 1.0, "c_re": 0.0, "c_im": 0.3}]},
+         "fixes 0 radially"),
+    ], ids=["boundary_mobius", "fold", "winding8-then-mobius", "winding4-then-imaginary-mobius"])
     def test_lower_q_map_must_fix_origin_radially(self, tmp_path, map_spec, reason):
         path = write_cfg(tmp_path, "lq.json", {**shipped("lower_q_identity"), "map": map_spec})
         with pytest.raises(ConfigError, match=reason):
@@ -232,7 +239,7 @@ class TestConfigLoading:
     ], ids=["identity", "rotation", "radial_stretch2", "winding3", "stretch-then-winding", "spiral",
             "spiral-then-winding2"])
     def test_lower_q_measures_that_f_fixes_origin_radially(self, map_spec):
-        # no map declares it: the load measures |f| on the band edge circles of the shipped ring
+        # no map declares it: the load measures |f| on the band edge and center circles of the shipped ring
         assert ExperimentConfig(experiment_id="radial", kind="lower_q", map_spec=map_spec,
                                 settings=shipped_settings("lower_q_identity")).params[1] == 64
 
@@ -449,7 +456,8 @@ class TestLowerQ:
                                   settings=settings)
         rec = run_lower_q_verification(spiral)
         assert rec.passed and rec.error is None and rec.ratio >= 1.0
-        assert rec.lhs == run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / "lower_q_identity.json")).lhs
+        identity = run_lower_q_verification(ExperimentConfig.from_json(CONFIG_DIR / "lower_q_identity.json"))
+        assert rec.lhs == pytest.approx(identity.lhs, rel=1e-14)
 
     def test_ratio_stable_under_refinement(self, tmp_path):
         ratios = []
