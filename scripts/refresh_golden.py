@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from modlab._io import json_text
 from modlab.cli import main as cli_main
 from modlab.experiments import run_suite
 
@@ -39,16 +40,17 @@ COMMANDS = {
 }
 
 
-def _json_text(data) -> str:
+def _golden_text(data) -> str:
+    """A record without its `meta` block, in the one JSON format of `_io.json_text`."""
     data.pop("meta", None)
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json_text(data)
 
 
 def outputs(suite_dir) -> dict:
     """{golden file name: text} from the suite run already written to suite_dir
     and from one run of each command in COMMANDS."""
     suite_dir = Path(suite_dir)
-    texts = {path.name: _json_text(json.loads(path.read_text()))
+    texts = {path.name: _golden_text(json.loads(path.read_text()))
              for path in sorted(suite_dir.glob("*.json")) if path.name != "suite_report.json"}
     texts["suite_summary.csv"] = (suite_dir / "suite_summary.csv").read_text()
     with tempfile.TemporaryDirectory() as records:
@@ -60,7 +62,7 @@ def outputs(suite_dir) -> dict:
                 code = cli_main(argv)
             if code != 0:
                 raise RuntimeError(f"modlab {' '.join(argv)} exited {code}")
-            texts[name] = _json_text(json.loads(stdout.getvalue()))
+            texts[name] = _golden_text(json.loads(stdout.getvalue()))
     return texts
 
 

@@ -6,7 +6,10 @@ formatted here (`json_text`, `csv_text`), for files and for stdout alike.
 Suite determinism (byte-identical output outside `meta`) rests on these two
 formats, so every module writes its files through here: JSON with sorted
 keys and two-space indent, CSV cells with `repr` floats (shortest round-trip
-digits) and empty cells for missing values, both ending in a newline.
+digits) and empty cells for missing values, both ending in a newline. JSON
+takes numpy values as they are: an array is written as its list and a
+scalar as its Python value, so no caller converts for the writer; any other
+value JSON has no form for, a complex number included, is a TypeError.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 # the cap on every count read from outside input: config grid counts and CLI counts
 MAX_COUNT = 4096
@@ -58,8 +63,17 @@ def json_object(value, name: str, known) -> dict:
     return value
 
 
+def _json_value(value):
+    """The JSON form of a numpy value: an array's list, a real scalar's Python value."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic) and not isinstance(value, np.complexfloating):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} {value!r} has no JSON form")
+
+
 def json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, default=_json_value) + "\n"
 
 
 def write_json(data, path) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -133,7 +134,7 @@ def _cmd_fmo(args) -> int:
             title=f"mean oscillation of {args.q} (verdict: {rep.verdict})",
             xlabel="epsilon", ylabel="oscillation", logx=True, logy=True,
         ), args.svg_file)
-    _emit(rep.to_json(), args.out_file)
+    _emit(asdict(rep), args.out_file)
     return 0
 
 
@@ -145,7 +146,7 @@ def _cmd_divergence(args) -> int:
             title=f"reciprocal ring integral of {args.q} (verdict: {rep.verdict})",
             xlabel="epsilon", ylabel="integral", logx=True,
         ), args.svg_file)
-    _emit(rep.to_json(), args.out_file)
+    _emit(asdict(rep), args.out_file)
     return 0
 
 

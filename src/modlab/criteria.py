@@ -95,15 +95,6 @@ class FMOReport:
     trend_slope: float
     verdict: str  # "fmo" | "not_fmo" | "inconclusive"
 
-    def to_json(self) -> dict:
-        return {
-            "epsilons": list(map(float, self.epsilons)),
-            "means": list(map(float, self.means)),
-            "oscillations": list(map(float, self.oscillations)),
-            "trend_slope": self.trend_slope,
-            "verdict": self.verdict,
-        }
-
 
 def fmo_check(Q: ScalarField, epsilons=None, center=0j) -> FMOReport:
     """Mean oscillation of Q over shrinking balls about a point.
@@ -176,15 +167,6 @@ class DivergenceReport:
     fitted_growth: str  # "bounded" | "log" | "loglog" | "other"
     verdict: str  # "diverges" | "converges" | "inconclusive"
     residuals: dict
-
-    def to_json(self) -> dict:
-        return {
-            "epsilons": list(map(float, self.epsilons)),
-            "partial_integrals": list(map(float, self.partial_integrals)),
-            "fitted_growth": self.fitted_growth,
-            "verdict": self.verdict,
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-        }
 
 
 def _tail_integrals(Q: ScalarField, epsilons: np.ndarray, eps0: float) -> np.ndarray:

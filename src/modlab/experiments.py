@@ -16,9 +16,11 @@ Two experiment kinds, both driven by JSON configs:
   compares the observed behavior with the configured expectation.
 
 Every per-kind decision is one row of `_KINDS`: the keys a kind reads, their
-reader, the run and the plot. Every verdict goes through `_verdict`: a record
-passes when it is in band and all its certificates hold, and its `error`
-names every certificate that fails.
+reader, the run and the plot. Every run ends in `_record`, the one gate and
+the one record builder: a record passes when it is in band and all its
+certificates hold, its `error` names every certificate that fails, and it
+carries the run's time. lower_q measures f on its band radii once, at load
+(`_image_ring`): the values that admit f are the image ring the run uses.
 
 Every number in a record is traceable through its provenance block; records
 are deterministic given the config, with volatile data (timestamp, runtime)
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -137,12 +139,18 @@ def _grid_count(grid: dict, key: str, default: int, low: int) -> int:
 
 
 def _read_lower_q(settings: dict, f: SampleMap) -> tuple:
-    """(ring, n_circles, n_theta, n_profile, ratio_min, ratio_max) of a
-    lower_q experiment, or a ConfigError why it cannot run."""
+    """(ring, image band edges, image circle radii, n_theta, n_profile,
+    ratio_min, ratio_max) of a lower_q experiment, the image ring by
+    `_image_ring`, or a ConfigError why it cannot run."""
     if settings.get("ring") is None:
         raise ConfigError("lower_q needs a ring")
     ring = json_object(settings["ring"], "ring", ("r_inner", "r_outer"))
     ring = RingSpec(*(json_number(ring.get(key), f"ring.{key}") for key in ("r_inner", "r_outer")))
+    if ring.r_inner == 0.0:
+        # the circles start at the first band center, the RHS at r_outer * 1e-6: for a K bounded
+        # near 0 the two truncations differ without bound, and the ratio means nothing
+        raise ConfigError("lower_q needs ring.r_inner > 0: its LHS circles start at the first band center "
+                          "but its RHS integral starts at r_outer * 1e-6, so their ratio compares different rings")
     if euclid_radius(ring.r_outer) >= _DEGREE_RADIUS:
         raise ConfigError(f"ring.r_outer {ring.r_outer} (Euclidean {euclid_radius(ring.r_outer)}) must lie inside "
                           f"the degree certificate's circle |z| = {_DEGREE_RADIUS} (r = {hyp_radius(_DEGREE_RADIUS)})")
@@ -153,19 +161,27 @@ def _read_lower_q(settings: dict, f: SampleMap) -> tuple:
     tolerances = _section(settings.get("tolerances"), "tolerances", ("ratio_min", "ratio_max"))
     ratio_min = json_number(tolerances.get("ratio_min", 0.95), "tolerances.ratio_min")
     ratio_max = json_number(tolerances.get("ratio_max"), "tolerances.ratio_max", optional=True)
-    _refuse_non_radial(f, ring, n_circles)
-    return ring, n_circles, n_theta, n_profile, ratio_min, ratio_max
+    if ratio_max is not None and ratio_max < ratio_min:
+        raise ConfigError(f"tolerances.ratio_max {ratio_max} is below tolerances.ratio_min {ratio_min}: "
+                          "no ratio is in band")
+    return (ring, *_image_ring(f, ring, n_circles), n_theta, n_profile, ratio_min, ratio_max)
 
 
-def _refuse_non_radial(f: SampleMap, ring: RingSpec, n_circles: int) -> None:
-    """A ConfigError unless f fixes 0 radially where lower_q uses it: on each
-    circle |z| = R at a band edge or center, the radii `_image_circles`
-    evaluates, |f| spreads by at most _RADIAL_TOL * |f(R)| (absolute, so R = 0
-    passes) over 8 angles, |f(R)| rises strictly with R, and J >= 0 there and
-    on the distortion lattice. The angles are multiples of the golden angle:
-    no integer winding order k sends them all to one point, as e^{ik 2πj/8}
-    does for k a multiple of 8."""
-    R = np.sort([euclid_radius(r) for r in (*ring.band_edges(n_circles), *ring.band_centers(n_circles))])
+def _image_ring(f: SampleMap, ring: RingSpec, n_circles: int) -> tuple:
+    """(the image band edges as hyperbolic radii, the image circle radii) of
+    the ring's n_circles bands under f, or a ConfigError unless f fixes 0
+    radially there. |f| is measured once, on the circles |z| = R at the band
+    edges and centers, interleaved e0, c0, e1, ..., e_n, at 8 multiples of the
+    golden angle (no integer winding order k sends them all to one point, as
+    e^{ik 2πj/8} does for k a multiple of 8). On each circle |f| must spread by
+    at most _RADIAL_TOL * |f(R)|, |f(R)| must rise strictly with R, and J >= 0
+    there and on the distortion lattice. Such an f takes |z| = R to the circle
+    |w| = |f(R)|, run f.degree times, so the angle-0 column is the image ring:
+    the source grid carried by f (even rows), each image circle (odd rows)
+    inside its own band."""
+    r = np.empty(2 * n_circles + 1)
+    r[0::2], r[1::2] = ring.band_edges(n_circles), ring.band_centers(n_circles)
+    R = np.array([euclid_radius(x) for x in r])
     z = (R[:, None] * np.exp(1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(8))).ravel()
     w = _cabs(f(z)).reshape(len(R), 8)
     spread = w.max(axis=1) - w.min(axis=1)
@@ -173,6 +189,8 @@ def _refuse_non_radial(f: SampleMap, ring: RingSpec, n_circles: int) -> None:
         raise ConfigError(f"lower_q needs a map that fixes 0 radially, but on the band circles |z| = R "
                           f"|{f.label}| spreads by up to {spread.max():.3g} or does not rise strictly with R")
     _refuse_sense_reversing(f, z)
+    image = w[:, 0].tolist()  # angle 0: z = R exactly
+    return [hyp_radius(x) for x in image[0::2]], image[1::2]
 
 
 def _read_boundary_ext(settings: dict, f: SampleMap) -> tuple:
@@ -184,14 +202,6 @@ def _read_boundary_ext(settings: dict, f: SampleMap) -> tuple:
         raise ConfigError(f"expected must be 'extends' or 'no_limit', not {expected!r}")
     q_spec = settings.get("q_majorant")
     return angle, expected or "extends", q_spec, None if q_spec is None else parse_field(q_spec)
-
-
-def _verdict(in_band: bool, certificates) -> tuple:
-    """(passed, error) of a record: it passes when its figure is in band and
-    every certificate, a (holds, reason) pair, holds; `error` joins the reason
-    of every certificate that fails by "; ", None when none fails."""
-    failing = [reason for holds, reason in certificates if not holds]
-    return bool(in_band) and not failing, "; ".join(failing) or None
 
 
 @dataclass
@@ -209,24 +219,12 @@ class VerdictRecord:
     runtime_seconds: float = 0.0
 
     def to_json_dict(self, with_meta: bool = True) -> dict:
-        data = {
-            "schema_version": 1,
-            "experiment_id": self.experiment_id,
-            "kind": self.kind,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "provenance": self.provenance,
-            "error": self.error,
-        }
+        # shallow: `asdict` would deep-copy the provenance only for the writer to read it
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        runtime_seconds = data.pop("runtime_seconds")
+        data["schema_version"] = 1
         if with_meta:
-            data["meta"] = {
-                "timestamp": datetime.now(timezone.utc).isoformat(),
-                "runtime_seconds": self.runtime_seconds,
-            }
+            data["meta"] = {"timestamp": datetime.now(timezone.utc).isoformat(), "runtime_seconds": runtime_seconds}
         return data
 
     def write(self, path) -> None:
@@ -240,18 +238,16 @@ def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
     return ScalarField(lambda z: n_factor * dilatation(f, z), label=f"{n_factor:g}*K[{f.label}]")
 
 
-def _image_circles(f: SampleMap, ring: RingSpec, n_circles: int, n_theta: int):
-    """(f(Σ), its grid, the image ring's hyperbolic radii) for the circles Σ at
-    the ring's band centers and a map f that fixes 0 radially, as
-    `_refuse_non_radial` checked at load. f takes the circle |z| = R to the
-    circle |w| = |f(R)|, run f.degree times, so it takes each band of the
-    source grid onto a band: the image grid is the source grid carried by f,
-    and each image circle lies in its own band."""
-    radii = np.concatenate([ring.band_edges(n_circles), ring.band_centers(n_circles)])
-    image_radii = _cabs(f(np.array([euclid_radius(r) for r in radii], dtype=complex))).tolist()
-    edges = [hyp_radius(R) for R in image_radii[: n_circles + 1]]
-    image = circle_family(image_radii[n_circles + 1:], multiplicity=f.degree, n_vertices=4 * n_theta)
-    return image, _polar_grid(np.array(edges), n_theta), (edges[0], edges[-1])
+def _record(cfg: ExperimentConfig, t0: float, lhs, rhs, ratio, in_band, certificates, tolerance: dict,
+            provenance: dict) -> VerdictRecord:
+    """The record of a run of cfg begun at perf_counter t0, the one gate of
+    every verdict: it passes when its figure is in band and every
+    certificate, a (holds, reason) pair, holds; `error` joins the reason of
+    every certificate that fails by "; ", None when none fails."""
+    failing = [reason for holds, reason in certificates if not holds]
+    return VerdictRecord(experiment_id=cfg.experiment_id, kind=cfg.kind, status="ok", lhs=lhs, rhs=rhs, ratio=ratio,
+                         passed=bool(in_band) and not failing, tolerance=tolerance, provenance=provenance,
+                         error="; ".join(failing) or None, runtime_seconds=time.perf_counter() - t0)
 
 
 def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
@@ -264,7 +260,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     three spot targets."""
     t0 = time.perf_counter()
     f = cfg.sample_map
-    ring, n_circles, n_theta, n_profile, ratio_min, ratio_max = cfg.params
+    ring, edges, radii, n_theta, n_profile, ratio_min, ratio_max = cfg.params
     degree = f.degree
     spot_targets = [0.25 * euclid_radius(ring.r_outer) * np.exp(2j * math.pi * j / 3)
                     for j in range(3)]
@@ -276,15 +272,16 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     rhs_delta = abs(rhs - ring_reciprocal_integral(
         qnorm_profile(weight, ring, n_samples=n_profile // 2, n_angular=n_theta)))
 
-    image, dom_img, (r1_img, r2_img) = _image_circles(f, ring, n_circles, n_theta)
-    fam = rasterize_family(image, dom_img)
+    dom_img = _polar_grid(np.array(edges), n_theta)
+    fam = rasterize_family(circle_family(radii, multiplicity=degree, n_vertices=4 * n_theta), dom_img)
     result = modulus_discrete(fam, dom_img, metric="hyperbolic", tol=_SOLVER_TOL)
     lhs = result.value
 
     ratio = lhs / rhs
+    in_band = ratio >= ratio_min and (ratio_max is None or ratio <= ratio_max)
     # a ratio proves nothing without a certified LHS, the weight N assumes the
     # analytic degree, and the RHS must be resolved by its quadrature (not NaN)
-    passed, error = _verdict(ratio >= ratio_min and (ratio_max is None or ratio <= ratio_max), (
+    certificates = (
         (result.converged, f"modulus solve not certified: stop_reason {result.stop_reason!r}, "
                            f"duality gap {result.duality_gap!r}"),
         (not spot.incomplete and spot.supremum == degree,
@@ -293,58 +290,47 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
         (rhs_delta <= _RHS_DELTA_MAX * rhs,
          f"rhs quadrature not converged: refinement_delta {rhs_delta!r} between "
          f"{n_profile} and {n_profile // 2} nodes exceeds {_RHS_DELTA_MAX:g} * rhs"),
-    ))
-    record = VerdictRecord(
-        experiment_id=cfg.experiment_id,
-        kind=cfg.kind,
-        status="ok",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        passed=passed,
-        tolerance={"ratio_min": ratio_min, "ratio_max": ratio_max},
-        error=error,
-        provenance={
-            "map": cfg.map_spec,
-            "ring": {"r_inner": ring.r_inner, "r_outer": ring.r_outer},
-            "image_ring": {"r_inner": r1_img, "r_outer": r2_img},
-            "degree_analytic": degree,
-            "degree_sampled": {
-                "module": "mappings.multiplicity",
-                "targets": [[t.real, t.imag] for t in spot.targets],
-                "counts": list(spot.counts),
-                "supremum": spot.supremum,
-                "incomplete": spot.incomplete,
-                "samples": spot.samples,
-                # known to about 1e-16 rad, hundreds of its ulps, as atan2 differs
-                # by an ulp between builds: ten digits give every host one record
-                "max_step": float(f"{spot.max_step:.10g}"),
-                "min_distance": list(spot.min_distance),
-            },
-            "rhs": {
-                "module": "quadrature.qnorm_profile + ring_reciprocal_integral",
-                "weight": weight.label,
-                "n_samples": n_profile,
-                "n_angular": n_theta,
-                "refinement_delta": rhs_delta,
-                "profile_radii": [float(r) for r in profile.radii[:: max(1, n_profile // 64)]],
-                "profile_qnorm": [float(v) for v in profile.values[:: max(1, n_profile // 64)]],
-            },
-            "lhs": {
-                "module": "modulus.modulus_discrete",
-                "n_circles": n_circles,
-                "n_theta": n_theta,
-                "multiplicities": list(fam.multiplicities[:4]) + (["..."] if len(fam) > 4 else []),
-                "iterations": result.iterations,
-                "max_constraint_violation": result.max_constraint_violation,
-                "duality_gap": result.duality_gap,
-                "stop_reason": result.stop_reason,
-                "converged": result.converged,
-            },
-        },
     )
-    record.runtime_seconds = time.perf_counter() - t0
-    return record
+    provenance = {
+        "map": cfg.map_spec,
+        "ring": {"r_inner": ring.r_inner, "r_outer": ring.r_outer},
+        "image_ring": {"r_inner": edges[0], "r_outer": edges[-1]},
+        "degree_analytic": degree,
+        "degree_sampled": {
+            "module": "mappings.multiplicity",
+            "targets": [[t.real, t.imag] for t in spot.targets],
+            "counts": list(spot.counts),
+            "supremum": spot.supremum,
+            "incomplete": spot.incomplete,
+            "samples": spot.samples,
+            # known to about 1e-16 rad, hundreds of its ulps, as atan2 differs
+            # by an ulp between builds: ten digits give every host one record
+            "max_step": float(f"{spot.max_step:.10g}"),
+            "min_distance": list(spot.min_distance),
+        },
+        "rhs": {
+            "module": "quadrature.qnorm_profile + ring_reciprocal_integral",
+            "weight": weight.label,
+            "n_samples": n_profile,
+            "n_angular": n_theta,
+            "refinement_delta": rhs_delta,
+            "profile_radii": profile.radii[:: max(1, n_profile // 64)],
+            "profile_qnorm": profile.values[:: max(1, n_profile // 64)],
+        },
+        "lhs": {
+            "module": "modulus.modulus_discrete",
+            "n_circles": len(radii),
+            "n_theta": n_theta,
+            "multiplicities": list(fam.multiplicities[:4]) + (["..."] if len(fam) > 4 else []),
+            "iterations": result.iterations,
+            "max_constraint_violation": result.max_constraint_violation,
+            "duality_gap": result.duality_gap,
+            "stop_reason": result.stop_reason,
+            "converged": result.converged,
+        },
+    }
+    return _record(cfg, t0, lhs, rhs, ratio, in_band, certificates,
+                   {"ratio_min": ratio_min, "ratio_max": ratio_max}, provenance)
 
 
 def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
@@ -375,31 +361,20 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     start = max(residuals[0], 1e-300)
     contracted = residuals[-1] <= _CONTRACT_ABS and residuals[-1] / start <= _CONTRACT_RATIO
     observed = "extends" if contracted else "no_limit"
-    passed, error = _verdict(observed == expected, ())
-    record = VerdictRecord(
-        experiment_id=cfg.experiment_id,
-        kind=cfg.kind,
-        status="ok",
-        lhs=float(residuals[-1]),
-        rhs=float(residuals[0]),
-        ratio=float(residuals[-1] / start),
-        passed=passed,
-        tolerance={"contract_abs": _CONTRACT_ABS, "contract_ratio": _CONTRACT_RATIO},
-        error=error,
-        provenance={
-            "map": cfg.map_spec,
-            "boundary_point": [float(zeta.real), float(zeta.imag)],
-            "deltas": list(map(float, deltas[: len(residuals)])),
-            "tail_diameters": list(map(float, residuals)),
-            "q_majorant": q_spec,
-            "q_majorant_divergence": majorant_verdict,
-            "observed": observed,
-            "expected": expected,
-            "gauge": "euclidean chart distance (tail diameter over all paths)",
-        },
-    )
-    record.runtime_seconds = time.perf_counter() - t0
-    return record
+    provenance = {
+        "map": cfg.map_spec,
+        "boundary_point": [zeta.real, zeta.imag],
+        "deltas": deltas[: len(residuals)],
+        "tail_diameters": residuals,
+        "q_majorant": q_spec,
+        "q_majorant_divergence": majorant_verdict,
+        "observed": observed,
+        "expected": expected,
+        "gauge": "euclidean chart distance (tail diameter over all paths)",
+    }
+    return _record(cfg, t0, float(residuals[-1]), float(residuals[0]), float(residuals[-1] / start),
+                   observed == expected, (), {"contract_abs": _CONTRACT_ABS, "contract_ratio": _CONTRACT_RATIO},
+                   provenance)
 
 
 def _plot_lower_q(record: VerdictRecord) -> str:

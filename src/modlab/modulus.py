@@ -94,8 +94,9 @@ class DiscretizedDomain:
 
 def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
     """Polar cells between the given increasing hyperbolic band edges, n_theta
-    sectors each: a ring's `band_edges`, or those edges carried by a map that
-    fixes 0 radially.
+    sectors each: a ring's `band_edges`, or the image band edges that
+    lower_q's `_image_ring` measures, those edges carried by a map that fixes
+    0 radially.
 
     Cell centers sit at the hyperbolic band midpoint, the rule of
     `RingSpec.band_centers`, so circles at a ring's band centers run through

@@ -124,8 +124,8 @@ class RadialProfile:
         return {
             "label": self.label,
             "quadrature_n": self.quadrature_n,
-            "radii": list(map(float, self.radii)),
-            "qnorm": list(map(float, self.values)),
+            "radii": self.radii,
+            "qnorm": self.values,
         }
 
 

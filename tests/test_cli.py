@@ -262,6 +262,18 @@ class TestVerifyAndSuite:
         assert err.startswith("config error") and f"unknown key {key!r}" in err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("section, key, value", [("ring", "r_inner", 0.0), ("tolerances", "ratio_max", 0.9)],
+                             ids=["ring-from-origin", "empty-band"])
+    def test_verify_refuses_a_lower_q_that_cannot_pass(self, capsys, tmp_path, section, key, value):
+        # a ring from r = 0 compares different truncations, an empty band holds no ratio: refused at load
+        cfg = json.loads((CONFIG_DIR / "experiments" / "lower_q_identity.json").read_text())
+        cfg[section][key] = value
+        (tmp_path / "lower_q_identity.json").write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "verify", "--config", str(tmp_path / "lower_q_identity.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("config error") and f"{section}.{key}" in err
+        assert not (tmp_path / "results").exists()
+
     def test_verify_missing_config(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--config",
                                str(tmp_path / "nope.json"))

@@ -10,7 +10,7 @@ from modlab.experiments import (
     ConfigError,
     ExperimentConfig,
     VerdictRecord,
-    _image_circles,
+    _image_ring,
     distortion_weight_field,
     run_boundary_extension_probe,
     run_experiment,
@@ -28,7 +28,7 @@ from modlab.mappings import (
     winding,
 )
 from modlab.diskgeom import euclid_radius, hyp_radius, inside_disk
-from modlab.modulus import circle_family, modulus_discrete, polar_grid, rasterize_family
+from modlab.modulus import _polar_grid, circle_family, modulus_discrete, polar_grid, rasterize_family
 from modlab.quadrature import RingSpec, ScalarField
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
@@ -167,8 +167,8 @@ class TestConfigLoading:
         cfg = shipped_with("lower_q_identity", "tolerances", "ratio_max", None)
         cfg["grid"]["n_circles"] = 64.0
         loaded = ExperimentConfig.from_json(write_cfg(tmp_path, "ok.json", cfg))
-        _, n_circles, *_, ratio_max = loaded.params
-        assert n_circles == 64 and isinstance(n_circles, int)
+        _, edges, radii, *_, ratio_max = loaded.params
+        assert len(radii) == 64 and len(edges) == 65
         assert ratio_max is None
 
     @pytest.mark.parametrize("name, field", [
@@ -240,15 +240,41 @@ class TestConfigLoading:
             "spiral-then-winding2"])
     def test_lower_q_measures_that_f_fixes_origin_radially(self, map_spec):
         # no map declares it: the load measures |f| on the band edge and center circles of the shipped ring
-        assert ExperimentConfig(experiment_id="radial", kind="lower_q", map_spec=map_spec,
-                                settings=shipped_settings("lower_q_identity")).params[1] == 64
+        assert len(ExperimentConfig(experiment_id="radial", kind="lower_q", map_spec=map_spec,
+                                    settings=shipped_settings("lower_q_identity")).params[2]) == 64
 
-    def test_lower_q_ring_may_start_at_the_origin(self):
-        # the band edge circle |z| = 0 is one point: its spread of |f| is 0, with no ratio 0/0 to take
+    @pytest.mark.parametrize("map_spec", [{"kind": "identity"}, {"kind": "winding", "k": 2}],
+                             ids=["identity", "winding2"])
+    def test_lower_q_ring_may_not_start_at_the_origin(self, map_spec):
+        # the LHS circles start at the first band center, the RHS at r_outer * 1e-6: at r_inner 0 the
+        # identity read ratio 0.4364, a failing verdict with every certificate holding
         settings = {**shipped_settings("lower_q_identity"), "ring": {"r_inner": 0.0, "r_outer": 1.5}}
-        cfg = ExperimentConfig(experiment_id="origin", kind="lower_q", map_spec={"kind": "identity"},
-                               settings=settings)
-        assert cfg.params[0] == RingSpec(0.0, 1.5)
+        with pytest.raises(ConfigError, match=r"lower_q needs ring.r_inner > 0"):
+            ExperimentConfig(experiment_id="origin", kind="lower_q", map_spec=map_spec, settings=settings)
+
+    @pytest.mark.parametrize("ratio_min, ratio_max", [(0.95, 0.9), (1.0, 1.0 - 1e-12)])
+    def test_lower_q_band_may_not_be_empty(self, ratio_min, ratio_max):
+        # no ratio lies in an empty band: the config is refused before the whole experiment runs
+        settings = {**shipped_settings("lower_q_identity"),
+                    "tolerances": {"ratio_min": ratio_min, "ratio_max": ratio_max}}
+        with pytest.raises(ConfigError, match=f"tolerances.ratio_max {ratio_max} is below tolerances.ratio_min"):
+            ExperimentConfig(experiment_id="empty", kind="lower_q", map_spec={"kind": "identity"}, settings=settings)
+
+    def test_lower_q_band_may_be_one_point(self):
+        settings = {**shipped_settings("lower_q_identity"), "tolerances": {"ratio_min": 1.0, "ratio_max": 1.0}}
+        cfg = ExperimentConfig(experiment_id="point", kind="lower_q", map_spec={"kind": "identity"}, settings=settings)
+        assert cfg.params[-2:] == (1.0, 1.0)
+
+    @pytest.mark.parametrize("section, key, value, reason", [
+        ("ring", "r_inner", 0.0, "lower_q needs ring.r_inner > 0"),
+        ("tolerances", "ratio_max", 0.9, "tolerances.ratio_max 0.9 is below tolerances.ratio_min 0.95"),
+    ], ids=["origin", "empty-band"])
+    def test_refusals_are_suite_config_errors(self, tmp_path, section, key, value, reason):
+        write_cfg(tmp_path, "lower_q_identity.json", shipped_with("lower_q_identity", section, key, value))
+        out = tmp_path / "results"
+        assert run_suite(tmp_path, out) == 1
+        [record] = json.loads((out / "suite_report.json").read_text())["records"]
+        assert record["status"] == "config_error" and reason in record["error"]
 
     def test_lower_q_ring_inside_the_degree_circle(self, tmp_path):
         # the degree certificate sweeps |z| = 0.999, hyperbolic radius about 7.6004
@@ -340,9 +366,9 @@ class TestDistortionWeightField:
         assert list(values) == [3.0 * k for k in dilatation(f, z)]
 
 
-class TestImageCircles:
-    """f(Σ) for the circles Σ at the ring's band centers, and the image grid, as lower_q
-    builds them: the source grid's band edges carried by f."""
+class TestImageRing:
+    """The image ring lower_q measures at load, and f(Σ) and the image grid its run builds
+    from it: the circles Σ at the ring's band centers, the source grid's band edges carried by f."""
 
     RING = RingSpec(0.5, 1.5)
     MAPS = [identity_map(), winding(2), radial_stretch(2), radial_stretch(3),
@@ -357,9 +383,29 @@ class TestImageCircles:
     def _source(self, n_circles, n_theta):
         return circle_family([euclid_radius(r) for r in self.RING.band_centers(n_circles)], n_vertices=4 * n_theta)
 
+    def _image(self, f, n_circles, n_theta):
+        """(f(Σ), its grid, the image ring's hyperbolic radii), as `run_lower_q_verification` builds them."""
+        edges, radii = _image_ring(f, self.RING, n_circles)
+        return (circle_family(radii, multiplicity=f.degree, n_vertices=4 * n_theta),
+                _polar_grid(np.array(edges), n_theta), (edges[0], edges[-1]))
+
+    @pytest.mark.parametrize("f", MAPS, ids=MAP_IDS)
+    def test_returns_the_angle_zero_column_the_check_measured(self, f):
+        # f is evaluated on the band radii once: the image ring is read off the radial check's values
+        calls = []
+        spy = dataclasses.replace(f, evaluate=lambda z: calls.append(np.array(z)) or f.evaluate(z))
+        edges, radii = _image_ring(spy, self.RING, 6)
+        measured = calls[0].reshape(13, 8)  # e0, c0, e1, ..., e6 at 8 angles, the first 0
+        source = np.empty(13)
+        source[0::2], source[1::2] = self.RING.band_edges(6), self.RING.band_centers(6)
+        assert np.array_equal(measured[:, 0], [euclid_radius(r) for r in source])
+        column = np.hypot(f(measured[:, 0]).real, f(measured[:, 0]).imag).tolist()
+        assert radii == column[1::2] and edges == [hyp_radius(R) for R in column[0::2]]
+
     def test_identity_images_equal_the_source(self):
-        # bit for bit: |f(R)| = R, so lower_q_identity keeps its numbers
-        image, dom, image_ring = _image_circles(identity_map(), self.RING, 8, 64)
+        # bit for bit: |f(R)| = hypot(R, 0) = R, so lower_q_identity keeps its numbers
+        assert _image_ring(identity_map(), self.RING, 8)[1] == [euclid_radius(r) for r in self.RING.band_centers(8)]
+        image, dom, image_ring = self._image(identity_map(), 8, 64)
         source = self._source(8, 64)
         assert image.multiplicities == source.multiplicities == (1,) * 8
         for a, b in zip(source.polylines, image.polylines):
@@ -369,7 +415,7 @@ class TestImageCircles:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_winding_keeps_radii_and_multiplies_multiplicity(self, k):
-        image, _, image_ring = _image_circles(winding(k), self.RING, 8, 64)
+        image, _, image_ring = self._image(winding(k), 8, 64)
         assert image.multiplicities == (k,) * 8
         for a, b in zip(self._source(8, 64).polylines, image.polylines):
             assert np.allclose(a.vertices, b.vertices, rtol=1e-15, atol=0.0)
@@ -378,7 +424,7 @@ class TestImageCircles:
     @pytest.mark.parametrize("f", MAPS, ids=MAP_IDS)
     @pytest.mark.parametrize("n_circles", [6, 16])
     def test_grid_is_the_source_grid_carried_by_f(self, f, n_circles):
-        image, dom, image_ring = _image_circles(f, self.RING, n_circles, 64)
+        image, dom, image_ring = self._image(f, n_circles, 64)
         carried = [self._image_radius(f, r) for r in self.RING.band_edges(n_circles)]
         assert dom.geometry["n_r"] == n_circles and dom.geometry["n_theta"] == 64
         assert dom.geometry["R_edges"] == pytest.approx(carried, rel=4e-16, abs=0.0)
@@ -392,7 +438,7 @@ class TestImageCircles:
 
     def test_radial_stretch_squares_euclid_radii(self):
         # z|z| takes |z| = R to |w| = R^2, hyperbolic radius 2 atanh(R^2)
-        image, dom, image_ring = _image_circles(radial_stretch(2), self.RING, 6, 64)
+        image, dom, image_ring = self._image(radial_stretch(2), 6, 64)
         for r, poly in zip(self.RING.band_centers(6), image.polylines):
             R = math.tanh(0.5 * r)
             radius = np.abs(poly.vertices)
@@ -409,7 +455,7 @@ class TestImageCircles:
         assert value == pytest.approx(base / k**2, rel=1e-12)
 
     def _rasterized(self, f):
-        image, dom, _ = _image_circles(f, self.RING, 12, 64)
+        image, dom, _ = self._image(f, 12, 64)
         return rasterize_family(image, dom), dom
 
 
@@ -447,6 +493,24 @@ class TestLowerQ:
         base = (math.log(math.tanh(0.75)) - math.log(math.tanh(0.25))) / (2 * math.pi)
         assert rec.lhs == pytest.approx(2 * base, rel=0.02)
         assert rec.rhs == pytest.approx(base / 2, rel=0.02)
+
+    def test_f_is_evaluated_on_the_band_radii_once(self, monkeypatch):
+        # the load's radial check measures the image ring, and the run builds f(Σ) from it, not from f again
+        from modlab import experiments
+
+        calls = []
+
+        def spied(spec, _parse=experiments.map_from_config):
+            f = _parse(spec)
+            return dataclasses.replace(f, evaluate=lambda z: calls.append(np.array(z)) or f.evaluate(z))
+
+        monkeypatch.setattr(experiments, "map_from_config", spied)
+        settings = {**shipped_settings("lower_q_winding2"), "grid": {"n_circles": 8, "n_theta": 32}}
+        rec = run_lower_q_verification(ExperimentConfig(experiment_id="once", kind="lower_q", settings=settings,
+                                                        map_spec=shipped("lower_q_winding2")["map"]))
+        assert rec.passed
+        centers = [euclid_radius(r) for r in RingSpec(0.5, 1.5).band_centers(8)]
+        assert sum(bool(np.isin(centers, z).all()) for z in calls) == 1
 
     def test_spiral_maps_each_circle_onto_itself(self):
         # |spiral(z)| = |z|: the image circles are the identity's, so the lhs is lower_q_identity's
@@ -692,6 +756,14 @@ class TestSuite:
 
 
 class TestVerdictRecord:
+    def test_json_dict_is_its_fields(self):
+        # every field but the runtime, which goes to meta, and the provenance as it is, not a copy
+        rec = VerdictRecord(experiment_id="x", kind="lower_q", status="ok", provenance={"radii": np.arange(2.0)})
+        data = rec.to_json_dict(with_meta=False)
+        assert set(data) == {f.name for f in dataclasses.fields(rec)} - {"runtime_seconds"} | {"schema_version"}
+        assert data["provenance"] is rec.provenance
+        assert set(rec.to_json_dict()["meta"]) == {"timestamp", "runtime_seconds"}
+
     def test_json_round_trip(self, tmp_path):
         rec = VerdictRecord(experiment_id="x", kind="lower_q", status="ok",
                             lhs=1.0, rhs=2.0, ratio=0.5, passed=False)

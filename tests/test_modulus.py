@@ -9,7 +9,7 @@ from scipy.optimize import minimize, nnls
 
 from modlab import modulus
 from modlab.diskgeom import Polyline, euclid_radius
-from modlab.experiments import ExperimentConfig, _image_circles
+from modlab.experiments import ExperimentConfig, _image_ring
 from modlab.fields import parse_field
 from modlab.mappings import radial_stretch
 from modlab.modulus import (
@@ -25,7 +25,7 @@ from modlab.modulus import (
     ring_modulus_exact,
     weighted_infimum,
 )
-from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _blocks, _crossings_polar
+from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _blocks, _crossings_polar, _polar_grid
 from modlab.quadrature import RingSpec
 
 from oracles import hyp_length, incidence_matrix
@@ -121,11 +121,12 @@ def _ring_circles(n_circles, n_vertices):
 
 
 def _lower_q_image_family(name):
-    """The image circles of a shipped lower_q config and its image grid, built by its run's code."""
+    """The image circles of a shipped lower_q config and its image grid, built as its run
+    builds them from the image ring its load measured."""
     cfg = ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json")
-    ring, n_circles, n_theta, *_ = cfg.params
-    image, dom, _ = _image_circles(cfg.sample_map, ring, n_circles, n_theta)
-    return image, dom
+    _, edges, radii, n_theta, *_ = cfg.params
+    image = circle_family(radii, multiplicity=cfg.sample_map.degree, n_vertices=4 * n_theta)
+    return image, _polar_grid(np.array(edges), n_theta)
 
 
 def _winding_image_family():
@@ -389,7 +390,8 @@ class TestBlockInvariance:
 
 
 # a uniform grid, and the non-uniform one z|z| carries the 4 bands of the ring (1, 2.5) onto
-POLAR_GRIDS = [polar_grid(RING, 6, 12), _image_circles(radial_stretch(2), RingSpec(1.0, 2.5), 4, 20)[1]]
+POLAR_GRIDS = [polar_grid(RING, 6, 12),
+               _polar_grid(np.array(_image_ring(radial_stretch(2), RingSpec(1.0, 2.5), 4)[0]), 20)]
 
 
 class TestSectorEdgeTable:
