@@ -11,14 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from modlab.modulus import (
-    density_to_svg,
-    modulus_discrete,
-    polar_grid,
-    radial_connecting_family,
-    rasterize_family,
-    ring_modulus_exact,
-)
+from modlab.modulus import density_to_svg, grid_rays, modulus_discrete, polar_grid, ring_modulus_exact
 from modlab.quadrature import RingSpec
 from modlab.svgplot import line_plot_svg, write_svg
 
@@ -37,7 +30,7 @@ def main() -> int:
     for n_r, n_theta in LEVELS:
         t0 = time.perf_counter()
         dom = polar_grid(RING, n_r, n_theta)
-        fam = rasterize_family(radial_connecting_family(RING, n_theta), dom)
+        fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6)
         dt = time.perf_counter() - t0
         rel = abs(res.value - exact) / exact

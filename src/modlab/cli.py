@@ -27,10 +27,9 @@ from .mappings import distortion_sweep, finite_distortion_check, parse_map
 from .modulus import (
     circle_family_modulus,
     density_to_svg,
+    grid_rays,
     modulus_discrete,
     polar_grid,
-    radial_connecting_family,
-    rasterize_family,
     ring_modulus_exact,
 )
 from .quadrature import RingSpec, qnorm_profile
@@ -73,7 +72,7 @@ def _cmd_ring_modulus(args) -> int:
     n_r, n_theta = _parse_grid(args.grid)
     exact = ring_modulus_exact(ring)
     dom = polar_grid(ring, n_r, n_theta)
-    fam = rasterize_family(radial_connecting_family(ring, n_theta), dom)
+    fam = grid_rays(dom)
     res = modulus_discrete(fam, dom, metric=args.metric, tol=_RING_TOL)
     rel = abs(res.value - exact) / exact
     if args.heatmap_file:

@@ -52,7 +52,7 @@ from .mappings import (
     map_from_config,
     multiplicity,
 )
-from .modulus import _polar_grid, circle_family, modulus_discrete, rasterize_family
+from .modulus import _polar_grid, grid_circles, modulus_discrete
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 from .svgplot import line_plot_svg, write_svg
 
@@ -273,7 +273,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
         qnorm_profile(weight, ring, n_samples=n_profile // 2, n_angular=n_theta)))
 
     dom_img = _polar_grid(np.array(edges), n_theta)
-    fam = rasterize_family(circle_family(radii, multiplicity=degree, n_vertices=4 * n_theta), dom_img)
+    fam = grid_circles(dom_img, radii, multiplicity=degree)
     result = modulus_discrete(fam, dom_img, metric="hyperbolic", tol=_SOLVER_TOL)
     lhs = result.value
 

@@ -1,7 +1,7 @@
 """Discrete conformal modulus of curve families.
 
 A domain is discretized into cells (polar rings about the chart center or a
-Cartesian window), curves are rasterized into per-cell incidence lengths, and
+Cartesian window), curves become per-cell incidence lengths, and
 the modulus  min sum rho_c^2 A_c  subject to  m_g * sum_c rho_c l_{cg} >= 1
 for every curve g  is solved with a certificate: in closed form when no cell
 is shared by two curves, by block principal pivoting on the dual otherwise,
@@ -11,28 +11,20 @@ the curves, grown until no other curve is violated (see
 circle family modulus against its radial-integral reference, and the
 weighted infimum with its extremal density.
 
-Rasterization makes one pass per family. Whole consecutive curves form
-blocks of at most 2^12 segments and 2^6 curves (a longer curve is a block of
-its own). On a polar grid a certificate first picks out the segments that
-cross no cell edge: each is one piece, in the cell of its midpoint. The other
-segments are cut at all their ring and sector (or grid-line) crossings at
-once and their pieces sorted by t. All pieces, merged in segment order, are
-summed per (curve, cell) with one `np.unique` and `np.bincount`. A curve
-never spans two blocks, so each per-cell sum adds the same pieces in the same
-order as rasterizing the curve alone: the incidence arrays equal the
-per-curve ones bit for bit. The certificate only admits a segment in which
-the search would keep no cut, so the arrays also equal those of searching
-every segment. It asks that no ring edge lie within 1e-6 of the segment's
-radii, and that both ends lie in the midpoint's sector widened by
-1e-12 |p x d| / rmax^2 less a rounding allowance (see `_cut_free_polar`).
-It admits every segment of the shipped lower_q circles, whose vertices sit
-on sector edges, so their blocks run no search. A cartesian grid has none:
-on the chords of the one cartesian workload it admitted no segment. 2^12
-segments (four 1024-vertex circles) keep a block's arrays in a 2 MB L2
-cache, and 2^6 curves bound the pieces of a block of short curves that cross
-many cells. A polar grid holds the tables the crossings index in its
-`geometry`: libm cos and sin of every sector edge a segment can cross, and
-the squared ring radii.
+Every polar family modlab builds lies along grid lines, so a polar grid builds
+its own: `grid_circles` puts one circle in each band and `grid_rays` one ray at
+each sector's centre angle, and each returns its incidence pattern and lengths
+by construction, with no search. A circle is a 4 n_theta-gon whose every fourth
+vertex sits on a sector edge, so circle j meets exactly the n_theta cells of
+band j, four equal chords in each; ray k meets the n_r cells of sector k, and
+its length in a band is the band's width. `rasterize_family` clips polylines
+to a cartesian grid: whole consecutive curves form blocks of at most 2^12
+segments and 2^6 curves (a longer curve is a block of its own), each block's
+segments are cut at all their grid-line crossings at once, and the pieces,
+sorted by segment and t, are summed per (curve, cell) with one `np.unique`
+and `np.bincount`. A curve never spans two blocks, so each per-cell sum adds
+the same pieces in the same order as rasterizing the curve alone: the
+incidence arrays equal the per-curve ones bit for bit.
 
 Incidences are plain numpy CSR arrays and the closed form is numpy alone,
 so scipy is imported only when a family has overlapping supports: its sparse
@@ -46,12 +38,13 @@ two-core x86-64 host). The dense solves are numpy's: importing
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diskgeom import BOUNDARY_MARGIN, Polyline, _segment_hyp_length, euclid_radius, inside_disk
+from .diskgeom import BOUNDARY_MARGIN, _segment_hyp_length, euclid_radius, inside_disk
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 
 __all__ = [
@@ -62,8 +55,8 @@ __all__ = [
     "ModulusResult",
     "polar_grid",
     "cartesian_grid",
-    "circle_family",
-    "radial_connecting_family",
+    "grid_circles",
+    "grid_rays",
     "rasterize_family",
     "modulus_discrete",
     "ring_modulus_exact",
@@ -115,9 +108,6 @@ def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
     centers = (R_mid[:, None] * np.exp(1j * theta_mid[None, :])).ravel()
     area_e = np.repeat(ring_areas, n_theta)
     factor = 4.0 / (1.0 - np.abs(centers) ** 2) ** 2
-    # libm cos/sin of every sector edge a segment can cross, edge indices -2 n_theta - 4
-    # to 2 n_theta + 4: numpy's vectorized ones may round differently
-    angles = (np.arange(-2 * n_theta - 4, 2 * n_theta + 5) * d_theta).tolist()
     return DiscretizedDomain(
         centers=centers,
         area_euclid=area_e,
@@ -127,10 +117,7 @@ def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
             "n_r": len(r_edges) - 1,
             "n_theta": n_theta,
             "R_edges": R_edges,
-            "R_edges_sq": np.float_power(R_edges, 2),
             "theta_edges": theta_edges,
-            "sector_cos": np.array([math.cos(a) for a in angles]),
-            "sector_sin": np.array([math.sin(a) for a in angles]),
         },
     )
 
@@ -176,7 +163,7 @@ class PolylineFamily:
     """Curves still in geometric form, before rasterization."""
 
     polylines: tuple
-    kind: str  # "connecting" | "circle_family"
+    kind: str  # "connecting"
     multiplicities: tuple = None
 
     def __post_init__(self):
@@ -291,33 +278,80 @@ def density_to_svg(dom: DiscretizedDomain, density: DensityField, path, title="e
 # ---------------------------------------------------------------------------
 # family builders
 
-
-def circle_family(radii, multiplicity: int = 1, *, n_vertices: int) -> PolylineFamily:
-    """The circles |z| = R about 0 at the given Euclidean radii, each run
-    `multiplicity` times."""
-    if len(radii) < 1:
-        raise ValueError("need at least one circle")
-    circle = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n_vertices, endpoint=False))
-    polylines = tuple(Polyline(R * circle, closed=True) for R in radii)
-    return PolylineFamily(polylines, kind="circle_family", multiplicities=(multiplicity,) * len(polylines))
+_CHORDS_PER_CELL = 4  # chords of a grid circle in each cell it meets
 
 
-def radial_connecting_family(ring: RingSpec, n_rays: int) -> PolylineFamily:
-    """Radial geodesics joining the two boundary circles, one per sector center."""
-    R1, R2 = euclid_radius(ring.r_inner), euclid_radius(ring.r_outer)
-    if R1 <= 0:
-        raise ValueError("connecting family needs r_inner > 0")
-    theta = (np.arange(n_rays) + 0.5) * (2.0 * math.pi / n_rays)
-    polylines = tuple(Polyline(np.array([R1, R2]) * np.exp(1j * t)) for t in theta)
-    return PolylineFamily(polylines, kind="connecting")
+def _curve_family(indptr, indices, euclidean, hyperbolic, n_cells: int, multiplicities: tuple) -> CurveFamily:
+    """A CurveFamily with 32-bit indices where they fit, as scipy.sparse picks them:
+    its view then copies nothing."""
+    fits = max(len(indices), len(multiplicities), n_cells) <= np.iinfo(np.int32).max
+    index_type = np.int32 if fits else np.int64
+    return CurveFamily(indptr.astype(index_type), indices.astype(index_type), euclidean, hyperbolic,
+                       n_cells=n_cells, multiplicities=multiplicities)
+
+
+def _polar_geometry(dom: DiscretizedDomain):
+    """(R_edges, n_r, n_theta) of a polar grid; ValueError for any other."""
+    geometry = dom.geometry
+    if geometry["kind"] != "polar":
+        raise ValueError("grid-line families need a polar grid")
+    return geometry["R_edges"], geometry["n_r"], geometry["n_theta"]
+
+
+def grid_circles(dom: DiscretizedDomain, radii, multiplicity: int = 1) -> CurveFamily:
+    """The circles |z| = R about 0 at the given Euclidean radii, one in each band of
+    the polar grid dom from the inside out, each run `multiplicity` times.
+
+    Each circle is the 4 n_theta-gon with a vertex at angle 0, so every fourth
+    vertex sits on a sector edge: circle j meets exactly the n_theta cells of
+    band j, four chords in each. The chords of one circle are equal, so one
+    closed-form length, of the chord from the vertex at angle 0 to the next,
+    gives all its incidences. ValueError unless there is one radius per band
+    and each polygon, from its chords' midpoints out to its vertices, lies
+    strictly inside its band.
+    """
+    R_edges, n_r, n_theta = _polar_geometry(dom)
+    R = np.asarray(radii, dtype=float)
+    if R.shape != (n_r,):
+        raise ValueError(f"need one circle radius per band, {n_r}, not {R.size}")
+    if multiplicity < 1:
+        raise ValueError("multiplicity must be positive")
+    p = R.astype(complex)
+    d = R * (cmath.exp(2j * math.pi / (_CHORDS_PER_CELL * n_theta)) - 1.0)  # to the next vertex
+    inside = (R_edges[:-1] < np.abs(p + 0.5 * d)) & (R < R_edges[1:])  # False at NaN
+    if not np.all(inside):
+        j = int(np.argmin(inside))
+        raise ValueError(f"circle {j} of radius {R[j]!r} does not lie strictly inside band {j}, "
+                         f"({R_edges[j]!r}, {R_edges[j + 1]!r})")
+    speed = np.hypot(d.real, d.imag)
+    chord_h = _segment_hyp_length(p, d, R, speed, 0.0, 1.0)
+    n_cells = n_r * n_theta
+    return _curve_family(np.arange(0, n_cells + 1, n_theta), np.arange(n_cells),
+                         np.repeat(_CHORDS_PER_CELL * speed, n_theta),
+                         np.repeat(_CHORDS_PER_CELL * chord_h, n_theta),
+                         n_cells, (int(multiplicity),) * n_r)
+
+
+def grid_rays(dom: DiscretizedDomain) -> CurveFamily:
+    """The radial segments across the polar grid dom from its inner edge to its
+    outer, one at each sector's centre angle: ray k meets the n_r cells of
+    sector k, and its length in a band is the band's width in either metric,
+    the same for every ray."""
+    R_edges, n_r, n_theta = _polar_geometry(dom)
+    width = np.diff(R_edges)
+    # each band's piece in closed form, taken along the real axis
+    band_h = _segment_hyp_length(R_edges[:-1], width, R_edges[:-1], width, 0.0, 1.0)
+    n_cells = n_r * n_theta
+    cells = np.arange(n_cells).reshape(n_r, n_theta).T.ravel()  # ray k: k, k + n_theta, ...
+    return _curve_family(np.arange(0, n_cells + 1, n_r), cells, np.tile(width, n_theta),
+                         np.tile(band_h, n_theta), n_cells, (1,) * n_theta)
 
 
 # ---------------------------------------------------------------------------
 # rasterization
 
-# Most segments and curves cut in one block. 2^12 segments are four 1024-vertex
-# circles, whose arrays stay in L2; 2^6 curves bound the pieces of a block of
-# short curves that cross many cells, such as radial rays.
+# Most segments and curves cut in one block. 2^12 segments keep a block's arrays in
+# L2; 2^6 curves bound the pieces of a block of short curves that cross many cells.
 _BLOCK_SEGMENTS = 2**12
 _BLOCK_CURVES = 2**6
 
@@ -330,149 +364,9 @@ def _ranges(start: np.ndarray, stop: np.ndarray):
     return seg, k
 
 
-def _in_segment(seg: np.ndarray, t: np.ndarray):
-    """The (segment, t) pairs with t strictly inside (0, 1): the cuts a segment needs."""
-    keep = (1e-12 < t) & (t < 1.0 - 1e-12)
-    return seg[keep], t[keep]
-
-
-def _ring_cuts(p, d, dd, pd, rp, rmin, rmax, geometry):
-    """(segment, t) in (0, 1) where the segments p + t d cross ring edges, both roots of
-    |p + t d|^2 = R^2; dd = |d|^2, pd = <p, d>, rp = |p|, and the segment's radii span
-    [rmin, rmax]."""
-    R_edges = geometry["R_edges"]
-    k0 = np.searchsorted(R_edges, rmin - 1e-15)
-    k1 = np.searchsorted(R_edges, rmax + 1e-15)
-    s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(R_edges)))
-    b = 2.0 * pd[s]
-    c = np.float_power(rp, 2)[s] - geometry["R_edges_sq"][k]
-    disc = b * b - 4.0 * dd[s] * c
-    hit = np.flatnonzero(disc > 0.0)
-    s, b, root = s[hit], b[hit], np.sqrt(disc[hit])
-    two_dd = 2.0 * dd[s]
-    return _in_segment(s, (-b - root) / two_dd), _in_segment(s, (-b + root) / two_dd)
-
-
-def _sector_cuts(p, d, q, dd, pd, sweep, geometry):
-    """(segment, t) in (0, 1) where the segments p + t d (ending at q) cross sector
-    edges, and the center of a segment through it; sweep = p x d."""
-    # angular sweep is monotone along a straight segment
-    two_pi = 2.0 * math.pi
-    step = two_pi / geometry["n_theta"]
-    a0 = np.mod(np.arctan2(p.imag, p.real), two_pi)
-    a1 = np.mod(np.arctan2(q.imag, q.real), two_pi)
-    diff = np.mod(a1 - a0, two_pi)
-    # a straight segment sweeps less than pi, so the smaller of the two arcs is its
-    # sweep, also where a nearly radial segment's end angles round the other way
-    swept = np.minimum(diff, two_pi - diff)
-    n_cross = np.where(sweep != 0.0, (swept / step).astype(np.int64) + 2, 0)
-    s, j = _ranges(np.ones_like(n_cross), n_cross + 1)
-    cos_table, sin_table = geometry["sector_cos"], geometry["sector_sin"]
-    # table row of each segment's start edge; the tables start at edge -len // 2
-    j_start = np.floor(a0 / step).astype(np.int64) + len(cos_table) // 2
-    at = j_start[s] + np.where(sweep[s] > 0, j, 1 - j)
-    ca, sa = cos_table[at], sin_table[at]
-    x, y, dx, dy = p.real[s], p.imag[s], d.real[s], d.imag[s]
-    # an edge parallel to its segment gives t = inf or nan, which no cut keeps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (x * sa - y * ca) / (dy * ca - dx * sa)
-        ray = (x + t * dx) * ca + (y + t * dy) * sa > 0  # the ray at the edge angle, not its opposite
-    # a segment through the center sweeps no angle: cut it at the center
-    through = np.flatnonzero(sweep == 0.0)
-    return _in_segment(s[ray], t[ray]), _in_segment(through, -pd[through] / dd[through])
-
-
-# Margins of the polar certificate (see _cut_free_polar): _RING_MARGIN in Euclidean
-# radius; _ROUNDING, 32 unit roundoffs in radians, for the rounding of the
-# certificate's and the search's sector tests.
-_RING_MARGIN = 1e-6
-_ROUNDING = 32.0 * 2.0**-53
-
-
-def _cut_free_polar(p, d, q, dd, sweep, rp, rq, rmin, rmax, geometry):
-    """(free, cell): which segments p + t d (ending at q) the crossing search would cut
-    nowhere in (1e-12, 1 - 1e-12), and the cell of each such segment's midpoint.
-
-    Radial: no ring edge lies within _RING_MARGIN of [rmin, rmax]. The search solves
-    |p + t d|^2 = R^2 with c = rp^2 - R^2, b^2 and 4 dd c each rounded by a few
-    ulps, and b^2 <= 4 dd rp^2 (Cauchy-Schwarz). So at a root it keeps, |p + t d|^2
-    is within about 32 ulps of R^2 (radii are below 1), also where a near-tangent
-    chord's rounded discriminant turns positive with no real crossing. Such an R
-    lies within sqrt(32 * 2^-53) < 1e-7 of [rmin, rmax], also where rmin is near 0;
-    1e-6 covers that and the few-ulp errors of rmin and rmax.
-
-    Angular: sweep = p x d is nonzero, and both ends lie in the midpoint's sector
-    widened by m on each side, tested as |z| sin(angle past an edge) >= -m |z| with
-    the edge's own cos and sin from the tables the search uses. A sector is a convex
-    cone, so the whole segment stays in it. Where an end lies delta past an edge,
-    the crossing is at t <= delta rmax^2 / |sweep| from that end, since the angle
-    moves at |sweep| / |p + t d|^2 along the segment. So m = 1e-12 |sweep| / rmax^2
-    keeps every real cut in (1e-12, 1 - 1e-12) out of the certificate, whatever the
-    segment's length: an absolute margin would drop the real cut at t ~ 1e-9 of an
-    end 1e-12 rad past an edge on a segment sweeping 1e-3 rad. From m comes off
-    _ROUNDING (1 + |d| / min(rp, rq)): the rounding of both tests and of q = p + d,
-    the edge tables' 2 pi against n_theta times the sector width, and the search's
-    t, whose error grows as an end nears the center. On the lower_q circles, whose
-    every fourth vertex sits on a sector edge, m is about 23 ulps and those vertices
-    lie within 3 ulps of their edge.
-
-    The cell is the one `_cells_of` gives the midpoint p + d / 2: its sector is
-    computed the same way, and its band is the band of [rmin, rmax], which holds
-    the midpoint's radius and no edge.
-    """
-    R_edges, n_theta = geometry["R_edges"], geometry["n_theta"]
-    below = np.searchsorted(R_edges, rmin - _RING_MARGIN)
-    ring_free = below == np.searchsorted(R_edges, rmax + _RING_MARGIN, side="right")
-    sector = _sectors(p + 0.5 * d, n_theta)
-    lower = sector + len(geometry["sector_cos"]) // 2  # table row of the sector's lower edge
-    cl, sl = geometry["sector_cos"][lower], geometry["sector_sin"][lower]
-    cu, su = geometry["sector_cos"][lower + 1], geometry["sector_sin"][lower + 1]
-    # an end at (or a subnormal distance from) the center gives m = -inf, which
-    # certifies nothing
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m = 1e-12 * np.abs(sweep) / (rmax * rmax) - _ROUNDING * (1.0 + np.sqrt(dd) / np.minimum(rp, rq))
-        mp, mq = -m * rp, -m * rq
-        free = (ring_free & (sweep != 0.0)
-                & (p.imag * cl - p.real * sl >= mp) & (q.imag * cl - q.real * sl >= mq)
-                & (p.real * su - p.imag * cu >= mp) & (q.real * su - q.imag * cu >= mq))
-    inside = (1 <= below) & (below < len(R_edges))
-    return free, np.where(inside, (below - 1) * n_theta + sector, -1)
-
-
-def _crossings_polar(p: np.ndarray, d: np.ndarray, r: np.ndarray, geometry):
-    """(whole, cell, seg, t): which segments p + t d (r = |p|) are certified to cross
-    no ring or sector edge, the cell of each of those, and the (segment, t) in (0, 1)
-    where the other segments cross ring or sector edges."""
-    whole = np.zeros(len(p), dtype=bool)
-    dd = d.real * d.real + d.imag * d.imag
-    moving = np.flatnonzero(dd != 0.0)
-    p, d, dd, rp = p[moving], d[moving], dd[moving], r[moving]
-    q = p + d
-    pd = p.real * d.real + p.imag * d.imag
-    sweep = p.real * d.imag - p.imag * d.real  # sign of d(theta)/dt
-    # radial span of the segment: perigee may undercut both endpoints
-    rq = np.hypot(q.real, q.imag)
-    t_foot = -pd / dd
-    foot = np.hypot(p.real + t_foot * d.real, p.imag + t_foot * d.imag)
-    rmin = np.minimum(rp, rq)
-    rmin = np.where((0.0 < t_foot) & (t_foot < 1.0), np.minimum(rmin, foot), rmin)
-    rmax = np.maximum(rp, rq)
-    free, cell = _cut_free_polar(p, d, q, dd, sweep, rp, rq, rmin, rmax, geometry)
-    whole[moving[free]] = True
-    rest = np.flatnonzero(~free)
-    if len(rest) == 0:  # every lower_q block: nothing to search
-        return whole, cell, np.zeros(0, dtype=np.int64), np.zeros(0)
-    p, d, q, dd, pd, sweep, rp, rmin, rmax = (a[rest] for a in (p, d, q, dd, pd, sweep, rp, rmin, rmax))
-    cuts = (_ring_cuts(p, d, dd, pd, rp, rmin, rmax, geometry)
-            + _sector_cuts(p, d, q, dd, pd, sweep, geometry))
-    segs, ts = zip(*cuts)
-    return whole, cell[free], moving[rest][np.concatenate(segs)], np.concatenate(ts)
-
-
-def _crossings_cartesian(p: np.ndarray, d: np.ndarray, r: np.ndarray, geometry):
-    """(whole, cell, seg, t) in the shape `_crossings_polar` returns: no segment is
-    certified, and (segment, t) in (0, 1) are where the segments p + t d cross grid
-    lines; grid lines need no r = |p|."""
+def _crossings(p: np.ndarray, d: np.ndarray, geometry):
+    """(segment, t) with t strictly inside (0, 1) where the segments p + t d cross
+    grid lines: the cuts they need."""
     segs, ts = [], []
     for edges, pp, dd in ((geometry["x_edges"], p.real, d.real), (geometry["y_edges"], p.imag, d.imag)):
         moving = np.flatnonzero(dd != 0.0)
@@ -481,10 +375,11 @@ def _crossings_cartesian(p: np.ndarray, d: np.ndarray, r: np.ndarray, geometry):
         k1 = np.searchsorted(edges, np.maximum(pp, pp + dd) + 1e-15)
         s, k = _ranges(np.maximum(k0 - 1, 0), np.minimum(k1 + 1, len(edges)))
         with np.errstate(over="ignore"):  # a subnormal step gives t = +-inf, outside (0, 1)
-            s, t = _in_segment(moving[s], (edges[k] - pp[s]) / dd[s])
-        segs.append(s)
-        ts.append(t)
-    return np.zeros(len(p), dtype=bool), np.zeros(0, dtype=np.int64), np.concatenate(segs), np.concatenate(ts)
+            t = (edges[k] - pp[s]) / dd[s]
+        keep = (1e-12 < t) & (t < 1.0 - 1e-12)
+        segs.append(moving[s][keep])
+        ts.append(t[keep])
+    return np.concatenate(segs), np.concatenate(ts)
 
 
 def _bins(edges: np.ndarray, x: np.ndarray):
@@ -495,20 +390,8 @@ def _bins(edges: np.ndarray, x: np.ndarray):
     return np.searchsorted(edges[1:-1], x), (edges[0] <= x) & (x <= edges[-1])
 
 
-def _sectors(z: np.ndarray, n_theta: int) -> np.ndarray:
-    """Sector index of each point among n_theta equal sectors from angle 0."""
-    angle = np.arctan2(z.imag, z.real)
-    # np.mod(angle, 2 pi) bit for bit, also at -0.0, in a seventh of its time
-    theta = angle + (angle < 0.0) * (2.0 * math.pi)
-    return (theta / (2.0 * math.pi / n_theta)).astype(np.int64) % n_theta
-
-
 def _cells_of(z: np.ndarray, geometry) -> np.ndarray:
-    """Cell index of each point, -1 outside the grid."""
-    if geometry["kind"] == "polar":
-        n_theta = geometry["n_theta"]
-        k, inside = _bins(geometry["R_edges"], np.hypot(z.real, z.imag))
-        return np.where(inside, k * n_theta + _sectors(z, n_theta), -1)
+    """Cell index of each point of a cartesian grid, -1 outside it."""
     i, inside_x = _bins(geometry["x_edges"], z.real)
     j, inside_y = _bins(geometry["y_edges"], z.imag)
     return np.where(inside_x & inside_y, i * geometry["n_y"] + j, -1)
@@ -531,18 +414,19 @@ def _blocks(polylines):
 
 
 def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFamily:
-    """Clip every polyline to the domain cells: one CSR incidence matrix per metric.
+    """Clip every polyline to the cells of a cartesian grid: one CSR incidence
+    matrix per metric.
 
-    Segments are cut at every crossing; each piece goes to the cell of its
-    midpoint, and the per-cell sums add the pieces in order along the curve.
-    A segment of a polar grid certified to cross no cell edge
-    (`_cut_free_polar`) skips the crossing search as one piece, t from 0 to 1;
-    the certificate admits no segment the search would cut, so the arrays are
-    those of searching every segment. The segments of whole curves are cut
-    and summed in blocks (see the module docstring).
+    Segments are cut at every grid-line crossing; each piece goes to the cell of
+    its midpoint, and the per-cell sums add the pieces in order along the curve.
+    The segments of whole curves are cut and summed in blocks (see the module
+    docstring). ValueError for a polar grid, whose families are its grid lines
+    (`grid_circles`, `grid_rays`).
     """
     geometry, n_cells = dom.geometry, dom.n_cells
-    crossings = _crossings_polar if geometry["kind"] == "polar" else _crossings_cartesian
+    if geometry["kind"] == "polar":
+        raise ValueError("rasterize_family needs a cartesian grid; a polar grid builds its "
+                         "families with grid_circles and grid_rays")
     keys, len_e, len_h = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
     for first, ends in _blocks(family.polylines):
         n_segments = [len(p) for p, _ in ends]
@@ -550,23 +434,16 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
         d = np.concatenate([q for _, q in ends]) - p
         r, speed = np.hypot(p.real, p.imag), np.hypot(d.real, d.imag)
         seg_curve = np.repeat(np.arange(first, first + len(ends)), n_segments)
-        whole, whole_cell, seg, t = crossings(p, d, r, geometry)
-        whole, rest = np.flatnonzero(whole), np.flatnonzero(~whole)
-        seg = np.concatenate((rest, rest, seg))
-        t = np.concatenate((np.zeros(len(rest)), np.ones(len(rest)), t))
+        every = np.arange(len(p))
+        seg, t = _crossings(p, d, geometry)
+        seg = np.concatenate((every, every, seg))
+        t = np.concatenate((np.zeros(len(p)), np.ones(len(p)), t))
         order = np.lexsort((t, seg))
         seg, t = seg[order], t[order]
         # piece i runs from t[i] to t[i + 1]; an exact duplicate cut starts no piece
         start = np.flatnonzero((seg[1:] == seg[:-1]) & (t[1:] != t[:-1]))
         s, t0, t1 = seg[start], t[start], t[start + 1]
         cell = _cells_of(p[s] + 0.5 * (t0 + t1) * d[s], geometry)
-        # a certified segment is one piece, t from 0 to 1, in the cell the certificate
-        # found; a stable sort by segment merges it in order along the curve
-        s = np.concatenate((whole, s))
-        order = np.argsort(s, kind="stable")
-        s, cell = s[order], np.concatenate((whole_cell, cell))[order]
-        t0 = np.concatenate((np.zeros(len(whole)), t0))[order]
-        t1 = np.concatenate((np.ones(len(whole)), t1))[order]
         inside = cell >= 0
         s, t0, t1 = s[inside], t0[inside], t1[inside]
         # one sum per (curve, cell), adding the pieces in order along the curve
@@ -577,17 +454,9 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
     # blocks hold whole curves in order, so the keys are sorted curve by curve
     curve, cells = np.divmod(np.concatenate(keys), n_cells)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(curve, minlength=len(family)))))
-    # 32-bit indices where they fit, as scipy.sparse picks them: its view then copies nothing
-    fits = max(len(cells), len(family), n_cells) <= np.iinfo(np.int32).max
-    index_type = np.int32 if fits else np.int64
-    return CurveFamily(
-        indptr.astype(index_type),
-        cells.astype(index_type),
-        np.concatenate(len_e),  # float, also where a block's bincount of no pieces is int
-        np.concatenate(len_h),
-        n_cells=n_cells,
-        multiplicities=family.multiplicities,
-    )
+    return _curve_family(indptr, cells,
+                         np.concatenate(len_e),  # float, also where a block's bincount of no pieces is int
+                         np.concatenate(len_h), n_cells, family.multiplicities)
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +678,7 @@ def circle_family_modulus(ring: RingSpec, Q: ScalarField, n_circles: int = 64, n
     if n_circles < 4:
         raise ValueError("need n_circles >= 4")
     dom = polar_grid(ring, n_r=n_circles, n_theta=n_theta)
-    pf = circle_family([euclid_radius(r) for r in ring.band_centers(n_circles)],
-                       n_vertices=4 * n_theta)
-    fam = rasterize_family(pf, dom)
+    fam = grid_circles(dom, [euclid_radius(r) for r in ring.band_centers(n_circles)])
     q_cells = Q.evaluate_array(dom.centers)
     if np.any(q_cells <= 0):
         raise ValueError("Q must be positive on the ring")

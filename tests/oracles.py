@@ -49,6 +49,30 @@ def incidence_matrix(family: CurveFamily, metric: str) -> sp.csr_matrix:
                          shape=(len(family), family.n_cells))
 
 
+def midpoint_incidences(curves, dom):
+    """(indptr, indices, euclidean, hyperbolic) of curves on a polar grid, each given
+    by its vertices with every segment inside one cell: a segment goes to the cell
+    of its midpoint, found with atan2 and hypot, and a curve's segments are summed
+    per cell in order along it."""
+    R_edges, n_theta = dom.geometry["R_edges"], dom.geometry["n_theta"]
+    n_cells = (len(R_edges) - 1) * n_theta
+    keys, euclidean, hyperbolic = [], [], []
+    for g, z in enumerate(curves):
+        p, d = z[:-1], np.diff(z)
+        mid = p + 0.5 * d
+        band = np.searchsorted(R_edges, np.hypot(mid.real, mid.imag)) - 1
+        sector = np.floor(np.mod(np.arctan2(mid.imag, mid.real), 2.0 * math.pi) / (2.0 * math.pi / n_theta))
+        keys.append(g * n_cells + band * n_theta + sector.astype(int))
+        r, speed = np.hypot(p.real, p.imag), np.hypot(d.real, d.imag)
+        euclidean.append(speed)
+        hyperbolic.append(_segment_hyp_length(p, d, r, speed, 0.0, 1.0))
+    key, at = np.unique(np.concatenate(keys), return_inverse=True)
+    curve, cells = np.divmod(key, n_cells)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(curve, minlength=len(curves)))))
+    return (indptr, cells, np.bincount(at, np.concatenate(euclidean)),
+            np.bincount(at, np.concatenate(hyperbolic)))
+
+
 def _sqrt_antiderivative(x: float, R: float) -> float:
     """Antiderivative of sqrt(R^2 - x^2) on [-R, R]."""
     x = min(max(x, -R), R)

@@ -38,10 +38,9 @@ from modlab.fields import parse_field
 from modlab.mappings import dilatation, multiplicity, radial_stretch, winding, wirtinger_fd
 from modlab.modulus import (
     circle_family_modulus,
+    grid_rays,
     modulus_discrete,
     polar_grid,
-    radial_connecting_family,
-    rasterize_family,
     ring_modulus_exact,
     weighted_infimum,
 )
@@ -118,7 +117,7 @@ def test_criterion_05_ring_modulus_200x600():
     t0 = time.perf_counter()
     exact = ring_modulus_exact(RING)
     dom = polar_grid(RING, 200, 600)
-    fam = rasterize_family(radial_connecting_family(RING, 600), dom)
+    fam = grid_rays(dom)
     res = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-5)
     elapsed = time.perf_counter() - t0
     rel = abs(res.value - exact) / exact
@@ -132,7 +131,7 @@ def test_criterion_06_metric_equivalence():
     fam_dom = getattr(test_criterion_05_ring_modulus_200x600, "family", None)
     if fam_dom is None:
         dom = polar_grid(RING, 100, 300)
-        fam = rasterize_family(radial_connecting_family(RING, 300), dom)
+        fam = grid_rays(dom)
     else:
         fam, dom = fam_dom
     h = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-5).value

@@ -370,12 +370,11 @@ def test_closed_form_runs_load_no_scipy(tmp_path):
     script = textwrap.dedent(f"""
         import sys
         import modlab, modlab.cli
-        from modlab.modulus import modulus_discrete, polar_grid, radial_connecting_family, rasterize_family
+        from modlab.modulus import grid_rays, modulus_discrete, polar_grid
         from modlab.quadrature import RingSpec
 
-        ring = RingSpec(0.5, 1.5)
-        dom = polar_grid(ring, 8, 16)
-        assert modulus_discrete(rasterize_family(radial_connecting_family(ring, 16), dom), dom).stop_reason == "closed_form"
+        dom = polar_grid(RingSpec(0.5, 1.5), 8, 16)
+        assert modulus_discrete(grid_rays(dom), dom).stop_reason == "closed_form"
         assert modlab.cli.main(["ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "20x60"]) == 0
         assert modlab.cli.main(["suite", {str(CONFIG_DIR / "experiments")!r}, "--out-dir", {str(tmp_path)!r}]) == 0
         loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")

@@ -28,7 +28,7 @@ from modlab.mappings import (
     winding,
 )
 from modlab.diskgeom import euclid_radius, hyp_radius, inside_disk
-from modlab.modulus import _polar_grid, circle_family, modulus_discrete, polar_grid, rasterize_family
+from modlab.modulus import _polar_grid, grid_circles, modulus_discrete, polar_grid
 from modlab.quadrature import RingSpec, ScalarField
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
@@ -381,13 +381,16 @@ class TestImageRing:
         return abs(complex(f(np.array([euclid_radius(r)], dtype=complex))[0]))
 
     def _source(self, n_circles, n_theta):
-        return circle_family([euclid_radius(r) for r in self.RING.band_centers(n_circles)], n_vertices=4 * n_theta)
+        """(Σ, its radii): the circles at the ring's band centers on the ring's grid."""
+        radii = [euclid_radius(r) for r in self.RING.band_centers(n_circles)]
+        return grid_circles(polar_grid(self.RING, n_circles, n_theta), radii), radii
 
     def _image(self, f, n_circles, n_theta):
-        """(f(Σ), its grid, the image ring's hyperbolic radii), as `run_lower_q_verification` builds them."""
+        """(f(Σ), its radii, its grid, the image ring's hyperbolic radii), as
+        `run_lower_q_verification` builds them."""
         edges, radii = _image_ring(f, self.RING, n_circles)
-        return (circle_family(radii, multiplicity=f.degree, n_vertices=4 * n_theta),
-                _polar_grid(np.array(edges), n_theta), (edges[0], edges[-1]))
+        dom = _polar_grid(np.array(edges), n_theta)
+        return grid_circles(dom, radii, multiplicity=f.degree), radii, dom, (edges[0], edges[-1])
 
     @pytest.mark.parametrize("f", MAPS, ids=MAP_IDS)
     def test_returns_the_angle_zero_column_the_check_measured(self, f):
@@ -405,58 +408,54 @@ class TestImageRing:
     def test_identity_images_equal_the_source(self):
         # bit for bit: |f(R)| = hypot(R, 0) = R, so lower_q_identity keeps its numbers
         assert _image_ring(identity_map(), self.RING, 8)[1] == [euclid_radius(r) for r in self.RING.band_centers(8)]
-        image, dom, image_ring = self._image(identity_map(), 8, 64)
-        source = self._source(8, 64)
+        image, radii, dom, image_ring = self._image(identity_map(), 8, 64)
+        source, source_radii = self._source(8, 64)
         assert image.multiplicities == source.multiplicities == (1,) * 8
-        for a, b in zip(source.polylines, image.polylines):
-            assert np.array_equal(a.vertices, b.vertices)
+        assert radii == source_radii
+        for name in ("indptr", "indices", "euclidean", "hyperbolic"):
+            assert np.array_equal(getattr(image, name), getattr(source, name))
         assert image_ring == pytest.approx((0.5, 1.5), rel=1e-15)
         assert np.allclose(dom.centers, polar_grid(self.RING, 8, 64).centers, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_winding_keeps_radii_and_multiplies_multiplicity(self, k):
-        image, _, image_ring = self._image(winding(k), 8, 64)
+        image, radii, _, image_ring = self._image(winding(k), 8, 64)
         assert image.multiplicities == (k,) * 8
-        for a, b in zip(self._source(8, 64).polylines, image.polylines):
-            assert np.allclose(a.vertices, b.vertices, rtol=1e-15, atol=0.0)
+        assert np.allclose(radii, self._source(8, 64)[1], rtol=1e-15, atol=0.0)
         assert image_ring == pytest.approx((0.5, 1.5), rel=1e-15)
 
     @pytest.mark.parametrize("f", MAPS, ids=MAP_IDS)
     @pytest.mark.parametrize("n_circles", [6, 16])
     def test_grid_is_the_source_grid_carried_by_f(self, f, n_circles):
-        image, dom, image_ring = self._image(f, n_circles, 64)
+        image, radii, dom, image_ring = self._image(f, n_circles, 64)
         carried = [self._image_radius(f, r) for r in self.RING.band_edges(n_circles)]
         assert dom.geometry["n_r"] == n_circles and dom.geometry["n_theta"] == 64
         assert dom.geometry["R_edges"] == pytest.approx(carried, rel=4e-16, abs=0.0)
         assert image_ring == (hyp_radius(carried[0]), hyp_radius(carried[-1]))
         R_edges = dom.geometry["R_edges"]
-        for i, (r, poly) in enumerate(zip(self.RING.band_centers(n_circles), image.polylines)):
-            radius = np.abs(poly.vertices)
-            assert np.allclose(radius, self._image_radius(f, r), rtol=1e-15, atol=0.0)
-            assert R_edges[i] < radius.min() and radius.max() < R_edges[i + 1]  # inside its own band
+        for i, (r, radius) in enumerate(zip(self.RING.band_centers(n_circles), radii)):
+            assert radius == pytest.approx(self._image_radius(f, r), rel=1e-15, abs=0.0)
+            assert R_edges[i] < radius < R_edges[i + 1]  # inside its own band
+        # so circle i meets exactly the cells of band i
+        assert np.array_equal(image.indices, np.arange(n_circles * 64))
         assert image.multiplicities == (f.degree,) * n_circles
 
     def test_radial_stretch_squares_euclid_radii(self):
         # z|z| takes |z| = R to |w| = R^2, hyperbolic radius 2 atanh(R^2)
-        image, dom, image_ring = self._image(radial_stretch(2), 6, 64)
-        for r, poly in zip(self.RING.band_centers(6), image.polylines):
+        _, radii, dom, image_ring = self._image(radial_stretch(2), 6, 64)
+        for r, radius in zip(self.RING.band_centers(6), radii):
             R = math.tanh(0.5 * r)
-            radius = np.abs(poly.vertices)
-            assert hyp_radius(float(radius[0])) == pytest.approx(2 * math.atanh(R * R), rel=1e-12)
-            assert np.allclose(radius, R * R, rtol=1e-15, atol=0.0)
+            assert hyp_radius(radius) == pytest.approx(2 * math.atanh(R * R), rel=1e-12)
+            assert radius == pytest.approx(R * R, rel=1e-15, abs=0.0)
         assert dom.geometry["R_edges"] == pytest.approx(np.tanh(0.5 * self.RING.band_edges(6)) ** 2, rel=1e-15)
         assert image_ring == pytest.approx([2 * math.atanh(math.tanh(0.5 * r) ** 2) for r in (0.5, 1.5)], rel=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_multiplicity_k_image_has_modulus_base_over_k_squared(self, k):
         # winding:k runs each circle k times on the same grid: each curve's closed form scales by 1/k^2
-        base = modulus_discrete(*self._rasterized(identity_map()), tol=1e-7).value
-        value = modulus_discrete(*self._rasterized(winding(k)), tol=1e-7).value
+        base = modulus_discrete(*self._image(identity_map(), 12, 64)[::2], tol=1e-7).value
+        value = modulus_discrete(*self._image(winding(k), 12, 64)[::2], tol=1e-7).value
         assert value == pytest.approx(base / k**2, rel=1e-12)
-
-    def _rasterized(self, f):
-        image, dom, _ = self._image(f, 12, 64)
-        return rasterize_family(image, dom), dom
 
 
 class TestLowerQ:

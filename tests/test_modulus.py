@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -5,30 +7,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import minimize, nnls
 
 from modlab import modulus
 from modlab.diskgeom import Polyline, euclid_radius
-from modlab.experiments import ExperimentConfig, _image_ring
+from modlab.experiments import ExperimentConfig
 from modlab.fields import parse_field
-from modlab.mappings import radial_stretch
 from modlab.modulus import (
+    CurveFamily,
     DensityField,
     PolylineFamily,
     cartesian_grid,
-    circle_family,
     circle_family_modulus,
+    grid_circles,
+    grid_rays,
     modulus_discrete,
     polar_grid,
-    radial_connecting_family,
     rasterize_family,
     ring_modulus_exact,
     weighted_infimum,
 )
-from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _blocks, _crossings_polar, _polar_grid
+from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _CHORDS_PER_CELL, _blocks, _polar_grid
 from modlab.quadrature import RingSpec
 
-from oracles import hyp_length, incidence_matrix
+from oracles import hyp_length, incidence_matrix, midpoint_incidences
 
 RING = RingSpec(0.5, 1.5)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "experiments"
@@ -112,12 +115,18 @@ def _bits(x):
 
 def _radial_family():
     dom = polar_grid(RING, 200, 600)
-    return rasterize_family(radial_connecting_family(RING, 600), dom), dom
+    return grid_rays(dom), dom
 
 
-def _ring_circles(n_circles, n_vertices):
-    """The circles at the band centers of RING."""
-    return circle_family([euclid_radius(r) for r in RING.band_centers(n_circles)], n_vertices=n_vertices)
+def _ring_radii(n_circles):
+    """Euclidean radii of the band centers of RING."""
+    return [euclid_radius(r) for r in RING.band_centers(n_circles)]
+
+
+def _ring_circles(n_circles, n_theta, multiplicity=1):
+    """(the circles at the band centers of RING, their grid)."""
+    dom = polar_grid(RING, n_circles, n_theta)
+    return grid_circles(dom, _ring_radii(n_circles), multiplicity), dom
 
 
 def _lower_q_image_family(name):
@@ -125,51 +134,23 @@ def _lower_q_image_family(name):
     builds them from the image ring its load measured."""
     cfg = ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json")
     _, edges, radii, n_theta, *_ = cfg.params
-    image = circle_family(radii, multiplicity=cfg.sample_map.degree, n_vertices=4 * n_theta)
-    return image, _polar_grid(np.array(edges), n_theta)
+    dom = _polar_grid(np.array(edges), n_theta)
+    return grid_circles(dom, radii, cfg.sample_map.degree), dom
 
 
 def _winding_image_family():
     """The lower_q_winding2 image family: 64 circles pushed forward by z -> z^2|z|^-1."""
-    image, dom = _lower_q_image_family("lower_q_winding2")
-    return rasterize_family(image, dom), dom
+    return _lower_q_image_family("lower_q_winding2")
 
 
-def _certify_nothing(certify):
-    """The certificate with every segment sent on to the crossing search."""
-    def nothing(*args):
-        free, cell = certify(*args)
-        return np.zeros_like(free), cell
-    return nothing
-
-
-def _searched(family, dom):
-    """rasterize_family with no segment certified: every one goes through the crossing search."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modulus, "_cut_free_polar", _certify_nothing(modulus._cut_free_polar))
-        return rasterize_family(family, dom)
-
-
-def _rasterize_counting(family, dom):
-    """(family, segments, segments the polar certificate lets through to the search)."""
-    certify, counts = modulus._cut_free_polar, [0, 0]
-
-    def counting(*args):
-        free, cell = certify(*args)
-        counts[0] += len(free)
-        counts[1] += int(np.count_nonzero(~free))
-        return free, cell
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modulus, "_cut_free_polar", counting)
-        return (rasterize_family(family, dom), *counts)
-
-
-def _assert_same_family(fam, ref):
-    assert np.array_equal(fam.indptr, ref.indptr) and np.array_equal(fam.indices, ref.indices)
-    assert fam.indptr.dtype == ref.indptr.dtype and fam.indices.dtype == ref.indices.dtype
-    assert np.array_equal(_bits(fam.euclidean), _bits(ref.euclidean))
-    assert np.array_equal(_bits(fam.hyperbolic), _bits(ref.hyperbolic))
+def _rows(fam, keep):
+    """The subfamily of the rows `keep` of a family."""
+    keep = np.asarray(keep)
+    lo, hi = fam.indptr[keep], fam.indptr[keep + 1]
+    at = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    indptr = np.concatenate(([0], np.cumsum(hi - lo)))
+    return CurveFamily(indptr, fam.indices[at], fam.euclidean[at], fam.hyperbolic[at], fam.n_cells,
+                       tuple(fam.multiplicities[g] for g in keep))
 
 
 def _overlap_chords(rng):
@@ -224,19 +205,14 @@ def _crossing_family():
 
 
 def _snap(z: complex, a, b, geometry) -> complex:
-    """Put a point's coordinates (x, y, or radius, angle) on the a-th and b-th cell edges.
+    """Put a point's coordinates on the a-th and b-th cell edges of a cartesian grid.
 
     A coordinate whose index is None is kept; indices wrap around the edge list.
     """
-    if geometry["kind"] == "cartesian":
-        x_edges, y_edges = geometry["x_edges"], geometry["y_edges"]
-        x = z.real if a is None else x_edges[a % len(x_edges)]
-        y = z.imag if b is None else y_edges[b % len(y_edges)]
-        return complex(x, y)
-    R_edges, theta_edges = geometry["R_edges"], geometry["theta_edges"]
-    r = abs(z) if a is None else R_edges[a % len(R_edges)]
-    theta = math.atan2(z.imag, z.real) if b is None else theta_edges[b % len(theta_edges)]
-    return r * complex(math.cos(theta), math.sin(theta))
+    x_edges, y_edges = geometry["x_edges"], geometry["y_edges"]
+    x = z.real if a is None else x_edges[a % len(x_edges)]
+    y = z.imag if b is None else y_edges[b % len(y_edges)]
+    return complex(x, y)
 
 
 class TestGrids:
@@ -269,34 +245,18 @@ class TestGrids:
             cartesian_grid(((-0.9, 0.9), (-0.9, 0.9)), 4, 4)
 
     def test_rasterized_length_conservation(self):
-        dom = polar_grid(RING, 16, 32)
-        fam = rasterize_family(radial_connecting_family(RING, 8), dom)
+        fam = grid_rays(polar_grid(RING, 16, 32))
         R1, R2 = euclid_radius(0.5), euclid_radius(1.5)
         for cells, le, lh in fam.curves:
             assert float(np.sum(le)) == pytest.approx(R2 - R1, rel=1e-12)
             assert float(np.sum(lh)) == pytest.approx(RING.r_outer - RING.r_inner, rel=1e-12)
 
     def test_circle_rasterization_perimeter(self):
-        dom = polar_grid(RING, 8, 64)
-        fam = rasterize_family(_ring_circles(8, 4096), dom)
+        fam, _ = _ring_circles(8, 1024)  # 4096-gons
         for (cells, le, lh), r in zip(fam.curves, RING.band_centers(8)):
             R = euclid_radius(r)
             assert float(np.sum(le)) == pytest.approx(2 * math.pi * R, rel=1e-5)
             assert float(np.sum(lh)) == pytest.approx(2 * math.pi * math.sinh(r), rel=1e-5)
-
-    def test_segments_through_polar_center(self):
-        # on a grid from r_inner = 0, a segment through 0 sweeps no angle
-        dom = polar_grid(RingSpec(0.0, 2.0), 5, 4)
-        segments = [(0.3 + 0.3j, -0.3 - 0.3j), (0.3 + 0.3j, -0.1 - 0.1j), (-0.4, 0.4)]
-        fam = rasterize_family(PolylineFamily(tuple(Polyline(s) for s in segments), kind="connecting"), dom)
-        E, H = incidence_matrix(fam, "euclidean"), incidence_matrix(fam, "hyperbolic")
-        rows = zip(segments, np.asarray(E.sum(axis=1)).ravel(), np.asarray(H.sum(axis=1)).ravel())
-        for (p, q), row_e, row_h in rows:
-            assert row_e == pytest.approx(abs(q - p), rel=1e-12, abs=0.0)
-            assert row_h == pytest.approx(hyp_length(Polyline((p, q))), rel=1e-12, abs=0.0)
-        # cell = ring * 4 + sector; both rings 0 on either side of the center are met
-        cells = [cells.tolist() for cells, _, _ in fam.curves]
-        assert cells == [[0, 2, 4, 6, 8, 10], [0, 2, 4, 8], [0, 2, 4, 6, 8, 10]]
 
     def test_pieces_on_window_edges_are_kept(self):
         # a piece on the lower/left edge counts like one on the upper/right edge
@@ -309,11 +269,6 @@ class TestGrids:
         first, last = fam.curves[0][0], fam.curves[1][0]
         assert np.all(first // 9 == 0) and np.all(last // 9 == 6)
 
-    @pytest.mark.parametrize(
-        "dom",
-        [cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9), polar_grid(RingSpec(0.0, 2.0), 5, 12)],
-        ids=["cartesian", "polar"],
-    )
     @settings(max_examples=60, deadline=None)
     @given(
         specs=st.lists(
@@ -329,8 +284,9 @@ class TestGrids:
             max_size=5,
         )
     )
-    def test_cartesian_rasterization_properties(self, dom, specs):
+    def test_cartesian_rasterization_properties(self, specs):
         # some vertices are snapped onto cell edges, the window's outer edges included
+        dom = cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9)
         polylines = tuple(
             Polyline([_snap(complex(x, y), sa, sb, dom.geometry) for x, y, sa, sb in pts], closed=closed)
             for pts, closed in specs
@@ -348,8 +304,6 @@ class TestGrids:
             assert row_h == pytest.approx(hyp_length(poly), rel=1e-12, abs=0.0)
             assert np.array_equal(cells, E.indices[lo:hi]) and np.array_equal(cells, H.indices[lo:hi])
             assert np.array_equal(le, E.data[lo:hi]) and np.array_equal(lh, H.data[lo:hi])
-        # the certificate changes nothing: the same arrays with every segment searched
-        _assert_same_family(fam, _searched(PolylineFamily(polylines, kind="connecting"), dom))
 
 
 def _one_curve_rows(polylines, dom):
@@ -367,17 +321,19 @@ def _spiral(n_vertices):
     return Polyline(euclid_radius(0.6) * (1.0 + 0.6 * s) * np.exp(6j * math.pi * s))
 
 
+WINDOW = ((-0.5, 0.5), (-0.5, 0.5))
+
+
 class TestBlockInvariance:
     """A family's rows equal, bit for bit, the rows of its curves rasterized one by one."""
 
     @pytest.mark.parametrize("build, n_blocks", [
-        (lambda: (_ring_circles(64, 1024).polylines, polar_grid(RING, 64, 256)), 16),
-        (lambda: ((_spiral(40), _spiral(3 * _BLOCK_SEGMENTS), _spiral(7)), polar_grid(RING, 16, 64)), 3),
-        (lambda: ((_spiral(40), Polyline([0.3 + 0.2j]), _spiral(9)), polar_grid(RING, 16, 64)), 1),
-        (lambda: ((), polar_grid(RING, 4, 8)), 0),
-        (lambda: (_overlap_chords(np.random.default_rng(1)), cartesian_grid(((-0.5, 0.5), (-0.5, 0.5)), 64, 64)),
+        (lambda: ((_spiral(40), _spiral(3 * _BLOCK_SEGMENTS), _spiral(7)), cartesian_grid(WINDOW, 16, 16)), 3),
+        (lambda: ((_spiral(40), Polyline([0.3 + 0.2j]), _spiral(9)), cartesian_grid(WINDOW, 16, 16)), 1),
+        (lambda: ((), cartesian_grid(WINDOW, 4, 8)), 0),
+        (lambda: (_overlap_chords(np.random.default_rng(1)), cartesian_grid(WINDOW, 64, 64)),
          512 // _BLOCK_CURVES),
-    ], ids=["64-circles", "longer-than-a-block", "single-vertex", "empty", "cartesian-chords"])
+    ], ids=["longer-than-a-block", "single-vertex", "empty", "cartesian-chords"])
     def test_family_equals_stacked_curves(self, build, n_blocks):
         polylines, dom = build()
         assert sum(1 for _ in _blocks(polylines)) == n_blocks
@@ -388,151 +344,156 @@ class TestBlockInvariance:
         assert np.array_equal(_bits(fam.euclidean), _bits(euclidean))
         assert np.array_equal(_bits(fam.hyperbolic), _bits(hyperbolic))
 
+    # sha256 of indptr, indices, euclidean and hyperbolic of the overlap chords on 64 x 64
+    # cells, as the rasterizer computed them before the polar crossing search was removed
+    # (x86-64, numpy 2)
+    OVERLAP_SHA256 = {
+        1: "e1876497e7dbabc59522a7bf09158b7fa8ce107f52b91319f1d2b8ec71e4f29e",
+        2: "a61a16d3ec098506a677ef1c336e6409037798de98d9c1930f5310d2dc55ab98",
+        3: "beff86a11d74c894caf0142254c2f4a3893163015fbcdab42267e281db343653",
+        4: "f9d9929fe3c4d8183153cf25462b7d0edb283501375d074dee573096ff067a69",
+        5: "fe3e6ea7624c2d261f7dfead66d24d1ddd053493c4b4403b21f9a41a5bc78d91",
+    }
 
-# a uniform grid, and the non-uniform one z|z| carries the 4 bands of the ring (1, 2.5) onto
-POLAR_GRIDS = [polar_grid(RING, 6, 12),
-               _polar_grid(np.array(_image_ring(radial_stretch(2), RingSpec(1.0, 2.5), 4)[0]), 20)]
-
-
-class TestSectorEdgeTable:
-    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "carried"])
-    def test_entries_are_libm_values(self, dom):
-        geometry = dom.geometry
-        n = geometry["n_theta"]
-        angles = [edge * (2.0 * math.pi / n) for edge in range(-2 * n - 4, 2 * n + 5)]
-        assert np.array_equal(_bits(geometry["sector_cos"]), _bits([math.cos(a) for a in angles]))
-        assert np.array_equal(_bits(geometry["sector_sin"]), _bits([math.sin(a) for a in angles]))
-        assert np.array_equal(_bits(geometry["R_edges_sq"]), _bits(np.float_power(geometry["R_edges"], 2)))
-
-    @pytest.mark.parametrize("dom", POLAR_GRIDS, ids=["uniform", "carried"])
-    @pytest.mark.parametrize("alpha", [0.5 * math.pi - 1e-3, 0.5 * math.pi - 0.2])
-    @pytest.mark.parametrize("direction", [1, -1], ids=["counterclockwise", "clockwise"])
-    def test_sweep_across_angle_zero(self, dom, alpha, direction):
-        # from angle -alpha to alpha (or back): a sweep of 2 alpha, close to pi, across angle 0
-        R = euclid_radius(1.0)
-        p, q = R * np.exp(-1j * alpha * direction), R * np.exp(1j * alpha * direction)
-        d = np.array([q - p])
-        start = np.array([p])
-        whole, _, seg, t = _crossings_polar(start, d, np.hypot(start.real, start.imag), dom.geometry)
-        assert not whole.any() and np.all(seg == 0) and np.all((0.0 < t) & (t < 1.0))
-        z = p + t * d[0]
-        on_ring = np.min(np.abs(np.abs(z)[:, None] - dom.geometry["R_edges"]), axis=1) < 1e-12
-        # each sector edge the segment crosses, from libm values of its own angle in [0, 2 pi)
-        n = dom.geometry["n_theta"]
-        expected = []
-        for edge in range(n):
-            ca, sa = math.cos(edge * 2.0 * math.pi / n), math.sin(edge * 2.0 * math.pi / n)
-            t_edge = (p.real * sa - p.imag * ca) / (d[0].imag * ca - d[0].real * sa)
-            z_edge = p + t_edge * d[0]
-            if 0.0 < t_edge < 1.0 and z_edge.real * ca + z_edge.imag * sa > 0:
-                expected.append(t_edge)
-        assert len(expected) > n // 3
-        assert np.sort(t[~on_ring]) == pytest.approx(np.sort(expected), rel=0.0, abs=1e-12)
-        # the rasterized row is the segment's length outside the ring's hole
-        fam = rasterize_family(PolylineFamily((Polyline((p, q)),), kind="connecting"), dom)
-        R_inner, x = dom.geometry["R_edges"][0], p.real
-        assert fam.euclidean.sum() == pytest.approx(abs(q - p) - 2.0 * math.sqrt(R_inner**2 - x * x),
-                                                    rel=1e-12, abs=0.0)
+    @pytest.mark.parametrize("seed", sorted(OVERLAP_SHA256))
+    def test_overlap_family_bits_are_pinned(self, seed):
+        fam, _, _ = _overlap_family(seed)
+        assert fam.indptr.dtype == fam.indices.dtype == np.int32
+        digest = hashlib.sha256()
+        for array in (fam.indptr, fam.indices, fam.euclidean, fam.hyperbolic):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.OVERLAP_SHA256[seed]
 
 
-class TestCutFreeCertificate:
-    """Segments certified to cross no cell edge skip the crossing search; the arrays
-    equal, bit for bit, those of searching every segment."""
+def _polygon(R, n_vertices):
+    """The closed n-gon of radius R with a vertex at angle 0, its first vertex repeated at the end."""
+    z = R * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n_vertices, endpoint=False))
+    return np.append(z, z[0])
+
+
+def _assert_matches_oracle(fam, oracle, rel=1e-13):
+    indptr, indices, euclidean, hyperbolic = oracle
+    assert np.array_equal(fam.indptr, indptr) and np.array_equal(fam.indices, indices)
+    assert fam.euclidean == pytest.approx(euclidean, rel=rel, abs=0.0)
+    assert fam.hyperbolic == pytest.approx(hyperbolic, rel=rel, abs=0.0)
+
+
+class TestGridLines:
+    """A polar grid's circles and rays, built by construction, against a midpoint oracle
+    that places every chord or band piece in the cell of its midpoint."""
+
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 64), (32, 128), (64, 256), (128, 512)])
+    def test_circles_equal_the_midpoint_oracle(self, n_r, n_theta):
+        fam, dom = _ring_circles(n_r, n_theta)
+        polygons = [_polygon(R, 4 * n_theta) for R in _ring_radii(n_r)]
+        _assert_matches_oracle(fam, midpoint_incidences(polygons, dom))
+        assert fam.indptr.dtype == fam.indices.dtype == np.int32
 
     @pytest.mark.parametrize("name", ["lower_q_identity", "lower_q_radial_stretch2", "lower_q_winding2"])
-    def test_shipped_lower_q_families_skip_the_search(self, name):
-        image, dom = _lower_q_image_family(name)
-        fam, n_segments, fall_through = _rasterize_counting(image, dom)
-        assert (n_segments, fall_through) == (65536, 0)
-        _assert_same_family(fam, _searched(image, dom))
+    def test_lower_q_image_circles_equal_the_midpoint_oracle(self, name):
+        # the image grids of radial_stretch2 and winding2 are the source grid carried by f
+        fam, dom = _lower_q_image_family(name)
+        cfg = ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json")
+        radii, n_theta = cfg.params[2], cfg.params[3]
+        _assert_matches_oracle(fam, midpoint_incidences([_polygon(R, 4 * n_theta) for R in radii], dom))
+        assert fam.multiplicities == (cfg.sample_map.degree,) * len(radii)
 
-    @pytest.mark.parametrize("n_theta", [4, 12, 256])
-    def test_vertices_on_sector_edges(self, n_theta):
-        # every fourth vertex on a sector edge, up to rounding, as on the lower_q circles
-        dom = polar_grid(RING, 6, n_theta)
-        pf = _ring_circles(6, 4 * n_theta)
-        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
-        assert fall_through == 0
-        _assert_same_family(fam, _searched(pf, dom))
-        # chords from a vertex exactly on each edge, to either side
-        R, step = euclid_radius(1.0 + 1.0 / 12.0), 2.0 * math.pi / n_theta  # mid-band
-        edges = dom.geometry["theta_edges"]
-        chords = tuple(Polyline((R * np.exp(1j * a), R * np.exp(1j * (a + side * step / 3))))
-                       for a in edges for side in (1, -1))
-        pf = PolylineFamily(chords, kind="connecting")
-        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
-        assert fall_through == 0
-        _assert_same_family(fam, _searched(pf, dom))
+    def test_rays_equal_the_midpoint_oracle(self):
+        fam, dom = _radial_family()
+        R_edges, theta_edges = dom.geometry["R_edges"], dom.geometry["theta_edges"]
+        angles = 0.5 * (theta_edges[:-1] + theta_edges[1:])
+        rays = [R_edges * complex(math.cos(a), math.sin(a)) for a in angles]
+        _assert_matches_oracle(fam, midpoint_incidences(rays, dom))
+        assert fam.multiplicities == (1,) * 600
 
-    @pytest.mark.parametrize("past", [1e-10, -1e-10, 1e-13], ids=["past-end", "past-start", "1e-13-past-end"])
-    def test_end_just_past_an_edge_of_a_short_segment(self, past):
-        # a chord sweeping 1e-3 rad with an end beyond a sector edge: the crossing is at
-        # t ~ past / 1e-3 from that end, which the search keeps, so the certificate must not
-        dom = polar_grid(RING, 6, 12)
-        R, edge = euclid_radius(1.0 + 1.0 / 12.0), dom.geometry["theta_edges"][2]  # mid-band
-        if past > 0:
-            a0, a1 = edge - 1e-3 + past, edge + past
-        else:
-            a0, a1 = edge + past, edge + 1e-3 + past
-        pf = PolylineFamily((Polyline((R * np.exp(1j * a0), R * np.exp(1j * a1))),), kind="connecting")
-        fam, _, fall_through = _rasterize_counting(pf, dom)
-        ref = _searched(pf, dom)
-        assert fall_through == 1
-        assert len(ref.indices) == 2  # a piece on each side of the edge
-        _assert_same_family(fam, ref)
+    @pytest.mark.parametrize("n_r, n_theta", [(16, 64), (128, 512)])
+    def test_circle_lengths_against_quadrature(self, n_r, n_theta):
+        # the 4 n_theta-gon's perimeter in closed form, and its chord's hyperbolic
+        # length integrated by quadrature rather than by the two logarithms
+        fam, _ = _ring_circles(n_r, n_theta)
+        n = _CHORDS_PER_CELL * n_theta
+        for R, (cells, le, lh) in zip(_ring_radii(n_r), fam.curves):
+            assert len(cells) == n_theta
+            assert np.sum(le) == pytest.approx(2.0 * n * R * math.sin(math.pi / n), rel=1e-13, abs=0.0)
+            d = R * (complex(math.cos(2.0 * math.pi / n), math.sin(2.0 * math.pi / n)) - 1.0)
+            chord, _ = quad(lambda t: 2.0 * abs(d) / (1.0 - abs(R + t * d) ** 2), 0.0, 1.0,
+                            epsabs=0.0, epsrel=1e-13)
+            assert lh == pytest.approx(np.full(n_theta, _CHORDS_PER_CELL * chord), rel=1e-13, abs=0.0)
 
-    def test_ends_at_the_margin_that_keeps_real_cuts_out(self):
-        # chords ending past a sector edge by about 1e-12 |p x d| / rmax^2, where a real
-        # cut lies about 1e-12 from the end: only the rounding allowance keeps the
-        # certificate off the ones whose rounded t the search keeps
-        dom = polar_grid(RING, 6, 12)
-        R = euclid_radius(1.0 + 1.0 / 12.0)  # mid-band
-        chords = []
-        for swept in (6e-3, 2e-2):
-            for edge in dom.geometry["theta_edges"][1:4]:
-                for delta in 1e-12 * math.sin(swept) * (1.0 + 2e-4 * np.arange(-100, 101)):
-                    for a0, a1 in ((edge - swept + delta, edge + delta), (edge - delta, edge - delta + swept)):
-                        chords.append(Polyline((R * np.exp(1j * a0), R * np.exp(1j * a1))))
-        pf = PolylineFamily(tuple(chords), kind="connecting")
-        _assert_same_family(rasterize_family(pf, dom), _searched(pf, dom))
+    def test_rays_span_the_ring(self):
+        # every ray crosses the whole ring, and each band piece is the band's width in
+        # either metric: hyperbolic widths are the ring's equal bands
+        dom = polar_grid(RING, 7, 12)
+        fam = grid_rays(dom)
+        R_edges = dom.geometry["R_edges"]
+        for k, (cells, le, lh) in enumerate(fam.curves):
+            assert np.array_equal(cells, k + 12 * np.arange(7))
+            assert np.sum(le) == pytest.approx(euclid_radius(1.5) - euclid_radius(0.5), rel=1e-14)
+            assert lh == pytest.approx(np.full(7, 1.0 / 7), rel=1e-13, abs=0.0)
+            assert le == pytest.approx(np.diff(R_edges), rel=1e-15, abs=0.0)
 
-    def test_chords_tangent_to_a_ring_edge(self):
-        # chords whose perigee lies on a ring edge or a few ulps above it: rounding can
-        # turn the discriminant positive and the search then cuts the chord near its perigee
-        dom = polar_grid(RING, 8, 16)
-        step = 2.0 * math.pi / 16
-        chords = []
-        for R in dom.geometry["R_edges"]:
-            h = R
-            for _ in range(4):
-                for phi in (np.arange(16) + 0.5) * step:
-                    e = complex(math.cos(phi), math.sin(phi))
-                    chords += [Polyline((h * e - 1j * s * e, h * e + 1j * s * e)) for s in (1e-3, 1e-2, 3e-2)]
-                h = np.nextafter(h, 2.0)
-        pf = PolylineFamily(tuple(chords), kind="connecting")
-        _assert_same_family(rasterize_family(pf, dom), _searched(pf, dom))
+    @pytest.mark.parametrize("metric", ["hyperbolic", "euclidean"])
+    def test_multiplicity_divides_the_modulus_by_its_square(self, metric):
+        # a circle run m times needs m times less density; its lengths are the same
+        once, dom = _ring_circles(16, 64)
+        thrice, _ = _ring_circles(16, 64, multiplicity=3)
+        assert thrice.multiplicities == (3,) * 16
+        for a, b in zip((once.indptr, once.indices, once.euclidean, once.hyperbolic),
+                        (thrice.indptr, thrice.indices, thrice.euclidean, thrice.hyperbolic)):
+            assert np.array_equal(a, b)
+        m1 = modulus_discrete(once, dom, metric=metric).value
+        assert modulus_discrete(thrice, dom, metric=metric).value == pytest.approx(m1 / 9.0, rel=1e-14)
 
-    @pytest.mark.parametrize("dom", [polar_grid(RingSpec(0.0, 2.0), 5, 4), polar_grid(RING, 6, 12)],
-                             ids=["grid-from-center", "ring-grid"])
-    def test_segments_through_the_center(self, dom):
-        segments = [(0.3 + 0.3j, -0.3 - 0.3j), (-0.4, 0.4), (0.5j, -0.5j), (0.0, 0.2j), (0.1 + 0.1j, 0.0)]
-        pf = PolylineFamily(tuple(Polyline(s) for s in segments), kind="connecting")
-        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
-        assert fall_through == n_segments == 5
-        _assert_same_family(fam, _searched(pf, dom))
+    def test_ray_from_the_center(self):
+        # a grid from r = 0: each ray starts at the center, and its length is the ring's
+        fam = grid_rays(polar_grid(RingSpec(0.0, 2.0), 5, 12))
+        for cells, le, lh in fam.curves:
+            assert np.sum(le) == pytest.approx(euclid_radius(2.0), rel=1e-15)
+            assert np.sum(lh) == pytest.approx(2.0, rel=1e-15)
 
-    def test_segment_from_a_subnormal_distance_of_the_center(self):
-        # |d| / min(rp, rq) overflows to inf, so m = -inf and the segment is searched
-        pf = PolylineFamily((Polyline([5e-324j, 0.25j]),), kind="connecting")
-        dom = polar_grid(RingSpec(0.0, 2.0), 5, 12)
-        fam, n_segments, fall_through = _rasterize_counting(pf, dom)
-        assert fall_through == n_segments == 1
-        _assert_same_family(fam, _searched(pf, dom))
+    def test_polar_grid_refused_by_the_rasterizer(self):
+        circle = Polyline(_polygon(euclid_radius(1.0), 64)[:-1], closed=True)
+        with pytest.raises(ValueError, match="cartesian grid"):
+            rasterize_family(PolylineFamily((circle,), kind="connecting"), polar_grid(RING, 4, 16))
+
+    def test_cartesian_grid_refused_by_the_builders(self):
+        dom = cartesian_grid(WINDOW, 4, 4)
+        with pytest.raises(ValueError, match="polar grid"):
+            grid_rays(dom)
+        with pytest.raises(ValueError, match="polar grid"):
+            grid_circles(dom, [0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("move", [
+        lambda radii, R_edges: radii[:-1],  # a band without its circle
+        lambda radii, R_edges: radii + [0.5 * (1.0 + R_edges[-1])],  # a circle outside the grid
+        lambda radii, R_edges: [R_edges[0]] + radii[1:],  # on the lower edge of its band
+        lambda radii, R_edges: radii[:2] + [R_edges[3]] + radii[3:],  # on the upper edge of its band
+        lambda radii, R_edges: radii[:1] + [radii[2], radii[1]] + radii[3:],  # two circles swapped
+        lambda radii, R_edges: radii[:3] + [math.nan] + radii[4:],
+        # inside its band, but its chords dip below the lower edge
+        lambda radii, R_edges: [R_edges[0] * (1.0 + 1e-5)] + radii[1:],
+    ], ids=["too-few", "too-many", "on-lower-edge", "on-upper-edge", "swapped", "nan", "chords-below"])
+    def test_circle_outside_its_band_refused(self, move):
+        dom = polar_grid(RING, 6, 64)
+        radii = move(_ring_radii(6), dom.geometry["R_edges"].tolist())
+        with pytest.raises(ValueError, match="band"):
+            grid_circles(dom, radii)
+
+    def test_multiplicity_must_be_positive(self):
+        with pytest.raises(ValueError, match="multiplicity"):
+            grid_circles(polar_grid(RING, 6, 64), _ring_radii(6), multiplicity=0)
+
+    def test_circle_family_modulus_keeps_its_value(self):
+        # criterion 7's solve; before the grid-line builders it was 0.15165685367405052,
+        # from a rasterized family whose per-cell lengths agree with these within 4e-14
+        value, reference = circle_family_modulus(RING, parse_field("const:1"), n_circles=64)
+        assert value == pytest.approx(0.15165685367405052, rel=1e-13, abs=0.0)
+        assert value == pytest.approx(reference, rel=0.02)
 
 
 class TestModulusDiscrete:
     def test_empty_family(self):
-        dom = polar_grid(RING, 4, 8)
+        dom = cartesian_grid(WINDOW, 4, 8)
         fam = rasterize_family(PolylineFamily((), kind="connecting"), dom)
         res = modulus_discrete(fam, dom)
         assert res.value == 0.0
@@ -563,9 +524,8 @@ class TestModulusDiscrete:
 
     def test_closed_form_against_nnls_oracle(self):
         # circles at band centers never share a cell: the exact per-curve optimum
-        dom = polar_grid(RING, 4, 16)
-        pf = _ring_circles(4, 256)
-        fam = rasterize_family(PolylineFamily(pf.polylines, pf.kind, multiplicities=(1, 2, 3, 1)), dom)
+        fam, dom = _ring_circles(4, 16)
+        fam = dataclasses.replace(fam, multiplicities=(1, 2, 3, 1))
         for metric in ("euclidean", "hyperbolic"):
             res = modulus_discrete(fam, dom, metric=metric)
             assert res.stop_reason == "closed_form" and res.converged
@@ -798,20 +758,20 @@ class TestModulusDiscrete:
 
     def test_ring_connecting_family(self):
         dom = polar_grid(RING, 50, 128)
-        fam = rasterize_family(radial_connecting_family(RING, 128), dom)
+        fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6)
         assert res.value == pytest.approx(ring_modulus_exact(RING), rel=0.05)
 
     def test_metric_equivalence(self):
         dom = polar_grid(RING, 40, 96)
-        fam = rasterize_family(radial_connecting_family(RING, 96), dom)
+        fam = grid_rays(dom)
         h = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6)
         e = modulus_discrete(fam, dom, metric="euclidean", tol=1e-6)
         assert h.value == pytest.approx(e.value, rel=0.02)
 
     def test_feasibility_at_termination(self):
         dom = polar_grid(RING, 20, 48)
-        fam = rasterize_family(radial_connecting_family(RING, 48), dom)
+        fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, tol=1e-5)
         assert res.converged
         assert res.max_constraint_violation <= 1e-5
@@ -822,27 +782,24 @@ class TestModulusDiscrete:
 
     def test_monotone_under_family_growth(self):
         dom = polar_grid(RING, 24, 64)
-        small = rasterize_family(radial_connecting_family(RING, 32), dom)
-        # a superset family: same rays plus rays at offset angles
-        big_pf = radial_connecting_family(RING, 64)
-        big = rasterize_family(big_pf, dom)
+        big = grid_rays(dom)
+        # a subfamily: every other ray
+        small = _rows(big, range(0, 64, 2))
         v_small = modulus_discrete(small, dom, tol=1e-7).value
         v_big = modulus_discrete(big, dom, tol=1e-7).value
         assert v_big >= v_small - 1e-3 * v_small
 
     def test_multiplicity_law(self):
-        dom = polar_grid(RING, 16, 64)
-        pf = _ring_circles(16, 1024)
-        fam = rasterize_family(pf, dom)
+        fam, dom = _ring_circles(16, 256)
         base = modulus_discrete(fam, dom, tol=1e-7).value
         for k in (2, 3):
-            scaled = rasterize_family(PolylineFamily(pf.polylines, pf.kind, multiplicities=[k] * len(pf)), dom)
+            scaled, _ = _ring_circles(16, 256, multiplicity=k)
             got = modulus_discrete(scaled, dom, tol=1e-7).value
             assert got == pytest.approx(base / k**2, rel=1e-3)
 
     def test_optimality_certificate(self):
         dom = polar_grid(RING, 20, 48)
-        fam = rasterize_family(radial_connecting_family(RING, 48), dom)
+        fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, tol=1e-6)
         L = incidence_matrix(fam, "hyperbolic")
         m = np.asarray(fam.multiplicities, float)
@@ -859,8 +816,10 @@ class TestModulusDiscrete:
             assert perturbed >= res.value - res.duality_gap - 1e-12
 
     def test_untouched_cells_have_zero_density(self):
-        dom = polar_grid(RING, 16, 32)
-        fam = rasterize_family(_ring_circles(4, 512), dom)
+        # three of eight rows of cells are crossed, each by one segment
+        dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), 8, 8)
+        rows = tuple(Polyline((complex(-0.4, y), complex(0.4, y))) for y in (-0.35, 0.05, 0.25))
+        fam = rasterize_family(PolylineFamily(rows, kind="connecting"), dom)
         res = modulus_discrete(fam, dom, tol=1e-6)
         touched = np.zeros(dom.n_cells, dtype=bool)
         for cells, _, _ in fam.curves:
@@ -868,9 +827,9 @@ class TestModulusDiscrete:
         assert np.all(res.extremal.rho[~touched] == 0.0)
 
     def test_curve_outside_domain_rejected(self):
-        dom = polar_grid(RING, 8, 16)
+        dom = cartesian_grid(((-0.4, 0.4), (-0.4, 0.4)), 8, 8)
         outside = PolylineFamily(
-            (Polyline((0.01 + 0j, 0.02 + 0j)),), kind="connecting"
+            (Polyline((0.5 + 0j, 0.6 + 0j)),), kind="connecting"
         )
         fam = rasterize_family(outside, dom)
         with pytest.raises(ValueError):
@@ -878,11 +837,10 @@ class TestModulusDiscrete:
 
     def test_family_from_other_domain_rejected(self):
         coarse, fine = polar_grid(RING, 8, 16), polar_grid(RING, 16, 16)
-        rays = radial_connecting_family(RING, 16)
         with pytest.raises(ValueError, match="128 cells .* 256"):
-            modulus_discrete(rasterize_family(rays, coarse), fine)
+            modulus_discrete(grid_rays(coarse), fine)
         with pytest.raises(ValueError, match="256 cells .* 128"):
-            modulus_discrete(rasterize_family(rays, fine), coarse)
+            modulus_discrete(grid_rays(fine), coarse)
 
 class TestRingModulusExact:
     def test_canonical_ring(self):
