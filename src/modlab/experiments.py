@@ -232,8 +232,8 @@ class VerdictRecord:
 
 
 def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
-    """The weight n_factor * K_f(z) as a chart field, from analytic Wirtinger
-    data when available and central differences otherwise; inf where J = 0."""
+    """The weight n_factor * K_f(z) as a chart field, from the map's analytic
+    Wirtinger data; inf where J = 0."""
 
     return ScalarField(lambda z: n_factor * dilatation(f, z), label=f"{n_factor:g}*K[{f.label}]")
 

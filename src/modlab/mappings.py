@@ -1,9 +1,9 @@
 """Closed-form sample mappings of the disk and their distortion data.
 
 Each kind is defined by its constructor, which sets the map's evaluator, its
-analytic Wirtinger derivatives (or none, for central differences) and its
-degree at 0: mobius (conformal), radial_stretch z|z|^{k-1}, winding
-r e^{i k theta}, compositions, and custom evaluators. A config names a kind
+analytic Wirtinger derivatives and its degree at 0: mobius (conformal),
+radial_stretch z|z|^{k-1}, winding r e^{i k theta}, the fold, the boundary
+spiral, and compositions (by the chain rule). A config names a kind
 by one row of `_MAP_KINDS`: the keys it reads and its builder. Dilatation,
 Jacobian and the finite-distortion check are derived from the Wirtinger
 derivatives; multiplicity bounds are winding numbers of the image of the
@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import csv_text, json_number, json_object, spec_argument
-from .diskgeom import BOUNDARY_MARGIN, MobiusAutomorphism, mobius_apply
+from ._io import MAX_COUNT, csv_text, json_number, json_object, spec_argument
+from .diskgeom import MobiusAutomorphism, mobius_apply
 
 __all__ = [
     "SampleMap",
@@ -36,13 +36,11 @@ __all__ = [
     "radial_stretch",
     "winding",
     "compose_maps",
-    "custom_map",
     "fold_map",
     "boundary_spiral_map",
     "parse_map",
     "map_from_config",
     "wirtinger",
-    "wirtinger_fd",
     "dilatation",
     "DistortionSweep",
     "distortion_sweep",
@@ -56,23 +54,19 @@ class SampleMap:
     """A disk-to-disk map, as its constructor defines it.
 
     `evaluate` maps an array of complex points; `wirtinger_analytic` gives the
-    (f_z, f_zbar) arrays, with branch points taking the limit along arg z = 0,
-    or is None when derivatives come from central differences. `degree` is the
-    local topological degree at the branch point 0 (= N on circles about 0).
+    (f_z, f_zbar) arrays, with branch points taking the limit along arg z = 0.
+    `degree` is the local topological degree at the branch point 0 (= N on
+    circles about 0).
     """
 
     evaluate: Callable
     label: str
-    wirtinger_analytic: Callable = None
+    wirtinger_analytic: Callable
     degree: int = 1
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """f at an array of complex points; a point is a one-element array."""
         return self.evaluate(z)
-
-    @property
-    def has_analytic_wirtinger(self) -> bool:
-        return self.wirtinger_analytic is not None
 
 
 def mobius_map(g: MobiusAutomorphism) -> SampleMap:
@@ -150,32 +144,45 @@ def compose_maps(*maps: SampleMap) -> SampleMap:
     return SampleMap(
         evaluate,
         "(" + "∘".join(m.label for m in reversed(maps)) + ")",
-        wirtinger_analytic if all(m.has_analytic_wirtinger for m in maps) else None,
+        wirtinger_analytic,
         degree=math.prod(m.degree for m in maps),
     )
 
 
-def custom_map(evaluator, label="custom") -> SampleMap:
-    """A map from an evaluator alone: derivatives by central differences."""
-    return SampleMap(lambda z: np.asarray(evaluator(z), dtype=complex), label)
-
-
 def fold_map() -> SampleMap:
-    """x + iy -> |x| + iy; orientation-reversing on x < 0, singular on x = 0."""
-    return custom_map(lambda z: np.abs(np.real(z)) + 1j * np.imag(z), label="fold")
+    """x + iy -> |x| + iy; orientation-reversing on x < 0, singular on x = 0,
+    where the derivatives are the mean of the two sides: J = 0 there."""
+
+    def wirtinger_analytic(z):
+        s = np.sign(z.real)
+        return (0.5 * (1.0 + s)).astype(complex), (-0.5 * (1.0 - s)).astype(complex)
+
+    return SampleMap(lambda z: np.abs(np.real(z)) + 1j * np.imag(z), "fold", wirtinger_analytic)
 
 
 def boundary_spiral_map() -> SampleMap:
-    """z -> z e^{i log(1 + log(1/(1-|z|)))}: rotates ever faster toward the rim,
-    so radial limits at the boundary do not exist."""
+    """z -> z e^{i phi(|z|)}, phi(r) = log(1 + log(1/(1-r))): rotates ever
+    faster toward the rim, so radial limits at the boundary do not exist.
+    With a = r phi'(r)/2, f_z = e^{i phi}(1 + i a) and f_zbar = e^{i phi} i a
+    (z/|z|)^2, so J = 1 and K = (sqrt(1 + a^2) + a)^2."""
 
-    def ev(z):
+    def rotation(r):
+        log_inv = np.log(1.0 / np.maximum(1.0 - r, 1e-15))
+        return np.exp(1j * np.log1p(log_inv)), log_inv
+
+    def evaluate(z):
+        rot, _ = rotation(np.abs(z))  # named, as the conjugates in compose_maps
+        return z * rot
+
+    def wirtinger_analytic(z):
         r = np.abs(z)
-        phase = np.log1p(np.log(1.0 / np.maximum(1.0 - r, 1e-15)))
-        rotation = np.exp(1j * phase)  # named, as the conjugates in compose_maps
-        return z * rotation
+        rot, log_inv = rotation(r)
+        ia = 1j * (0.5 * r / (np.maximum(1.0 - r, 1e-15) * (1.0 + log_inv)))  # i r phi'(r)/2
+        one_plus_ia, u = 1.0 + ia, _direction(z, r)
+        rot_ia, u2 = rot * ia, u * u  # every factor named, as in compose_maps
+        return rot * one_plus_ia, rot_ia * u2
 
-    return custom_map(ev, label="spiral")
+    return SampleMap(evaluate, "spiral", wirtinger_analytic)
 
 
 def parse_map(spec: str) -> SampleMap:
@@ -191,6 +198,13 @@ def parse_map(spec: str) -> SampleMap:
     return map_from_config(cfg)
 
 
+def _winding_from_config(cfg: dict) -> SampleMap:
+    k = json_number(cfg["k"], "map.k", whole=True)
+    if k > MAX_COUNT:  # the cap on counts read from outside; winding:1e20 sweeps to NaN
+        raise ValueError(f"map.k must be at most {MAX_COUNT}, not {cfg['k']!r}")
+    return winding(k)
+
+
 def _mobius_from_config(cfg: dict) -> SampleMap:
     a_re, c_re = (json_number(cfg[key], f"map.{key}") for key in ("a_re", "c_re"))
     a_im, c_im = (json_number(cfg.get(key, 0.0), f"map.{key}") for key in ("a_im", "c_im"))
@@ -200,7 +214,7 @@ def _mobius_from_config(cfg: dict) -> SampleMap:
 # every map kind a config can name: kind -> (the keys it reads besides "kind", its builder)
 _MAP_KINDS = {
     "identity": ((), lambda cfg: identity_map()),
-    "winding": (("k",), lambda cfg: winding(json_number(cfg["k"], "map.k", whole=True))),
+    "winding": (("k",), _winding_from_config),
     "radial_stretch": (("k",), lambda cfg: radial_stretch(json_number(cfg["k"], "map.k"))),
     "mobius": (("a_re", "a_im", "c_re", "c_im"), _mobius_from_config),
     "composition": (("parts",), lambda cfg: compose_maps(*(map_from_config(part) for part in cfg["parts"]))),
@@ -233,32 +247,9 @@ def _cabs(w: np.ndarray) -> np.ndarray:
     return np.hypot(w.real, w.imag)
 
 
-def wirtinger_fd(f: SampleMap, z, step: float = None):
-    """Central-difference Wirtinger derivatives (f_z, f_zbar) at an array of
-    points, f_z = (f_x - i f_y)/2 and f_zbar = (f_x + i f_y)/2; the default
-    step shrinks with the distance to the rim."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    r = _cabs(z)
-    h = np.maximum(1e-5 * (1.0 - r), 1e-9) if step is None else step
-    if np.any(r + h >= 1.0 - BOUNDARY_MARGIN):
-        raise ValueError("stencil leaves the disk; shrink the step")
-    two_h = 2.0 * h
-    dx = f(z + h) - f(z - h)
-    dy = f(z + 1j * h) - f(z - 1j * h)
-    # divide componentwise: numpy's complex-by-real division multiplies by a
-    # reciprocal, which rounds differently from the true quotient
-    fx = dx.real / two_h + 1j * (dx.imag / two_h)
-    fy = dy.real / two_h + 1j * (dy.imag / two_h)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-
 def wirtinger(f: SampleMap, z):
-    """(f_z, f_zbar) at an array of points: analytic when the kind provides
-    it, else central differences with wirtinger_fd's default step.
-    wirtinger_fd stays available for cross-checking the analytic path."""
-    if f.has_analytic_wirtinger:
-        return f.wirtinger_analytic(np.atleast_1d(np.asarray(z, dtype=complex)))
-    return wirtinger_fd(f, z)
+    """(f_z, f_zbar) at an array of points, from the map's analytic data."""
+    return f.wirtinger_analytic(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
 def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
@@ -422,9 +413,11 @@ class FiniteDistortionReport:
 
 
 def finite_distortion_check(sweep: DistortionSweep) -> FiniteDistortionReport:
-    """Check of the finite-distortion requirement on a sweep: wherever the Jacobian
-    vanishes (|J| <= 1e-10) the operator norm must vanish too (at most 1e-8)."""
-    violations = sweep.z[(np.abs(sweep.jacobian) <= 1e-10) & (sweep.abs_fz + sweep.abs_fzbar > 1e-8)]
+    """Check of the finite-distortion requirement on a sweep: |f_z| and |f_zbar|
+    must be finite, and wherever the Jacobian vanishes (|J| <= 1e-10) the
+    operator norm must vanish too (at most 1e-8)."""
+    norm = sweep.abs_fz + sweep.abs_fzbar
+    violations = sweep.z[~np.isfinite(norm) | ((np.abs(sweep.jacobian) <= 1e-10) & (norm > 1e-8))]
     return FiniteDistortionReport(
         n_points=len(sweep.z),
         n_violations=len(violations),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from modlab.diskgeom import Polyline, _segment_hyp_length, euclid_radius
+from modlab.diskgeom import BOUNDARY_MARGIN, Polyline, _segment_hyp_length, euclid_radius
+from modlab.mappings import SampleMap
 from modlab.modulus import CurveFamily
 from modlab.quadrature import ScalarField, ball_integral
 
@@ -41,6 +42,34 @@ def compose_reference(g1, g2) -> tuple[complex, complex]:
 def apply_reference(g, z: complex) -> complex:
     """g(z) for one automorphism and one point, in Python's complex arithmetic."""
     return (g.a * z + g.c) / (g.c.conjugate() * z + g.a.conjugate())
+
+
+def wirtinger_fd(f, z, step: float = None):
+    """Central-difference Wirtinger derivatives (f_z, f_zbar) of a map f at an
+    array of points, f_z = (f_x - i f_y)/2 and f_zbar = (f_x + i f_y)/2; the
+    default step shrinks with the distance to the rim."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = np.hypot(z.real, z.imag)
+    h = np.maximum(1e-5 * (1.0 - r), 1e-9) if step is None else step
+    if np.any(r + h >= 1.0 - BOUNDARY_MARGIN):
+        raise ValueError("stencil leaves the disk; shrink the step")
+    two_h = 2.0 * h
+    dx = f(z + h) - f(z - h)
+    dy = f(z + 1j * h) - f(z - 1j * h)
+    # divide componentwise: numpy's complex-by-real division multiplies by a
+    # reciprocal, which rounds differently from the true quotient
+    fx = dx.real / two_h + 1j * (dx.imag / two_h)
+    fy = dy.real / two_h + 1j * (dy.imag / two_h)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def custom_map(evaluator, label: str = "custom") -> SampleMap:
+    """A map from an evaluator alone, its Wirtinger data by `wirtinger_fd`."""
+
+    def evaluate(z):
+        return np.asarray(evaluator(z), dtype=complex)
+
+    return SampleMap(evaluate, label, lambda z: wirtinger_fd(evaluate, z))
 
 
 def incidence_matrix(family: CurveFamily, metric: str) -> sp.csr_matrix:

@@ -35,7 +35,7 @@ from modlab.diskgeom import (
 from modlab.criteria import divergence_check, eta_inequality_check, fmo_check
 from modlab.experiments import ExperimentConfig, run_lower_q_verification, run_suite
 from modlab.fields import parse_field
-from modlab.mappings import dilatation, multiplicity, radial_stretch, winding, wirtinger_fd
+from modlab.mappings import dilatation, multiplicity, radial_stretch, winding
 from modlab.modulus import (
     circle_family_modulus,
     grid_rays,
@@ -46,7 +46,7 @@ from modlab.modulus import (
 )
 from modlab.quadrature import RingSpec, circle_integral
 
-from oracles import fubini_residual
+from oracles import fubini_residual, wirtinger_fd
 
 RING = RingSpec(0.5, 1.5)
 ROOT = Path(__file__).resolve().parent.parent

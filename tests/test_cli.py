@@ -182,6 +182,11 @@ class TestDistortion:
         summary = json.loads(out.splitlines()[-1] if out.strip().startswith("{") else out[out.index("{"):])
         assert summary["finite_distortion"]["passed"]
 
+    def test_fold_fails_on_its_fold_line(self, capsys):
+        code, out, _ = run_cli(capsys, "distortion", "--map", "fold", "--out", "none")
+        report = json.loads(out)["finite_distortion"]
+        assert code == 0 and report["n_violations"] == 33 and not report["passed"]
+
     def test_unknown_map(self, capsys):
         code, _, err = run_cli(capsys, "distortion", "--map", "teleport:9")
         assert code == 2
@@ -204,7 +209,8 @@ class TestDistortion:
     (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5", "--samples", "4097"), "--samples"),
     (("fmo", "--q", "const:1", "--eps-count", "4097"), "--eps-count"),
     (("distortion", "--map", "winding:3", "--grid", "4097", "--out", "none"), "--grid"),
-], ids=["ring-rings", "ring-sectors", "circle-family", "qnorm", "fmo", "distortion"])
+    (("distortion", "--map", "winding:1e300", "--out", "none"), "map.k"),
+], ids=["ring-rings", "ring-sectors", "circle-family", "qnorm", "fmo", "distortion", "winding-order"])
 def test_count_above_the_config_cap_is_refused(capsys, argv, flag):
     # the cap of config grid counts; a typo such as --grid 20000x60000 would ask for ~1e9 cells
     code, out, err = run_cli(capsys, *argv)

@@ -20,7 +20,6 @@ from modlab.experiments import (
 from modlab.mappings import (
     boundary_spiral_map,
     compose_maps,
-    custom_map,
     dilatation,
     fold_map,
     identity_map,
@@ -30,6 +29,7 @@ from modlab.mappings import (
 from modlab.diskgeom import euclid_radius, hyp_radius, inside_disk
 from modlab.modulus import _polar_grid, grid_circles, modulus_discrete, polar_grid
 from modlab.quadrature import RingSpec, ScalarField
+from oracles import custom_map
 
 RING = {"r_inner": 0.5, "r_outer": 1.5}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs" / "experiments"
@@ -356,7 +356,7 @@ class TestDistortionWeightField:
         (fold_map(), [0.5j, 0j, 0.3 + 0.2j, -0.4 - 0.1j]),  # J = 0 on the imaginary axis
         (radial_stretch(2), [0j, 0.3 + 0.2j]),  # f_z = f_zbar = 0 at the origin
         (winding(3), [0.1 - 0.6j, -0.5 + 0.5j]),
-        (boundary_spiral_map(), [0.2 + 0.7j, -0.6 + 0.1j]),  # central differences
+        (boundary_spiral_map(), [0.2 + 0.7j, -0.6 + 0.1j]),  # J = 1
         (custom_map(lambda z: np.zeros_like(z), label="zero"), [0.2, -0.1j]),  # K = 1
         (compose_maps(radial_stretch(2), winding(2)), [0.3 - 0.4j]),
     ], ids=["fold", "radial_stretch", "winding", "spiral", "zero", "composition"])

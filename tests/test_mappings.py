@@ -10,7 +10,6 @@ from modlab.mappings import (
     NotSensePreservingError,
     boundary_spiral_map,
     compose_maps,
-    custom_map,
     dilatation,
     distortion_sweep,
     finite_distortion_check,
@@ -23,8 +22,8 @@ from modlab.mappings import (
     radial_stretch,
     winding,
     wirtinger,
-    wirtinger_fd,
 )
+from oracles import custom_map, wirtinger_fd
 
 
 def polar_wirtinger_oracle(R, dR, k_angle, z):
@@ -78,9 +77,28 @@ class TestWirtinger:
         # central differences are O(step^2): halving the step ~quarters the error
         assert errs[1] < errs[0] / 2.5
 
-    def test_fd_step_leaves_disk(self):
-        with pytest.raises(ValueError):
-            wirtinger_fd(identity_map(), np.array([0.99]), step=0.5)
+    @pytest.mark.parametrize("parts", [
+        (boundary_spiral_map(), winding(2)),
+        (winding(2), fold_map()),
+        (mobius_map(mobius_invert(mobius_to_zero(0.3 - 0.2j))), boundary_spiral_map()),
+    ], ids=["spiral-then-winding2", "winding2-then-fold", "mobius-then-spiral"])
+    def test_chain_rule_against_differences(self, parts):
+        # off the kinks: 0 of the spiral's and the winding's input, Re = 0 of the fold's
+        rng = np.random.default_rng(12)
+        z = 0.9 * np.sqrt(rng.uniform(size=400)) * np.exp(2j * math.pi * rng.uniform(size=400))
+        w, keep = z, np.ones(len(z), dtype=bool)
+        for part in parts:
+            keep &= (np.abs(w) > 0.05) & (np.abs(w.real) > 0.05)
+            w = part(w)
+        assert keep.sum() > 200
+        self._assert_agrees_with_differences(compose_maps(*parts), z[keep])
+
+    @staticmethod
+    def _assert_agrees_with_differences(f, z):
+        fz, fzb = wirtinger(f, z)
+        fz_fd, fzb_fd = wirtinger_fd(f, z)
+        error = np.maximum(np.abs(fz - fz_fd), np.abs(fzb - fzb_fd))
+        assert np.all(error <= 1e-7 * (np.abs(fz) + np.abs(fzb))), f.label
 
 
 class TestDilatation:
@@ -109,7 +127,7 @@ class TestDilatation:
         assert dilatation(fold_map(), np.array([0j])).tolist() == [math.inf]
 
     @pytest.mark.parametrize("f", [winding(2), boundary_spiral_map(), fold_map()],
-                             ids=["analytic", "central-differences", "fold"])
+                             ids=["winding", "spiral", "fold"])
     def test_point_is_a_one_element_array(self, f):
         # a Python scalar runs as the one-element array, never as a 0-d array
         for z in (0.3 + 0.1j, 0.0, 0.2j):
@@ -151,6 +169,46 @@ class TestDilatation:
             assert Jh == pytest.approx(Jg * Jf, rel=1e-8)
 
 
+class TestClosedForms:
+    """The spiral's and the fold's Wirtinger data against their closed forms."""
+
+    def test_spiral_jacobian_is_one(self):
+        rng = np.random.default_rng(5)
+        z = 0.999 * np.sqrt(rng.uniform(size=4004)) * np.exp(2j * math.pi * rng.uniform(size=4004))
+        abs_fz, _, jac, _ = mappings._derivative_data(*wirtinger(boundary_spiral_map(), z))
+        # |f_z|^2 = 1 + a^2 reaches ~4000 at |z| = 0.999, where its own rounding is ~1e-12
+        assert np.all(np.abs(jac - 1.0) <= 4e-15 * abs_fz**2)
+        assert np.abs(jac[np.abs(z) <= 0.99] - 1.0).max() <= 1e-12
+
+    def test_spiral_dilatation(self):
+        f = boundary_spiral_map()
+        assert dilatation(f, 0j).tolist() == [1.0]
+        r = np.linspace(0.01, 0.999, 200)
+        z = r * np.exp(1j * np.linspace(0.0, 20.0, 200))
+        a = 0.5 * r / ((1.0 - r) * (1.0 + np.log(1.0 / (1.0 - r))))  # r phi'(r) / 2
+        assert np.allclose(dilatation(f, z), (np.sqrt(1.0 + a * a) + a) ** 2, rtol=1e-10, atol=0.0)
+
+    def test_fold(self):
+        rng = np.random.default_rng(6)
+        z = 0.9 * (rng.uniform(-1, 1, size=200) + 1j * rng.uniform(-1, 1, size=200))
+        z = z[np.abs(z.real) > 1e-3]
+        f = fold_map()
+        _, _, jac, k = mappings._derivative_data(*wirtinger(f, z))
+        # K = (|f_z| + |f_zbar|)/(|f_z| - |f_zbar|) carries J's sign: -1 where the fold reverses
+        assert np.all(jac == np.where(z.real < 0, -1.0, 1.0)) and np.all(k == jac)
+        assert dilatation(f, 1j * z.imag).tolist() == [math.inf] * len(z)
+
+    def test_every_kind_agrees_with_differences(self):
+        configs = [{"kind": "identity"}, {"kind": "winding", "k": 3}, {"kind": "radial_stretch", "k": 2.5},
+                   NON_ROTATION, STRETCH_THEN_WIND, {"kind": "spiral"}, {"kind": "fold"}]
+        assert {cfg["kind"] for cfg in configs} == set(mappings._MAP_KINDS)
+        rng = np.random.default_rng(7)
+        z = 0.9 * np.sqrt(rng.uniform(size=400)) * np.exp(2j * math.pi * rng.uniform(size=400))
+        z = z[(np.abs(z) > 0.05) & (np.abs(z.real) > 0.05)]
+        for cfg in configs:
+            TestWirtinger._assert_agrees_with_differences(map_from_config(cfg), z)
+
+
 class TestChunkInvariance:
     """One call on 2^14 points gives the same bits as 32 calls of 512.
 
@@ -182,6 +240,15 @@ class TestChunkInvariance:
 
     def test_boundary_spiral(self):
         self._assert_chunk_invariant(boundary_spiral_map())
+
+    def test_boundary_spiral_wirtinger(self):
+        f = boundary_spiral_map()
+        self._assert_chunk_invariant(lambda z: np.stack(f.wirtinger_analytic(z), axis=-1))
+
+    def test_composition_with_spiral(self):
+        f = compose_maps(mobius_map(mobius_to_zero(0.2 - 0.3j)), boundary_spiral_map(), winding(2))
+        self._assert_chunk_invariant(lambda z: np.stack(f.wirtinger_analytic(z), axis=-1))
+        self._assert_chunk_invariant(lambda z: dilatation(f, z))
 
 
 class TestMultiplicity:
@@ -282,8 +349,20 @@ class TestFiniteDistortion:
 
     def test_fold_fails_on_axis(self):
         rep = finite_distortion_check(distortion_sweep(fold_map(), 33))
-        assert not rep.passed
-        assert all(abs(z.real) < 1e-9 for z in rep.violations)
+        assert not rep.passed and rep.n_violations == 33  # the lattice's column x = 0
+        assert all(z.real == 0.0 for z in rep.violations)
+
+    def test_non_finite_derivatives_fail(self):
+        sweep = distortion_sweep(winding(3), 17)
+        sweep.abs_fz[:3] = (math.nan, math.inf, 1.0)
+        sweep.abs_fzbar[2] = math.nan
+        rep = finite_distortion_check(sweep)
+        assert not rep.passed and rep.n_violations == 3 and rep.violations == tuple(sweep.z[:3])
+
+    def test_highest_accepted_winding_order_is_finite(self):
+        sweep = distortion_sweep(parse_map("winding:4096"), 33)
+        assert finite_distortion_check(sweep).passed
+        assert np.allclose(sweep.dilatation, 4096.0, rtol=1e-11, atol=0.0)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -296,27 +375,25 @@ STRETCH_THEN_WIND = {"kind": "composition", "parts": [{"kind": "radial_stretch",
 
 
 class TestMapConstruction:
-    @pytest.mark.parametrize("make, degree, analytic", [
-        (lambda: parse_map("identity"), 1, True),
-        (lambda: map_from_config(ROTATION), 1, True),
-        (lambda: map_from_config(NON_ROTATION), 1, True),
-        (lambda: parse_map("winding:3"), 3, True),
-        (lambda: parse_map("radial_stretch:2"), 1, True),
-        (lambda: parse_map("spiral"), 1, False),
-        (lambda: parse_map("fold"), 1, False),
-        (lambda: map_from_config(STRETCH_THEN_WIND), 2, True),
-        (lambda: compose_maps(winding(2), fold_map()), 2, False),
+    @pytest.mark.parametrize("make, degree", [
+        (lambda: parse_map("identity"), 1),
+        (lambda: map_from_config(ROTATION), 1),
+        (lambda: map_from_config(NON_ROTATION), 1),
+        (lambda: parse_map("winding:3"), 3),
+        (lambda: parse_map("radial_stretch:2"), 1),
+        (lambda: parse_map("spiral"), 1),
+        (lambda: parse_map("fold"), 1),
+        (lambda: map_from_config(STRETCH_THEN_WIND), 2),
+        (lambda: compose_maps(winding(2), fold_map()), 2),
     ], ids=["identity", "rotation", "mobius", "winding3", "radial_stretch2", "spiral", "fold",
-            "stretch-then-winding", "winding-then-custom"])
-    def test_map_fields(self, make, degree, analytic):
-        f = make()
-        assert (f.degree, f.has_analytic_wirtinger) == (degree, analytic)
+            "stretch-then-winding", "winding-then-fold"])
+    def test_map_fields(self, make, degree):
+        assert make().degree == degree
 
     def test_parse_shorthand(self):
         assert parse_map("winding:3").degree == 3
         assert parse_map("radial_stretch:2").label == "radial_stretch:2"
         assert parse_map("identity").label == "identity"
-        assert not parse_map("spiral").has_analytic_wirtinger
         with pytest.raises(ValueError):
             parse_map("besselflow:2")
         z = np.array([0.3 + 0.1j, -0.5j, -0.2 + 0.6j])
@@ -357,9 +434,11 @@ class TestMapConstruction:
         "radial_stretch:1e999",
         "winding:1_000",
         "winding: 3",
+        "winding:4097",
+        "winding:1e300",
     ], ids=["k-fraction", "k-boolean", "k-string", "k-nan", "k-infinite", "a-re-boolean",
             "shorthand-nan", "shorthand-inf", "shorthand-json-nan", "shorthand-overflow",
-            "shorthand-underscore", "shorthand-space"])
+            "shorthand-underscore", "shorthand-space", "winding-above-the-cap", "winding-1e300"])
     def test_numbers_follow_the_json_rule(self, spec):
         # the JSON form and the shorthand meet the one rule of `_io.json_number`
         with pytest.raises(ValueError, match="map.k must be|map.a_re must be"):

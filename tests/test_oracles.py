@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from modlab.diskgeom import Polyline
+from modlab.mappings import identity_map
 from modlab.modulus import PolylineFamily, cartesian_grid, rasterize_family
-from oracles import incidence_matrix
+from oracles import incidence_matrix, wirtinger_fd
 
 
 def test_incidence_matrix_shares_the_family_arrays():
@@ -23,3 +24,8 @@ def test_incidence_matrix_shares_the_family_arrays():
         incidence_matrix(fam, "Euclidean")
     with pytest.raises(ValueError, match="metric"):
         fam.lengths("hyp")
+
+
+def test_fd_step_leaves_disk():
+    with pytest.raises(ValueError):
+        wirtinger_fd(identity_map(), np.array([0.99]), step=0.5)
