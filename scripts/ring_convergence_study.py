@@ -29,7 +29,7 @@ def main() -> int:
     last = None
     for n_r, n_theta in LEVELS:
         t0 = time.perf_counter()
-        dom = polar_grid(RING, n_r, n_theta)
+        dom = polar_grid(RING.band_edges(n_r), n_theta)
         fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6)
         dt = time.perf_counter() - t0

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import MAX_COUNT, json_text
+from ._io import MAX_COUNT, json_number, json_text, spec_argument
 from .criteria import NotIntegrableError, default_epsilon_sequence, divergence_check, fmo_check
 from .diskgeom import mobius_apply
 from .experiments import ExperimentConfig, run_experiment, run_suite
@@ -51,19 +51,20 @@ def _emit(data: dict, out_file=None) -> None:
     _write(json_text({"schema_version": SCHEMA_VERSION, **data}), out_file)
 
 
-def _count(value: int, flag: str) -> int:
-    """A count given on the command line, refused above the cap on config counts."""
+def _count(text: str, flag: str) -> int:
+    """A count given on the command line, read as a config count is: the JSON
+    number its text spells (`spec_argument`), a whole one (`json_number`, so
+    "1_0" and " 8" are refused by the flag's name), at most the cap."""
+    value = json_number(spec_argument(text), flag, whole=True)
     if value > MAX_COUNT:
         raise ValueError(f"{flag} must be at most {MAX_COUNT}, not {value}")
     return value
 
 
 def _parse_grid(spec: str):
-    try:
-        n_r, n_theta = spec.lower().split("x")
-        n_r, n_theta = int(n_r), int(n_theta)
-    except ValueError as exc:
-        raise ValueError(f"grid must look like 200x600, got {spec!r}") from exc
+    n_r, x, n_theta = spec.lower().partition("x")
+    if not x:
+        raise ValueError(f"--grid must look like 200x600, not {spec!r}")
     return _count(n_r, "--grid"), _count(n_theta, "--grid")
 
 
@@ -71,7 +72,7 @@ def _cmd_ring_modulus(args) -> int:
     ring = RingSpec(args.r1, args.r2)
     n_r, n_theta = _parse_grid(args.grid)
     exact = ring_modulus_exact(ring)
-    dom = polar_grid(ring, n_r, n_theta)
+    dom = polar_grid(ring.band_edges(n_r), n_theta)
     fam = grid_rays(dom)
     res = modulus_discrete(fam, dom, metric=args.metric, tol=_RING_TOL)
     rel = abs(res.value - exact) / exact
@@ -94,15 +95,14 @@ def _cmd_ring_modulus(args) -> int:
 
 def _cmd_circle_family(args) -> int:
     ring = RingSpec(args.r1, args.r2)
-    value, reference = circle_family_modulus(
-        ring, parse_field(args.q), n_circles=_count(args.n_circles, "--n-circles")
-    )
+    n_circles = _count(args.n_circles, "--n-circles")
+    value, reference = circle_family_modulus(ring, parse_field(args.q), n_circles=n_circles)
     rel = abs(value - reference) / reference
     _emit({
         "discrete": value,
         "reference": reference,
         "relative_gap": rel,
-        "n_circles": args.n_circles,
+        "n_circles": n_circles,
         "q": args.q,
     }, args.out_file)
     return 0 if rel <= args.agree_tol else 1
@@ -168,7 +168,8 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    sweep = distortion_sweep(parse_map(args.map), _count(args.grid, "--grid"))
+    grid = _count(args.grid, "--grid")
+    sweep = distortion_sweep(parse_map(args.map), grid)
     rep = finite_distortion_check(sweep)
     if args.out == "csv":
         out_file = args.out_file or "distortion.csv"
@@ -176,7 +177,7 @@ def _cmd_distortion(args) -> int:
         print(out_file)
     summary = {
         "map": args.map,
-        "grid": args.grid,
+        "grid": grid,
         "finite_distortion": {
             "n_points": rep.n_points,
             "n_violations": rep.n_violations,
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, required=True)
     p.add_argument("--r2", type=float, required=True)
     p.add_argument("--q", required=True, help="field spec, e.g. const:1")
-    p.add_argument("--n-circles", type=int, default=64)
+    p.add_argument("--n-circles", default="64")
     p.add_argument("--agree-tol", type=float, default=0.05)
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_circle_family)
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--r1", type=float, required=True)
     p.add_argument("--r2", type=float, required=True)
-    p.add_argument("--samples", type=int, default=64, help="Gauss-Legendre nodes in log r, at least 4")
+    p.add_argument("--samples", default="64", help="Gauss-Legendre nodes in log r, at least 4")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_qnorm)
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--center", default="0")
     p.add_argument("--eps-start", type=float, default=0.4)
-    p.add_argument("--eps-count", type=int, default=12)
+    p.add_argument("--eps-count", default="12")
     p.add_argument("--out-file")
     p.add_argument("--svg-file", help="write a log-log oscillation plot")
     p.set_defaults(func=_cmd_fmo)
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distortion", help="distortion sweep of a sample map")
     p.add_argument("--map", required=True, help="map spec, e.g. winding:3")
-    p.add_argument("--grid", type=int, default=33)
+    p.add_argument("--grid", default="33")
     p.add_argument("--out", choices=["csv", "none"], default="csv")
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_distortion)

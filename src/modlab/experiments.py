@@ -52,7 +52,7 @@ from .mappings import (
     map_from_config,
     multiplicity,
 )
-from .modulus import _polar_grid, grid_circles, modulus_discrete
+from .modulus import grid_circles, modulus_discrete, polar_grid
 from .quadrature import RingSpec, ScalarField, qnorm_profile, ring_reciprocal_integral
 from .svgplot import line_plot_svg, write_svg
 
@@ -272,7 +272,7 @@ def run_lower_q_verification(cfg: ExperimentConfig) -> VerdictRecord:
     rhs_delta = abs(rhs - ring_reciprocal_integral(
         qnorm_profile(weight, ring, n_samples=n_profile // 2, n_angular=n_theta)))
 
-    dom_img = _polar_grid(np.array(edges), n_theta)
+    dom_img = polar_grid(edges, n_theta)
     fam = grid_circles(dom_img, radii, multiplicity=degree)
     result = modulus_discrete(fam, dom_img, metric="hyperbolic", tol=_SOLVER_TOL)
     lhs = result.value

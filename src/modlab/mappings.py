@@ -103,8 +103,11 @@ def radial_stretch(k: float) -> SampleMap:
 
 
 def winding(k: int) -> SampleMap:
-    if int(k) != k or k < 1:
-        raise ValueError("winding order must be a positive integer")
+    """r e^{i theta} -> r e^{i k theta} for a whole k in [1, MAX_COUNT], the cap on
+    counts read from outside: at k = 10^20 the powers of z/|z| overflow, and
+    354 of the 33-lattice sweep's |f_z| are not finite."""
+    if not (1 <= k <= MAX_COUNT and int(k) == k):  # NaN fails the first test
+        raise ValueError(f"winding order must be a whole number in [1, {MAX_COUNT}], not {k!r}")
     k = int(k)
 
     def evaluate(z):
@@ -200,9 +203,10 @@ def parse_map(spec: str) -> SampleMap:
 
 def _winding_from_config(cfg: dict) -> SampleMap:
     k = json_number(cfg["k"], "map.k", whole=True)
-    if k > MAX_COUNT:  # the cap on counts read from outside; winding:1e20 sweeps to NaN
-        raise ValueError(f"map.k must be at most {MAX_COUNT}, not {cfg['k']!r}")
-    return winding(k)
+    try:
+        return winding(k)
+    except ValueError:  # the builder's refusal, named by the config key
+        raise ValueError(f"map.k must be a whole number in [1, {MAX_COUNT}], not {cfg['k']!r}") from None
 
 
 def _mobius_from_config(cfg: dict) -> SampleMap:
@@ -253,20 +257,20 @@ def wirtinger(f: SampleMap, z):
 
 
 def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
-    """|f_z|, |f_zbar|, the Jacobian and K = (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|)
-    as arrays; K is 1 where the norm vanishes and inf where J vanishes relative
-    to the norm squared. _cabs and float_power (libm pow) round as Python's
-    abs and ** do on each point."""
+    """|f_z|, |f_zbar|, the Jacobian and K = (|f_z|+|f_zbar|)/||f_z|-|f_zbar||
+    as arrays; K >= 1 on either side of J's sign, 1 where the norm vanishes and
+    inf where J vanishes relative to the norm squared. _cabs and float_power
+    (libm pow) round as Python's abs and ** do on each point."""
     a, b = _cabs(f_z), _cabs(f_zbar)
     n = a + b
     jac = np.float_power(a, 2) - np.float_power(b, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.where(np.abs(jac) < 1e-15 * n * n, np.inf, n / (a - b))
+        k = np.where(np.abs(jac) < 1e-15 * n * n, np.inf, n / np.abs(a - b))
     return a, b, jac, np.where(n < 1e-15, 1.0, k)
 
 
 def dilatation(f: SampleMap, z) -> np.ndarray:
-    """K_f at an array of points: (|f_z|+|f_zbar|)/(|f_z|-|f_zbar|) where
+    """K_f at an array of points: (|f_z|+|f_zbar|)/||f_z|-|f_zbar|| where
     J != 0, 1 where the norm vanishes and inf where J = 0."""
     return _derivative_data(*wirtinger(f, z))[3]
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,33 +68,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscretizedDomain:
-    """Cells with centers and areas in both metrics, plus a grid descriptor."""
+    """Cells with centers, Euclidean areas and a grid descriptor; `area_hyp`,
+    the hyperbolic areas, is derived: each Euclidean area times the conformal
+    factor 4/(1-|c|^2)^2 at its cell's center c."""
 
     centers: np.ndarray  # complex cell centers
     area_euclid: np.ndarray
-    area_hyp: np.ndarray
     geometry: dict
+    area_hyp: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if np.any(self.area_euclid <= 0) or np.any(self.area_hyp <= 0):
+        if np.any(self.area_euclid <= 0):
             raise ValueError("cell areas must be positive")
-        inside_disk(self.centers, "cell centers")
+        inside_disk(self.centers, "cell centers")  # so the factor is finite and positive
+        factor = 4.0 / (1.0 - np.abs(self.centers) ** 2) ** 2
+        object.__setattr__(self, "area_hyp", self.area_euclid * factor)
 
     @property
     def n_cells(self) -> int:
         return len(self.centers)
 
 
-def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
-    """Polar cells between the given increasing hyperbolic band edges, n_theta
-    sectors each: a ring's `band_edges`, or the image band edges that
-    lower_q's `_image_ring` measures, those edges carried by a map that fixes
-    0 radially.
+def polar_grid(r_edges, n_theta: int) -> DiscretizedDomain:
+    """Polar cells between increasing hyperbolic band edges about 0, n_theta
+    sectors each: a ring's `RingSpec.band_edges(n_r)`, or the image band edges
+    that lower_q's `_image_ring` measures, those edges carried by a map that
+    fixes 0 radially.
 
     Cell centers sit at the hyperbolic band midpoint, the rule of
     `RingSpec.band_centers`, so circles at a ring's band centers run through
     their cells' centers to an ulp (numpy's tanh here, math's for circles).
+    ValueError for fewer than two edges, edges that do not rise strictly from
+    r >= 0, or n_theta < 4.
     """
+    r_edges = np.asarray(r_edges, dtype=float)
+    if len(r_edges) < 2:
+        raise ValueError("need at least two band edges")
+    if not (r_edges[0] >= 0.0 and np.all(np.diff(r_edges) > 0.0)):  # NaN fails too
+        raise ValueError("band edges must rise strictly from r >= 0")
     if n_theta < 4:
         raise ValueError("need n_theta >= 4")
     R_edges = np.tanh(0.5 * r_edges)
@@ -106,27 +117,11 @@ def _polar_grid(r_edges: np.ndarray, n_theta: int) -> DiscretizedDomain:
     d_theta = 2.0 * math.pi / n_theta
     ring_areas = 0.5 * d_theta * (R_edges[1:] ** 2 - R_edges[:-1] ** 2)  # per sector
     centers = (R_mid[:, None] * np.exp(1j * theta_mid[None, :])).ravel()
-    area_e = np.repeat(ring_areas, n_theta)
-    factor = 4.0 / (1.0 - np.abs(centers) ** 2) ** 2
     return DiscretizedDomain(
         centers=centers,
-        area_euclid=area_e,
-        area_hyp=area_e * factor,
-        geometry={
-            "kind": "polar",
-            "n_r": len(r_edges) - 1,
-            "n_theta": n_theta,
-            "R_edges": R_edges,
-            "theta_edges": theta_edges,
-        },
+        area_euclid=np.repeat(ring_areas, n_theta),
+        geometry={"kind": "polar", "R_edges": R_edges, "theta_edges": theta_edges},
     )
-
-
-def polar_grid(ring: RingSpec, n_r: int, n_theta: int) -> DiscretizedDomain:
-    """Polar cells over the ring, bands uniform in hyperbolic radius."""
-    if n_r < 1:
-        raise ValueError("need n_r >= 1")
-    return _polar_grid(ring.band_edges(n_r), n_theta)
 
 
 def cartesian_grid(window, n_x: int, n_y: int) -> DiscretizedDomain:
@@ -144,17 +139,10 @@ def cartesian_grid(window, n_x: int, n_y: int) -> DiscretizedDomain:
     if corners >= 1.0 - BOUNDARY_MARGIN:
         raise ValueError("window must lie strictly inside the unit disk")
     area = ((x1 - x0) / n_x) * ((y1 - y0) / n_y)
-    factor = 4.0 / (1.0 - np.abs(centers) ** 2) ** 2
     return DiscretizedDomain(
         centers=centers,
         area_euclid=np.full(centers.shape, area),
-        area_hyp=area * factor,
-        geometry={
-            "kind": "cartesian",
-            "n_y": n_y,
-            "x_edges": x_edges,
-            "y_edges": y_edges,
-        },
+        geometry={"kind": "cartesian", "x_edges": x_edges, "y_edges": y_edges},
     )
 
 
@@ -295,7 +283,8 @@ def _polar_geometry(dom: DiscretizedDomain):
     geometry = dom.geometry
     if geometry["kind"] != "polar":
         raise ValueError("grid-line families need a polar grid")
-    return geometry["R_edges"], geometry["n_r"], geometry["n_theta"]
+    R_edges = geometry["R_edges"]
+    return R_edges, len(R_edges) - 1, len(geometry["theta_edges"]) - 1
 
 
 def grid_circles(dom: DiscretizedDomain, radii, multiplicity: int = 1) -> CurveFamily:
@@ -394,7 +383,7 @@ def _cells_of(z: np.ndarray, geometry) -> np.ndarray:
     """Cell index of each point of a cartesian grid, -1 outside it."""
     i, inside_x = _bins(geometry["x_edges"], z.real)
     j, inside_y = _bins(geometry["y_edges"], z.imag)
-    return np.where(inside_x & inside_y, i * geometry["n_y"] + j, -1)
+    return np.where(inside_x & inside_y, i * (len(geometry["y_edges"]) - 1) + j, -1)
 
 
 def _blocks(polylines):
@@ -677,7 +666,7 @@ def circle_family_modulus(ring: RingSpec, Q: ScalarField, n_circles: int = 64, n
     """
     if n_circles < 4:
         raise ValueError("need n_circles >= 4")
-    dom = polar_grid(ring, n_r=n_circles, n_theta=n_theta)
+    dom = polar_grid(ring.band_edges(n_circles), n_theta)
     fam = grid_circles(dom, [euclid_radius(r) for r in ring.band_centers(n_circles)])
     q_cells = Q.evaluate_array(dom.centers)
     if np.any(q_cells <= 0):

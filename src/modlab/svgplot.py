@@ -125,9 +125,9 @@ def polar_heatmap_svg(dom, values, title="") -> str:
         f'<rect width="{size}" height="{size + 30}" fill="white"/>',
         f'<text x="{c}" y="{size + 20}" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    n_r, n_theta = geom["n_r"], geom["n_theta"]
     R = geom["R_edges"] * scale
     th = geom["theta_edges"]
+    n_r, n_theta = len(R) - 1, len(th) - 1
     for i in range(n_r):
         for j in range(n_theta):
             v = values[i * n_theta + j]

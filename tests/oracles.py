@@ -83,7 +83,7 @@ def midpoint_incidences(curves, dom):
     by its vertices with every segment inside one cell: a segment goes to the cell
     of its midpoint, found with atan2 and hypot, and a curve's segments are summed
     per cell in order along it."""
-    R_edges, n_theta = dom.geometry["R_edges"], dom.geometry["n_theta"]
+    R_edges, n_theta = dom.geometry["R_edges"], len(dom.geometry["theta_edges"]) - 1
     n_cells = (len(R_edges) - 1) * n_theta
     keys, euclidean, hyperbolic = [], [], []
     for g, z in enumerate(curves):

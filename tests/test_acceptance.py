@@ -116,7 +116,7 @@ def test_criterion_04_fubini_identity():
 def test_criterion_05_ring_modulus_200x600():
     t0 = time.perf_counter()
     exact = ring_modulus_exact(RING)
-    dom = polar_grid(RING, 200, 600)
+    dom = polar_grid(RING.band_edges(200), 600)
     fam = grid_rays(dom)
     res = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-5)
     elapsed = time.perf_counter() - t0
@@ -130,7 +130,7 @@ def test_criterion_05_ring_modulus_200x600():
 def test_criterion_06_metric_equivalence():
     fam_dom = getattr(test_criterion_05_ring_modulus_200x600, "family", None)
     if fam_dom is None:
-        dom = polar_grid(RING, 100, 300)
+        dom = polar_grid(RING.band_edges(100), 300)
         fam = grid_rays(dom)
     else:
         fam, dom = fam_dom

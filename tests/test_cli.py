@@ -201,21 +201,31 @@ class TestDistortion:
         assert err.startswith("config error") and f"unknown key {key!r}" in err
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "4097x4"), "--grid"),
-    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "4x4097"), "--grid"),
+@pytest.mark.parametrize("argv, flag, reason", [
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "4097x4"), "--grid", "4096"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "4x4097"), "--grid", "4096"),
     (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--n-circles", "4097"),
-     "--n-circles"),
-    (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5", "--samples", "4097"), "--samples"),
-    (("fmo", "--q", "const:1", "--eps-count", "4097"), "--eps-count"),
-    (("distortion", "--map", "winding:3", "--grid", "4097", "--out", "none"), "--grid"),
-    (("distortion", "--map", "winding:1e300", "--out", "none"), "map.k"),
-], ids=["ring-rings", "ring-sectors", "circle-family", "qnorm", "fmo", "distortion", "winding-order"])
-def test_count_above_the_config_cap_is_refused(capsys, argv, flag):
-    # the cap of config grid counts; a typo such as --grid 20000x60000 would ask for ~1e9 cells
+     "--n-circles", "4096"),
+    (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5", "--samples", "4097"), "--samples", "4096"),
+    (("fmo", "--q", "const:1", "--eps-count", "4097"), "--eps-count", "4096"),
+    (("distortion", "--map", "winding:3", "--grid", "4097", "--out", "none"), "--grid", "4096"),
+    (("distortion", "--map", "winding:1e300", "--out", "none"), "map.k", "4096"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "1_0x3_0"), "--grid", "whole number"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "10x 30"), "--grid", "whole number"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "10"), "--grid", "200x600"),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--n-circles", "3_2"),
+     "--n-circles", "whole number"),
+    (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5", "--samples", " 8"), "--samples", "whole number"),
+    (("fmo", "--q", "const:1", "--eps-count", "8.5"), "--eps-count", "whole number"),
+    (("distortion", "--map", "winding:3", "--grid", "3_3", "--out", "none"), "--grid", "whole number"),
+], ids=["ring-rings", "ring-sectors", "circle-family", "qnorm", "fmo", "distortion", "winding-order",
+        "ring-underscores", "ring-space", "ring-one-count", "circle-family-underscore", "qnorm-space",
+        "fmo-fraction", "distortion-underscore"])
+def test_count_off_the_config_rule_is_refused(capsys, argv, flag, reason):
+    # the rule and cap of config grid counts; a typo such as --grid 20000x60000 would ask for ~1e9 cells
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("config error") and flag in err and "4096" in err
+    assert err.startswith("config error") and flag in err and reason in err
 
 
 def test_count_at_the_config_cap_runs(capsys):
@@ -379,7 +389,7 @@ def test_closed_form_runs_load_no_scipy(tmp_path):
         from modlab.modulus import grid_rays, modulus_discrete, polar_grid
         from modlab.quadrature import RingSpec
 
-        dom = polar_grid(RingSpec(0.5, 1.5), 8, 16)
+        dom = polar_grid(RingSpec(0.5, 1.5).band_edges(8), 16)
         assert modulus_discrete(grid_rays(dom), dom).stop_reason == "closed_form"
         assert modlab.cli.main(["ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "20x60"]) == 0
         assert modlab.cli.main(["suite", {str(CONFIG_DIR / "experiments")!r}, "--out-dir", {str(tmp_path)!r}]) == 0

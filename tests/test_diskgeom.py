@@ -95,7 +95,7 @@ class TestInsideDisk:
         centers = dom.centers.copy()
         centers[0] = bad
         with pytest.raises(ValueError):
-            DiscretizedDomain(centers, dom.area_euclid, dom.area_hyp, dom.geometry)
+            DiscretizedDomain(centers, dom.area_euclid, dom.geometry)
         with pytest.raises(ValueError):
             Polyline((0.1, bad))
         with pytest.raises(ValueError):

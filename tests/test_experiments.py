@@ -27,7 +27,7 @@ from modlab.mappings import (
     winding,
 )
 from modlab.diskgeom import euclid_radius, hyp_radius, inside_disk
-from modlab.modulus import _polar_grid, grid_circles, modulus_discrete, polar_grid
+from modlab.modulus import grid_circles, modulus_discrete, polar_grid
 from modlab.quadrature import RingSpec, ScalarField
 from oracles import custom_map
 
@@ -383,13 +383,13 @@ class TestImageRing:
     def _source(self, n_circles, n_theta):
         """(Σ, its radii): the circles at the ring's band centers on the ring's grid."""
         radii = [euclid_radius(r) for r in self.RING.band_centers(n_circles)]
-        return grid_circles(polar_grid(self.RING, n_circles, n_theta), radii), radii
+        return grid_circles(polar_grid(self.RING.band_edges(n_circles), n_theta), radii), radii
 
     def _image(self, f, n_circles, n_theta):
         """(f(Σ), its radii, its grid, the image ring's hyperbolic radii), as
         `run_lower_q_verification` builds them."""
         edges, radii = _image_ring(f, self.RING, n_circles)
-        dom = _polar_grid(np.array(edges), n_theta)
+        dom = polar_grid(edges, n_theta)
         return grid_circles(dom, radii, multiplicity=f.degree), radii, dom, (edges[0], edges[-1])
 
     @pytest.mark.parametrize("f", MAPS, ids=MAP_IDS)
@@ -415,7 +415,7 @@ class TestImageRing:
         for name in ("indptr", "indices", "euclidean", "hyperbolic"):
             assert np.array_equal(getattr(image, name), getattr(source, name))
         assert image_ring == pytest.approx((0.5, 1.5), rel=1e-15)
-        assert np.allclose(dom.centers, polar_grid(self.RING, 8, 64).centers, rtol=0.0, atol=1e-15)
+        assert np.allclose(dom.centers, polar_grid(self.RING.band_edges(8), 64).centers, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_winding_keeps_radii_and_multiplies_multiplicity(self, k):
@@ -429,7 +429,7 @@ class TestImageRing:
     def test_grid_is_the_source_grid_carried_by_f(self, f, n_circles):
         image, radii, dom, image_ring = self._image(f, n_circles, 64)
         carried = [self._image_radius(f, r) for r in self.RING.band_edges(n_circles)]
-        assert dom.geometry["n_r"] == n_circles and dom.geometry["n_theta"] == 64
+        assert len(dom.geometry["R_edges"]) == n_circles + 1 and len(dom.geometry["theta_edges"]) == 65
         assert dom.geometry["R_edges"] == pytest.approx(carried, rel=4e-16, abs=0.0)
         assert image_ring == (hyp_radius(carried[0]), hyp_radius(carried[-1]))
         R_edges = dom.geometry["R_edges"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modlab import mappings
+from modlab._io import MAX_COUNT
 from modlab.diskgeom import mobius_compose, mobius_invert, mobius_rotation, mobius_to_zero
 from modlab.mappings import (
     NotSensePreservingError,
@@ -194,8 +195,8 @@ class TestClosedForms:
         z = z[np.abs(z.real) > 1e-3]
         f = fold_map()
         _, _, jac, k = mappings._derivative_data(*wirtinger(f, z))
-        # K = (|f_z| + |f_zbar|)/(|f_z| - |f_zbar|) carries J's sign: -1 where the fold reverses
-        assert np.all(jac == np.where(z.real < 0, -1.0, 1.0)) and np.all(k == jac)
+        # J is -1 where the fold reverses, but K = (|f_z| + |f_zbar|)/||f_z| - |f_zbar|| is 1 on both sides
+        assert np.all(jac == np.where(z.real < 0, -1.0, 1.0)) and np.all(k == 1.0)
         assert dilatation(f, 1j * z.imag).tolist() == [math.inf] * len(z)
 
     def test_every_kind_agrees_with_differences(self):
@@ -457,6 +458,12 @@ class TestMapConstruction:
             winding(0)
         with pytest.raises(ValueError):
             radial_stretch(0.5)
+
+    @pytest.mark.parametrize("k", [MAX_COUNT + 1, 10**20, 2.5, math.nan, math.inf])
+    def test_winding_refuses_an_order_off_the_whole_numbers_to_the_cap(self, k):
+        # the builder itself, called from Python: 10**20 gave 354 non-finite |f_z| on the 33-lattice
+        with pytest.raises(ValueError, match=f"winding order must be a whole number in \\[1, {MAX_COUNT}\\]"):
+            winding(k)
 
     def test_distortion_csv(self):
         lines = distortion_sweep(winding(2), 17).to_csv().strip().splitlines()

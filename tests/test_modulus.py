@@ -28,7 +28,7 @@ from modlab.modulus import (
     ring_modulus_exact,
     weighted_infimum,
 )
-from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _CHORDS_PER_CELL, _blocks, _polar_grid
+from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _CHORDS_PER_CELL, _blocks
 from modlab.quadrature import RingSpec
 
 from oracles import hyp_length, incidence_matrix, midpoint_incidences
@@ -114,7 +114,7 @@ def _bits(x):
 
 
 def _radial_family():
-    dom = polar_grid(RING, 200, 600)
+    dom = polar_grid(RING.band_edges(200), 600)
     return grid_rays(dom), dom
 
 
@@ -125,7 +125,7 @@ def _ring_radii(n_circles):
 
 def _ring_circles(n_circles, n_theta, multiplicity=1):
     """(the circles at the band centers of RING, their grid)."""
-    dom = polar_grid(RING, n_circles, n_theta)
+    dom = polar_grid(RING.band_edges(n_circles), n_theta)
     return grid_circles(dom, _ring_radii(n_circles), multiplicity), dom
 
 
@@ -134,7 +134,7 @@ def _lower_q_image_family(name):
     builds them from the image ring its load measured."""
     cfg = ExperimentConfig.from_json(CONFIG_DIR / f"{name}.json")
     _, edges, radii, n_theta, *_ = cfg.params
-    dom = _polar_grid(np.array(edges), n_theta)
+    dom = polar_grid(edges, n_theta)
     return grid_circles(dom, radii, cfg.sample_map.degree), dom
 
 
@@ -217,21 +217,37 @@ def _snap(z: complex, a, b, geometry) -> complex:
 
 class TestGrids:
     def test_polar_areas_exact(self):
-        dom = polar_grid(RING, 8, 16)
+        dom = polar_grid(RING.band_edges(8), 16)
         R1, R2 = euclid_radius(0.5), euclid_radius(1.5)
         assert dom.n_cells == 128
         assert float(np.sum(dom.area_euclid)) == pytest.approx(math.pi * (R2**2 - R1**2), rel=1e-12)
 
-    def test_area_conversion_factor(self):
-        dom = polar_grid(RING, 4, 8)
+    @pytest.mark.parametrize("dom", [polar_grid(RING.band_edges(4), 8),
+                                     cartesian_grid(((-0.5, 0.3), (-0.2, 0.6)), 5, 7)],
+                             ids=["polar", "cartesian"])
+    def test_area_conversion_factor(self, dom):
+        # every cell's hyperbolic area is its Euclidean one times 4/(1-|c|^2)^2 at its center
         factor = 4.0 / (1.0 - np.abs(dom.centers) ** 2) ** 2
-        assert np.allclose(dom.area_hyp, dom.area_euclid * factor)
+        assert np.array_equal(dom.area_hyp, dom.area_euclid * factor)
+
+    @pytest.mark.parametrize("edges, n_theta, message", [
+        ([], 16, "two band edges"),
+        ([0.5], 16, "two band edges"),
+        ([-0.5, 1.5], 16, "rise strictly from r >= 0"),
+        ([0.5, 1.5, 1.5], 16, "rise strictly from r >= 0"),
+        ([0.5, float("nan")], 16, "rise strictly from r >= 0"),
+        ([0.5, 1.5], 3, "n_theta >= 4"),
+    ], ids=["no-edges", "one-edge", "negative-edge", "repeated-edge", "nan-edge", "three-sectors"])
+    def test_polar_grid_refusals(self, edges, n_theta, message):
+        with pytest.raises(ValueError, match=message):
+            polar_grid(edges, n_theta)
+        assert polar_grid([0.5, 1.5], 4).n_cells == 4  # the smallest grid it builds
 
     @pytest.mark.parametrize("n", [8, 16, 64, 128])
     def test_cell_centers_sit_at_band_centers(self, n):
         # the grid's cells are centred at RING.band_centers bit for bit, and on this ring
         # those equal the closed form r_inner + (i + 1/2) h the shipped numbers were made with
-        dom = polar_grid(RING, n, 16)
+        dom = polar_grid(RING.band_edges(n), 16)
         assert np.array_equal(dom.geometry["R_edges"], np.tanh(0.5 * RING.band_edges(n)))
         theta_edges = np.linspace(0.0, 2.0 * math.pi, 17)
         theta_mid = 0.5 * (theta_edges[:-1] + theta_edges[1:])
@@ -245,7 +261,7 @@ class TestGrids:
             cartesian_grid(((-0.9, 0.9), (-0.9, 0.9)), 4, 4)
 
     def test_rasterized_length_conservation(self):
-        fam = grid_rays(polar_grid(RING, 16, 32))
+        fam = grid_rays(polar_grid(RING.band_edges(16), 32))
         R1, R2 = euclid_radius(0.5), euclid_radius(1.5)
         for cells, le, lh in fam.curves:
             assert float(np.sum(le)) == pytest.approx(R2 - R1, rel=1e-12)
@@ -423,7 +439,7 @@ class TestGridLines:
     def test_rays_span_the_ring(self):
         # every ray crosses the whole ring, and each band piece is the band's width in
         # either metric: hyperbolic widths are the ring's equal bands
-        dom = polar_grid(RING, 7, 12)
+        dom = polar_grid(RING.band_edges(7), 12)
         fam = grid_rays(dom)
         R_edges = dom.geometry["R_edges"]
         for k, (cells, le, lh) in enumerate(fam.curves):
@@ -446,7 +462,7 @@ class TestGridLines:
 
     def test_ray_from_the_center(self):
         # a grid from r = 0: each ray starts at the center, and its length is the ring's
-        fam = grid_rays(polar_grid(RingSpec(0.0, 2.0), 5, 12))
+        fam = grid_rays(polar_grid(RingSpec(0.0, 2.0).band_edges(5), 12))
         for cells, le, lh in fam.curves:
             assert np.sum(le) == pytest.approx(euclid_radius(2.0), rel=1e-15)
             assert np.sum(lh) == pytest.approx(2.0, rel=1e-15)
@@ -454,7 +470,7 @@ class TestGridLines:
     def test_polar_grid_refused_by_the_rasterizer(self):
         circle = Polyline(_polygon(euclid_radius(1.0), 64)[:-1], closed=True)
         with pytest.raises(ValueError, match="cartesian grid"):
-            rasterize_family(PolylineFamily((circle,), kind="connecting"), polar_grid(RING, 4, 16))
+            rasterize_family(PolylineFamily((circle,), kind="connecting"), polar_grid(RING.band_edges(4), 16))
 
     def test_cartesian_grid_refused_by_the_builders(self):
         dom = cartesian_grid(WINDOW, 4, 4)
@@ -474,14 +490,14 @@ class TestGridLines:
         lambda radii, R_edges: [R_edges[0] * (1.0 + 1e-5)] + radii[1:],
     ], ids=["too-few", "too-many", "on-lower-edge", "on-upper-edge", "swapped", "nan", "chords-below"])
     def test_circle_outside_its_band_refused(self, move):
-        dom = polar_grid(RING, 6, 64)
+        dom = polar_grid(RING.band_edges(6), 64)
         radii = move(_ring_radii(6), dom.geometry["R_edges"].tolist())
         with pytest.raises(ValueError, match="band"):
             grid_circles(dom, radii)
 
     def test_multiplicity_must_be_positive(self):
         with pytest.raises(ValueError, match="multiplicity"):
-            grid_circles(polar_grid(RING, 6, 64), _ring_radii(6), multiplicity=0)
+            grid_circles(polar_grid(RING.band_edges(6), 64), _ring_radii(6), multiplicity=0)
 
     def test_circle_family_modulus_keeps_its_value(self):
         # criterion 7's solve; before the grid-line builders it was 0.15165685367405052,
@@ -757,20 +773,20 @@ class TestModulusDiscrete:
             modulus_discrete(fam, dom, weights=weights)
 
     def test_ring_connecting_family(self):
-        dom = polar_grid(RING, 50, 128)
+        dom = polar_grid(RING.band_edges(50), 128)
         fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6)
         assert res.value == pytest.approx(ring_modulus_exact(RING), rel=0.05)
 
     def test_metric_equivalence(self):
-        dom = polar_grid(RING, 40, 96)
+        dom = polar_grid(RING.band_edges(40), 96)
         fam = grid_rays(dom)
         h = modulus_discrete(fam, dom, metric="hyperbolic", tol=1e-6)
         e = modulus_discrete(fam, dom, metric="euclidean", tol=1e-6)
         assert h.value == pytest.approx(e.value, rel=0.02)
 
     def test_feasibility_at_termination(self):
-        dom = polar_grid(RING, 20, 48)
+        dom = polar_grid(RING.band_edges(20), 48)
         fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, tol=1e-5)
         assert res.converged
@@ -781,7 +797,7 @@ class TestModulusDiscrete:
         assert float(np.min(m * L.dot(res.extremal.rho))) >= 1.0 - 1e-12
 
     def test_monotone_under_family_growth(self):
-        dom = polar_grid(RING, 24, 64)
+        dom = polar_grid(RING.band_edges(24), 64)
         big = grid_rays(dom)
         # a subfamily: every other ray
         small = _rows(big, range(0, 64, 2))
@@ -798,7 +814,7 @@ class TestModulusDiscrete:
             assert got == pytest.approx(base / k**2, rel=1e-3)
 
     def test_optimality_certificate(self):
-        dom = polar_grid(RING, 20, 48)
+        dom = polar_grid(RING.band_edges(20), 48)
         fam = grid_rays(dom)
         res = modulus_discrete(fam, dom, tol=1e-6)
         L = incidence_matrix(fam, "hyperbolic")
@@ -836,7 +852,7 @@ class TestModulusDiscrete:
             modulus_discrete(fam, dom)
 
     def test_family_from_other_domain_rejected(self):
-        coarse, fine = polar_grid(RING, 8, 16), polar_grid(RING, 16, 16)
+        coarse, fine = polar_grid(RING.band_edges(8), 16), polar_grid(RING.band_edges(16), 16)
         with pytest.raises(ValueError, match="128 cells .* 256"):
             modulus_discrete(grid_rays(coarse), fine)
         with pytest.raises(ValueError, match="256 cells .* 128"):

@@ -28,7 +28,7 @@ class TestLinePlot:
 
 class TestHeatmap:
     def test_density_heatmap(self, tmp_path):
-        dom = polar_grid(RingSpec(0.5, 1.5), 6, 12)
+        dom = polar_grid(RingSpec(0.5, 1.5).band_edges(6), 12)
         rho = DensityField(np.linspace(0, 1, dom.n_cells))
         path = tmp_path / "rho.svg"
         density_to_svg(dom, rho, path)
