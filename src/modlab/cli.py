@@ -51,25 +51,35 @@ def _emit(data: dict, out_file=None) -> None:
     _write(json_text({"schema_version": SCHEMA_VERSION, **data}), out_file)
 
 
-def _count(text: str, flag: str) -> int:
-    """A count given on the command line, read as a config count is: the JSON
-    number its text spells (`spec_argument`), a whole one (`json_number`, so
-    "1_0" and " 8" are refused by the flag's name), at most the cap."""
-    value = json_number(spec_argument(text), flag, whole=True)
-    if value > MAX_COUNT:
-        raise ValueError(f"{flag} must be at most {MAX_COUNT}, not {value}")
+def _number(text: str, flag: str, whole: bool = False):
+    """A number given on the command line, read as a config number is: the JSON
+    number its text spells (`spec_argument`), finite and, when `whole`, whole
+    (`json_number`, so "1_2", " 1.5" and "inf" are refused by the flag's name)."""
+    return json_number(spec_argument(text), flag, whole=whole)
+
+
+def _count(text: str, flag: str, low: int) -> int:
+    """A count given on the command line, read as a config grid count is: a
+    whole `_number` in [low, MAX_COUNT]."""
+    value = _number(text, flag, whole=True)
+    if not low <= value <= MAX_COUNT:
+        raise ValueError(f"{flag} must lie in [{low}, {MAX_COUNT}], not {value}")
     return value
+
+
+def _ring(args) -> RingSpec:
+    return RingSpec(_number(args.r1, "--r1"), _number(args.r2, "--r2"))
 
 
 def _parse_grid(spec: str):
     n_r, x, n_theta = spec.lower().partition("x")
     if not x:
         raise ValueError(f"--grid must look like 200x600, not {spec!r}")
-    return _count(n_r, "--grid"), _count(n_theta, "--grid")
+    return _count(n_r, "--grid", 1), _count(n_theta, "--grid", 4)
 
 
 def _cmd_ring_modulus(args) -> int:
-    ring = RingSpec(args.r1, args.r2)
+    ring, agree_tol = _ring(args), _number(args.agree_tol, "--agree-tol")
     n_r, n_theta = _parse_grid(args.grid)
     exact = ring_modulus_exact(ring)
     dom = polar_grid(ring.band_edges(n_r), n_theta)
@@ -78,7 +88,7 @@ def _cmd_ring_modulus(args) -> int:
     rel = abs(res.value - exact) / exact
     if args.heatmap_file:
         density_to_svg(dom, res.extremal, args.heatmap_file,
-                       title=f"extremal density, ring ({args.r1}, {args.r2})")
+                       title=f"extremal density, ring ({ring.r_inner}, {ring.r_outer})")
     _emit({
         "exact": exact,
         "discrete": res.value,
@@ -90,12 +100,12 @@ def _cmd_ring_modulus(args) -> int:
         "stop_reason": res.stop_reason,
         "duality_gap": res.duality_gap,
     }, args.out_file)
-    return 0 if res.converged and rel <= args.agree_tol else 1
+    return 0 if res.converged and rel <= agree_tol else 1
 
 
 def _cmd_circle_family(args) -> int:
-    ring = RingSpec(args.r1, args.r2)
-    n_circles = _count(args.n_circles, "--n-circles")
+    ring, agree_tol = _ring(args), _number(args.agree_tol, "--agree-tol")
+    n_circles = _count(args.n_circles, "--n-circles", 4)
     value, reference = circle_family_modulus(ring, parse_field(args.q), n_circles=n_circles)
     rel = abs(value - reference) / reference
     _emit({
@@ -105,12 +115,11 @@ def _cmd_circle_family(args) -> int:
         "n_circles": n_circles,
         "q": args.q,
     }, args.out_file)
-    return 0 if rel <= args.agree_tol else 1
+    return 0 if rel <= agree_tol else 1
 
 
 def _cmd_qnorm(args) -> int:
-    ring = RingSpec(args.r1, args.r2)
-    prof = qnorm_profile(parse_field(args.q), ring, n_samples=_count(args.samples, "--samples"))
+    prof = qnorm_profile(parse_field(args.q), _ring(args), n_samples=_count(args.samples, "--samples", 4))
     if args.out == "csv":
         _write(prof.to_csv(), args.out_file)
     else:
@@ -119,7 +128,8 @@ def _cmd_qnorm(args) -> int:
 
 
 def _cmd_fmo(args) -> int:
-    eps = default_epsilon_sequence(args.eps_start, _count(args.eps_count, "--eps-count"))
+    eps_start, eps_count = _number(args.eps_start, "--eps-start"), _count(args.eps_count, "--eps-count", 3)
+    eps = default_epsilon_sequence(eps_start, eps_count)
     field = parse_field(args.q)
     try:
         rep = fmo_check(field, epsilons=eps, center=complex(args.center))
@@ -138,7 +148,7 @@ def _cmd_fmo(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    rep = divergence_check(parse_field(args.q), RingSpec(args.r1, args.r2))
+    rep = divergence_check(parse_field(args.q), _ring(args))
     if args.svg_file:
         write_svg(line_plot_svg(
             [("partial integral", rep.epsilons, np.maximum(rep.partial_integrals, 1e-300))],
@@ -168,7 +178,7 @@ def _cmd_dirichlet(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    grid = _count(args.grid, "--grid")
+    grid = _count(args.grid, "--grid", 16)
     sweep = distortion_sweep(parse_map(args.map), grid)
     rep = finite_distortion_check(sweep)
     if args.out == "csv":
@@ -214,28 +224,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ring-modulus", help="discrete vs exact ring modulus")
-    p.add_argument("--r1", type=float, required=True, help="inner hyperbolic radius")
-    p.add_argument("--r2", type=float, required=True, help="outer hyperbolic radius")
+    p.add_argument("--r1", required=True, help="inner hyperbolic radius")
+    p.add_argument("--r2", required=True, help="outer hyperbolic radius")
     p.add_argument("--grid", default="100x300", help="polar grid NRxNT")
     p.add_argument("--metric", choices=["hyperbolic", "euclidean"], default="hyperbolic")
-    p.add_argument("--agree-tol", type=float, default=0.05)
+    p.add_argument("--agree-tol", default="0.05")
     p.add_argument("--out-file")
     p.add_argument("--heatmap-file", help="write the extremal density as an SVG heatmap")
     p.set_defaults(func=_cmd_ring_modulus)
 
     p = sub.add_parser("circle-family", help="weighted circle-family modulus vs radial reference")
-    p.add_argument("--r1", type=float, required=True)
-    p.add_argument("--r2", type=float, required=True)
+    p.add_argument("--r1", required=True)
+    p.add_argument("--r2", required=True)
     p.add_argument("--q", required=True, help="field spec, e.g. const:1")
     p.add_argument("--n-circles", default="64")
-    p.add_argument("--agree-tol", type=float, default=0.05)
+    p.add_argument("--agree-tol", default="0.05")
     p.add_argument("--out-file")
     p.set_defaults(func=_cmd_circle_family)
 
     p = sub.add_parser("qnorm", help="radial profile of the circle norm of Q")
     p.add_argument("--q", required=True)
-    p.add_argument("--r1", type=float, required=True)
-    p.add_argument("--r2", type=float, required=True)
+    p.add_argument("--r1", required=True)
+    p.add_argument("--r2", required=True)
     p.add_argument("--samples", default="64", help="Gauss-Legendre nodes in log r, at least 4")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--out-file")
@@ -244,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fmo", help="finite-mean-oscillation verdict at a point")
     p.add_argument("--q", required=True)
     p.add_argument("--center", default="0")
-    p.add_argument("--eps-start", type=float, default=0.4)
+    p.add_argument("--eps-start", default="0.4")
     p.add_argument("--eps-count", default="12")
     p.add_argument("--out-file")
     p.add_argument("--svg-file", help="write a log-log oscillation plot")
@@ -252,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divergence", help="divergence verdict for the reciprocal ring integral")
     p.add_argument("--q", required=True)
-    p.add_argument("--r1", type=float, default=0.0)
-    p.add_argument("--r2", type=float, required=True)
+    p.add_argument("--r1", default="0")
+    p.add_argument("--r2", required=True)
     p.add_argument("--out-file")
     p.add_argument("--svg-file", help="write a partial-integral plot")
     p.set_defaults(func=_cmd_divergence)

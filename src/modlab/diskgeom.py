@@ -155,14 +155,15 @@ IDENTITY = MobiusAutomorphism(1.0, 0.0)
 
 @dataclass(frozen=True, eq=False)
 class Polyline:
-    """Ordered vertices strictly inside the disk, as one read-only complex array.
+    """Ordered vertices strictly inside the disk, as one read-only complex array:
+    an open curve, whose segments run from `vertices[:-1]` to `vertices[1:]`; a
+    closed loop repeats its first vertex at the end.
 
     Accepts complex or float vertices; consecutive exact duplicates are
     collapsed.
     """
 
     vertices: np.ndarray
-    closed: bool = False
 
     def __post_init__(self):
         z = inside_disk(self.vertices, "polyline vertices")
@@ -174,13 +175,6 @@ class Polyline:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and end points of the segments, including the wrap-around if closed."""
-        z = self.vertices
-        if self.closed and len(z) > 1 and z[-1] != z[0]:
-            z = np.append(z, z[0])
-        return z[:-1], z[1:]
 
 
 def hyp_distance(z1, z2):

@@ -17,14 +17,14 @@ each sector's centre angle, and each returns its incidence pattern and lengths
 by construction, with no search. A circle is a 4 n_theta-gon whose every fourth
 vertex sits on a sector edge, so circle j meets exactly the n_theta cells of
 band j, four equal chords in each; ray k meets the n_r cells of sector k, and
-its length in a band is the band's width. `rasterize_family` clips polylines
-to a cartesian grid: whole consecutive curves form blocks of at most 2^12
-segments and 2^6 curves (a longer curve is a block of its own), each block's
-segments are cut at all their grid-line crossings at once, and the pieces,
-sorted by segment and t, are summed per (curve, cell) with one `np.unique`
-and `np.bincount`. A curve never spans two blocks, so each per-cell sum adds
-the same pieces in the same order as rasterizing the curve alone: the
-incidence arrays equal the per-curve ones bit for bit.
+its length in a band is the band's width. `rasterize_family` clips open
+polylines to a cartesian grid: runs of at most 2^6 whole consecutive curves
+form blocks, each block's segments are cut at all their grid-line crossings
+at once, and the pieces, sorted by segment and t, are summed per (curve,
+cell) with one `np.unique` and `np.bincount`. A curve never spans two
+blocks, so each per-cell sum adds the same pieces in the same order as
+rasterizing the curve alone: the incidence arrays equal the per-curve ones
+bit for bit.
 
 Incidences are plain numpy CSR arrays and the closed form is numpy alone,
 so scipy is imported only when a family has overlapping supports: its sparse
@@ -339,9 +339,8 @@ def grid_rays(dom: DiscretizedDomain) -> CurveFamily:
 # ---------------------------------------------------------------------------
 # rasterization
 
-# Most segments and curves cut in one block. 2^12 segments keep a block's arrays in
-# L2; 2^6 curves bound the pieces of a block of short curves that cross many cells.
-_BLOCK_SEGMENTS = 2**12
+# Most curves cut in one block: numpy's per-call cost is shared by 2^6 curves, and
+# a block's pieces stay few while the curves are chords of a few segments each.
 _BLOCK_CURVES = 2**6
 
 
@@ -386,29 +385,14 @@ def _cells_of(z: np.ndarray, geometry) -> np.ndarray:
     return np.where(inside_x & inside_y, i * (len(geometry["y_edges"]) - 1) + j, -1)
 
 
-def _blocks(polylines):
-    """(first curve, its segments' (start, end) points) of runs of whole consecutive
-    curves: at most _BLOCK_CURVES curves and _BLOCK_SEGMENTS segments each, unless
-    one curve has more segments."""
-    ends, total, first = [], 0, 0
-    for g, poly in enumerate(polylines):
-        p, q = poly.segments()
-        if total and (total + len(p) > _BLOCK_SEGMENTS or len(ends) == _BLOCK_CURVES):
-            yield first, ends
-            ends, total, first = [], 0, g
-        ends.append((p, q))
-        total += len(p)
-    if ends:
-        yield first, ends
-
-
 def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFamily:
     """Clip every polyline to the cells of a cartesian grid: one CSR incidence
     matrix per metric.
 
-    Segments are cut at every grid-line crossing; each piece goes to the cell of
-    its midpoint, and the per-cell sums add the pieces in order along the curve.
-    The segments of whole curves are cut and summed in blocks (see the module
+    A polyline's segments run from its `vertices[:-1]` to its `vertices[1:]`.
+    They are cut at every grid-line crossing; each piece goes to the cell of its
+    midpoint, and the per-cell sums add the pieces in order along the curve.
+    Runs of whole curves are cut and summed in blocks (see the module
     docstring). ValueError for a polar grid, whose families are its grid lines
     (`grid_circles`, `grid_rays`).
     """
@@ -417,12 +401,12 @@ def rasterize_family(family: PolylineFamily, dom: DiscretizedDomain) -> CurveFam
         raise ValueError("rasterize_family needs a cartesian grid; a polar grid builds its "
                          "families with grid_circles and grid_rays")
     keys, len_e, len_h = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
-    for first, ends in _blocks(family.polylines):
-        n_segments = [len(p) for p, _ in ends]
-        p = np.concatenate([p for p, _ in ends])
-        d = np.concatenate([q for _, q in ends]) - p
+    for first in range(0, len(family), _BLOCK_CURVES):
+        block = [poly.vertices for poly in family.polylines[first:first + _BLOCK_CURVES]]
+        p = np.concatenate([z[:-1] for z in block])
+        d = np.concatenate([z[1:] for z in block]) - p
         r, speed = np.hypot(p.real, p.imag), np.hypot(d.real, d.imag)
-        seg_curve = np.repeat(np.arange(first, first + len(ends)), n_segments)
+        seg_curve = np.repeat(np.arange(first, first + len(block)), [len(z) - 1 for z in block])
         every = np.arange(len(p))
         seg, t = _crossings(p, d, geometry)
         seg = np.concatenate((every, every, seg))
@@ -658,11 +642,12 @@ def ring_modulus_exact(ring: RingSpec) -> float:
 def circle_family_modulus(ring: RingSpec, Q: ScalarField, n_circles: int = 64, n_theta: int = 256):
     """Discrete weighted modulus of the family of ring circles vs its reference.
 
-    Solves min sum rho^2 / Q * dA, to a relative duality gap of 1e-6, over
-    densities admissible for n_circles sampled metric circles on the
-    n_circles x n_theta polar grid of the ring, and returns (value, reference)
-    where the reference is the reciprocal radial integral of the matching
-    ||Q|| profile. The two agree within discretization error.
+    Solves min sum rho^2 / Q * dA over densities admissible for the
+    `grid_circles` of the n_circles x n_theta polar grid of the ring, one at
+    each band center; no two share a cell, so the solve is the closed form.
+    Returns (value, reference) where the reference is the reciprocal radial
+    integral of the matching ||Q|| profile. The two agree within
+    discretization error.
     """
     if n_circles < 4:
         raise ValueError("need n_circles >= 4")

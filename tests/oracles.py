@@ -13,7 +13,7 @@ from modlab.quadrature import ScalarField, ball_integral
 
 def hyp_length(curve: Polyline) -> float:
     """Hyperbolic arclength of a polyline: the closed-form lengths of its segments, summed."""
-    p, q = curve.segments()
+    p, q = curve.vertices[:-1], curve.vertices[1:]
     d = q - p
     r, speed = np.hypot(p.real, p.imag), np.hypot(d.real, d.imag)
     return float(np.sum(_segment_hyp_length(p, d, r, speed, 0.0, 1.0)))

@@ -218,14 +218,62 @@ class TestDistortion:
     (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5", "--samples", " 8"), "--samples", "whole number"),
     (("fmo", "--q", "const:1", "--eps-count", "8.5"), "--eps-count", "whole number"),
     (("distortion", "--map", "winding:3", "--grid", "3_3", "--out", "none"), "--grid", "whole number"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "0x30"), "--grid", "[1, 4096], not 0"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "5x2"), "--grid", "[4, 4096], not 2"),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--n-circles", "2"),
+     "--n-circles", "[4, 4096], not 2"),
+    (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "1.5", "--samples", "-1"), "--samples", "[4, 4096], not -1"),
+    (("fmo", "--q", "const:1", "--eps-count", "2"), "--eps-count", "[3, 4096], not 2"),
+    (("distortion", "--map", "winding:3", "--grid", "3", "--out", "none"), "--grid", "[16, 4096], not 3"),
 ], ids=["ring-rings", "ring-sectors", "circle-family", "qnorm", "fmo", "distortion", "winding-order",
         "ring-underscores", "ring-space", "ring-one-count", "circle-family-underscore", "qnorm-space",
-        "fmo-fraction", "distortion-underscore"])
+        "fmo-fraction", "distortion-underscore", "ring-no-rings", "ring-two-sectors", "circle-family-two",
+        "qnorm-negative", "fmo-two", "distortion-three"])
 def test_count_off_the_config_rule_is_refused(capsys, argv, flag, reason):
-    # the rule and cap of config grid counts; a typo such as --grid 20000x60000 would ask for ~1e9 cells
+    # the rule, lower bound and cap of config grid counts; a typo such as --grid 20000x60000
+    # would ask for ~1e9 cells
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("config error") and flag in err and reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring-modulus", "--grid", "1x4"),
+    ("circle-family", "--q", "const:1", "--n-circles", "4"),
+    ("qnorm", "--q", "const:1", "--samples", "4"),
+    ("fmo", "--q", "const:1", "--eps-count", "3"),
+    ("distortion", "--map", "winding:3", "--grid", "16", "--out", "none"),
+], ids=["ring-modulus", "circle-family", "qnorm", "fmo", "distortion"])
+def test_count_at_its_lower_bound_runs(capsys, argv):
+    radii = ("--r1", "0.5", "--r2", "1.5") if argv[0] in ("ring-modulus", "circle-family", "qnorm") else ()
+    code, out, err = run_cli(capsys, *argv, *radii)
+    assert code in (0, 1) and out and "error" not in err  # a coarse grid may miss --agree-tol
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("ring-modulus", "--r1", "0.5", "--r2", "1_2", "--grid", "10x30"), "--r2"),
+    (("ring-modulus", "--r1", " 0.5", "--r2", "1.5", "--grid", "10x30"), "--r1"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "10x30", "--agree-tol", "inf"), "--agree-tol"),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5 ", "--q", "const:1"), "--r2"),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--agree-tol", "Infinity"), "--agree-tol"),
+    (("qnorm", "--q", "const:1", "--r1", "inf", "--r2", "1.5"), "--r1"),
+    (("fmo", "--q", "const:1", "--eps-start", "0_4"), "--eps-start"),
+    (("fmo", "--q", "const:1", "--eps-start", "NaN"), "--eps-start"),
+    (("divergence", "--q", "const:1", "--r1", "0 ", "--r2", "1.5"), "--r1"),
+], ids=["ring-underscore", "ring-space", "ring-inf-tol", "circle-family-space", "circle-family-infinity-tol",
+        "qnorm-inf", "fmo-underscore", "fmo-nan", "divergence-space"])
+def test_number_off_the_config_rule_is_refused(capsys, argv, flag):
+    # float() would read "1_2" as 12, and "inf" as a tolerance every solve meets
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {flag} must be a finite number")
+
+
+def test_number_spellings_of_json_run(capsys):
+    # an int, an exponent and a negative exponent are JSON numbers
+    code, out, _ = run_cli(capsys, "ring-modulus", "--r1", "5e-1", "--r2", "1", "--grid", "20x60",
+                           "--agree-tol", "1E-1")
+    assert code == 0 and json.loads(out)["grid"] == [20, 60]
 
 
 def test_count_at_the_config_cap_runs(capsys):

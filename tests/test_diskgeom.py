@@ -308,8 +308,8 @@ class TestLength:
         # constant integrand: circumference = 4 pi R / (1 - R^2)
         R = 0.6
         oracle = 4 * math.pi * R / (1 - R * R)
-        thetas = np.linspace(0, 2 * np.pi, 4001)[:-1]
-        poly = Polyline(R * np.exp(1j * thetas), closed=True)
+        z = R * np.exp(1j * np.linspace(0, 2 * np.pi, 4001)[:-1])
+        poly = Polyline(np.append(z, z[0]))  # closed: the first vertex repeated
         assert hyp_length(poly) == pytest.approx(oracle, rel=1e-6)
 
     def test_length_invariance_under_mobius(self):

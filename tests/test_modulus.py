@@ -28,7 +28,7 @@ from modlab.modulus import (
     ring_modulus_exact,
     weighted_infimum,
 )
-from modlab.modulus import _BLOCK_CURVES, _BLOCK_SEGMENTS, _CHORDS_PER_CELL, _blocks
+from modlab.modulus import _BLOCK_CURVES, _CHORDS_PER_CELL
 from modlab.quadrature import RingSpec
 
 from oracles import hyp_length, incidence_matrix, midpoint_incidences
@@ -303,18 +303,18 @@ class TestGrids:
     def test_cartesian_rasterization_properties(self, specs):
         # some vertices are snapped onto cell edges, the window's outer edges included
         dom = cartesian_grid(((-0.4, 0.4), (-0.3, 0.35)), 7, 9)
-        polylines = tuple(
-            Polyline([_snap(complex(x, y), sa, sb, dom.geometry) for x, y, sa, sb in pts], closed=closed)
-            for pts, closed in specs
-        )
-        fam = rasterize_family(PolylineFamily(polylines, kind="connecting"), dom)
+        polylines = []
+        for pts, closed in specs:  # a closed loop repeats its first vertex
+            z = [_snap(complex(x, y), sa, sb, dom.geometry) for x, y, sa, sb in pts]
+            polylines.append(Polyline(z + z[:1] if closed else z))
+        fam = rasterize_family(PolylineFamily(tuple(polylines), kind="connecting"), dom)
         E, H = incidence_matrix(fam, "euclidean"), incidence_matrix(fam, "hyperbolic")
         assert E.shape == H.shape == (len(polylines), dom.n_cells)
         assert np.all(E.indices < dom.n_cells) and np.all(H.indices < dom.n_cells)
         row_sums_e, row_sums_h = (np.asarray(M.sum(axis=1)).ravel() for M in (E, H))
         rows = zip(polylines, row_sums_e, row_sums_h, fam.curves, E.indptr[:-1], E.indptr[1:])
         for poly, row_e, row_h, (cells, le, lh), lo, hi in rows:
-            p, q = poly.segments()
+            p, q = poly.vertices[:-1], poly.vertices[1:]
             length = float(np.sum(np.abs(q - p)))
             assert row_e == pytest.approx(length, rel=1e-12, abs=0.0)
             assert row_h == pytest.approx(hyp_length(poly), rel=1e-12, abs=0.0)
@@ -344,16 +344,25 @@ class TestBlockInvariance:
     """A family's rows equal, bit for bit, the rows of its curves rasterized one by one."""
 
     @pytest.mark.parametrize("build, n_blocks", [
-        (lambda: ((_spiral(40), _spiral(3 * _BLOCK_SEGMENTS), _spiral(7)), cartesian_grid(WINDOW, 16, 16)), 3),
+        (lambda: ((_spiral(3 * 4096),) + tuple(_spiral(7 + g) for g in range(_BLOCK_CURVES)),
+                  cartesian_grid(WINDOW, 16, 16)), 2),
         (lambda: ((_spiral(40), Polyline([0.3 + 0.2j]), _spiral(9)), cartesian_grid(WINDOW, 16, 16)), 1),
         (lambda: ((), cartesian_grid(WINDOW, 4, 8)), 0),
         (lambda: (_overlap_chords(np.random.default_rng(1)), cartesian_grid(WINDOW, 64, 64)),
          512 // _BLOCK_CURVES),
-    ], ids=["longer-than-a-block", "single-vertex", "empty", "cartesian-chords"])
-    def test_family_equals_stacked_curves(self, build, n_blocks):
+    ], ids=["block-boundary-after-a-long-spiral", "single-vertex", "empty", "cartesian-chords"])
+    def test_family_equals_stacked_curves(self, build, n_blocks, monkeypatch):
         polylines, dom = build()
-        assert sum(1 for _ in _blocks(polylines)) == n_blocks
+        assert n_blocks == -(-len(polylines) // _BLOCK_CURVES)
+        searches, crossings = [], modulus._crossings
+
+        def counted(*args):  # the rasterizer searches each block's crossings once
+            searches.append(args)
+            return crossings(*args)
+
+        monkeypatch.setattr(modulus, "_crossings", counted)
         fam = rasterize_family(PolylineFamily(tuple(polylines), kind="connecting"), dom)
+        assert len(searches) == n_blocks
         indptr, indices, euclidean, hyperbolic = _one_curve_rows(polylines, dom)
         assert np.array_equal(fam.indptr, indptr) and np.array_equal(fam.indices, indices)
         assert fam.indptr.dtype == fam.indices.dtype == np.int32
@@ -468,7 +477,7 @@ class TestGridLines:
             assert np.sum(lh) == pytest.approx(2.0, rel=1e-15)
 
     def test_polar_grid_refused_by_the_rasterizer(self):
-        circle = Polyline(_polygon(euclid_radius(1.0), 64)[:-1], closed=True)
+        circle = Polyline(_polygon(euclid_radius(1.0), 64))
         with pytest.raises(ValueError, match="cartesian grid"):
             rasterize_family(PolylineFamily((circle,), kind="connecting"), polar_grid(RING.band_edges(4), 16))
 
