@@ -11,9 +11,9 @@ import sys
 import time
 from pathlib import Path
 
-from modlab.modulus import density_to_svg, grid_rays, modulus_discrete, polar_grid, ring_modulus_exact
+from modlab.modulus import grid_rays, modulus_discrete, polar_grid, ring_modulus_exact
 from modlab.quadrature import RingSpec
-from modlab.svgplot import line_plot_svg, write_svg
+from modlab.svgplot import line_plot_svg, polar_heatmap_svg, write_svg
 
 RING = RingSpec(0.5, 1.5)
 LEVELS = [(25, 75), (50, 150), (100, 300), (200, 600)]
@@ -44,8 +44,9 @@ def main() -> int:
                       ylabel="relative error", logx=True, logy=True),
         out_dir / "convergence.svg",
     )
-    density_to_svg(last[0], last[1].extremal, out_dir / "extremal_density.svg",
-                   title="extremal density of the connecting family")
+    dom, res = last
+    write_svg(polar_heatmap_svg(dom, res.extremal.rho, title="extremal density of the connecting family"),
+              out_dir / "extremal_density.svg")
     print(f"plots in {out_dir}")
     return 0
 

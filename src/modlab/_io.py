@@ -23,6 +23,9 @@ import numpy as np
 # the cap on every count read from outside input: config grid counts and CLI counts
 MAX_COUNT = 4096
 
+# the version of every JSON document modlab writes: records, suite reports, CLI output
+SCHEMA_VERSION = 1
+
 
 def json_number(value, name: str, whole: bool = False, optional: bool = False):
     """A JSON value as a float (an int when `whole`; None stays None when

@@ -17,25 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import MAX_COUNT, json_number, json_text, spec_argument
+from ._io import MAX_COUNT, SCHEMA_VERSION, json_number, json_text, spec_argument
 from .criteria import NotIntegrableError, default_epsilon_sequence, divergence_check, fmo_check
 from .diskgeom import mobius_apply
 from .experiments import ExperimentConfig, run_experiment, run_suite
 from .fields import parse_field
 from .fuchsian import build_dirichlet_domain, dirichlet_boundary, enumerate_elements, load_group
 from .mappings import distortion_sweep, finite_distortion_check, parse_map
-from .modulus import (
-    circle_family_modulus,
-    density_to_svg,
-    grid_rays,
-    modulus_discrete,
-    polar_grid,
-    ring_modulus_exact,
-)
+from .modulus import circle_family_modulus, grid_rays, modulus_discrete, polar_grid, ring_modulus_exact
 from .quadrature import RingSpec, qnorm_profile
-from .svgplot import disk_scene_svg, line_plot_svg, write_svg
+from .svgplot import disk_scene_svg, line_plot_svg, polar_heatmap_svg, write_svg
 
-SCHEMA_VERSION = 1
 _RING_TOL = 1e-5  # ring-modulus solver tolerance; its rays meet no common cell, so the solve is closed form
 
 
@@ -51,11 +43,15 @@ def _emit(data: dict, out_file=None) -> None:
     _write(json_text({"schema_version": SCHEMA_VERSION, **data}), out_file)
 
 
-def _number(text: str, flag: str, whole: bool = False):
+def _number(text: str, flag: str, low=-math.inf, strict: bool = False, whole: bool = False):
     """A number given on the command line, read as a config number is: the JSON
     number its text spells (`spec_argument`), finite and, when `whole`, whole
-    (`json_number`, so "1_2", " 1.5" and "inf" are refused by the flag's name)."""
-    return json_number(spec_argument(text), flag, whole=whole)
+    (`json_number`, so "1_2", " 1.5" and "inf" are refused by the flag's name),
+    and not below `low`, nor at it when `strict`."""
+    value = json_number(spec_argument(text), flag, whole=whole)
+    if value < low or strict and value == low:
+        raise ValueError(f"{flag} must be {'>' if strict else '>='} {low}, not {value}")
+    return value
 
 
 def _count(text: str, flag: str, low: int) -> int:
@@ -68,7 +64,14 @@ def _count(text: str, flag: str, low: int) -> int:
 
 
 def _ring(args) -> RingSpec:
-    return RingSpec(_number(args.r1, "--r1"), _number(args.r2, "--r2"))
+    return RingSpec(_number(args.r1, "--r1", low=0), _number(args.r2, "--r2", low=0))
+
+
+def _center(text: str) -> complex:
+    """--center: a number as `_number` reads it, or a JSON array [re, im] off the real axis."""
+    value = spec_argument(text)
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    return complex(*(json_number(part, "--center") for part in parts))
 
 
 def _parse_grid(spec: str):
@@ -79,7 +82,7 @@ def _parse_grid(spec: str):
 
 
 def _cmd_ring_modulus(args) -> int:
-    ring, agree_tol = _ring(args), _number(args.agree_tol, "--agree-tol")
+    ring, agree_tol = _ring(args), _number(args.agree_tol, "--agree-tol", low=0, strict=True)
     n_r, n_theta = _parse_grid(args.grid)
     exact = ring_modulus_exact(ring)
     dom = polar_grid(ring.band_edges(n_r), n_theta)
@@ -87,8 +90,8 @@ def _cmd_ring_modulus(args) -> int:
     res = modulus_discrete(fam, dom, metric=args.metric, tol=_RING_TOL)
     rel = abs(res.value - exact) / exact
     if args.heatmap_file:
-        density_to_svg(dom, res.extremal, args.heatmap_file,
-                       title=f"extremal density, ring ({ring.r_inner}, {ring.r_outer})")
+        title = f"extremal density, ring ({ring.r_inner}, {ring.r_outer})"
+        write_svg(polar_heatmap_svg(dom, res.extremal.rho, title=title), args.heatmap_file)
     _emit({
         "exact": exact,
         "discrete": res.value,
@@ -104,7 +107,7 @@ def _cmd_ring_modulus(args) -> int:
 
 
 def _cmd_circle_family(args) -> int:
-    ring, agree_tol = _ring(args), _number(args.agree_tol, "--agree-tol")
+    ring, agree_tol = _ring(args), _number(args.agree_tol, "--agree-tol", low=0, strict=True)
     n_circles = _count(args.n_circles, "--n-circles", 4)
     value, reference = circle_family_modulus(ring, parse_field(args.q), n_circles=n_circles)
     rel = abs(value - reference) / reference
@@ -128,11 +131,11 @@ def _cmd_qnorm(args) -> int:
 
 
 def _cmd_fmo(args) -> int:
-    eps_start, eps_count = _number(args.eps_start, "--eps-start"), _count(args.eps_count, "--eps-count", 3)
-    eps = default_epsilon_sequence(eps_start, eps_count)
-    field = parse_field(args.q)
+    eps_start = _number(args.eps_start, "--eps-start", low=0, strict=True)
+    eps = default_epsilon_sequence(eps_start, _count(args.eps_count, "--eps-count", 3))
+    field, center = parse_field(args.q), _center(args.center)
     try:
-        rep = fmo_check(field, epsilons=eps, center=complex(args.center))
+        rep = fmo_check(field, epsilons=eps, center=center)
     except NotIntegrableError as exc:  # a valid spec, refused for what the field is
         print(f"field refused: {exc}", file=sys.stderr)
         return 2
@@ -253,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fmo", help="finite-mean-oscillation verdict at a point")
     p.add_argument("--q", required=True)
-    p.add_argument("--center", default="0")
+    p.add_argument("--center", default="0", help="a number, or [re, im] off the real axis")
     p.add_argument("--eps-start", default="0.4")
     p.add_argument("--eps-count", default="12")
     p.add_argument("--out-file")

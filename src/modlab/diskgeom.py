@@ -10,7 +10,6 @@ area element 4 dm(z)/(1-|z|^2)^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ __all__ = [
     "mobius_compose",
     "mobius_invert",
     "mobius_to_zero",
-    "mobius_rotation",
 ]
 
 # Points this close to |z| = 1 are rejected: every computation in the library
@@ -272,8 +270,3 @@ def mobius_to_zero(z0) -> MobiusAutomorphism:
     w = complex(inside_disk(z0, "center"))
     s = 1.0 / math.sqrt(1.0 - abs(w) ** 2)
     return MobiusAutomorphism(s, -s * w)
-
-
-def mobius_rotation(theta: float) -> MobiusAutomorphism:
-    """Rotation z -> e^{i theta} z about the origin."""
-    return MobiusAutomorphism(cmath.exp(0.5j * theta), 0.0)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import MAX_COUNT, json_number, json_object, write_csv, write_json
+from ._io import MAX_COUNT, SCHEMA_VERSION, json_number, json_object, write_csv, write_json
 from .criteria import divergence_check
 from .diskgeom import euclid_radius, hyp_radius
 from .fields import parse_field
@@ -222,7 +222,7 @@ class VerdictRecord:
         # shallow: `asdict` would deep-copy the provenance only for the writer to read it
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         runtime_seconds = data.pop("runtime_seconds")
-        data["schema_version"] = 1
+        data["schema_version"] = SCHEMA_VERSION
         if with_meta:
             data["meta"] = {"timestamp": datetime.now(timezone.utc).isoformat(), "runtime_seconds": runtime_seconds}
         return data
@@ -463,7 +463,7 @@ def run_suite(config_dir, out_dir=None) -> int:
             record.status = "error"
             record.error = f"artifact write failed: {type(exc).__name__}: {exc}"
     summary = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "n_experiments": len(records),
         "n_passed": sum(1 for r in records if r.status == "ok" and r.passed),
         "records": [r.to_json_dict(with_meta=False) for r in records],

@@ -62,7 +62,6 @@ __all__ = [
     "ring_modulus_exact",
     "circle_family_modulus",
     "weighted_infimum",
-    "density_to_svg",
 ]
 
 
@@ -254,13 +253,6 @@ class ModulusResult:
     @property
     def duality_gap(self) -> float:
         return self.value - self.dual_value
-
-
-def density_to_svg(dom: DiscretizedDomain, density: DensityField, path, title="extremal density") -> None:
-    """Heatmap of the extremal density on a polar domain."""
-    from .svgplot import polar_heatmap_svg, write_svg
-
-    write_svg(polar_heatmap_svg(dom, density.rho, title=title), path)
 
 
 # ---------------------------------------------------------------------------

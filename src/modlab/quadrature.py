@@ -30,7 +30,6 @@ __all__ = [
     "RadialProfile",
     "ZeroNormError",
     "SingularitySkippedWarning",
-    "circle_integral",
     "circle_integrals",
     "ball_integral",
     "qnorm_profile",
@@ -57,9 +56,6 @@ class ScalarField:
     evaluator: object
     label: str = "Q"
     singular_point: complex = None
-
-    def __call__(self, z):
-        return self.evaluator(z)
 
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(z), dtype=float)
@@ -164,12 +160,6 @@ def circle_integrals(Q: ScalarField, radii, n: int = 512) -> np.ndarray:
         z = R[i:i + rows, None] * unit
         sums[i:i + rows] = Q.evaluate_array(z.ravel()).reshape(z.shape).sum(axis=1)
     return sums * (2.0 * R / (1.0 - R * R)) * (2.0 * math.pi / n)
-
-
-def circle_integral(Q: ScalarField, r: float, n: int = 512) -> float:
-    """L1 norm of Q over the hyperbolic circle of radius r about 0; the
-    one-radius case of `circle_integrals`."""
-    return float(circle_integrals(Q, (r,), n)[0])
 
 
 def ball_integral(Q: ScalarField, r0: float, n_r: int = 129, n_theta: int = 512) -> float:

@@ -9,6 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import modlab
@@ -46,6 +47,21 @@ class TestRingModulus:
         data = json.loads(out)
         assert code == 1 and data["relative_error"] < 0.05
         assert data["stop_reason"] == "max_iter" and not data["converged"]
+
+    def test_heatmap_file(self, capsys, tmp_path):
+        from modlab import cli
+        from modlab.modulus import grid_rays, modulus_discrete, polar_grid
+        from modlab.quadrature import RingSpec
+
+        path = tmp_path / "rho.svg"
+        code, _, _ = run_cli(capsys, "ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "6x12",
+                             "--heatmap-file", str(path))
+        dom = polar_grid(RingSpec(0.5, 1.5).band_edges(6), 12)
+        rho = modulus_discrete(grid_rays(dom), dom, metric="hyperbolic", tol=cli._RING_TOL).extremal.rho
+        text = path.read_text()
+        assert code == 0 and text.startswith("<svg")
+        assert ">extremal density, ring (0.5, 1.5)</text>" in text
+        assert text.count("<path") == np.count_nonzero(rho > 0) > 0
 
     def test_bad_grid_spec(self, capsys):
         code, _, err = run_cli(capsys, "ring-modulus", "--r1", "0.5", "--r2", "1.5",
@@ -250,23 +266,57 @@ def test_count_at_its_lower_bound_runs(capsys, argv):
     assert code in (0, 1) and out and "error" not in err  # a coarse grid may miss --agree-tol
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (("ring-modulus", "--r1", "0.5", "--r2", "1_2", "--grid", "10x30"), "--r2"),
-    (("ring-modulus", "--r1", " 0.5", "--r2", "1.5", "--grid", "10x30"), "--r1"),
-    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "10x30", "--agree-tol", "inf"), "--agree-tol"),
-    (("circle-family", "--r1", "0.5", "--r2", "1.5 ", "--q", "const:1"), "--r2"),
-    (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--agree-tol", "Infinity"), "--agree-tol"),
-    (("qnorm", "--q", "const:1", "--r1", "inf", "--r2", "1.5"), "--r1"),
-    (("fmo", "--q", "const:1", "--eps-start", "0_4"), "--eps-start"),
-    (("fmo", "--q", "const:1", "--eps-start", "NaN"), "--eps-start"),
-    (("divergence", "--q", "const:1", "--r1", "0 ", "--r2", "1.5"), "--r1"),
+FINITE = "must be a finite number"
+
+
+@pytest.mark.parametrize("argv, flag, reason", [
+    (("ring-modulus", "--r1", "0.5", "--r2", "1_2", "--grid", "10x30"), "--r2", FINITE),
+    (("ring-modulus", "--r1", " 0.5", "--r2", "1.5", "--grid", "10x30"), "--r1", FINITE),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "10x30", "--agree-tol", "inf"), "--agree-tol", FINITE),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5 ", "--q", "const:1"), "--r2", FINITE),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--agree-tol", "Infinity"), "--agree-tol", FINITE),
+    (("qnorm", "--q", "const:1", "--r1", "inf", "--r2", "1.5"), "--r1", FINITE),
+    (("fmo", "--q", "const:1", "--eps-start", "0_4"), "--eps-start", FINITE),
+    (("fmo", "--q", "const:1", "--eps-start", "NaN"), "--eps-start", FINITE),
+    (("divergence", "--q", "const:1", "--r1", "0 ", "--r2", "1.5"), "--r1", FINITE),
+    (("fmo", "--q", "const:1", "--center", "0.1_5"), "--center", FINITE),
+    (("fmo", "--q", "const:1", "--center", " 0.15"), "--center", FINITE),
+    (("fmo", "--q", "const:1", "--center", "inf"), "--center", FINITE),
+    (("fmo", "--q", "const:1", "--center", "0.1+0.2j"), "--center", FINITE),
+    (("fmo", "--q", "const:1", "--center", "[0.1, NaN]"), "--center", FINITE),
+    (("ring-modulus", "--r1", "-0.5", "--r2", "1.5", "--grid", "10x30"), "--r1", "must be >= 0, not -0.5"),
+    (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "-1"), "--r2", "must be >= 0, not -1.0"),
+    (("fmo", "--q", "const:1", "--eps-start", "-1"), "--eps-start", "must be > 0, not -1.0"),
+    (("fmo", "--q", "const:1", "--eps-start", "0"), "--eps-start", "must be > 0, not 0.0"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "1.5", "--grid", "10x30", "--agree-tol", "-1"), "--agree-tol",
+     "must be > 0, not -1.0"),
+    (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--agree-tol", "0"), "--agree-tol",
+     "must be > 0, not 0.0"),
 ], ids=["ring-underscore", "ring-space", "ring-inf-tol", "circle-family-space", "circle-family-infinity-tol",
-        "qnorm-inf", "fmo-underscore", "fmo-nan", "divergence-space"])
-def test_number_off_the_config_rule_is_refused(capsys, argv, flag):
-    # float() would read "1_2" as 12, and "inf" as a tolerance every solve meets
+        "qnorm-inf", "fmo-underscore", "fmo-nan", "divergence-space", "fmo-center-underscore", "fmo-center-space",
+        "fmo-center-inf", "fmo-center-complex", "fmo-center-nan-part", "ring-negative-r1", "qnorm-negative-r2",
+        "fmo-negative-eps", "fmo-zero-eps", "ring-negative-tol", "circle-family-zero-tol"])
+def test_number_off_the_config_rule_is_refused(capsys, argv, flag, reason):
+    # float() would read "1_2" as 12, and "inf" as a tolerance every solve meets; a radius
+    # below 0 or a tolerance at 0 is refused by its flag, not by the library or the verdict
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"config error: {flag} must be a finite number")
+    assert err.startswith(f"config error: {flag} {reason}")
+
+
+def test_radius_at_its_lower_bound_runs(capsys):
+    code, out, err = run_cli(capsys, "divergence", "--q", "const:1", "--r1", "0", "--r2", "1.5")
+    assert code == 0 and json.loads(out)["verdict"] == "diverges" and err == ""
+
+
+def test_center_pair_is_a_point_off_the_axis(capsys):
+    from modlab.criteria import default_epsilon_sequence, fmo_check
+    from modlab.fields import parse_field
+
+    code, out, err = run_cli(capsys, "fmo", "--q", "inv-r", "--center", "[0.1, 0.2]", "--eps-count", "4")
+    want = fmo_check(parse_field("inv-r"), epsilons=default_epsilon_sequence(0.4, 4), center=0.1 + 0.2j)
+    assert code == 0 and err == ""
+    assert json.loads(out)["means"] == want.means.tolist()
 
 
 def test_number_spellings_of_json_run(capsys):

@@ -82,7 +82,7 @@ class TestFmoCheck:
     def test_scale_invariance(self, spec, expected):
         base = parse_field(spec)
         assert fmo_check(base).verdict == expected
-        scaled = ScalarField(lambda z: 7.0 * base(z), label=f"7*{spec}", singular_point=base.singular_point)
+        scaled = ScalarField(lambda z: 7.0 * base.evaluator(z), label=f"7*{spec}", singular_point=base.singular_point)
         assert fmo_check(scaled).verdict == expected
 
     def test_non_integrable_field_is_refused(self):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -19,7 +20,6 @@ from modlab.diskgeom import (
     mobius_apply,
     mobius_compose,
     mobius_invert,
-    mobius_rotation,
     mobius_to_zero,
 )
 from modlab.fuchsian import cyclic_group, enumerate_elements
@@ -31,7 +31,7 @@ from oracles import apply_reference, compose_reference, hyp_length, normalized_r
 def random_automorphism(rng) -> MobiusAutomorphism:
     w = 0.9 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     g = mobius_invert(mobius_to_zero(w))  # sends 0 to w
-    return mobius_compose(g, mobius_rotation(rng.uniform(0, 2 * np.pi)))
+    return mobius_compose(g, MobiusAutomorphism(cmath.exp(0.5j * rng.uniform(0, 2 * np.pi)), 0.0))
 
 
 def random_point(rng, rmax=0.9) -> complex:

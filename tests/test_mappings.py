@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from modlab import mappings
 from modlab._io import MAX_COUNT
-from modlab.diskgeom import mobius_compose, mobius_invert, mobius_rotation, mobius_to_zero
+from modlab.diskgeom import MobiusAutomorphism, mobius_compose, mobius_invert, mobius_to_zero
 from modlab.mappings import (
     NotSensePreservingError,
     boundary_spiral_map,
@@ -104,7 +105,7 @@ class TestWirtinger:
 
 class TestDilatation:
     def test_mobius_conformal(self):
-        g = mobius_compose(mobius_invert(mobius_to_zero(0.3 + 0.4j)), mobius_rotation(1.0))
+        g = mobius_compose(mobius_invert(mobius_to_zero(0.3 + 0.4j)), MobiusAutomorphism(cmath.exp(0.5j), 0.0))
         f = mobius_map(g)
         for z in (0j, 0.5, -0.2 + 0.6j):
             assert dilatation(f, np.array([z])) == pytest.approx([1.0], abs=1e-12)

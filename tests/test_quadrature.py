@@ -20,7 +20,6 @@ from modlab.quadrature import (
     ZeroNormError,
     ball_integral,
     _gauss_nodes,
-    circle_integral,
     circle_integrals,
     qnorm_profile,
     ring_reciprocal_integral,
@@ -38,37 +37,38 @@ def radial_field(fn, label="radial", singular=None):
 class TestCircleIntegral:
     def test_zero_field(self):
         zero = ScalarField(lambda z: np.zeros_like(np.abs(z)), label="0")
-        assert circle_integral(zero, 1.0, 256) == 0.0
+        assert circle_integrals(zero, (1.0,), 256)[0] == 0.0
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0])
     def test_unit_field_circumference(self, r):
         # closed form: 4 pi R/(1-R^2) with R = tanh(r/2) equals 2 pi sinh r
-        got = circle_integral(ONE, r, 2048)
+        got = circle_integrals(ONE, (r,), 2048)[0]
         assert got == pytest.approx(2 * math.pi * math.sinh(r), rel=1e-8)
 
     def test_linearity_in_constant(self):
-        base = circle_integral(ONE, 0.7, 256)
-        scaled = circle_integral(parse_field("const:3.5"), 0.7, 256)
+        base = circle_integrals(ONE, (0.7,), 256)[0]
+        scaled = circle_integrals(parse_field("const:3.5"), (0.7,), 256)[0]
         assert scaled == pytest.approx(3.5 * base, rel=1e-13)
 
     def test_singularity_on_circle_warns(self):
         off_center = ScalarField(lambda z: np.abs(z - 0.2) ** 0, label="s",
                                  singular_point=complex(math.tanh(0.5), 0))
         with pytest.warns(SingularitySkippedWarning):
-            circle_integral(off_center, 1.0, 256)
+            circle_integrals(off_center, (1.0,), 256)
 
     def test_small_circle_about_a_singular_center_does_not_warn(self):
         # the test is relative to R: a circle of radius 1e-10 about 0 misses 0 by all of R
         centered = ScalarField(lambda z: np.ones(z.shape), label="s", singular_point=0j)
         with warnings.catch_warnings():
             warnings.simplefilter("error", SingularitySkippedWarning)
-            assert circle_integral(centered, 1e-10, 256) == pytest.approx(2 * math.pi * 1e-10, rel=1e-12)
+            got = circle_integrals(centered, (1e-10,), 256)[0]
+            assert got == pytest.approx(2 * math.pi * 1e-10, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            circle_integral(ONE, 0.0, 256)
+            circle_integrals(ONE, (0.0,), 256)
         with pytest.raises(ValueError):
-            circle_integral(ONE, 1.0, 8)
+            circle_integrals(ONE, (1.0,), 8)
 
 
 def circle_integral_oracle(Q, r, n=512):
@@ -114,7 +114,7 @@ class TestCircleIntegralsOracle:
         got = circle_integrals(Q, radii, 512)
         want = np.array([circle_integral_oracle(Q, float(r), 512) for r in radii])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert circle_integral(Q, float(radii[-1]), 512) == want[-1]
+        assert circle_integrals(Q, (float(radii[-1]),), 512)[0] == want[-1]
 
     @pytest.mark.parametrize("Q", _oracle_fields())
     def test_profile_bit_identical(self, Q):

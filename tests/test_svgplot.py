@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from modlab.modulus import DensityField, density_to_svg, polar_grid
+from modlab.modulus import polar_grid
 from modlab.quadrature import RingSpec
-from modlab.svgplot import disk_scene_svg, line_plot_svg, polar_heatmap_svg
+from modlab.svgplot import disk_scene_svg, line_plot_svg, polar_heatmap_svg, write_svg
 
 
 class TestLinePlot:
@@ -29,9 +29,8 @@ class TestLinePlot:
 class TestHeatmap:
     def test_density_heatmap(self, tmp_path):
         dom = polar_grid(RingSpec(0.5, 1.5).band_edges(6), 12)
-        rho = DensityField(np.linspace(0, 1, dom.n_cells))
         path = tmp_path / "rho.svg"
-        density_to_svg(dom, rho, path)
+        write_svg(polar_heatmap_svg(dom, np.linspace(0, 1, dom.n_cells)), path)
         text = path.read_text()
         assert text.startswith("<svg")
         assert "<path" in text
