@@ -19,7 +19,7 @@ import numpy as np
 
 from ._io import MAX_COUNT, SCHEMA_VERSION, json_number, json_text, spec_argument
 from .criteria import NotIntegrableError, default_epsilon_sequence, divergence_check, fmo_check
-from .diskgeom import mobius_apply
+from .diskgeom import inside_disk, mobius_apply
 from .experiments import ExperimentConfig, run_experiment, run_suite
 from .fields import parse_field
 from .fuchsian import build_dirichlet_domain, dirichlet_boundary, enumerate_elements, load_group
@@ -63,15 +63,21 @@ def _count(text: str, flag: str, low: int) -> int:
     return value
 
 
-def _ring(args) -> RingSpec:
-    return RingSpec(_number(args.r1, "--r1", low=0), _number(args.r2, "--r2", low=0))
+def _ring(args, use=lambda ring: ring):
+    """use(the ring --r1, --r2 spell); a ValueError the library raises for
+    the two radii, in RingSpec or in `use`, names both flags."""
+    r1, r2 = _number(args.r1, "--r1", low=0), _number(args.r2, "--r2", low=0)
+    try:
+        return use(RingSpec(r1, r2))
+    except ValueError as exc:
+        raise ValueError(f"--r1 {r1} and --r2 {r2}: {exc}") from None
 
 
 def _center(text: str) -> complex:
     """--center: a number as `_number` reads it, or a JSON array [re, im] off the real axis."""
     value = spec_argument(text)
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    return complex(*(json_number(part, "--center") for part in parts))
+    return complex(inside_disk(complex(*(json_number(part, "--center") for part in parts)), "--center"))
 
 
 def _parse_grid(spec: str):
@@ -139,6 +145,8 @@ def _cmd_fmo(args) -> int:
     except NotIntegrableError as exc:  # a valid spec, refused for what the field is
         print(f"field refused: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # with the center checked, a refusal of the epsilons the two flags spell
+        raise ValueError(f"--eps-start {eps_start} and --eps-count {args.eps_count}: {exc}") from None
     if args.svg_file:
         osc = np.maximum(rep.oscillations, 1e-300)
         write_svg(line_plot_svg(
@@ -151,7 +159,8 @@ def _cmd_fmo(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    rep = divergence_check(parse_field(args.q), _ring(args))
+    field = parse_field(args.q)
+    rep = _ring(args, lambda ring: divergence_check(field, ring))  # its epsilons run from --r2 down to --r1
     if args.svg_file:
         write_svg(line_plot_svg(
             [("partial integral", rep.epsilons, np.maximum(rep.partial_integrals, 1e-300))],

@@ -46,7 +46,6 @@ from .fields import parse_field
 from .mappings import (
     _DEGREE_RADIUS,
     SampleMap,
-    _cabs,
     _refuse_sense_reversing,
     dilatation,
     map_from_config,
@@ -183,7 +182,7 @@ def _image_ring(f: SampleMap, ring: RingSpec, n_circles: int) -> tuple:
     r[0::2], r[1::2] = ring.band_edges(n_circles), ring.band_centers(n_circles)
     R = np.array([euclid_radius(x) for x in r])
     z = (R[:, None] * np.exp(1j * math.pi * (3.0 - math.sqrt(5.0)) * np.arange(8))).ravel()
-    w = _cabs(f(z)).reshape(len(R), 8)
+    w = np.abs(f(z)).reshape(len(R), 8)
     spread = w.max(axis=1) - w.min(axis=1)
     if np.any(spread > _RADIAL_TOL * w[:, 0]) or not np.all(np.diff(w[:, 0]) > 0.0):
         raise ConfigError(f"lower_q needs a map that fixes 0 radially, but on the band circles |z| = R "
@@ -234,7 +233,6 @@ class VerdictRecord:
 def distortion_weight_field(f: SampleMap, n_factor: float) -> ScalarField:
     """The weight n_factor * K_f(z) as a chart field, from the map's analytic
     Wirtinger data; inf where J = 0."""
-
     return ScalarField(lambda z: n_factor * dilatation(f, z), label=f"{n_factor:g}*K[{f.label}]")
 
 
@@ -340,21 +338,14 @@ def run_boundary_extension_probe(cfg: ExperimentConfig) -> VerdictRecord:
     zeta = np.exp(1j * angle)
     deltas = _PATH_DELTA0 * 0.5 ** np.arange(_PATH_N_STEPS)
 
-    # three approach paths: radial plus two tilted spirals closing onto zeta
-    path_points = []
-    for b in (0.0, _PATH_BETA, -_PATH_BETA):
-        pts = (1.0 - deltas) * zeta * np.exp(1j * b * deltas)
-        path_points.append(cfg.sample_map(pts))
-    images = np.stack(path_points)  # (3, _PATH_N_STEPS)
+    # three approach paths: radial plus two tilted spirals closing onto zeta, images (3, _PATH_N_STEPS)
+    images = np.stack([cfg.sample_map((1.0 - deltas) * zeta * np.exp(1j * b * deltas))
+                       for b in (0.0, _PATH_BETA, -_PATH_BETA)])
 
     # tail diameters need at least two depth indices: a single-index tail sees
     # only the common rotation of the paths and misses along-path drift
-    residuals = []
-    for k in range(_PATH_N_STEPS - 1):
-        tail = images[:, k:].ravel()
-        diam = float(np.max(np.abs(tail[:, None] - tail[None, :])))
-        residuals.append(diam)
-    residuals = np.array(residuals)
+    tails = (images[:, k:].ravel() for k in range(_PATH_N_STEPS - 1))
+    residuals = np.array([float(np.max(np.abs(tail[:, None] - tail[None, :]))) for tail in tails])
 
     majorant_verdict = None if majorant is None else divergence_check(majorant, RingSpec(0.0, 0.5)).verdict
 
@@ -441,20 +432,15 @@ def run_suite(config_dir, out_dir=None) -> int:
             while stem in taken:
                 k += 1
                 stem = f"{path.stem}-{k}"
-            records.append(VerdictRecord(
-                experiment_id=stem, kind="unknown", status="config_error",
-                error=str(exc),
-            ))
+            records.append(VerdictRecord(experiment_id=stem, kind="unknown", status="config_error", error=str(exc)))
             taken.add(stem)
             continue
         taken.add(cfg.experiment_id)
         try:
             records.append(run_experiment(cfg))
         except Exception as exc:  # isolation: record and continue
-            records.append(VerdictRecord(
-                experiment_id=cfg.experiment_id, kind=cfg.kind, status="error",
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+            records.append(VerdictRecord(experiment_id=cfg.experiment_id, kind=cfg.kind, status="error",
+                                         error=f"{type(exc).__name__}: {exc}"))
 
     for record in records:
         try:

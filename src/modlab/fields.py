@@ -51,8 +51,7 @@ def parse_field(spec: str) -> ScalarField:
                 raise ValueError
         except ValueError:
             raise ValueError(f"const field needs a finite c > 0 written as a JSON number, not {arg!r}") from None
-        return ScalarField(lambda z: np.full_like(np.abs(np.asarray(z, dtype=complex)), c, dtype=float),
-                           label=f"const:{c:g}")
+        return ScalarField(lambda z: np.full(np.shape(z), c), label=f"const:{c:g}")
     if spec not in _CATALOG:
         raise ValueError(f"unknown field spec {spec!r}; known: {FIELD_SPECS}")
     evaluator, singular_point = _CATALOG[spec]

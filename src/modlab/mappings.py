@@ -6,8 +6,9 @@ radial_stretch z|z|^{k-1}, winding r e^{i k theta}, the fold, the boundary
 spiral, and compositions (by the chain rule). A config names a kind
 by one row of `_MAP_KINDS`: the keys it reads and its builder. Dilatation,
 Jacobian and the finite-distortion check are derived from the Wirtinger
-derivatives; multiplicity bounds are winding numbers of the image of the
-circle |z| = 0.999. Whether a map takes circles about 0 onto circles about 0
+derivatives, with moduli by numpy's complex abs and squares by products, a
+few ulps from Python's abs and **; multiplicity bounds are winding numbers of
+the image of the circle |z| = 0.999. Whether a map takes circles about 0 onto circles about 0
 is not declared here: lower_q measures it on f when its config is loaded.
 
 Maps, Wirtinger derivatives and the dilatation take and return complex
@@ -245,25 +246,24 @@ def map_from_config(cfg: dict) -> SampleMap:
 # derivatives and distortion
 
 
-def _cabs(w: np.ndarray) -> np.ndarray:
-    """|w| via libm hypot, as Python's abs computes it; numpy's vectorized
-    complex abs can differ from it in the last bit."""
-    return np.hypot(w.real, w.imag)
-
-
 def wirtinger(f: SampleMap, z):
     """(f_z, f_zbar) at an array of points, from the map's analytic data."""
     return f.wirtinger_analytic(np.atleast_1d(np.asarray(z, dtype=complex)))
 
 
+def _moduli(f_z: np.ndarray, f_zbar: np.ndarray):
+    """|f_z|, |f_zbar| and the Jacobian |f_z|^2 - |f_zbar|^2 as arrays."""
+    a, b = np.abs(f_z), np.abs(f_zbar)
+    return a, b, a * a - b * b
+
+
 def _derivative_data(f_z: np.ndarray, f_zbar: np.ndarray):
-    """|f_z|, |f_zbar|, the Jacobian and K = (|f_z|+|f_zbar|)/||f_z|-|f_zbar||
-    as arrays; K >= 1 on either side of J's sign, 1 where the norm vanishes and
-    inf where J vanishes relative to the norm squared. _cabs and float_power
-    (libm pow) round as Python's abs and ** do on each point."""
-    a, b = _cabs(f_z), _cabs(f_zbar)
+    """`_moduli` and K = (|f_z|+|f_zbar|)/||f_z|-|f_zbar|| as arrays; K >= 1 on
+    either side of J's sign, 1 where the norm vanishes and inf where J
+    vanishes relative to the norm squared. numpy's complex abs may round a
+    modulus 2 ulps from Python's abs; the tests bound all four by that drift."""
+    a, b, jac = _moduli(f_z, f_zbar)
     n = a + b
-    jac = np.float_power(a, 2) - np.float_power(b, 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.where(np.abs(jac) < 1e-15 * n * n, np.inf, n / np.abs(a - b))
     return a, b, jac, np.where(n < 1e-15, 1.0, k)
@@ -294,14 +294,19 @@ class DistortionSweep:
                         zip(self.z.real, self.z.imag, self.abs_fz, self.abs_fzbar, self.dilatation, self.jacobian))
 
 
-def distortion_sweep(f: SampleMap, grid: int) -> DistortionSweep:
-    """The derivative data of f at the points of the grid x grid lattice on
-    [-0.9, 0.9]^2 with |z| <= 0.9, ordered by x then y; grid >= 16."""
-    if grid < 16:
-        raise ValueError("need grid >= 16")
+def _distortion_lattice(grid: int) -> np.ndarray:
+    """The points of the grid x grid lattice on [-0.9, 0.9]^2 with |z| <= 0.9,
+    ordered by x then y."""
     xs = np.linspace(-_DISTORTION_EXTENT, _DISTORTION_EXTENT, grid)
     z = (xs[:, None] + 1j * xs[None, :]).ravel()
-    z = z[_cabs(z) <= _DISTORTION_EXTENT]
+    return z[np.abs(z) <= _DISTORTION_EXTENT]
+
+
+def distortion_sweep(f: SampleMap, grid: int) -> DistortionSweep:
+    """The derivative data of f on the `_distortion_lattice`; grid >= 16."""
+    if grid < 16:
+        raise ValueError("need grid >= 16")
+    z = _distortion_lattice(grid)
     a, b, jac, k = _derivative_data(*wirtinger(f, z))
     return DistortionSweep(z, a, b, k, jac)
 
@@ -346,13 +351,12 @@ def _circle_points(n: int) -> np.ndarray:
 
 def _refuse_sense_reversing(f: SampleMap, z: np.ndarray) -> None:
     """NotSensePreservingError unless J >= 0 at the points z and on the
-    16 x 16 distortion_sweep lattice."""
-    jac = _derivative_data(*wirtinger(f, z))[2]
-    sweep = distortion_sweep(f, 16)
-    bad = np.concatenate([z[jac < 0], sweep.z[sweep.jacobian < 0]])
+    16 x 16 distortion lattice; J alone is computed, not K."""
+    z = np.concatenate([z, _distortion_lattice(16)])
+    bad = z[_moduli(*wirtinger(f, z))[2] < 0]
     if len(bad):
         raise NotSensePreservingError(
-            f"{f.label} is not sense-preserving: J < 0 at {len(bad)} of {len(z) + len(sweep.z)} "
+            f"{f.label} is not sense-preserving: J < 0 at {len(bad)} of {len(z)} "
             f"sampled points, first at z = {complex(bad[0])!r}")
 
 

@@ -63,6 +63,20 @@ def wirtinger_fd(f, z, step: float = None):
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
+def derivative_reference(f_z, f_zbar):
+    """(|f_z|, |f_zbar|, J, K) as arrays, each point's values by Python's abs and **
+    on one complex number at a time: |f_z|, |f_zbar|, J = |f_z|**2 - |f_zbar|**2
+    and K = (|f_z| + |f_zbar|)/||f_z| - |f_zbar||, with K = 1 where the norm
+    |f_z| + |f_zbar| is below 1e-15 and inf where |J| is below 1e-15 norm**2."""
+    rows = []
+    for fz, fzb in zip(f_z.tolist(), f_zbar.tolist()):
+        a, b = abs(fz), abs(fzb)
+        n, jac = a + b, a**2 - b**2
+        k = 1.0 if n < 1e-15 else math.inf if abs(jac) < 1e-15 * n * n else n / abs(a - b)
+        rows.append((a, b, jac, k))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 def custom_map(evaluator, label: str = "custom") -> SampleMap:
     """A map from an evaluator alone, its Wirtinger data by `wirtinger_fd`."""
 

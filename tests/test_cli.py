@@ -292,13 +292,35 @@ FINITE = "must be a finite number"
      "must be > 0, not -1.0"),
     (("circle-family", "--r1", "0.5", "--r2", "1.5", "--q", "const:1", "--agree-tol", "0"), "--agree-tol",
      "must be > 0, not 0.0"),
+    (("ring-modulus", "--r1", "1.5", "--r2", "0.5", "--grid", "10x30"), "--r1",
+     "1.5 and --r2 0.5: need 0 <= r_inner < r_outer"),
+    (("ring-modulus", "--r1", "0.5", "--r2", "30", "--grid", "10x30"), "--r1",
+     "0.5 and --r2 30.0: outer radius too close to the disk boundary"),
+    (("circle-family", "--r1", "1.5", "--r2", "0.5", "--q", "const:1"), "--r1",
+     "1.5 and --r2 0.5: need 0 <= r_inner < r_outer"),
+    (("qnorm", "--q", "const:1", "--r1", "0.5", "--r2", "30"), "--r1",
+     "0.5 and --r2 30.0: outer radius too close to the disk boundary"),
+    (("divergence", "--q", "const:1", "--r1", "1.5", "--r2", "0.5"), "--r1",
+     "1.5 and --r2 0.5: need 0 <= r_inner < r_outer"),
+    (("fmo", "--q", "const:1", "--center", "2"), "--center", "must lie strictly inside the unit disk"),
+    (("fmo", "--q", "const:1", "--center", "[0.99999999999, 0]"), "--center",
+     "must lie strictly inside the unit disk"),
+    (("fmo", "--q", "const:1", "--eps-start", "50"), "--eps-start",
+     "50.0 and --eps-count 12: circle reaches the disk boundary"),
+    (("fmo", "--q", "const:1", "--eps-start", "1e-4", "--eps-count", "12"), "--eps-start",
+     "0.0001 and --eps-count 12: need at least 3 epsilons"),
+    (("divergence", "--q", "const:1", "--r1", "1.4", "--r2", "1.5"), "--r1",
+     "1.4 and --r2 1.5: epsilon sequence too short; widen the ring"),
 ], ids=["ring-underscore", "ring-space", "ring-inf-tol", "circle-family-space", "circle-family-infinity-tol",
         "qnorm-inf", "fmo-underscore", "fmo-nan", "divergence-space", "fmo-center-underscore", "fmo-center-space",
         "fmo-center-inf", "fmo-center-complex", "fmo-center-nan-part", "ring-negative-r1", "qnorm-negative-r2",
-        "fmo-negative-eps", "fmo-zero-eps", "ring-negative-tol", "circle-family-zero-tol"])
+        "fmo-negative-eps", "fmo-zero-eps", "ring-negative-tol", "circle-family-zero-tol", "ring-reversed",
+        "ring-past-rim", "circle-family-reversed", "qnorm-past-rim", "divergence-reversed", "fmo-center-outside",
+        "fmo-center-near-rim", "fmo-eps-past-rim", "fmo-eps-at-floor", "divergence-thin-ring"])
 def test_number_off_the_config_rule_is_refused(capsys, argv, flag, reason):
     # float() would read "1_2" as 12, and "inf" as a tolerance every solve meets; a radius
-    # below 0 or a tolerance at 0 is refused by its flag, not by the library or the verdict
+    # below 0 or a tolerance at 0 is refused by its flag, not by the library or the verdict,
+    # and a value the library refuses is refused with the flags that spell it
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"config error: {flag} {reason}")

@@ -25,7 +25,7 @@ from modlab.mappings import (
     winding,
     wirtinger,
 )
-from oracles import custom_map, wirtinger_fd
+from oracles import custom_map, derivative_reference, wirtinger_fd
 
 
 def polar_wirtinger_oracle(R, dR, k_angle, z):
@@ -201,13 +201,10 @@ class TestClosedForms:
         assert dilatation(f, 1j * z.imag).tolist() == [math.inf] * len(z)
 
     def test_every_kind_agrees_with_differences(self):
-        configs = [{"kind": "identity"}, {"kind": "winding", "k": 3}, {"kind": "radial_stretch", "k": 2.5},
-                   NON_ROTATION, STRETCH_THEN_WIND, {"kind": "spiral"}, {"kind": "fold"}]
-        assert {cfg["kind"] for cfg in configs} == set(mappings._MAP_KINDS)
         rng = np.random.default_rng(7)
         z = 0.9 * np.sqrt(rng.uniform(size=400)) * np.exp(2j * math.pi * rng.uniform(size=400))
         z = z[(np.abs(z) > 0.05) & (np.abs(z.real) > 0.05)]
-        for cfg in configs:
+        for cfg in CATALOG:
             TestWirtinger._assert_agrees_with_differences(map_from_config(cfg), z)
 
 
@@ -374,6 +371,34 @@ class TestFiniteDistortion:
 ROTATION = {"kind": "mobius", "a_re": 0.6, "a_im": 0.8, "c_re": 0.0}
 NON_ROTATION = {"kind": "mobius", "a_re": 1.2, "a_im": 0.3, "c_re": 0.4, "c_im": -0.2}
 STRETCH_THEN_WIND = {"kind": "composition", "parts": [{"kind": "radial_stretch", "k": 2}, {"kind": "winding", "k": 2}]}
+# one config of every map kind
+CATALOG = [{"kind": "identity"}, {"kind": "winding", "k": 3}, {"kind": "radial_stretch", "k": 2.5},
+           NON_ROTATION, STRETCH_THEN_WIND, {"kind": "spiral"}, {"kind": "fold"}]
+
+
+def test_catalog_names_every_kind():
+    assert {cfg["kind"] for cfg in CATALOG} == set(mappings._MAP_KINDS)
+
+
+def ulps(got, want, scale):
+    """|got - want| in units in the last place of `scale`; 0 where they are equal, inf included."""
+    with np.errstate(invalid="ignore"):
+        return np.where(got == want, 0.0, np.abs(got - want) / np.spacing(np.abs(scale)))
+
+
+@pytest.mark.parametrize("cfg", CATALOG, ids=[cfg["kind"] for cfg in CATALOG])
+def test_derivative_data_agrees_with_the_scalar_reference(cfg):
+    # numpy's complex abs may round a modulus up to 2 ulps away from Python's abs. Carried
+    # through the formulas, that moves J = a^2 - b^2 by at most 10 ulps of a^2 + b^2, and
+    # K = (a + b)/|a - b| by at most 6 ulps of K (1 + K): a relative 2^-51 (1 + K) plus roundings.
+    # Measured on the 33-lattice: 1, 3 and 1.25 (J to 12 ulps of itself for the spiral).
+    f = map_from_config(cfg)
+    sweep = distortion_sweep(f, 33)
+    a, b, jac, k = derivative_reference(*wirtinger(f, sweep.z))
+    assert ulps(sweep.abs_fz, a, a).max() <= 2 and ulps(sweep.abs_fzbar, b, b).max() <= 2
+    assert ulps(sweep.jacobian, jac, a * a + b * b).max() <= 10
+    assert np.array_equal(np.isinf(sweep.dilatation), np.isinf(k))
+    assert ulps(sweep.dilatation, k, np.where(np.isinf(k), 1.0, k * (1.0 + k))).max() <= 6
 
 
 class TestMapConstruction:
